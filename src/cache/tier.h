@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "obs/trace.h"
 #include "os/node.h"
 #include "proto/request.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::cache {
@@ -67,7 +67,7 @@ class CacheTier {
  public:
   /// Completion of one client-visible operation; ok=false surfaces like a
   /// SQL error at the router (a failed quorum fetch or write).
-  using DoneFn = std::function<void(bool ok)>;
+  using DoneFn = sim::Callback<void(bool ok)>;
 
   CacheTier(sim::Simulation& simu, std::vector<os::Node*> nodes,
             kv::KvTier* backing, CacheConfig config);
@@ -138,6 +138,11 @@ class CacheTier {
 
     NodeState(os::Node* n, std::size_t capacity_entries)
         : node(n), store(capacity_entries) {}
+    // Move-only (the fills hold move-only callbacks).
+    NodeState(const NodeState&) = delete;
+    NodeState& operator=(const NodeState&) = delete;
+    NodeState(NodeState&&) = default;
+    NodeState& operator=(NodeState&&) = default;
   };
 
   void start_fill(int node, const proto::RequestPtr& req, sim::SimTime demand,

@@ -12,7 +12,7 @@ KvReplica::KvReplica(sim::Simulation& simu, os::Node& node, int id,
       config_(config),
       queue_trace_(trace_window) {}
 
-void KvReplica::execute(sim::SimTime demand, std::function<void()> done) {
+void KvReplica::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
   queue_trace_.set(sim_.now(), resident_);
   if (executing_ < config_.max_connections) {
@@ -27,7 +27,7 @@ void KvReplica::set_slow(double severity) {
   slow_factor_ = 1.0 / (1.0 - severity);
 }
 
-void KvReplica::start(sim::SimTime demand, std::function<void()> done) {
+void KvReplica::start(sim::SimTime demand, sim::Callback<void()> done) {
   ++executing_;
   if (slow()) {
     demand = sim::SimTime::from_seconds(demand.to_seconds() * slow_factor_);

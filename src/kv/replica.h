@@ -2,13 +2,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "metrics/time_series.h"
 #include "os/node.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::kv {
@@ -49,7 +49,7 @@ class KvReplica {
   /// Execute one operation of the given CPU demand; `done` fires on
   /// completion (storage reads/writes happen inside `done`, at completion
   /// time, so queueing delay is part of the operation).
-  void execute(sim::SimTime demand, std::function<void()> done);
+  void execute(sim::SimTime demand, sim::Callback<void()> done);
 
   // -- versioned store --------------------------------------------------------
   std::uint64_t version_of(std::uint64_t key) const;
@@ -91,7 +91,7 @@ class KvReplica {
   os::Node& node() { return node_; }
 
  private:
-  void start(sim::SimTime demand, std::function<void()> done);
+  void start(sim::SimTime demand, sim::Callback<void()> done);
   void on_op_done();
 
   sim::Simulation& sim_;
@@ -106,7 +106,7 @@ class KvReplica {
   std::uint64_t served_ = 0;
   std::uint64_t writes_applied_ = 0;
   std::unordered_map<std::uint64_t, std::uint64_t> versions_;
-  std::deque<std::pair<sim::SimTime, std::function<void()>>> waiting_;
+  std::deque<std::pair<sim::SimTime, sim::Callback<void()>>> waiting_;
   std::deque<Hint> hints_;
   metrics::GaugeSeries queue_trace_;
 };

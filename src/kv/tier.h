@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "kv/config.h"
@@ -10,6 +10,7 @@
 #include "net/link.h"
 #include "obs/trace.h"
 #include "proto/request.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::kv {
@@ -69,7 +70,7 @@ class KvTier {
   /// Completion of one client-visible operation; ok=false means the quorum
   /// could not be met (or the write was shed by a migration handover) — the
   /// router surfaces it like a SQL error.
-  using DoneFn = std::function<void(bool ok)>;
+  using DoneFn = sim::Callback<void(bool ok)>;
 
   KvTier(sim::Simulation& simu, std::vector<KvReplica*> replicas,
          KvConfig config, sim::SimTime link_latency);

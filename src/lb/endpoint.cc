@@ -13,91 +13,79 @@ std::string to_string(MechanismKind k) {
   return "?";
 }
 
-namespace {
-
 // Algorithm 1: with retry counted in units of JK_SLEEP_DEF, polls happen
-// at t = 0, S, 2S, ... while retry*S < timeout; then the call fails.
-struct PollState {
-  sim::Simulation& simu;
-  EndpointPool& pool;
-  BlockingAcquirer::Params params;
-  std::function<void(bool)> done;
-  sim::SimTime waited;
-  EndpointAcquirer::TraceContext trace;
-};
+// at t = 0, S, 2S, ... while retry*S < timeout; then the call fails. A
+// failed check is always followed by a sleep; the loop condition
+// (retry * JK_SLEEP_DEF < timeout) is evaluated on wake-up. With the
+// defaults this checks at 0/100/200 ms and reports failure at 300 ms.
+void BlockingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
+                               const WorkerRecord& rec,
+                               sim::Callback<void(bool)> done) {
+  (void)rec;
+  poll_step(polls_.insert(
+      Poll{&simu, &pool, std::move(done), sim::SimTime::zero(), trace_ctx_}));
+}
 
-// Exact Algorithm-1 sequencing: a failed check is always followed by a
-// sleep; the loop condition (retry * JK_SLEEP_DEF < timeout) is evaluated
-// on wake-up. With the defaults this checks at 0/100/200 ms and reports
-// failure at 300 ms. A free function (rather than a self-capturing closure
-// in a shared_ptr<function>) so the recursion holds no reference cycle:
-// the only owner of the state is the pending wake-up event.
-void poll_step(const std::shared_ptr<PollState>& st) {
-  if (st->pool.try_acquire()) {
-    st->done(true);
+void BlockingAcquirer::poll_step(sim::SlotTable<Poll>::Handle h) {
+  Poll& st = polls_[h];
+  if (st.pool->try_acquire()) {
+    finish(h, true);
     return;
   }
   // The initial failed check is covered by the balancer's attempt event;
   // wake-up re-checks are the 100 ms sleeps the worker thread spends parked.
-  if (st->waited > sim::SimTime::zero())
-    NTIER_TRACE_EVENT(st->trace.trace, st->simu.now(),
+  if (st.waited > sim::SimTime::zero())
+    NTIER_TRACE_EVENT(st.trace.trace, st.simu->now(),
                       obs::EventKind::kGetEndpointPoll, obs::Tier::kBalancer,
-                      st->trace.node, st->trace.worker, st->trace.request,
-                      st->waited.to_millis());
-  st->waited += st->params.sleep_interval;
-  st->simu.after(st->params.sleep_interval, [st] {
-    if (st->waited >= st->params.acquire_timeout)
-      st->done(false);
+                      st.trace.node, st.trace.worker, st.trace.request,
+                      st.waited.to_millis());
+  st.waited += params_.sleep_interval;
+  st.simu->after(params_.sleep_interval, [this, h] {
+    if (polls_[h].waited >= params_.acquire_timeout)
+      finish(h, false);
     else
-      poll_step(st);
+      poll_step(h);
   });
 }
 
-}  // namespace
-
-void BlockingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
-                               const WorkerRecord& rec,
-                               std::function<void(bool)> done) {
-  (void)rec;
-  poll_step(std::make_shared<PollState>(PollState{
-      simu, pool, params_, std::move(done), sim::SimTime::zero(), trace_ctx_}));
+void BlockingAcquirer::finish(sim::SlotTable<Poll>::Handle h, bool ok) {
+  const auto done = polls_.take(h).done;
+  done(ok);
 }
 
 void NonBlockingAcquirer::acquire(sim::Simulation&, EndpointPool& pool,
                                   const WorkerRecord&,
-                                  std::function<void(bool)> done) {
+                                  sim::Callback<void(bool)> done) {
   done(pool.try_acquire());
 }
 
 void QueueingAcquirer::acquire(sim::Simulation& simu, EndpointPool& pool,
                                const WorkerRecord&,
-                               std::function<void(bool)> done) {
+                               sim::Callback<void(bool)> done) {
   if (params_.wait_timeout <= sim::SimTime::zero()) {
-    pool.acquire_or_wait([done = std::move(done)](bool ok) { done(ok); });
+    pool.acquire_or_wait(std::move(done));
     return;
   }
   // Bounded wait: whichever of {grant/drain, timeout} fires first settles
   // the acquisition; the timeout *cancels* the waiter so a later release
   // cannot hand a slot to a caller that already gave up (that slot would
   // never be returned).
-  struct WaitState {
-    bool settled = false;
-    EndpointPool::WaiterId id = 0;
-  };
-  auto st = std::make_shared<WaitState>();
-  const auto id = pool.acquire_or_wait([st, done](bool ok) {
-    st->settled = true;
-    done(ok);
+  const auto h = waits_.insert(Wait{&pool, 0, std::move(done)});
+  const auto id =
+      pool.acquire_or_wait([this, h](bool ok) { settle(h, ok); });
+  Wait* w = waits_.find(h);
+  if (w == nullptr) return;  // granted (or drained) synchronously
+  w->id = id;
+  simu.after(params_.wait_timeout, [this, h] {
+    const Wait* st = waits_.find(h);
+    if (st == nullptr) return;  // granted or drained first
+    if (st->pool->cancel_waiter(st->id)) settle(h, false);
   });
-  if (st->settled) return;  // granted (or drained) synchronously
-  st->id = id;
-  simu.after(params_.wait_timeout, [st, &pool, done] {
-    if (st->settled) return;
-    if (pool.cancel_waiter(st->id)) {
-      st->settled = true;
-      done(false);
-    }
-  });
+}
+
+void QueueingAcquirer::settle(sim::SlotTable<Wait>::Handle h, bool ok) {
+  const auto done = waits_.take(h).done;
+  done(ok);
 }
 
 std::unique_ptr<EndpointAcquirer> make_acquirer(

@@ -2,14 +2,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "lb/worker_record.h"
 #include "obs/trace.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace ntier::lb {
@@ -32,6 +33,12 @@ class EndpointPool {
   using WaiterId = std::uint64_t;
 
   explicit EndpointPool(std::size_t capacity) : capacity_(capacity) {}
+  // Waiters hold move-only callbacks; spelling out move-only lets the
+  // balancer's vector of pools relocate by move.
+  EndpointPool(const EndpointPool&) = delete;
+  EndpointPool& operator=(const EndpointPool&) = delete;
+  EndpointPool(EndpointPool&&) = default;
+  EndpointPool& operator=(EndpointPool&&) = default;
 
   bool try_acquire() {
     if (in_use_ >= capacity_) return false;
@@ -44,7 +51,7 @@ class EndpointPool {
   /// the slot is held; `granted(false)` when the pool is drained first.
   /// Returns 0 when the slot was granted synchronously, else a waiter id
   /// usable with `cancel_waiter`.
-  WaiterId acquire_or_wait(std::function<void(bool)> granted) {
+  WaiterId acquire_or_wait(sim::Callback<void(bool)> granted) {
     if (try_acquire()) {
       granted(true);
       return 0;
@@ -115,7 +122,7 @@ class EndpointPool {
  private:
   struct Waiter {
     WaiterId id;
-    std::function<void(bool)> granted;
+    sim::Callback<void(bool)> granted;
   };
 
   std::size_t capacity_;
@@ -163,7 +170,7 @@ class EndpointAcquirer {
   /// but receive it for introspection/assertions.
   virtual void acquire(sim::Simulation& simu, EndpointPool& pool,
                        const WorkerRecord& rec,
-                       std::function<void(bool)> done) = 0;
+                       sim::Callback<void(bool)> done) = 0;
 
  protected:
   TraceContext trace_ctx_;
@@ -186,10 +193,24 @@ class BlockingAcquirer final : public EndpointAcquirer {
   const Params& params() const { return params_; }
 
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               sim::Callback<void(bool)> done) override;
 
  private:
+  /// One parked worker thread's Algorithm-1 loop; its wake-ups capture only
+  /// the handle.
+  struct Poll {
+    sim::Simulation* simu = nullptr;
+    EndpointPool* pool = nullptr;
+    sim::Callback<void(bool)> done;
+    sim::SimTime waited;
+    TraceContext trace;
+  };
+  void poll_step(sim::SlotTable<Poll>::Handle h);
+  /// Settle the poll: free its slot, then report `ok`.
+  void finish(sim::SlotTable<Poll>::Handle h, bool ok);
+
   Params params_;
+  sim::SlotTable<Poll> polls_;
 };
 
 /// The paper's mechanism remedy (§IV-C): a single immediate attempt. On
@@ -200,7 +221,7 @@ class NonBlockingAcquirer final : public EndpointAcquirer {
  public:
   MechanismKind kind() const override { return MechanismKind::kNonBlocking; }
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               sim::Callback<void(bool)> done) override;
 };
 
 /// Condvar-style acquisition: waits FIFO on the chosen pool and is woken
@@ -224,10 +245,21 @@ class QueueingAcquirer final : public EndpointAcquirer {
   const Params& params() const { return params_; }
 
   void acquire(sim::Simulation& simu, EndpointPool& pool, const WorkerRecord& rec,
-               std::function<void(bool)> done) override;
+               sim::Callback<void(bool)> done) override;
 
  private:
+  /// A bounded wait: the grant (or drain) and the timeout race for it. The
+  /// winner frees the slot, so the loser's handle goes stale and it becomes
+  /// a no-op.
+  struct Wait {
+    EndpointPool* pool = nullptr;
+    EndpointPool::WaiterId id = 0;
+    sim::Callback<void(bool)> done;
+  };
+  void settle(sim::SlotTable<Wait>::Handle h, bool ok);
+
   Params params_;
+  sim::SlotTable<Wait> waits_;
 };
 
 std::unique_ptr<EndpointAcquirer> make_acquirer(

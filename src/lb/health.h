@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -64,7 +65,7 @@ class HealthProber {
  public:
   /// done(ok) must eventually fire unless the backend is gone; the prober's
   /// own timeout covers the never-answers case.
-  using ProbeFn = std::function<void(int worker, std::function<void(bool)> done)>;
+  using ProbeFn = std::function<void(int worker, sim::Callback<void(bool)> done)>;
 
   HealthProber(sim::Simulation& simu, LoadBalancer& lb, ProbeFn probe,
                ProberConfig config);

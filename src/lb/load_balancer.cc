@@ -14,12 +14,6 @@ bool LoadBalancer::attach_probes(probe::ProbePool* pool) {
   return true;
 }
 
-struct LoadBalancer::AssignContext {
-  proto::RequestPtr req;
-  std::function<void(int)> done;
-  std::vector<bool> attempted;  // per worker index
-};
-
 LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
                            std::unique_ptr<LbPolicy> policy,
                            std::unique_ptr<EndpointAcquirer> acquirer,
@@ -33,6 +27,7 @@ LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
       config_.worker_weights.size() != static_cast<std::size_t>(num_workers))
     throw std::invalid_argument("BalancerConfig: worker_weights size mismatch");
   records_.resize(static_cast<std::size_t>(num_workers));
+  words_ = (static_cast<std::size_t>(num_workers) + 63) / 64;
   for (int i = 0; i < num_workers; ++i) {
     auto& rec = records_[static_cast<std::size_t>(i)];
     rec.tomcat_id = i;
@@ -179,101 +174,113 @@ void LoadBalancer::mark_failure(WorkerRecord& rec) {
   }
 }
 
-void LoadBalancer::try_next(const std::shared_ptr<AssignContext>& ctx) {
+void LoadBalancer::try_next(AssignHandle h) {
+  const proto::RequestPtr& req = assigns_[h].req;
+  const std::uint64_t* tried = attempted(h);
+  const auto was_tried = [tried](std::size_t i) {
+    return (tried[i / 64] >> (i % 64)) & 1U;
+  };
   int idx = -1;
   // Sticky routing first: a request that carries a session route goes back
   // to its owner whenever that worker is eligible and not yet attempted.
-  const int route = ctx->req->session_route;
+  const int route = req->session_route;
   if (config_.sticky_sessions && route >= 0 && route < num_workers()) {
     auto& owner = records_[static_cast<std::size_t>(route)];
-    if (!ctx->attempted[static_cast<std::size_t>(route)] && eligible(owner)) {
+    if (!was_tried(static_cast<std::size_t>(route)) && eligible(owner)) {
       idx = route;
       ++sticky_hits_;
     } else if (config_.sticky_force) {
       ++balancer_errors_;  // mod_jk sticky_session_force: no fallback
-      ctx->done(-1);
+      settle(h, -1);
       return;
     }
   }
   if (idx < 0) {
-    std::vector<int> eligible_idx;
-    eligible_idx.reserve(records_.size());
+    // Member scratch: filled and consumed by pick_for before anything below
+    // can re-enter try_next.
+    eligible_.clear();
     for (std::size_t i = 0; i < records_.size(); ++i) {
-      if (ctx->attempted[i]) continue;
+      if (was_tried(i)) continue;
       auto& rec = records_[i];
       if (eligible(rec)) {
-        eligible_idx.push_back(static_cast<int>(i));
+        eligible_.push_back(static_cast<int>(i));
       } else {
         // aux encodes why: 1 = Busy, 2 = Error, 3 = breaker open.
         trace_event(obs::EventKind::kGetEndpointSkip, static_cast<int>(i),
-                    ctx->req->id, rec.lb_value,
+                    req->id, rec.lb_value,
                     rec.breaker_open ? 3 : static_cast<std::int32_t>(rec.state));
       }
     }
-    idx = eligible_idx.empty()
+    idx = eligible_.empty()
               ? -1
-              : policy_->pick_for(records_, eligible_idx, rng_, *ctx->req);
+              : policy_->pick_for(records_, eligible_, rng_, *req);
   }
   if (idx < 0) {
     ++balancer_errors_;
-    ctx->done(-1);
+    settle(h, -1);
     return;
   }
 
-  ctx->attempted[static_cast<std::size_t>(idx)] = true;
+  attempted(h)[static_cast<std::size_t>(idx) / 64] |=
+      std::uint64_t{1} << (static_cast<std::size_t>(idx) % 64);
   auto& rec = records_[static_cast<std::size_t>(idx)];
   // The request is now committed to this candidate: even if the acquirer
   // spends 300 ms polling, the paper's per-Tomcat queue accounting counts it
   // against this backend.
   set_committed(idx, +1);
-  trace_event(obs::EventKind::kGetEndpointAttempt, idx, ctx->req->id,
+  trace_event(obs::EventKind::kGetEndpointAttempt, idx, req->id,
               static_cast<double>(pools_[static_cast<std::size_t>(idx)].in_use()));
-  acquirer_->set_trace_context(
-      {trace_events_, trace_node_, idx, ctx->req->id});
+  acquirer_->set_trace_context({trace_events_, trace_node_, idx, req->id});
 
   acquirer_->acquire(
       sim_, pools_[static_cast<std::size_t>(idx)], rec,
-      [this, ctx, idx](bool ok) {
+      [this, h, idx](bool ok) {
         auto& r = records_[static_cast<std::size_t>(idx)];
+        const std::uint64_t request = assigns_[h].req->id;
         if (ok) {
           trace_event(
-              obs::EventKind::kEndpointAcquire, idx, ctx->req->id,
+              obs::EventKind::kEndpointAcquire, idx, request,
               static_cast<double>(pools_[static_cast<std::size_t>(idx)].in_use()));
           r.consecutive_failures = 0;
           if (r.half_open_left > 0) {
             --r.half_open_left;
             // Trial quota spent without a failure: the breaker closes.
             if (r.half_open_left == 0)
-              trace_event(obs::EventKind::kBreakerState, idx, ctx->req->id, 0.0);
+              trace_event(obs::EventKind::kBreakerState, idx, request, 0.0);
           }
           ++r.assigned;
           ++r.outstanding;
-          policy_->on_assigned(r, *ctx->req);  // Algorithm 2/4 increment point
+          policy_->on_assigned(r, *assigns_[h].req);  // Algorithm 2/4 increment point
           trace_lb_value(idx);
           if (!assignment_traces_.empty())
             assignment_traces_[static_cast<std::size_t>(idx)].record(sim_.now(),
                                                                      1.0);
-          // Deliberately no write into *ctx->req: which field the chosen
+          // Deliberately no write into the request: which field the chosen
           // index means (tomcat, DB replica, ...) is the caller's business.
-          ctx->done(idx);
+          settle(h, idx);
         } else {
           trace_event(
-              obs::EventKind::kGetEndpointTimeout, idx, ctx->req->id,
+              obs::EventKind::kGetEndpointTimeout, idx, request,
               static_cast<double>(pools_[static_cast<std::size_t>(idx)].in_use()));
           mark_failure(r);
           set_committed(idx, -1);
-          try_next(ctx);
+          try_next(h);
         }
       });
 }
 
+void LoadBalancer::settle(AssignHandle h, int idx) {
+  const auto done = assigns_.take(h).done;
+  done(idx);
+}
+
 void LoadBalancer::assign(const proto::RequestPtr& req,
-                          std::function<void(int)> done) {
-  auto ctx = std::make_shared<AssignContext>();
-  ctx->req = req;
-  ctx->done = std::move(done);
-  ctx->attempted.assign(records_.size(), false);
-  try_next(ctx);
+                          sim::Callback<void(int)> done) {
+  const AssignHandle h = assigns_.insert(AssignContext{req, std::move(done)});
+  const std::size_t need = assigns_.slot_count() * words_;
+  if (attempted_.size() < need) attempted_.resize(need);
+  std::fill_n(attempted(h), words_, std::uint64_t{0});
+  try_next(h);
 }
 
 void LoadBalancer::report_failure(int idx) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,9 @@
 #include "metrics/time_series.h"
 #include "obs/trace.h"
 #include "proto/request.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::probe {
 class ProbePool;
@@ -84,7 +85,7 @@ class LoadBalancer {
   /// called — possibly after simulated polling time — with the chosen worker
   /// index, or -1 when every worker was tried and none yielded an endpoint
   /// (the request fails with a balancer error, as mod_jk returns 503).
-  void assign(const proto::RequestPtr& req, std::function<void(int)> done);
+  void assign(const proto::RequestPtr& req, sim::Callback<void(int)> done);
 
   /// The response for `req` arrived from worker `idx`: release the endpoint
   /// and run the policy's completion hook.
@@ -165,7 +166,14 @@ class LoadBalancer {
   void finish_traces();
 
  private:
-  struct AssignContext;
+  /// One in-progress assign(): the request and its continuation. Which
+  /// workers it already tried lives in `attempted_`, `words_` 64-bit words
+  /// per slot, so retrying a candidate allocates nothing.
+  struct AssignContext {
+    proto::RequestPtr req;
+    sim::Callback<void(int)> done;
+  };
+  using AssignHandle = sim::SlotTable<AssignContext>::Handle;
 
   /// Lazy Busy/Error recovery plus eligibility filtering.
   bool eligible(WorkerRecord& rec);
@@ -175,7 +183,13 @@ class LoadBalancer {
   void open_breaker(WorkerRecord& rec);
   void trace_event(obs::EventKind kind, int worker, std::uint64_t request,
                    double value = 0.0, std::int32_t aux = 0);
-  void try_next(const std::shared_ptr<AssignContext>& ctx);
+  void try_next(AssignHandle h);
+  /// Settle assign `h` with `idx` (-1 = balancer error): free the context,
+  /// then run its continuation.
+  void settle(AssignHandle h, int idx);
+  std::uint64_t* attempted(AssignHandle h) {
+    return &attempted_[sim::SlotTable<AssignContext>::slot_of(h) * words_];
+  }
   void set_committed(int idx, int delta);
   void trace_lb_value(int idx);
 
@@ -186,6 +200,10 @@ class LoadBalancer {
   std::vector<WorkerRecord> records_;
   std::vector<EndpointPool> pools_;
   sim::Rng rng_;
+  sim::SlotTable<AssignContext> assigns_;
+  std::size_t words_ = 1;                // attempted-bitset words per assign
+  std::vector<std::uint64_t> attempted_;  // by assign slot
+  std::vector<int> eligible_;             // try_next scratch
   std::uint64_t balancer_errors_ = 0;
   std::uint64_t sticky_hits_ = 0;
   obs::TraceCollector* trace_events_ = nullptr;

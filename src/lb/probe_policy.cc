@@ -29,7 +29,8 @@ int PowerOfDPolicy::pick(const std::vector<WorkerRecord>& records,
     // Sample min(d, n) distinct eligible workers (partial Fisher-Yates), then
     // JSQ over the probe-fresh members of the sample. Ties break toward the
     // lower worker index so the choice is independent of sample order.
-    std::vector<int> sample = eligible;
+    std::vector<int>& sample = sample_;
+    sample.assign(eligible.begin(), eligible.end());
     const int n = static_cast<int>(sample.size());
     const int d = std::min(d_, n);
     int best = -1;
@@ -75,8 +76,8 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
   if (eligible.empty()) return -1;
   if (pool_ != nullptr) {
     pool_->expire_now();
-    std::vector<probe::ProbeResult> fresh;
-    fresh.reserve(eligible.size());
+    std::vector<probe::ProbeResult>& fresh = fresh_;
+    fresh.clear();
     for (int idx : eligible)
       if (auto r = pool_->freshest(idx)) {
         // Rank on the drift-corrected estimate from here on.
@@ -87,8 +88,8 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
       // Hot threshold: the configured quantile of the fresh RIFs, widened by
       // the hot_factor safety margin so ordinary spread around a balanced
       // point marks nobody hot while a millibottleneck's queue spike does.
-      std::vector<double> rifs;
-      rifs.reserve(fresh.size());
+      std::vector<double>& rifs = rifs_;
+      rifs.clear();
       for (const auto& r : fresh) rifs.push_back(r.rif);
       std::sort(rifs.begin(), rifs.end());
       const auto& pc = pool_->config();

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "lb/policy.h"
 #include "probe/probe_pool.h"
@@ -68,6 +69,7 @@ class PowerOfDPolicy final : public ProbeAwarePolicy {
 
  private:
   int d_;
+  std::vector<int> sample_;  // pick() scratch, reused across calls
 };
 
 /// Prequal's hot/cold lexicographic rule, gated on an anomaly signal.
@@ -89,6 +91,11 @@ class PrequalPolicy final : public ProbeAwarePolicy {
   PolicyKind kind() const override { return PolicyKind::kPrequal; }
   int pick(const std::vector<WorkerRecord>& records,
            const std::vector<int>& eligible, sim::Rng& rng) override;
+
+ private:
+  // pick() scratch, cleared per call so a decision allocates nothing.
+  std::vector<probe::ProbeResult> fresh_;
+  std::vector<double> rifs_;
 };
 
 }  // namespace ntier::lb

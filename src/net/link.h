@@ -1,7 +1,5 @@
 #pragma once
 
-#include <functional>
-
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -45,7 +43,7 @@ class Link {
   }
 
   /// Deliver `fn` on the far side after the link latency.
-  void deliver(sim::Simulation& simu, std::function<void()> fn) const {
+  void deliver(sim::Simulation& simu, sim::Callback<void()> fn) const {
     simu.after(latency(), std::move(fn));
   }
 

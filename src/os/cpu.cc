@@ -21,11 +21,12 @@ CpuResource::CpuResource(sim::Simulation& simu, int cores, std::string name)
 }
 
 double CpuResource::rate_per_job() const {
-  if (live_jobs_ == 0) return 0.0;
+  const std::size_t live = jobs_.size();
+  if (live == 0) return 0.0;
   const double share =
-      live_jobs_ <= static_cast<std::size_t>(cores_)
+      live <= static_cast<std::size_t>(cores_)
           ? 1.0
-          : static_cast<double>(cores_) / static_cast<double>(live_jobs_);
+          : static_cast<double>(cores_) / static_cast<double>(live);
   return factor_ * share;
 }
 
@@ -38,18 +39,13 @@ void CpuResource::advance() {
   }
   const double rate = rate_per_job();
   v_ += dt * rate;
-  work_done_ns_ += dt * rate * static_cast<double>(live_jobs_);
+  work_done_ns_ += dt * rate * static_cast<double>(jobs_.size());
   stall_ns_ += dt * (1.0 - factor_);
   last_update_ = now;
 }
 
 void CpuResource::pop_cancelled_top() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    heap_.pop();
-  }
+  while (!heap_.empty() && !jobs_.contains(heap_.top().id)) heap_.pop();
 }
 
 void CpuResource::reschedule() {
@@ -70,41 +66,35 @@ void CpuResource::reschedule() {
 void CpuResource::on_completion_event() {
   completion_event_ = sim::kInvalidEventId;
   advance();
-  std::vector<std::function<void()>> done;
+  // The batch is only ever filled here, and this runs from its own event,
+  // so the callbacks below cannot re-enter it.
+  assert(done_batch_.empty());
   pop_cancelled_top();
   while (!heap_.empty() && heap_.top().v_end <= v_ + kVEps) {
     const JobId id = heap_.top().id;
     heap_.pop();
-    auto it = callbacks_.find(id);
-    assert(it != callbacks_.end());
-    done.push_back(std::move(it->second));
-    callbacks_.erase(it);
-    --live_jobs_;
+    done_batch_.push_back(jobs_.take(id));
     pop_cancelled_top();
   }
   reschedule();
-  for (auto& cb : done) cb();
+  for (auto& cb : done_batch_) cb();
+  done_batch_.clear();
 }
 
 CpuResource::JobId CpuResource::submit(sim::SimTime demand,
-                                       std::function<void()> on_complete) {
+                                       sim::Callback<void()> on_complete) {
   if (demand.ns() < 0) throw std::invalid_argument("CpuResource: negative demand");
   advance();
-  const JobId id = next_job_id_++;
-  heap_.push(HeapJob{v_ + static_cast<double>(demand.ns()), id});
-  callbacks_.emplace(id, std::move(on_complete));
-  ++live_jobs_;
+  const JobId id = jobs_.insert(std::move(on_complete));
+  heap_.push(HeapJob{v_ + static_cast<double>(demand.ns()), next_seq_++, id});
   reschedule();
   return id;
 }
 
 bool CpuResource::cancel(JobId id) {
-  auto it = callbacks_.find(id);
-  if (it == callbacks_.end()) return false;
+  if (!jobs_.contains(id)) return false;
   advance();
-  callbacks_.erase(it);
-  cancelled_.insert(id);
-  --live_jobs_;
+  jobs_.erase(id);
   reschedule();
   return true;
 }

@@ -1,14 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace ntier::os {
@@ -25,7 +23,11 @@ namespace ntier::os {
 ///
 /// Implementation: virtual-time PS. V(t) integrates the per-job rate; job j
 /// finishes when V reaches V(start_j) + demand_j, so arrivals/departures are
-/// O(log n) instead of rescanning every job.
+/// O(log n) instead of rescanning every job. Pending jobs are POD nodes
+/// {v_end, submit seq, id} in a 4-ary heap (ties complete in submit order);
+/// their completion callbacks live in a generation-tagged SlotTable, so a
+/// job id is a slot handle, cancel is O(1) and a stale id never resolves.
+/// Nothing allocates once the tables reach their high-water mark.
 class CpuResource {
  public:
   using JobId = std::uint64_t;
@@ -38,9 +40,10 @@ class CpuResource {
 
   /// Submit a job with the given full-speed demand. `on_complete` fires when
   /// the job has accumulated that much service.
-  JobId submit(sim::SimTime demand, std::function<void()> on_complete);
+  JobId submit(sim::SimTime demand, sim::Callback<void()> on_complete);
 
-  /// Abandon a job before completion. Returns false if already finished.
+  /// Abandon a job before completion. Returns false if already finished or
+  /// cancelled (including a stale id whose slot now holds another job).
   bool cancel(JobId id);
 
   /// Change the effective speed (0 = fully stalled). Takes effect
@@ -49,7 +52,7 @@ class CpuResource {
   double capacity_factor() const { return factor_; }
 
   int cores() const { return cores_; }
-  std::size_t jobs_running() const { return live_jobs_; }
+  std::size_t jobs_running() const { return jobs_.size(); }
   const std::string& name() const { return name_; }
 
   /// Cumulative foreground work completed, in core-seconds.
@@ -70,11 +73,13 @@ class CpuResource {
 
  private:
   struct HeapJob {
-    double v_end;  // virtual time at which the job completes
-    JobId id;
-    bool operator>(const HeapJob& o) const {
-      if (v_end != o.v_end) return v_end > o.v_end;
-      return id > o.id;
+    double v_end = 0;        // virtual time at which the job completes
+    std::uint64_t seq = 0;   // submit order: the tie-break at equal v_end
+    JobId id = kInvalidJob;  // slot handle of the job's callback
+  };
+  struct Before {
+    bool operator()(const HeapJob& a, const HeapJob& b) const {
+      return a.v_end != b.v_end ? a.v_end < b.v_end : a.seq < b.seq;
     }
   };
 
@@ -89,17 +94,18 @@ class CpuResource {
   std::string name_;
   double factor_ = 1.0;
 
-  std::priority_queue<HeapJob, std::vector<HeapJob>, std::greater<>> heap_;
-  std::unordered_set<JobId> cancelled_;
-  std::unordered_map<JobId, std::function<void()>> callbacks_;
-  std::size_t live_jobs_ = 0;
+  sim::QuadHeap<HeapJob, Before> heap_;
+  sim::SlotTable<sim::Callback<void()>> jobs_;  // live jobs' callbacks
+  /// Callbacks of the jobs one completion event retires, run after the
+  /// re-arm; reused so a completion allocates nothing.
+  std::vector<sim::Callback<void()>> done_batch_;
 
   double v_ = 0;                 // virtual time, in ns of per-job service
   sim::SimTime last_update_;
   double work_done_ns_ = 0;      // foreground core-ns completed
   double stall_ns_ = 0;          // integral of (1-factor) dt
   sim::EventId completion_event_ = sim::kInvalidEventId;
-  JobId next_job_id_ = 1;
+  std::uint64_t next_seq_ = 0;
 
   // probe state
   double probe_last_work_ns_ = 0;

@@ -13,7 +13,7 @@ Disk::Disk(sim::Simulation& simu, double bytes_per_second, std::string name)
   probe_last_t_ = sim_.now();
 }
 
-void Disk::submit_write(std::uint64_t bytes, std::function<void()> on_complete) {
+void Disk::submit_write(std::uint64_t bytes, sim::Callback<void()> on_complete) {
   queue_.push_back(Pending{bytes, std::move(on_complete)});
   if (!busy_) start_next();
 }

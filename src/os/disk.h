@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -24,7 +24,7 @@ class Disk {
 
   /// Enqueue a write of `bytes`; `on_complete` fires when it has fully hit
   /// the platter (FIFO order).
-  void submit_write(std::uint64_t bytes, std::function<void()> on_complete);
+  void submit_write(std::uint64_t bytes, sim::Callback<void()> on_complete);
 
   bool busy() const { return busy_; }
   std::size_t queue_depth() const { return queue_.size(); }
@@ -54,7 +54,7 @@ class Disk {
 
   struct Pending {
     std::uint64_t bytes;
-    std::function<void()> on_complete;
+    sim::Callback<void()> on_complete;
   };
   std::deque<Pending> queue_;
   bool busy_ = false;

@@ -15,7 +15,7 @@ void PageCache::write_dirty(std::uint64_t bytes) {
 }
 
 void PageCache::write_dirty_throttled(std::uint64_t bytes,
-                                      std::function<void()> proceed) {
+                                      sim::Callback<void()> proceed) {
   write_dirty(bytes);
   if (over_throttle()) {
     throttled_.push_back(std::move(proceed));  // balance_dirty_pages parks us
@@ -31,7 +31,7 @@ std::uint64_t PageCache::take_all_dirty() {
   trace_.set(sim_.now(), 0.0);
   if (!throttled_.empty()) {
     // Writeback claimed the dirty pages: every parked writer may proceed.
-    std::vector<std::function<void()>> wake;
+    std::vector<sim::Callback<void()>> wake;
     wake.swap(throttled_);
     for (auto& w : wake) w();
   }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "metrics/time_series.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::os {
@@ -29,7 +30,7 @@ class PageCache {
   /// throttle limit, the writing thread is parked and `proceed` runs only
   /// after writeback drains the cache. With no limit set this is exactly
   /// write_dirty + an immediate `proceed()`.
-  void write_dirty_throttled(std::uint64_t bytes, std::function<void()> proceed);
+  void write_dirty_throttled(std::uint64_t bytes, sim::Callback<void()> proceed);
 
   /// Foreground throttle limit in bytes (0 = disabled).
   void set_throttle_limit(std::uint64_t bytes) { throttle_limit_ = bytes; }
@@ -61,7 +62,7 @@ class PageCache {
   bool above_threshold_ = false;
   std::function<void()> threshold_cb_;
   std::uint64_t throttle_limit_ = 0;
-  std::vector<std::function<void()>> throttled_;
+  std::vector<sim::Callback<void()>> throttled_;
   metrics::GaugeSeries trace_;
 };
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "sim/callback.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -85,7 +86,7 @@ class ProbePool {
  public:
   /// done(ok, rif, latency_ms) must eventually fire unless the backend is
   /// gone; the pool's own timeout covers the never-answers case.
-  using ReplyFn = std::function<void(bool ok, double rif, double latency_ms)>;
+  using ReplyFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
   using Transport = std::function<void(int worker, ReplyFn done)>;
   /// Snapshot of the owning balancer's own in-flight count on `worker`,
   /// evaluated when a reply is pooled (see ProbeResult::local_rif).

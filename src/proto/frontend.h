@@ -1,8 +1,7 @@
 #pragma once
 
-#include <functional>
-
 #include "proto/request.h"
+#include "sim/callback.h"
 
 namespace ntier::proto {
 
@@ -19,7 +18,7 @@ class FrontEnd {
 
   /// `respond(req, ok)` fires when the server finishes the request; ok=false
   /// means the server gave up internally (balancer error / 503).
-  using RespondFn = std::function<void(const RequestPtr&, bool ok)>;
+  using RespondFn = sim::Callback<void(const RequestPtr&, bool ok)>;
 
   virtual bool try_submit(const RequestPtr& req, RespondFn respond) = 0;
 };

@@ -38,7 +38,7 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
     // experiences the same stalls as a request does.
     prober_ = std::make_unique<lb::HealthProber>(
         simu, *balancer_,
-        [this](int w, std::function<void(bool)> done) {
+        [this](int w, sim::Callback<void(bool)> done) {
           tomcat_link_.deliver(sim_, [this, w, done = std::move(done)]() mutable {
             tomcats_[static_cast<std::size_t>(w)]->probe(
                 [this, done = std::move(done)](bool ok) mutable {
@@ -127,134 +127,133 @@ void ApacheServer::start_worker(Work w) {
   w.req->accepted_at = sim_.now();
   ++first_attempts_;
   if (retry_budget_) retry_budget_->deposit();
-  handle(std::move(w));
-}
-
-void ApacheServer::handle(Work w) {
   // Front-end CPU (parsing, handler setup), then the mod_jk balancer.
-  auto req = w.req;
-  node_.cpu().submit(req->apache_demand, [this, w = std::move(w)]() mutable {
-    dispatch(std::move(w), /*attempt=*/0);
-  });
+  const sim::SimTime demand = w.req->apache_demand;
+  const JobHandle h = jobs_.insert(std::move(w));
+  node_.cpu().submit(demand, [this, h] { dispatch(h, /*attempt=*/0); });
 }
 
-void ApacheServer::dispatch(Work w, int attempt) {
+void ApacheServer::dispatch(JobHandle h, int attempt) {
+  // Local copies of the request handle throughout: a balancer answer can
+  // run synchronously and finish requests, reusing job and attempt slots.
+  const proto::RequestPtr req = jobs_[h].req;
   // Deadline check before entering the balancer: work that can no longer
   // finish in time is not worth an endpoint hunt.
-  if (config_.overload.deadlines && expired(w.req)) {
-    shed_worker(std::move(w), proto::ShedReason::kDeadlineExpired);
+  if (config_.overload.deadlines && expired(req)) {
+    shed_worker(h, proto::ShedReason::kDeadlineExpired);
     return;
   }
-  // Copy the request handle out before the capture moves `w` (argument
-  // evaluation order is unspecified).
-  auto r = w.req;
-  balancer_->assign(r, [this, w = std::move(w), attempt](int idx) mutable {
-    if (idx < 0) {
-      // mod_jk 503: no backend yielded an endpoint.
-      maybe_retry(std::move(w), attempt);
-      return;
-    }
-    if (config_.overload.deadlines && expired(w.req)) {
-      // The blocking get_endpoint can park the worker for hundreds of ms —
-      // the deadline may have passed while we waited. Give the endpoint
-      // back and shed instead of forwarding stale work to the backend.
-      balancer_->on_response(idx, w.req);
-      shed_worker(std::move(w), proto::ShedReason::kDeadlineExpired);
-      return;
-    }
-    w.req->tomcat_id = static_cast<std::int16_t>(idx);
-    w.req->assigned_at = sim_.now();
-    auto* tomcat = tomcats_[static_cast<std::size_t>(idx)];
-    tomcat_link_.deliver(
-        sim_, [this, w = std::move(w), tomcat, idx, attempt]() mutable {
-          // One latch per attempt: whichever of {backend response, abandon
-          // timer} fires first owns the request's continuation. A late
-          // answer to an abandoned attempt still releases the endpoint slot
-          // and refreshes the piggybacked load report — the backend really
-          // did the work — but must not finish (or double-finish) the
-          // request the retry path already owns.
-          auto abandoned = std::make_shared<bool>(false);
-          const bool accepted = tomcat->submit(
-              w.req,
-              [this, w, idx, attempt, abandoned](const proto::RequestPtr&) {
-                tomcat_link_.deliver(sim_, [this, w, idx, attempt, abandoned] {
-                  balancer_->on_response(idx, w.req);
-                  // Piggyback the backend's load report on the response
-                  // (Prequal's probe-on-response mode): keeps the pool
-                  // millisecond-fresh on workers we are actively using.
-                  // A gray-degraded Tomcat reports frozen pre-fault values
-                  // here too — the deception covers the piggyback path.
-                  if (probe_pool_) {
-                    auto* t = tomcats_[static_cast<std::size_t>(idx)];
-                    probe_pool_->observe(idx, t->reported_rif(),
-                                         t->reported_latency_ms());
-                  }
-                  if (*abandoned) return;
-                  *abandoned = true;
-                  w.req->backend_done_at = sim_.now();
-                  if (attempt > 0) ++retry_successes_;
-                  // A backend tier may have shed the request mid-flight
-                  // (expired deadline at the Tomcat queue or DbRouter);
-                  // the response then carries the failure to the client.
-                  finish(w, /*ok=*/w.req->shed == proto::ShedReason::kNone);
-                });
-              });
-          if (accepted && config_.retry.enabled &&
-              config_.retry.attempt_timeout > sim::SimTime::zero()) {
-            sim_.after(config_.retry.attempt_timeout,
-                       [this, w, attempt, abandoned]() mutable {
-                         if (*abandoned) return;
-                         *abandoned = true;
-                         ++attempts_abandoned_;
-                         maybe_retry(std::move(w), attempt);
-                       });
-          }
-          if (!accepted) {
-            balancer_->on_response(idx, w.req);
-            if (w.req->shed == proto::ShedReason::kAdmission ||
-                w.req->shed == proto::ShedReason::kBrownout) {
-              // Explicit 503 from the backend's admission limiter: the
-              // Tomcat is alive and answering fast, so don't escalate the
-              // mod_jk Busy/Error state — just retry elsewhere if allowed.
-              maybe_retry(std::move(w), attempt);
-            } else {
-              // Connector backlog overflow or a crashed Tomcat (a connect
-              // failure in mod_jk terms). Feed the failure into the
-              // worker's Busy/Error escalation and retry elsewhere.
-              balancer_->report_failure(idx);
-              maybe_retry(std::move(w), attempt);
-            }
-          }
-        });
+  balancer_->assign(req, [this, h, attempt](int idx) {
+    on_assigned(h, attempt, idx);
   });
 }
 
-void ApacheServer::maybe_retry(Work w, int attempt) {
+void ApacheServer::on_assigned(JobHandle h, int attempt, int idx) {
+  if (idx < 0) {
+    // mod_jk 503: no backend yielded an endpoint.
+    maybe_retry(h, attempt);
+    return;
+  }
+  const proto::RequestPtr req = jobs_[h].req;
+  if (config_.overload.deadlines && expired(req)) {
+    // The blocking get_endpoint can park the worker for hundreds of ms —
+    // the deadline may have passed while we waited. Give the endpoint
+    // back and shed instead of forwarding stale work to the backend.
+    balancer_->on_response(idx, req);
+    shed_worker(h, proto::ShedReason::kDeadlineExpired);
+    return;
+  }
+  req->tomcat_id = static_cast<std::int16_t>(idx);
+  req->assigned_at = sim_.now();
+  tomcat_link_.deliver(sim_, [this, h, attempt, idx] {
+    forward(h, attempt, idx);
+  });
+}
+
+void ApacheServer::forward(JobHandle h, int attempt, int idx) {
+  const proto::RequestPtr req = jobs_[h].req;
+  const AttemptHandle a =
+      attempts_.insert(Attempt{req, h, idx, attempt, /*abandoned=*/false});
+  const bool accepted = tomcats_[static_cast<std::size_t>(idx)]->submit(
+      req, [this, a](const proto::RequestPtr&) {
+        tomcat_link_.deliver(sim_, [this, a] { on_backend_response(a); });
+      });
+  if (accepted && config_.retry.enabled &&
+      config_.retry.attempt_timeout > sim::SimTime::zero()) {
+    sim_.after(config_.retry.attempt_timeout,
+               [this, a] { on_attempt_timeout(a); });
+  }
+  if (accepted) return;
+  attempts_.erase(a);
+  balancer_->on_response(idx, req);
+  if (req->shed != proto::ShedReason::kAdmission &&
+      req->shed != proto::ShedReason::kBrownout) {
+    // Connector backlog overflow or a crashed Tomcat (a connect failure in
+    // mod_jk terms): feed the failure into the worker's Busy/Error
+    // escalation. An explicit 503 from the backend's admission limiter
+    // means the Tomcat is alive and answering fast, so it does not
+    // escalate. Either way, retry elsewhere if allowed.
+    balancer_->report_failure(idx);
+  }
+  maybe_retry(h, attempt);
+}
+
+void ApacheServer::on_backend_response(AttemptHandle a) {
+  // Only this answer frees an accepted attempt, so the handle is live.
+  const Attempt at = attempts_.take(a);
+  balancer_->on_response(at.tomcat, at.req);
+  // Piggyback the backend's load report on the response (Prequal's
+  // probe-on-response mode): keeps the pool millisecond-fresh on workers we
+  // are actively using. A gray-degraded Tomcat reports frozen pre-fault
+  // values here too — the deception covers the piggyback path.
+  if (probe_pool_) {
+    auto* t = tomcats_[static_cast<std::size_t>(at.tomcat)];
+    probe_pool_->observe(at.tomcat, t->reported_rif(), t->reported_latency_ms());
+  }
+  if (at.abandoned) return;  // the retry path already owns the request
+  at.req->backend_done_at = sim_.now();
+  if (at.attempt > 0) ++retry_successes_;
+  // A backend tier may have shed the request mid-flight (expired deadline
+  // at the Tomcat queue or DbRouter); the response then carries the
+  // failure to the client.
+  finish(at.job, /*ok=*/at.req->shed == proto::ShedReason::kNone);
+}
+
+void ApacheServer::on_attempt_timeout(AttemptHandle a) {
+  Attempt* at = attempts_.find(a);
+  if (at == nullptr) return;  // the backend answered first
+  at->abandoned = true;
+  ++attempts_abandoned_;
+  maybe_retry(at->job, at->attempt);
+}
+
+void ApacheServer::maybe_retry(JobHandle h, int attempt) {
   const lb::RetryConfig& rc = config_.retry;
-  const bool dead = config_.overload.deadlines && expired(w.req);
+  const proto::RequestPtr& req = jobs_[h].req;
+  const bool dead = config_.overload.deadlines && expired(req);
   if (retry_suppressed_ && !dead && rc.enabled &&
       attempt + 1 < rc.max_attempts) {
     // Recovery intervention: the retry would have been eligible, but the
     // orchestrator is breaking the amplification loop. Fail fast instead.
     ++retries_suppressed_;
-    finish(w, /*ok=*/false);
+    finish(h, /*ok=*/false);
     return;
   }
   if (!dead && rc.enabled && attempt + 1 < rc.max_attempts &&
-      sim_.now() - w.req->accepted_at < rc.request_timeout &&
+      sim_.now() - req->accepted_at < rc.request_timeout &&
       retry_budget_->try_take()) {
     ++retries_;
     // A backend shed from a previous attempt must not taint the retry.
-    w.req->shed = proto::ShedReason::kNone;
-    sim_.after(rc.backoff(attempt), [this, w = std::move(w), attempt]() mutable {
-      dispatch(std::move(w), attempt + 1);
-    });
+    req->shed = proto::ShedReason::kNone;
+    sim_.after(rc.backoff(attempt),
+               [this, h, attempt] { dispatch(h, attempt + 1); });
     return;
   }
-  finish(w, /*ok=*/false);
+  finish(h, /*ok=*/false);
 }
 
-void ApacheServer::finish(const Work& w, bool ok) {
+void ApacheServer::finish(JobHandle h, bool ok) {
+  const Work w = jobs_.take(h);
   node_.page_cache().write_dirty(config_.log_bytes);
   ++served_;
   w.respond(w.req, ok);
@@ -300,9 +299,9 @@ void ApacheServer::shed_unqueued(const proto::RequestPtr& req,
   respond(req, /*ok=*/false);
 }
 
-void ApacheServer::shed_worker(Work w, proto::ShedReason reason) {
-  count_shed(w.req, reason, /*include_apache_demand=*/false);
-  finish(w, /*ok=*/false);
+void ApacheServer::shed_worker(JobHandle h, proto::ShedReason reason) {
+  count_shed(jobs_[h].req, reason, /*include_apache_demand=*/false);
+  finish(h, /*ok=*/false);
 }
 
 void ApacheServer::count_shed(const proto::RequestPtr& req,

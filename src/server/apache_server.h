@@ -19,6 +19,7 @@
 #include "proto/frontend.h"
 #include "server/tomcat_server.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::server {
 
@@ -141,11 +142,35 @@ class ApacheServer final : public proto::FrontEnd {
     proto::RequestPtr req;
     RespondFn respond;
   };
+  /// A request held by a worker thread, from pickup to finish(); every
+  /// continuation on the way captures only this handle.
+  using JobHandle = sim::SlotTable<Work>::Handle;
+  /// One forwarding attempt to a Tomcat, alive until the backend's answer
+  /// is back at this Apache: a late answer to an abandoned attempt still
+  /// releases the endpoint and refreshes the piggybacked load report. The
+  /// abandon timer and the answer race for the request's continuation. The
+  /// answer frees the record, so a timer that fires later finds a stale
+  /// handle and does nothing. A timer that fires first marks the record
+  /// `abandoned` and hands the request to the retry path.
+  struct Attempt {
+    proto::RequestPtr req;
+    JobHandle job = 0;
+    int tomcat = -1;
+    int attempt = 0;
+    bool abandoned = false;
+  };
+  using AttemptHandle = sim::SlotTable<Attempt>::Handle;
+
   void start_worker(Work w);
-  void handle(Work w);
-  void dispatch(Work w, int attempt);
-  void maybe_retry(Work w, int attempt);
-  void finish(const Work& w, bool ok);
+  void dispatch(JobHandle h, int attempt);
+  /// The balancer answered attempt `attempt` with Tomcat `idx` (-1 = 503).
+  void on_assigned(JobHandle h, int attempt, int idx);
+  /// The request reached Tomcat `idx` over the link: submit it there.
+  void forward(JobHandle h, int attempt, int idx);
+  void on_backend_response(AttemptHandle a);
+  void on_attempt_timeout(AttemptHandle a);
+  void maybe_retry(JobHandle h, int attempt);
+  void finish(JobHandle h, bool ok);
   /// Pop the backlog until a request survives the overload checks (deadline,
   /// CoDel sojourn) and start a worker on it.
   void admit_from_backlog();
@@ -159,7 +184,7 @@ class ApacheServer final : public proto::FrontEnd {
                      proto::ShedReason reason, bool release_limiter);
   /// Shed while a worker holds the request (endpoint wait): goes through
   /// finish() so worker/limiter/backlog accounting stays intact.
-  void shed_worker(Work w, proto::ShedReason reason);
+  void shed_worker(JobHandle h, proto::ShedReason reason);
   void count_shed(const proto::RequestPtr& req, proto::ShedReason reason,
                   bool include_apache_demand);
 
@@ -175,6 +200,8 @@ class ApacheServer final : public proto::FrontEnd {
   std::unique_ptr<probe::ProbePool> probe_pool_;
 
   net::BoundedQueue<Work> backlog_;
+  sim::SlotTable<Work> jobs_;
+  sim::SlotTable<Attempt> attempts_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::CoDelController codel_;
   control::OverloadStats ostats_;

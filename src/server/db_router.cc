@@ -71,7 +71,7 @@ DbRouter::DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
 }
 
 void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
-                     bool is_write, std::function<void()> done) {
+                     bool is_write, sim::Callback<void()> done) {
   if (config_.overload.deadlines && req->deadline != sim::SimTime::zero() &&
       sim_.now() > req->deadline) {
     // The request can no longer finish in time; executing this query (and
@@ -83,16 +83,14 @@ void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
     done();
     return;
   }
+  const QueryHandle h = queries_.insert(Query{req, demand, -1, std::move(done)});
   if (kv_) {
     // Key-routed quorum operation (cache-fronted when a cache tier was
     // attached). A failed quorum surfaces exactly like a SQL error: counted
     // here, and the servlet's round trip completes so request conservation
     // is untouched.
     ++routed_;
-    const auto finish = [this, done = std::move(done)](bool ok) mutable {
-      if (!ok) ++errors_;
-      done();
-    };
+    auto finish = [this, h](bool ok) { on_kv_done(h, ok); };
     if (cache_) {
       if (is_write)
         cache_->write(cache_node_, req, demand, finish);
@@ -105,29 +103,41 @@ void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
     }
     return;
   }
-  balancer_->assign(req, [this, req, demand,
-                          done = std::move(done)](int idx) mutable {
-    if (idx < 0) {
-      ++errors_;  // no replica reachable: the servlet sees a SQL error
-      done();
-      return;
-    }
-    ++routed_;
-    link_.deliver(sim_, [this, req, demand, idx, done = std::move(done)]() mutable {
-      replicas_[static_cast<std::size_t>(idx)]->execute(
-          demand, [this, req, idx, done = std::move(done)]() mutable {
-            link_.deliver(sim_, [this, req, idx, done = std::move(done)] {
-              balancer_->on_response(idx, req);
-              if (probe_pool_) {
-                auto* m = replicas_[static_cast<std::size_t>(idx)];
-                probe_pool_->observe(idx, m->resident(),
-                                     m->latency_ewma_ms());
-              }
-              done();
-            });
-          });
-    });
+  balancer_->assign(req, [this, h](int idx) { on_assigned(h, idx); });
+}
+
+void DbRouter::on_kv_done(QueryHandle h, bool ok) {
+  if (!ok) ++errors_;
+  const auto done = queries_.take(h).done;
+  done();
+}
+
+void DbRouter::on_assigned(QueryHandle h, int idx) {
+  if (idx < 0) {
+    ++errors_;  // no replica reachable: the servlet sees a SQL error
+    const auto done = queries_.take(h).done;
+    done();
+    return;
+  }
+  ++routed_;
+  queries_[h].replica = idx;
+  link_.deliver(sim_, [this, h] {
+    const Query& q = queries_[h];
+    replicas_[static_cast<std::size_t>(q.replica)]->execute(
+        q.demand, [this, h] {
+          link_.deliver(sim_, [this, h] { on_replica_reply(h); });
+        });
   });
+}
+
+void DbRouter::on_replica_reply(QueryHandle h) {
+  const Query q = queries_.take(h);
+  balancer_->on_response(q.replica, q.req);
+  if (probe_pool_) {
+    auto* m = replicas_[static_cast<std::size_t>(q.replica)];
+    probe_pool_->observe(q.replica, m->resident(), m->latency_ewma_ms());
+  }
+  q.done();
 }
 
 }  // namespace ntier::server

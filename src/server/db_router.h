@@ -13,7 +13,9 @@
 #include "probe/probe_pool.h"
 #include "proto/request.h"
 #include "server/mysql_server.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::server {
 
@@ -83,10 +85,10 @@ class DbRouter {
   /// rather than hanging. `is_write` routes the trip through the KV write
   /// quorum (ignored by the MySQL tier, which models every trip the same).
   void query(const proto::RequestPtr& req, sim::SimTime demand, bool is_write,
-             std::function<void()> done);
+             sim::Callback<void()> done);
   /// Read round trip (kept for call sites predating the KV tier).
   void query(const proto::RequestPtr& req, sim::SimTime demand,
-             std::function<void()> done) {
+             sim::Callback<void()> done) {
     query(req, demand, /*is_write=*/false, std::move(done));
   }
 
@@ -109,6 +111,22 @@ class DbRouter {
   const control::OverloadStats& overload_stats() const { return ostats_; }
 
  private:
+  /// One in-flight query, from routing to the servlet's continuation; the
+  /// hops in between capture only its handle.
+  struct Query {
+    proto::RequestPtr req;
+    sim::SimTime demand;
+    int replica = -1;
+    sim::Callback<void()> done;
+  };
+  using QueryHandle = sim::SlotTable<Query>::Handle;
+  /// The replica balancer answered: forward to replica `idx` (or fail).
+  void on_assigned(QueryHandle h, int idx);
+  /// The replica's answer is back at the router.
+  void on_replica_reply(QueryHandle h);
+  /// The KV / cache operation completed.
+  void on_kv_done(QueryHandle h, bool ok);
+
   sim::Simulation& sim_;
   std::vector<MySqlServer*> replicas_;
   kv::KvTier* kv_ = nullptr;  // non-null iff constructed in kKv mode
@@ -118,6 +136,7 @@ class DbRouter {
   net::Link link_;
   std::unique_ptr<lb::LoadBalancer> balancer_;
   std::unique_ptr<probe::ProbePool> probe_pool_;
+  sim::SlotTable<Query> queries_;
   std::uint64_t errors_ = 0;
   std::uint64_t routed_ = 0;
   control::OverloadStats ostats_;

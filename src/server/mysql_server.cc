@@ -6,43 +6,33 @@ MySqlServer::MySqlServer(sim::Simulation& simu, os::Node& node,
                          MySqlConfig config, sim::SimTime trace_window)
     : sim_(simu), node_(node), config_(config), queue_trace_(trace_window) {}
 
-void MySqlServer::execute(sim::SimTime demand, std::function<void()> done) {
+void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
   queue_trace_.set(sim_.now(), resident_);
-  // Wrap the completion to fold this query's whole latency (queueing
-  // included) into the EWMA the load probes report.
-  const sim::SimTime arrived = sim_.now();
-  auto wrapped = [this, arrived, done = std::move(done)] {
-    const double lat_ms = (sim_.now() - arrived).to_seconds() * 1e3;
-    constexpr double kAlpha = 0.2;
-    latency_ewma_ms_ = latency_ewma_ms_ == 0.0
-                           ? lat_ms
-                           : (1 - kAlpha) * latency_ewma_ms_ + kAlpha * lat_ms;
-    if (done) done();
-  };
+  Query q{demand, sim_.now(), std::move(done)};
   if (executing_ < config_.max_connections) {
-    start(demand, std::move(wrapped));
+    start(std::move(q));
   } else {
-    waiting_.emplace_back(demand, std::move(wrapped));
+    waiting_.push_back(std::move(q));
   }
 }
 
 void MySqlServer::probe_load(
-    std::function<void(bool, double, double)> done) {
+    sim::Callback<void(bool, double, double)> done) {
   node_.cpu().submit(config_.probe_demand, [this, done = std::move(done)] {
     done(true, static_cast<double>(resident_), latency_ewma_ms_);
   });
 }
 
-void MySqlServer::start(sim::SimTime demand, std::function<void()> done) {
+void MySqlServer::start(Query q) {
   ++executing_;
-  node_.cpu().submit(demand, [this, done = std::move(done)] {
-    on_query_done();
-    if (done) done();
-  });
+  const sim::SimTime demand = q.demand;
+  const auto h = running_.insert(std::move(q));
+  node_.cpu().submit(demand, [this, h] { on_query_done(h); });
 }
 
-void MySqlServer::on_query_done() {
+void MySqlServer::on_query_done(sim::SlotTable<Query>::Handle h) {
+  const Query q = running_.take(h);
   --executing_;
   --resident_;
   ++served_;
@@ -50,10 +40,18 @@ void MySqlServer::on_query_done() {
     node_.page_cache().write_dirty(config_.log_bytes_per_query);
   queue_trace_.set(sim_.now(), resident_);
   if (!waiting_.empty() && executing_ < config_.max_connections) {
-    auto [demand, done] = std::move(waiting_.front());
+    Query next = std::move(waiting_.front());
     waiting_.pop_front();
-    start(demand, std::move(done));
+    start(std::move(next));
   }
+  // Fold this query's whole latency (queueing included) into the EWMA the
+  // load probes report, then hand the result back.
+  const double lat_ms = (sim_.now() - q.arrived).to_seconds() * 1e3;
+  constexpr double kAlpha = 0.2;
+  latency_ewma_ms_ = latency_ewma_ms_ == 0.0
+                         ? lat_ms
+                         : (1 - kAlpha) * latency_ewma_ms_ + kAlpha * lat_ms;
+  if (q.done) q.done();
 }
 
 }  // namespace ntier::server

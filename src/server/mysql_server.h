@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <utility>
 
 #include "metrics/time_series.h"
 #include "os/node.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::server {
 
@@ -37,12 +37,12 @@ class MySqlServer {
   MySqlServer& operator=(const MySqlServer&) = delete;
 
   /// Execute one query of the given CPU demand; `done` fires on completion.
-  void execute(sim::SimTime demand, std::function<void()> done);
+  void execute(sim::SimTime demand, sim::Callback<void()> done);
 
   /// Answer a load probe (probe::ProbePool): a tiny CPU job that reports
   /// queries-in-flight at answer time plus the recent query-latency EWMA.
-  void probe_load(std::function<void(bool ok, double rif, double latency_ms)>
-                      done);
+  void probe_load(
+      sim::Callback<void(bool ok, double rif, double latency_ms)> done);
 
   /// Recent whole-query latency (execute → done), EWMA in ms.
   double latency_ewma_ms() const { return latency_ewma_ms_; }
@@ -56,8 +56,13 @@ class MySqlServer {
   os::Node& node() { return node_; }
 
  private:
-  void start(sim::SimTime demand, std::function<void()> done);
-  void on_query_done();
+  struct Query {
+    sim::SimTime demand;
+    sim::SimTime arrived;  // execute() time: the EWMA covers queueing too
+    sim::Callback<void()> done;
+  };
+  void start(Query q);
+  void on_query_done(sim::SlotTable<Query>::Handle h);
 
   sim::Simulation& sim_;
   os::Node& node_;
@@ -66,7 +71,8 @@ class MySqlServer {
   int resident_ = 0;
   std::uint64_t served_ = 0;
   double latency_ewma_ms_ = 0.0;
-  std::deque<std::pair<sim::SimTime, std::function<void()>>> waiting_;
+  std::deque<Query> waiting_;
+  sim::SlotTable<Query> running_;
   metrics::GaugeSeries queue_trace_;
 };
 

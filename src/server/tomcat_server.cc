@@ -89,7 +89,7 @@ void TomcatServer::set_gray_degraded(double severity) {
   gray_demand_factor_ = 1.0 / (1.0 - severity);
 }
 
-void TomcatServer::probe(std::function<void(bool)> done) {
+void TomcatServer::probe(sim::Callback<void(bool)> done) {
   if (crashed_) {
     done(false);
     return;
@@ -99,7 +99,7 @@ void TomcatServer::probe(std::function<void(bool)> done) {
 }
 
 void TomcatServer::probe_load(
-    std::function<void(bool, double, double)> done) {
+    sim::Callback<void(bool, double, double)> done) {
   if (crashed_) {
     done(false, 0.0, 0.0);
     return;
@@ -128,34 +128,32 @@ void TomcatServer::dispatch() {
     NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kServiceStart,
                       obs::Tier::kTomcat, id_, threads_busy_ - 1, w.req->id,
                       static_cast<double>(resident_));
-    run(std::move(w));
+    run(threads_.insert(std::move(w)));
   }
 }
 
-void TomcatServer::run(Work w) {
+void TomcatServer::run(ThreadHandle h) {
   // Servlet CPU first, then the DB round trips, mirroring the
   // request-handling path (rendering happens around the queries; collapsing
   // the CPU into one job keeps the same total demand).
-  auto req = w.req;
-  sim::SimTime demand = req->tomcat_demand;
+  const proto::Request& req = *threads_[h].req;
+  sim::SimTime demand = req.tomcat_demand;
   if (gray_degraded()) {
     demand = sim::SimTime::from_seconds(demand.to_seconds() *
                                         gray_demand_factor_);
     ++gray_inflated_;
   }
-  node_.cpu().submit(demand, [this, w = std::move(w)]() mutable {
-    // Copy the handle out before the capture moves `w` (argument evaluation
-    // order is unspecified).
-    auto r = w.req;
-    const int queries = r->db_queries;
-    db_round_trips(r, queries, [this, w = std::move(w)] { complete(w); });
+  node_.cpu().submit(demand, [this, h] {
+    db_round_trips(h, threads_[h].req->db_queries);
   });
 }
 
-void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
-                                  std::function<void()> done) {
+void TomcatServer::db_round_trips(ThreadHandle h, int remaining) {
+  // A copy, not a reference into threads_: a query that fails fast runs
+  // the rest of this request (and the next pickup's insert) synchronously.
+  const proto::RequestPtr req = threads_[h].req;
   if (remaining <= 0) {
-    done();
+    complete(h);
     return;
   }
   if (req->shed != proto::ShedReason::kNone) {
@@ -163,7 +161,7 @@ void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
     // the remaining queries and let the failure ride the normal response.
     ostats_.wasted_work_avoided_ms +=
         static_cast<double>(remaining) * req->mysql_demand.to_millis();
-    done();
+    complete(h);
     return;
   }
   // Each round trip checks a connection out of the router's pool and back
@@ -172,17 +170,16 @@ void TomcatServer::db_round_trips(const proto::RequestPtr& req, int remaining,
   // through the write quorum.
   const bool is_write = remaining <= static_cast<int>(req->db_writes);
   db_.query(req, req->mysql_demand, is_write,
-            [this, req, remaining, done = std::move(done)]() mutable {
-              db_round_trips(req, remaining - 1, std::move(done));
-            });
+            [this, h, remaining] { db_round_trips(h, remaining - 1); });
 }
 
-void TomcatServer::complete(const Work& w) {
+void TomcatServer::complete(ThreadHandle h) {
   // Access/servlet/localhost log records become dirty pages (§III-B). If
   // the node's dirty throttle is configured and tripped, the servlet thread
   // parks inside the log write (balance_dirty_pages) and the response waits
   // for writeback — thread-pool starvation as a second stall mode.
-  node_.page_cache().write_dirty_throttled(w.req->log_bytes, [this, w] {
+  node_.page_cache().write_dirty_throttled(threads_[h].req->log_bytes, [this, h] {
+    const Work w = threads_.take(h);
     --threads_busy_;
     --resident_;
     ++served_;

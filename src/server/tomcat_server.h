@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 
 #include "control/admission.h"
@@ -12,7 +11,9 @@
 #include "os/node.h"
 #include "proto/request.h"
 #include "server/db_router.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::server {
 
@@ -39,7 +40,7 @@ struct TomcatConfig {
 /// Tomcat logs").
 class TomcatServer {
  public:
-  using RespondFn = std::function<void(const proto::RequestPtr&)>;
+  using RespondFn = sim::Callback<void(const proto::RequestPtr&)>;
 
   TomcatServer(sim::Simulation& simu, os::Node& node, int id, DbRouter& db,
                TomcatConfig config = {},
@@ -57,13 +58,13 @@ class TomcatServer {
   /// Answer a health probe: refused instantly while crashed, otherwise a
   /// tiny CPU job whose completion time reflects the run-queue depth (a
   /// capacity-stalled CPU answers late — which is the point).
-  void probe(std::function<void(bool)> done);
+  void probe(sim::Callback<void(bool)> done);
 
   /// Answer a load probe (probe::ProbePool): same CPU path as probe(), but
   /// the reply reports requests-in-flight at answer time plus the recent
   /// service-latency EWMA — the state Prequal-style policies rank on.
-  void probe_load(std::function<void(bool ok, double rif, double latency_ms)>
-                      done);
+  void probe_load(
+      sim::Callback<void(bool ok, double rif, double latency_ms)> done);
 
   /// Recent whole-request service latency (submit → response), EWMA in ms.
   double latency_ewma_ms() const { return latency_ewma_ms_; }
@@ -132,11 +133,14 @@ class TomcatServer {
     RespondFn respond;
     sim::SimTime arrived;
   };
+  /// A servlet thread's request, held in `threads_` from pickup to
+  /// response; every continuation on the way captures only its handle.
+  using ThreadHandle = sim::SlotTable<Work>::Handle;
   void dispatch();
-  void run(Work w);
-  void db_round_trips(const proto::RequestPtr& req, int remaining,
-                      std::function<void()> done);
-  void complete(const Work& w);
+  void run(ThreadHandle h);
+  /// Issue the next of the `remaining` DB round trips, then complete().
+  void db_round_trips(ThreadHandle h, int remaining);
+  void complete(ThreadHandle h);
   bool expired(const proto::RequestPtr& req) const {
     return req->deadline != sim::SimTime::zero() && sim_.now() > req->deadline;
   }
@@ -151,6 +155,7 @@ class TomcatServer {
   TomcatConfig config_;
 
   std::deque<Work> connector_queue_;
+  sim::SlotTable<Work> threads_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::OverloadStats ostats_;
   int threads_busy_ = 0;

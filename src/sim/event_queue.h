@@ -1,43 +1,41 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
+#include "sim/callback.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace ntier::sim {
 
 /// Identifier of a scheduled event; usable to cancel it before it fires.
-/// Encodes (generation << 32 | slot); generations start at 1, so no valid
-/// id is ever 0.
+/// A SlotTable handle (generation << 32 | slot); no valid id is ever 0.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 /// Min-heap of timed callbacks. Ties are broken by scheduling order (FIFO
 /// among events at the same instant) so runs are deterministic.
 ///
-/// Implementation: an index-tracked 4-ary heap of small POD nodes
-/// {time, sequence, slot} over a generation-tagged slot table that owns the
-/// callbacks. Cancellation is O(1) (disarm the slot, release the closure)
-/// and lazy in the heap: dead nodes are skipped when they surface at the
-/// top. No per-event hashing anywhere on the push/cancel/pop path — this is
-/// the simulator's hottest loop (every request touches it a dozen times),
-/// and the previous priority_queue + two unordered_sets paid a hash lookup
-/// per operation.
+/// Implementation: a 4-ary heap of small POD nodes {time, sequence, id}
+/// over a generation-tagged SlotTable that owns the callbacks. Cancellation
+/// is O(1) (free the slot and its closure) and lazy in the heap: a node
+/// whose id no longer resolves is skipped when it surfaces at the top. No
+/// per-event hashing or allocation anywhere on the push/cancel/pop path —
+/// this is the simulator's hottest loop (every request touches it a dozen
+/// times).
 class EventQueue {
  public:
   /// Schedule `fn` at absolute time `at`. Returns an id for cancellation.
-  EventId push(SimTime at, std::function<void()> fn);
+  EventId push(SimTime at, Callback<void()> fn);
 
   /// Cancel a pending event. Returns false if the event already fired,
   /// was already cancelled, or never existed. O(1).
-  bool cancel(EventId id);
+  bool cancel(EventId id) { return slots_.erase(id); }
 
   /// True when no live (non-cancelled) event remains.
-  bool empty() const { return live_ == 0; }
+  bool empty() const { return slots_.empty(); }
 
-  std::size_t size() const { return live_; }
+  std::size_t size() const { return slots_.size(); }
 
   /// Time of the earliest live event; SimTime::max() when empty.
   SimTime next_time() const;
@@ -45,7 +43,7 @@ class EventQueue {
   /// Pop the earliest live event. Precondition: !empty().
   struct Fired {
     SimTime at;
-    std::function<void()> fn;
+    Callback<void()> fn;
   };
   Fired pop();
 
@@ -53,53 +51,24 @@ class EventQueue {
   std::uint64_t total_scheduled() const { return scheduled_; }
 
  private:
-  static constexpr std::size_t kArity = 4;
-
-  /// What moves during sifts: 24 bytes, no std::function traffic.
+  /// What moves during sifts: 24 bytes, no callback traffic.
   struct Node {
     SimTime at;
     std::uint64_t seq = 0;  // push order; FIFO tie-break at equal times
-    std::uint32_t slot = 0;
+    EventId id = kInvalidEventId;
+  };
+  struct Before {
+    bool operator()(const Node& a, const Node& b) const {
+      return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    }
   };
 
-  /// Owns the callback; `gen` tags the slot's current incarnation so stale
-  /// EventIds from earlier occupants of a reused slot never resolve. A
-  /// slot's generation only grows (32-bit: wraps after 4G reuses of one
-  /// slot, far beyond any run), so ids are unique for the queue's lifetime.
-  struct Slot {
-    std::function<void()> fn;
-    std::uint32_t gen = 1;
-    bool armed = false;  // scheduled, not yet cancelled or fired
-  };
-
-  static std::uint32_t slot_of(EventId id) {
-    return static_cast<std::uint32_t>(id);
-  }
-  static std::uint32_t gen_of(EventId id) {
-    return static_cast<std::uint32_t>(id >> 32);
-  }
-  static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(gen) << 32) | slot;
-  }
-
-  static bool before(const Node& a, const Node& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  }
-
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i) const;
-  /// Remove heap_[0], restoring the heap property.
-  void remove_top() const;
-  /// Return a slot to the free list, bumping its generation.
-  void release_slot(std::uint32_t slot) const;
   /// Drop cancelled nodes from the top until a live one (or empty) surfaces.
   void prune_top() const;
 
   // Mutable: next_time() is logically const but may shed cancelled tops.
-  mutable std::vector<Node> heap_;
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;       // armed events (heap may hold more nodes)
+  mutable QuadHeap<Node, Before> heap_;
+  SlotTable<Callback<void()>> slots_;
   std::uint64_t scheduled_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -82,7 +81,7 @@ class Completion {
   Completion() : state_(std::make_shared<State>()) {}
 
   /// The callback to hand to the producer.
-  std::function<void(T)> callback() {
+  Callback<void(T)> callback() {
     return [state = state_](T value) {
       state->value.emplace(std::move(value));
       if (state->waiter) {
@@ -111,7 +110,7 @@ class Completion<void> {
  public:
   Completion() : state_(std::make_shared<State>()) {}
 
-  std::function<void()> callback() {
+  Callback<void()> callback() {
     return [state = state_] {
       state->done = true;
       if (state->waiter) {

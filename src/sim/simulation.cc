@@ -4,7 +4,7 @@
 
 namespace ntier::sim {
 
-EventId Simulation::at(SimTime when, std::function<void()> fn) {
+EventId Simulation::at(SimTime when, Callback<void()> fn) {
   if (when < now_) {
     throw std::logic_error("Simulation::at: scheduling in the past (" +
                            when.to_string() + " < " + now_.to_string() + ")");

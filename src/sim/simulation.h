@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -26,10 +26,10 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule at an absolute simulated time (must be >= now()).
-  EventId at(SimTime when, std::function<void()> fn);
+  EventId at(SimTime when, Callback<void()> fn);
 
   /// Schedule after a relative delay (>= 0).
-  EventId after(SimTime delay, std::function<void()> fn) {
+  EventId after(SimTime delay, Callback<void()> fn) {
     return at(now_ + delay, std::move(fn));
   }
 

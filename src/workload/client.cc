@@ -21,11 +21,9 @@ ClientPopulation::ClientPopulation(sim::Simulation& simu, ClientParams params,
   if (params_.num_clients <= 0)
     throw std::invalid_argument("ClientPopulation: no clients");
   if (params_.sticky_sessions)
-    routes_.assign(
-        static_cast<std::size_t>(std::min(params_.num_clients, 65536)), -1);
+    routes_.assign(static_cast<std::size_t>(params_.num_clients), -1);
   if (workload_.params().markov_sessions)
-    prev_.assign(
-        static_cast<std::size_t>(std::min(params_.num_clients, 65536)), -1);
+    prev_.assign(static_cast<std::size_t>(params_.num_clients), -1);
 }
 
 void ClientPopulation::toggle_burst() {
@@ -40,109 +38,108 @@ void ClientPopulation::start() {
     sim_.after(rng_.exponential_time(params_.burst_off_mean),
                [this] { toggle_burst(); });
   for (int c = 0; c < params_.num_clients; ++c) {
-    // The id wraps at 64 k; it only labels records and spreads clients over
-    // the front-ends, both of which survive the wrap unchanged.
-    const auto client = static_cast<std::uint16_t>(c % 65536);
+    const auto client = static_cast<std::uint32_t>(c);
     const sim::SimTime offset = sim::SimTime::from_seconds(
         rng_.uniform(0.0, params_.ramp.to_seconds()));
     sim_.after(offset, [this, client] { issue(client); });
   }
 }
 
-void ClientPopulation::issue(std::uint16_t client) {
+void ClientPopulation::issue(std::uint32_t client) {
   if (quiesced_) return;
-  const int prev =
-      prev_.empty() ? -1 : static_cast<int>(prev_[client % prev_.size()]);
+  const int prev = prev_.empty() ? -1 : static_cast<int>(prev_[client]);
   auto req = workload_.make_request(rng_, next_request_id_++, client, prev);
-  if (!prev_.empty())
-    prev_[client % prev_.size()] = static_cast<std::int16_t>(req->interaction);
+  if (!prev_.empty()) prev_[client] = static_cast<std::int16_t>(req->interaction);
   req->client_start = sim_.now();
   if (params_.deadline_budget != sim::SimTime::zero())
     req->deadline = req->client_start + params_.deadline_budget;
   req->apache_id = static_cast<std::int16_t>(client % frontends_.size());
-  if (!routes_.empty())
-    req->session_route = routes_[client % routes_.size()];
+  if (!routes_.empty()) req->session_route = routes_[client];
   ++issued_;
   if (issue_hook_) issue_hook_(sim_.now(), *req);
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kClientSend,
-                    obs::Tier::kClient, req->apache_id, client, req->id, 0.0,
-                    req->interaction);
-  attempt(client, req, 0);
+                    obs::Tier::kClient, req->apache_id,
+                    static_cast<int>(client), req->id, 0.0, req->interaction);
+  attempt(flights_.insert(Flight{std::move(req), client, 0}));
 }
 
-void ClientPopulation::attempt(std::uint16_t client,
-                               const proto::RequestPtr& req,
-                               std::size_t tries) {
+void ClientPopulation::attempt(FlightHandle f) {
   // An injected link fault can lose the SYN on the wire; like a silent
   // backlog drop, that is only discovered by the retransmission timer. Loss
   // is deliberately not applied to responses — the client has no response
   // timeout, so a lost response would leak the request as forever-in-flight.
   if (link_.drops(rng_)) {
-    connect_dropped(client, req, tries);
+    connect_dropped(f);
     return;
   }
   // SYN travels one link latency; acceptance or silent drop happens at the
   // server side. A drop is only discovered by the retransmission timer.
-  link_.deliver(sim_, [this, client, req, tries] {
-    auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
-    const bool accepted = fe->try_submit(
-        req, [this, client](const proto::RequestPtr& r, bool ok) {
-          // Response travels back to the client.
-          link_.deliver(sim_, [this, client, r, ok] {
-            // An admission/brownout 503 is explicitly retriable: back off
-            // and re-attempt (fresh connection) while the budget and the
-            // retry cap allow — unlike a silent SYN drop, the client knows
-            // immediately and never waits out a retransmission timer.
-            if (!ok && !quiesced_ &&
-                (r->shed == proto::ShedReason::kAdmission ||
-                 r->shed == proto::ShedReason::kBrownout) &&
-                static_cast<int>(r->shed_retries) < params_.shed_retry_limit &&
-                (r->deadline == sim::SimTime::zero() ||
-                 sim_.now() < r->deadline)) {
-              ++shed_retries_;
-              r->shed_retries = static_cast<std::uint8_t>(r->shed_retries + 1);
-              r->shed = proto::ShedReason::kNone;
-              // Reset the per-hop stamps so a later success decomposes as
-              // the attempt that actually served it.
-              r->accepted_at = r->assigned_at = r->backend_done_at =
-                  sim::SimTime::zero();
-              r->tomcat_id = -1;
-              const sim::SimTime backoff =
-                  params_.shed_retry_backoff *
-                  static_cast<std::int64_t>(r->shed_retries);
-              sim_.after(backoff,
-                         [this, client, r] { attempt(client, r, 0); });
-              return;
-            }
-            finish(client, r,
-                   ok ? metrics::RequestOutcome::kOk
-                      : metrics::RequestOutcome::kBalancerError);
-          });
-        });
-    if (!accepted) connect_dropped(client, req, tries);
-  });
+  link_.deliver(sim_, [this, f] { on_syn_arrival(f); });
 }
 
-void ClientPopulation::connect_dropped(std::uint16_t client,
-                                       const proto::RequestPtr& req,
-                                       std::size_t tries) {
+void ClientPopulation::on_syn_arrival(FlightHandle f) {
+  const proto::RequestPtr req = flights_[f].req;
+  auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
+  const bool accepted =
+      fe->try_submit(req, [this, f](const proto::RequestPtr&, bool ok) {
+        // Response travels back to the client.
+        link_.deliver(sim_, [this, f, ok] { on_response(f, ok); });
+      });
+  if (!accepted) connect_dropped(f);
+}
+
+void ClientPopulation::on_response(FlightHandle f, bool ok) {
+  Flight& fl = flights_[f];
+  proto::Request& r = *fl.req;
+  // An admission/brownout 503 is explicitly retriable: back off and
+  // re-attempt (fresh connection) while the budget and the retry cap allow
+  // — unlike a silent SYN drop, the client knows immediately and never
+  // waits out a retransmission timer.
+  if (!ok && !quiesced_ &&
+      (r.shed == proto::ShedReason::kAdmission ||
+       r.shed == proto::ShedReason::kBrownout) &&
+      static_cast<int>(r.shed_retries) < params_.shed_retry_limit &&
+      (r.deadline == sim::SimTime::zero() || sim_.now() < r.deadline)) {
+    ++shed_retries_;
+    r.shed_retries = static_cast<std::uint8_t>(r.shed_retries + 1);
+    r.shed = proto::ShedReason::kNone;
+    // Reset the per-hop stamps so a later success decomposes as the attempt
+    // that actually served it.
+    r.accepted_at = r.assigned_at = r.backend_done_at = sim::SimTime::zero();
+    r.tomcat_id = -1;
+    fl.tries = 0;
+    const sim::SimTime backoff =
+        params_.shed_retry_backoff * static_cast<std::int64_t>(r.shed_retries);
+    sim_.after(backoff, [this, f] { attempt(f); });
+    return;
+  }
+  finish(f, ok ? metrics::RequestOutcome::kOk
+               : metrics::RequestOutcome::kBalancerError);
+}
+
+void ClientPopulation::connect_dropped(FlightHandle f) {
   ++connection_drops_;
+  Flight& fl = flights_[f];
+  const std::size_t tries = fl.tries;
   if (tries < params_.retransmit.max_retries()) {
-    req->retransmissions = static_cast<std::uint8_t>(req->retransmissions + 1);
+    proto::Request& req = *fl.req;
+    req.retransmissions = static_cast<std::uint8_t>(req.retransmissions + 1);
     NTIER_TRACE_EVENT(trace_events_, sim_.now(),
                       obs::EventKind::kSynRetransmit, obs::Tier::kClient,
-                      req->apache_id, client, req->id,
+                      req.apache_id, static_cast<int>(fl.client), req.id,
                       params_.retransmit.delay(tries).to_millis(),
-                      req->retransmissions);
-    sim_.after(params_.retransmit.delay(tries),
-               [this, client, req, tries] { attempt(client, req, tries + 1); });
+                      req.retransmissions);
+    fl.tries = tries + 1;
+    sim_.after(params_.retransmit.delay(tries), [this, f] { attempt(f); });
   } else {
-    finish(client, req, metrics::RequestOutcome::kDropped);
+    finish(f, metrics::RequestOutcome::kDropped);
   }
 }
 
-void ClientPopulation::finish(std::uint16_t client, const proto::RequestPtr& req,
-                              metrics::RequestOutcome outcome) {
+void ClientPopulation::finish(FlightHandle f, metrics::RequestOutcome outcome) {
+  const Flight fl = flights_.take(f);
+  const proto::RequestPtr& req = fl.req;
+  const std::uint32_t client = fl.client;
   switch (outcome) {
     case metrics::RequestOutcome::kOk: ++completed_ok_; break;
     case metrics::RequestOutcome::kDropped: ++dropped_; break;
@@ -151,9 +148,10 @@ void ClientPopulation::finish(std::uint16_t client, const proto::RequestPtr& req
   }
   if (!routes_.empty() && outcome == metrics::RequestOutcome::kOk &&
       req->tomcat_id >= 0)
-    routes_[client % routes_.size()] = req->tomcat_id;
+    routes_[client] = req->tomcat_id;
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kClientDone,
-                    obs::Tier::kClient, req->apache_id, client, req->id,
+                    obs::Tier::kClient, req->apache_id,
+                    static_cast<int>(client), req->id,
                     (sim_.now() - req->client_start).to_millis(),
                     static_cast<std::int32_t>(outcome));
   if (req->client_start >= params_.warmup) {
@@ -179,7 +177,7 @@ void ClientPopulation::finish(std::uint16_t client, const proto::RequestPtr& req
   think_then_next(client);
 }
 
-void ClientPopulation::think_then_next(std::uint16_t client) {
+void ClientPopulation::think_then_next(std::uint32_t client) {
   sim::SimTime think = rng_.exponential_time(params_.think_mean);
   if (in_burst_)
     think = sim::SimTime::from_seconds(think.to_seconds() /

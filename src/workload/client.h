@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "proto/frontend.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "workload/rubbos.h"
 
 namespace ntier::workload {
@@ -99,14 +100,25 @@ class ClientPopulation {
   bool in_burst() const { return in_burst_; }
 
  private:
-  void issue(std::uint16_t client);
-  void attempt(std::uint16_t client, const proto::RequestPtr& req,
-               std::size_t tries);
-  void connect_dropped(std::uint16_t client, const proto::RequestPtr& req,
-                       std::size_t tries);
-  void finish(std::uint16_t client, const proto::RequestPtr& req,
-              metrics::RequestOutcome outcome);
-  void think_then_next(std::uint16_t client);
+  /// A client's in-flight request, from issue to finish. The closed loop
+  /// gives each client at most one, so the table holds only the requests
+  /// actually in flight; every continuation captures only the handle.
+  struct Flight {
+    proto::RequestPtr req;
+    std::uint32_t client = 0;
+    std::size_t tries = 0;  // SYN retransmissions of the current attempt
+  };
+  using FlightHandle = sim::SlotTable<Flight>::Handle;
+
+  void issue(std::uint32_t client);
+  /// Send the flight's SYN (a fresh connection).
+  void attempt(FlightHandle f);
+  /// The SYN reached the front-end: accepted, or silently dropped.
+  void on_syn_arrival(FlightHandle f);
+  void on_response(FlightHandle f, bool ok);
+  void connect_dropped(FlightHandle f);
+  void finish(FlightHandle f, metrics::RequestOutcome outcome);
+  void think_then_next(std::uint32_t client);
   void toggle_burst();
 
   sim::Simulation& sim_;
@@ -119,6 +131,7 @@ class ClientPopulation {
 
   std::vector<std::int16_t> routes_;  // per-client sticky route
   std::vector<std::int16_t> prev_;    // per-client last interaction (Markov)
+  sim::SlotTable<Flight> flights_;
   IssueHook issue_hook_;
   obs::TraceCollector* trace_events_ = nullptr;
   bool in_burst_ = false;

@@ -283,62 +283,65 @@ void TraceReplayer::issue(const ArrivalEvent& ev) {
   req->apache_id = static_cast<std::int16_t>(ev.client % frontends_.size());
   ++issued_;
 
-  auto flight = std::make_shared<Flight>();
+  const FlightHandle f = flights_.insert(Flight{std::move(req)});
   if (params_.client_timeout != sim::SimTime::zero()) {
-    flight->timer = sim_.after(params_.client_timeout, [this, req, flight] {
-      if (flight->settled) return;
-      flight->settled = true;
-      ++abandoned_;
-      // The client hung up: account the wait it actually endured as a drop.
-      // A response that arrives later is ignored.
-      record(req, metrics::RequestOutcome::kDropped);
-    });
+    flights_[f].timer = sim_.after(params_.client_timeout,
+                                   [this, f] { on_abandon_timer(f); });
   }
-  attempt(req, flight, 0);
+  attempt(f, 0);
 }
 
-void TraceReplayer::attempt(const proto::RequestPtr& req,
-                            const FlightPtr& flight, std::size_t tries) {
-  link_.deliver(sim_, [this, req, flight, tries] {
-    auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
-    const bool accepted = fe->try_submit(
-        req, [this, flight](const proto::RequestPtr& r, bool ok) {
-          link_.deliver(sim_, [this, r, flight, ok] {
-            finish(r, flight,
-                   ok ? metrics::RequestOutcome::kOk
-                      : metrics::RequestOutcome::kBalancerError);
-          });
+void TraceReplayer::on_abandon_timer(FlightHandle f) {
+  Flight& fl = flights_[f];
+  if (fl.settled) return;
+  fl.settled = true;
+  ++abandoned_;
+  // The client hung up: account the wait it actually endured as a drop. A
+  // response that arrives later is ignored; the flight stays until then.
+  record(fl.req, metrics::RequestOutcome::kDropped);
+}
+
+void TraceReplayer::attempt(FlightHandle f, std::size_t tries) {
+  link_.deliver(sim_, [this, f, tries] { on_syn_arrival(f, tries); });
+}
+
+void TraceReplayer::on_syn_arrival(FlightHandle f, std::size_t tries) {
+  const proto::RequestPtr req = flights_[f].req;
+  auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
+  const bool accepted =
+      fe->try_submit(req, [this, f](const proto::RequestPtr&, bool ok) {
+        link_.deliver(sim_, [this, f, ok] {
+          finish(f, ok ? metrics::RequestOutcome::kOk
+                       : metrics::RequestOutcome::kBalancerError);
         });
-    if (!accepted) {
-      ++connection_drops_;
-      if (tries < params_.retransmit.max_retries()) {
-        req->retransmissions =
-            static_cast<std::uint8_t>(req->retransmissions + 1);
-        sim_.after(params_.retransmit.delay(tries),
-                   [this, req, flight, tries] {
-                     if (flight->settled) return;  // abandoned while backing off
-                     attempt(req, flight, tries + 1);
-                   });
-      } else {
-        finish(req, flight, metrics::RequestOutcome::kDropped);
+      });
+  if (accepted) return;
+  ++connection_drops_;
+  if (tries < params_.retransmit.max_retries()) {
+    req->retransmissions = static_cast<std::uint8_t>(req->retransmissions + 1);
+    sim_.after(params_.retransmit.delay(tries), [this, f, tries] {
+      if (flights_[f].settled) {
+        flights_.erase(f);  // abandoned while backing off
+        return;
       }
-    }
-  });
+      attempt(f, tries + 1);
+    });
+  } else {
+    finish(f, metrics::RequestOutcome::kDropped);
+  }
 }
 
-void TraceReplayer::finish(const proto::RequestPtr& req,
-                           const FlightPtr& flight,
-                           metrics::RequestOutcome outcome) {
-  if (flight->settled) return;  // the abandonment timer won the race
-  flight->settled = true;
-  if (flight->timer != sim::kInvalidEventId) sim_.cancel(flight->timer);
+void TraceReplayer::finish(FlightHandle f, metrics::RequestOutcome outcome) {
+  const Flight fl = flights_.take(f);
+  if (fl.settled) return;  // the abandonment timer won the race
+  if (fl.timer != sim::kInvalidEventId) sim_.cancel(fl.timer);
   switch (outcome) {
     case metrics::RequestOutcome::kOk: ++completed_ok_; break;
     case metrics::RequestOutcome::kDropped: ++dropped_; break;
     case metrics::RequestOutcome::kBalancerError: ++failed_; break;
     case metrics::RequestOutcome::kInFlight: break;
   }
-  record(req, outcome);
+  record(fl.req, outcome);
 }
 
 void TraceReplayer::record(const proto::RequestPtr& req,

@@ -13,6 +13,7 @@
 #include "net/retransmit.h"
 #include "proto/frontend.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "workload/rubbos.h"
 
 namespace ntier::workload {
@@ -144,20 +145,24 @@ class TraceReplayer {
   }
 
  private:
-  /// Per-request settlement state: first of {response, retransmit
-  /// exhaustion, abandonment timer} wins; the others become no-ops.
+  /// One replayed request, alive until its last event (response, final
+  /// retransmit, or a backoff that finds it abandoned) has run. Settlement
+  /// is first of {response, retransmit exhaustion, abandonment timer}; the
+  /// others become no-ops.
   struct Flight {
-    bool settled = false;
+    proto::RequestPtr req;
     sim::EventId timer = sim::kInvalidEventId;
+    bool settled = false;
   };
-  using FlightPtr = std::shared_ptr<Flight>;
+  using FlightHandle = sim::SlotTable<Flight>::Handle;
 
   void schedule_next();
   void issue(const ArrivalEvent& ev);
-  void attempt(const proto::RequestPtr& req, const FlightPtr& flight,
-               std::size_t tries);
-  void finish(const proto::RequestPtr& req, const FlightPtr& flight,
-              metrics::RequestOutcome outcome);
+  void attempt(FlightHandle f, std::size_t tries);
+  void on_syn_arrival(FlightHandle f, std::size_t tries);
+  void on_abandon_timer(FlightHandle f);
+  /// Settle with `outcome` unless already settled; frees the flight.
+  void finish(FlightHandle f, metrics::RequestOutcome outcome);
   void record(const proto::RequestPtr& req, metrics::RequestOutcome outcome);
 
   sim::Simulation& sim_;
@@ -169,6 +174,7 @@ class TraceReplayer {
   net::Link link_;
   sim::Rng rng_;
 
+  sim::SlotTable<Flight> flights_;
   std::size_t next_ = 0;  // next trace index to issue
   bool started_ = false;
   std::uint64_t next_id_ = 1;

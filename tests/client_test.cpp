@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/simulation.h"
 
 namespace ntier::workload {
@@ -164,6 +166,58 @@ TEST(ClientPopulation, WarmupSuppressesEarlyRecords) {
   // No recorded completion started before the warmup boundary.
   const auto& rt = log.response_time_series();
   for (std::size_t i = 0; i < 19; ++i) EXPECT_EQ(rt.count(i), 0) << i;
+}
+
+TEST(ClientPopulation, ClientIdsPastSixteenBitsKeepTheirOwnState) {
+  // More clients than a 16-bit id can name: client c and client c + 65536
+  // must stay distinct in the issue hook and in their sticky routes.
+  constexpr int kClients = 65'540;
+  /// Answers each client's first request from a "Tomcat" that identifies
+  /// the client's 64 Ki block (so c and c + 65536 get different routes) and
+  /// records the route the second request carries, leaving it unanswered so
+  /// every client issues exactly two requests.
+  class RouteFrontEnd : public proto::FrontEnd {
+   public:
+    explicit RouteFrontEnd(Simulation& s)
+        : sim_(s), answered_(kClients, false), second_route_(kClients, -2) {}
+    bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+      const std::size_t c = req->client;
+      if (answered_[c]) {
+        second_route_[c] = req->session_route;
+        return true;
+      }
+      answered_[c] = true;
+      req->tomcat_id = static_cast<std::int16_t>(1 + c / 65536);
+      sim_.after(SimTime::millis(1), [req, respond = std::move(respond)] {
+        respond(req, true);
+      });
+      return true;
+    }
+    Simulation& sim_;
+    std::vector<bool> answered_;
+    std::vector<int> second_route_;
+  };
+  Simulation s;
+  RubbosWorkload w;
+  metrics::RequestLog log;
+  RouteFrontEnd fe(s);
+  ClientParams p = quick_params(kClients);
+  p.think_mean = SimTime::millis(10);
+  p.sticky_sessions = true;
+  ClientPopulation clients(s, p, w, {&fe}, log);
+  std::vector<int> issued_by(kClients, 0);
+  clients.set_issue_hook([&issued_by](SimTime, const proto::Request& req) {
+    ASSERT_LT(req.client, static_cast<std::uint32_t>(kClients));
+    ++issued_by[req.client];
+  });
+  clients.start();
+  s.run_until(SimTime::seconds(2));
+  ASSERT_EQ(clients.issued(), 2u * kClients);
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(issued_by[static_cast<std::size_t>(c)], 2) << "client " << c;
+    ASSERT_EQ(fe.second_route_[static_cast<std::size_t>(c)], 1 + c / 65536)
+        << "client " << c;
+  }
 }
 
 TEST(ClientPopulation, RejectsEmptyConfig) {

@@ -108,6 +108,39 @@ TEST(Cpu, CancelStopsCallbackAndFreesShare) {
   EXPECT_FALSE(cpu.cancel(id));  // double cancel
 }
 
+TEST(Cpu, StaleIdOfReusedSlotDoesNotCancelNewJob) {
+  Simulation s;
+  CpuResource cpu(s, 1);
+  const auto old_id = cpu.submit(SimTime::millis(10), [] {});
+  ASSERT_TRUE(cpu.cancel(old_id));
+  SimTime done;
+  const auto new_id = cpu.submit(SimTime::millis(10), [&] { done = s.now(); });
+  // The new job took over the cancelled job's slot under a new generation.
+  ASSERT_NE(new_id, old_id);
+  ASSERT_EQ(static_cast<std::uint32_t>(new_id),
+            static_cast<std::uint32_t>(old_id));
+  EXPECT_FALSE(cpu.cancel(old_id));
+  EXPECT_EQ(cpu.jobs_running(), 1u);
+  s.run();
+  EXPECT_EQ(done, SimTime::millis(10));
+}
+
+TEST(Cpu, EqualVirtualEndsCompleteInSubmitOrder) {
+  Simulation s;
+  CpuResource cpu(s, 1);
+  // Cancelled jobs leave their slots on the free list, so the jobs below
+  // get slots in descending order: only the submit sequence orders them.
+  std::vector<CpuResource::JobId> scratch;
+  for (int i = 0; i < 4; ++i) scratch.push_back(cpu.submit(SimTime::millis(1), [] {}));
+  for (const auto id : scratch) ASSERT_TRUE(cpu.cancel(id));
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i)
+    cpu.submit(SimTime::millis(10), [&order, i] { order.push_back(i); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(s.now(), SimTime::millis(40));
+}
+
 TEST(Cpu, WorkAccounting) {
   Simulation s;
   CpuResource cpu(s, 4);

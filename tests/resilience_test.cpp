@@ -155,7 +155,7 @@ TEST(HealthProber, ProbesEveryWorkerAndTimesOutSilentOnes) {
   // Worker 0 never answers; the rest answer in 1 ms.
   HealthProber prober(
       s, *lb,
-      [&s](int worker, std::function<void(bool)> done) {
+      [&s](int worker, sim::Callback<void(bool)> done) {
         if (worker == 0) return;  // silent — the prober's timeout must cover it
         s.after(SimTime::millis(1), [done = std::move(done)] { done(true); });
       },
