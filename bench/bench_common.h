@@ -47,8 +47,8 @@ inline std::unique_ptr<Experiment> run_experiment(ExperimentConfig cfg,
 }
 
 /// Append one JSON result row for a finished run (the contract behind
-/// `scripts/run_all_benches.sh --json`): bench name, run ordinal, the
-/// Table-I style aggregates, the VLRT count, and the wall-clock cost.
+/// `scripts/run_all_benches.sh --json`): bench name, run ordinal, every
+/// kRunMetrics counter of the run's RunSummary, and the wall-clock cost.
 inline void append_json_row(const BenchOptions& opt, Experiment& e,
                             double wall_ms, int run) {
   std::ofstream f(opt.json_path, std::ios::app);
@@ -57,37 +57,13 @@ inline void append_json_row(const BenchOptions& opt, Experiment& e,
     return;
   }
   const experiment::RunSummary s = experiment::summarize(e);
-  f << "{\"bench\":\"" << opt.program << "\",\"run\":" << run << ",\"label\":\""
-    << s.label << "\",\"policy\":\"" << s.policy << "\",\"mechanism\":\""
-    << s.mechanism << "\",\"seed\":" << e.config().seed
-    << ",\"completed\":" << s.completed << ",\"dropped\":" << s.dropped
-    << ",\"balancer_errors\":" << s.balancer_errors
-    << ",\"mean_ms\":" << s.mean_rt_ms << ",\"p50_ms\":" << s.p50_ms
-    << ",\"p99_ms\":" << s.p99_ms
-    << ",\"p999_ms\":" << s.p999_ms << ",\"vlrt_count\":" << e.log().vlrt_count()
-    << ",\"vlrt_fraction\":" << s.vlrt_fraction
-    << ",\"goodput_rps\":" << s.goodput_rps
-    << ",\"total_sheds\":"
-    << (s.admission_sheds + s.brownout_sheds + s.deadline_sheds +
-        s.sojourn_sheds)
-    << ",\"deadline_sheds\":" << s.deadline_sheds
-    << ",\"wasted_work_avoided_ms\":" << s.wasted_work_avoided_ms
-    << ",\"kv_quorum_failed\":" << s.kv_quorum_failed
-    << ",\"kv_handoff_dropped\":" << s.kv_handoff_dropped
-    << ",\"kv_migration_shed\":" << s.kv_migration_shed
-    << ",\"kv_hints_replayed\":" << s.kv_hints_replayed
-    << ",\"kv_degraded_ms\":" << s.kv_degraded_ms
-    << ",\"cache_hits\":" << s.cache_hits
-    << ",\"cache_misses\":" << s.cache_misses
-    << ",\"cache_hit_ratio\":" << s.cache_hit_ratio
-    << ",\"cache_invalidations\":" << s.cache_invalidations
-    << ",\"cache_coalesced_fills\":" << s.cache_coalesced_fills
-    << ",\"online_episodes\":" << s.online_episodes
-    << ",\"online_matched\":" << s.online_matched
-    << ",\"online_false_positives\":" << s.online_false_positives
-    << ",\"detection_latency_ms\":" << s.online_median_detection_ms
-    << ",\"trace_kept_fraction\":" << s.trace_kept_fraction
-    << ",\"wall_ms\":" << wall_ms << "}\n";
+  f << std::setprecision(10) << "{\"bench\":\"" << opt.program
+    << "\",\"run\":" << run << ",\"label\":\"" << s.label
+    << "\",\"policy\":\"" << s.policy << "\",\"mechanism\":\"" << s.mechanism
+    << "\",\"seed\":" << e.config().seed;
+  for (const experiment::RunMetric& m : experiment::kRunMetrics)
+    f << ",\"" << m.name << "\":" << m.get(s);
+  f << ",\"wall_ms\":" << wall_ms << "}\n";
 }
 
 /// Trace/JSON-aware variant: enables event tracing when the bench was run
@@ -126,9 +102,10 @@ inline std::unique_ptr<Experiment> run_experiment(const BenchOptions& opt,
   return e;
 }
 
-/// JSON row for a sweep: same shape as append_json_row plus `runs`, the
-/// `*_ci95` half-widths, and the pooled-distribution tail columns, so
-/// BENCH_results.json rows say how trustworthy each number is.
+/// JSON row for a sweep: same shape as append_json_row plus `runs`, a
+/// `<name>_ci95` half-width after each cross-run mean, and the
+/// pooled-distribution tail columns, so BENCH_results.json rows say how
+/// trustworthy each number is.
 inline void append_sweep_json_row(const BenchOptions& opt,
                                   const experiment::AggregateSummary& agg,
                                   double wall_ms, int run) {
@@ -137,37 +114,19 @@ inline void append_sweep_json_row(const BenchOptions& opt,
     std::cerr << "  [json] cannot append to " << opt.json_path << "\n";
     return;
   }
-  f << "{\"bench\":\"" << opt.program << "\",\"run\":" << run << ",\"label\":\""
-    << agg.label << "\",\"policy\":\"" << agg.policy << "\",\"mechanism\":\""
+  f << std::setprecision(10) << "{\"bench\":\"" << opt.program
+    << "\",\"run\":" << run << ",\"label\":\"" << agg.label
+    << "\",\"policy\":\"" << agg.policy << "\",\"mechanism\":\""
     << agg.mechanism << "\",\"seed\":" << agg.base_seed
-    << ",\"runs\":" << agg.runs()
-    << ",\"completed\":" << agg.completed.mean
-    << ",\"completed_ci95\":" << agg.completed.ci95_half
-    << ",\"dropped\":" << agg.dropped.mean
-    << ",\"balancer_errors\":" << agg.balancer_errors.mean
-    << ",\"mean_ms\":" << agg.mean_rt_ms.mean
-    << ",\"mean_ms_ci95\":" << agg.mean_rt_ms.ci95_half
-    << ",\"p99_ms\":" << agg.p99_ms.mean
-    << ",\"p99_ms_ci95\":" << agg.p99_ms.ci95_half
-    << ",\"p999_ms\":" << agg.p999_ms.mean
-    << ",\"p999_ms_ci95\":" << agg.p999_ms.ci95_half
-    << ",\"vlrt_fraction\":" << agg.vlrt_fraction.mean
-    << ",\"vlrt_fraction_ci95\":" << agg.vlrt_fraction.ci95_half
-    << ",\"pooled_p99_ms\":" << agg.pooled_p99_ms()
+    << ",\"runs\":" << agg.runs();
+  for (const experiment::RunMetric& m : experiment::kRunMetrics) {
+    const experiment::MetricStats& st = agg.*m.stats;
+    f << ",\"" << m.name << "\":" << st.mean << ",\"" << m.name
+      << "_ci95\":" << st.ci95_half;
+  }
+  f << ",\"pooled_p99_ms\":" << agg.pooled_p99_ms()
     << ",\"pooled_p999_ms\":" << agg.pooled_p999_ms()
     << ",\"pooled_vlrt_fraction\":" << agg.pooled_vlrt_fraction()
-    << ",\"goodput_rps\":" << agg.goodput_rps.mean
-    << ",\"goodput_rps_ci95\":" << agg.goodput_rps.ci95_half
-    << ",\"total_sheds\":" << agg.total_sheds.mean
-    << ",\"wasted_work_avoided_ms\":" << agg.wasted_work_avoided_ms.mean
-    << ",\"cache_hits\":" << agg.cache_hits.mean
-    << ",\"cache_misses\":" << agg.cache_misses.mean
-    << ",\"cache_invalidations\":" << agg.cache_invalidations.mean
-    << ",\"cache_coalesced_fills\":" << agg.cache_coalesced_fills.mean
-    << ",\"online_episodes\":" << agg.online_episodes.mean
-    << ",\"online_false_positives\":" << agg.online_false_positives.mean
-    << ",\"detection_latency_ms\":" << agg.online_median_detection_ms.mean
-    << ",\"trace_kept_fraction\":" << agg.trace_kept_fraction.mean
     << ",\"wall_ms\":" << wall_ms << "}\n";
 }
 

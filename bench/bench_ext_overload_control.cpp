@@ -83,8 +83,7 @@ Cell run_cell(const BenchOptions& opt, const std::string& label,
   c.mean_ms = s.mean_rt_ms;
   c.p999_ms = s.p999_ms;
   c.vlrt = s.vlrt_fraction;
-  c.sheds = s.admission_sheds + s.brownout_sheds + s.deadline_sheds +
-            s.sojourn_sheds;
+  c.sheds = s.total_sheds;
   c.deadline_sheds = s.deadline_sheds;
   c.wasted_ms = s.wasted_work_avoided_ms;
   return c;

@@ -10,7 +10,7 @@
 # --sweep-seeds N runs the sweep-capable benches (Table I, the probe-policy
 #        extension) N times per row with derived per-replica seeds; their
 #        table rows and JSON rows then carry mean +- 95% CI columns
-#        (mean_ms_ci95, p99_ms_ci95, ...) instead of single-seed points.
+#        (mean_rt_ms_ci95, p99_ms_ci95, ...) instead of single-seed points.
 # --jobs J runs the sweep replicas on J worker threads; the output bytes
 #        are identical for every J.
 #

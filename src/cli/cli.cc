@@ -701,18 +701,17 @@ int run_cli(const CliOptions& options) {
                 << e.chaos()->trace_string();
     }
     if (options.resilience) {
-      std::uint64_t trips = 0, retries = 0, probes = 0, timeouts = 0;
+      std::uint64_t trips = 0, probes = 0, timeouts = 0;
       for (int a = 0; a < e.num_apaches(); ++a) {
         trips += e.apache(a).balancer().breaker_trips();
-        retries += e.apache(a).retries();
         if (e.apache(a).prober()) {
           probes += e.apache(a).prober()->probes_sent();
           timeouts += e.apache(a).prober()->probes_timed_out();
         }
       }
       std::cout << "resilience: " << probes << " probes (" << timeouts
-                << " timed out), " << trips << " breaker trips, " << retries
-                << " retries\n";
+                << " timed out), " << trips << " breaker trips, "
+                << summary.retries << " retries\n";
     }
     if (!options.gray_fault.empty()) {
       std::cout << "gray fault (" << options.gray_fault << "): "

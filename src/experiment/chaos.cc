@@ -225,22 +225,22 @@ std::string InvariantReport::to_string() const {
      << " waiting=" << pool_waiting << "); crash "
      << (crash_ok() ? "OK" : "VIOLATED")
      << " (crashed_accepts=" << crashed_accepts << ")";
-  if (kv_reads_issued + kv_writes_issued > 0 || !kv_ok()) {
+  if (kv.reads_issued + kv.writes_issued > 0 || !kv_ok()) {
     os << "; kv " << (kv_ok() ? "OK" : "VIOLATED")
-       << " (reads=" << kv_reads_issued << "=" << kv_quorum_reads << "+"
-       << kv_quorum_failed_reads << " writes=" << kv_writes_issued << "="
-       << kv_quorum_writes << "+" << kv_quorum_failed_writes << "+"
-       << kv_migration_shed << " hints_pending=" << kv_hints_pending
-       << " crashed_dispatches=" << kv_crashed_dispatches
+       << " (reads=" << kv.reads_issued << "=" << kv.quorum_reads << "+"
+       << kv.quorum_failed_reads << " writes=" << kv.writes_issued << "="
+       << kv.quorum_writes << "+" << kv.quorum_failed_writes << "+"
+       << kv.migration_shed << " hints_pending=" << kv.hints_pending()
+       << " crashed_dispatches=" << kv.crashed_dispatches
        << " in_flight=" << kv_ops_in_flight << ")";
   }
-  if (cache_lookups > 0 || !cache_ok()) {
+  if (cache.lookups > 0 || !cache_ok()) {
     os << "; cache " << (cache_ok() ? "OK" : "VIOLATED")
-       << " (lookups=" << cache_lookups << "=" << cache_hits << "+"
-       << cache_misses << " misses=" << cache_misses << "="
-       << cache_fills_started << "+" << cache_coalesced_fills
-       << " inval=" << cache_invalidations_sent << "="
-       << cache_invalidations_delivered << "+" << cache_invalidations_dropped
+       << " (lookups=" << cache.lookups << "=" << cache.hits << "+"
+       << cache.misses << " misses=" << cache.misses << "="
+       << cache.fills_started << "+" << cache.coalesced_fills
+       << " inval=" << cache.invalidations_sent << "="
+       << cache.invalidations_delivered << "+" << cache.invalidations_dropped
        << " pending=" << cache_invalidations_pending
        << " in_flight=" << cache_ops_in_flight << ")";
   }
@@ -273,28 +273,11 @@ InvariantReport check_invariants(Experiment& e) {
     r.crashed_accepts += e.tomcat(t).crashed_accepts();
   }
   if (const auto* kv = e.kv_tier()) {
-    const auto& s = kv->stats();
-    r.kv_reads_issued = s.reads_issued;
-    r.kv_quorum_reads = s.quorum_reads;
-    r.kv_quorum_failed_reads = s.quorum_failed_reads;
-    r.kv_writes_issued = s.writes_issued;
-    r.kv_quorum_writes = s.quorum_writes;
-    r.kv_quorum_failed_writes = s.quorum_failed_writes;
-    r.kv_migration_shed = s.migration_shed;
-    r.kv_hints_pending = s.hints_pending();
-    r.kv_crashed_dispatches = s.crashed_dispatches;
+    r.kv = kv->stats();
     r.kv_ops_in_flight = kv->ops_in_flight();
   }
   if (const auto* cache = e.cache_tier()) {
-    const auto& s = cache->stats();
-    r.cache_lookups = s.lookups;
-    r.cache_hits = s.hits;
-    r.cache_misses = s.misses;
-    r.cache_fills_started = s.fills_started;
-    r.cache_coalesced_fills = s.coalesced_fills;
-    r.cache_invalidations_sent = s.invalidations_sent;
-    r.cache_invalidations_delivered = s.invalidations_delivered;
-    r.cache_invalidations_dropped = s.invalidations_dropped;
+    r.cache = cache->stats();
     r.cache_invalidations_pending = cache->invalidations_pending();
     r.cache_ops_in_flight = cache->ops_in_flight();
   }
@@ -316,8 +299,6 @@ ChaosRunResult run_chaos(ExperimentConfig config, sim::SimTime traffic,
   for (int a = 0; a < e.num_apaches(); ++a) {
     auto& apache = e.apache(a);
     r.breaker_trips += apache.balancer().breaker_trips();
-    r.retries += apache.retries();
-    r.retry_successes += apache.retry_successes();
     if (apache.prober()) {
       r.probes_sent += apache.prober()->probes_sent();
       r.probes_timed_out += apache.prober()->probes_timed_out();

@@ -4,8 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "cache/tier.h"
 #include "experiment/experiment.h"
 #include "experiment/summary.h"
+#include "kv/tier.h"
 #include "millib/fault_plan.h"
 #include "sim/time.h"
 
@@ -96,29 +98,14 @@ struct InvariantReport {
   // during a migration handover) shed — and every write replica missed while
   // a replica was down must end up replayed via hinted handoff or counted as
   // dropped, never silently lost.
-  std::uint64_t kv_reads_issued = 0;
-  std::uint64_t kv_quorum_reads = 0;
-  std::uint64_t kv_quorum_failed_reads = 0;
-  std::uint64_t kv_writes_issued = 0;
-  std::uint64_t kv_quorum_writes = 0;
-  std::uint64_t kv_quorum_failed_writes = 0;
-  std::uint64_t kv_migration_shed = 0;
-  std::uint64_t kv_hints_pending = 0;
-  std::uint64_t kv_crashed_dispatches = 0;
+  kv::KvStats kv;
   std::uint64_t kv_ops_in_flight = 0;
 
   // Cache-tier accounting (all zero when the run had no cache tier). Every
   // lookup resolves as a hit or a miss; every miss either started a fill or
   // joined one in flight; every invalidation sent is delivered or dropped —
   // with nothing pending and nothing in flight after the drain window.
-  std::uint64_t cache_lookups = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_fills_started = 0;
-  std::uint64_t cache_coalesced_fills = 0;
-  std::uint64_t cache_invalidations_sent = 0;
-  std::uint64_t cache_invalidations_delivered = 0;
-  std::uint64_t cache_invalidations_dropped = 0;
+  cache::CacheStats cache;
   std::uint64_t cache_invalidations_pending = 0;
   std::uint64_t cache_ops_in_flight = 0;
 
@@ -126,17 +113,17 @@ struct InvariantReport {
   bool pools_ok() const { return pool_in_use == 0 && pool_waiting == 0; }
   bool crash_ok() const { return crashed_accepts == 0; }
   bool kv_ok() const {
-    return kv_reads_issued == kv_quorum_reads + kv_quorum_failed_reads &&
-           kv_writes_issued ==
-               kv_quorum_writes + kv_quorum_failed_writes + kv_migration_shed &&
-           kv_hints_pending == 0 && kv_crashed_dispatches == 0 &&
+    return kv.reads_issued == kv.quorum_reads + kv.quorum_failed_reads &&
+           kv.writes_issued ==
+               kv.quorum_writes + kv.quorum_failed_writes + kv.migration_shed &&
+           kv.hints_pending() == 0 && kv.crashed_dispatches == 0 &&
            kv_ops_in_flight == 0;
   }
   bool cache_ok() const {
-    return cache_lookups == cache_hits + cache_misses &&
-           cache_misses == cache_fills_started + cache_coalesced_fills &&
-           cache_invalidations_sent ==
-               cache_invalidations_delivered + cache_invalidations_dropped &&
+    return cache.lookups == cache.hits + cache.misses &&
+           cache.misses == cache.fills_started + cache.coalesced_fills &&
+           cache.invalidations_sent ==
+               cache.invalidations_delivered + cache.invalidations_dropped &&
            cache_invalidations_pending == 0 && cache_ops_in_flight == 0;
   }
   bool ok() const {
@@ -157,8 +144,6 @@ struct ChaosRunResult {
   InvariantReport invariants;
   std::string fault_trace;
   std::uint64_t breaker_trips = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t retry_successes = 0;
   std::uint64_t probes_sent = 0;
   std::uint64_t probes_timed_out = 0;
 };

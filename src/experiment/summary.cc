@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "experiment/report.h"
+#include "experiment/sweep.h"
 
 namespace ntier::experiment {
 
@@ -48,6 +49,8 @@ RunSummary summarize(Experiment& e) {
   s.brownout_sheds = ostats.brownout_sheds;
   s.deadline_sheds = ostats.deadline_sheds;
   s.sojourn_sheds = ostats.sojourn_sheds;
+  s.total_sheds = s.admission_sheds + s.brownout_sheds + s.deadline_sheds +
+                  s.sojourn_sheds;
   s.wasted_work_avoided_ms = ostats.wasted_work_avoided_ms;
   s.shed_retries = e.clients().shed_retries();
   s.recovery_sheds = ostats.recovery_sheds;
@@ -70,6 +73,8 @@ RunSummary summarize(Experiment& e) {
     s.recovery_hard_sheds = rs.hard_sheds;
     s.recovery_refill_gates = rs.refill_gates;
     s.recovery_breaker_resets = rs.breaker_resets;
+    s.recovery_interventions = rs.retry_suppressions + rs.hard_sheds +
+                               rs.refill_gates;
   }
   for (int i = 0; i < e.num_tomcats(); ++i)
     s.gray_inflated_ops += e.tomcat(i).gray_inflated();
@@ -79,6 +84,7 @@ RunSummary summarize(Experiment& e) {
   s.p50_ms = log.percentile_ms(50);
   s.p99_ms = log.percentile_ms(99);
   s.p999_ms = log.percentile_ms(99.9);
+  s.vlrt_count = log.vlrt_count();
   s.vlrt_fraction = log.vlrt_fraction();
   s.normal_fraction = log.normal_fraction();
 
@@ -150,12 +156,6 @@ RunSummary summarize(Experiment& e) {
 
 namespace {
 
-void field(std::ostream& os, const char* name, double v, bool comma = true) {
-  os << "  \"" << name << "\": " << v;
-  if (comma) os << ',';
-  os << '\n';
-}
-
 void array(std::ostream& os, const char* name, const std::vector<double>& v,
            bool comma = true) {
   os << "  \"" << name << "\": [";
@@ -170,90 +170,23 @@ void array(std::ostream& os, const char* name, const std::vector<double>& v,
 
 }  // namespace
 
+const RunMetric kRunMetrics[kNumRunMetrics] = {
+#define NTIER_DESCRIBE_METRIC(name, type, unit)                              \
+  {#name, unit,                                                              \
+   [](const RunSummary& r) { return static_cast<double>(r.name); },          \
+   &AggregateSummary::name},
+    NTIER_RUN_METRICS(NTIER_DESCRIBE_METRIC)
+#undef NTIER_DESCRIBE_METRIC
+};
+
 void RunSummary::to_json(std::ostream& os) const {
   os << std::setprecision(10);
   os << "{\n";
   os << "  \"label\": \"" << label << "\",\n";
   os << "  \"policy\": \"" << policy << "\",\n";
   os << "  \"mechanism\": \"" << mechanism << "\",\n";
-  field(os, "offered_rps", offered_rps);
-  field(os, "duration_s", duration_s);
-  field(os, "completed", static_cast<double>(completed));
-  field(os, "dropped", static_cast<double>(dropped));
-  field(os, "balancer_errors", static_cast<double>(balancer_errors));
-  field(os, "connection_drops", static_cast<double>(connection_drops));
-  field(os, "open_loop", open_loop ? 1.0 : 0.0);
-  field(os, "trace_arrivals", static_cast<double>(trace_arrivals));
-  field(os, "replay_abandoned", static_cast<double>(replay_abandoned));
-  field(os, "goodput_rps", goodput_rps);
-  field(os, "completed_within_deadline",
-        static_cast<double>(completed_within_deadline));
-  field(os, "missed_deadline", static_cast<double>(missed_deadline));
-  field(os, "admission_sheds", static_cast<double>(admission_sheds));
-  field(os, "brownout_sheds", static_cast<double>(brownout_sheds));
-  field(os, "deadline_sheds", static_cast<double>(deadline_sheds));
-  field(os, "sojourn_sheds", static_cast<double>(sojourn_sheds));
-  field(os, "wasted_work_avoided_ms", wasted_work_avoided_ms);
-  field(os, "shed_retries", static_cast<double>(shed_retries));
-  field(os, "first_attempts", static_cast<double>(first_attempts));
-  field(os, "retries", static_cast<double>(retries));
-  field(os, "retry_ratio", retry_ratio);
-  field(os, "retry_successes", static_cast<double>(retry_successes));
-  field(os, "attempts_abandoned", static_cast<double>(attempts_abandoned));
-  field(os, "recovery_episodes", static_cast<double>(recovery_episodes));
-  field(os, "recovery_degraded_ticks",
-        static_cast<double>(recovery_degraded_ticks));
-  field(os, "recovery_retry_suppressions",
-        static_cast<double>(recovery_retry_suppressions));
-  field(os, "recovery_hard_sheds", static_cast<double>(recovery_hard_sheds));
-  field(os, "recovery_refill_gates",
-        static_cast<double>(recovery_refill_gates));
-  field(os, "recovery_breaker_resets",
-        static_cast<double>(recovery_breaker_resets));
-  field(os, "retries_suppressed", static_cast<double>(retries_suppressed));
-  field(os, "recovery_sheds", static_cast<double>(recovery_sheds));
-  field(os, "cache_gated_fills", static_cast<double>(cache_gated_fills));
-  field(os, "gray_inflated_ops", static_cast<double>(gray_inflated_ops));
-  field(os, "kv_slow_ops", static_cast<double>(kv_slow_ops));
-  field(os, "mean_rt_ms", mean_rt_ms);
-  field(os, "p50_ms", p50_ms);
-  field(os, "p99_ms", p99_ms);
-  field(os, "p999_ms", p999_ms);
-  field(os, "vlrt_fraction", vlrt_fraction);
-  field(os, "normal_fraction", normal_fraction);
-  field(os, "apache_queue_peak", apache_queue_peak);
-  field(os, "tomcat_queue_peak", tomcat_queue_peak);
-  field(os, "mysql_queue_peak", mysql_queue_peak);
-  field(os, "kv_queue_peak", kv_queue_peak);
-  field(os, "kv_quorum_failed", static_cast<double>(kv_quorum_failed));
-  field(os, "kv_handoff_dropped", static_cast<double>(kv_handoff_dropped));
-  field(os, "kv_migration_shed", static_cast<double>(kv_migration_shed));
-  field(os, "kv_hints_replayed", static_cast<double>(kv_hints_replayed));
-  field(os, "kv_read_repairs", static_cast<double>(kv_read_repairs));
-  field(os, "kv_degraded_ms", kv_degraded_ms);
-  field(os, "kv_mean_quorum_wait_ms", kv_mean_quorum_wait_ms);
-  field(os, "cache_hits", static_cast<double>(cache_hits));
-  field(os, "cache_misses", static_cast<double>(cache_misses));
-  field(os, "cache_invalidations", static_cast<double>(cache_invalidations));
-  field(os, "cache_coalesced_fills",
-        static_cast<double>(cache_coalesced_fills));
-  field(os, "cache_invalidations_dropped",
-        static_cast<double>(cache_invalidations_dropped));
-  field(os, "cache_hit_ratio", cache_hit_ratio);
-  field(os, "online_episodes", static_cast<double>(online_episodes));
-  field(os, "online_matched", static_cast<double>(online_matched));
-  field(os, "online_truth_episodes",
-        static_cast<double>(online_truth_episodes));
-  field(os, "online_false_positives",
-        static_cast<double>(online_false_positives));
-  field(os, "online_median_detection_ms", online_median_detection_ms);
-  field(os, "online_episode_vlrts", static_cast<double>(online_episode_vlrts));
-  field(os, "trace_events_seen", static_cast<double>(trace_events_seen));
-  field(os, "trace_events_kept", static_cast<double>(trace_events_kept));
-  field(os, "trace_kept_fraction", trace_kept_fraction);
-  field(os, "rt_sketch_p50_ms", rt_sketch_p50_ms);
-  field(os, "rt_sketch_p99_ms", rt_sketch_p99_ms);
-  field(os, "rt_sketch_p999_ms", rt_sketch_p999_ms);
+  for (const RunMetric& m : kRunMetrics)
+    os << "  \"" << m.name << "\": " << m.get(*this) << ",\n";
   array(os, "apache_mean_cpu", apache_mean_cpu);
   array(os, "tomcat_mean_cpu", tomcat_mean_cpu);
   array(os, "mysql_mean_cpu", mysql_mean_cpu);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -8,132 +10,108 @@
 
 namespace ntier::experiment {
 
+/// Every scalar a run reports, one X(name, type, unit) line each, in export
+/// order. RunSummary members, AggregateSummary statistics, kRunMetrics and
+/// every JSON/CSV/table export are generated from this list; adding a
+/// counter takes one line here plus the line in summarize() that sets it.
+#define NTIER_RUN_METRICS(X)                                                  \
+  X(offered_rps, double, "req/s")                                             \
+  X(duration_s, double, "s")                                                  \
+  X(completed, std::int64_t, "req")                                           \
+  X(dropped, std::uint64_t, "req")                                            \
+  X(balancer_errors, std::uint64_t, "req")                                    \
+  X(connection_drops, std::uint64_t, "req")                                   \
+  /* Trace replay: open_loop is 1 when a TraceReplayer drove the run. */      \
+  X(open_loop, bool, "")                                                      \
+  X(trace_arrivals, std::uint64_t, "req")                                     \
+  X(replay_abandoned, std::uint64_t, "req")                                   \
+  /* Overload control: goodput counts completions that met their deadline     \
+     per measured second; wasted work is backend demand shed unexecuted. */   \
+  X(goodput_rps, double, "req/s")                                             \
+  X(completed_within_deadline, std::int64_t, "req")                           \
+  X(missed_deadline, std::int64_t, "req")                                     \
+  X(admission_sheds, std::uint64_t, "req")                                    \
+  X(brownout_sheds, std::uint64_t, "req")                                     \
+  X(deadline_sheds, std::uint64_t, "req")                                     \
+  X(sojourn_sheds, std::uint64_t, "req")                                      \
+  X(total_sheds, std::uint64_t, "req")                                        \
+  X(wasted_work_avoided_ms, double, "ms")                                     \
+  X(shed_retries, std::uint64_t, "req")                                       \
+  /* Front-end retries (the storm signal) and abandoned attempts. */          \
+  X(first_attempts, std::uint64_t, "req")                                     \
+  X(retries, std::uint64_t, "req")                                            \
+  X(retry_ratio, double, "")                                                  \
+  X(retry_successes, std::uint64_t, "req")                                    \
+  X(attempts_abandoned, std::uint64_t, "req")                                 \
+  /* Recovery orchestration (zero when --recovery is off). */                 \
+  X(recovery_episodes, std::uint64_t, "n")                                    \
+  X(recovery_degraded_ticks, std::uint64_t, "n")                              \
+  X(recovery_retry_suppressions, std::uint64_t, "n")                          \
+  X(recovery_hard_sheds, std::uint64_t, "n")                                  \
+  X(recovery_refill_gates, std::uint64_t, "n")                                \
+  X(recovery_breaker_resets, std::uint64_t, "n")                              \
+  X(recovery_interventions, std::uint64_t, "n")                               \
+  X(retries_suppressed, std::uint64_t, "req")                                 \
+  X(recovery_sheds, std::uint64_t, "req")                                     \
+  X(cache_gated_fills, std::uint64_t, "ops")                                  \
+  /* Gray-fault ground truth (zero unless a gray fault was scheduled). */     \
+  X(gray_inflated_ops, std::uint64_t, "ops")                                  \
+  X(kv_slow_ops, std::uint64_t, "ops")                                        \
+  X(mean_rt_ms, double, "ms")                                                 \
+  X(p50_ms, double, "ms")                                                     \
+  X(p99_ms, double, "ms")                                                     \
+  X(p999_ms, double, "ms")                                                    \
+  X(vlrt_count, std::int64_t, "req")                                          \
+  X(vlrt_fraction, double, "")                                                \
+  X(normal_fraction, double, "")                                              \
+  /* Queue peaks need tracing; zero otherwise. */                             \
+  X(apache_queue_peak, double, "req")                                         \
+  X(tomcat_queue_peak, double, "req")                                         \
+  X(mysql_queue_peak, double, "req")                                          \
+  X(kv_queue_peak, double, "req")                                             \
+  /* KV data tier (zero with the MySQL tier). kv_degraded_ms is quorum-op     \
+     time spent while the op's shard was below full replication. */           \
+  X(kv_quorum_failed, std::uint64_t, "ops")                                   \
+  X(kv_handoff_dropped, std::uint64_t, "ops")                                 \
+  X(kv_migration_shed, std::uint64_t, "ops")                                  \
+  X(kv_hints_replayed, std::uint64_t, "ops")                                  \
+  X(kv_read_repairs, std::uint64_t, "ops")                                    \
+  X(kv_degraded_ms, double, "ms")                                             \
+  X(kv_mean_quorum_wait_ms, double, "ms")                                     \
+  /* Cache tier (zero without one). Coalesced fills are misses that joined    \
+     an in-flight fill; dropped invalidations overflowed the queue. */        \
+  X(cache_hits, std::uint64_t, "ops")                                         \
+  X(cache_misses, std::uint64_t, "ops")                                       \
+  X(cache_invalidations, std::uint64_t, "ops")                                \
+  X(cache_coalesced_fills, std::uint64_t, "ops")                              \
+  X(cache_invalidations_dropped, std::uint64_t, "ops")                        \
+  X(cache_hit_ratio, double, "")                                              \
+  /* Online detection and tail sampling (zero when --detect is off). */       \
+  X(online_episodes, std::uint64_t, "n")                                      \
+  X(online_matched, std::uint64_t, "n")                                       \
+  X(online_truth_episodes, std::uint64_t, "n")                                \
+  X(online_false_positives, std::uint64_t, "n")                               \
+  X(online_median_detection_ms, double, "ms")                                 \
+  X(online_episode_vlrts, std::uint64_t, "req")                               \
+  X(trace_events_seen, std::uint64_t, "n")                                    \
+  X(trace_events_kept, std::uint64_t, "n")                                    \
+  X(trace_kept_fraction, double, "")                                          \
+  /* Quantiles of the client.rt_ms DDSketch (zero without --telemetry). */    \
+  X(rt_sketch_p50_ms, double, "ms")                                           \
+  X(rt_sketch_p99_ms, double, "ms")                                           \
+  X(rt_sketch_p999_ms, double, "ms")
+
 /// Flat, serialisable digest of one run — what a CI job or notebook wants
 /// to archive per experiment without holding the Experiment alive.
 struct RunSummary {
   std::string label;
   std::string policy;
   std::string mechanism;
-  double offered_rps = 0;
-  double duration_s = 0;
 
-  std::int64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t balancer_errors = 0;
-  std::uint64_t connection_drops = 0;
+#define NTIER_DECLARE_METRIC(name, type, unit) type name{};
+  NTIER_RUN_METRICS(NTIER_DECLARE_METRIC)
+#undef NTIER_DECLARE_METRIC
 
-  // -- trace replay (all zero for closed-loop runs) ---------------------------
-  /// True when an open-loop TraceReplayer drove the run instead of the
-  /// closed-loop population.
-  bool open_loop = false;
-  /// Arrivals in the replayed trace (issued as far as the horizon allows).
-  std::uint64_t trace_arrivals = 0;
-  /// Replayed requests the client abandoned (replay_client_timeout elapsed).
-  std::uint64_t replay_abandoned = 0;
-
-  // -- overload control (satellite: goodput + shed accounting) ---------------
-  /// Completions that met their deadline (all completions when no deadlines
-  /// were stamped), per second of measured (post-warmup) time.
-  double goodput_rps = 0;
-  std::int64_t completed_within_deadline = 0;
-  std::int64_t missed_deadline = 0;
-  std::uint64_t admission_sheds = 0;
-  std::uint64_t brownout_sheds = 0;
-  std::uint64_t deadline_sheds = 0;
-  std::uint64_t sojourn_sheds = 0;
-  /// Backend service demand *not* executed because expired work was shed
-  /// before reaching (or finishing on) the CPU.
-  double wasted_work_avoided_ms = 0;
-  /// Client-side re-attempts after a retriable admission/brownout 503.
-  std::uint64_t shed_retries = 0;
-
-  // -- front-end retries (satellite: the storm signal) -----------------------
-  /// Requests dispatched to a worker on their first attempt, retry attempts
-  /// re-dispatched after a failure, and their ratio — the signal the
-  /// recovery orchestrator keys retry suppression on.
-  std::uint64_t first_attempts = 0;
-  std::uint64_t retries = 0;
-  double retry_ratio = 0;
-  std::uint64_t retry_successes = 0;
-  /// In-flight attempts abandoned after retry.attempt_timeout (the backend
-  /// kept burning the demand — the wasted-work side of a retry storm).
-  std::uint64_t attempts_abandoned = 0;
-
-  // -- recovery orchestration (all zero when --recovery is off) --------------
-  std::uint64_t recovery_episodes = 0;
-  std::uint64_t recovery_degraded_ticks = 0;
-  /// Per-reason intervention counters (jobs-invariant).
-  std::uint64_t recovery_retry_suppressions = 0;
-  std::uint64_t recovery_hard_sheds = 0;
-  std::uint64_t recovery_refill_gates = 0;
-  std::uint64_t recovery_breaker_resets = 0;
-  /// Retry attempts dropped while suppression was on, and arrivals answered
-  /// with a fast recovery 503 while hard shedding was on.
-  std::uint64_t retries_suppressed = 0;
-  std::uint64_t recovery_sheds = 0;
-  /// Cache refills that went through the jittered admission gate.
-  std::uint64_t cache_gated_fills = 0;
-
-  // -- gray-fault ground truth (zero unless a gray fault was scheduled) ------
-  /// Tomcat requests served with gray-inflated demand, and KV ops executed
-  /// by a slow-but-alive replica.
-  std::uint64_t gray_inflated_ops = 0;
-  std::uint64_t kv_slow_ops = 0;
-
-  double mean_rt_ms = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  double p999_ms = 0;
-  double vlrt_fraction = 0;
-  double normal_fraction = 0;
-
-  double apache_queue_peak = 0;
-  double tomcat_queue_peak = 0;
-  double mysql_queue_peak = 0;
-  double kv_queue_peak = 0;
-
-  // -- KV data tier (all zero when the run used the MySQL tier) --------------
-  /// Per-reason KV error counters: quorum not reachable, hinted handoff
-  /// overflow/loss, writes shed in a migration handover window.
-  std::uint64_t kv_quorum_failed = 0;
-  std::uint64_t kv_handoff_dropped = 0;
-  std::uint64_t kv_migration_shed = 0;
-  std::uint64_t kv_hints_replayed = 0;
-  std::uint64_t kv_read_repairs = 0;
-  /// Quorum-op time accumulated while the op's shard was below full
-  /// replication (degraded mode), and the mean quorum wait overall.
-  double kv_degraded_ms = 0;
-  double kv_mean_quorum_wait_ms = 0;
-
-  // -- cache tier (all zero when the run had no cache tier) ------------------
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Invalidations the write path sent (delivered + dropped + pending).
-  std::uint64_t cache_invalidations = 0;
-  /// Misses that joined an in-flight fill (single-flight coalescing).
-  std::uint64_t cache_coalesced_fills = 0;
-  /// Invalidations lost to a full queue (stale until TTL expiry).
-  std::uint64_t cache_invalidations_dropped = 0;
-  double cache_hit_ratio = 0;
-
-  // -- online detection + tail sampling (all zero when --detect is off) ------
-  std::uint64_t online_episodes = 0;
-  std::uint64_t online_matched = 0;
-  std::uint64_t online_truth_episodes = 0;
-  std::uint64_t online_false_positives = 0;
-  double online_median_detection_ms = 0;
-  std::uint64_t online_episode_vlrts = 0;
-  /// Tail-based sampling volume accounting (zero when tail mode is off).
-  std::uint64_t trace_events_seen = 0;
-  std::uint64_t trace_events_kept = 0;
-  double trace_kept_fraction = 0;
-
-  // -- streaming telemetry (empty/zero when --telemetry is off) --------------
-  /// Response-time quantiles read back from the client.rt_ms DDSketch
-  /// (cross-checks the exact histogram within the sketch's error bound).
-  double rt_sketch_p50_ms = 0;
-  double rt_sketch_p99_ms = 0;
-  double rt_sketch_p999_ms = 0;
   /// Serialized client.rt_ms sketch — mergeable across sweep replicas and
   /// byte-deterministic (not part of to_json; sweeps merge it in run-index
   /// order).
@@ -149,6 +127,26 @@ struct RunSummary {
   void to_json(std::ostream& os) const;
   std::string to_json_string() const;
 };
+
+struct MetricStats;
+struct AggregateSummary;
+
+/// One NTIER_RUN_METRICS entry: its name and unit, how to read it from a
+/// RunSummary, and where a sweep keeps its cross-run statistics.
+struct RunMetric {
+  const char* name;
+  const char* unit;
+  double (*get)(const RunSummary&);
+  MetricStats AggregateSummary::*stats;
+};
+
+#define NTIER_COUNT_METRIC(name, type, unit) +1
+inline constexpr std::size_t kNumRunMetrics =
+    0 NTIER_RUN_METRICS(NTIER_COUNT_METRIC);
+#undef NTIER_COUNT_METRIC
+
+/// The whole list, in export order.
+extern const RunMetric kRunMetrics[kNumRunMetrics];
 
 /// Collect the digest from a finished run. Queue peaks and CPU means are
 /// only available when the experiment ran with tracing enabled.

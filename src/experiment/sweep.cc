@@ -56,64 +56,11 @@ double AggregateSummary::pooled_vlrt_fraction() const {
 }
 
 void AggregateSummary::finalize() {
-  auto stats = [&](auto field) {
-    std::vector<double> v;
-    v.reserve(per_run.size());
-    for (const RunSummary& r : per_run) v.push_back(static_cast<double>(field(r)));
-    return MetricStats::from(v);
-  };
-  completed = stats([](const RunSummary& r) { return r.completed; });
-  dropped = stats([](const RunSummary& r) { return r.dropped; });
-  balancer_errors = stats([](const RunSummary& r) { return r.balancer_errors; });
-  connection_drops = stats([](const RunSummary& r) { return r.connection_drops; });
-  mean_rt_ms = stats([](const RunSummary& r) { return r.mean_rt_ms; });
-  p50_ms = stats([](const RunSummary& r) { return r.p50_ms; });
-  p99_ms = stats([](const RunSummary& r) { return r.p99_ms; });
-  p999_ms = stats([](const RunSummary& r) { return r.p999_ms; });
-  vlrt_fraction = stats([](const RunSummary& r) { return r.vlrt_fraction; });
-  normal_fraction = stats([](const RunSummary& r) { return r.normal_fraction; });
-  goodput_rps = stats([](const RunSummary& r) { return r.goodput_rps; });
-  total_sheds = stats([](const RunSummary& r) {
-    return r.admission_sheds + r.brownout_sheds + r.deadline_sheds +
-           r.sojourn_sheds;
-  });
-  deadline_sheds = stats([](const RunSummary& r) { return r.deadline_sheds; });
-  wasted_work_avoided_ms =
-      stats([](const RunSummary& r) { return r.wasted_work_avoided_ms; });
-  kv_quorum_failed = stats([](const RunSummary& r) { return r.kv_quorum_failed; });
-  kv_handoff_dropped =
-      stats([](const RunSummary& r) { return r.kv_handoff_dropped; });
-  kv_migration_shed =
-      stats([](const RunSummary& r) { return r.kv_migration_shed; });
-  kv_degraded_ms = stats([](const RunSummary& r) { return r.kv_degraded_ms; });
-  online_episodes = stats([](const RunSummary& r) { return r.online_episodes; });
-  online_false_positives =
-      stats([](const RunSummary& r) { return r.online_false_positives; });
-  online_median_detection_ms =
-      stats([](const RunSummary& r) { return r.online_median_detection_ms; });
-  trace_kept_fraction =
-      stats([](const RunSummary& r) { return r.trace_kept_fraction; });
-  cache_hits = stats([](const RunSummary& r) { return r.cache_hits; });
-  cache_misses = stats([](const RunSummary& r) { return r.cache_misses; });
-  cache_invalidations =
-      stats([](const RunSummary& r) { return r.cache_invalidations; });
-  cache_coalesced_fills =
-      stats([](const RunSummary& r) { return r.cache_coalesced_fills; });
-  replay_abandoned =
-      stats([](const RunSummary& r) { return r.replay_abandoned; });
-  retries = stats([](const RunSummary& r) { return r.retries; });
-  retry_ratio = stats([](const RunSummary& r) { return r.retry_ratio; });
-  retries_suppressed =
-      stats([](const RunSummary& r) { return r.retries_suppressed; });
-  recovery_episodes =
-      stats([](const RunSummary& r) { return r.recovery_episodes; });
-  recovery_interventions = stats([](const RunSummary& r) {
-    return r.recovery_retry_suppressions + r.recovery_hard_sheds +
-           r.recovery_refill_gates;
-  });
-  recovery_sheds = stats([](const RunSummary& r) { return r.recovery_sheds; });
-  gray_inflated_ops =
-      stats([](const RunSummary& r) { return r.gray_inflated_ops; });
+  std::vector<double> v(per_run.size());
+  for (const RunMetric& m : kRunMetrics) {
+    for (std::size_t i = 0; i < per_run.size(); ++i) v[i] = m.get(per_run[i]);
+    this->*m.stats = MetricStats::from(v);
+  }
 }
 
 std::string AggregateSummary::merged_rt_sketch() const {
@@ -170,41 +117,9 @@ void AggregateSummary::to_json(std::ostream& os) const {
   }
   os << "],\n";
   os << "  \"metrics\": {\n";
-  json_stats(os, "completed", completed);
-  json_stats(os, "dropped", dropped);
-  json_stats(os, "balancer_errors", balancer_errors);
-  json_stats(os, "connection_drops", connection_drops);
-  json_stats(os, "mean_rt_ms", mean_rt_ms);
-  json_stats(os, "p50_ms", p50_ms);
-  json_stats(os, "p99_ms", p99_ms);
-  json_stats(os, "p999_ms", p999_ms);
-  json_stats(os, "vlrt_fraction", vlrt_fraction);
-  json_stats(os, "normal_fraction", normal_fraction);
-  json_stats(os, "goodput_rps", goodput_rps);
-  json_stats(os, "total_sheds", total_sheds);
-  json_stats(os, "deadline_sheds", deadline_sheds);
-  json_stats(os, "wasted_work_avoided_ms", wasted_work_avoided_ms);
-  json_stats(os, "kv_quorum_failed", kv_quorum_failed);
-  json_stats(os, "kv_handoff_dropped", kv_handoff_dropped);
-  json_stats(os, "kv_migration_shed", kv_migration_shed);
-  json_stats(os, "kv_degraded_ms", kv_degraded_ms);
-  json_stats(os, "online_episodes", online_episodes);
-  json_stats(os, "online_false_positives", online_false_positives);
-  json_stats(os, "online_median_detection_ms", online_median_detection_ms);
-  json_stats(os, "trace_kept_fraction", trace_kept_fraction);
-  json_stats(os, "cache_hits", cache_hits);
-  json_stats(os, "cache_misses", cache_misses);
-  json_stats(os, "cache_invalidations", cache_invalidations);
-  json_stats(os, "cache_coalesced_fills", cache_coalesced_fills);
-  json_stats(os, "replay_abandoned", replay_abandoned);
-  json_stats(os, "retries", retries);
-  json_stats(os, "retry_ratio", retry_ratio);
-  json_stats(os, "retries_suppressed", retries_suppressed);
-  json_stats(os, "recovery_episodes", recovery_episodes);
-  json_stats(os, "recovery_interventions", recovery_interventions);
-  json_stats(os, "recovery_sheds", recovery_sheds);
-  json_stats(os, "gray_inflated_ops", gray_inflated_ops,
-             /*comma=*/false);
+  for (std::size_t i = 0; i < kNumRunMetrics; ++i)
+    json_stats(os, kRunMetrics[i].name, this->*kRunMetrics[i].stats,
+               /*comma=*/i + 1 < kNumRunMetrics);
   os << "  },\n";
   os << "  \"pooled\": {\"completed\": " << pooled.count()
      << ", \"mean_ms\": " << pooled_mean_ms()
@@ -238,100 +153,37 @@ std::string AggregateSummary::to_json_string() const {
 void AggregateSummary::to_csv(std::ostream& os) const {
   os << std::setprecision(10);
   os << "metric,n,mean,stddev,ci95_half,min,max\n";
-  auto row = [&](const char* name, const MetricStats& s) {
-    os << name << ',' << s.n << ',' << s.mean << ',' << s.stddev << ','
+  for (const RunMetric& m : kRunMetrics) {
+    const MetricStats& s = this->*m.stats;
+    os << m.name << ',' << s.n << ',' << s.mean << ',' << s.stddev << ','
        << s.ci95_half << ',' << s.min << ',' << s.max << '\n';
-  };
-  row("completed", completed);
-  row("dropped", dropped);
-  row("balancer_errors", balancer_errors);
-  row("connection_drops", connection_drops);
-  row("mean_rt_ms", mean_rt_ms);
-  row("p50_ms", p50_ms);
-  row("p99_ms", p99_ms);
-  row("p999_ms", p999_ms);
-  row("vlrt_fraction", vlrt_fraction);
-  row("normal_fraction", normal_fraction);
-  row("goodput_rps", goodput_rps);
-  row("total_sheds", total_sheds);
-  row("deadline_sheds", deadline_sheds);
-  row("wasted_work_avoided_ms", wasted_work_avoided_ms);
-  row("kv_quorum_failed", kv_quorum_failed);
-  row("kv_handoff_dropped", kv_handoff_dropped);
-  row("kv_migration_shed", kv_migration_shed);
-  row("kv_degraded_ms", kv_degraded_ms);
-  row("online_episodes", online_episodes);
-  row("online_false_positives", online_false_positives);
-  row("online_median_detection_ms", online_median_detection_ms);
-  row("trace_kept_fraction", trace_kept_fraction);
-  row("cache_hits", cache_hits);
-  row("cache_misses", cache_misses);
-  row("cache_invalidations", cache_invalidations);
-  row("cache_coalesced_fills", cache_coalesced_fills);
-  row("replay_abandoned", replay_abandoned);
-  row("retries", retries);
-  row("retry_ratio", retry_ratio);
-  row("retries_suppressed", retries_suppressed);
-  row("recovery_episodes", recovery_episodes);
-  row("recovery_interventions", recovery_interventions);
-  row("recovery_sheds", recovery_sheds);
-  row("gray_inflated_ops", gray_inflated_ops);
+  }
 }
 
 void AggregateSummary::per_run_csv(std::ostream& os) const {
   os << std::setprecision(10);
-  os << "run,seed,completed,dropped,balancer_errors,connection_drops,"
-        "mean_rt_ms,p50_ms,p99_ms,p999_ms,vlrt_fraction,normal_fraction,"
-        "goodput_rps,total_sheds,deadline_sheds,wasted_work_avoided_ms,"
-        "kv_quorum_failed,kv_handoff_dropped,kv_migration_shed,"
-        "kv_degraded_ms,online_episodes,online_false_positives,"
-        "online_median_detection_ms,trace_kept_fraction,"
-        "cache_hits,cache_misses,cache_invalidations,"
-        "cache_coalesced_fills,replay_abandoned,retries,retry_ratio,"
-        "retries_suppressed,recovery_episodes,recovery_interventions,"
-        "recovery_sheds,gray_inflated_ops\n";
+  os << "run,seed";
+  for (const RunMetric& m : kRunMetrics) os << ',' << m.name;
+  os << '\n';
   for (std::size_t i = 0; i < per_run.size(); ++i) {
-    const RunSummary& r = per_run[i];
-    os << i << ',' << (i < run_seeds.size() ? run_seeds[i] : 0) << ','
-       << r.completed << ',' << r.dropped << ',' << r.balancer_errors << ','
-       << r.connection_drops << ',' << r.mean_rt_ms << ',' << r.p50_ms << ','
-       << r.p99_ms << ',' << r.p999_ms << ',' << r.vlrt_fraction << ','
-       << r.normal_fraction << ',' << r.goodput_rps << ','
-       << (r.admission_sheds + r.brownout_sheds + r.deadline_sheds +
-           r.sojourn_sheds)
-       << ',' << r.deadline_sheds << ',' << r.wasted_work_avoided_ms << ','
-       << r.kv_quorum_failed << ',' << r.kv_handoff_dropped << ','
-       << r.kv_migration_shed << ',' << r.kv_degraded_ms << ','
-       << r.online_episodes << ',' << r.online_false_positives << ','
-       << r.online_median_detection_ms << ',' << r.trace_kept_fraction << ','
-       << r.cache_hits << ',' << r.cache_misses << ','
-       << r.cache_invalidations << ',' << r.cache_coalesced_fills << ','
-       << r.replay_abandoned << ',' << r.retries << ',' << r.retry_ratio
-       << ',' << r.retries_suppressed << ',' << r.recovery_episodes << ','
-       << (r.recovery_retry_suppressions + r.recovery_hard_sheds +
-           r.recovery_refill_gates)
-       << ',' << r.recovery_sheds << ',' << r.gray_inflated_ops << '\n';
+    os << i << ',' << (i < run_seeds.size() ? run_seeds[i] : 0);
+    for (const RunMetric& m : kRunMetrics) os << ',' << m.get(per_run[i]);
+    os << '\n';
   }
 }
 
 void AggregateSummary::print_table(std::ostream& os) const {
-  auto line = [&](const char* name, const MetricStats& s, const char* unit) {
-    os << "  " << std::left << std::setw(18) << name << std::right << std::fixed
-       << std::setprecision(3) << std::setw(12) << s.mean << " ± "
-       << std::setw(9) << s.ci95_half << ' ' << std::left << std::setw(4)
-       << unit << "  (stddev " << std::setprecision(3) << s.stddev << ", range "
-       << s.min << " .. " << s.max << ")\n";
-  };
   os << "sweep '" << label << "' (" << policy << " + " << mechanism << "), "
      << runs() << " runs, base seed " << base_seed << ":\n";
-  line("mean RT", mean_rt_ms, "ms");
-  line("p50", p50_ms, "ms");
-  line("p99", p99_ms, "ms");
-  line("p99.9", p999_ms, "ms");
-  line("VLRT fraction", vlrt_fraction, "");
-  line("normal fraction", normal_fraction, "");
-  line("completed", completed, "req");
-  line("dropped", dropped, "req");
+  for (const RunMetric& m : kRunMetrics) {
+    const MetricStats& s = this->*m.stats;
+    if (s.min == 0 && s.max == 0) continue;
+    os << "  " << std::left << std::setw(28) << m.name << std::right
+       << std::fixed << std::setprecision(3) << std::setw(12) << s.mean
+       << " ± " << std::setw(9) << s.ci95_half << ' ' << std::left
+       << std::setw(5) << m.unit << "  (stddev " << s.stddev << ", range "
+       << s.min << " .. " << s.max << ")\n";
+  }
   os << "  pooled over " << pooled.count() << " samples: mean " << std::fixed
      << std::setprecision(3) << pooled_mean_ms() << " ms, p99 "
      << pooled_p99_ms() << " ms, p99.9 " << pooled_p999_ms()

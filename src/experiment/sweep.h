@@ -61,29 +61,10 @@ struct AggregateSummary {
   int runs() const { return static_cast<int>(per_run.size()); }
 
   // -- cross-run statistics (computed by finalize()) --------------------------
-  MetricStats completed, dropped, balancer_errors, connection_drops;
-  MetricStats mean_rt_ms, p50_ms, p99_ms, p999_ms;
-  MetricStats vlrt_fraction, normal_fraction;
-  // Overload control (zero across the board when no mode is active).
-  MetricStats goodput_rps, total_sheds, deadline_sheds, wasted_work_avoided_ms;
-  // KV data tier per-reason errors (zero across the board in MySQL mode).
-  MetricStats kv_quorum_failed, kv_handoff_dropped, kv_migration_shed,
-      kv_degraded_ms;
-  // Online detection + tail sampling (zero across the board when off).
-  MetricStats online_episodes, online_false_positives,
-      online_median_detection_ms, trace_kept_fraction;
-  // Cache tier (zero across the board when no cache tier was configured).
-  MetricStats cache_hits, cache_misses, cache_invalidations,
-      cache_coalesced_fills;
-  // Open-loop trace replay (zero across the board for closed-loop sweeps).
-  MetricStats replay_abandoned;
-  // Front-end retries + recovery orchestration (zero across the board when
-  // retries/recovery are off). recovery_interventions pools the per-stage
-  // application counts (suppression + hard shed + refill gate).
-  MetricStats retries, retry_ratio, retries_suppressed;
-  MetricStats recovery_episodes, recovery_interventions, recovery_sheds;
-  // Gray-fault ground truth (zero across the board without gray faults).
-  MetricStats gray_inflated_ops;
+  // One MetricStats per NTIER_RUN_METRICS entry, over the per-run values.
+#define NTIER_DECLARE_STATS(name, type, unit) MetricStats name;
+  NTIER_RUN_METRICS(NTIER_DECLARE_STATS)
+#undef NTIER_DECLARE_STATS
 
   /// Every replica's client.rt_ms DDSketch merged in run-index order;
   /// empty string when no run carried a sketch. Because merging ordered
@@ -113,10 +94,11 @@ struct AggregateSummary {
 
   /// CSV, one row per metric: metric,n,mean,stddev,ci95_half,min,max.
   void to_csv(std::ostream& os) const;
-  /// CSV, one row per run: run,seed,completed,mean_rt_ms,...
+  /// CSV, one row per run: run,seed, then every metric in list order.
   void per_run_csv(std::ostream& os) const;
 
-  /// Human-readable "mean ± ci" table (the sweep analogue of Table I rows).
+  /// Human-readable "mean ± ci" table (the sweep analogue of Table I rows)
+  /// over every metric that is non-zero in at least one run.
   void print_table(std::ostream& os) const;
 };
 

@@ -48,8 +48,8 @@ TEST(CacheE2e, WarmCacheServesHitsWithCleanAccounting) {
       run_chaos(std::move(c), SimTime::seconds(5), SimTime::seconds(5));
 
   EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-  EXPECT_GT(r.invariants.cache_lookups, 0u);
-  EXPECT_GT(r.invariants.cache_hits, 0u);
+  EXPECT_GT(r.invariants.cache.lookups, 0u);
+  EXPECT_GT(r.invariants.cache.hits, 0u);
   EXPECT_GT(r.summary.cache_hit_ratio, 0.2);
   EXPECT_EQ(r.summary.balancer_errors, 0u);
 }
@@ -70,10 +70,10 @@ TEST(CacheE2e, InvalidationStormKeepsAccountingIntact) {
   const ChaosRunResult r = run_chaos(std::move(c), traffic, SimTime::seconds(5));
 
   EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-  EXPECT_GT(r.invariants.cache_invalidations_sent, 0u);
+  EXPECT_GT(r.invariants.cache.invalidations_sent, 0u);
   EXPECT_GT(r.summary.cache_invalidations, 0u);
   // The storm wiped hot keys, so some lookups after it must have missed.
-  EXPECT_GT(r.invariants.cache_misses, 0u);
+  EXPECT_GT(r.invariants.cache.misses, 0u);
   EXPECT_EQ(r.invariants.cache_invalidations_pending, 0u);
 }
 
@@ -150,13 +150,13 @@ TEST(CacheChaosMatrix, CacheAccountingHoldsInEveryCell) {
   for (const auto& r : results) {
     SCOPED_TRACE(r.label);
     EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-    EXPECT_GT(r.invariants.cache_lookups, 0u);
-    EXPECT_GT(r.invariants.cache_hits, 0u);
-    EXPECT_GT(r.invariants.cache_invalidations_sent, 0u);
+    EXPECT_GT(r.invariants.cache.lookups, 0u);
+    EXPECT_GT(r.invariants.cache.hits, 0u);
+    EXPECT_GT(r.invariants.cache.invalidations_sent, 0u);
     // The KV invariants keep holding underneath the cache.
-    EXPECT_GT(r.invariants.kv_reads_issued, 0u);
-    EXPECT_EQ(r.invariants.kv_quorum_failed_reads, 0u);
-    EXPECT_EQ(r.invariants.kv_quorum_failed_writes, 0u);
+    EXPECT_GT(r.invariants.kv.reads_issued, 0u);
+    EXPECT_EQ(r.invariants.kv.quorum_failed_reads, 0u);
+    EXPECT_EQ(r.invariants.kv.quorum_failed_writes, 0u);
   }
 }
 

@@ -119,7 +119,7 @@ TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalTraces) {
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.summary.to_json_string(), b.summary.to_json_string());
   EXPECT_EQ(a.breaker_trips, b.breaker_trips);
-  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.summary.retries, b.summary.retries);
   EXPECT_EQ(a.probes_sent, b.probes_sent);
   // And a different chaos seed actually changes the episode trace.
   auto c = make_config();
@@ -179,12 +179,12 @@ TEST(KvChaosMatrix, QuorumsAndHandoffAccountingHoldInEveryCell) {
   for (const auto& r : results) {
     SCOPED_TRACE(r.label);
     EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-    EXPECT_GT(r.invariants.kv_reads_issued, 0u);
-    EXPECT_GT(r.invariants.kv_writes_issued, 0u);
-    EXPECT_EQ(r.invariants.kv_quorum_failed_reads, 0u);
-    EXPECT_EQ(r.invariants.kv_quorum_failed_writes, 0u);
-    EXPECT_EQ(r.invariants.kv_hints_pending, 0u);
-    EXPECT_EQ(r.invariants.kv_crashed_dispatches, 0u);
+    EXPECT_GT(r.invariants.kv.reads_issued, 0u);
+    EXPECT_GT(r.invariants.kv.writes_issued, 0u);
+    EXPECT_EQ(r.invariants.kv.quorum_failed_reads, 0u);
+    EXPECT_EQ(r.invariants.kv.quorum_failed_writes, 0u);
+    EXPECT_EQ(r.invariants.kv.hints_pending(), 0u);
+    EXPECT_EQ(r.invariants.kv.crashed_dispatches, 0u);
     EXPECT_EQ(r.invariants.kv_ops_in_flight, 0u);
     // Both crashes bit (missed writes replayed) and the shard spent time
     // below full replication.

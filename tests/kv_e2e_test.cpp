@@ -58,12 +58,12 @@ TEST(KvE2e, ReplicaCrashIsMaskedByQuorumAndHintedHandoff) {
   const ChaosRunResult r = run_chaos(std::move(c), traffic, SimTime::seconds(6));
 
   EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-  EXPECT_GT(r.invariants.kv_reads_issued, 0u);
-  EXPECT_GT(r.invariants.kv_writes_issued, 0u);
-  EXPECT_EQ(r.invariants.kv_quorum_failed_reads, 0u);
-  EXPECT_EQ(r.invariants.kv_quorum_failed_writes, 0u);
-  EXPECT_EQ(r.invariants.kv_hints_pending, 0u);
-  EXPECT_EQ(r.invariants.kv_crashed_dispatches, 0u);
+  EXPECT_GT(r.invariants.kv.reads_issued, 0u);
+  EXPECT_GT(r.invariants.kv.writes_issued, 0u);
+  EXPECT_EQ(r.invariants.kv.quorum_failed_reads, 0u);
+  EXPECT_EQ(r.invariants.kv.quorum_failed_writes, 0u);
+  EXPECT_EQ(r.invariants.kv.hints_pending(), 0u);
+  EXPECT_EQ(r.invariants.kv.crashed_dispatches, 0u);
   // The crash actually bit: writes missed the dead replica and were
   // replayed on recovery, and the shard spent time degraded.
   EXPECT_GT(r.summary.kv_hints_replayed, 0u);

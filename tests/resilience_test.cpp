@@ -260,8 +260,8 @@ TEST(Resilience, CrashRecoveryBeatsStockBlocking) {
   EXPECT_LT(resilient.invariants.failed, stock.invariants.failed);
   EXPECT_GT(resilient.probes_sent, 0u);
   EXPECT_GE(resilient.breaker_trips, 1u);
-  EXPECT_GT(resilient.retries, 0u);
-  EXPECT_GT(resilient.retry_successes, 0u);
+  EXPECT_GT(resilient.summary.retries, 0u);
+  EXPECT_GT(resilient.summary.retry_successes, 0u);
 }
 
 // Flap regression: a worker that passes its probes, gets re-admitted, and

@@ -1,0 +1,261 @@
+// Schema tests for the run exports generated from NTIER_RUN_METRICS.
+//
+// The goldens under tests/golden/ were written by `ntier_run` before the
+// exports were generated from the counter list, with
+//   ntier_run <kGoldenFlags> --trace t.jsonl --trace-sample tail
+//             --json run_summary.json
+//   ntier_run <kGoldenFlags> --sweep-seeds 3 --json sweep.json --csv DIR
+// (DIR/sweep_aggregate.csv and DIR/sweep_runs.csv). The flags turn on the
+// KV and cache tiers, overload control, retries, recovery, online detection,
+// telemetry and tail sampling, so every section of the summary is non-zero.
+//
+// Parity rules: the RunSummary JSON is byte-identical once the lines of keys
+// added since (kAddedKeys) are removed. The sweep exports keep every entry,
+// row and column of the golden with identical value text; only their order
+// may change, to the list order.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include <unistd.h>
+
+#include "../bench/bench_common.h"
+#include "cli/cli.h"
+#include "experiment/summary.h"
+#include "experiment/sweep.h"
+
+namespace ntier::experiment {
+namespace {
+
+const std::vector<std::string> kGoldenFlags = {
+    "--seed", "42", "--db-tier", "kv", "--cache-tier", "--overload", "full",
+    "--recovery", "on", "--resilience", "--chaos", "--kv-millibottlenecks",
+    "--detect", "--telemetry", "--clients", "1000", "--think-ms", "50",
+    "--duration-s", "8", "--quiet"};
+
+/// Keys the RunSummary JSON gained when the sweep/bench-only columns moved
+/// into summarize().
+const std::set<std::string> kAddedKeys = {"total_sheds",
+                                          "recovery_interventions",
+                                          "vlrt_count"};
+
+std::string golden_path(const std::string& name) {
+  return std::string(NTIER_GOLDEN_DIR) + "/" + name;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  EXPECT_TRUE(f.good()) << "cannot read " << path;
+  std::ostringstream os;
+  os << f.rdbuf();
+  return os.str();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> out;
+  std::istringstream in(line);
+  for (std::string cell; std::getline(in, cell, ',');) out.push_back(cell);
+  return out;
+}
+
+/// JSON key of a `  "key": value` line, or "" for structural lines.
+std::string key_of(const std::string& line) {
+  const auto open = line.find('"');
+  const auto close = line.find("\": ", open + 1);
+  if (open == std::string::npos || close == std::string::npos) return "";
+  if (line.find_first_not_of(' ') != open) return "";
+  return line.substr(open + 1, close - open - 1);
+}
+
+/// Every keyed line of a pretty-printed JSON document, indexed by
+/// (indent, key, occurrence) so per-run objects line up by run index. The
+/// value keeps its text but drops the trailing comma (the last entry of an
+/// object has none, and reordering may move it).
+using KeyedLines =
+    std::map<std::tuple<std::size_t, std::string, int>, std::string>;
+
+KeyedLines keyed_lines(const std::string& json) {
+  KeyedLines out;
+  std::map<std::pair<std::size_t, std::string>, int> seen;
+  for (const std::string& line : lines_of(json)) {
+    const std::string key = key_of(line);
+    if (key.empty()) continue;
+    const std::size_t indent = line.find('"');
+    std::string value = line.substr(indent + key.size() + 4);
+    if (!value.empty() && value.back() == ',') value.pop_back();
+    out[{indent, key, seen[{indent, key}]++}] = value;
+  }
+  return out;
+}
+
+std::filesystem::path scratch_dir(const std::string& name) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   ("ntier_summary_schema_" + name + "_" +
+                    std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// The goldens come from the default build. NTIER_OBS_DISABLED compiles out
+// the trace, telemetry and recovery hooks the golden run exercises, so the
+// parity cases have nothing to compare there.
+#ifdef NTIER_OBS_DISABLED
+#define SKIP_WITHOUT_OBS() GTEST_SKIP() << "goldens need the obs hooks"
+#else
+#define SKIP_WITHOUT_OBS() (void)0
+#endif
+
+void run_cli_with(std::vector<std::string> args) {
+  auto parsed = cli::parse_cli(args);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(cli::run_cli(*parsed.options), 0);
+}
+
+TEST(SummarySchema, RunSummaryJsonMatchesGolden) {
+  SKIP_WITHOUT_OBS();
+  const auto dir = scratch_dir("run");
+  auto args = kGoldenFlags;
+  args.insert(args.end(), {"--trace", (dir / "t.jsonl").string(),
+                           "--trace-sample", "tail", "--json",
+                           (dir / "run.json").string()});
+  run_cli_with(args);
+
+  std::string kept;
+  for (const std::string& line : lines_of(slurp((dir / "run.json").string())))
+    if (!kAddedKeys.count(key_of(line))) kept += line + '\n';
+  EXPECT_EQ(kept, slurp(golden_path("run_summary.json")));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SummarySchema, SweepExportsKeepEveryGoldenEntry) {
+  SKIP_WITHOUT_OBS();
+  const auto dir = scratch_dir("sweep");
+  auto args = kGoldenFlags;
+  args.insert(args.end(), {"--sweep-seeds", "3", "--json",
+                           (dir / "sweep.json").string(), "--csv",
+                           (dir / "csv").string()});
+  run_cli_with(args);
+
+  // Sweep JSON: every golden entry (top level, metrics, per-run objects)
+  // is still there with the same value text.
+  const KeyedLines now = keyed_lines(slurp((dir / "sweep.json").string()));
+  const KeyedLines gold = keyed_lines(slurp(golden_path("sweep.json")));
+  ASSERT_GT(gold.size(), 200u);
+  for (const auto& [where, value] : gold) {
+    const auto it = now.find(where);
+    ASSERT_NE(it, now.end()) << "missing sweep JSON key " << std::get<1>(where);
+    EXPECT_EQ(it->second, value) << std::get<1>(where);
+  }
+
+  // Aggregate CSV: same header, every golden row verbatim.
+  const auto agg_now =
+      lines_of(slurp((dir / "csv/sweep_aggregate.csv").string()));
+  const auto agg_gold = lines_of(slurp(golden_path("sweep_aggregate.csv")));
+  ASSERT_FALSE(agg_gold.empty());
+  EXPECT_EQ(agg_now.front(), agg_gold.front());
+  for (const std::string& row : agg_gold)
+    EXPECT_NE(std::find(agg_now.begin(), agg_now.end(), row), agg_now.end())
+        << "missing aggregate row " << row;
+
+  // Per-run CSV: every golden column, cell for cell.
+  const auto runs_now = lines_of(slurp((dir / "csv/sweep_runs.csv").string()));
+  const auto runs_gold = lines_of(slurp(golden_path("sweep_runs.csv")));
+  ASSERT_EQ(runs_now.size(), runs_gold.size());
+  const auto head_now = split_csv(runs_now.front());
+  const auto head_gold = split_csv(runs_gold.front());
+  for (std::size_t c = 0; c < head_gold.size(); ++c) {
+    const auto at = std::find(head_now.begin(), head_now.end(), head_gold[c]);
+    ASSERT_NE(at, head_now.end()) << "missing per-run column " << head_gold[c];
+    const auto idx = static_cast<std::size_t>(at - head_now.begin());
+    for (std::size_t r = 1; r < runs_gold.size(); ++r)
+      EXPECT_EQ(split_csv(runs_now[r]).at(idx), split_csv(runs_gold[r]).at(c))
+          << head_gold[c] << " run " << r - 1;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SummarySchema, EveryMetricReachesEveryExport) {
+  const auto dir = scratch_dir("complete");
+  auto parsed = cli::parse_cli(
+      {"--db-tier", "kv", "--cache-tier", "--clients", "200", "--think-ms",
+       "100", "--duration-s", "2", "--no-millibottlenecks"});
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const ExperimentConfig cfg = parsed.options->config;
+
+  BenchOptions opt;
+  opt.program = "summary_schema_test";
+  opt.json_path = (dir / "rows.jsonl").string();
+  opt.sweep_seeds = 2;
+  const auto e = bench::run_experiment(opt, cfg, /*announce=*/false);
+  const AggregateSummary agg = bench::run_sweep(opt, cfg, /*announce=*/false);
+
+  const std::string run_json = summarize(*e).to_json_string();
+  const std::string sweep_json = agg.to_json_string();
+  const std::string sweep_metrics =
+      sweep_json.substr(0, sweep_json.find("\"pooled\""));
+  std::ostringstream agg_csv, runs_csv;
+  agg.to_csv(agg_csv);
+  agg.per_run_csv(runs_csv);
+  const auto csv_rows = lines_of(agg_csv.str());
+  const auto per_run_header = split_csv(lines_of(runs_csv.str()).front());
+  const auto rows = lines_of(slurp(opt.json_path));
+  ASSERT_EQ(rows.size(), 2u);
+
+  std::set<std::string> names;
+  for (const RunMetric& m : kRunMetrics) {
+    const std::string name = m.name;
+    names.insert(name);
+    EXPECT_NE(run_json.find("\n  \"" + name + "\": "), std::string::npos)
+        << name << " missing from RunSummary JSON";
+    EXPECT_NE(sweep_metrics.find("\n    \"" + name + "\": {"),
+              std::string::npos)
+        << name << " missing from sweep JSON metrics";
+    EXPECT_TRUE(std::any_of(csv_rows.begin(), csv_rows.end(),
+                            [&](const std::string& row) {
+                              return row.rfind(name + ",", 0) == 0;
+                            }))
+        << name << " missing from aggregate CSV";
+    EXPECT_NE(std::find(per_run_header.begin(), per_run_header.end(), name),
+              per_run_header.end())
+        << name << " missing from per-run CSV header";
+    EXPECT_NE(rows[0].find("\"" + name + "\":"), std::string::npos)
+        << name << " missing from bench JSON row";
+    EXPECT_NE(rows[1].find("\"" + name + "\":"), std::string::npos)
+        << name << " missing from bench sweep JSON row";
+    EXPECT_NE(rows[1].find("\"" + name + "_ci95\":"), std::string::npos)
+        << name << " missing its CI from bench sweep JSON row";
+  }
+  EXPECT_EQ(names.size(), kNumRunMetrics) << "duplicate metric names";
+
+  // And the list is the whole schema: every scalar of the RunSummary JSON
+  // is a list entry (the arrays and identity strings stay outside it).
+  const std::set<std::string> outside = {
+      "label",          "policy",      "mechanism",     "apache_mean_cpu",
+      "tomcat_mean_cpu", "mysql_mean_cpu", "kv_mean_cpu", "cache_mean_cpu"};
+  for (const std::string& line : lines_of(run_json)) {
+    const std::string key = key_of(line);
+    if (key.empty() || outside.count(key)) continue;
+    EXPECT_TRUE(names.count(key)) << key << " is exported but not listed";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace ntier::experiment

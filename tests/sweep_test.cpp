@@ -112,8 +112,11 @@ TEST(SweepRunner, MergedSketchAndOnlineColumnsAreJobsInvariant) {
   std::ostringstream runs, csv;
   a.per_run_csv(runs);
   a.to_csv(csv);
-  EXPECT_NE(runs.str().find("online_episodes,online_false_positives,"
-                            "online_median_detection_ms,trace_kept_fraction"),
+  EXPECT_NE(runs.str().find("online_episodes,online_matched,"
+                            "online_truth_episodes,online_false_positives,"
+                            "online_median_detection_ms,online_episode_vlrts,"
+                            "trace_events_seen,trace_events_kept,"
+                            "trace_kept_fraction"),
             std::string::npos);
   EXPECT_NE(csv.str().find("online_episodes,"), std::string::npos);
   EXPECT_NE(csv.str().find("online_median_detection_ms,"), std::string::npos);
