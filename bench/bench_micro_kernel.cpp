@@ -3,9 +3,12 @@
 // and end-to-end simulated-seconds-per-wall-second of the full testbed.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "experiment/experiment.h"
 #include "lb/load_balancer.h"
 #include "os/cpu.h"
+#include "sim/rng.h"
 #include "sim/simulation.h"
 
 using namespace ntier;
@@ -43,6 +46,58 @@ static void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 30'000);
 }
 BENCHMARK(BM_EventQueueCancelHeavy);
+
+// The paper's operating point in miniature: N closed-loop clients, each a
+// think timer of mean 7 s that re-arms itself, so about N timers are pending
+// at once. Every expiry starts a "request": a chain of sub-millisecond hops
+// guarded by a 3 s timeout that the last hop cancels, then the next think.
+// Measured in steady state (the population is warmed up first); items are
+// events fired. This is the deep-heap shape of the perf ledger's
+// sim.event_ns driver, with the near-term churn the real run adds.
+namespace {
+struct DeepTimers {
+  static constexpr int kHops = 8;
+  sim::Simulation sim;
+  std::vector<sim::SimTime> think, hop;
+  std::size_t next_think = 0, next_hop = 0;
+
+  explicit DeepTimers(std::size_t clients) {
+    sim::Rng rng(7);
+    think.resize(1 << 16);
+    hop.resize(1 << 16);
+    for (auto& d : think) d = rng.exponential_time(sim::SimTime::seconds(7));
+    for (auto& d : hop) d = rng.exponential_time(sim::SimTime::micros(150));
+    for (std::size_t i = 0; i < clients; ++i) arm_think();
+  }
+  void arm_think() {
+    sim.after(think[next_think++ % think.size()], [this] { start(); });
+  }
+  void start() {
+    const sim::EventId timeout = sim.after(sim::SimTime::seconds(3), [] {});
+    step(kHops, timeout);
+  }
+  void step(int left, sim::EventId timeout) {
+    if (left == 0) {
+      sim.cancel(timeout);
+      arm_think();
+      return;
+    }
+    sim.after(hop[next_hop++ % hop.size()],
+              [this, left, timeout] { step(left - 1, timeout); });
+  }
+};
+}  // namespace
+
+static void BM_EventQueueDeepTimers(benchmark::State& state) {
+  DeepTimers t(static_cast<std::size_t>(state.range(0)));
+  t.sim.run_until(sim::SimTime::seconds(10));  // past the first think wave
+  const std::uint64_t before = t.sim.events_executed();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(t.sim.run_until(t.sim.now() + sim::SimTime::millis(20)));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(t.sim.events_executed() - before));
+}
+BENCHMARK(BM_EventQueueDeepTimers)->Arg(7000)->Arg(28000)->Arg(70000);
 
 static void BM_CpuProcessorSharing(benchmark::State& state) {
   const int jobs = static_cast<int>(state.range(0));

@@ -231,21 +231,21 @@ void KvTier::stash_hint(int home, const proto::RequestPtr& req,
         // The home recovered while this handoff was still in flight — its
         // recovery replay has already run, so forward the write straight to
         // it instead of stranding the hint on the holder.
-        const int home = h.home;
-        link_.deliver(sim_, [this, h, home, holder] {
-          if (!alive(home)) {
+        const int target = h.home;
+        link_.deliver(sim_, [this, h, target, holder] {
+          if (!alive(target)) {
             if (alive(holder) && replica(holder).store_hint(h))
               ++stats_.hints_created;
             else
               ++stats_.handoff_dropped;
             return;
           }
-          replica(home).execute(h.demand, [this, h, home, holder] {
-            replica(home).apply_write(h.key, h.version);
+          replica(target).execute(h.demand, [this, h, target, holder] {
+            replica(target).apply_write(h.key, h.version);
             ++stats_.hints_replayed;
             NTIER_TRACE_EVENT(trace_, sim_.now(),
                               obs::EventKind::kKvHandoffReplay, obs::Tier::kKv,
-                              home, holder, 0, static_cast<double>(h.version));
+                              target, holder, 0, static_cast<double>(h.version));
           });
         });
         return;

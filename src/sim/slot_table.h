@@ -89,6 +89,17 @@ class SlotTable {
   /// per-record side data in a flat array indexed by slot.
   static std::uint32_t slot_of(Handle h) { return static_cast<std::uint32_t>(h); }
 
+  /// The live record in `slot`, and its current handle: for intrusive
+  /// structures that link records by slot index rather than by handle.
+  T& at_slot(std::uint32_t slot) {
+    assert(slot < slots_.size() && slots_[slot].live);
+    return slots_[slot].value;
+  }
+  Handle handle_at(std::uint32_t slot) const {
+    assert(slot < slots_.size() && slots_[slot].live);
+    return make_handle(slot, slots_[slot].gen);
+  }
+
  private:
   static std::uint32_t gen_of(Handle h) {
     return static_cast<std::uint32_t>(h >> 32);
@@ -116,17 +127,25 @@ class SlotTable {
   std::size_t live_ = 0;
 };
 
-/// Index-tracked 4-ary min-heap of small POD nodes, ordered by `Before`
+/// Array-backed 4-ary min-heap of small POD nodes, ordered by `Before`
 /// (a strict weak order that must be total, e.g. ending in a sequence
-/// number, so equal keys pop deterministically). The event queue and the PS
-/// CPU both keep their pending entries here and their payloads in a
-/// SlotTable; cancelled entries stay in the heap until they surface.
+/// number, so equal keys pop deterministically). It keeps no position
+/// index, so nothing can be removed from the middle: the event queue and the
+/// PS CPU keep their payloads in a SlotTable, and a cancelled entry stays in
+/// the heap until it surfaces at the top.
 template <typename Node, typename Before>
 class QuadHeap {
  public:
   void push(const Node& n) {
     nodes_.push_back(n);
     sift_up(nodes_.size() - 1);
+  }
+  /// Bulk load: append nodes in any order, then heapify() once. O(n) for
+  /// the batch, against O(n log n) for pushes that arrive out of order.
+  void append(const Node& n) { nodes_.push_back(n); }
+  void heapify() {
+    if (nodes_.size() < 2) return;
+    for (std::size_t i = (nodes_.size() - 2) / kArity + 1; i-- > 0;) sift_down(i);
   }
   const Node& top() const { return nodes_.front(); }
   void pop() {
