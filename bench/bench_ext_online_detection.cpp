@@ -57,11 +57,6 @@ int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(argc, argv);
   header("Extension", "online millibottleneck detection + tail-based sampling");
 
-#ifdef NTIER_OBS_DISABLED
-  std::cout << "tracing compiled out (NTIER_OBS_DISABLED) — nothing to "
-               "detect or sample\n";
-  return 0;
-#else
   bool all_pass = true;
 
   // -- run 1: full trace + online detector -------------------------------------
@@ -202,5 +197,4 @@ int main(int argc, char** argv) {
     verdict(s.str(), chains_ok, "100% required");
   }
   return all_pass ? 0 : 1;
-#endif
 }

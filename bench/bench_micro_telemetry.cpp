@@ -1,9 +1,7 @@
 // Microbenchmark of the always-on observability hot paths: what one
 // record()/push() costs in nanoseconds with the telemetry layer off, on,
 // and with the full sink stack (telemetry feed + online detector + tail
-// sampler) attached — the number that justifies "always-on". Under
-// -DNTIER_OBS_DISABLED the emission macro compiles away entirely and this
-// bench reports that instead of timing loops that no longer exist.
+// sampler) attached — the number that justifies "always-on".
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -25,8 +23,6 @@ using obs::TraceEvent;
 using sim::SimTime;
 
 namespace {
-#ifndef NTIER_OBS_DISABLED
-
 // Cheap deterministic value stream (no std:: RNG in the timed loop).
 std::uint64_t lcg_state = 0x9e3779b97f4a7c15ull;
 inline double next_value() {
@@ -84,8 +80,6 @@ void row(const std::string& what, double ns) {
             << std::setw(10) << std::fixed << std::setprecision(1) << ns
             << " ns/op\n";
 }
-
-#endif  // NTIER_OBS_DISABLED
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,23 +91,6 @@ int main(int argc, char** argv) {
   const std::uint64_t iters = opt.quick ? 400'000 : 4'000'000;
   std::cout << "  (" << iters << " iterations per loop)\n";
 
-#ifdef NTIER_OBS_DISABLED
-  // The macro expands to nothing: the per-site cost is exactly zero
-  // instructions, there is no loop to time.
-  [[maybe_unused]] obs::TraceCollector* none = nullptr;
-  NTIER_TRACE_EVENT(none, SimTime{}, EventKind::kClientDone, Tier::kClient, 0,
-                    0, 1, 1.0);
-  std::cout << "\nverdict: telemetry overhead compiled away "
-               "(NTIER_OBS_DISABLED): 0.0 ns/event at every site -- PASS\n";
-  if (!opt.json_path.empty()) {
-    std::ofstream f(opt.json_path, std::ios::app);
-    if (f)
-      f << "{\"bench\":\"" << opt.program
-        << "\",\"run\":1,\"label\":\"micro_telemetry\",\"obs_disabled\":true,"
-           "\"push_sinks_ns\":0,\"push_off_ns\":0}\n";
-  }
-  return 0;
-#else
   // -- building blocks ---------------------------------------------------------
   obs::DDSketch sketch;
   const double sketch_ns =
@@ -182,12 +159,11 @@ int main(int argc, char** argv) {
     std::ofstream f(opt.json_path, std::ios::app);
     if (f)
       f << "{\"bench\":\"" << opt.program
-        << "\",\"run\":1,\"label\":\"micro_telemetry\",\"obs_disabled\":false,"
+        << "\",\"run\":1,\"label\":\"micro_telemetry\","
            "\"sketch_ns\":" << sketch_ns << ",\"timeline_ns\":" << timeline_ns
         << ",\"push_off_ns\":" << off_ns << ",\"push_ring_ns\":" << ring_ns
         << ",\"push_sinks_ns\":" << sinks_ns << ",\"push_tail_ns\":" << tail_ns
         << "}\n";
   }
   return pass ? 0 : 1;
-#endif
 }

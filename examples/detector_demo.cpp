@@ -1,8 +1,6 @@
 // Millibottleneck diagnosis demo: run the unstable configuration, then
-// apply both detectors offline — the paper's queue-spike methodology
-// (§III-B) and the throughput-dip correlation in the spirit of Wang et
-// al. [27] — and check them against the ground-truth pdflush episodes the
-// simulator knows about.
+// apply the paper's queue-spike methodology (§III-B) offline and check it
+// against the ground-truth pdflush episodes the simulator knows about.
 #include <iomanip>
 #include <iostream>
 
@@ -43,7 +41,7 @@ int main() {
 
   const auto slack = sim::SimTime::millis(1100);
 
-  // Detector 1: queue spikes on each Tomcat's committed-queue gauge.
+  // Queue spikes on each Tomcat's committed-queue gauge.
   millib::MillibottleneckDetector spike_detector;
   int spikes = 0, spikes_matched = 0;
   for (int t = 0; t < e.num_tomcats(); ++t) {
@@ -51,35 +49,16 @@ int main() {
     for (const auto& ep : spike_detector.detect(gauge)) {
       ++spikes;
       if (millib::overlaps_any(ep, truth, slack)) ++spikes_matched;
-      std::cout << "  [queue-spike]     tomcat" << t + 1 << "  "
+      std::cout << "  [queue-spike] tomcat" << t + 1 << "  "
                 << ep.start.to_string() << " .. " << ep.end.to_string()
                 << "  peak " << std::fixed << std::setprecision(0) << ep.peak
                 << "\n";
     }
   }
 
-  // Detector 2: per-Tomcat throughput dips correlated with queue growth.
-  std::cout << "\n";
-  millib::ThroughputDipDetector dip_detector;
-  int dips = 0, dips_matched = 0;
-  for (int t = 0; t < e.num_tomcats(); ++t) {
-    const auto gauge = committed_gauge(e, t);
-    for (const auto& ep :
-         dip_detector.detect(e.tomcat(t).completion_trace(), gauge)) {
-      ++dips;
-      if (millib::overlaps_any(ep, truth, slack)) ++dips_matched;
-      std::cout << "  [throughput-dip]  tomcat" << t + 1 << "  "
-                << ep.start.to_string() << " .. " << ep.end.to_string()
-                << "  queue " << std::fixed << std::setprecision(0) << ep.peak
-                << "\n";
-    }
-  }
-
-  std::cout << "\nqueue-spike detector:    " << spikes_matched << "/" << spikes
+  std::cout << "\nqueue-spike detector: " << spikes_matched << "/" << spikes
             << " detected episodes overlap a real flush\n"
-            << "throughput-dip detector: " << dips_matched << "/" << dips
-            << " detected episodes overlap a real flush\n"
-            << "\n(both methodologies find the millibottlenecks without any\n"
+            << "\n(the detector finds the millibottlenecks without any\n"
             << " knowledge of pdflush — the paper's point that queue spikes\n"
             << " are a reliable, cause-agnostic diagnosis signal)\n";
   return 0;

@@ -1,6 +1,7 @@
 #include "experiment/chaos.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -307,6 +308,50 @@ ChaosRunResult run_chaos(ExperimentConfig config, sim::SimTime traffic,
   return r;
 }
 
+namespace {
+
+/// The loop every chaos matrix shares: one run per policy x mechanism cell,
+/// the same plan in each, on the matrix testbed with the options' resilience,
+/// recovery and overload layers. Cells are labelled "<name>/<policy>/<mech>".
+std::vector<ChaosRunResult> run_cells(
+    const ChaosMatrixOptions& opt, const std::string& name,
+    const millib::FaultPlan& plan, std::span<const lb::PolicyKind> policies,
+    std::span<const lb::MechanismKind> mechanisms,
+    server::DbTier db_tier = server::DbTier::kMysql, bool cache_tier = false) {
+  std::vector<ChaosRunResult> results;
+  for (auto policy : policies) {
+    for (auto mechanism : mechanisms) {
+      ExperimentConfig c;
+      c.label = name + "/" + lb::to_string(policy) + "/" +
+                lb::to_string(mechanism);
+      c.num_apaches = opt.num_apaches;
+      c.num_tomcats = opt.num_tomcats;
+      c.num_clients = opt.num_clients;
+      c.think_mean = opt.think_mean;
+      c.warmup = sim::SimTime::millis(500);
+      c.policy = policy;
+      c.mechanism = mechanism;
+      c.db_tier = db_tier;
+      if (db_tier == server::DbTier::kKv) c.kv.replicas = opt.kv_replicas;
+      c.cache_tier = cache_tier;
+      if (cache_tier) c.cache.nodes = opt.cache_nodes;
+      // Organic millibottlenecks off: every disturbance comes from the plan,
+      // so a violated invariant is attributable.
+      c.tomcat_millibottlenecks = false;
+      c.tracing = false;
+      c.fault_plan = plan;
+      if (opt.resilience) c.enable_resilience();
+      if (opt.recovery) c.recovery.enabled = true;
+      if (opt.overload != control::OverloadMode::kNone)
+        c.overload = control::make_overload(opt.overload);
+      results.push_back(run_chaos(std::move(c), opt.traffic, opt.drain));
+    }
+  }
+  return results;
+}
+
+}  // namespace
+
 millib::FaultPlan matrix_plan(const ChaosMatrixOptions& opt) {
   millib::FaultPlanConfig fc;
   fc.initial_offset = sim::SimTime::seconds(1);
@@ -329,32 +374,7 @@ std::vector<ChaosRunResult> run_chaos_matrix(const ChaosMatrixOptions& opt) {
       lb::MechanismKind::kBlocking, lb::MechanismKind::kNonBlocking,
       lb::MechanismKind::kQueueing};
 
-  const millib::FaultPlan plan = matrix_plan(opt);
-  std::vector<ChaosRunResult> results;
-  for (auto policy : kPolicies) {
-    for (auto mechanism : kMechanisms) {
-      ExperimentConfig c;
-      c.label = "chaos/" + lb::to_string(policy) + "/" +
-                lb::to_string(mechanism);
-      c.num_apaches = opt.num_apaches;
-      c.num_tomcats = opt.num_tomcats;
-      c.num_clients = opt.num_clients;
-      c.think_mean = opt.think_mean;
-      c.warmup = sim::SimTime::millis(500);
-      c.policy = policy;
-      c.mechanism = mechanism;
-      // Organic millibottlenecks off: every disturbance comes from the plan,
-      // so a violated invariant is attributable.
-      c.tomcat_millibottlenecks = false;
-      c.tracing = false;
-      c.fault_plan = plan;
-      if (opt.resilience) c.enable_resilience();
-      if (opt.overload != control::OverloadMode::kNone)
-        c.overload = control::make_overload(opt.overload);
-      results.push_back(run_chaos(std::move(c), opt.traffic, opt.drain));
-    }
-  }
-  return results;
+  return run_cells(opt, "chaos", matrix_plan(opt), kPolicies, kMechanisms);
 }
 
 millib::FaultPlan gray_matrix_plan(const ChaosMatrixOptions& opt) {
@@ -406,36 +426,11 @@ std::vector<ChaosRunResult> run_gray_chaos_matrix(
   static constexpr lb::MechanismKind kMechanisms[] = {
       lb::MechanismKind::kBlocking, lb::MechanismKind::kNonBlocking};
 
-  const millib::FaultPlan plan = gray_matrix_plan(opt);
-  std::vector<ChaosRunResult> results;
-  for (auto policy : kPolicies) {
-    for (auto mechanism : kMechanisms) {
-      ExperimentConfig c;
-      c.label = "gray-chaos/" + lb::to_string(policy) + "/" +
-                lb::to_string(mechanism);
-      c.num_apaches = opt.num_apaches;
-      c.num_tomcats = opt.num_tomcats;
-      c.num_clients = opt.num_clients;
-      c.think_mean = opt.think_mean;
-      c.warmup = sim::SimTime::millis(500);
-      c.policy = policy;
-      c.mechanism = mechanism;
-      // Organic millibottlenecks off: every disturbance comes from the plan,
-      // so a violated invariant is attributable.
-      c.tomcat_millibottlenecks = false;
-      c.tracing = false;
-      c.fault_plan = plan;
-      if (opt.resilience) c.enable_resilience();
-      if (opt.recovery) c.recovery.enabled = true;
-      if (opt.overload != control::OverloadMode::kNone)
-        c.overload = control::make_overload(opt.overload);
-      results.push_back(run_chaos(std::move(c), opt.traffic, opt.drain));
-    }
-  }
-  return results;
+  return run_cells(opt, "gray-chaos", gray_matrix_plan(opt), kPolicies,
+                   kMechanisms);
 }
 
-millib::FaultPlan kv_matrix_plan(const KvChaosMatrixOptions& opt) {
+millib::FaultPlan kv_matrix_plan(const ChaosMatrixOptions& opt) {
   // Hand-written, not randomized: the crashes must not overlap (so every
   // shard keeps >= N-1 live members and the R=W=2 quorums never fail) and
   // must recover before traffic ends (so hinted handoff replays while the
@@ -487,42 +482,18 @@ millib::FaultPlan kv_matrix_plan(const KvChaosMatrixOptions& opt) {
   return plan;
 }
 
-std::vector<ChaosRunResult> run_kv_chaos_matrix(
-    const KvChaosMatrixOptions& opt) {
+std::vector<ChaosRunResult> run_kv_chaos_matrix(const ChaosMatrixOptions& opt) {
   static constexpr lb::PolicyKind kPolicies[] = {
       lb::PolicyKind::kCurrentLoad, lb::PolicyKind::kRoundRobin,
       lb::PolicyKind::kTwoChoices, lb::PolicyKind::kSourceHash};
   static constexpr lb::MechanismKind kMechanisms[] = {
       lb::MechanismKind::kBlocking, lb::MechanismKind::kQueueing};
 
-  const millib::FaultPlan plan = kv_matrix_plan(opt);
-  std::vector<ChaosRunResult> results;
-  for (auto policy : kPolicies) {
-    for (auto mechanism : kMechanisms) {
-      ExperimentConfig c;
-      c.label = "kv-chaos/" + lb::to_string(policy) + "/" +
-                lb::to_string(mechanism);
-      c.num_apaches = opt.num_apaches;
-      c.num_tomcats = opt.num_tomcats;
-      c.num_clients = opt.num_clients;
-      c.think_mean = opt.think_mean;
-      c.warmup = sim::SimTime::millis(500);
-      c.policy = policy;
-      c.mechanism = mechanism;
-      c.db_tier = server::DbTier::kKv;
-      c.kv.replicas = opt.kv_replicas;
-      // Organic millibottlenecks off: every disturbance comes from the plan,
-      // so a violated invariant is attributable.
-      c.tomcat_millibottlenecks = false;
-      c.tracing = false;
-      c.fault_plan = plan;
-      results.push_back(run_chaos(std::move(c), opt.traffic, opt.drain));
-    }
-  }
-  return results;
+  return run_cells(opt, "kv-chaos", kv_matrix_plan(opt), kPolicies,
+                   kMechanisms, server::DbTier::kKv);
 }
 
-millib::FaultPlan cache_matrix_plan(const CacheChaosMatrixOptions& opt) {
+millib::FaultPlan cache_matrix_plan(const ChaosMatrixOptions& opt) {
   // Hand-written: two invalidation storms bracketing one recovering replica
   // crash. The second storm is wider (severity 2.0 sweeps twice the keys),
   // and the crash overlaps it so cache accounting is exercised while fills
@@ -558,40 +529,15 @@ millib::FaultPlan cache_matrix_plan(const CacheChaosMatrixOptions& opt) {
 }
 
 std::vector<ChaosRunResult> run_cache_chaos_matrix(
-    const CacheChaosMatrixOptions& opt) {
+    const ChaosMatrixOptions& opt) {
   static constexpr lb::PolicyKind kPolicies[] = {
       lb::PolicyKind::kCurrentLoad, lb::PolicyKind::kRoundRobin,
       lb::PolicyKind::kTwoChoices, lb::PolicyKind::kSourceHash};
   static constexpr lb::MechanismKind kMechanisms[] = {
       lb::MechanismKind::kBlocking, lb::MechanismKind::kQueueing};
 
-  const millib::FaultPlan plan = cache_matrix_plan(opt);
-  std::vector<ChaosRunResult> results;
-  for (auto policy : kPolicies) {
-    for (auto mechanism : kMechanisms) {
-      ExperimentConfig c;
-      c.label = "cache-chaos/" + lb::to_string(policy) + "/" +
-                lb::to_string(mechanism);
-      c.num_apaches = opt.num_apaches;
-      c.num_tomcats = opt.num_tomcats;
-      c.num_clients = opt.num_clients;
-      c.think_mean = opt.think_mean;
-      c.warmup = sim::SimTime::millis(500);
-      c.policy = policy;
-      c.mechanism = mechanism;
-      c.db_tier = server::DbTier::kKv;
-      c.kv.replicas = opt.kv_replicas;
-      c.cache_tier = true;
-      c.cache.nodes = opt.cache_nodes;
-      // Organic millibottlenecks off: every disturbance comes from the plan,
-      // so a violated invariant is attributable.
-      c.tomcat_millibottlenecks = false;
-      c.tracing = false;
-      c.fault_plan = plan;
-      results.push_back(run_chaos(std::move(c), opt.traffic, opt.drain));
-    }
-  }
-  return results;
+  return run_cells(opt, "cache-chaos", cache_matrix_plan(opt), kPolicies,
+                   kMechanisms, server::DbTier::kKv, /*cache_tier=*/true);
 }
 
 }  // namespace ntier::experiment

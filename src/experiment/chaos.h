@@ -155,7 +155,8 @@ struct ChaosRunResult {
 ChaosRunResult run_chaos(ExperimentConfig config, sim::SimTime traffic,
                          sim::SimTime drain);
 
-/// One cell-sized configuration of the full chaos matrix.
+/// One cell-sized configuration of the chaos matrices. All four runners
+/// share it; the KV and cache runners also read kv_replicas / cache_nodes.
 struct ChaosMatrixOptions {
   std::uint64_t chaos_seed = 1;
   /// Turn on prober + breaker + budgeted retries in every cell.
@@ -171,6 +172,11 @@ struct ChaosMatrixOptions {
   control::OverloadMode overload = control::OverloadMode::kNone;
   int num_apaches = 2;
   int num_tomcats = 3;
+  /// KV fleet size (kv.replicas) of the KV and cache matrices; quorum stays
+  /// the N=3, R=W=2 default.
+  int kv_replicas = 5;
+  /// Cache nodes (cache.nodes) of the cache matrix.
+  int cache_nodes = 2;
   int num_clients = 400;
   sim::SimTime think_mean = sim::SimTime::millis(200);
   sim::SimTime traffic = sim::SimTime::seconds(10);
@@ -198,58 +204,27 @@ millib::FaultPlan gray_matrix_plan(const ChaosMatrixOptions& opt);
 /// where the orchestrator must catch what the breaker cannot).
 std::vector<ChaosRunResult> run_gray_chaos_matrix(const ChaosMatrixOptions& opt);
 
-/// One cell-sized configuration of the KV chaos matrix: same testbed shape
-/// as ChaosMatrixOptions, but the data tier is the replicated KV store and
-/// the plan exercises replica crashes and shard migrations.
-struct KvChaosMatrixOptions {
-  std::uint64_t chaos_seed = 1;
-  int num_apaches = 2;
-  int num_tomcats = 3;
-  /// KV fleet size (kv.replicas); quorum stays the N=3, R=W=2 default.
-  int kv_replicas = 5;
-  int num_clients = 400;
-  sim::SimTime think_mean = sim::SimTime::millis(200);
-  sim::SimTime traffic = sim::SimTime::seconds(10);
-  sim::SimTime drain = sim::SimTime::seconds(8);
-};
-
 /// Hand-written KV fault schedule: two non-overlapping replica crashes that
 /// both recover before traffic ends (so hinted handoff replays inside the
 /// run) plus two shard migrations. Non-overlapping crashes keep every shard
 /// at >= N-1 live members, so the R=W=2 quorums must never fail.
-millib::FaultPlan kv_matrix_plan(const KvChaosMatrixOptions& opt);
+millib::FaultPlan kv_matrix_plan(const ChaosMatrixOptions& opt);
 
 /// Run the KV fault schedule against a policy x mechanism slice of the
 /// matrix with db_tier = kKv, and return per-cell results. Each cell's
 /// InvariantReport must satisfy kv_ok() in addition to the usual three.
-std::vector<ChaosRunResult> run_kv_chaos_matrix(const KvChaosMatrixOptions& opt);
-
-/// One cell-sized configuration of the cache chaos matrix: the KV testbed
-/// with the look-aside cache tier layered in front, stressed by
-/// invalidation storms alongside a replica crash.
-struct CacheChaosMatrixOptions {
-  std::uint64_t chaos_seed = 1;
-  int num_apaches = 2;
-  int num_tomcats = 3;
-  int kv_replicas = 5;
-  int cache_nodes = 2;
-  int num_clients = 400;
-  sim::SimTime think_mean = sim::SimTime::millis(200);
-  sim::SimTime traffic = sim::SimTime::seconds(10);
-  sim::SimTime drain = sim::SimTime::seconds(8);
-};
+std::vector<ChaosRunResult> run_kv_chaos_matrix(const ChaosMatrixOptions& opt);
 
 /// Hand-written cache fault schedule: two invalidation storms (the second
 /// wider than the first) plus one recovering replica crash, so cache
 /// accounting is checked both under queue pressure and while the backing
 /// quorum is degraded.
-millib::FaultPlan cache_matrix_plan(const CacheChaosMatrixOptions& opt);
+millib::FaultPlan cache_matrix_plan(const ChaosMatrixOptions& opt);
 
 /// Run the cache fault schedule against a policy x mechanism slice of the
 /// matrix with cache_tier = true, and return per-cell results. Each cell's
 /// InvariantReport must satisfy cache_ok() in addition to kv_ok() and the
 /// usual three.
-std::vector<ChaosRunResult> run_cache_chaos_matrix(
-    const CacheChaosMatrixOptions& opt);
+std::vector<ChaosRunResult> run_cache_chaos_matrix(const ChaosMatrixOptions& opt);
 
 }  // namespace ntier::experiment

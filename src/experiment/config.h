@@ -113,8 +113,7 @@ struct ExperimentConfig {
   /// interventions — retry suppression, temporary hard shedding, cache
   /// refill gating, breaker reset at step-down. Rides the event bus, so
   /// Experiment::build() spins up a ring-less collector when nothing else
-  /// needs one (and the loop is inert under -DNTIER_OBS_DISABLED, like
-  /// telemetry and online detection).
+  /// needs one, like telemetry and online detection.
   recovery::RecoveryConfig recovery;
 
   // -- servers ------------------------------------------------------------------

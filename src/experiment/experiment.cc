@@ -51,18 +51,12 @@ std::unique_ptr<os::Node> Experiment::make_node(const std::string& name,
 }
 
 void Experiment::build() {
-#ifndef NTIER_OBS_DISABLED
-  // Telemetry and online detection ride the event stream, so the collector
-  // exists whenever any consumer does; without event_trace it runs ring-less
-  // (pure event bus, no retention).
+  // Telemetry, online detection and recovery ride the event stream, so the
+  // collector exists whenever any consumer does; without event_trace it runs
+  // ring-less (pure event bus, no retention).
   const bool obs_consumers = config_.telemetry.enabled ||
                              config_.online_detect ||
                              config_.recovery.enabled;
-#else
-  // Compiled out: no events are ever emitted, so the new consumers would sit
-  // on a silent bus — don't build them (zero instruments, zero overhead).
-  const bool obs_consumers = false;
-#endif
   if (config_.event_trace || obs_consumers) {
     obs::TraceConfig tc;
     tc.capacity = config_.trace_capacity;
@@ -72,7 +66,6 @@ void Experiment::build() {
     tc.tail = config_.trace_tail;
     trace_ = std::make_unique<obs::TraceCollector>(tc);
   }
-#ifndef NTIER_OBS_DISABLED
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::TelemetryRegistry>(config_.telemetry);
     telemetry_feed_ = std::make_unique<obs::TelemetryFeed>(
@@ -86,7 +79,6 @@ void Experiment::build() {
         dc, trace_->tail_enabled() ? trace_.get() : nullptr);
     trace_->add_sink(detector_.get());
   }
-#endif
 
   // -- nodes -------------------------------------------------------------------
   for (int i = 0; i < config_.num_apaches; ++i)
@@ -255,8 +247,7 @@ void Experiment::build() {
     for (auto& t : tomcats_) t->set_trace(trace_.get());
 
   // -- recovery orchestration ---------------------------------------------------
-#ifndef NTIER_OBS_DISABLED
-  if (config_.recovery.enabled && trace_) {
+  if (config_.recovery.enabled) {
     recovery::RecoverySignals sig;
     sig.queue_depth = [this] {
       double q = 0;
@@ -303,7 +294,6 @@ void Experiment::build() {
     trace_->add_sink(recovery_.get());
     recovery_->start();
   }
-#endif
 
   // -- clients -----------------------------------------------------------------
   workload::ClientParams cp;

@@ -84,22 +84,20 @@ class Experiment {
   /// Null unless config.fault_plan is non-empty.
   const ChaosController* chaos() const { return chaos_.get(); }
   /// The cross-tier event collector; null unless config.event_trace,
-  /// config.telemetry.enabled or config.online_detect (the latter two run it
-  /// ring-less as a pure event bus for their sinks).
+  /// config.telemetry.enabled, config.online_detect or
+  /// config.recovery.enabled (the latter three run it ring-less as a pure
+  /// event bus for their sinks).
   obs::TraceCollector* trace() { return trace_.get(); }
   const obs::TraceCollector* trace() const { return trace_.get(); }
-  /// Streaming telemetry registry; null unless config.telemetry.enabled
-  /// (always null under -DNTIER_OBS_DISABLED: zero instruments exist).
+  /// Streaming telemetry registry; null unless config.telemetry.enabled.
   obs::TelemetryRegistry* telemetry() { return telemetry_.get(); }
   const obs::TelemetryRegistry* telemetry() const { return telemetry_.get(); }
-  /// Online millibottleneck detector; null unless config.online_detect
-  /// (always null under -DNTIER_OBS_DISABLED: no events to consume).
+  /// Online millibottleneck detector; null unless config.online_detect.
   millib::OnlineDetector* online_detector() { return detector_.get(); }
   const millib::OnlineDetector* online_detector() const {
     return detector_.get();
   }
-  /// Recovery orchestrator; null unless config.recovery.enabled (always
-  /// null under -DNTIER_OBS_DISABLED: no event stream to judge from).
+  /// Recovery orchestrator; null unless config.recovery.enabled.
   recovery::RecoveryOrchestrator* recovery() { return recovery_.get(); }
   const recovery::RecoveryOrchestrator* recovery() const {
     return recovery_.get();

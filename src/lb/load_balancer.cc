@@ -77,11 +77,9 @@ void LoadBalancer::finish_traces() {
   for (auto& g : committed_traces_) g.finish(sim_.now());
 }
 
-void LoadBalancer::trace_event([[maybe_unused]] obs::EventKind kind,
-                               [[maybe_unused]] int worker,
-                               [[maybe_unused]] std::uint64_t request,
-                               [[maybe_unused]] double value,
-                               [[maybe_unused]] std::int32_t aux) {
+void LoadBalancer::trace_event(obs::EventKind kind, int worker,
+                               std::uint64_t request, double value,
+                               std::int32_t aux) {
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), kind, obs::Tier::kBalancer,
                     trace_node_, worker, request, value, aux);
 }

@@ -46,55 +46,6 @@ std::vector<SpikeEpisode> MillibottleneckDetector::detect(
   return episodes;
 }
 
-double ThroughputDipDetector::median_throughput(
-    const metrics::TimeSeries& completions) const {
-  std::vector<double> counts;
-  counts.reserve(completions.num_windows());
-  for (std::size_t i = 0; i < completions.num_windows(); ++i)
-    counts.push_back(static_cast<double>(completions.count(i)));
-  if (counts.empty()) return 0.0;
-  std::nth_element(counts.begin(), counts.begin() + counts.size() / 2,
-                   counts.end());
-  return counts[counts.size() / 2];
-}
-
-std::vector<SpikeEpisode> ThroughputDipDetector::detect(
-    const metrics::TimeSeries& completions,
-    const metrics::GaugeSeries& queue) const {
-  const double median = median_throughput(completions);
-  if (median <= 0) return {};
-  const double dip_threshold = median * config_.dip_fraction;
-  std::vector<SpikeEpisode> episodes;
-  bool in_dip = false;
-  int quiet = 0;
-  const std::size_t n =
-      std::min(completions.num_windows(), queue.num_windows());
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool dip =
-        static_cast<double>(completions.count(i)) < dip_threshold &&
-        queue.max(i) >= config_.min_queue;
-    if (dip) {
-      if (!in_dip) {
-        episodes.push_back(SpikeEpisode{completions.window_start(i),
-                                        completions.window_start(i + 1),
-                                        queue.max(i)});
-        in_dip = true;
-      } else {
-        episodes.back().end = completions.window_start(i + 1);
-        episodes.back().peak = std::max(episodes.back().peak, queue.max(i));
-      }
-      quiet = 0;
-    } else if (in_dip) {
-      ++quiet;
-      if (quiet > config_.merge_gap_windows) {
-        in_dip = false;
-        quiet = 0;
-      }
-    }
-  }
-  return episodes;
-}
-
 bool overlaps_any(
     const SpikeEpisode& episode,
     const std::vector<std::pair<sim::SimTime, sim::SimTime>>& truth,

@@ -49,35 +49,4 @@ bool overlaps_any(const SpikeEpisode& episode,
                   const std::vector<std::pair<sim::SimTime, sim::SimTime>>& truth,
                   sim::SimTime slack);
 
-/// The complementary signal: a server inside a millibottleneck *completes*
-/// almost nothing while work keeps arriving, so per-window throughput dips
-/// far below its norm exactly when the queue rises. This mirrors the
-/// fine-grained throughput/concurrency correlation analysis of Wang et
-/// al. [27], which the paper uses to infer real-time server state.
-struct ThroughputDipConfig {
-  /// A window counts as a dip when its completions fall below this fraction
-  /// of the median window's.
-  double dip_fraction = 0.25;
-  /// Ignore dips when the concurrent queue gauge is below this (an idle
-  /// server completes nothing without being bottlenecked).
-  double min_queue = 5.0;
-  int merge_gap_windows = 1;
-};
-
-class ThroughputDipDetector {
- public:
-  explicit ThroughputDipDetector(ThroughputDipConfig config = {})
-      : config_(config) {}
-
-  /// `completions` counts completed work per window; `queue` is the
-  /// concurrent queue-length gauge of the same server.
-  std::vector<SpikeEpisode> detect(const metrics::TimeSeries& completions,
-                                   const metrics::GaugeSeries& queue) const;
-
-  double median_throughput(const metrics::TimeSeries& completions) const;
-
- private:
-  ThroughputDipConfig config_;
-};
-
 }  // namespace ntier::millib

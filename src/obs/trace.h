@@ -171,8 +171,7 @@ struct TraceConfig {
 /// (which, in a discrete-event simulation, is also timestamp order).
 /// Instrumentation sites hold a `TraceCollector*` that is null when tracing
 /// is off and emit through the NTIER_TRACE_EVENT macro below, so the
-/// disabled path is one predictable branch — or nothing at all when the
-/// whole subsystem is compiled out with -DNTIER_OBS_DISABLED.
+/// disabled path is one predictable branch.
 class TraceCollector {
  public:
   explicit TraceCollector(TraceConfig config = {}) : config_(config) {}
@@ -315,16 +314,9 @@ class TraceCollector {
 
 }  // namespace ntier::obs
 
-// Emission macro used at every instrumentation site: a null-check when the
-// subsystem is built in, nothing at all under -DNTIER_OBS_DISABLED (the
-// arguments are not evaluated).
-#ifndef NTIER_OBS_DISABLED
+// Emission macro used at every instrumentation site: a null-check, so the
+// arguments are evaluated only when a collector is attached.
 #define NTIER_TRACE_EVENT(collector, ...)             \
   do {                                                \
     if (collector) (collector)->emit(__VA_ARGS__);    \
   } while (0)
-#else
-#define NTIER_TRACE_EVENT(collector, ...) \
-  do {                                    \
-  } while (0)
-#endif

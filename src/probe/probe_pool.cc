@@ -169,12 +169,6 @@ void ProbePool::trace_event(obs::EventKind kind, int worker, double value,
                             std::int32_t aux) {
   NTIER_TRACE_EVENT(trace_, sim_.now(), kind, obs::Tier::kBalancer,
                     trace_node_, worker, 0u, value, aux);
-#ifdef NTIER_OBS_DISABLED
-  (void)kind;
-  (void)worker;
-  (void)value;
-  (void)aux;
-#endif
 }
 
 }  // namespace ntier::probe

@@ -12,8 +12,7 @@ TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
       id_(id),
       db_(db),
       config_(config),
-      queue_trace_(trace_window),
-      completions_(trace_window) {
+      queue_trace_(trace_window) {
   if (config_.overload.admission) {
     limiter_ = std::make_unique<control::AdmissionLimiter>(
         simu, config_.overload.admission_cfg,
@@ -195,7 +194,6 @@ void TomcatServer::complete(ThreadHandle h) {
                       obs::Tier::kTomcat, id_, -1, w.req->id,
                       static_cast<double>(resident_));
     queue_trace_.set(sim_.now(), resident_);
-    completions_.record(sim_.now(), 1.0);
     w.respond(w.req);
     dispatch();
   });

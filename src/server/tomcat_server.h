@@ -106,9 +106,6 @@ class TomcatServer {
   /// Requests physically resident in this Tomcat (connector queue + threads).
   int resident() const { return resident_; }
   const metrics::GaugeSeries& queue_trace() const { return queue_trace_; }
-  /// Per-window count of completed requests — the fine-grained throughput
-  /// signal the dip detector consumes.
-  const metrics::TimeSeries& completion_trace() const { return completions_; }
   void finish_traces() { queue_trace_.finish(sim_.now()); }
 
   std::uint64_t served() const { return served_; }
@@ -172,7 +169,6 @@ class TomcatServer {
   std::uint64_t gray_inflated_ = 0;
   obs::TraceCollector* trace_events_ = nullptr;
   metrics::GaugeSeries queue_trace_;
-  metrics::TimeSeries completions_;
 };
 
 }  // namespace ntier::server

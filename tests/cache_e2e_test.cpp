@@ -112,8 +112,8 @@ TEST(CacheE2e, CacheSweepAggregatesAreJobsInvariant) {
 
 // -- Cache chaos matrix -------------------------------------------------------
 
-CacheChaosMatrixOptions small_cache_matrix() {
-  CacheChaosMatrixOptions opt;
+ChaosMatrixOptions small_cache_matrix() {
+  ChaosMatrixOptions opt;
   opt.chaos_seed = 42;
   opt.num_apaches = 2;
   opt.num_tomcats = 3;

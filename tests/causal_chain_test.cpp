@@ -102,7 +102,6 @@ TEST(CausalChainAnalyzer, JoinsHandCraftedLinksToTheEpisode) {
   EXPECT_EQ(report.coverage(), 1.0);
 }
 
-#ifndef NTIER_OBS_DISABLED
 TEST(CausalChainAnalyzer, ReconstructsTheFigure6ChainFromARealRun) {
   // The acceptance experiment: run the paper's unstable configuration
   // (total_request + blocking get_endpoint + pdflush millibottlenecks),
@@ -142,7 +141,6 @@ TEST(CausalChainAnalyzer, ReconstructsTheFigure6ChainFromARealRun) {
   report.to_json(js);
   EXPECT_EQ(js.str().front(), '{');
 }
-#endif  // NTIER_OBS_DISABLED
 
 }  // namespace
 }  // namespace ntier::millib

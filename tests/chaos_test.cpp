@@ -84,6 +84,24 @@ TEST(ChaosMatrix, OverloadControlPreservesInvariants) {
   }
 }
 
+// The recovery orchestrator on top of the fault schedule: its retry
+// suppression, hard sheds and breaker resets must leave every invariant
+// intact in every cell, and the option must reach the cells at all.
+TEST(ChaosMatrix, RecoveryLayerPreservesInvariants) {
+  auto opt = small_matrix();
+  opt.recovery = true;
+  const auto results = run_chaos_matrix(opt);
+  ASSERT_EQ(results.size(), 21u);
+  std::uint64_t degraded_ticks = 0;
+  for (const auto& r : results) {
+    SCOPED_TRACE(r.label);
+    EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
+    EXPECT_GT(r.invariants.completed, 0u);
+    degraded_ticks += r.summary.recovery_degraded_ticks;
+  }
+  EXPECT_GT(degraded_ticks, 0u);  // the orchestrator really ran
+}
+
 // Satellite 4: identical seeds must give byte-identical runs — summary JSON
 // and the applied/cleared fault trace both match.
 TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalTraces) {
@@ -137,8 +155,8 @@ TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalTraces) {
 
 // -- KV chaos matrix: replica-crash and shard-migration cells -----------------
 
-KvChaosMatrixOptions small_kv_matrix() {
-  KvChaosMatrixOptions opt;
+ChaosMatrixOptions small_kv_matrix() {
+  ChaosMatrixOptions opt;
   opt.chaos_seed = 42;
   opt.num_apaches = 2;
   opt.num_tomcats = 3;

@@ -88,67 +88,5 @@ TEST(Detector, EmptyGaugeIsSafe) {
   EXPECT_TRUE(det.detect(g).empty());
 }
 
-// ---------------------------------------------------------------------------
-
-struct DipFixture {
-  metrics::TimeSeries completions{SimTime::millis(50)};
-  GaugeSeries queue{SimTime::millis(50)};
-
-  /// 10 s of steady ~20 completions/window with 5 queued, except a stall in
-  /// [4.0 s, 4.3 s): no completions, queue at 200.
-  DipFixture() {
-    queue.set(SimTime::zero(), 5.0);
-    for (int w = 0; w < 200; ++w) {
-      const auto t = SimTime::millis(50 * w + 1);
-      const bool stalled = w >= 80 && w < 86;
-      if (!stalled)
-        for (int k = 0; k < 20; ++k) completions.record(t, 1.0);
-    }
-    queue.set(SimTime::millis(4000), 200.0);
-    queue.set(SimTime::millis(4300), 5.0);
-    queue.finish(SimTime::seconds(10));
-  }
-};
-
-TEST(DipDetector, FindsTheStall) {
-  DipFixture f;
-  ThroughputDipDetector det;
-  const auto eps = det.detect(f.completions, f.queue);
-  ASSERT_EQ(eps.size(), 1u);
-  EXPECT_EQ(eps[0].start, SimTime::millis(4000));
-  EXPECT_GE(eps[0].end, SimTime::millis(4300));
-  EXPECT_NEAR(eps[0].peak, 200.0, 1e-9);
-}
-
-TEST(DipDetector, MedianThroughputIsRobustToTheDip) {
-  DipFixture f;
-  ThroughputDipDetector det;
-  EXPECT_NEAR(det.median_throughput(f.completions), 20.0, 1e-9);
-}
-
-TEST(DipDetector, IdleWindowsAreNotBottlenecks) {
-  // Completions stop but the queue is empty: the server is idle, not
-  // stalled; min_queue filters it.
-  metrics::TimeSeries completions(SimTime::millis(50));
-  GaugeSeries queue(SimTime::millis(50));
-  queue.set(SimTime::zero(), 0.0);
-  for (int w = 0; w < 100; ++w) {
-    if (w < 50)
-      for (int k = 0; k < 10; ++k)
-        completions.record(SimTime::millis(50 * w + 1), 1.0);
-  }
-  queue.finish(SimTime::seconds(5));
-  ThroughputDipDetector det;
-  EXPECT_TRUE(det.detect(completions, queue).empty());
-}
-
-TEST(DipDetector, EmptySeriesIsSafe) {
-  metrics::TimeSeries completions(SimTime::millis(50));
-  GaugeSeries queue(SimTime::millis(50));
-  ThroughputDipDetector det;
-  EXPECT_TRUE(det.detect(completions, queue).empty());
-  EXPECT_DOUBLE_EQ(det.median_throughput(completions), 0.0);
-}
-
 }  // namespace
 }  // namespace ntier::millib

@@ -279,7 +279,6 @@ TEST(OnlineDetector, MarkedContextIsCappedAtMarkMaxPastTheOnset) {
   EXPECT_FALSE(kept_late);
 }
 
-#ifndef NTIER_OBS_DISABLED
 TEST(OnlineDetector, AgreesWithTheOfflineAnalyzerOnTheFigure6Scenario) {
   // The acceptance experiment: stream the paper's unstable configuration
   // through the live detector and require >=90% agreement with the offline
@@ -310,7 +309,6 @@ TEST(OnlineDetector, AgreesWithTheOfflineAnalyzerOnTheFigure6Scenario) {
   EXPECT_EQ(score.false_positives, 0u);
   EXPECT_LE(score.median_latency_ms(), 250.0);
 }
-#endif  // NTIER_OBS_DISABLED
 
 }  // namespace
 }  // namespace ntier::millib

@@ -222,7 +222,6 @@ TEST(ProbeAware, BookkeepingMatchesCurrentLoad) {
   EXPECT_DOUBLE_EQ(recs[0].lb_value, 0.0);
 }
 
-#ifndef NTIER_OBS_DISABLED
 TEST(ProbeDeterminism, PrequalTraceIsByteIdenticalForAFixedSeed) {
   // The probe subsystem adds its own RNG stream and its own event traffic;
   // neither may break the repo-wide invariant that a trace's JSONL bytes are
@@ -271,7 +270,6 @@ TEST(ProbeDeterminism, ProbingExperimentEmitsProbeEventsAndProbePicks) {
   }
   EXPECT_GT(probe_influenced, 0u);
 }
-#endif  // NTIER_OBS_DISABLED
 
 }  // namespace
 }  // namespace ntier::lb

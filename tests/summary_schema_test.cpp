@@ -113,15 +113,6 @@ std::filesystem::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-// The goldens come from the default build. NTIER_OBS_DISABLED compiles out
-// the trace, telemetry and recovery hooks the golden run exercises, so the
-// parity cases have nothing to compare there.
-#ifdef NTIER_OBS_DISABLED
-#define SKIP_WITHOUT_OBS() GTEST_SKIP() << "goldens need the obs hooks"
-#else
-#define SKIP_WITHOUT_OBS() (void)0
-#endif
-
 void run_cli_with(std::vector<std::string> args) {
   auto parsed = cli::parse_cli(args);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
@@ -129,7 +120,6 @@ void run_cli_with(std::vector<std::string> args) {
 }
 
 TEST(SummarySchema, RunSummaryJsonMatchesGolden) {
-  SKIP_WITHOUT_OBS();
   const auto dir = scratch_dir("run");
   auto args = kGoldenFlags;
   args.insert(args.end(), {"--trace", (dir / "t.jsonl").string(),
@@ -145,7 +135,6 @@ TEST(SummarySchema, RunSummaryJsonMatchesGolden) {
 }
 
 TEST(SummarySchema, SweepExportsKeepEveryGoldenEntry) {
-  SKIP_WITHOUT_OBS();
   const auto dir = scratch_dir("sweep");
   auto args = kGoldenFlags;
   args.insert(args.end(), {"--sweep-seeds", "3", "--json",

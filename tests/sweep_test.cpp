@@ -102,10 +102,8 @@ TEST(SweepRunner, MergedSketchAndOnlineColumnsAreJobsInvariant) {
 
   const AggregateSummary a = SweepRunner(seq).run();
   const AggregateSummary b = SweepRunner(par).run();
-#ifndef NTIER_OBS_DISABLED
   EXPECT_FALSE(a.merged_rt_sketch().empty());
   EXPECT_EQ(a.merged_rt_sketch().rfind("ddsk1 a=", 0), 0u);
-#endif
   EXPECT_EQ(a.merged_rt_sketch(), b.merged_rt_sketch());
   EXPECT_EQ(a.to_json_string(), b.to_json_string());
 
