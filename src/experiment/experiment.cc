@@ -476,12 +476,6 @@ std::vector<double> Experiment::tomcat_committed_series(int tomcat) const {
   return acc;
 }
 
-std::vector<double> Experiment::tomcat_resident_series(int tomcat) const {
-  std::vector<double> acc(num_metric_windows(), 0.0);
-  add_gauge_max(acc, tomcats_[static_cast<std::size_t>(tomcat)]->queue_trace());
-  return acc;
-}
-
 double Experiment::mean_cpu(const metrics::TimeSeries& s) const {
   double sum = 0;
   std::int64_t n = 0;
@@ -507,15 +501,6 @@ std::vector<std::pair<sim::SimTime, sim::SimTime>> Experiment::flush_intervals(
     out.emplace_back(e.start, e.end == sim::SimTime::max() ? config_.duration
                                                            : e.end);
   }
-  return out;
-}
-
-std::vector<std::pair<sim::SimTime, sim::SimTime>>
-Experiment::kv_stall_intervals() const {
-  std::vector<std::pair<sim::SimTime, sim::SimTime>> out;
-  for (const auto& inj : kv_injectors_)
-    for (const auto& e : inj->episodes()) out.emplace_back(e.start, e.end);
-  std::sort(out.begin(), out.end());
   return out;
 }
 

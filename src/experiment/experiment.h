@@ -123,8 +123,6 @@ class Experiment {
   std::vector<double> kv_tier_queue() const;
   /// Committed-queue series of one Tomcat, summed across the 4 balancers.
   std::vector<double> tomcat_committed_series(int tomcat) const;
-  /// Physically resident series of one Tomcat.
-  std::vector<double> tomcat_resident_series(int tomcat) const;
 
   /// CPU utilisation (foreground + iowait stall) per 50 ms window.
   const metrics::TimeSeries& tomcat_cpu_series(int i) const {
@@ -156,9 +154,6 @@ class Experiment {
   /// Ground-truth millibottleneck intervals on a MySQL node.
   std::vector<std::pair<sim::SimTime, sim::SimTime>> mysql_flush_intervals(
       int replica) const;
-  /// Ground-truth injected-stall intervals on the KV tier (empty unless
-  /// config.kv_millibottlenecks placed injectors on the hot shard's nodes).
-  std::vector<std::pair<sim::SimTime, sim::SimTime>> kv_stall_intervals() const;
 
   std::size_t num_metric_windows() const;
 

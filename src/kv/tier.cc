@@ -37,12 +37,6 @@ std::uint64_t KvTier::hints_held() const {
   return total;
 }
 
-double KvTier::total_degraded_ms() const {
-  double total = 0;
-  for (double ms : degraded_ms_) total += ms;
-  return total;
-}
-
 void KvTier::read(const proto::RequestPtr& req, sim::SimTime demand,
                   DoneFn done) {
   ++stats_.reads_issued;

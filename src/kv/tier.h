@@ -121,7 +121,6 @@ class KvTier {
   double shard_degraded_ms(int shard) const {
     return degraded_ms_[static_cast<std::size_t>(shard)];
   }
-  double total_degraded_ms() const;
 
  private:
   struct QuorumOp {

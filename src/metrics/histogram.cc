@@ -97,13 +97,4 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   sum_ += other.sum_;
 }
 
-void LatencyHistogram::to_csv(std::ostream& os, const std::string& name) const {
-  os << "# histogram=" << name << "\n";
-  os << "bucket_lower_ms,bucket_upper_ms,count\n";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    os << bucket_lower(i) << ',' << bucket_upper(i) << ',' << counts_[i] << '\n';
-  }
-}
-
 }  // namespace ntier::metrics

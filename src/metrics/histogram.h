@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace ntier::metrics {
@@ -48,9 +46,6 @@ class LatencyHistogram {
 
   /// Merge another histogram with identical bucketisation.
   void merge(const LatencyHistogram& other);
-
-  /// CSV: bucket_lower_ms,bucket_upper_ms,count
-  void to_csv(std::ostream& os, const std::string& name) const;
 
  private:
   std::size_t bucket_index(double v) const;

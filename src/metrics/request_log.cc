@@ -38,17 +38,4 @@ std::string RequestLog::summary_row(const std::string& label) const {
   return buf;
 }
 
-void RequestLog::to_csv(std::ostream& os) const {
-  os << "id,interaction,apache,tomcat,retransmissions,outcome,start_s,end_s,"
-        "rt_ms,priority,shed,deadline_met\n";
-  for (const auto& r : records_) {
-    os << r.id << ',' << r.interaction << ',' << r.apache << ',' << r.tomcat
-       << ',' << static_cast<int>(r.retransmissions) << ','
-       << static_cast<int>(r.outcome) << ',' << r.start.to_seconds() << ','
-       << r.end.to_seconds() << ',' << r.response_ms() << ','
-       << static_cast<int>(r.priority) << ',' << proto::to_string(r.shed)
-       << ',' << (r.within_deadline() ? 1 : 0) << '\n';
-  }
-}
-
 }  // namespace ntier::metrics

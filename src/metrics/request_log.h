@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -113,8 +112,6 @@ class RequestLog {
 
   /// One formatted row of Table I.
   std::string summary_row(const std::string& label) const;
-
-  void to_csv(std::ostream& os) const;
 
  private:
   sim::SimTime window_;

@@ -34,26 +34,11 @@ std::int64_t TimeSeries::total_count() const {
   return n;
 }
 
-double TimeSeries::total_sum() const {
-  double s = 0;
-  for (const auto& w : windows_) s += w.sum;
-  return s;
-}
-
 double TimeSeries::global_max() const {
   double m = 0;
   for (const auto& w : windows_)
     if (w.count) m = std::max(m, w.max);
   return m;
-}
-
-void TimeSeries::to_csv(std::ostream& os, const std::string& name) const {
-  os << "# series=" << name << "\n";
-  os << "window_start_s,count,sum,avg,min,max\n";
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    os << window_start(i).to_seconds() << ',' << count(i) << ',' << sum(i)
-       << ',' << avg(i) << ',' << min(i) << ',' << max(i) << '\n';
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -108,15 +93,6 @@ double GaugeSeries::global_max() const {
   for (const auto& w : windows_)
     if (w.touched) m = std::max(m, w.max);
   return m;
-}
-
-void GaugeSeries::to_csv(std::ostream& os, const std::string& name) const {
-  os << "# gauge=" << name << "\n";
-  os << "window_start_s,avg,max\n";
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    os << window_start(i).to_seconds() << ',' << time_avg(i) << ',' << max(i)
-       << '\n';
-  }
 }
 
 }  // namespace ntier::metrics

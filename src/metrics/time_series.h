@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -42,13 +40,9 @@ class TimeSeries {
   }
 
   std::int64_t total_count() const;
-  double total_sum() const;
 
   /// Largest bin maximum across the whole series (queue peaks, etc.).
   double global_max() const;
-
-  /// CSV: window_start_s,count,sum,avg,min,max
-  void to_csv(std::ostream& os, const std::string& name) const;
 
  private:
   struct Window {
@@ -91,9 +85,6 @@ class GaugeSeries {
   double time_avg(std::size_t i) const;
 
   double global_max() const;
-
-  /// CSV: window_start_s,avg,max
-  void to_csv(std::ostream& os, const std::string& name) const;
 
  private:
   struct Window {

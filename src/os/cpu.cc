@@ -108,7 +108,6 @@ void CpuResource::set_capacity_factor(double f) {
 }
 
 double CpuResource::work_done_core_seconds() const { return work_done_ns_ * 1e-9; }
-double CpuResource::stall_seconds() const { return stall_ns_ * 1e-9; }
 
 CpuResource::UtilisationProbe CpuResource::probe_utilisation() {
   advance();

@@ -57,9 +57,6 @@ class CpuResource {
 
   /// Cumulative foreground work completed, in core-seconds.
   double work_done_core_seconds() const;
-  /// Cumulative time integral of (1 - factor), in seconds — the "stolen"
-  /// capacity, used to render iowait/CPU-saturation figures.
-  double stall_seconds() const;
 
   /// Foreground utilisation over [since, now] as a fraction of total
   /// capacity; pair with stall to plot paper-style CPU graphs.

@@ -1,10 +1,7 @@
-// Coverage batch for smaller public surfaces: CSV emitters, sampler
-// lifetime, pdflush force-flush, MySQL binlog dirtying, end-to-end sticky
-// routing through the Apache front-end, and the two-choices baseline under
-// millibottlenecks.
+// Coverage batch for smaller public surfaces: sampler lifetime, pdflush
+// force-flush, MySQL binlog dirtying, end-to-end sticky routing through the
+// Apache front-end, and the two-choices baseline under millibottlenecks.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "experiment/experiment.h"
 #include "experiment/report.h"
@@ -17,31 +14,6 @@ namespace {
 
 using sim::SimTime;
 using sim::Simulation;
-
-TEST(GaugeCsv, EmitsAvgAndMax) {
-  metrics::GaugeSeries g(SimTime::millis(50));
-  g.set(SimTime::zero(), 2.0);
-  g.set(SimTime::millis(25), 6.0);
-  g.finish(SimTime::millis(50));
-  std::ostringstream os;
-  g.to_csv(os, "queue");
-  EXPECT_NE(os.str().find("# gauge=queue"), std::string::npos);
-  EXPECT_NE(os.str().find("0,4,6"), std::string::npos);  // avg 4, max 6
-}
-
-TEST(RequestLogCsv, EmitsRecords) {
-  metrics::RequestLog log(SimTime::millis(50), /*keep_records=*/true);
-  metrics::RequestRecord r;
-  r.id = 5;
-  r.start = SimTime::seconds(1);
-  r.end = SimTime::seconds(1) + SimTime::millis(3);
-  r.tomcat = 2;
-  log.on_complete(r);
-  std::ostringstream os;
-  log.to_csv(os);
-  EXPECT_NE(os.str().find("id,interaction"), std::string::npos);
-  EXPECT_NE(os.str().find("5,"), std::string::npos);
-}
 
 TEST(PeriodicSampler, StopsSamplingWhenDestroyed) {
   Simulation s;

@@ -1,11 +1,13 @@
 // Integration tests for the extension features on the full testbed:
 // synthetic millibottleneck causes (GC/DVFS), sticky sessions interacting
 // with the instability, bursty workloads, heterogeneous Tomcats, DB
-// replicas with a millibottleneck-aware router, and lb_value aging.
+// replicas with a millibottleneck-aware or probing router, and lb_value
+// aging.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "experiment/chaos.h"
 #include "experiment/experiment.h"
 #include "experiment/report.h"
 #include "test_util.h"
@@ -183,6 +185,34 @@ TEST(DbReplicas, QueueingRouterSuffersWhenReplicaStalls) {
   // policy + condvar pool queues behind the stalled replica.
   EXPECT_GT(stock->log().mean_response_ms(),
             1.5 * aware->log().mean_response_ms());
+}
+
+TEST(DbReplicas, PrequalRouterProbesReplicasAndConservesRequests) {
+  auto cfg = testing::quick_config(PolicyKind::kCurrentLoad,
+                                   MechanismKind::kNonBlocking, false);
+  cfg.num_mysql = 2;
+  cfg.db_router.policy = lb::PolicyKind::kPrequal;
+  cfg.db_router.pool_per_replica = 24;
+  // Quiesce the clients at 8 s and drain for 7 s, past the longest client
+  // retransmission chain, so no request is legitimately still in flight.
+  Experiment e(std::move(cfg));
+  e.simulation().at(SimTime::seconds(8), [&e] { e.mutable_clients().quiesce(); });
+  e.run();
+
+  // Every Tomcat's DB router built a probe pool, probed the replicas (each
+  // probe a MySqlServer::probe_load job), got answers and routed on them.
+  for (int t = 0; t < e.num_tomcats(); ++t) {
+    SCOPED_TRACE(t);
+    const probe::ProbePool* pool = e.db_router(t).probe_pool();
+    ASSERT_NE(pool, nullptr);
+    EXPECT_GT(pool->probes_sent(), 0u);
+    EXPECT_GT(pool->replies(), 0u);
+    EXPECT_GT(pool->uses(), 0u);
+  }
+  const InvariantReport inv = check_invariants(e);
+  EXPECT_TRUE(inv.conservation_ok()) << inv.to_string();
+  EXPECT_TRUE(inv.pools_ok()) << inv.to_string();
+  EXPECT_GT(inv.completed, 0u);
 }
 
 TEST(Aging, DecayDoesNotDefeatTheInstability) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 namespace ntier::metrics {
 namespace {
@@ -116,18 +115,6 @@ TEST(LatencyHistogram, PercentileRejectsOutOfRangeP) {
   h.record(1.0);
   EXPECT_THROW(h.percentile(-1), std::invalid_argument);
   EXPECT_THROW(h.percentile(101), std::invalid_argument);
-}
-
-TEST(LatencyHistogram, CsvSkipsEmptyBuckets) {
-  LatencyHistogram h;
-  h.record(5.0);
-  std::ostringstream os;
-  h.to_csv(os, "rt");
-  // exactly one data row plus two header lines
-  int lines = 0;
-  for (char c : os.str())
-    if (c == '\n') ++lines;
-  EXPECT_EQ(lines, 3);
 }
 
 }  // namespace
