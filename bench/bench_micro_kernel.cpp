@@ -115,17 +115,34 @@ static void BM_CpuProcessorSharing(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuProcessorSharing)->Arg(100)->Arg(1000)->Arg(10000);
 
-static void BM_BalancerAssign(benchmark::State& state) {
+// One current_load decision plus its response, by balancer width (workers).
+// `sidelined` workers are marked Busy first; the simulated clock never moves,
+// so every assign walks them (lazy-recovery check plus skip) before picking.
+static void balancer_assign(benchmark::State& state, int sidelined) {
   sim::Simulation s;
-  lb::LoadBalancer bal(s, 4, lb::make_policy(lb::PolicyKind::kCurrentLoad),
+  const int workers = static_cast<int>(state.range(0));
+  lb::LoadBalancer bal(s, workers, lb::make_policy(lb::PolicyKind::kCurrentLoad),
                        lb::make_acquirer(lb::MechanismKind::kNonBlocking), {});
+  for (int i = 0; i < sidelined; ++i) bal.report_failure(i * workers / sidelined);
   auto req = std::make_shared<proto::Request>();
   for (auto _ : state) {
-    bal.assign(req, [&](int idx) { bal.on_response(idx, req); });
+    bal.assign(req, [&](int idx) {
+      benchmark::DoNotOptimize(idx);
+      bal.on_response(idx, req);
+    });
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BalancerAssign);
+
+static void BM_BalancerAssign(benchmark::State& state) {
+  balancer_assign(state, 0);
+}
+BENCHMARK(BM_BalancerAssign)->Arg(4)->Arg(64)->Arg(256)->Arg(1024);
+
+static void BM_BalancerAssignSidelined(benchmark::State& state) {
+  balancer_assign(state, static_cast<int>(state.range(0)) / 10);
+}
+BENCHMARK(BM_BalancerAssignSidelined)->Arg(1024);
 
 static void BM_FullTestbedSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {

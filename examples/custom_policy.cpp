@@ -30,7 +30,7 @@ class SlowStartCurrentLoadPolicy final : public lb::LbPolicy {
   }
 
   int pick(const std::vector<lb::WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override {
+           const lb::EligibleSet& eligible, sim::Rng& rng) override {
     // Pad workers that just failed acquisition (consecutive_failures > 0):
     // they are likely mid-millibottleneck even if nominally Available.
     int best = -1;

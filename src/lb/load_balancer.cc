@@ -1,7 +1,9 @@
 #include "lb/load_balancer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "lb/probe_policy.h"
 
@@ -14,6 +16,38 @@ bool LoadBalancer::attach_probes(probe::ProbePool* pool) {
   return true;
 }
 
+namespace {
+
+/// Validated per-worker records: tomcat_id = index, weight from the config.
+std::vector<WorkerRecord> make_records(int num_workers,
+                                       const BalancerConfig& config) {
+  if (num_workers < 1)
+    throw std::invalid_argument("LoadBalancer: num_workers must be >= 1");
+  if (!config.worker_weights.empty() &&
+      config.worker_weights.size() != static_cast<std::size_t>(num_workers))
+    throw std::invalid_argument("BalancerConfig: worker_weights size mismatch");
+  std::vector<WorkerRecord> records(static_cast<std::size_t>(num_workers));
+  for (int i = 0; i < num_workers; ++i) {
+    auto& rec = records[static_cast<std::size_t>(i)];
+    rec.tomcat_id = i;
+    if (!config.worker_weights.empty()) {
+      rec.weight = config.worker_weights[static_cast<std::size_t>(i)];
+      if (rec.weight <= 0)
+        throw std::invalid_argument("BalancerConfig: non-positive weight");
+    }
+  }
+  return records;
+}
+
+/// Call fn(i) for every set bit i of `bits`, word `w` of a worker bitset.
+template <typename Fn>
+void for_each_bit(std::uint64_t bits, std::size_t w, Fn fn) {
+  for (; bits != 0; bits &= bits - 1)
+    fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+}  // namespace
+
 LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
                            std::unique_ptr<LbPolicy> policy,
                            std::unique_ptr<EndpointAcquirer> acquirer,
@@ -21,22 +55,11 @@ LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
     : sim_(simu),
       policy_(std::move(policy)),
       acquirer_(std::move(acquirer)),
-      config_(config),
-      rng_(simu.rng().fork()) {
-  if (!config_.worker_weights.empty() &&
-      config_.worker_weights.size() != static_cast<std::size_t>(num_workers))
-    throw std::invalid_argument("BalancerConfig: worker_weights size mismatch");
-  records_.resize(static_cast<std::size_t>(num_workers));
-  words_ = (static_cast<std::size_t>(num_workers) + 63) / 64;
-  for (int i = 0; i < num_workers; ++i) {
-    auto& rec = records_[static_cast<std::size_t>(i)];
-    rec.tomcat_id = i;
-    if (!config_.worker_weights.empty()) {
-      rec.weight = config_.worker_weights[static_cast<std::size_t>(i)];
-      if (rec.weight <= 0)
-        throw std::invalid_argument("BalancerConfig: non-positive weight");
-    }
-  }
+      config_(std::move(config)),
+      records_(make_records(num_workers, config_)),
+      index_(records_),
+      rng_(simu.rng().fork()),
+      words_(index_.num_words()) {
   pools_.reserve(static_cast<std::size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i)
     pools_.emplace_back(config_.endpoint_pool_size);
@@ -57,6 +80,7 @@ void LoadBalancer::arm_decay() {
 void LoadBalancer::decay_now() {
   for (std::size_t i = 0; i < records_.size(); ++i) {
     records_[i].lb_value /= config_.decay_divisor;
+    index_.touch(static_cast<int>(i));
     trace_lb_value(static_cast<int>(i));
   }
 }
@@ -111,6 +135,7 @@ bool LoadBalancer::eligible(WorkerRecord& rec) {
     case WorkerState::kBusy:
       if (sim_.now() >= rec.state_until) {
         rec.state = WorkerState::kAvailable;  // lazy Busy recovery
+        index_.touch(rec.tomcat_id);
         return true;
       }
       return false;
@@ -118,6 +143,7 @@ bool LoadBalancer::eligible(WorkerRecord& rec) {
       if (sim_.now() >= rec.state_until) {
         rec.state = WorkerState::kAvailable;  // mod_jk `retry` elapsed
         rec.consecutive_failures = 0;
+        index_.touch(rec.tomcat_id);
         return true;
       }
       return false;
@@ -145,6 +171,7 @@ void LoadBalancer::open_breaker(WorkerRecord& rec) {
   rec.half_open_left = 0;
   rec.open_ok_streak = 0;
   ++rec.breaker_trips;
+  index_.touch(rec.tomcat_id);
 }
 
 void LoadBalancer::mark_failure(WorkerRecord& rec) {
@@ -170,6 +197,7 @@ void LoadBalancer::mark_failure(WorkerRecord& rec) {
     rec.state = WorkerState::kBusy;
     rec.state_until = sim_.now() + config_.busy_recovery;
   }
+  index_.touch(rec.tomcat_id);
 }
 
 void LoadBalancer::try_next(AssignHandle h) {
@@ -194,24 +222,36 @@ void LoadBalancer::try_next(AssignHandle h) {
     }
   }
   if (idx < 0) {
-    // Member scratch: filled and consumed by pick_for before anything below
-    // can re-enter try_next.
-    eligible_.clear();
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-      if (was_tried(i)) continue;
-      auto& rec = records_[i];
-      if (eligible(rec)) {
-        eligible_.push_back(static_cast<int>(i));
-      } else {
+    // Only workers out of rotation need a look: eligible() may lazily
+    // recover them (touching them back in); the rest are traced as skipped,
+    // in index order like mod_jk's scan.
+    std::uint64_t any_tried = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      any_tried |= tried[w];
+      for_each_bit(index_.outside(w) & ~tried[w], w, [&](std::size_t i) {
+        auto& rec = records_[i];
+        if (eligible(rec)) return;
         // aux encodes why: 1 = Busy, 2 = Error, 3 = breaker open.
         trace_event(obs::EventKind::kGetEndpointSkip, static_cast<int>(i),
                     req->id, rec.lb_value,
                     rec.breaker_open ? 3 : static_cast<std::int32_t>(rec.state));
-      }
+      });
     }
-    idx = eligible_.empty()
-              ? -1
-              : policy_->pick_for(records_, eligible_, rng_, *req);
+    // A retry hides its tried workers from the index for this one decision.
+    const auto mask_tried = [&](bool hide) {
+      for (std::size_t w = 0; w < words_; ++w)
+        for_each_bit(tried[w], w, [&](std::size_t i) {
+          const int t = static_cast<int>(i);
+          if (hide)
+            index_.set(t, false);
+          else
+            index_.touch(t);
+        });
+    };
+    if (any_tried != 0) mask_tried(true);
+    idx = index_.empty() ? -1
+                         : policy_->pick_for(records_, index_, rng_, *req);
+    if (any_tried != 0) mask_tried(false);
   }
   if (idx < 0) {
     ++balancer_errors_;
@@ -249,6 +289,7 @@ void LoadBalancer::try_next(AssignHandle h) {
           ++r.assigned;
           ++r.outstanding;
           policy_->on_assigned(r, *assigns_[h].req);  // Algorithm 2/4 increment point
+          index_.touch(idx);
           trace_lb_value(idx);
           if (!assignment_traces_.empty())
             assignment_traces_[static_cast<std::size_t>(idx)].record(sim_.now(),
@@ -309,6 +350,7 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
       rec.state = WorkerState::kAvailable;
       rec.consecutive_failures = 0;
       rec.health = std::max(rec.health, config_.breaker.trip_threshold);
+      index_.touch(idx);
       trace_event(obs::EventKind::kBreakerState, idx, 0, 2.0);  // half-open
     } else if (!ok) {
       rec.open_ok_streak = 0;
@@ -334,6 +376,7 @@ int LoadBalancer::reset_breakers() {
     rec.state = WorkerState::kAvailable;
     rec.consecutive_failures = 0;
     rec.health = std::max(rec.health, config_.breaker.trip_threshold);
+    index_.touch(static_cast<int>(i));
     trace_event(obs::EventKind::kBreakerState, static_cast<int>(i), 0,
                 3.0);  // recovery reset
     ++reset;
@@ -356,6 +399,7 @@ void LoadBalancer::on_response(int idx, const proto::RequestPtr& req) {
   --rec.outstanding;
   ++rec.completed;
   policy_->on_completed(rec, *req);  // Algorithm 3 increment / 4 decrement
+  index_.touch(idx);
   trace_lb_value(idx);
   set_committed(idx, -1);
 }

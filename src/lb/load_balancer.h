@@ -8,6 +8,7 @@
 #include "lb/endpoint.h"
 #include "lb/health.h"
 #include "lb/policy.h"
+#include "lb/worker_index.h"
 #include "lb/worker_record.h"
 #include "metrics/time_series.h"
 #include "obs/trace.h"
@@ -198,12 +199,15 @@ class LoadBalancer {
   std::unique_ptr<EndpointAcquirer> acquirer_;
   BalancerConfig config_;
   std::vector<WorkerRecord> records_;
+  /// In-rotation bitset and lb_value tournament tree over records_. Every
+  /// write to records_[i].state, .breaker_open or .lb_value is followed by
+  /// index_.touch(i).
+  WorkerIndex index_;
   std::vector<EndpointPool> pools_;
   sim::Rng rng_;
   sim::SlotTable<AssignContext> assigns_;
   std::size_t words_ = 1;                // attempted-bitset words per assign
   std::vector<std::uint64_t> attempted_;  // by assign slot
-  std::vector<int> eligible_;             // try_next scratch
   std::uint64_t balancer_errors_ = 0;
   std::uint64_t sticky_hits_ = 0;
   obs::TraceCollector* trace_events_ = nullptr;

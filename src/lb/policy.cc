@@ -35,60 +35,50 @@ bool policy_uses_probes(PolicyKind k) {
   return k == PolicyKind::kPowerOfD || k == PolicyKind::kPrequal;
 }
 
-int LbPolicy::pick(const std::vector<WorkerRecord>& records,
-                   const std::vector<int>& eligible, sim::Rng&) {
-  int best = -1;
-  double best_value = 0;
-  for (int idx : eligible) {
-    const double v = records[static_cast<std::size_t>(idx)].lb_value;
-    if (best < 0 || v < best_value) {  // strict <: first minimum wins, as in mod_jk
-      best = idx;
-      best_value = v;
-    }
-  }
-  return best;
+int LbPolicy::pick(const std::vector<WorkerRecord>&,
+                   const EligibleSet& eligible, sim::Rng&) {
+  return eligible.lowest_lb_value();
 }
 
 int RoundRobinPolicy::pick(const std::vector<WorkerRecord>&,
-                           const std::vector<int>& eligible, sim::Rng&) {
+                           const EligibleSet& eligible, sim::Rng&) {
   if (eligible.empty()) return -1;
-  return eligible[next_++ % eligible.size()];
+  return eligible.nth(next_++ % eligible.size());
 }
 
 int RandomPolicy::pick(const std::vector<WorkerRecord>&,
-                       const std::vector<int>& eligible, sim::Rng& rng) {
+                       const EligibleSet& eligible, sim::Rng& rng) {
   if (eligible.empty()) return -1;
-  return eligible[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(eligible.size()) - 1))];
+  return eligible.nth(static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(eligible.size()) - 1)));
 }
 
 int TwoChoicesPolicy::pick(const std::vector<WorkerRecord>& records,
-                           const std::vector<int>& eligible, sim::Rng& rng) {
+                           const EligibleSet& eligible, sim::Rng& rng) {
   if (eligible.empty()) return -1;
-  if (eligible.size() == 1) return eligible[0];
+  if (eligible.size() == 1) return eligible.nth(0);
   const auto n = static_cast<std::int64_t>(eligible.size());
-  const int a = eligible[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
+  const int a = eligible.nth(static_cast<std::size_t>(rng.uniform_int(0, n - 1)));
   int b = a;
   while (b == a)
-    b = eligible[static_cast<std::size_t>(rng.uniform_int(0, n - 1))];
+    b = eligible.nth(static_cast<std::size_t>(rng.uniform_int(0, n - 1)));
   const auto& ra = records[static_cast<std::size_t>(a)];
   const auto& rb = records[static_cast<std::size_t>(b)];
   return ra.outstanding <= rb.outstanding ? a : b;
 }
 
 int SourceHashPolicy::pick_for(const std::vector<WorkerRecord>& records,
-                               const std::vector<int>& eligible, sim::Rng&,
+                               const EligibleSet& eligible, sim::Rng&,
                                const proto::Request& req) {
   if (eligible.empty()) return -1;
   // Hash the client over ALL workers first so affinity is stable regardless
   // of who happens to be eligible this instant...
   const std::uint64_t h = sim::Rng::mix64(static_cast<std::uint64_t>(req.client) + 1);
   const int preferred = static_cast<int>(h % records.size());
-  for (int idx : eligible)
-    if (idx == preferred) return preferred;
+  if (eligible.contains(preferred)) return preferred;
   // ...and only rehash over the eligible set when the preferred worker is
   // sidelined (breaker open, being retried, etc.).
-  return eligible[static_cast<std::size_t>((h >> 17) % eligible.size())];
+  return eligible.nth(static_cast<std::size_t>((h >> 17) % eligible.size()));
 }
 
 std::unique_ptr<LbPolicy> make_policy(PolicyKind kind) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "lb/worker_index.h"
 #include "lb/worker_record.h"
 #include "proto/request.h"
 #include "sim/rng.h"
@@ -53,15 +54,16 @@ class LbPolicy {
 
   /// Choose among `eligible` (indices into `records`, all Available and not
   /// yet attempted for this request). Default: lowest lb_value, first on
-  /// ties (mod_jk scans workers in order with a strict comparison).
+  /// ties (mod_jk scans workers in order with a strict comparison), read
+  /// from the set's tournament tree.
   virtual int pick(const std::vector<WorkerRecord>& records,
-                   const std::vector<int>& eligible, sim::Rng& rng);
+                   const EligibleSet& eligible, sim::Rng& rng);
 
   /// Request-aware selection; the balancer calls this one. Defaults to the
   /// request-blind pick() so only affinity policies (source_hash) need the
   /// request at all.
   virtual int pick_for(const std::vector<WorkerRecord>& records,
-                       const std::vector<int>& eligible, sim::Rng& rng,
+                       const EligibleSet& eligible, sim::Rng& rng,
                        const proto::Request& req) {
     (void)req;
     return pick(records, eligible, rng);
@@ -143,7 +145,7 @@ class RoundRobinPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kRoundRobin; }
   int pick(const std::vector<WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override;
+           const EligibleSet& eligible, sim::Rng& rng) override;
   void on_assigned(WorkerRecord&, const proto::Request&) override {}
   void on_completed(WorkerRecord&, const proto::Request&) override {}
 
@@ -156,7 +158,7 @@ class RandomPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kRandom; }
   int pick(const std::vector<WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override;
+           const EligibleSet& eligible, sim::Rng& rng) override;
   void on_assigned(WorkerRecord&, const proto::Request&) override {}
   void on_completed(WorkerRecord&, const proto::Request&) override {}
 };
@@ -168,7 +170,7 @@ class TwoChoicesPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kTwoChoices; }
   int pick(const std::vector<WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override;
+           const EligibleSet& eligible, sim::Rng& rng) override;
   void on_assigned(WorkerRecord&, const proto::Request&) override {}
   void on_completed(WorkerRecord&, const proto::Request&) override {}
 };
@@ -183,7 +185,7 @@ class SourceHashPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kSourceHash; }
   int pick_for(const std::vector<WorkerRecord>& records,
-               const std::vector<int>& eligible, sim::Rng& rng,
+               const EligibleSet& eligible, sim::Rng& rng,
                const proto::Request& req) override;
   void on_assigned(WorkerRecord&, const proto::Request&) override {}
   void on_completed(WorkerRecord&, const proto::Request&) override {}

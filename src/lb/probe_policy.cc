@@ -22,7 +22,7 @@ double corrected_rif(const probe::ProbeResult& r, const WorkerRecord& rec) {
 }  // namespace
 
 int PowerOfDPolicy::pick(const std::vector<WorkerRecord>& records,
-                         const std::vector<int>& eligible, sim::Rng& rng) {
+                         const EligibleSet& eligible, sim::Rng& rng) {
   if (eligible.empty()) return -1;
   if (pool_ != nullptr) {
     pool_->expire_now();
@@ -72,7 +72,7 @@ int PowerOfDPolicy::pick(const std::vector<WorkerRecord>& records,
 }
 
 int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
-                        const std::vector<int>& eligible, sim::Rng& rng) {
+                        const EligibleSet& eligible, sim::Rng& rng) {
   if (eligible.empty()) return -1;
   if (pool_ != nullptr) {
     pool_->expire_now();
@@ -130,15 +130,9 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
       // misses: rank by current_load, with the probed global RIF breaking
       // the ties mod_jk would hand to the lowest worker index. Tie-break
       // reads spend no reuse budget.
-      double min_lb = 0.0;
-      bool have_lb = false;
-      for (int idx : eligible) {
-        const double lb = records[static_cast<std::size_t>(idx)].lb_value;
-        if (!have_lb || lb < min_lb) {
-          min_lb = lb;
-          have_lb = true;
-        }
-      }
+      const double min_lb =
+          records[static_cast<std::size_t>(eligible.lowest_lb_value())]
+              .lb_value;
       int best = -1;
       double best_rif = 0.0;
       bool probed_best = false;

@@ -43,9 +43,9 @@ class ProbeAwarePolicy : public LbPolicy {
 
  protected:
   /// No usable probe state: count it and degrade to the base class's
-  /// lowest-lb_value scan, which our bookkeeping makes current_load ranking.
+  /// lowest-lb_value pick, which our bookkeeping makes current_load ranking.
   int fallback(const std::vector<WorkerRecord>& records,
-               const std::vector<int>& eligible, sim::Rng& rng) {
+               const EligibleSet& eligible, sim::Rng& rng) {
     ++fallback_picks_;
     return LbPolicy::pick(records, eligible, rng);
   }
@@ -65,7 +65,7 @@ class PowerOfDPolicy final : public ProbeAwarePolicy {
   explicit PowerOfDPolicy(int d = 3) : d_(d < 1 ? 1 : d) {}
   PolicyKind kind() const override { return PolicyKind::kPowerOfD; }
   int pick(const std::vector<WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override;
+           const EligibleSet& eligible, sim::Rng& rng) override;
 
  private:
   int d_;
@@ -90,7 +90,7 @@ class PrequalPolicy final : public ProbeAwarePolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kPrequal; }
   int pick(const std::vector<WorkerRecord>& records,
-           const std::vector<int>& eligible, sim::Rng& rng) override;
+           const EligibleSet& eligible, sim::Rng& rng) override;
 
  private:
   // pick() scratch, cleared per call so a decision allocates nothing.

@@ -40,6 +40,14 @@ TEST(LoadBalancer, SpreadsEvenlyWhenHealthy) {
   for (int c : counts) EXPECT_EQ(c, 100);
 }
 
+TEST(LoadBalancer, RejectsZeroWorkers) {
+  // Nothing to balance over; source_hash would otherwise divide by zero.
+  Simulation s;
+  EXPECT_THROW(LoadBalancer(s, 0, make_policy(PolicyKind::kSourceHash),
+                            make_acquirer(MechanismKind::kNonBlocking)),
+               std::invalid_argument);
+}
+
 TEST(LoadBalancer, AssignSetsRequestTomcatAndStats) {
   Simulation s;
   auto lb = make_lb(s, PolicyKind::kTotalRequest, MechanismKind::kNonBlocking);

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace ntier::lb {
 namespace {
+
+using testing::all_of;
+using testing::set_of;
 
 proto::Request req_with_bytes(std::uint32_t in, std::uint32_t out) {
   proto::Request r;
@@ -16,12 +21,6 @@ std::vector<WorkerRecord> make_records(int n) {
   std::vector<WorkerRecord> recs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) recs[static_cast<std::size_t>(i)].tomcat_id = i;
   return recs;
-}
-
-std::vector<int> all_of(int n) {
-  std::vector<int> v;
-  for (int i = 0; i < n; ++i) v.push_back(i);
-  return v;
 }
 
 constexpr PolicyKind kAllKinds[] = {
@@ -67,13 +66,13 @@ TEST(Policy, DefaultPickChoosesLowestLbValueFirstOnTies) {
   auto recs = make_records(4);
   sim::Rng rng(1);
   TotalRequestPolicy p;
-  EXPECT_EQ(p.pick(recs, all_of(4), rng), 0);  // all zero -> first
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);  // all zero -> first
   recs[0].lb_value = 5;
   recs[2].lb_value = 1;
-  EXPECT_EQ(p.pick(recs, all_of(4), rng), 1);  // 0 at index 1 and 3: first wins
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);  // 0 at index 1 and 3: first wins
   recs[1].lb_value = 2;
   recs[3].lb_value = 2;
-  EXPECT_EQ(p.pick(recs, all_of(4), rng), 2);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 2);
 }
 
 TEST(Policy, PickRespectsEligibleSubset) {
@@ -83,8 +82,8 @@ TEST(Policy, PickRespectsEligibleSubset) {
   recs[2].lb_value = 2;
   sim::Rng rng(1);
   TotalRequestPolicy p;
-  EXPECT_EQ(p.pick(recs, {1, 2}, rng), 1);
-  EXPECT_EQ(p.pick(recs, {}, rng), -1);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {1, 2}), rng), 1);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {}), rng), -1);
 }
 
 TEST(Policy, TotalRequestIncrementsOnAssignOnly) {
@@ -131,12 +130,12 @@ TEST(Policy, FrozenLbValueAttractsAllPicks) {
   proto::Request r;
   for (auto& rec : recs) rec.lb_value = 100;
   for (int i = 0; i < 50; ++i) {
-    const int k = p.pick(recs, all_of(4), rng);
+    const int k = p.pick(recs, all_of(recs), rng);
     if (k != 0) p.on_assigned(recs[static_cast<std::size_t>(k)], r);
     // worker 0's assignment "hangs": no lb_value update
   }
   for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(p.pick(recs, all_of(4), rng), 0);
+    EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);
 }
 
 TEST(Policy, CurrentLoadAvoidsStalledWorker) {
@@ -148,7 +147,7 @@ TEST(Policy, CurrentLoadAvoidsStalledWorker) {
   proto::Request r;
   int stalled_picks = 0;
   for (int i = 0; i < 100; ++i) {
-    const int k = p.pick(recs, all_of(4), rng);
+    const int k = p.pick(recs, all_of(recs), rng);
     p.on_assigned(recs[static_cast<std::size_t>(k)], r);
     if (k == 0) {
       ++stalled_picks;  // worker 0 never completes
@@ -186,10 +185,10 @@ TEST(Policy, RoundRobinCycles) {
   auto recs = make_records(3);
   sim::Rng rng(1);
   RoundRobinPolicy p;
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 0);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 2);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 0);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 2);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);
 }
 
 TEST(Policy, RandomIsUniformish) {
@@ -198,7 +197,7 @@ TEST(Policy, RandomIsUniformish) {
   RandomPolicy p;
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 10'000; ++i)
-    ++counts[static_cast<std::size_t>(p.pick(recs, all_of(4), rng))];
+    ++counts[static_cast<std::size_t>(p.pick(recs, all_of(recs), rng))];
   for (int c : counts) EXPECT_NEAR(c, 2500, 250);
 }
 
@@ -208,15 +207,15 @@ TEST(Policy, TwoChoicesPrefersFewerOutstanding) {
   recs[1].outstanding = 1;
   sim::Rng rng(3);
   TwoChoicesPolicy p;
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(p.pick(recs, all_of(2), rng), 1);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
 }
 
 TEST(Policy, TwoChoicesSingleCandidate) {
   auto recs = make_records(3);
   sim::Rng rng(3);
   TwoChoicesPolicy p;
-  EXPECT_EQ(p.pick(recs, {2}, rng), 2);
-  EXPECT_EQ(p.pick(recs, {}, rng), -1);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {2}), rng), 2);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {}), rng), -1);
 }
 
 }  // namespace

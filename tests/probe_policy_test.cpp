@@ -13,18 +13,15 @@
 namespace ntier::lb {
 namespace {
 
+using testing::all_of;
+using testing::set_of;
+
 using sim::SimTime;
 
 std::vector<WorkerRecord> make_records(int n) {
   std::vector<WorkerRecord> recs(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) recs[static_cast<std::size_t>(i)].tomcat_id = i;
   return recs;
-}
-
-std::vector<int> all_of(int n) {
-  std::vector<int> v;
-  for (int i = 0; i < n; ++i) v.push_back(i);
-  return v;
 }
 
 /// Harness: a probe pool whose transport reports scripted (rif, latency)
@@ -77,7 +74,7 @@ TEST(PowerOfD, PicksLowestProbedRifAmongTheSample) {
   p.bind(&fx.pool);
   auto recs = make_records(3);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
   EXPECT_EQ(p.probe_picks(), 1u);
   EXPECT_EQ(p.fallback_picks(), 0u);
   EXPECT_EQ(fx.pool.uses(), 1u);  // the decision consumed a probe use
@@ -89,7 +86,7 @@ TEST(PowerOfD, TieOnRifBreaksTowardLowerWorkerIndex) {
   p.bind(&fx.pool);
   auto recs = make_records(4);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(4), rng), 0);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);
 }
 
 TEST(PowerOfD, RespectsEligibleSubset) {
@@ -99,8 +96,8 @@ TEST(PowerOfD, RespectsEligibleSubset) {
   auto recs = make_records(3);
   sim::Rng rng(1);
   // Worker 0 has the global minimum RIF but is not eligible.
-  EXPECT_EQ(p.pick(recs, {1, 2}, rng), 2);
-  EXPECT_EQ(p.pick(recs, {}, rng), -1);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {1, 2}), rng), 2);
+  EXPECT_EQ(p.pick(recs, set_of(recs, {}), rng), -1);
 }
 
 TEST(PowerOfD, UnboundPoolFallsBackToCurrentLoadRanking) {
@@ -110,7 +107,7 @@ TEST(PowerOfD, UnboundPoolFallsBackToCurrentLoadRanking) {
   recs[1].lb_value = 1;
   recs[2].lb_value = 3;
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);  // lowest lb_value
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);  // lowest lb_value
   EXPECT_EQ(p.fallback_picks(), 1u);
   EXPECT_EQ(p.probe_picks(), 0u);
 }
@@ -124,13 +121,13 @@ TEST(PowerOfD, StaleProbesTriggerTheDocumentedFallback) {
   p.bind(&fx.pool);
   auto recs = make_records(3);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);  // fresh: probed RIF wins
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);  // fresh: probed RIF wins
 
   fx.make_everything_stale();
   recs[0].lb_value = 3;  // under current_load ranking worker 2 now wins
   recs[1].lb_value = 4;
   recs[2].lb_value = 1;
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 2);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 2);
   EXPECT_EQ(p.fallback_picks(), 1u);
   EXPECT_EQ(fx.pool.size(), 0u);  // expire_now() inside pick dropped them
   EXPECT_GT(fx.pool.expired_stale(), 0u);
@@ -145,7 +142,7 @@ TEST(Prequal, AvoidsHotWorkersAndPicksColdestByLatency) {
   p.bind(&fx.pool);
   auto recs = make_records(3);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
   EXPECT_EQ(p.probe_picks(), 1u);
 }
 
@@ -160,7 +157,7 @@ TEST(Prequal, UniformRifPoolShowsNoAnomalyAndRanksByCurrentLoad) {
   recs[1].lb_value = 1;  // lowest current_load wins despite equal probes
   recs[2].lb_value = 3;
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
   EXPECT_EQ(p.probe_picks(), 0u);
 }
 
@@ -174,7 +171,7 @@ TEST(Prequal, QuietRegimeBreaksCurrentLoadTiesByProbedRif) {
   auto recs = make_records(3);
   recs[0].lb_value = 1;
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
   EXPECT_EQ(p.tiebreak_picks(), 1u);
   EXPECT_EQ(fx.pool.uses(), 0u);  // tie-break reads spend no reuse budget
 }
@@ -185,7 +182,7 @@ TEST(Prequal, QuietRegimeEqualCandidatesKeepScanOrder) {
   p.bind(&fx.pool);
   auto recs = make_records(2);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(2), rng), 0);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);
 }
 
 TEST(Prequal, StaleProbesTriggerTheDocumentedFallback) {
@@ -194,13 +191,13 @@ TEST(Prequal, StaleProbesTriggerTheDocumentedFallback) {
   p.bind(&fx.pool);
   auto recs = make_records(3);
   sim::Rng rng(1);
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 1);
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 1);
 
   fx.make_everything_stale();
   recs[0].lb_value = 0;
   recs[1].lb_value = 5;
   recs[2].lb_value = 5;
-  EXPECT_EQ(p.pick(recs, all_of(3), rng), 0);  // current_load ranking
+  EXPECT_EQ(p.pick(recs, all_of(recs), rng), 0);  // current_load ranking
   EXPECT_EQ(p.fallback_picks(), 1u);
   EXPECT_EQ(p.probe_picks(), 1u);
 }

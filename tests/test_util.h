@@ -1,8 +1,10 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "experiment/experiment.h"
+#include "lb/worker_index.h"
 
 namespace ntier::experiment::testing {
 
@@ -28,3 +30,25 @@ inline std::unique_ptr<Experiment> run(ExperimentConfig c) {
 }
 
 }  // namespace ntier::experiment::testing
+
+namespace ntier::lb::testing {
+
+/// The EligibleSet a policy would see with exactly `members` eligible.
+inline WorkerIndex set_of(const std::vector<WorkerRecord>& records,
+                          const std::vector<int>& members) {
+  WorkerIndex set(records);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    set.set(static_cast<int>(i), false);
+  for (int m : members) set.set(m, true);
+  return set;
+}
+
+/// Every worker eligible.
+inline WorkerIndex all_of(const std::vector<WorkerRecord>& records) {
+  WorkerIndex set(records);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    set.set(static_cast<int>(i), true);
+  return set;
+}
+
+}  // namespace ntier::lb::testing
