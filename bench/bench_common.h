@@ -224,12 +224,12 @@ inline void print_distribution(Experiment& e, SimTime t0, SimTime t1,
   for (int t = 0; t < e.num_tomcats(); ++t)
     std::cout << std::setw(10) << ("tomcat" + std::to_string(t + 1));
   std::cout << "\n";
-  const auto& bal = e.apache(0).balancer();
+  const auto& bal = e.balancer_series(0);
   for (SimTime w = t0; w < t1; w += step) {
     std::cout << "  " << std::setw(7) << std::fixed << std::setprecision(2)
               << w.to_seconds() << "s    ";
     for (int t = 0; t < e.num_tomcats(); ++t) {
-      const auto counts = experiment::series_count(bal.assignment_trace(t),
+      const auto counts = experiment::series_count(bal.assignments[t],
                                                    e.num_metric_windows());
       const double n = experiment::sum_of(
           experiment::slice(counts, e.config().metric_window, w, w + step));

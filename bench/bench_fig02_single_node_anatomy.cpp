@@ -23,11 +23,11 @@ int main(int argc, char** argv) {
   const auto apache_q = e->apache_tier_queue();
   const auto tomcat_q = e->tomcat_tier_queue();
   const auto mysql_q = e->mysql_tier_queue();
-  const auto cpu = experiment::series_avg(e->tomcat_cpu_series(0), windows);
+  const auto cpu = experiment::series_avg(e->cpu_series(obs::Tier::kTomcat, 0), windows);
   const auto iowait = experiment::series_avg(e->tomcat_iowait_series(0), windows);
   std::vector<double> dirty(windows, 0.0);
   for (std::size_t i = 0; i < windows; ++i)
-    dirty[i] = e->tomcat_node(0).page_cache().trace().max(i) / (1 << 20);
+    dirty[i] = e->tomcat_dirty_series(0).max(i) / (1 << 20);
 
   std::cout << "\n(a) VLRT per 50 ms, (b) queues, (c) CPU, (d) iowait, (e) dirty pages\n";
   experiment::print_panel(std::cout, "(a) VLRT requests / 50ms", vlrt);

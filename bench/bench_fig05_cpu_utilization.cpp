@@ -18,18 +18,18 @@ int main(int argc, char** argv) {
     std::cout << "\n[" << lb::to_string(policy) << "]\n  server        mean CPU%\n";
     double peak = 0;
     for (int i = 0; i < e->num_apaches(); ++i) {
-      const double u = 100 * e->mean_cpu(e->apache_cpu_series(i));
+      const double u = 100 * e->mean_cpu(e->cpu_series(obs::Tier::kApache, i));
       peak = std::max(peak, u);
       std::cout << "  apache" << i + 1 << "        " << std::fixed
                 << std::setprecision(1) << u << "\n";
     }
     for (int i = 0; i < e->num_tomcats(); ++i) {
-      const double u = 100 * e->mean_cpu(e->tomcat_cpu_series(i));
+      const double u = 100 * e->mean_cpu(e->cpu_series(obs::Tier::kTomcat, i));
       peak = std::max(peak, u);
       std::cout << "  tomcat" << i + 1 << "        " << std::fixed
                 << std::setprecision(1) << u << "\n";
     }
-    const double mysql = 100 * e->mean_cpu(e->mysql_cpu_series());
+    const double mysql = 100 * e->mean_cpu(e->cpu_series(obs::Tier::kMysql, 0));
     peak = std::max(peak, mysql);
     std::cout << "  mysql          " << std::fixed << std::setprecision(1)
               << mysql << "\n";

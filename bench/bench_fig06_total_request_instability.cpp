@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const auto vlrt = experiment::slice(
       experiment::series_count(e->log().vlrt_series(), windows), w, zoom0, zoom1);
   const auto cpu = experiment::slice(
-      experiment::series_avg(e->tomcat_cpu_series(tomcat), windows), w, zoom0, zoom1);
+      experiment::series_avg(e->cpu_series(obs::Tier::kTomcat, tomcat), windows), w, zoom0, zoom1);
   const auto queue = experiment::slice(e->tomcat_committed_series(tomcat), w,
                                        zoom0, zoom1);
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // (b) lb_values at Apache1, normalised to tomcat2-style baseline: print
   // value minus the minimum across tomcats per window, as the paper plots
   // differences of cumulative counters.
-  const auto& bal = e->apache(0).balancer();
+  const auto& bal = e->balancer_series(0);
   std::cout << "\n(b) lb_value (Apache1), per 50 ms window, relative to the "
                "window minimum:\n  "
             << std::setw(9) << "t(s)";
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     int mn_t = -1;
     std::vector<double> vals;
     for (int k = 0; k < e->num_tomcats(); ++k) {
-      const double v = bal.lb_value_trace(k).max(i);
+      const double v = bal.lb_value[k].max(i);
       vals.push_back(v);
       csv_cols[static_cast<std::size_t>(k)].push_back(v);
       if (v < mn) {

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       std::cout, "tomcat" + std::to_string(tomcat + 1),
       experiment::slice(e->tomcat_committed_series(tomcat), w, zoom0, zoom1));
 
-  const auto& bal = e->apache(0).balancer();
+  const auto& bal = e->balancer_series(0);
   std::cout << "\n(b) lb_value (Apache1) relative to the window minimum "
                "(units: KB exchanged):\n  "
             << std::setw(9) << "t(s)";
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     int mn_t = -1;
     std::vector<double> vals;
     for (int k = 0; k < e->num_tomcats(); ++k) {
-      const double v = bal.lb_value_trace(k).max(i);
+      const double v = bal.lb_value[k].max(i);
       vals.push_back(v);
       if (v < mn) {
         mn = v;

@@ -37,32 +37,33 @@ int main() {
   };
   simu.after(sim::SimTime::zero(), arrival);
 
-  metrics::PeriodicSampler cpu_util(simu, sim::SimTime::millis(50), [&] {
-    return node.cpu().probe_utilisation().combined();
+  const sim::SimTime window = sim::SimTime::millis(50);
+  metrics::TimeSeries cpu_util(window), iowait(window), queue(window);
+  metrics::GaugeSeries dirty(window);
+  node.page_cache().set_dirty_series(&dirty);
+  metrics::PeriodicSampler sampler(simu, window, [&](sim::SimTime start) {
+    cpu_util.record(start, node.cpu().probe_utilisation().combined());
+    iowait.record(start, node.disk().probe_busy_fraction());
+    queue.record(start, static_cast<double>(queued));
   });
-  metrics::PeriodicSampler iowait(simu, sim::SimTime::millis(50), [&] {
-    return node.disk().probe_busy_fraction();
-  });
-  metrics::PeriodicSampler queue(simu, sim::SimTime::millis(50),
-                                 [&] { return static_cast<double>(queued); });
 
   simu.run_until(sim::SimTime::seconds(12));
-  node.page_cache().finish_trace();
+  dirty.finish(simu.now());
 
   std::cout << "One node, 12 s, pdflush every 5 s\n";
   std::cout << "time   cpu%   iowait%  queued  dirty(MB)  flushing\n";
   const auto& flushes = node.pdflush().episodes();
-  for (std::size_t w = 0; w < cpu_util.series().num_windows(); w += 4) {
-    const auto t = sim::SimTime::millis(50) * static_cast<std::int64_t>(w);
+  for (std::size_t w = 0; w < cpu_util.num_windows(); w += 4) {
+    const auto t = window * static_cast<std::int64_t>(w);
     bool flushing = false;
     for (const auto& f : flushes)
       if (t >= f.start && t < f.end) flushing = true;
     std::cout << std::fixed << std::setprecision(2) << std::setw(5)
               << t.to_seconds() << "  " << std::setw(5)
-              << 100 * cpu_util.series().avg(w) << "  " << std::setw(7)
-              << 100 * iowait.series().avg(w) << "  " << std::setw(6)
-              << queue.series().avg(w) << "  " << std::setw(9)
-              << node.page_cache().trace().time_avg(w) / (1 << 20) << "  "
+              << 100 * cpu_util.avg(w) << "  " << std::setw(7)
+              << 100 * iowait.avg(w) << "  " << std::setw(6)
+              << queue.avg(w) << "  " << std::setw(9)
+              << dirty.time_avg(w) / (1 << 20) << "  "
               << (flushing ? "  <== millibottleneck" : "") << "\n";
   }
 

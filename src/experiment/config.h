@@ -169,7 +169,11 @@ struct ExperimentConfig {
 
   // -- metrics -------------------------------------------------------------------
   sim::SimTime metric_window = sim::SimTime::millis(50);
-  /// Enable lb_value/committed/assignment traces and CPU/iowait samplers.
+  /// Gates every per-window figure series: CPU and Tomcat iowait per node,
+  /// the Apache/MySQL/KV queue gauges, Tomcat dirty pages, and each
+  /// balancer's lb_value, committed and assignment series. Off, none is
+  /// allocated or written (CPU probes advance the PS clock, so the switch
+  /// is not purely observational; see CpuResource::probe_utilisation).
   bool tracing = true;
   /// Keep every RequestRecord (needed only when dumping raw CSV).
   bool keep_records = false;

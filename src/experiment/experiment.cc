@@ -141,15 +141,13 @@ void Experiment::build() {
   if (!kv_mode) {
     for (int i = 0; i < config_.num_mysql; ++i)
       mysqls_.push_back(std::make_unique<server::MySqlServer>(
-          sim_, *mysql_nodes_[static_cast<std::size_t>(i)], config_.mysql,
-          config_.metric_window));
+          sim_, *mysql_nodes_[static_cast<std::size_t>(i)], config_.mysql));
   } else {
     kv::KvReplicaConfig rc;
     rc.hint_capacity = config_.kv.hint_capacity;
     for (int i = 0; i < config_.kv.replicas; ++i)
       kv_replicas_.push_back(std::make_unique<kv::KvReplica>(
-          sim_, *kv_nodes_[static_cast<std::size_t>(i)], i, rc,
-          config_.metric_window));
+          sim_, *kv_nodes_[static_cast<std::size_t>(i)], i, rc));
     std::vector<kv::KvReplica*> kv_ptrs;
     for (auto& r : kv_replicas_) kv_ptrs.push_back(r.get());
     kv_tier_ = std::make_unique<kv::KvTier>(sim_, std::move(kv_ptrs),
@@ -217,7 +215,7 @@ void Experiment::build() {
           std::make_unique<server::DbRouter>(sim_, replica_ptrs, dc));
     tomcats_.push_back(std::make_unique<server::TomcatServer>(
         sim_, *tomcat_nodes_[static_cast<std::size_t>(i)], i, *db_routers_.back(),
-        tc, config_.metric_window));
+        tc));
   }
 
   std::vector<server::TomcatServer*> tomcat_ptrs;
@@ -237,9 +235,7 @@ void Experiment::build() {
     auto apache = std::make_unique<server::ApacheServer>(
         sim_, *apache_nodes_[static_cast<std::size_t>(i)], i, tomcat_ptrs,
         lb::make_policy(config_.policy),
-        lb::make_acquirer(config_.mechanism, bc.blocking), bc, ac,
-        config_.metric_window);
-    if (config_.tracing) apache->balancer().enable_tracing(config_.metric_window);
+        lb::make_acquirer(config_.mechanism, bc.blocking), bc, ac);
     if (trace_) apache->set_trace(trace_.get());
     apaches_.push_back(std::move(apache));
   }
@@ -333,66 +329,102 @@ void Experiment::build() {
     chaos_->arm();
   }
 
-  // -- samplers ------------------------------------------------------------------
+  // -- figure series and the sampling tick --------------------------------------
+  build_series();
+}
+
+void Experiment::build_series() {
+  // iowait sampling doubles as the trace's kIoWait signal, so the tick runs
+  // whenever either consumer is on.
+  if (!config_.tracing && !trace_) return;
+  nodes_.reserve(tomcat_nodes_.size() + apache_nodes_.size() +
+                 mysql_nodes_.size() + kv_nodes_.size() + cache_nodes_.size());
+  auto add_nodes = [this](std::vector<std::unique_ptr<os::Node>>& nodes,
+                          obs::Tier tier) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      NodeSeries& n = nodes_.emplace_back();
+      n.node = nodes[i].get();
+      n.tier = tier;
+      n.index = static_cast<int>(i);
+    }
+  };
+  add_nodes(tomcat_nodes_, obs::Tier::kTomcat);
+  add_nodes(apache_nodes_, obs::Tier::kApache);
+  add_nodes(mysql_nodes_, obs::Tier::kMysql);
+  add_nodes(kv_nodes_, obs::Tier::kKv);
+  add_nodes(cache_nodes_, obs::Tier::kCache);
+
   if (config_.tracing) {
-    for (auto& n : apache_nodes_)
-      apache_cpu_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window,
-          [node = n.get()] { return node->cpu().probe_utilisation().combined(); }));
-    for (auto& n : tomcat_nodes_)
-      tomcat_cpu_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window,
-          [node = n.get()] { return node->cpu().probe_utilisation().combined(); }));
-    for (auto& n : mysql_nodes_)
-      mysql_cpu_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window, [node = n.get()] {
-            return node->cpu().probe_utilisation().combined();
-          }));
-    for (auto& n : kv_nodes_)
-      kv_cpu_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window, [node = n.get()] {
-            return node->cpu().probe_utilisation().combined();
-          }));
-    for (auto& n : cache_nodes_)
-      cache_cpu_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window, [node = n.get()] {
-            return node->cpu().probe_utilisation().combined();
-          }));
-  }
-  // iowait sampling doubles as the trace's kIoWait signal, so the samplers
-  // exist whenever either consumer is on.
-  if (config_.tracing || trace_) {
-    for (int i = 0; i < config_.num_tomcats; ++i) {
-      auto* node = tomcat_nodes_[static_cast<std::size_t>(i)].get();
-      tomcat_iowait_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window, [this, node, i] {
-            const double v = node->disk().probe_busy_fraction();
-            NTIER_TRACE_EVENT(trace_.get(), sim_.now(),
-                              obs::EventKind::kIoWait, obs::Tier::kTomcat, i,
-                              -1, 0, v);
-            return v;
-          }));
+    const sim::SimTime w = config_.metric_window;
+    for (auto& n : nodes_) {
+      n.cpu.emplace(w);
+      const auto i = static_cast<std::size_t>(n.index);
+      switch (n.tier) {
+        case obs::Tier::kTomcat:
+          n.iowait.emplace(w);
+          n.node->page_cache().set_dirty_series(&n.dirty.emplace(w));
+          break;
+        case obs::Tier::kApache:
+          apaches_[i]->set_queue_series(&n.queue.emplace(w));
+          break;
+        case obs::Tier::kMysql:
+          mysqls_[i]->set_queue_series(&n.queue.emplace(w));
+          break;
+        case obs::Tier::kKv:
+          kv_replicas_[i]->set_queue_series(&n.queue.emplace(w));
+          break;
+        default:
+          break;
+      }
+    }
+    const auto workers = static_cast<std::size_t>(config_.num_tomcats);
+    balancer_series_.resize(apaches_.size());
+    for (std::size_t a = 0; a < apaches_.size(); ++a) {
+      BalancerSeries& s = balancer_series_[a];
+      s.lb_value.assign(workers, metrics::GaugeSeries(w));
+      s.committed.assign(workers, metrics::GaugeSeries(w));
+      s.assignments.assign(workers, metrics::TimeSeries(w));
+      apaches_[a]->balancer().set_series(s.lb_value, s.committed,
+                                         s.assignments);
     }
   }
-  if (trace_) {
-    auto emit_iowait = [this](os::Node* node, obs::Tier tier, int i) {
-      trace_iowait_.push_back(std::make_unique<metrics::PeriodicSampler>(
-          sim_, config_.metric_window, [this, node, tier, i] {
-            const double v = node->disk().probe_busy_fraction();
-            NTIER_TRACE_EVENT(trace_.get(), sim_.now(),
-                              obs::EventKind::kIoWait, tier, i, -1, 0, v);
-            return v;
-          }));
-    };
-    for (int i = 0; i < config_.num_apaches; ++i)
-      emit_iowait(apache_nodes_[static_cast<std::size_t>(i)].get(),
-                  obs::Tier::kApache, i);
-    for (std::size_t i = 0; i < mysql_nodes_.size(); ++i)
-      emit_iowait(mysql_nodes_[i].get(), obs::Tier::kMysql,
-                  static_cast<int>(i));
-    for (std::size_t i = 0; i < kv_nodes_.size(); ++i)
-      emit_iowait(kv_nodes_[i].get(), obs::Tier::kKv, static_cast<int>(i));
+  sampler_ = std::make_unique<metrics::PeriodicSampler>(
+      sim_, config_.metric_window,
+      [this](sim::SimTime window_start) { sample(window_start); });
+}
+
+void Experiment::sample(sim::SimTime window_start) {
+  // CpuResource::probe_utilisation() advances the PS clock, so every node is
+  // probed on every tick while tracing, read or not. Disk probes only touch
+  // their own probe state; cache nodes never emit kIoWait.
+  for (auto& n : nodes_) {
+    if (n.cpu)
+      n.cpu->record(window_start,
+                    n.node->cpu().probe_utilisation().combined());
+    if (n.tier == obs::Tier::kCache) continue;
+    const double v = n.node->disk().probe_busy_fraction();
+    NTIER_TRACE_EVENT(trace_.get(), sim_.now(), obs::EventKind::kIoWait,
+                      n.tier, n.index, -1, 0, v);
+    if (n.iowait) n.iowait->record(window_start, v);
   }
+}
+
+void Experiment::finish_series() {
+  for (auto& n : nodes_) {
+    if (n.queue) n.queue->finish(sim_.now());
+    if (n.dirty) n.dirty->finish(sim_.now());
+  }
+  for (auto& s : balancer_series_) {
+    for (auto& g : s.lb_value) g.finish(sim_.now());
+    for (auto& g : s.committed) g.finish(sim_.now());
+  }
+}
+
+const Experiment::NodeSeries& Experiment::node_series(obs::Tier tier,
+                                                      int i) const {
+  for (const auto& n : nodes_)
+    if (n.tier == tier && n.index == i) return n;
+  throw std::out_of_range("Experiment: no such node");
 }
 
 void Experiment::run() {
@@ -401,18 +433,8 @@ void Experiment::run() {
   clients_->start();
   if (replayer_) replayer_->start();
   sim_.run_until(config_.duration);
-  for (auto& a : apaches_) {
-    a->finish_traces();
-    a->balancer().finish_traces();
-  }
-  for (auto& t : tomcats_) t->finish_traces();
-  for (auto& m : mysqls_) m->finish_traces();
+  finish_series();
   if (kv_tier_) kv_tier_->finish(config_.duration);
-  for (auto& n : tomcat_nodes_) n->page_cache().finish_trace();
-  for (auto& n : apache_nodes_) n->page_cache().finish_trace();
-  for (auto& n : mysql_nodes_) n->page_cache().finish_trace();
-  for (auto& n : kv_nodes_) n->page_cache().finish_trace();
-  for (auto& n : cache_nodes_) n->page_cache().finish_trace();
   // Close the online-detection books after every tier stopped emitting, then
   // let the tail sampler make its final keep decisions with the detector's
   // marks in place.
@@ -439,10 +461,15 @@ void add_gauge_max(std::vector<double>& acc, const metrics::GaugeSeries& g) {
 }
 }  // namespace
 
-std::vector<double> Experiment::apache_tier_queue() const {
+std::vector<double> Experiment::tier_queue(obs::Tier tier) const {
   std::vector<double> acc(num_metric_windows(), 0.0);
-  for (const auto& a : apaches_) add_gauge_max(acc, a->queue_trace());
+  for (const auto& n : nodes_)
+    if (n.tier == tier && n.queue) add_gauge_max(acc, *n.queue);
   return acc;
+}
+
+std::vector<double> Experiment::apache_tier_queue() const {
+  return tier_queue(obs::Tier::kApache);
 }
 
 std::vector<double> Experiment::tomcat_tier_queue() const {
@@ -456,23 +483,17 @@ std::vector<double> Experiment::tomcat_tier_queue() const {
 }
 
 std::vector<double> Experiment::mysql_tier_queue() const {
-  std::vector<double> acc(num_metric_windows(), 0.0);
-  for (const auto& m : mysqls_) add_gauge_max(acc, m->queue_trace());
-  return acc;
+  return tier_queue(obs::Tier::kMysql);
 }
 
 std::vector<double> Experiment::kv_tier_queue() const {
-  std::vector<double> acc(num_metric_windows(), 0.0);
-  for (const auto& r : kv_replicas_) add_gauge_max(acc, r->queue_trace());
-  return acc;
+  return tier_queue(obs::Tier::kKv);
 }
 
 std::vector<double> Experiment::tomcat_committed_series(int tomcat) const {
   std::vector<double> acc(num_metric_windows(), 0.0);
-  for (const auto& a : apaches_) {
-    if (!a->balancer().tracing()) continue;
-    add_gauge_max(acc, a->balancer().committed_trace(tomcat));
-  }
+  for (const auto& s : balancer_series_)
+    add_gauge_max(acc, s.committed[static_cast<std::size_t>(tomcat)]);
   return acc;
 }
 

@@ -124,24 +124,29 @@ class Experiment {
   /// Committed-queue series of one Tomcat, summed across the 4 balancers.
   std::vector<double> tomcat_committed_series(int tomcat) const;
 
-  /// CPU utilisation (foreground + iowait stall) per 50 ms window.
-  const metrics::TimeSeries& tomcat_cpu_series(int i) const {
-    return tomcat_cpu_[static_cast<std::size_t>(i)]->series();
+  /// The per-worker series one Apache's balancer writes, one entry per
+  /// Tomcat: the lb_value and committed-queue gauges and one sample per
+  /// assignment (Figs. 6, 7, 9–11, 13).
+  struct BalancerSeries {
+    std::vector<metrics::GaugeSeries> lb_value;
+    std::vector<metrics::GaugeSeries> committed;
+    std::vector<metrics::TimeSeries> assignments;
+  };
+  const BalancerSeries& balancer_series(int apache) const {
+    return balancer_series_.at(static_cast<std::size_t>(apache));
   }
-  const metrics::TimeSeries& apache_cpu_series(int i) const {
-    return apache_cpu_[static_cast<std::size_t>(i)]->series();
+  /// CPU utilisation (foreground + iowait stall) per 50 ms window of node
+  /// `i` of `tier` (kApache, kTomcat, kMysql, kKv or kCache).
+  const metrics::TimeSeries& cpu_series(obs::Tier tier, int i) const {
+    return node_series(tier, i).cpu.value();
   }
-  const metrics::TimeSeries& mysql_cpu_series(int i = 0) const {
-    return mysql_cpu_[static_cast<std::size_t>(i)]->series();
-  }
+  /// Disk busy fraction per window of Tomcat `i` (Fig. 2(d)).
   const metrics::TimeSeries& tomcat_iowait_series(int i) const {
-    return tomcat_iowait_[static_cast<std::size_t>(i)]->series();
+    return node_series(obs::Tier::kTomcat, i).iowait.value();
   }
-  const metrics::TimeSeries& kv_cpu_series(int i) const {
-    return kv_cpu_[static_cast<std::size_t>(i)]->series();
-  }
-  const metrics::TimeSeries& cache_cpu_series(int i) const {
-    return cache_cpu_[static_cast<std::size_t>(i)]->series();
+  /// Dirty-page bytes of Tomcat `i`'s node (Fig. 2(e)).
+  const metrics::GaugeSeries& tomcat_dirty_series(int i) const {
+    return node_series(obs::Tier::kTomcat, i).dirty.value();
   }
 
   /// Mean CPU utilisation over the run, per server (Fig. 5).
@@ -158,7 +163,31 @@ class Experiment {
   std::size_t num_metric_windows() const;
 
  private:
+  /// One node the sampling tick probes, in the trace's kIoWait order. Its
+  /// figure series exist only when config.tracing.
+  struct NodeSeries {
+    os::Node* node = nullptr;
+    obs::Tier tier = obs::Tier::kTomcat;
+    int index = 0;
+    std::optional<metrics::TimeSeries> cpu;
+    std::optional<metrics::TimeSeries> iowait;  // Tomcats
+    std::optional<metrics::GaugeSeries> queue;  // resident: Apache, MySQL, KV
+    std::optional<metrics::GaugeSeries> dirty;  // Tomcats
+  };
+
   void build();
+  /// When config.tracing or the event trace is on: build the node list, the
+  /// sampling tick and, when config.tracing, every figure series, attached
+  /// to the component that writes it.
+  void build_series();
+  /// The sampling tick: CPU of every node and iowait of every node that can
+  /// emit it, for the window starting at `window_start`.
+  void sample(sim::SimTime window_start);
+  /// Close every gauge at the end of the run.
+  void finish_series();
+  const NodeSeries& node_series(obs::Tier tier, int i) const;
+  /// Per-window sum over `tier`'s servers of their queue-gauge maxima.
+  std::vector<double> tier_queue(obs::Tier tier) const;
   /// Fill config defaults that depend on other fields (kv mode gives the
   /// workload a key space when none was set).
   static ExperimentConfig normalized(ExperimentConfig config);
@@ -195,15 +224,11 @@ class Experiment {
   std::unique_ptr<millib::OnlineDetector> detector_;
   std::unique_ptr<recovery::RecoveryOrchestrator> recovery_;
 
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> apache_cpu_;
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> tomcat_cpu_;
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> tomcat_iowait_;
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> mysql_cpu_;
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> kv_cpu_;
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> cache_cpu_;
-  /// Emit-only iowait samplers for the non-Tomcat nodes, feeding kIoWait
-  /// events into the trace (no series is read back from them).
-  std::vector<std::unique_ptr<metrics::PeriodicSampler>> trace_iowait_;
+  /// Tomcats, then Apaches, MySQL, KV and cache nodes; empty when nothing
+  /// samples. Built once; the components hold pointers into it.
+  std::vector<NodeSeries> nodes_;
+  std::vector<BalancerSeries> balancer_series_;  // per Apache; tracing only
+  std::unique_ptr<metrics::PeriodicSampler> sampler_;
   bool ran_ = false;
 };
 

@@ -140,16 +140,17 @@ RunSummary summarize(Experiment& e) {
     s.tomcat_queue_peak = max_of(e.tomcat_tier_queue());
     s.mysql_queue_peak = max_of(e.mysql_tier_queue());
     s.kv_queue_peak = max_of(e.kv_tier_queue());
-    for (int i = 0; i < e.num_apaches(); ++i)
-      s.apache_mean_cpu.push_back(e.mean_cpu(e.apache_cpu_series(i)));
-    for (int i = 0; i < e.num_tomcats(); ++i)
-      s.tomcat_mean_cpu.push_back(e.mean_cpu(e.tomcat_cpu_series(i)));
-    for (int i = 0; i < e.num_mysql(); ++i)
-      s.mysql_mean_cpu.push_back(e.mean_cpu(e.mysql_cpu_series(i)));
-    for (int i = 0; i < e.num_kv_replicas(); ++i)
-      s.kv_mean_cpu.push_back(e.mean_cpu(e.kv_cpu_series(i)));
-    for (int i = 0; i < e.num_cache_nodes(); ++i)
-      s.cache_mean_cpu.push_back(e.mean_cpu(e.cache_cpu_series(i)));
+    const auto mean_cpus = [&e](obs::Tier tier, int nodes) {
+      std::vector<double> out;
+      for (int i = 0; i < nodes; ++i)
+        out.push_back(e.mean_cpu(e.cpu_series(tier, i)));
+      return out;
+    };
+    s.apache_mean_cpu = mean_cpus(obs::Tier::kApache, e.num_apaches());
+    s.tomcat_mean_cpu = mean_cpus(obs::Tier::kTomcat, e.num_tomcats());
+    s.mysql_mean_cpu = mean_cpus(obs::Tier::kMysql, e.num_mysql());
+    s.kv_mean_cpu = mean_cpus(obs::Tier::kKv, e.num_kv_replicas());
+    s.cache_mean_cpu = mean_cpus(obs::Tier::kCache, e.num_cache_nodes());
   }
   return s;
 }

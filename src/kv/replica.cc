@@ -5,16 +5,12 @@
 namespace ntier::kv {
 
 KvReplica::KvReplica(sim::Simulation& simu, os::Node& node, int id,
-                     KvReplicaConfig config, sim::SimTime trace_window)
-    : sim_(simu),
-      node_(node),
-      id_(id),
-      config_(config),
-      queue_trace_(trace_window) {}
+                     KvReplicaConfig config)
+    : sim_(simu), node_(node), id_(id), config_(config) {}
 
 void KvReplica::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
-  queue_trace_.set(sim_.now(), resident_);
+  if (queue_series_) queue_series_->set(sim_.now(), resident_);
   if (executing_ < config_.max_connections) {
     start(demand, std::move(done));
   } else {
@@ -43,7 +39,7 @@ void KvReplica::on_op_done() {
   --executing_;
   --resident_;
   ++served_;
-  queue_trace_.set(sim_.now(), resident_);
+  if (queue_series_) queue_series_->set(sim_.now(), resident_);
   if (!waiting_.empty() && executing_ < config_.max_connections) {
     auto [demand, done] = std::move(waiting_.front());
     waiting_.pop_front();

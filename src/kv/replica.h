@@ -40,8 +40,7 @@ struct Hint {
 class KvReplica {
  public:
   KvReplica(sim::Simulation& simu, os::Node& node, int id,
-            KvReplicaConfig config = {},
-            sim::SimTime trace_window = sim::SimTime::millis(50));
+            KvReplicaConfig config = {});
 
   KvReplica(const KvReplica&) = delete;
   KvReplica& operator=(const KvReplica&) = delete;
@@ -84,8 +83,9 @@ class KvReplica {
   // -- observability ----------------------------------------------------------
   int id() const { return id_; }
   int resident() const { return resident_; }
-  const metrics::GaugeSeries& queue_trace() const { return queue_trace_; }
-  void finish_traces() { queue_trace_.finish(sim_.now()); }
+  /// Record resident() into `g` on every change (null = off; the caller
+  /// owns and finishes the series).
+  void set_queue_series(metrics::GaugeSeries* g) { queue_series_ = g; }
   std::uint64_t ops_served() const { return served_; }
   std::uint64_t writes_applied() const { return writes_applied_; }
   os::Node& node() { return node_; }
@@ -108,7 +108,7 @@ class KvReplica {
   std::unordered_map<std::uint64_t, std::uint64_t> versions_;
   std::deque<std::pair<sim::SimTime, sim::Callback<void()>>> waiting_;
   std::deque<Hint> hints_;
-  metrics::GaugeSeries queue_trace_;
+  metrics::GaugeSeries* queue_series_ = nullptr;
 };
 
 }  // namespace ntier::kv

@@ -438,7 +438,6 @@ void KvTier::finish(sim::SimTime now) {
       degraded_since_[static_cast<std::size_t>(s)] = now;
     }
   }
-  for (auto* r : replicas_) r->finish_traces();
 }
 
 }  // namespace ntier::kv

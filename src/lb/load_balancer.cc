@@ -85,20 +85,15 @@ void LoadBalancer::decay_now() {
   }
 }
 
-void LoadBalancer::enable_tracing(sim::SimTime window) {
-  lb_value_traces_.clear();
-  committed_traces_.clear();
-  assignment_traces_.clear();
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    lb_value_traces_.emplace_back(window);
-    committed_traces_.emplace_back(window);
-    assignment_traces_.emplace_back(window);
-  }
-}
-
-void LoadBalancer::finish_traces() {
-  for (auto& g : lb_value_traces_) g.finish(sim_.now());
-  for (auto& g : committed_traces_) g.finish(sim_.now());
+void LoadBalancer::set_series(std::span<metrics::GaugeSeries> lb_value,
+                              std::span<metrics::GaugeSeries> committed,
+                              std::span<metrics::TimeSeries> assignments) {
+  assert(lb_value.empty() || lb_value.size() == records_.size());
+  assert(committed.empty() || committed.size() == records_.size());
+  assert(assignments.empty() || assignments.size() == records_.size());
+  lb_value_series_ = lb_value;
+  committed_series_ = committed;
+  assignment_series_ = assignments;
 }
 
 void LoadBalancer::trace_event(obs::EventKind kind, int worker,
@@ -111,8 +106,8 @@ void LoadBalancer::trace_event(obs::EventKind kind, int worker,
 void LoadBalancer::trace_lb_value(int idx) {
   trace_event(obs::EventKind::kLbValue, idx, 0,
               records_[static_cast<std::size_t>(idx)].lb_value);
-  if (lb_value_traces_.empty()) return;
-  lb_value_traces_[static_cast<std::size_t>(idx)].set(
+  if (lb_value_series_.empty()) return;
+  lb_value_series_[static_cast<std::size_t>(idx)].set(
       sim_.now(), records_[static_cast<std::size_t>(idx)].lb_value);
 }
 
@@ -120,8 +115,8 @@ void LoadBalancer::set_committed(int idx, int delta) {
   auto& rec = records_[static_cast<std::size_t>(idx)];
   rec.committed += delta;
   assert(rec.committed >= 0);
-  if (!committed_traces_.empty())
-    committed_traces_[static_cast<std::size_t>(idx)].set(sim_.now(),
+  if (!committed_series_.empty())
+    committed_series_[static_cast<std::size_t>(idx)].set(sim_.now(),
                                                          rec.committed);
 }
 
@@ -291,8 +286,8 @@ void LoadBalancer::try_next(AssignHandle h) {
           policy_->on_assigned(r, *assigns_[h].req);  // Algorithm 2/4 increment point
           index_.touch(idx);
           trace_lb_value(idx);
-          if (!assignment_traces_.empty())
-            assignment_traces_[static_cast<std::size_t>(idx)].record(sim_.now(),
+          if (!assignment_series_.empty())
+            assignment_series_[static_cast<std::size_t>(idx)].record(sim_.now(),
                                                                      1.0);
           // Deliberately no write into the request: which field the chosen
           // index means (tomcat, DB replica, ...) is the caller's business.

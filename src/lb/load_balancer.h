@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,11 +142,13 @@ class LoadBalancer {
   /// configured decay_interval).
   void decay_now();
 
-  /// Enable per-worker tracing: lb_value gauge, committed-queue gauge and
-  /// per-window assignment counts (the figures' raw series). Must be called
-  /// before traffic flows.
-  void enable_tracing(sim::SimTime window);
-  bool tracing() const { return !lb_value_traces_.empty(); }
+  /// Record the figures' raw per-worker series: the lb_value gauge, the
+  /// committed-queue gauge and one sample per assignment. Each span holds one
+  /// entry per worker, or is empty (off). The caller owns the series and
+  /// finishes the gauges; attach before traffic flows.
+  void set_series(std::span<metrics::GaugeSeries> lb_value,
+                  std::span<metrics::GaugeSeries> committed,
+                  std::span<metrics::TimeSeries> assignments);
 
   /// Attach the cross-tier event collector (null disables). Balancer events
   /// are emitted with tier=kBalancer, node=`apache_id`, worker=candidate
@@ -155,16 +158,6 @@ class LoadBalancer {
     trace_events_ = trace;
     trace_node_ = apache_id;
   }
-  const metrics::GaugeSeries& lb_value_trace(int idx) const {
-    return lb_value_traces_[static_cast<std::size_t>(idx)];
-  }
-  const metrics::GaugeSeries& committed_trace(int idx) const {
-    return committed_traces_[static_cast<std::size_t>(idx)];
-  }
-  const metrics::TimeSeries& assignment_trace(int idx) const {
-    return assignment_traces_[static_cast<std::size_t>(idx)];
-  }
-  void finish_traces();
 
  private:
   /// One in-progress assign(): the request and its continuation. Which
@@ -213,9 +206,9 @@ class LoadBalancer {
   obs::TraceCollector* trace_events_ = nullptr;
   int trace_node_ = -1;
 
-  std::vector<metrics::GaugeSeries> lb_value_traces_;
-  std::vector<metrics::GaugeSeries> committed_traces_;
-  std::vector<metrics::TimeSeries> assignment_traces_;
+  std::span<metrics::GaugeSeries> lb_value_series_;
+  std::span<metrics::GaugeSeries> committed_series_;
+  std::span<metrics::TimeSeries> assignment_series_;
 };
 
 }  // namespace ntier::lb

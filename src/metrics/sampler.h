@@ -8,22 +8,22 @@
 
 namespace ntier::metrics {
 
-/// Polls a probe function on a fixed interval and records the probed value
-/// into a TimeSeries. Used for fine-grained CPU-utilisation and iowait plots
-/// (the paper samples at 50 ms granularity).
+/// Runs a callback once per fixed interval, handing it the start of the
+/// window that just elapsed. Used for fine-grained CPU-utilisation and
+/// iowait plots (the paper samples at 50 ms granularity): the callback
+/// probes and records whatever it owns.
 ///
-/// A probe firing at t = k·interval measures the interval that just elapsed,
-/// so the sample is attributed to window k-1 — which also means the probe
-/// firing exactly at the end of a run lands in the run's final window instead
-/// of an empty one past it.
+/// A tick firing at t = k·interval measures the interval that just elapsed,
+/// so it is given window k-1's start — which also means the tick firing
+/// exactly at the end of a run lands in the run's final window instead of an
+/// empty one past it. Destroying the sampler cancels the pending tick.
 class PeriodicSampler {
  public:
   PeriodicSampler(sim::Simulation& simu, sim::SimTime interval,
-                  std::function<double()> probe)
+                  std::function<void(sim::SimTime window_start)> on_window)
       : sim_(simu),
-        interval_(interval),
-        probe_(std::move(probe)),
-        series_(interval) {
+        interval_(checked_window(interval)),
+        on_window_(std::move(on_window)) {
     arm();
   }
 
@@ -32,12 +32,10 @@ class PeriodicSampler {
 
   ~PeriodicSampler() { sim_.cancel(pending_); }
 
-  const TimeSeries& series() const { return series_; }
-
  private:
   void arm() {
     pending_ = sim_.after(interval_, [this] {
-      series_.record(sim_.now() - interval_, probe_());
+      on_window_(sim_.now() - interval_);
       arm();
     });
   }
@@ -46,8 +44,7 @@ class PeriodicSampler {
 
   sim::Simulation& sim_;
   sim::SimTime interval_;
-  std::function<double()> probe_;
-  TimeSeries series_;
+  std::function<void(sim::SimTime)> on_window_;
 };
 
 }  // namespace ntier::metrics

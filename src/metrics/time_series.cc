@@ -21,11 +21,7 @@ std::size_t window_index(sim::SimTime t, sim::SimTime window) {
 void TimeSeries::record(sim::SimTime t, double value) {
   const std::size_t i = window_index(t, window_);
   if (i >= windows_.size()) windows_.resize(i + 1);
-  Window& w = windows_[i];
-  ++w.count;
-  w.sum += value;
-  w.min = std::min(w.min, value);
-  w.max = std::max(w.max, value);
+  windows_[i].add(value);
 }
 
 std::int64_t TimeSeries::total_count() const {
@@ -36,8 +32,7 @@ std::int64_t TimeSeries::total_count() const {
 
 double TimeSeries::global_max() const {
   double m = 0;
-  for (const auto& w : windows_)
-    if (w.count) m = std::max(m, w.max);
+  for (const auto& w : windows_) m = std::max(m, w.max_or_zero());
   return m;
 }
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "obs/window_stats.h"
 #include "sim/time.h"
 
 namespace ntier::metrics {
@@ -33,11 +34,9 @@ class TimeSeries {
 
   std::int64_t count(std::size_t i) const { return at(i).count; }
   double sum(std::size_t i) const { return at(i).sum; }
-  double max(std::size_t i) const { return at(i).count ? at(i).max : 0.0; }
-  double min(std::size_t i) const { return at(i).count ? at(i).min : 0.0; }
-  double avg(std::size_t i) const {
-    return at(i).count ? at(i).sum / static_cast<double>(at(i).count) : 0.0;
-  }
+  double max(std::size_t i) const { return at(i).max_or_zero(); }
+  double min(std::size_t i) const { return at(i).min_or_zero(); }
+  double avg(std::size_t i) const { return at(i).avg(); }
 
   std::int64_t total_count() const;
 
@@ -45,19 +44,13 @@ class TimeSeries {
   double global_max() const;
 
  private:
-  struct Window {
-    std::int64_t count = 0;
-    double sum = 0;
-    double min = std::numeric_limits<double>::infinity();
-    double max = -std::numeric_limits<double>::infinity();
-  };
-  const Window& at(std::size_t i) const {
-    static const Window kEmpty{};
+  const obs::WindowStats& at(std::size_t i) const {
+    static const obs::WindowStats kEmpty{};
     return i < windows_.size() ? windows_[i] : kEmpty;
   }
 
   sim::SimTime window_;
-  std::vector<Window> windows_;
+  std::vector<obs::WindowStats> windows_;
 };
 
 /// Time-weighted gauge (queue length, lb_value, dirty bytes): tracks a value

@@ -101,7 +101,7 @@ CausalChainReport CausalChainAnalyzer::analyze(
   std::map<int, int> committed_now;
   SimTime last_event;
 
-  auto committed_delta = [&](int worker, SimTime at, int delta) {
+  auto add_committed = [&](int worker, SimTime at, int delta) {
     auto it = committed.find(worker);
     if (it == committed.end())
       it = committed.emplace(worker, metrics::GaugeSeries(config_.window)).first;
@@ -111,6 +111,8 @@ CausalChainReport CausalChainAnalyzer::analyze(
 
   for (const TraceEvent& e : events) {
     last_event = std::max(last_event, e.at);
+    if (const int delta = obs::committed_delta(e))
+      add_committed(e.worker, e.at, delta);
     switch (e.kind) {
       case EventKind::kPdflushStart:
       case EventKind::kStallStart:
@@ -188,12 +190,6 @@ CausalChainReport CausalChainAnalyzer::analyze(
         r.pickup = std::min(r.pickup, e.at);
         break;
       }
-      case EventKind::kGetEndpointAttempt:
-        committed_delta(e.worker, e.at, +1);
-        break;
-      case EventKind::kGetEndpointTimeout:
-        committed_delta(e.worker, e.at, -1);
-        break;
       case EventKind::kEndpointAcquire: {
         auto& r = reqs[e.request];
         r.acquire = std::min(r.acquire, e.at);
@@ -201,7 +197,6 @@ CausalChainReport CausalChainAnalyzer::analyze(
         break;
       }
       case EventKind::kEndpointRelease: {
-        committed_delta(e.worker, e.at, -1);
         auto& r = reqs[e.request];
         r.release = e.at;  // last release wins (retries)
         break;

@@ -168,16 +168,14 @@ void OnlineDetector::attribute_vlrt(const TraceEvent& e) {
 void OnlineDetector::observe(const TraceEvent& e) {
   ++events_observed_;
   roll_windows_to(e.at.ns() / config_.window.ns());
+  if (const int delta = obs::committed_delta(e)) {
+    if (e.worker < 0) return;
+    NodeState& st = node(e.worker);
+    st.committed += delta;
+    st.window_max = std::max(st.window_max, st.committed);
+    return;
+  }
   switch (e.kind) {
-    case EventKind::kGetEndpointAttempt:
-    case EventKind::kGetEndpointTimeout:
-    case EventKind::kEndpointRelease: {
-      if (e.worker < 0) break;
-      NodeState& st = node(e.worker);
-      st.committed += e.kind == EventKind::kGetEndpointAttempt ? 1.0 : -1.0;
-      st.window_max = std::max(st.window_max, st.committed);
-      break;
-    }
     case EventKind::kIoWait: {
       if (e.tier != Tier::kTomcat || e.node < 0) break;
       NodeState& st = node(e.node);

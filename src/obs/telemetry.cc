@@ -183,6 +183,13 @@ TelemetryFeed::TelemetryFeed(TelemetryRegistry& registry, int num_tomcats) {
 }
 
 void TelemetryFeed::observe(const TraceEvent& e) {
+  if (const int delta = committed_delta(e)) {
+    const std::size_t w = static_cast<std::size_t>(e.worker);
+    if (e.worker < 0 || w >= committed_.size()) return;
+    committed_now_[w] += delta;
+    committed_[w]->record(e.at, committed_now_[w]);
+    return;
+  }
   switch (e.kind) {
     case EventKind::kClientDone:
       if (e.aux == 0) rt_->record(e.at, e.value);
@@ -190,15 +197,6 @@ void TelemetryFeed::observe(const TraceEvent& e) {
     case EventKind::kSynRetransmit:
       retransmits_->record(e.at, 1.0);
       break;
-    case EventKind::kGetEndpointAttempt:
-    case EventKind::kGetEndpointTimeout:
-    case EventKind::kEndpointRelease: {
-      const std::size_t w = static_cast<std::size_t>(e.worker);
-      if (e.worker < 0 || w >= committed_.size()) break;
-      committed_now_[w] += e.kind == EventKind::kGetEndpointAttempt ? 1.0 : -1.0;
-      committed_[w]->record(e.at, committed_now_[w]);
-      break;
-    }
     case EventKind::kIoWait: {
       if (e.tier != Tier::kTomcat) break;
       const std::size_t n = static_cast<std::size_t>(e.node);

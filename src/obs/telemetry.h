@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -11,6 +10,7 @@
 
 #include "obs/sketch.h"
 #include "obs/trace.h"
+#include "obs/window_stats.h"
 #include "sim/time.h"
 
 namespace ntier::obs {
@@ -33,30 +33,6 @@ struct TelemetryConfig {
   /// (4096 x 1 s ≈ 68 min of history — the memory bound).
   std::size_t coarse_retention = 4096;
   SketchConfig sketch;
-};
-
-/// count/sum/min/max of one aggregation window (mergeable for rollups).
-struct WindowStats {
-  std::int64_t count = 0;
-  double sum = 0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-
-  void add(double v) {
-    ++count;
-    sum += v;
-    if (v < min) min = v;
-    if (v > max) max = v;
-  }
-  void merge(const WindowStats& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.min < min) min = o.min;
-    if (o.max > max) max = o.max;
-  }
-  double avg() const { return count ? sum / static_cast<double>(count) : 0.0; }
-  double max_or_zero() const { return count ? max : 0.0; }
-  double min_or_zero() const { return count ? min : 0.0; }
 };
 
 /// The two-level timeline: record() lands in the fine ring; fine windows

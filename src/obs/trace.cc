@@ -18,9 +18,7 @@ bool TraceCollector::episode_relevant(const TraceEvent& e, int node) {
   if (e.request == 0) return true;
   if (e.kind == EventKind::kSynRetransmit) return true;
   if (e.tier == Tier::kBalancer)
-    return e.worker == node && (e.kind == EventKind::kGetEndpointAttempt ||
-                                e.kind == EventKind::kGetEndpointTimeout ||
-                                e.kind == EventKind::kEndpointRelease);
+    return e.worker == node && committed_delta(e) != 0;
   return false;
 }
 

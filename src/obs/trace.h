@@ -123,6 +123,21 @@ struct TraceEvent {
   Tier tier = Tier::kClient;
 };
 
+/// The committed-queue accounting rule every consumer shares: a balancer's
+/// commitment to a Tomcat rises on kGetEndpointAttempt and falls on
+/// kGetEndpointTimeout and kEndpointRelease. Returns +1, -1 or 0.
+inline int committed_delta(const TraceEvent& e) {
+  switch (e.kind) {
+    case EventKind::kGetEndpointAttempt:
+      return +1;
+    case EventKind::kGetEndpointTimeout:
+    case EventKind::kEndpointRelease:
+      return -1;
+    default:
+      return 0;
+  }
+}
+
 /// Anyone who wants to see every emitted event as it happens: the online
 /// millibottleneck detector and the telemetry feed are sinks. observe() runs
 /// on the emission path, so implementations must be cheap and must not emit

@@ -66,6 +66,16 @@ class CpuResource {
     double combined() const { return foreground + stall > 1.0 ? 1.0 : foreground + stall; }
   };
   /// Returns utilisation since the previous probe call (or since t=0).
+  ///
+  /// Not a pure read: it calls advance(), which splits the floating-point
+  /// accumulation of the virtual clock v_ at the probe instant, so later
+  /// completion times can differ in the last ulp. Probing therefore changes
+  /// the simulation: at check scale paper_table1's digest is
+  /// ebdbe125b32e7361 with config.tracing on and b8368083fc457221 with it
+  /// off. A read-only probe (fold the pending now - last_update_ interval
+  /// into the reading without writing v_) reproduces the tracing-off digest
+  /// with tracing on; adopting it changes the committed ledger digests and
+  /// trace goldens, so it waits for a change allowed to re-record them.
   UtilisationProbe probe_utilisation();
 
  private:

@@ -7,7 +7,7 @@ namespace ntier::os {
 void PageCache::write_dirty(std::uint64_t bytes) {
   dirty_ += bytes;
   total_written_ += bytes;
-  trace_.set(sim_.now(), static_cast<double>(dirty_));
+  if (dirty_series_) dirty_series_->set(sim_.now(), static_cast<double>(dirty_));
   if (threshold_cb_ && !above_threshold_ && dirty_ > threshold_) {
     above_threshold_ = true;
     threshold_cb_();
@@ -28,7 +28,7 @@ std::uint64_t PageCache::take_all_dirty() {
   const std::uint64_t taken = dirty_;
   dirty_ = 0;
   above_threshold_ = false;
-  trace_.set(sim_.now(), 0.0);
+  if (dirty_series_) dirty_series_->set(sim_.now(), 0.0);
   if (!throttled_.empty()) {
     // Writeback claimed the dirty pages: every parked writer may proceed.
     std::vector<sim::Callback<void()>> wake;

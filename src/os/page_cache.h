@@ -15,9 +15,7 @@ namespace ntier::os {
 /// paper's Fig. 2(e) ("sum of dirty pages"; abrupt drops = flushes).
 class PageCache {
  public:
-  explicit PageCache(sim::Simulation& simu,
-                     sim::SimTime trace_window = sim::SimTime::millis(50))
-      : sim_(simu), trace_(trace_window) {}
+  explicit PageCache(sim::Simulation& simu) : sim_(simu) {}
 
   PageCache(const PageCache&) = delete;
   PageCache& operator=(const PageCache&) = delete;
@@ -50,9 +48,9 @@ class PageCache {
   /// registered threshold; pdflush uses this for the dirty_background path.
   void set_threshold(std::uint64_t bytes, std::function<void()> cb);
 
-  /// Time series of the dirty-byte gauge (max + time-avg per window).
-  const metrics::GaugeSeries& trace() const { return trace_; }
-  void finish_trace() { trace_.finish(sim_.now()); }
+  /// Record the dirty-byte gauge into `g` on every change (null = off; the
+  /// caller owns and finishes the series).
+  void set_dirty_series(metrics::GaugeSeries* g) { dirty_series_ = g; }
 
  private:
   sim::Simulation& sim_;
@@ -63,7 +61,7 @@ class PageCache {
   std::function<void()> threshold_cb_;
   std::uint64_t throttle_limit_ = 0;
   std::vector<sim::Callback<void()>> throttled_;
-  metrics::GaugeSeries trace_;
+  metrics::GaugeSeries* dirty_series_ = nullptr;
 };
 
 }  // namespace ntier::os

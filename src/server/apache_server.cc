@@ -8,8 +8,7 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
                            std::vector<TomcatServer*> tomcats,
                            std::unique_ptr<lb::LbPolicy> policy,
                            std::unique_ptr<lb::EndpointAcquirer> acquirer,
-                           lb::BalancerConfig lb_config, ApacheConfig config,
-                           sim::SimTime trace_window)
+                           lb::BalancerConfig lb_config, ApacheConfig config)
     : sim_(simu),
       node_(node),
       id_(id),
@@ -20,8 +19,7 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
           simu, static_cast<int>(tomcats_.size()), std::move(policy),
           std::move(acquirer), lb_config)),
       backlog_(config.listen_backlog),
-      codel_(config.overload.codel_cfg),
-      queue_trace_(trace_window) {
+      codel_(config.overload.codel_cfg) {
   assert(!tomcats_.empty());
   if (config_.overload.admission) {
     limiter_ = std::make_unique<control::AdmissionLimiter>(
@@ -101,7 +99,7 @@ bool ApacheServer::try_submit(const proto::RequestPtr& req, RespondFn respond) {
   }
   if (workers_busy_ < config_.max_clients) {
     if (limiter_) limiter_->observe_delay(sim::SimTime::zero());
-    queue_trace_.set(sim_.now(), resident() + 1);
+    if (queue_series_) queue_series_->set(sim_.now(), resident() + 1);
     start_worker(Work{req, std::move(respond)});
     return true;
   }
@@ -115,7 +113,7 @@ bool ApacheServer::try_submit(const proto::RequestPtr& req, RespondFn respond) {
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kAcceptEnqueue,
                     obs::Tier::kApache, id_, -1, req->id,
                     static_cast<double>(backlog_.size()));
-  queue_trace_.set(sim_.now(), resident());
+  if (queue_series_) queue_series_->set(sim_.now(), resident());
   return true;
 }
 
@@ -260,7 +258,7 @@ void ApacheServer::finish(JobHandle h, bool ok) {
   --workers_busy_;
   if (limiter_) limiter_->release();
   admit_from_backlog();
-  queue_trace_.set(sim_.now(), resident());
+  if (queue_series_) queue_series_->set(sim_.now(), resident());
 }
 
 void ApacheServer::admit_from_backlog() {

@@ -65,8 +65,7 @@ class ApacheServer final : public proto::FrontEnd {
                std::vector<TomcatServer*> tomcats,
                std::unique_ptr<lb::LbPolicy> policy,
                std::unique_ptr<lb::EndpointAcquirer> acquirer,
-               lb::BalancerConfig lb_config, ApacheConfig config = {},
-               sim::SimTime trace_window = sim::SimTime::millis(50));
+               lb::BalancerConfig lb_config, ApacheConfig config = {});
 
   /// proto::FrontEnd — false when the listen backlog is full (SYN dropped).
   bool try_submit(const proto::RequestPtr& req, RespondFn respond) override;
@@ -79,8 +78,9 @@ class ApacheServer final : public proto::FrontEnd {
   /// Requests resident in this Apache (backlog + all worker threads,
   /// including those blocked inside get_endpoint).
   int resident() const { return static_cast<int>(backlog_.size()) + workers_busy_; }
-  const metrics::GaugeSeries& queue_trace() const { return queue_trace_; }
-  void finish_traces() { queue_trace_.finish(sim_.now()); }
+  /// Record resident() into `g` on every change (null = off; the caller
+  /// owns and finishes the series).
+  void set_queue_series(metrics::GaugeSeries* g) { queue_series_ = g; }
 
   std::uint64_t served() const { return served_; }
   std::uint64_t syn_drops() const {
@@ -215,7 +215,7 @@ class ApacheServer final : public proto::FrontEnd {
   bool retry_suppressed_ = false;
   bool recovery_shed_ = false;
   obs::TraceCollector* trace_events_ = nullptr;
-  metrics::GaugeSeries queue_trace_;
+  metrics::GaugeSeries* queue_series_ = nullptr;
 };
 
 }  // namespace ntier::server

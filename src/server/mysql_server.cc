@@ -3,12 +3,12 @@
 namespace ntier::server {
 
 MySqlServer::MySqlServer(sim::Simulation& simu, os::Node& node,
-                         MySqlConfig config, sim::SimTime trace_window)
-    : sim_(simu), node_(node), config_(config), queue_trace_(trace_window) {}
+                         MySqlConfig config)
+    : sim_(simu), node_(node), config_(config) {}
 
 void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
-  queue_trace_.set(sim_.now(), resident_);
+  if (queue_series_) queue_series_->set(sim_.now(), resident_);
   Query q{demand, sim_.now(), std::move(done)};
   if (executing_ < config_.max_connections) {
     start(std::move(q));
@@ -38,7 +38,7 @@ void MySqlServer::on_query_done(sim::SlotTable<Query>::Handle h) {
   ++served_;
   if (config_.log_bytes_per_query > 0)
     node_.page_cache().write_dirty(config_.log_bytes_per_query);
-  queue_trace_.set(sim_.now(), resident_);
+  if (queue_series_) queue_series_->set(sim_.now(), resident_);
   if (!waiting_.empty() && executing_ < config_.max_connections) {
     Query next = std::move(waiting_.front());
     waiting_.pop_front();

@@ -30,8 +30,7 @@ struct MySqlConfig {
 /// cap queues FIFO.
 class MySqlServer {
  public:
-  MySqlServer(sim::Simulation& simu, os::Node& node, MySqlConfig config = {},
-              sim::SimTime trace_window = sim::SimTime::millis(50));
+  MySqlServer(sim::Simulation& simu, os::Node& node, MySqlConfig config = {});
 
   MySqlServer(const MySqlServer&) = delete;
   MySqlServer& operator=(const MySqlServer&) = delete;
@@ -49,8 +48,9 @@ class MySqlServer {
 
   /// Queries resident (queued + executing) — the MySQL tier queue series.
   int resident() const { return resident_; }
-  const metrics::GaugeSeries& queue_trace() const { return queue_trace_; }
-  void finish_traces() { queue_trace_.finish(sim_.now()); }
+  /// Record resident() into `g` on every change (null = off; the caller
+  /// owns and finishes the series).
+  void set_queue_series(metrics::GaugeSeries* g) { queue_series_ = g; }
 
   std::uint64_t queries_served() const { return served_; }
   os::Node& node() { return node_; }
@@ -73,7 +73,7 @@ class MySqlServer {
   double latency_ewma_ms_ = 0.0;
   std::deque<Query> waiting_;
   sim::SlotTable<Query> running_;
-  metrics::GaugeSeries queue_trace_;
+  metrics::GaugeSeries* queue_series_ = nullptr;
 };
 
 }  // namespace ntier::server

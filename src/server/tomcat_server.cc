@@ -5,14 +5,8 @@
 namespace ntier::server {
 
 TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
-                           DbRouter& db, TomcatConfig config,
-                           sim::SimTime trace_window)
-    : sim_(simu),
-      node_(node),
-      id_(id),
-      db_(db),
-      config_(config),
-      queue_trace_(trace_window) {
+                           DbRouter& db, TomcatConfig config)
+    : sim_(simu), node_(node), id_(id), db_(db), config_(config) {
   if (config_.overload.admission) {
     limiter_ = std::make_unique<control::AdmissionLimiter>(
         simu, config_.overload.admission_cfg,
@@ -67,7 +61,6 @@ bool TomcatServer::submit(const proto::RequestPtr& req, RespondFn respond) {
   }
   if (crashed_) ++crashed_accepts_;  // chaos invariant: must never happen
   ++resident_;
-  queue_trace_.set(sim_.now(), resident_);
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kBackendQueue,
                     obs::Tier::kTomcat, id_, -1, req->id,
                     static_cast<double>(resident_));
@@ -193,8 +186,7 @@ void TomcatServer::complete(ThreadHandle h) {
     NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kServiceEnd,
                       obs::Tier::kTomcat, id_, -1, w.req->id,
                       static_cast<double>(resident_));
-    queue_trace_.set(sim_.now(), resident_);
-    w.respond(w.req);
+      w.respond(w.req);
     dispatch();
   });
 }
@@ -211,7 +203,6 @@ void TomcatServer::shed_queued(Work w, proto::ShedReason reason) {
                     obs::Tier::kTomcat, id_, -1, w.req->id,
                     (sim_.now() - w.req->deadline).to_millis(),
                     static_cast<std::int32_t>(reason));
-  queue_trace_.set(sim_.now(), resident_);
   w.respond(w.req);
 }
 

@@ -6,7 +6,6 @@
 
 #include "control/admission.h"
 #include "control/overload.h"
-#include "metrics/time_series.h"
 #include "obs/trace.h"
 #include "os/node.h"
 #include "proto/request.h"
@@ -43,8 +42,7 @@ class TomcatServer {
   using RespondFn = sim::Callback<void(const proto::RequestPtr&)>;
 
   TomcatServer(sim::Simulation& simu, os::Node& node, int id, DbRouter& db,
-               TomcatConfig config = {},
-               sim::SimTime trace_window = sim::SimTime::millis(50));
+               TomcatConfig config = {});
 
   TomcatServer(const TomcatServer&) = delete;
   TomcatServer& operator=(const TomcatServer&) = delete;
@@ -105,8 +103,6 @@ class TomcatServer {
 
   /// Requests physically resident in this Tomcat (connector queue + threads).
   int resident() const { return resident_; }
-  const metrics::GaugeSeries& queue_trace() const { return queue_trace_; }
-  void finish_traces() { queue_trace_.finish(sim_.now()); }
 
   std::uint64_t served() const { return served_; }
   std::uint64_t connector_drops() const { return connector_drops_; }
@@ -168,7 +164,6 @@ class TomcatServer {
   double gray_frozen_latency_ms_ = 0.0;
   std::uint64_t gray_inflated_ = 0;
   obs::TraceCollector* trace_events_ = nullptr;
-  metrics::GaugeSeries queue_trace_;
 };
 
 }  // namespace ntier::server

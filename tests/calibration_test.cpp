@@ -54,16 +54,16 @@ TEST_F(CalibrationTest, MostRequestsAreNormal) {
 TEST_F(CalibrationTest, NoServerSaturates) {
   // Paper Fig. 5: the highest average CPU among servers is 45 %.
   for (int i = 0; i < exp_->num_apaches(); ++i)
-    EXPECT_LT(exp_->mean_cpu(exp_->apache_cpu_series(i)), 0.6) << "apache" << i;
+    EXPECT_LT(exp_->mean_cpu(exp_->cpu_series(obs::Tier::kApache, i)), 0.6) << "apache" << i;
   for (int i = 0; i < exp_->num_tomcats(); ++i)
-    EXPECT_LT(exp_->mean_cpu(exp_->tomcat_cpu_series(i)), 0.6) << "tomcat" << i;
-  EXPECT_LT(exp_->mean_cpu(exp_->mysql_cpu_series()), 0.6);
+    EXPECT_LT(exp_->mean_cpu(exp_->cpu_series(obs::Tier::kTomcat, i)), 0.6) << "tomcat" << i;
+  EXPECT_LT(exp_->mean_cpu(exp_->cpu_series(obs::Tier::kMysql, 0)), 0.6);
 }
 
 TEST_F(CalibrationTest, ServersAreNotIdleEither) {
   // The operating point is "moderate utilisation", not an idle system.
-  EXPECT_GT(exp_->mean_cpu(exp_->tomcat_cpu_series(0)), 0.10);
-  EXPECT_GT(exp_->mean_cpu(exp_->apache_cpu_series(0)), 0.10);
+  EXPECT_GT(exp_->mean_cpu(exp_->cpu_series(obs::Tier::kTomcat, 0)), 0.10);
+  EXPECT_GT(exp_->mean_cpu(exp_->cpu_series(obs::Tier::kApache, 0)), 0.10);
 }
 
 TEST_F(CalibrationTest, WorkloadSpreadEvenlyAcrossTomcats) {

@@ -111,9 +111,9 @@ TEST(Experiment, SamplersCoverTheRun) {
   auto e = testing::run(testing::quick_config(
       PolicyKind::kTotalRequest, MechanismKind::kBlocking, false,
       SimTime::seconds(5)));
-  EXPECT_GE(e->tomcat_cpu_series(0).total_count(), 99);
-  EXPECT_GE(e->apache_cpu_series(0).total_count(), 99);
-  EXPECT_GE(e->mysql_cpu_series().total_count(), 99);
+  EXPECT_GE(e->cpu_series(obs::Tier::kTomcat, 0).total_count(), 99);
+  EXPECT_GE(e->cpu_series(obs::Tier::kApache, 0).total_count(), 99);
+  EXPECT_GE(e->cpu_series(obs::Tier::kMysql, 0).total_count(), 99);
 }
 
 TEST(Experiment, PdflushEpisodesExistExactlyWhenEnabled) {

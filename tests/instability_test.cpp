@@ -52,10 +52,10 @@ class InstabilityTest : public ::testing::Test {
   /// [t0, t1).
   static double assignment_share(Experiment& e, int apache, int tomcat,
                                  SimTime t0, SimTime t1) {
-    const auto& bal = e.apache(apache).balancer();
+    const auto& bal = e.balancer_series(apache);
     double target = 0, total = 0;
     for (int t = 0; t < e.num_tomcats(); ++t) {
-      const auto counts = series_count(bal.assignment_trace(t),
+      const auto counts = series_count(bal.assignments[t],
                                        e.num_metric_windows());
       const double s =
           sum_of(slice(counts, e.config().metric_window, t0, t1));
@@ -190,16 +190,16 @@ TEST_F(InstabilityTest, StalledTomcatHoldsMinimumLbValue) {
   int tomcat;
   SimTime start, end;
   ASSERT_TRUE(first_flush(*original_, tomcat, start, end));
-  const auto& bal = original_->apache(0).balancer();
+  const auto& bal = original_->balancer_series(0);
   const auto w = static_cast<std::size_t>(
       ((start + end) / 2).ns() / original_->config().metric_window.ns());
   // Compare via the per-window lb_value traces (values are cumulative
   // counters under total_request, so compare levels, not maxima).
-  const double stalled_value = bal.lb_value_trace(tomcat).max(w);
+  const double stalled_value = bal.lb_value[tomcat].max(w);
   int others_higher = 0;
   for (int t = 0; t < original_->num_tomcats(); ++t) {
     if (t == tomcat) continue;
-    if (bal.lb_value_trace(t).max(w) >= stalled_value) ++others_higher;
+    if (bal.lb_value[t].max(w) >= stalled_value) ++others_higher;
   }
   EXPECT_EQ(others_higher, original_->num_tomcats() - 1);
 }

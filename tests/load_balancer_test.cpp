@@ -298,7 +298,8 @@ TEST(LoadBalancer, CommittedCountsBlockedWaiters) {
   BalancerConfig cfg;
   cfg.endpoint_pool_size = 1;
   auto lb = make_lb(s, PolicyKind::kTotalRequest, MechanismKind::kBlocking, cfg);
-  lb->enable_tracing(SimTime::millis(50));
+  std::vector<metrics::GaugeSeries> committed(4, metrics::GaugeSeries(SimTime::millis(50)));
+  lb->set_series({}, committed, {});
 
   lb->assign(make_req(1), [](int) {});  // occupies worker0's only endpoint
   // Give workers 1-3 one request each so their lb_values match worker 0's.
@@ -315,21 +316,25 @@ TEST(LoadBalancer, CommittedCountsBlockedWaiters) {
   EXPECT_EQ(lb->record(0).committed, 11);
   EXPECT_EQ(lb->record(0).outstanding, 1);
   s.run_until(SimTime::millis(40));
-  EXPECT_GE(lb->committed_trace(0).global_max(), 11.0);
+  EXPECT_GE(committed[0].global_max(), 11.0);
 }
 
 TEST(LoadBalancer, TracingRecordsLbValuesAndAssignments) {
   Simulation s;
   auto lb = make_lb(s, PolicyKind::kTotalRequest, MechanismKind::kNonBlocking);
-  lb->enable_tracing(SimTime::millis(50));
+  const SimTime window = SimTime::millis(50);
+  std::vector<metrics::GaugeSeries> lb_value(4, metrics::GaugeSeries(window));
+  std::vector<metrics::GaugeSeries> committed(4, metrics::GaugeSeries(window));
+  std::vector<metrics::TimeSeries> assignments(4, metrics::TimeSeries(window));
+  lb->set_series(lb_value, committed, assignments);
   for (int i = 0; i < 8; ++i) {
     auto req = make_req();
     lb->assign(req, [&, req](int idx) { lb->on_response(idx, req); });
   }
-  lb->finish_traces();
   for (int t = 0; t < 4; ++t) {
-    EXPECT_DOUBLE_EQ(lb->lb_value_trace(t).global_max(), 2.0);
-    EXPECT_EQ(lb->assignment_trace(t).total_count(), 2);
+    lb_value[t].finish(s.now());
+    EXPECT_DOUBLE_EQ(lb_value[t].global_max(), 2.0);
+    EXPECT_EQ(assignments[t].total_count(), 2);
   }
 }
 

@@ -32,12 +32,14 @@ TEST(MySqlServer, ResidentGaugeRisesAndFalls) {
   Simulation s;
   os::Node node(s, plain_node());
   MySqlServer db(s, node);
+  metrics::GaugeSeries queue(SimTime::millis(50));
+  db.set_queue_series(&queue);
   db.execute(SimTime::millis(5), [] {});
   db.execute(SimTime::millis(5), [] {});
   EXPECT_EQ(db.resident(), 2);
   s.run();
   EXPECT_EQ(db.resident(), 0);
-  EXPECT_DOUBLE_EQ(db.queue_trace().global_max(), 2.0);
+  EXPECT_DOUBLE_EQ(queue.global_max(), 2.0);
 }
 
 TEST(MySqlServer, ConnectionCapQueuesExcess) {

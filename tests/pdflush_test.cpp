@@ -41,13 +41,15 @@ TEST(PageCache, ThresholdFiresOncePerCrossing) {
 
 TEST(PageCache, TraceRecordsGauge) {
   Simulation s;
-  PageCache pc(s, SimTime::millis(10));
+  PageCache pc(s);
+  metrics::GaugeSeries dirty(SimTime::millis(10));
+  pc.set_dirty_series(&dirty);
   pc.write_dirty(100);
   s.run_until(SimTime::millis(25));
   pc.write_dirty(200);
-  pc.finish_trace();
-  EXPECT_DOUBLE_EQ(pc.trace().max(0), 100.0);
-  EXPECT_DOUBLE_EQ(pc.trace().max(2), 300.0);
+  dirty.finish(s.now());
+  EXPECT_DOUBLE_EQ(dirty.max(0), 100.0);
+  EXPECT_DOUBLE_EQ(dirty.max(2), 300.0);
 }
 
 class PdflushTest : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/simulation.h"
 
@@ -13,66 +14,67 @@ using sim::SimTime;
 
 TEST(PeriodicSampler, SamplesOnTheConfiguredInterval) {
   sim::Simulation simu;
-  int calls = 0;
-  PeriodicSampler s(simu, SimTime::millis(50), [&] {
-    ++calls;
-    return static_cast<double>(calls);
-  });
+  std::vector<SimTime> starts;
+  PeriodicSampler s(simu, SimTime::millis(50),
+                    [&](SimTime window_start) { starts.push_back(window_start); });
   simu.run_until(SimTime::millis(501));
-  EXPECT_EQ(calls, 10);
-  // The t=50ms probe measured the [0, 50ms) interval: window index 0.
-  EXPECT_DOUBLE_EQ(s.series().avg(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.series().avg(1), 2.0);
+  ASSERT_EQ(starts.size(), 10u);
+  // The t=50ms tick measured the [0, 50ms) interval: window 0's start.
+  EXPECT_EQ(starts[0], SimTime::zero());
+  EXPECT_EQ(starts[1], SimTime::millis(50));
 }
 
 TEST(PeriodicSampler, FinalProbeAtRunEndLandsInTheLastWindow) {
-  // A run of duration D with interval w has windows [0, D/w). The probe that
-  // fires exactly at t = D measures window D/w - 1 and must be recorded
-  // there — not silently dropped into an empty window past the run that no
-  // consumer reads.
+  // A run of duration D with interval w has windows [0, D/w). The tick that
+  // fires exactly at t = D measures window D/w - 1 and must be handed that
+  // window's start — not one past the run that no consumer reads.
   sim::Simulation simu;
+  TimeSeries series(SimTime::millis(50));
   int calls = 0;
-  PeriodicSampler s(simu, SimTime::millis(50), [&] {
-    ++calls;
-    return static_cast<double>(calls);
+  PeriodicSampler s(simu, SimTime::millis(50), [&](SimTime window_start) {
+    series.record(window_start, static_cast<double>(++calls));
   });
   simu.run_until(SimTime::millis(500));  // events at exactly t=500ms fire
   EXPECT_EQ(calls, 10);
-  ASSERT_EQ(s.series().num_windows(), 10u);  // windows 0..9, none past the run
-  EXPECT_EQ(s.series().count(9), 1);
-  EXPECT_DOUBLE_EQ(s.series().avg(9), 10.0);
-  EXPECT_EQ(s.series().total_count(), 10);
+  ASSERT_EQ(series.num_windows(), 10u);  // windows 0..9, none past the run
+  EXPECT_EQ(series.count(9), 1);
+  EXPECT_DOUBLE_EQ(series.avg(9), 10.0);
+  EXPECT_EQ(series.total_count(), 10);
 }
 
 TEST(PeriodicSampler, DestructionCancelsThePendingProbe) {
-  // Teardown ordering: a sampler's probe typically captures raw pointers
+  // Teardown ordering: a sampler's callback typically captures raw pointers
   // into sibling objects (servers, the trace collector). Destroying the
   // sampler must cancel its in-flight event, so the simulation can keep
-  // running without the probe firing into freed state.
+  // running without the callback firing into freed state.
   sim::Simulation simu;
   int calls = 0;
   auto s = std::make_unique<PeriodicSampler>(simu, SimTime::millis(50),
-                                             [&] { return ++calls, 1.0; });
+                                             [&](SimTime) { ++calls; });
   simu.run_until(SimTime::millis(120));
   EXPECT_EQ(calls, 2);
-  s.reset();  // probe target dies here
+  s.reset();  // callback target dies here
+  EXPECT_FALSE(simu.pending());  // the armed event was cancelled
   simu.run_until(SimTime::millis(500));
-  EXPECT_EQ(calls, 2);  // the armed event never fired
+  EXPECT_EQ(calls, 2);  // and never fired
 }
 
 TEST(PeriodicSampler, SamplerOutlivedBySimulationThenDestroyedFirst) {
-  // The Experiment owns samplers and the simulation in one struct; member
-  // order means samplers die before the simulation. Exercise exactly that
-  // sequence: sampler destroyed first, simulation destroyed after, with the
-  // cancellation happening against a simulation that still holds queued
+  // The Experiment owns its sampler and the simulation in one object; member
+  // order means the sampler dies before the simulation. Exercise exactly
+  // that sequence: sampler destroyed first, simulation destroyed after, with
+  // the cancellation happening against a simulation that still holds queued
   // events from other sources.
   auto simu = std::make_unique<sim::Simulation>();
   bool other_fired = false;
   simu->after(SimTime::millis(400), [&] { other_fired = true; });
   {
-    PeriodicSampler s(*simu, SimTime::millis(100), [] { return 1.0; });
+    std::vector<SimTime> starts;
+    PeriodicSampler s(*simu, SimTime::millis(100),
+                      [&](SimTime window_start) { starts.push_back(window_start); });
     simu->run_until(SimTime::millis(250));
-    EXPECT_EQ(s.series().count(1), 1);  // the t=200ms probe measured window 1
+    // The t=200ms tick measured window 1.
+    EXPECT_EQ(starts, (std::vector<SimTime>{SimTime::zero(), SimTime::millis(100)}));
   }  // sampler destroyed; its pending event cancelled
   simu->run_until(SimTime::millis(500));
   EXPECT_TRUE(other_fired);

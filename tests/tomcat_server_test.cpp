@@ -87,7 +87,6 @@ TEST(TomcatServer, ThreadCapQueuesInConnector) {
   EXPECT_EQ(tc.resident(), 5);
   rig.s.run();
   EXPECT_EQ(completed, 5);
-  EXPECT_DOUBLE_EQ(tc.queue_trace().global_max(), 5.0);
 }
 
 TEST(TomcatServer, ConnectorBacklogOverflowRejects) {
