@@ -75,21 +75,14 @@ int main(int argc, char** argv) {
   const auto events = full->trace()->snapshot();
   const auto report = millib::CausalChainAnalyzer().analyze(events);
 
-  std::vector<std::vector<std::pair<sim::SimTime, sim::SimTime>>> truth;
-  for (const auto& c : report.chains) {
-    if (c.tier != obs::Tier::kTomcat || c.node < 0) continue;
-    if (truth.size() <= static_cast<std::size_t>(c.node))
-      truth.resize(static_cast<std::size_t>(c.node) + 1);
-    truth[static_cast<std::size_t>(c.node)].emplace_back(c.start, c.end);
-  }
-
   // Episodes detected before the ring's retained window opened cannot be
   // scored against the (truncated) offline analysis.
   std::vector<millib::OnlineEpisode> scored;
   const sim::SimTime window_open = events.empty() ? sim::SimTime{} : events.front().at;
   for (const auto& ep : full->online_detector()->episodes())
     if (ep.onset >= window_open) scored.push_back(ep);
-  const auto score = millib::OnlineDetector::score(scored, truth);
+  const auto score =
+      millib::OnlineDetector::score(scored, report.tomcat_truth_intervals());
 
   std::cout << "\nonline vs offline detection (same run, same thresholds)\n"
             << "  offline episodes (tomcat tier): " << score.truth << "\n"

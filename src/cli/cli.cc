@@ -249,7 +249,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
 
   bool overload_set = false;
   control::OverloadMode overload_mode = control::OverloadMode::kNone;
-  double deadline_ms = 0;    // 0 = not given
+  sim::SimTime deadline;     // zero = not given
   bool priority_rubbos = false;
   bool kv_config_set = false;
   bool zipf_set = false;
@@ -266,6 +266,13 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     std::string v;
     long long n = 0;
     double x = 0;
+    // A time-valued flag, counted in units of `unit_seconds`.
+    auto time_value = [&](double unit_seconds, sim::SimTime& out) {
+      if (!value(v)) return false;
+      const auto t = sim::parse_time(v, unit_seconds);
+      if (t) out = *t;
+      return t.has_value();
+    };
 
     if (a == "--help" || a == "-h") {
       o.help = true;
@@ -279,11 +286,9 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --clients");
       o.config.num_clients = static_cast<int>(n);
     } else if (a == "--think-ms") {
-      if (!value(v) || !parse_double(v, x) || x <= 0) return fail("bad --think-ms");
-      o.config.think_mean = sim::SimTime::from_millis(x);
+      if (!time_value(1e-3, o.config.think_mean)) return fail("bad --think-ms");
     } else if (a == "--duration-s") {
-      if (!value(v) || !parse_double(v, x) || x <= 0) return fail("bad --duration-s");
-      o.config.duration = sim::SimTime::from_seconds(x);
+      if (!time_value(1, o.config.duration)) return fail("bad --duration-s");
     } else if (a == "--apaches") {
       if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --apaches");
       o.config.num_apaches = static_cast<int>(n);
@@ -333,9 +338,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       o.config.cache.bytes = static_cast<std::uint64_t>(n);
       cache_flags_set = true;
     } else if (a == "--cache-ttl-ms") {
-      if (!value(v) || !parse_double(v, x) || x <= 0)
-        return fail("bad --cache-ttl-ms");
-      o.config.cache.ttl = sim::SimTime::from_millis(x);
+      if (!time_value(1e-3, o.config.cache.ttl)) return fail("bad --cache-ttl-ms");
       cache_flags_set = true;
     } else if (a == "--cache-coalesce") {
       if (!value(v)) return fail("missing --cache-coalesce value");
@@ -416,9 +419,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
                     " (expected none|deadline|admission|codel|full)");
       overload_set = true;
     } else if (a == "--deadline-ms") {
-      if (!value(v) || !parse_double(v, x) || x <= 0)
-        return fail("bad --deadline-ms");
-      deadline_ms = x;
+      if (!time_value(1e-3, deadline)) return fail("bad --deadline-ms");
     } else if (a == "--priority-mix") {
       if (!value(v)) return fail("missing --priority-mix value");
       if (v == "rubbos")
@@ -439,9 +440,8 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --probe-d");
       o.config.probe.d = static_cast<int>(n);
     } else if (a == "--probe-staleness") {
-      if (!value(v) || !parse_double(v, x) || x <= 0)
+      if (!time_value(1e-3, o.config.probe.staleness))
         return fail("bad --probe-staleness");
-      o.config.probe.staleness = sim::SimTime::from_millis(x);
     } else if (a == "--trace") {
       if (!value(o.trace_path)) return fail("missing --trace value");
       o.config.event_trace = true;
@@ -472,9 +472,9 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     } else if (a == "--trace-out") {
       if (!value(o.trace_out_path)) return fail("missing --trace-out value");
     } else if (a == "--replay-timeout-ms") {
-      if (!value(v) || !parse_double(v, x) || x <= 0)
-        return fail("bad --replay-timeout-ms");
-      o.replay_timeout_ms = x;
+      sim::SimTime timeout;
+      if (!time_value(1e-3, timeout)) return fail("bad --replay-timeout-ms");
+      o.replay_timeout_ms = timeout.to_millis();
     } else if (a == "--replay-scale") {
       if (!value(v) || !parse_double(v, x) || x <= 0)
         return fail("bad --replay-scale");
@@ -540,9 +540,10 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     if (!o.config.cache.validate(&err)) return fail("bad cache config: " + err);
   }
   using control::OverloadMode;
-  if (deadline_ms > 0 && (!overload_set ||
-                          (overload_mode != OverloadMode::kDeadline &&
-                           overload_mode != OverloadMode::kFull)))
+  const bool deadline_set = deadline > sim::SimTime::zero();
+  if (deadline_set && (!overload_set ||
+                       (overload_mode != OverloadMode::kDeadline &&
+                        overload_mode != OverloadMode::kFull)))
     return fail(
         "--deadline-ms requires --overload deadline or --overload full "
         "(no tier enforces deadlines otherwise)");
@@ -554,8 +555,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
         "full (brownout priorities need the admission limiter)");
   if (overload_set) {
     o.config.overload = control::make_overload(
-        overload_mode, deadline_ms > 0 ? sim::SimTime::from_millis(deadline_ms)
-                                       : sim::SimTime::seconds(1));
+        overload_mode, deadline_set ? deadline : sim::SimTime::seconds(1));
     if (priority_rubbos)
       o.config.workload.priority_mix = workload::PriorityMix::kRubbos;
   }

@@ -7,8 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "metrics/time_series.h"
-
 namespace ntier::millib {
 
 const char* to_string(Hop h) {
@@ -72,6 +70,18 @@ double CausalChainReport::coverage() const {
   return static_cast<double>(attributed()) / static_cast<double>(vlrt.size());
 }
 
+std::vector<std::vector<std::pair<SimTime, SimTime>>>
+CausalChainReport::tomcat_truth_intervals() const {
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> truth;
+  for (const auto& c : chains) {
+    if (c.tier != Tier::kTomcat || c.node < 0) continue;
+    if (truth.size() <= static_cast<std::size_t>(c.node))
+      truth.resize(static_cast<std::size_t>(c.node) + 1);
+    truth[static_cast<std::size_t>(c.node)].emplace_back(c.start, c.end);
+  }
+  return truth;
+}
+
 CausalChainReport CausalChainAnalyzer::analyze(
     const std::vector<TraceEvent>& events) const {
   CausalChainReport report;
@@ -96,23 +106,15 @@ CausalChainReport CausalChainAnalyzer::analyze(
   std::vector<KvOp> kv_ops;
   std::vector<SimTime> cache_misses;
   std::unordered_map<std::uint64_t, ReqState> reqs;
-  // Committed queue per Tomcat, rebuilt from balancer-side deltas.
-  std::map<int, metrics::GaugeSeries> committed;
-  std::map<int, int> committed_now;
+  // The detector rebuilds each Tomcat's committed queue from balancer-side
+  // deltas and records its spike runs.
+  OnlineDetector detector(config_.detector);
+  const OnlineDetectorConfig& thresholds = detector.config();
   SimTime last_event;
-
-  auto add_committed = [&](int worker, SimTime at, int delta) {
-    auto it = committed.find(worker);
-    if (it == committed.end())
-      it = committed.emplace(worker, metrics::GaugeSeries(config_.window)).first;
-    committed_now[worker] += delta;
-    it->second.set(at, committed_now[worker]);
-  };
 
   for (const TraceEvent& e : events) {
     last_event = std::max(last_event, e.at);
-    if (const int delta = obs::committed_delta(e))
-      add_committed(e.worker, e.at, delta);
+    detector.observe(e);
     switch (e.kind) {
       case EventKind::kPdflushStart:
       case EventKind::kStallStart:
@@ -212,7 +214,8 @@ CausalChainReport CausalChainAnalyzer::analyze(
         break;
     }
   }
-  for (auto& [worker, gauge] : committed) gauge.finish(last_event);
+  // Close the books one window past the last event.
+  detector.finish(last_event + thresholds.window);
   std::sort(chains.begin(), chains.end(),
             [](const EpisodeChain& a, const EpisodeChain& b) {
               return a.start < b.start;
@@ -224,10 +227,10 @@ CausalChainReport CausalChainAnalyzer::analyze(
   for (const auto& [key, samples] : iowait_samples) {
     std::vector<Interval>& out = iowait_spikes[key];
     for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (samples[i].second < config_.iowait_threshold) continue;
+      if (samples[i].second < thresholds.iowait_threshold) continue;
       Interval iv{samples[i].first, samples[i].first, samples[i].second};
       while (i + 1 < samples.size() &&
-             samples[i + 1].second >= config_.iowait_threshold) {
+             samples[i + 1].second >= thresholds.iowait_threshold) {
         ++i;
         iv.end = samples[i].first;
         iv.magnitude = std::max(iv.magnitude, samples[i].second);
@@ -241,15 +244,16 @@ CausalChainReport CausalChainAnalyzer::analyze(
     std::vector<Interval>& out = lb_freezes[key];
     for (std::size_t i = 1; i < times.size(); ++i) {
       const SimTime gap = times[i] - times[i - 1];
-      if (gap >= config_.lb_freeze_min)
+      if (gap >= thresholds.lb_freeze_min)
         out.push_back(Interval{times[i - 1], times[i], gap.to_millis()});
     }
   }
-  // Committed-queue spikes, via the shared detector.
-  MillibottleneckDetector detector(config_.detector);
-  std::map<int, std::vector<SpikeEpisode>> queue_spikes;
-  for (const auto& [worker, gauge] : committed)
-    queue_spikes[worker] = detector.detect(gauge);
+  // Committed-queue spikes: the detector's runs, Tomcat by Tomcat.
+  std::vector<SpikeRun> queue_spikes = detector.spike_runs();
+  std::stable_sort(queue_spikes.begin(), queue_spikes.end(),
+                   [](const SpikeRun& a, const SpikeRun& b) {
+                     return a.node < b.node;
+                   });
 
   // ---- join links onto each OS episode --------------------------------------
   const SimTime slack = config_.slack;
@@ -281,17 +285,15 @@ CausalChainReport CausalChainAnalyzer::analyze(
         ++c.frozen_lb.count;
       }
     }
-    for (const auto& [worker, spikes] : queue_spikes) {
-      if (c.tier == Tier::kTomcat && worker != c.node) continue;
-      for (const SpikeEpisode& s : spikes) {
-        if (!overlaps(s.start, s.end, lo, hi)) continue;
-        if (!c.queue_spike.present || s.peak > c.queue_spike.magnitude) {
-          c.queue_spike.lag_ms = (s.start - c.start).to_millis();
-          c.queue_spike.magnitude = s.peak;
-        }
-        c.queue_spike.present = true;
-        ++c.queue_spike.count;
+    for (const SpikeRun& s : queue_spikes) {
+      if (c.tier == Tier::kTomcat && s.node != c.node) continue;
+      if (!overlaps(s.start, s.end, lo, hi)) continue;
+      if (!c.queue_spike.present || s.peak > c.queue_spike.magnitude) {
+        c.queue_spike.lag_ms = (s.start - c.start).to_millis();
+        c.queue_spike.magnitude = s.peak;
       }
+      c.queue_spike.present = true;
+      ++c.queue_spike.count;
     }
     for (const auto& [at, req] : retransmits) {
       if (at < lo || at > hi) continue;
@@ -364,7 +366,7 @@ CausalChainReport CausalChainAnalyzer::analyze(
   std::vector<std::pair<std::uint64_t, const ReqState*>> vlrts;
   for (const auto& [id, r] : reqs) {
     if (r.done == SimTime::max() || r.outcome != 0) continue;  // kOk only
-    if (r.response_ms < config_.vlrt_threshold_ms) continue;
+    if (r.response_ms < thresholds.vlrt_threshold_ms) continue;
     vlrts.emplace_back(id, &r);
   }
   std::sort(vlrts.begin(), vlrts.end());
@@ -416,6 +418,7 @@ CausalChainReport CausalChainAnalyzer::analyze(
   }
 
   report.chains = std::move(chains);
+  report.online_episodes = detector.episodes();
   return report;
 }
 

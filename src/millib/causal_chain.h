@@ -3,9 +3,10 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <utility>
 #include <vector>
 
-#include "millib/detector.h"
+#include "millib/online_detector.h"
 #include "obs/trace.h"
 #include "sim/time.h"
 
@@ -17,29 +18,19 @@ namespace ntier::millib {
 ///   pdflush writeback → iowait spike → stalled (frozen) lb_value →
 ///   committed-queue spike → retransmission-offset VLRT cluster
 ///
-/// The analyzer needs nothing but the trace: per-Tomcat committed queues are
-/// rebuilt from get_endpoint_attempt / get_endpoint_timeout /
-/// endpoint_release deltas and fed to the same MillibottleneckDetector the
-/// online pipeline uses, iowait comes from the periodic kIoWait samples, and
+/// The analyzer needs nothing but the trace: it replays the trace through an
+/// OnlineDetector, whose spike runs over the per-Tomcat committed queues are
+/// the queue-spike hop; iowait comes from the periodic kIoWait samples, and
 /// lb_value freezes are gaps in the kLbValue update stream.
 struct CausalChainConfig {
-  /// Window width for the reconstructed committed-queue gauges (the paper's
-  /// 50 ms fine-grained monitoring granularity).
-  sim::SimTime window = sim::SimTime::millis(50);
-  /// Spike detection over the reconstructed queues.
-  DetectorConfig detector;
+  /// The replayed detector. Its window, iowait_threshold, lb_freeze_min and
+  /// vlrt_threshold_ms are also the analyzer's iowait-spike, frozen-lb_value
+  /// and VLRT thresholds.
+  OnlineDetectorConfig detector;
   /// Temporal slack when joining links to an OS episode: effects may lead
   /// the episode's bookkeeping slightly (threshold-triggered flushes) and
   /// trail it (queues drain after the stall lifts).
   sim::SimTime slack = sim::SimTime::millis(150);
-  /// An iowait sample at or above this fraction counts as an iowait spike.
-  double iowait_threshold = 0.5;
-  /// A gap this long between consecutive lb_value updates for a worker,
-  /// overlapping the episode, counts as a frozen lb_value (nothing
-  /// completed, so the ranking the policy acts on is stale).
-  sim::SimTime lb_freeze_min = sim::SimTime::millis(100);
-  /// VLRT definition (paper: response time > 1 s).
-  double vlrt_threshold_ms = 1000.0;
   /// A KV quorum op completing with at least this much wait counts as slow
   /// when joining kv_quorum_read/write events onto a KV-tier episode.
   double kv_slow_quorum_ms = 50.0;
@@ -160,12 +151,18 @@ struct CausalChainReport {
   std::uint64_t admission_shed_events = 0;
   std::uint64_t deadline_shed_events = 0;
   std::uint64_t limit_updates = 0;
+  /// Episodes the replayed OnlineDetector confirmed (not part of to_json).
+  std::vector<OnlineEpisode> online_episodes;
 
   std::uint64_t full_chains() const;
   std::uint64_t attributed() const;
   /// Fraction of VLRT requests attributed to a detected episode (0 when the
   /// trace holds no VLRTs).
   double coverage() const;
+  /// [start, end] of every Tomcat-tier chain, indexed by Tomcat: the ground
+  /// truth OnlineDetector::score takes.
+  std::vector<std::vector<std::pair<sim::SimTime, sim::SimTime>>>
+  tomcat_truth_intervals() const;
 
   void print(std::ostream& os) const;
   void to_json(std::ostream& os) const;

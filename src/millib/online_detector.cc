@@ -1,6 +1,7 @@
 #include "millib/online_detector.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace ntier::millib {
 
@@ -8,6 +9,15 @@ using obs::EventKind;
 using obs::Tier;
 using obs::TraceEvent;
 using sim::SimTime;
+
+namespace {
+/// A spike run stays open across this many quiet windows.
+constexpr int kRunMergeGap = 1;
+/// Tomcat indices come from the int32 worker field of balancer events, but a
+/// Tomcat's own events name it in the int16 node field, so no real Tomcat
+/// index exceeds this. Larger ones are ignored rather than sized for.
+constexpr int kMaxTomcat = INT16_MAX;
+}  // namespace
 
 double OnlineScore::median_latency_ms() const {
   if (latency_ms.empty()) return 0.0;
@@ -75,6 +85,21 @@ void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
         std::max(config_.queue_min_absolute,
                  config_.queue_median_multiplier * baseline_median(st));
     spike = st.window_max >= threshold;
+  }
+
+  if (spike) {
+    if (st.open_run < 0) {
+      st.open_run = static_cast<int>(spike_runs_.size());
+      spike_runs_.push_back(SpikeRun{n, win_start, win_end, st.window_max});
+    } else {
+      SpikeRun& run = spike_runs_[static_cast<std::size_t>(st.open_run)];
+      run.end = win_end;
+      run.peak = std::max(run.peak, st.window_max);
+    }
+    st.run_quiet = 0;
+  } else if (st.open_run >= 0 && ++st.run_quiet > kRunMergeGap) {
+    st.open_run = -1;
+    st.run_quiet = 0;
   }
 
   if (st.open_episode >= 0) {
@@ -169,7 +194,7 @@ void OnlineDetector::observe(const TraceEvent& e) {
   ++events_observed_;
   roll_windows_to(e.at.ns() / config_.window.ns());
   if (const int delta = obs::committed_delta(e)) {
-    if (e.worker < 0) return;
+    if (e.worker < 0 || e.worker > kMaxTomcat) return;
     NodeState& st = node(e.worker);
     st.committed += delta;
     st.window_max = std::max(st.window_max, st.committed);
@@ -187,7 +212,8 @@ void OnlineDetector::observe(const TraceEvent& e) {
       break;
     }
     case EventKind::kLbValue: {
-      if (e.tier != Tier::kBalancer || e.worker < 0) break;
+      if (e.tier != Tier::kBalancer || e.worker < 0 || e.worker > kMaxTomcat)
+        break;
       NodeState& st = node(e.worker);
       auto [it, inserted] = st.last_lb.try_emplace(e.node, e.at);
       if (!inserted) {

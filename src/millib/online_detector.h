@@ -10,16 +10,15 @@
 
 namespace ntier::millib {
 
-/// Tuning of the streaming millibottleneck detector. Defaults mirror the
-/// offline pipeline (50 ms windows, 5x-median queue spikes with an absolute
-/// floor, 0.5 iowait saturation, 100 ms lb_value freeze) so online and
-/// offline verdicts are comparable episode for episode.
+/// Tuning of the streaming millibottleneck detector: 50 ms windows,
+/// 5x-median queue spikes with an absolute floor, 0.5 iowait saturation and a
+/// 100 ms lb_value freeze. The offline CausalChainAnalyzer replays its trace
+/// through this detector and joins with the same thresholds.
 struct OnlineDetectorConfig {
   /// Evaluation window (the paper's fine-grained monitoring granularity).
   sim::SimTime window = sim::SimTime::millis(50);
   /// Queue spike: window max >= max(min_absolute, multiplier * median of the
-  /// trailing per-window maxima) — the same rule DetectorConfig applies
-  /// offline, with a trailing ring standing in for the full series.
+  /// trailing per-window maxima).
   double queue_median_multiplier = 5.0;
   double queue_min_absolute = 10.0;
   /// Trailing window-max ring per Tomcat the baseline median is taken over.
@@ -69,6 +68,20 @@ struct OnlineEpisode {
   double detection_latency_ms() const {
     return (detected_at - onset).to_millis();
   }
+  bool operator==(const OnlineEpisode&) const = default;
+};
+
+/// A maximal run of windows in which one Tomcat's committed queue met the
+/// queue-spike rule, merged across a single quiet window — the paper's §III-B
+/// diagnosis signal ("large spikes ... are usually indicative of
+/// bottlenecks") before iowait and lb_value evidence confirm an episode.
+struct SpikeRun {
+  int node = -1;
+  sim::SimTime start;  // start of the first spiking window
+  sim::SimTime end;    // end of the last spiking window
+  double peak = 0;     // max committed queue inside the run
+
+  bool operator==(const SpikeRun&) const = default;
 };
 
 /// Online-vs-ground-truth scorecard for one run.
@@ -88,11 +101,11 @@ struct OnlineScore {
 };
 
 /// Streaming millibottleneck detection over the live event stream: a
-/// TraceSink consuming exactly what the offline CausalChainAnalyzer
-/// reconstructs post hoc — per-Tomcat committed queues from balancer deltas,
-/// kIoWait saturation, kLbValue freshness — and flagging episodes while they
-/// happen. Pure function of the event stream: no RNG, no clocks, so runs
-/// stay byte-deterministic and sweep results jobs-invariant.
+/// TraceSink tracking per-Tomcat committed queues from balancer deltas,
+/// kIoWait saturation and kLbValue freshness, and flagging episodes while
+/// they happen. Pure function of the event stream: no RNG, no clocks, so runs
+/// stay byte-deterministic and sweep results jobs-invariant, and the offline
+/// CausalChainAnalyzer gets the same verdicts by replaying a recorded trace.
 ///
 /// When a tail-sampling TraceCollector is attached, the detector marks
 /// episode windows (node-scoped) and VLRT requests for retention — the
@@ -108,6 +121,8 @@ class OnlineDetector : public obs::TraceSink {
   void finish(sim::SimTime at);
 
   const std::vector<OnlineEpisode>& episodes() const { return episodes_; }
+  /// Every queue-spike run, confirmed or not, in the order the runs opened.
+  const std::vector<SpikeRun>& spike_runs() const { return spike_runs_; }
   std::uint64_t events_observed() const { return events_observed_; }
   std::uint64_t windows_evaluated() const { return windows_evaluated_; }
   const OnlineDetectorConfig& config() const { return config_; }
@@ -134,6 +149,8 @@ class OnlineDetector : public obs::TraceSink {
     sim::SimTime candidate_onset;
     int open_episode = -1;  // index into episodes_
     int quiet_windows = 0;
+    int open_run = -1;  // index into spike_runs_
+    int run_quiet = 0;
 
     bool saw_iowait_high = false;
     sim::SimTime last_iowait_high;
@@ -161,6 +178,7 @@ class OnlineDetector : public obs::TraceSink {
   obs::TraceCollector* tail_ = nullptr;
   std::vector<NodeState> nodes_;
   std::vector<OnlineEpisode> episodes_;
+  std::vector<SpikeRun> spike_runs_;
   std::int64_t current_window_ = 0;
   std::uint64_t events_observed_ = 0;
   std::uint64_t windows_evaluated_ = 0;

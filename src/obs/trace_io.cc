@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -193,30 +194,30 @@ std::string_view raw_field(const std::string& line, const char* key,
   return std::string_view(line).substr(begin, end - begin);
 }
 
-std::int64_t int_field(const std::string& line, const char* key,
-                       std::size_t line_no) {
+// An integer field that must fit T: a trace from another writer (or a
+// corrupted one) must not wrap node 70000 into 4464.
+template <typename T>
+T int_field(const std::string& line, const char* key, std::size_t line_no) {
   const auto raw = raw_field(line, key, line_no);
-  std::int64_t v = 0;
+  T v = 0;
   auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), v);
+  if (ec == std::errc::result_out_of_range)
+    parse_fail(line_no, std::string(key) + " out of range");
   if (ec != std::errc() || ptr != raw.data() + raw.size())
     parse_fail(line_no, std::string("bad integer for ") + key);
   return v;
 }
 
+// from_chars, not std::stod: no locale, and the finite check rejects the
+// "nan"/"inf" spellings the writer never produces.
 double double_field(const std::string& line, const char* key,
                     std::size_t line_no) {
   const auto raw = raw_field(line, key, line_no);
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(std::string(raw), &pos);
-    if (pos != raw.size()) parse_fail(line_no, std::string("bad number for ") + key);
-    return v;
-  } catch (const std::runtime_error&) {
-    throw;
-  } catch (...) {
+  double v = 0;
+  auto [ptr, ec] = std::from_chars(raw.data(), raw.data() + raw.size(), v);
+  if (ec != std::errc() || ptr != raw.data() + raw.size() || !std::isfinite(v))
     parse_fail(line_no, std::string("bad number for ") + key);
-  }
-  return 0;  // unreachable
+  return v;
 }
 
 std::string string_field(const std::string& line, const char* key,
@@ -254,18 +255,20 @@ std::vector<TraceEvent> read_jsonl(std::istream& is) {
     ++line_no;
     if (line.empty()) continue;
     TraceEvent e;
-    e.at = sim::SimTime::nanos(int_field(line, "t_ns", line_no));
+    e.at = sim::SimTime::nanos(int_field<std::int64_t>(line, "t_ns", line_no));
     const auto kind = parse_kind(string_field(line, "kind", line_no));
     if (!kind) parse_fail(line_no, "unknown kind");
     e.kind = *kind;
     const auto tier = parse_tier(string_field(line, "tier", line_no));
     if (!tier) parse_fail(line_no, "unknown tier");
     e.tier = *tier;
-    e.node = static_cast<std::int16_t>(int_field(line, "node", line_no));
-    e.worker = static_cast<std::int32_t>(int_field(line, "worker", line_no));
-    e.request = static_cast<std::uint64_t>(int_field(line, "req", line_no));
+    e.node = int_field<std::int16_t>(line, "node", line_no);
+    e.worker = int_field<std::int32_t>(line, "worker", line_no);
+    // The writer renders the id as int64.
+    e.request =
+        static_cast<std::uint64_t>(int_field<std::int64_t>(line, "req", line_no));
     e.value = double_field(line, "value", line_no);
-    e.aux = static_cast<std::int32_t>(int_field(line, "aux", line_no));
+    e.aux = int_field<std::int32_t>(line, "aux", line_no);
     out.push_back(e);
   }
   return out;

@@ -35,8 +35,9 @@ void write_chrome_json(std::ostream& os, const TraceCollector& trace);
 void write_trace(std::ostream& os, const TraceCollector& trace,
                  TraceFormat format);
 
-/// Read a JSONL trace back (the inverse of write_jsonl). Unknown kinds or
-/// malformed lines raise std::runtime_error naming the line number.
+/// Read a JSONL trace back (the inverse of write_jsonl). Unknown kinds,
+/// malformed lines, ids out of their field's range and non-finite values
+/// raise std::runtime_error naming the line number.
 std::vector<TraceEvent> read_jsonl(std::istream& is);
 
 /// Convenience: read a JSONL trace from a file path.

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <compare>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace ntier::sim {
 
@@ -56,5 +58,12 @@ class SimTime {
   constexpr explicit SimTime(std::int64_t n) : ns_(n) {}
   std::int64_t ns_ = 0;
 };
+
+/// Checked conversion of a time-valued command-line flag counted in units of
+/// `unit_seconds` (1e-3 for a --*-ms flag): parse_time("50", 1e-3) is 50 ms.
+/// Empty unless the text is a finite decimal (std::from_chars: no locale, no
+/// trailing garbage) that rounds to at least 1 ns and to fewer than 2^63 ns.
+/// Rounds as from_seconds does.
+std::optional<SimTime> parse_time(std::string_view text, double unit_seconds);
 
 }  // namespace ntier::sim

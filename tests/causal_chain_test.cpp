@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "obs/trace.h"
 #include "test_util.h"
@@ -15,20 +16,17 @@ using obs::EventKind;
 using obs::Tier;
 using obs::TraceEvent;
 using sim::SimTime;
+using obs::testing::ev;
 
-TraceEvent ev(std::int64_t t_ms, EventKind kind, Tier tier, int node,
-              int worker = -1, std::uint64_t req = 0, double value = 0.0,
-              std::int32_t aux = 0) {
-  TraceEvent e;
-  e.at = SimTime::millis(t_ms);
-  e.kind = kind;
-  e.tier = tier;
-  e.node = static_cast<std::int16_t>(node);
-  e.worker = worker;
-  e.request = req;
-  e.value = value;
-  e.aux = aux;
-  return e;
+/// Digest of the report's JSON followed by its printed text, against the
+/// row `name` of tests/golden/causal_chain.fnv.
+void expect_golden(const CausalChainReport& report, const std::string& name) {
+  std::ostringstream os;
+  report.to_json(os);
+  report.print(os);
+  EXPECT_EQ(experiment::testing::fnv1a_hex(os.str()),
+            experiment::testing::golden_digests(
+                std::string(NTIER_GOLDEN_DIR) + "/causal_chain.fnv")[name]);
 }
 
 TEST(CausalChainAnalyzer, EmptyTraceYieldsEmptyReport) {
@@ -140,6 +138,31 @@ TEST(CausalChainAnalyzer, ReconstructsTheFigure6ChainFromARealRun) {
   std::ostringstream js;
   report.to_json(js);
   EXPECT_EQ(js.str().front(), '{');
+  expect_golden(report, "fig06");
+}
+
+TEST(CausalChainAnalyzer, KvCacheReportMatchesGolden) {
+  // KV data tier behind a cache tier, with correlated stalls on the KV
+  // replicas: the chains sit on KV nodes and join queue spikes from any
+  // Tomcat, slow quorums and cache misses.
+  experiment::ExperimentConfig c;
+  c.num_apaches = 2;
+  c.num_tomcats = 3;
+  c.num_clients = 300;
+  c.think_mean = SimTime::millis(200);
+  c.duration = SimTime::seconds(10);
+  c.warmup = SimTime::millis(500);
+  c.db_tier = server::DbTier::kKv;
+  c.kv_millibottlenecks = true;
+  c.workload.zipf_s = 1.1;
+  c.cache_tier = true;
+  c.event_trace = true;
+  auto e = experiment::testing::run(std::move(c));
+  const auto report = CausalChainAnalyzer().analyze(e->trace()->snapshot());
+  ASSERT_GT(report.chains.size(), 0u);
+  EXPECT_FALSE(report.kv_shards.empty());
+  EXPECT_GT(report.cache_miss_events, 0u);
+  expect_golden(report, "kv_cache");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/config.h"
+#include "sim/time.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -364,6 +365,32 @@ TEST(Cli, ParseDoubleIsStrict) {
   const auto ok = parse({"--duration-s", "1.5e1"});
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.options->config.duration, sim::SimTime::from_seconds(15));
+}
+
+TEST(Cli, ParseTimeIsCheckedAgainstInt64Nanoseconds) {
+  // The one flag-to-SimTime conversion ntier_run and ntier_trace share.
+  EXPECT_EQ(sim::parse_time("50", 1e-3), sim::SimTime::millis(50));
+  EXPECT_EQ(sim::parse_time("1.5e1", 1), sim::SimTime::seconds(15));
+  EXPECT_EQ(sim::parse_time("1e-6", 1e-3), sim::SimTime::nanos(1));
+  EXPECT_EQ(sim::parse_time("9e9", 1), sim::SimTime::seconds(9'000'000'000));
+  for (const char* bad : {"0", "-1", "1e-10", "1e300", "9.3e9", "inf",
+                          "-inf", "nan", "", "1,5", "50ms"})
+    EXPECT_FALSE(sim::parse_time(bad, 1).has_value()) << bad;
+  EXPECT_FALSE(sim::parse_time("0.0000001", 1e-3).has_value());
+}
+
+TEST(Cli, EveryTimeFlagRejectsValuesOutsideInt64Nanoseconds) {
+  // Values that used to abort the run: a duration past int64 ns, a think
+  // time that wrapped negative, and windows that rounded to 0 ns.
+  for (const char* flag : {"--think-ms", "--duration-s", "--cache-ttl-ms",
+                           "--deadline-ms", "--probe-staleness",
+                           "--replay-timeout-ms"}) {
+    for (const char* v : {"1e300", "inf", "nan", "0", "-5", "1e-10"}) {
+      const auto r = parse({flag, v});
+      ASSERT_FALSE(r.ok()) << flag << " " << v;
+      EXPECT_EQ(r.error, std::string("bad ") + flag) << v;
+    }
+  }
 }
 
 TEST(Cli, TraceGenFlagsParse) {

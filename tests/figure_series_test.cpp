@@ -41,12 +41,6 @@ class Fnv {
     std::memcpy(&bits, &v, sizeof bits);
     add(bits);
   }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      h_ ^= c;
-      h_ *= 1099511628211ull;
-    }
-  }
   void add(const std::vector<double>& v) {
     add(static_cast<std::uint64_t>(v.size()));
     for (double x : v) add(x);
@@ -144,17 +138,8 @@ ExperimentConfig kv_cache() {
 }
 
 std::map<std::string, std::string> golden() {
-  std::ifstream in(std::string(NTIER_GOLDEN_DIR) + "/figure_series.fnv");
-  EXPECT_TRUE(in.good());
-  std::map<std::string, std::string> out;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream row(line);
-    std::string name, digest;
-    row >> name >> digest;
-    out[name] = digest;
-  }
-  return out;
+  return testing::golden_digests(std::string(NTIER_GOLDEN_DIR) +
+                                 "/figure_series.fnv");
 }
 
 TEST(FigureSeries, ClusterWithPdflushMatchesGolden) {
@@ -172,9 +157,7 @@ TEST(FigureSeries, KvCacheSeriesAndTraceMatchGolden) {
   EXPECT_EQ(series_digest(*e), golden()["kv_cache"]);
   std::ostringstream jsonl;
   obs::write_jsonl(jsonl, *e->trace());
-  Fnv h;
-  h.add(jsonl.str());
-  EXPECT_EQ(h.hex(), golden()["kv_cache_trace"]);
+  EXPECT_EQ(testing::fnv1a_hex(jsonl.str()), golden()["kv_cache_trace"]);
   for (const char* tier : {"tomcat", "apache", "kv"})
     EXPECT_NE(jsonl.str().find(std::string("\"kind\":\"iowait\",\"tier\":\"") +
                                tier + "\""),

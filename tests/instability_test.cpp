@@ -9,7 +9,6 @@
 
 #include "experiment/experiment.h"
 #include "experiment/report.h"
-#include "millib/detector.h"
 #include "test_util.h"
 
 namespace ntier::experiment {
@@ -24,10 +23,13 @@ constexpr auto kDuration = SimTime::seconds(15);
 class InstabilityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    original_ = testing::run(testing::quick_config(PolicyKind::kTotalRequest,
-                                                   MechanismKind::kBlocking,
-                                                   true, kDuration))
-                    .release();
+    // The online detector only observes the run; it supplies the queue-spike
+    // runs DetectorFindsInjectedMillibottlenecks checks.
+    auto original = testing::quick_config(PolicyKind::kTotalRequest,
+                                          MechanismKind::kBlocking, true,
+                                          kDuration);
+    original.online_detect = true;
+    original_ = testing::run(std::move(original)).release();
     traffic_ = testing::run(testing::quick_config(PolicyKind::kTotalTraffic,
                                                   MechanismKind::kBlocking,
                                                   true, kDuration))
@@ -227,28 +229,23 @@ TEST_F(InstabilityTest, VlrtClustersAtRetransmissionOffsets) {
 
 TEST_F(InstabilityTest, DetectorFindsInjectedMillibottlenecks) {
   // The queue-spike methodology of §III-B applied to our own traces: every
-  // detected Tomcat-tier spike overlaps a real pdflush episode.
-  int tomcat;
-  SimTime start, end;
-  ASSERT_TRUE(first_flush(*original_, tomcat, start, end));
-  metrics::GaugeSeries probe(original_->config().metric_window);
-  const auto series = original_->tomcat_committed_series(tomcat);
-  for (std::size_t i = 0; i < series.size(); ++i)
-    probe.set(original_->config().metric_window * static_cast<std::int64_t>(i),
-              series[i]);
-  probe.finish(original_->config().duration);
-
-  millib::MillibottleneckDetector detector;
-  const auto spikes = detector.detect(probe);
-  ASSERT_FALSE(spikes.empty());
+  // Tomcat queue-spike run the online detector records overlaps a real
+  // pdflush episode.
+  const auto& runs = original_->online_detector()->spike_runs();
+  ASSERT_FALSE(runs.empty());
   // Any spike — including the recovery-compensation surges that spill onto
   // healthy Tomcats — must sit near *some* real pdflush episode.
+  const SimTime slack = SimTime::millis(1100);
   std::vector<std::pair<SimTime, SimTime>> truth;
   for (int t = 0; t < original_->num_tomcats(); ++t)
     for (const auto& iv : original_->flush_intervals(t)) truth.push_back(iv);
-  for (const auto& spike : spikes)
-    EXPECT_TRUE(millib::overlaps_any(spike, truth, SimTime::millis(1100)))
-        << spike.start.to_string();
+  for (const auto& run : runs)
+    EXPECT_TRUE(std::any_of(truth.begin(), truth.end(),
+                            [&](const std::pair<SimTime, SimTime>& iv) {
+                              return run.start <= iv.second + slack &&
+                                     run.end + slack >= iv.first;
+                            }))
+        << "tomcat" << run.node << " " << run.start.to_string();
 }
 
 TEST_F(InstabilityTest, MySqlTierStaysQuiet) {

@@ -33,6 +33,7 @@
 #include "lb/worker_index.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
+#include "test_util.h"
 
 namespace ntier::lb {
 namespace {
@@ -405,24 +406,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // -- golden digests -----------------------------------------------------------
 
-std::uint64_t fnv1a_file(const std::string& path) {
+std::string file_digest(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   EXPECT_TRUE(f.good()) << "cannot read " << path;
-  std::uint64_t h = 14695981039346656037ull;
-  char buf[1 << 16];
-  while (f.read(buf, sizeof buf) || f.gcount() > 0) {
-    for (std::streamsize i = 0; i < f.gcount(); ++i) {
-      h ^= static_cast<unsigned char>(buf[i]);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t v) {
-  char out[17];
-  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(v));
-  return out;
+  std::ostringstream bytes;
+  bytes << f.rdbuf();
+  return experiment::testing::fnv1a_hex(bytes.str());
 }
 
 TEST(LbGolden, TraceAndSummaryBytesMatchTheLinearScan) {
@@ -446,8 +435,8 @@ TEST(LbGolden, TraceAndSummaryBytesMatchTheLinearScan) {
     auto parsed = cli::parse_cli(args);
     ASSERT_TRUE(parsed.options.has_value()) << parsed.error;
     ASSERT_EQ(cli::run_cli(*parsed.options), 0);
-    EXPECT_EQ(hex(fnv1a_file(trace)), want_trace);
-    EXPECT_EQ(hex(fnv1a_file(json)), want_json);
+    EXPECT_EQ(file_digest(trace), want_trace);
+    EXPECT_EQ(file_digest(json), want_json);
     ++configs;
   }
   std::filesystem::remove_all(dir);

@@ -116,6 +116,34 @@ TEST(TraceIo, ReadRejectsMalformedLinesWithLineNumber) {
   }
 }
 
+TEST(TraceIo, ReadRejectsOutOfRangeIdsAndNonFiniteValues) {
+  // One well-formed line, then `field` replaced by `bad` on line 2.
+  auto read_with = [](const std::string& field, const std::string& bad) {
+    std::string line =
+        "{\"t_ns\":1,\"kind\":\"lb_value\",\"tier\":\"balancer\",\"node\":0,"
+        "\"worker\":0,\"req\":0,\"value\":1,\"aux\":0}\n";
+    std::string broken = line;
+    const std::string key = "\"" + field + "\":";
+    const auto at = broken.find(key) + key.size();
+    broken.replace(at, broken.find_first_of(",}", at) - at, bad);
+    std::istringstream is(line + broken);
+    try {
+      read_jsonl(is);
+    } catch (const std::runtime_error& err) {
+      return std::string(err.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(read_with("worker", "1099511627776"),
+            "trace line 2: worker out of range");
+  EXPECT_EQ(read_with("node", "70000"), "trace line 2: node out of range");
+  EXPECT_EQ(read_with("aux", "-2147483649"), "trace line 2: aux out of range");
+  for (const char* v : {"nan", "inf", "-inf", "1e999"})
+    EXPECT_EQ(read_with("value", v), "trace line 2: bad number for value") << v;
+  EXPECT_EQ(read_with("node", "32767"), "accepted");
+  EXPECT_EQ(read_with("value", "-0.25"), "accepted");
+}
+
 TEST(TraceIo, ParseTraceFormat) {
   EXPECT_EQ(parse_trace_format("jsonl"), TraceFormat::kJsonl);
   EXPECT_EQ(parse_trace_format("chrome"), TraceFormat::kChrome);

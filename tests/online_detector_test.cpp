@@ -16,20 +16,11 @@ using obs::EventKind;
 using obs::Tier;
 using obs::TraceEvent;
 using sim::SimTime;
+using obs::testing::ev;
 
-TraceEvent ev(std::int64_t t_ms, EventKind kind, Tier tier, int node,
-              int worker = -1, std::uint64_t req = 0, double value = 0.0,
-              std::int32_t aux = 0) {
-  TraceEvent e;
-  e.at = SimTime::millis(t_ms);
-  e.kind = kind;
-  e.tier = tier;
-  e.node = static_cast<std::int16_t>(node);
-  e.worker = worker;
-  e.request = req;
-  e.value = value;
-  e.aux = aux;
-  return e;
+void by_time(std::vector<TraceEvent>& events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
 }
 
 // Request ids congruent to 1 mod the default head_every (101), so nothing in
@@ -72,8 +63,7 @@ std::vector<TraceEvent> episode_stream() {
   }
   for (std::int64_t t = 1000; t < 1300; t += 20)
     out.push_back(ev(t, EventKind::kLbValue, Tier::kBalancer, 0, 1, 0, 1.0));
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  by_time(out);
   for (int i = 0; i < 15; ++i)
     out.push_back(ev(1300, EventKind::kEndpointRelease, Tier::kBalancer, 0, 0,
                      req_id(5000 + static_cast<std::uint64_t>(i))));
@@ -82,6 +72,106 @@ std::vector<TraceEvent> episode_stream() {
                    req_id(5000), 1'500.0, 0));
   healthy(out, 1450, 2000);
   return out;
+}
+
+/// Committed-queue steps on worker 0: at each {t_ms, level} the queue moves
+/// to `level` through balancer attempts (up) or releases (down).
+std::vector<TraceEvent> queue_steps(
+    std::initializer_list<std::pair<std::int64_t, int>> steps) {
+  std::vector<TraceEvent> out;
+  int level = 0;
+  for (const auto& [t, to] : steps) {
+    for (; level < to; ++level)
+      out.push_back(ev(t, EventKind::kGetEndpointAttempt, Tier::kBalancer, 0, 0));
+    for (; level > to; --level)
+      out.push_back(ev(t, EventKind::kEndpointRelease, Tier::kBalancer, 0, 0));
+  }
+  return out;
+}
+
+std::vector<SpikeRun> spike_runs(const std::vector<TraceEvent>& stream,
+                                 std::int64_t end_ms) {
+  OnlineDetector det;
+  for (const auto& e : stream) det.observe(e);
+  det.finish(SimTime::millis(end_ms));
+  return det.spike_runs();
+}
+
+TEST(OnlineDetector, SpikeRunsFindBothSpikes) {
+  // A steady queue of 5 (threshold 5 x 5 = 25) with a 300 spike at
+  // 1.00-1.15 s and a 120 spike at 3.00-3.05 s.
+  const auto runs = spike_runs(
+      queue_steps({{0, 5}, {1000, 300}, {1150, 5}, {3000, 120}, {3050, 5}}),
+      5000);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].node, 0);
+  EXPECT_EQ(runs[0].start, SimTime::millis(1000));
+  EXPECT_DOUBLE_EQ(runs[0].peak, 300.0);
+  EXPECT_EQ(runs[1].start, SimTime::millis(3000));
+  EXPECT_DOUBLE_EQ(runs[1].peak, 120.0);
+}
+
+TEST(OnlineDetector, QuietQueueYieldsNoSpikeRuns) {
+  EXPECT_TRUE(spike_runs(queue_steps({{0, 5}, {1000, 6}}), 2000).empty());
+}
+
+TEST(OnlineDetector, SpikeRunsIgnoreIdleNoiseBelowTheAbsoluteFloor) {
+  // On an idle queue (one request at t=0 opens the Tomcat's baseline) the
+  // median is 0, so only queue_min_absolute (10) separates noise from a
+  // spike.
+  EXPECT_TRUE(
+      spike_runs(queue_steps({{0, 1}, {10, 0}, {1000, 3}, {1020, 0}}), 2000)
+          .empty());
+  EXPECT_EQ(
+      spike_runs(queue_steps({{0, 1}, {10, 0}, {1000, 12}, {1020, 0}}), 2000)
+          .size(),
+      1u);
+}
+
+TEST(OnlineDetector, SpikeRunsMergeAcrossOneQuietWindow) {
+  // Spiking windows [1000, 1050) and [1100, 1150) around one quiet window
+  // form one run; two quiet windows split them.
+  const auto merged = spike_runs(
+      queue_steps({{0, 5}, {1000, 200}, {1040, 5}, {1100, 180}, {1140, 5}}),
+      3000);
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].start, SimTime::millis(1000));
+  EXPECT_EQ(merged[0].end, SimTime::millis(1150));
+  EXPECT_DOUBLE_EQ(merged[0].peak, 200.0);
+  EXPECT_EQ(spike_runs(queue_steps({{0, 5},
+                                    {1000, 200},
+                                    {1040, 5},
+                                    {1150, 180},
+                                    {1190, 5}}),
+                       3000)
+                .size(),
+            2u);
+}
+
+TEST(OnlineDetector, EmptyStreamYieldsNoSpikeRuns) {
+  OnlineDetector det;
+  det.finish(SimTime::seconds(1));
+  EXPECT_TRUE(det.spike_runs().empty());
+  EXPECT_TRUE(det.episodes().empty());
+}
+
+TEST(OnlineDetector, IgnoresTomcatIndicesBeyondTheNodeField) {
+  // Worker 40000 cannot name a Tomcat (a Tomcat's own events carry its index
+  // in the int16 node field): its committed and lb_value events are dropped
+  // instead of sizing the per-Tomcat table for them.
+  std::vector<TraceEvent> out = queue_steps({{0, 5}, {1000, 300}, {1150, 5}});
+  for (auto& e : out) e.worker = 40000;
+  for (std::int64_t t = 0; t < 2000; t += 20)
+    out.push_back(ev(t, EventKind::kLbValue, Tier::kBalancer, 0, 40000, 0, 1.0));
+  by_time(out);
+  OnlineDetector det;
+  for (const auto& e : out) det.observe(e);
+  det.finish(SimTime::millis(2000));
+  EXPECT_TRUE(det.spike_runs().empty());
+  EXPECT_TRUE(det.episodes().empty());
+  // The same stream on worker 0 does spike.
+  for (auto& e : out) e.worker = 0;
+  EXPECT_EQ(spike_runs(out, 2000).size(), 1u);
 }
 
 TEST(OnlineDetector, DetectsTheHandCraftedEpisodeWithSubWindowLatency) {
@@ -128,8 +218,7 @@ TEST(OnlineDetector, QueueSpikeAloneIsNotAnEpisode) {
     out.push_back(ev(t, EventKind::kLbValue, Tier::kBalancer, 0, 0, 0, 1.0));
   for (std::int64_t t = 1000; t <= 1250; t += 50)
     out.push_back(ev(t, EventKind::kIoWait, Tier::kTomcat, 0, -1, 0, 0.05));
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  by_time(out);
   for (int i = 0; i < 15; ++i)
     out.push_back(ev(1300, EventKind::kEndpointRelease, Tier::kBalancer, 0, 0,
                      req_id(700 + static_cast<std::uint64_t>(i))));
@@ -146,13 +235,8 @@ TEST(OnlineDetector, IsAPureFunctionOfTheEventStream) {
   for (const auto& e : stream) b.observe(e);
   a.finish(SimTime::millis(2000));
   b.finish(SimTime::millis(2000));
-  ASSERT_EQ(a.episodes().size(), b.episodes().size());
-  for (std::size_t i = 0; i < a.episodes().size(); ++i) {
-    EXPECT_EQ(a.episodes()[i].onset, b.episodes()[i].onset);
-    EXPECT_EQ(a.episodes()[i].detected_at, b.episodes()[i].detected_at);
-    EXPECT_EQ(a.episodes()[i].end, b.episodes()[i].end);
-    EXPECT_EQ(a.episodes()[i].vlrts, b.episodes()[i].vlrts);
-  }
+  EXPECT_EQ(a.episodes(), b.episodes());
+  EXPECT_EQ(a.spike_runs(), b.spike_runs());
 }
 
 TEST(OnlineDetector, ScoreMatchesMissesAndFlagsSpuriousEpisodes) {
@@ -196,8 +280,7 @@ TEST(OnlineDetector, MarksEpisodeWindowsAndVlrtRequestsForTailSampling) {
   // must retain it end to end anyway.
   stream.push_back(
       ev(600, EventKind::kClientSend, Tier::kClient, 0, 3, req_id(5000)));
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  by_time(stream);
   for (const auto& e : stream) trace.push(e);
   det.finish(SimTime::millis(2000));
   trace.finish_tail();
@@ -260,8 +343,7 @@ TEST(OnlineDetector, MarkedContextIsCappedAtMarkMaxPastTheOnset) {
                        0, req_id(800 + static_cast<std::uint64_t>(t))));
     out.push_back(ev(t, EventKind::kIoWait, Tier::kTomcat, 0, -1, 0, 0.95));
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  by_time(out);
   healthy(out, 2500, 3500);
   for (const auto& e : out) trace.push(e);
   det.finish(SimTime::millis(3500));
@@ -295,19 +377,34 @@ TEST(OnlineDetector, AgreesWithTheOfflineAnalyzerOnTheFigure6Scenario) {
 
   const auto report =
       CausalChainAnalyzer().analyze(e->trace()->snapshot());
-  std::vector<std::vector<std::pair<SimTime, SimTime>>> truth;
-  for (const auto& c : report.chains) {
-    if (c.tier != Tier::kTomcat || c.node < 0) continue;
-    if (truth.size() <= static_cast<std::size_t>(c.node))
-      truth.resize(static_cast<std::size_t>(c.node) + 1);
-    truth[static_cast<std::size_t>(c.node)].emplace_back(c.start, c.end);
-  }
-  const auto score =
-      OnlineDetector::score(e->online_detector()->episodes(), truth);
+  const auto score = OnlineDetector::score(e->online_detector()->episodes(),
+                                           report.tomcat_truth_intervals());
   ASSERT_GT(score.truth, 0u);
   EXPECT_GE(score.match_fraction(), 0.9);
   EXPECT_EQ(score.false_positives, 0u);
   EXPECT_LE(score.median_latency_ms(), 250.0);
+}
+
+TEST(OnlineDetector, ReplayingTheRecordedTraceReproducesTheLiveRun) {
+  // The offline analyzer's premise: a fresh detector fed the run's recorded
+  // trace and finished at the same instant reaches the live verdicts.
+  auto cfg = experiment::testing::quick_config(
+      lb::PolicyKind::kTotalRequest, lb::MechanismKind::kBlocking,
+      /*millibottlenecks=*/true, sim::SimTime::seconds(10));
+  cfg.event_trace = true;
+  cfg.online_detect = true;
+  auto e = experiment::testing::run(std::move(cfg));
+  const OnlineDetector& live = *e->online_detector();
+  ASSERT_EQ(e->trace()->dropped(), 0u);
+
+  OnlineDetector replay(live.config());
+  for (const auto& event : e->trace()->snapshot()) replay.observe(event);
+  replay.finish(e->config().duration);
+
+  EXPECT_EQ(replay.events_observed(), live.events_observed());
+  ASSERT_FALSE(live.episodes().empty());
+  EXPECT_EQ(replay.episodes(), live.episodes());
+  EXPECT_EQ(replay.spike_runs(), live.spike_runs());
 }
 
 }  // namespace

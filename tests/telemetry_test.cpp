@@ -5,11 +5,13 @@
 #include <sstream>
 
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace ntier::obs {
 namespace {
 
 using sim::SimTime;
+using testing::ev;
 
 TelemetryConfig tiny_config() {
   TelemetryConfig cfg;
@@ -19,21 +21,6 @@ TelemetryConfig tiny_config() {
   cfg.fine_retention = 4;
   cfg.coarse_retention = 2;
   return cfg;
-}
-
-TraceEvent ev(std::int64_t t_ms, EventKind kind, Tier tier, int node,
-              int worker = -1, std::uint64_t req = 0, double value = 0.0,
-              std::int32_t aux = 0) {
-  TraceEvent e;
-  e.at = SimTime::millis(t_ms);
-  e.kind = kind;
-  e.tier = tier;
-  e.node = static_cast<std::int16_t>(node);
-  e.worker = worker;
-  e.request = req;
-  e.value = value;
-  e.aux = aux;
-  return e;
 }
 
 TEST(MultiResTimeline, FineWindowsAccumulateStatsAndQuantiles) {

@@ -6,16 +6,15 @@
 // retransmission cluster — plus a per-VLRT attribution table (which episode
 // explains each very-long-response-time request and which hop dominated it).
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "millib/causal_chain.h"
-#include "millib/online_detector.h"
 #include "obs/trace_io.h"
 #include "probe/freshness.h"
+#include "sim/time.h"
 
 namespace {
 
@@ -24,15 +23,15 @@ void usage(std::ostream& os) {
 
 usage: ntier_trace TRACE.jsonl [flags]
 
-  --window-ms X   committed-queue reconstruction window   (default 50)
+  --window-ms X   queue-spike detection window            (default 50)
   --slack-ms X    episode-join temporal slack             (default 150)
   --vlrt-ms X     VLRT response-time threshold            (default 1000)
   --freeze-ms X   frozen-lb_value minimum gap             (default 100)
   --kv-slow-ms X  slow-KV-quorum wait threshold           (default 50)
   --probe-staleness-ms X  probe-result lifetime used for the freshness
                   stats; match the run's --probe-staleness (default 400)
-  --compare-online  replay the trace through the streaming OnlineDetector
-                  and score it against this offline analysis: matched
+  --compare-online  score the episodes the analysis's OnlineDetector
+                  replay confirmed against its Tomcat-tier chains: matched
                   episodes, spurious detections, per-episode and median
                   detection latency
   --json FILE     also write the report as JSON ("-" = stdout)
@@ -43,12 +42,6 @@ The trace is produced with:  ntier_run --trace run.jsonl
 )";
 }
 
-bool parse_ms(const char* s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s, &end);
-  return end && *end == '\0' && out > 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -57,11 +50,19 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool compare_online = false;
   ntier::millib::CausalChainConfig cfg;
-  double probe_staleness_ms = 400;
+  auto probe_staleness = ntier::sim::SimTime::millis(400);
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    double x = 0;
+    // A millisecond-valued flag: false (and `out` untouched) unless it has a
+    // value that ntier::sim::parse_time accepts.
+    auto ms_value = [&](ntier::sim::SimTime& out) {
+      if (++i >= argc) return false;
+      const auto t = ntier::sim::parse_time(argv[i], 1e-3);
+      if (t) out = *t;
+      return t.has_value();
+    };
+    ntier::sim::SimTime t;
     if (a == "--help" || a == "-h") {
       usage(std::cout);
       return 0;
@@ -73,23 +74,19 @@ int main(int argc, char** argv) {
       if (++i >= argc) { std::cerr << "missing --json value\n"; return 2; }
       json_path = argv[i];
     } else if (a == "--window-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --window-ms\n"; return 2; }
-      cfg.window = ntier::sim::SimTime::from_millis(x);
+      if (!ms_value(cfg.detector.window)) { std::cerr << "bad --window-ms\n"; return 2; }
     } else if (a == "--slack-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --slack-ms\n"; return 2; }
-      cfg.slack = ntier::sim::SimTime::from_millis(x);
+      if (!ms_value(cfg.slack)) { std::cerr << "bad --slack-ms\n"; return 2; }
     } else if (a == "--vlrt-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --vlrt-ms\n"; return 2; }
-      cfg.vlrt_threshold_ms = x;
+      if (!ms_value(t)) { std::cerr << "bad --vlrt-ms\n"; return 2; }
+      cfg.detector.vlrt_threshold_ms = t.to_millis();
     } else if (a == "--freeze-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --freeze-ms\n"; return 2; }
-      cfg.lb_freeze_min = ntier::sim::SimTime::from_millis(x);
+      if (!ms_value(cfg.detector.lb_freeze_min)) { std::cerr << "bad --freeze-ms\n"; return 2; }
     } else if (a == "--kv-slow-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --kv-slow-ms\n"; return 2; }
-      cfg.kv_slow_quorum_ms = x;
+      if (!ms_value(t)) { std::cerr << "bad --kv-slow-ms\n"; return 2; }
+      cfg.kv_slow_quorum_ms = t.to_millis();
     } else if (a == "--probe-staleness-ms") {
-      if (++i >= argc || !parse_ms(argv[i], x)) { std::cerr << "bad --probe-staleness-ms\n"; return 2; }
-      probe_staleness_ms = x;
+      if (!ms_value(probe_staleness)) { std::cerr << "bad --probe-staleness-ms\n"; return 2; }
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "unknown flag: " << a << "\n";
       usage(std::cerr);
@@ -119,30 +116,9 @@ int main(int argc, char** argv) {
   if (!quiet) report.print(std::cout);
 
   if (compare_online) {
-    // Same signature thresholds as the offline join, fed one event at a time
-    // the way a live run would stream them.
-    ntier::millib::OnlineDetectorConfig dc;
-    dc.window = cfg.window;
-    dc.iowait_threshold = cfg.iowait_threshold;
-    dc.lb_freeze_min = cfg.lb_freeze_min;
-    dc.vlrt_threshold_ms = cfg.vlrt_threshold_ms;
-    ntier::millib::OnlineDetector det(dc);
-    ntier::sim::SimTime last;
-    for (const auto& e : events) {
-      det.observe(e);
-      if (e.at > last) last = e.at;
-    }
-    det.finish(last + dc.window);
-
-    std::vector<std::vector<std::pair<ntier::sim::SimTime, ntier::sim::SimTime>>>
-        truth;
-    for (const auto& c : report.chains) {
-      if (c.tier != ntier::obs::Tier::kTomcat || c.node < 0) continue;
-      if (truth.size() <= static_cast<std::size_t>(c.node))
-        truth.resize(static_cast<std::size_t>(c.node) + 1);
-      truth[static_cast<std::size_t>(c.node)].emplace_back(c.start, c.end);
-    }
-    const auto score = ntier::millib::OnlineDetector::score(det.episodes(), truth);
+    const auto& episodes = report.online_episodes;
+    const auto score = ntier::millib::OnlineDetector::score(
+        episodes, report.tomcat_truth_intervals());
     std::cout << "\nonline vs offline detection\n"
               << "  offline episodes (tomcat tier): " << score.truth << "\n"
               << "  matched online: " << score.matched << " ("
@@ -151,7 +127,7 @@ int main(int argc, char** argv) {
               << "\n"
               << "  median detection latency: " << score.median_latency_ms()
               << " ms\n";
-    for (const auto& ep : det.episodes()) {
+    for (const auto& ep : episodes) {
       std::cout << "  tomcat" << ep.node << " onset "
                 << ep.onset.to_seconds() << " s, detected +"
                 << ep.detection_latency_ms() << " ms, queue peak "
@@ -161,11 +137,10 @@ int main(int argc, char** argv) {
   }
 
   // Probe-freshness block, only for traces from probe-enabled runs.
-  const auto freshness = ntier::probe::probe_freshness(
-      events, ntier::sim::SimTime::from_millis(probe_staleness_ms));
+  const auto freshness = ntier::probe::probe_freshness(events, probe_staleness);
   if (!quiet && freshness.any_probe_events()) {
-    std::cout << "\nprobe freshness (staleness bound " << probe_staleness_ms
-              << " ms)\n"
+    std::cout << "\nprobe freshness (staleness bound "
+              << probe_staleness.to_millis() << " ms)\n"
               << "  probes: " << freshness.probes_sent << " sent ("
               << freshness.probes_per_sec << "/s), " << freshness.probe_replies
               << " replies, " << freshness.probe_timeouts << " timeouts\n"
