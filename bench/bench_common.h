@@ -232,7 +232,7 @@ inline void print_distribution(Experiment& e, SimTime t0, SimTime t1,
       const auto counts = experiment::series_count(bal.assignments[t],
                                                    e.num_metric_windows());
       const double n = experiment::sum_of(
-          experiment::slice(counts, e.config().metric_window, w, w + step));
+          experiment::slice(counts, experiment::kMetricWindow, w, w + step));
       std::cout << std::setw(10) << static_cast<std::int64_t>(n);
     }
     std::cout << "\n";

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                     "peak 50ms-avg " +
                         std::to_string(experiment::max_of(rt_avg)) + " ms");
 
-  maybe_csv(opt, "fig01_point_in_time_rt.csv", e->config().metric_window,
+  maybe_csv(opt, "fig01_point_in_time_rt.csv", experiment::kMetricWindow,
             {"rt_avg_ms", "rt_max_ms"}, {rt_avg, rt_max});
   return 0;
 }

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto e = run_experiment(opt, std::move(cfg));
 
   const auto windows = e->num_metric_windows();
-  const auto w = e->config().metric_window;
+  const auto w = experiment::kMetricWindow;
 
   const auto vlrt = experiment::series_count(e->log().vlrt_series(), windows);
   const auto apache_q = e->apache_tier_queue();

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
        {PolicyKind::kTotalRequest, PolicyKind::kTotalTraffic}) {
     auto e = run_experiment(opt,
         cluster_config(opt, policy, MechanismKind::kBlocking));
-    const auto w = e->config().metric_window;
+    const auto w = experiment::kMetricWindow;
     auto rt = experiment::series_avg(e->log().response_time_series(),
                                      e->num_metric_windows());
     rt = experiment::slice(rt, w, sim::SimTime::zero(), sim::SimTime::seconds(10));

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
 
   auto e = run_experiment(opt,
       cluster_config(opt, PolicyKind::kTotalTraffic, MechanismKind::kBlocking));
-  const auto w = e->config().metric_window;
+  const auto w = experiment::kMetricWindow;
   const auto windows = e->num_metric_windows();
 
   int tomcat = 0;

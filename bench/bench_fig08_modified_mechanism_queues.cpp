@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto fixed = run_experiment(opt, cluster_config(opt, PolicyKind::kTotalRequest,
                                              MechanismKind::kNonBlocking));
 
-  const auto w = fixed->config().metric_window;
+  const auto w = experiment::kMetricWindow;
   std::cout << "\n[stock blocking get_endpoint]\n";
   experiment::print_panel(std::cout, "apache tier queue", stock->apache_tier_queue());
   experiment::print_panel(std::cout, "tomcat tier queue", stock->tomcat_tier_queue());

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
 
   auto e = run_experiment(opt,
       cluster_config(opt, PolicyKind::kTotalRequest, MechanismKind::kBlocking));
-  const auto w = e->config().metric_window;
+  const auto w = experiment::kMetricWindow;
 
   int tomcat = 0;
   sim::SimTime start, end;

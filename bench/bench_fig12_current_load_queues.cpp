@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto remedy = run_experiment(opt,
       cluster_config(opt, PolicyKind::kCurrentLoad, MechanismKind::kBlocking));
 
-  const auto w = remedy->config().metric_window;
+  const auto w = experiment::kMetricWindow;
   std::cout << "\n[total_request, for contrast]\n";
   experiment::print_panel(std::cout, "apache tier queue", stock->apache_tier_queue());
   experiment::print_panel(std::cout, "tomcat tier queue", stock->tomcat_tier_queue());

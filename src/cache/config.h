@@ -22,13 +22,6 @@ struct CacheConfig {
   std::uint32_t entry_bytes = 4096;    // memory charged per cached entry
   sim::SimTime ttl = sim::SimTime::seconds(10);  // entry time-to-live
 
-  /// CPU demand of a cache lookup (hit or miss) on the owning node.
-  sim::SimTime lookup_demand = sim::SimTime::micros(30);
-  /// CPU demand of installing a fetched value after a miss.
-  sim::SimTime fill_demand = sim::SimTime::micros(60);
-  /// CPU demand of applying one queued invalidation.
-  sim::SimTime invalidate_demand = sim::SimTime::micros(20);
-
   /// Bound on each node's pending-invalidation queue; overflow is counted
   /// as invalidations_dropped (no silent loss — the TTL cleans up).
   std::size_t invalidation_queue_capacity = 4096;
@@ -54,8 +47,9 @@ struct CacheConfig {
 };
 
 /// Parse "key=value,key=value" (keys: nodes, bytes, entry, ttl_ms,
-/// inval_queue, coalesce) over the defaults. Returns nullopt and fills
-/// `error` on unknown keys, malformed numbers, or invalid geometry.
+/// inval_queue, coalesce) over the defaults. ttl_ms may be fractional;
+/// coalesce is 0 or 1. Returns nullopt and fills `error` on unknown keys,
+/// malformed or out-of-range numbers, or invalid geometry.
 std::optional<CacheConfig> cache_config_from_string(const std::string& s,
                                                     std::string* error);
 

@@ -8,6 +8,17 @@
 
 namespace ntier::cache {
 
+namespace {
+
+/// CPU demand of a cache lookup (hit or miss) on the owning node.
+constexpr sim::SimTime kLookupDemand = sim::SimTime::micros(30);
+/// CPU demand of installing a fetched value after a miss.
+constexpr sim::SimTime kFillDemand = sim::SimTime::micros(60);
+/// CPU demand of applying one queued invalidation.
+constexpr sim::SimTime kInvalidateDemand = sim::SimTime::micros(20);
+
+}  // namespace
+
 CacheTier::CacheTier(sim::Simulation& simu, std::vector<os::Node*> nodes,
                      kv::KvTier* backing, CacheConfig config)
     : sim_(simu), kv_(backing), config_(config) {
@@ -23,7 +34,7 @@ void CacheTier::read(int node, const proto::RequestPtr& req,
   ++stats_.lookups;
   auto& ns = nodes_[static_cast<std::size_t>(node)];
   ns.node->cpu().submit(
-      config_.lookup_demand,
+      kLookupDemand,
       [this, node, req, demand, done = std::move(done)]() mutable {
         auto& s = nodes_[static_cast<std::size_t>(node)];
         if (s.store.lookup(req->key, sim_.now())) {
@@ -90,7 +101,7 @@ void CacheTier::start_fill(int node, const proto::RequestPtr& req,
     // the fill demand runs on the cache node, so queueing there is part of
     // every waiter's latency.
     s.node->cpu().submit(
-        config_.fill_demand,
+        kFillDemand,
         [this, node, req, ok, coalesced, done = std::move(done)]() mutable {
           auto& t = nodes_[static_cast<std::size_t>(node)];
           if (ok) {
@@ -172,7 +183,7 @@ void CacheTier::pump_invalidations(int node) {
   ns.inval_busy = true;
   const std::uint64_t key = ns.inval_queue.front();
   ns.inval_queue.pop_front();
-  ns.node->cpu().submit(config_.invalidate_demand, [this, node, key] {
+  ns.node->cpu().submit(kInvalidateDemand, [this, node, key] {
     auto& s = nodes_[static_cast<std::size_t>(node)];
     s.store.invalidate(key);
     ++stats_.invalidations_delivered;

@@ -22,20 +22,18 @@ namespace ntier::cli {
 namespace {
 
 bool parse_int(const std::string& s, long long& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
+  const auto v = sim::parse_number<long long>(s);
+  if (v) out = *v;
+  return v.has_value();
 }
 
 // from_chars, not std::stod: stod honours the global locale (a comma-decimal
 // locale breaks "--zipf-s 0.8") and accepts trailing garbage ("1.5abc").
 // "nan"/"inf" parse but make no sense as flag values, so reject them too.
 bool parse_double(const std::string& s, double& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end && std::isfinite(out);
+  const auto v = sim::parse_number<double>(s);
+  if (v) out = *v;
+  return v && std::isfinite(*v);
 }
 
 std::optional<lb::MechanismKind> parse_mechanism(const std::string& s) {
@@ -128,13 +126,12 @@ cache tier (look-aside cache over the KV tier; requires --db-tier kv)
   --cache-tier           interpose per-node LRU+TTL caches between the
                          Tomcat tier and the KV quorum, with invalidate-on-
                          write broadcast and single-flight fill coalescing
-  --cache CFG            cache geometry as key=value pairs: nodes, bytes,
-                         entry, ttl_ms, inval_queue, coalesce
+  --cache CFG            cache geometry as key=value pairs: nodes, bytes
+                         (memory per node), entry, ttl_ms (entry time-to-
+                         live, the staleness backstop for dropped
+                         invalidations), inval_queue, coalesce (0 | 1,
+                         single-flight fill coalescing)
                          (e.g. nodes=2,bytes=67108864,ttl_ms=10000)
-  --cache-bytes N        memory per cache node in bytes
-  --cache-ttl-ms X       entry time-to-live in ms (the staleness backstop
-                         for dropped invalidations)
-  --cache-coalesce B     on | off — single-flight fill coalescing
 
 policy & mechanism under test
   --policy P             total_request | total_traffic | current_load |
@@ -196,7 +193,6 @@ traces (arrival traces: CSV "at_ns,client,interaction[,key,priority]")
   --replay-trace FILE    drive the run open-loop from a saved trace
                          (replaces the closed-loop clients; rich traces
                          replay the recorded keys/priorities exactly)
-  --trace-replay FILE    alias of --replay-trace
   --trace-gen SPEC       synthesize a production-shaped trace and replay it
                          in-process; SPEC is key=value pairs: seed, duration,
                          base-rps, diurnal-amplitude, diurnal-period,
@@ -254,7 +250,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
   bool kv_config_set = false;
   bool zipf_set = false;
   bool key_space_set = false;
-  bool cache_flags_set = false;
+  bool cache_config_set = false;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
@@ -332,23 +328,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
       const auto cc = cache::cache_config_from_string(v, &err);
       if (!cc) return fail("bad --cache: " + err);
       o.config.cache = *cc;
-      cache_flags_set = true;
-    } else if (a == "--cache-bytes") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --cache-bytes");
-      o.config.cache.bytes = static_cast<std::uint64_t>(n);
-      cache_flags_set = true;
-    } else if (a == "--cache-ttl-ms") {
-      if (!time_value(1e-3, o.config.cache.ttl)) return fail("bad --cache-ttl-ms");
-      cache_flags_set = true;
-    } else if (a == "--cache-coalesce") {
-      if (!value(v)) return fail("missing --cache-coalesce value");
-      if (v == "on")
-        o.config.cache.coalesce = true;
-      else if (v == "off")
-        o.config.cache.coalesce = false;
-      else
-        return fail("bad --cache-coalesce: " + v + " (expected on|off)");
-      cache_flags_set = true;
+      cache_config_set = true;
     } else if (a == "--policy") {
       if (!value(v)) return fail("missing --policy value");
       const auto p = lb::policy_from_string(v);
@@ -462,8 +442,8 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
         return fail("unknown trace sample mode: " + v + " (expected full|tail)");
     } else if (a == "--record-trace") {
       if (!value(o.record_trace_path)) return fail("missing --record-trace value");
-    } else if (a == "--replay-trace" || a == "--trace-replay") {
-      if (!value(o.replay_trace_path)) return fail("missing " + a + " value");
+    } else if (a == "--replay-trace") {
+      if (!value(o.replay_trace_path)) return fail("missing --replay-trace value");
     } else if (a == "--trace-gen") {
       if (!value(o.trace_gen_spec)) return fail("missing --trace-gen value");
       std::string err;
@@ -527,18 +507,13 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     return fail(
         "--kv, --zipf-s, --key-space, and --kv-millibottlenecks require "
         "--db-tier kv (the MySQL tier ignores key-level routing)");
-  if (cache_flags_set && !o.config.cache_tier)
+  if (cache_config_set && !o.config.cache_tier)
     return fail(
-        "--cache, --cache-bytes, --cache-ttl-ms, and --cache-coalesce "
-        "require --cache-tier (no cache tier is built otherwise)");
+        "--cache requires --cache-tier (no cache tier is built otherwise)");
   if (o.config.cache_tier && o.config.db_tier != server::DbTier::kKv)
     return fail(
         "--cache-tier requires --db-tier kv (the cache fronts the "
         "replicated KV store; the MySQL tier has no key-level reads)");
-  if (o.config.cache_tier) {
-    std::string err;
-    if (!o.config.cache.validate(&err)) return fail("bad cache config: " + err);
-  }
   using control::OverloadMode;
   const bool deadline_set = deadline > sim::SimTime::zero();
   if (deadline_set && (!overload_set ||
@@ -860,15 +835,15 @@ int run_cli(const CliOptions& options) {
     try {
       std::filesystem::create_directories(options.csv_dir);
       experiment::write_series_csv(
-          options.csv_dir + "/tier_queues.csv", e.config().metric_window,
+          options.csv_dir + "/tier_queues.csv", experiment::kMetricWindow,
           {"apache", "tomcat", "mysql"},
           {e.apache_tier_queue(), e.tomcat_tier_queue(), e.mysql_tier_queue()});
       if (e.kv_tier())
         experiment::write_series_csv(options.csv_dir + "/kv_queue.csv",
-                                     e.config().metric_window, {"kv"},
+                                     experiment::kMetricWindow, {"kv"},
                                      {e.kv_tier_queue()});
       experiment::write_series_csv(
-          options.csv_dir + "/vlrt.csv", e.config().metric_window, {"vlrt"},
+          options.csv_dir + "/vlrt.csv", experiment::kMetricWindow, {"vlrt"},
           {experiment::series_count(e.log().vlrt_series(),
                                     e.num_metric_windows())});
       if (e.telemetry()) {

@@ -6,12 +6,12 @@
 // delay observed in the window — additive increase while the queue is
 // healthy, multiplicative decrease the moment delay crosses the threshold.
 // During a pdflush stall the observed delay explodes within one interval,
-// the limit collapses towards min_limit, and excess work is rejected with a
+// the limit collapses towards kMinLimit, and excess work is rejected with a
 // retriable 503 *before* it parks a worker thread — the exact opposite of
 // the paper's funnel, where every tier keeps queueing work it cannot finish.
 //
 // Brownout (Klein et al., ICSE 2014) rides on the same limit: priority p is
-// admitted only while in_flight < limit * brownout_fraction[p], so
+// admitted only while in_flight < limit * kBrownoutFraction[p], so
 // low-priority interactions hit the wall first as the limiter clamps down.
 
 #include <algorithm>
@@ -25,10 +25,20 @@
 
 namespace ntier::control {
 
+/// Queue delay above this trips a multiplicative decrease.
+inline constexpr sim::SimTime kDelayThreshold = sim::SimTime::millis(25);
+inline constexpr double kDecreaseFactor = 0.7;  // limit *= factor on congestion
+inline constexpr double kIncrease = 4.0;  // limit += increase per quiet interval
+inline constexpr double kMinLimit = 8.0;  // never starve the tier completely
+/// Brownout admit fractions per priority class (0 = high). Priority p is
+/// admitted while in_flight < limit * fraction[p], so low-priority work hits
+/// the wall first as the limiter clamps down.
+inline constexpr double kBrownoutFraction[3] = {1.0, 0.92, 0.75};
+
 class AdmissionLimiter {
  public:
   /// `initial_limit` is the tier's nominal concurrency (Apache max_clients,
-  /// Tomcat max_threads); the limit adapts within [min_limit, initial].
+  /// Tomcat max_threads); the limit adapts within [kMinLimit, initial].
   AdmissionLimiter(sim::Simulation& sim, AdmissionConfig cfg,
                    double initial_limit, bool brownout)
       : sim_(sim),
@@ -89,7 +99,7 @@ class AdmissionLimiter {
   double admit_fraction(std::uint8_t priority) const {
     if (!brownout_) return 1.0;
     const int p = priority > 2 ? 2 : priority;
-    return cfg_.brownout_fraction[p];
+    return kBrownoutFraction[p];
   }
 
   void schedule_tick() {
@@ -101,11 +111,11 @@ class AdmissionLimiter {
 
   void tick() {
     const double before = limit_;
-    if (window_max_delay_ > cfg_.delay_threshold) {
-      limit_ = std::max(cfg_.min_limit, limit_ * cfg_.decrease_factor);
+    if (window_max_delay_ > kDelayThreshold) {
+      limit_ = std::max(kMinLimit, limit_ * kDecreaseFactor);
       if (limit_ < before) ++decreases_;
     } else {
-      limit_ = std::min(max_limit_, limit_ + cfg_.increase);
+      limit_ = std::min(max_limit_, limit_ + kIncrease);
       if (limit_ > before) ++increases_;
     }
     if (limit_ != before) {

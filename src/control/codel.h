@@ -2,7 +2,7 @@
 
 // CoDel ("controlled delay", Nichols & Jacobson, CACM 2012) adapted from
 // packet queues to request queues. The controller watches the *sojourn time*
-// of dequeued items: once sojourn has exceeded `target` continuously for
+// of dequeued items: once sojourn has exceeded kCoDelTarget continuously for
 // `interval`, it enters a dropping state and sheds on dequeue with the
 // control-law spacing drop_next += interval / sqrt(drop_count), which backs
 // the queue down to target delay without the global synchronisation a hard
@@ -19,6 +19,10 @@
 
 namespace ntier::control {
 
+/// Acceptable sojourn time: shedding starts once it has been exceeded for a
+/// whole interval.
+inline constexpr sim::SimTime kCoDelTarget = sim::SimTime::millis(20);
+
 class CoDelController {
  public:
   explicit CoDelController(CoDelConfig cfg) : cfg_(cfg) {}
@@ -28,7 +32,7 @@ class CoDelController {
   /// failed response back to the client without occupying a worker).
   bool should_drop(sim::SimTime enqueued, sim::SimTime now) {
     const sim::SimTime sojourn = now - enqueued;
-    if (sojourn < cfg_.target) {
+    if (sojourn < kCoDelTarget) {
       // Below target: leave the dropping state and restart the clock.
       first_above_ = sim::SimTime::zero();
       dropping_ = false;

@@ -38,24 +38,15 @@ const char* to_string(OverloadMode m);
 /// Parses "none|deadline|admission|codel|full"; false on unknown names.
 bool parse_overload_mode(const std::string& s, OverloadMode* out);
 
-/// AIMD limiter knobs (see AdmissionLimiter).
+/// AIMD limiter knobs (see AdmissionLimiter; its fixed gains are constants
+/// in control/admission.h).
 struct AdmissionConfig {
-  /// Queue delay above this trips a multiplicative decrease.
-  sim::SimTime delay_threshold = sim::SimTime::millis(25);
   /// How often the limit adapts (and the delay window resets).
   sim::SimTime interval = sim::SimTime::millis(100);
-  double decrease_factor = 0.7;  // limit *= factor on congestion
-  double increase = 4.0;         // limit += increase per quiet interval
-  double min_limit = 8.0;        // never starve the tier completely
-  /// Brownout admit fractions per priority class (0 = high). Priority p is
-  /// admitted while in_flight < limit * fraction[p], so low-priority work
-  /// hits the wall first as the limiter clamps down.
-  double brownout_fraction[3] = {1.0, 0.92, 0.75};
 };
 
-/// CoDel knobs (see CoDelController).
+/// CoDel knobs (see CoDelController; the sojourn target is kCoDelTarget).
 struct CoDelConfig {
-  sim::SimTime target = sim::SimTime::millis(20);    // acceptable sojourn
   sim::SimTime interval = sim::SimTime::millis(100); // initial drop spacing
 };
 

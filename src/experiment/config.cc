@@ -92,8 +92,8 @@ std::string describe(const ExperimentConfig& c) {
   if (!c.fault_plan.empty())
     os << ", chaos(" << c.fault_plan.size() << " faults)";
   if (c.recovery.enabled)
-    os << ", recovery(degrade=" << c.recovery.degrade_ratio
-       << "x, tick=" << c.recovery.tick.to_string() << ")";
+    os << ", recovery(degrade=" << recovery::kDegradeRatio
+       << "x, tick=" << recovery::kTick.to_string() << ")";
   if (c.overload.any())
     os << ", overload=" << control::to_string(c.overload.mode) << "(budget="
        << c.overload.deadline_budget.to_string() << ")";

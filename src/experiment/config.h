@@ -41,6 +41,11 @@ enum class StallSource {
 
 std::string to_string(StallSource s);
 
+/// Width of every per-window metric: the response-time and VLRT series, the
+/// figure series and the online detector's window (the paper's 50 ms
+/// fine-grained monitoring granularity).
+inline constexpr sim::SimTime kMetricWindow = sim::SimTime::millis(50);
+
 /// Full description of one run: topology, workload, policy/mechanism combo,
 /// and the millibottleneck environment. Presets reproduce the paper's
 /// configurations.
@@ -92,8 +97,6 @@ struct ExperimentConfig {
   lb::PolicyKind policy = lb::PolicyKind::kTotalRequest;
   lb::MechanismKind mechanism = lb::MechanismKind::kBlocking;
   lb::BalancerConfig balancer;
-  /// Per-Tomcat lbfactor weights (empty = homogeneous).
-  std::vector<double> tomcat_weights;
   /// Clients keep a jvmRoute after their first interaction and the
   /// balancers honour it (mod_jk sticky sessions).
   bool sticky_sessions = false;
@@ -138,10 +141,6 @@ struct ExperimentConfig {
   StallSource tomcat_stall_source = StallSource::kPdflush;
   /// Injector profile for the non-pdflush sources (period/duration/severity).
   millib::InjectorConfig injector = millib::gc_pause_profile();
-  /// Foreground dirty throttle on the Tomcat nodes (Linux dirty_ratio in
-  /// bytes; 0 = disabled). When tripped, servlet threads park in their log
-  /// writes — thread starvation instead of (or on top of) the iowait stall.
-  std::uint64_t tomcat_dirty_throttle_bytes = 0;
   /// pdflush active on the MySQL node(s) — used by the DB-tier extension
   /// experiments (replica suffering millibottlenecks).
   bool mysql_millibottlenecks = false;
@@ -168,7 +167,6 @@ struct ExperimentConfig {
   sim::SimTime pdflush_stagger = sim::SimTime::millis(1100);
 
   // -- metrics -------------------------------------------------------------------
-  sim::SimTime metric_window = sim::SimTime::millis(50);
   /// Gates every per-window figure series: CPU and Tomcat iowait per node,
   /// the Apache/MySQL/KV queue gauges, Tomcat dirty pages, and each
   /// balancer's lb_value, committed and assignment series. Off, none is

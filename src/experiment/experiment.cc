@@ -27,7 +27,7 @@ Experiment::Experiment(ExperimentConfig config)
     : config_(normalized(std::move(config))),
       sim_(config_.seed),
       workload_(config_.workload),
-      log_(config_.metric_window, config_.keep_records) {
+      log_(kMetricWindow, config_.keep_records) {
   build();
 }
 
@@ -36,8 +36,7 @@ Experiment::~Experiment() = default;
 std::unique_ptr<os::Node> Experiment::make_node(const std::string& name,
                                                 bool millibottlenecks,
                                                 os::PdflushConfig pdflush,
-                                                int index,
-                                                std::uint64_t throttle_bytes) {
+                                                int index) {
   os::NodeConfig nc;
   nc.name = name;
   nc.cores = config_.cores;
@@ -46,7 +45,6 @@ std::unique_ptr<os::Node> Experiment::make_node(const std::string& name,
   nc.pdflush.enabled = millibottlenecks;
   nc.pdflush.initial_offset =
       config_.pdflush_stagger * static_cast<std::int64_t>(index);
-  nc.dirty_throttle_bytes = throttle_bytes;
   return std::make_unique<os::Node>(sim_, nc);
 }
 
@@ -74,7 +72,7 @@ void Experiment::build() {
   }
   if (config_.online_detect) {
     millib::OnlineDetectorConfig dc = config_.online_detector;
-    dc.window = config_.metric_window;
+    dc.window = kMetricWindow;
     detector_ = std::make_unique<millib::OnlineDetector>(
         dc, trace_->tail_enabled() ? trace_.get() : nullptr);
     trace_->add_sink(detector_.get());
@@ -91,7 +89,7 @@ void Experiment::build() {
   for (int i = 0; i < config_.num_tomcats; ++i)
     tomcat_nodes_.push_back(make_node("tomcat" + std::to_string(i + 1),
                                       tomcat_pdflush, config_.tomcat_pdflush,
-                                      i, config_.tomcat_dirty_throttle_bytes));
+                                      i));
   const bool kv_mode = config_.db_tier == server::DbTier::kKv;
   if (!kv_mode) {
     for (int i = 0; i < config_.num_mysql; ++i)
@@ -230,7 +228,6 @@ void Experiment::build() {
     // current_load for the whole experiment; force the pool on instead.
     if (lb::policy_uses_probes(config_.policy)) ac.probe.enabled = true;
     lb::BalancerConfig bc = config_.balancer;
-    bc.worker_weights = config_.tomcat_weights;
     if (config_.sticky_sessions) bc.sticky_sessions = true;
     auto apache = std::make_unique<server::ApacheServer>(
         sim_, *apache_nodes_[static_cast<std::size_t>(i)], i, tomcat_ptrs,
@@ -355,7 +352,7 @@ void Experiment::build_series() {
   add_nodes(cache_nodes_, obs::Tier::kCache);
 
   if (config_.tracing) {
-    const sim::SimTime w = config_.metric_window;
+    const sim::SimTime w = kMetricWindow;
     for (auto& n : nodes_) {
       n.cpu.emplace(w);
       const auto i = static_cast<std::size_t>(n.index);
@@ -389,7 +386,7 @@ void Experiment::build_series() {
     }
   }
   sampler_ = std::make_unique<metrics::PeriodicSampler>(
-      sim_, config_.metric_window,
+      sim_, kMetricWindow,
       [this](sim::SimTime window_start) { sample(window_start); });
 }
 
@@ -452,7 +449,7 @@ Experiment::tomcat_truth_intervals() const {
 
 std::size_t Experiment::num_metric_windows() const {
   return static_cast<std::size_t>(config_.duration.ns() /
-                                  config_.metric_window.ns());
+                                  kMetricWindow.ns());
 }
 
 namespace {

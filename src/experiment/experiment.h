@@ -193,8 +193,7 @@ class Experiment {
   static ExperimentConfig normalized(ExperimentConfig config);
   std::unique_ptr<os::Node> make_node(const std::string& name,
                                       bool millibottlenecks,
-                                      os::PdflushConfig pdflush, int index,
-                                      std::uint64_t throttle_bytes = 0);
+                                      os::PdflushConfig pdflush, int index);
 
   ExperimentConfig config_;
   sim::Simulation sim_;

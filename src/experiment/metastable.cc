@@ -6,6 +6,18 @@
 
 namespace ntier::experiment {
 
+namespace {
+
+/// ExperimentConfig::scaled factor (offered load is scale-invariant).
+constexpr double kScale = 0.05;
+/// Gray severity: 0.9 => 10x service-time inflation on the targets.
+constexpr double kTriggerSeverity = 0.9;
+/// Invalidation-storm width (cache kind only): multiplier on the sweep's
+/// hottest-rank count, CacheTier's severity semantics — NOT a fraction.
+constexpr double kStormSeverity = 4.0;
+
+}  // namespace
+
 std::string to_string(MetastableKind k) {
   switch (k) {
     case MetastableKind::kRetryStorm: return "retry_storm";
@@ -35,7 +47,7 @@ millib::FaultSpec metastable_trigger(const MetastableOptions& opt) {
       // the tier so the trigger saturates the fleet, not one dodgeable node.
       spec.kind = millib::FaultKind::kGrayDataPath;
       spec.worker = 0;
-      spec.severity = opt.trigger_severity;
+      spec.severity = kTriggerSeverity;
       break;
     case MetastableKind::kCacheStampede:
       // Write burst sweeping the hot key set out of every cache node.
@@ -43,14 +55,14 @@ millib::FaultSpec metastable_trigger(const MetastableOptions& opt) {
       // covers 4x the base hot-rank count), not a gray fraction.
       spec.kind = millib::FaultKind::kInvalidationStorm;
       spec.worker = -1;
-      spec.severity = opt.storm_severity;
+      spec.severity = kStormSeverity;
       break;
   }
   return spec;
 }
 
 ExperimentConfig metastable_config(const MetastableOptions& opt) {
-  ExperimentConfig c = ExperimentConfig::scaled(opt.scale);
+  ExperimentConfig c = ExperimentConfig::scaled(kScale);
   c.label = opt.label();
   c.seed = opt.seed;
   c.duration = opt.duration;

@@ -51,8 +51,6 @@ struct MetastableOptions {
   /// Run with the recovery orchestration layer active.
   bool recovery = false;
   std::uint64_t seed = 42;
-  /// ExperimentConfig::scaled factor (offered load is scale-invariant).
-  double scale = 0.05;
   sim::SimTime duration = sim::SimTime::seconds(40);
   sim::SimTime warmup = sim::SimTime::seconds(3);
   /// The trigger: a short fleet-wide gray fault (one spec per Tomcat, so the
@@ -61,11 +59,6 @@ struct MetastableOptions {
   /// ends so the post-clear basin is observable.
   sim::SimTime trigger_start = sim::SimTime::seconds(10);
   sim::SimTime trigger_duration = sim::SimTime::seconds(2);
-  /// Gray severity: 0.9 => 10x service-time inflation on the targets.
-  double trigger_severity = 0.9;
-  /// Invalidation-storm width (cache kind only): multiplier on the sweep's
-  /// hottest-rank count, CacheTier's severity semantics — NOT a fraction.
-  double storm_severity = 4.0;
 
   std::string label() const;
 };

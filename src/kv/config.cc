@@ -1,6 +1,5 @@
 #include "kv/config.h"
 
-#include <charconv>
 #include <sstream>
 
 namespace ntier::kv {
@@ -40,45 +39,29 @@ std::string KvConfig::to_string() const {
 std::optional<KvConfig> kv_config_from_string(const std::string& s,
                                               std::string* error) {
   KvConfig cfg;
-  auto fail = [error](const std::string& why) {
+  const std::string why = sim::for_each_spec_item(
+      s, [&cfg](const std::string& key, const std::string& value) -> std::string {
+        const auto parsed = sim::parse_number<int>(value);
+        if (!parsed) return "bad integer for '" + key + "': '" + value + "'";
+        if (key == "replicas") cfg.replicas = *parsed;
+        else if (key == "shards") cfg.shards = *parsed;
+        else if (key == "vnodes") cfg.vnodes = *parsed;
+        else if (key == "n") cfg.n = *parsed;
+        else if (key == "r") cfg.r = *parsed;
+        else if (key == "w") cfg.w = *parsed;
+        else if (key == "hints") {
+          if (*parsed < 0) return "hints must be >= 0";
+          cfg.hint_capacity = static_cast<std::size_t>(*parsed);
+        } else {
+          return "unknown key '" + key + "'";
+        }
+        return "";
+      });
+  if (!why.empty()) {
     if (error) *error = "kv config: " + why;
     return std::nullopt;
-  };
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos)
-      return fail("expected key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    int parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size())
-      return fail("bad integer for '" + key + "': '" + value + "'");
-    if (key == "replicas") cfg.replicas = parsed;
-    else if (key == "shards") cfg.shards = parsed;
-    else if (key == "vnodes") cfg.vnodes = parsed;
-    else if (key == "n") cfg.n = parsed;
-    else if (key == "r") cfg.r = parsed;
-    else if (key == "w") cfg.w = parsed;
-    else if (key == "hints") {
-      if (parsed < 0) return fail("hints must be >= 0");
-      cfg.hint_capacity = static_cast<std::size_t>(parsed);
-    } else {
-      return fail("unknown key '" + key + "'");
-    }
   }
-  std::string why;
-  if (!cfg.validate(&why)) {
-    if (error) *error = why;
-    return std::nullopt;
-  }
+  if (!cfg.validate(error)) return std::nullopt;
   return cfg;
 }
 

@@ -26,20 +26,6 @@ struct KvConfig {
   /// Hinted handoff: missed writes stashed on a stand-in replica, bounded
   /// per holder; overflow is counted as handoff_dropped (no silent loss).
   std::size_t hint_capacity = 4096;
-  /// CPU demand of stashing one hint on the stand-in.
-  sim::SimTime hint_store_demand = sim::SimTime::micros(20);
-  /// Pacing between replayed hints on recovery — the replay itself is a
-  /// load spike on the recovering replica, deliberately visible.
-  sim::SimTime hint_replay_gap = sim::SimTime::micros(200);
-
-  /// Shard migration (seeded rebalancing): the source and destination burn
-  /// one chunk of CPU every interval for the fault's duration — the
-  /// rebalancing millibottleneck — and writes landing inside the final
-  /// handover window are shed (migration_shed).
-  sim::SimTime migration_chunk_interval = sim::SimTime::millis(5);
-  sim::SimTime migration_chunk_demand = sim::SimTime::millis(2);
-  std::uint32_t migration_bytes_per_chunk = 262'144;
-  sim::SimTime migration_handover = sim::SimTime::millis(50);
 
   /// Validate the quorum geometry; on failure fills `error` with the reason
   /// (mirrors the CLI's rejection-message contract).

@@ -4,6 +4,14 @@
 
 namespace ntier::kv {
 
+namespace {
+
+/// Dirty bytes per applied write (commit log), feeding the node's page cache
+/// so pdflush-driven millibottlenecks reach the data tier.
+constexpr std::uint32_t kLogBytesPerWrite = 800;
+
+}  // namespace
+
 KvReplica::KvReplica(sim::Simulation& simu, os::Node& node, int id,
                      KvReplicaConfig config)
     : sim_(simu), node_(node), id_(id), config_(config) {}
@@ -57,8 +65,7 @@ bool KvReplica::apply_write(std::uint64_t key, std::uint64_t version) {
   if (version <= stored) return false;
   stored = version;
   ++writes_applied_;
-  if (config_.log_bytes_per_write > 0)
-    node_.page_cache().write_dirty(config_.log_bytes_per_write);
+  node_.page_cache().write_dirty(kLogBytesPerWrite);
   return true;
 }
 

@@ -17,9 +17,6 @@ struct KvReplicaConfig {
   /// Server-side concurrency cap; work beyond it queues FIFO (the shard
   /// queue the hot-key scenarios make visible).
   int max_connections = 256;
-  /// Dirty bytes per applied write (commit log), feeding the node's page
-  /// cache so pdflush-driven millibottlenecks reach the data tier.
-  std::uint32_t log_bytes_per_write = 800;
   /// Bound on hints held for crashed peers (KvConfig::hint_capacity).
   std::size_t hint_capacity = 4096;
 };
@@ -53,7 +50,7 @@ class KvReplica {
   // -- versioned store --------------------------------------------------------
   std::uint64_t version_of(std::uint64_t key) const;
   /// Apply a write if `version` advances the stored one; returns true when
-  /// the store changed (dirties log_bytes_per_write on the node).
+  /// the store changed (dirties kLogBytesPerWrite on the node).
   bool apply_write(std::uint64_t key, std::uint64_t version);
   /// Migration ingest: bulk bytes dirtied without a key-level write.
   void dirty_bytes(std::uint32_t bytes);

@@ -7,6 +7,25 @@
 
 namespace ntier::kv {
 
+namespace {
+
+/// CPU demand of stashing one hint on the stand-in.
+constexpr sim::SimTime kHintStoreDemand = sim::SimTime::micros(20);
+/// Pacing between replayed hints on recovery — the replay itself is a load
+/// spike on the recovering replica, deliberately visible.
+constexpr sim::SimTime kHintReplayGap = sim::SimTime::micros(200);
+
+/// Shard migration (seeded rebalancing): the source and destination burn one
+/// chunk of CPU every interval for the fault's duration — the rebalancing
+/// millibottleneck — and writes landing inside the final handover window are
+/// shed (migration_shed).
+constexpr sim::SimTime kMigrationChunkInterval = sim::SimTime::millis(5);
+constexpr sim::SimTime kMigrationChunkDemand = sim::SimTime::millis(2);
+constexpr std::uint32_t kMigrationBytesPerChunk = 262'144;
+constexpr sim::SimTime kMigrationHandover = sim::SimTime::millis(50);
+
+}  // namespace
+
 KvTier::KvTier(sim::Simulation& simu, std::vector<KvReplica*> replicas,
                KvConfig config, sim::SimTime link_latency)
     : sim_(simu),
@@ -72,7 +91,7 @@ void KvTier::write(const proto::RequestPtr& req, sim::SimTime demand,
   // the membership swap is clean — the millibottleneck a rebalance induces
   // is partly CPU (chunks), partly this write shedding.
   const auto& mig = migrations_[static_cast<std::size_t>(shard)];
-  if (mig.active && sim_.now() >= mig.end - config_.migration_handover) {
+  if (mig.active && sim_.now() >= mig.end - kMigrationHandover) {
     ++stats_.migration_shed;
     if (done) done(false);
     return;
@@ -191,7 +210,7 @@ void KvTier::issue_read_repairs(const OpPtr& op) {
     const int target = rep;
     link_.deliver(sim_, [this, target, key, newest] {
       if (!alive(target)) return;
-      replica(target).execute(config_.hint_store_demand,
+      replica(target).execute(kHintStoreDemand,
                               [this, target, key, newest] {
                                 replica(target).apply_write(key, newest);
                               });
@@ -220,7 +239,7 @@ void KvTier::stash_hint(int home, const proto::RequestPtr& req,
       ++stats_.handoff_dropped;
       return;
     }
-    replica(holder).execute(config_.hint_store_demand, [this, holder, h] {
+    replica(holder).execute(kHintStoreDemand, [this, holder, h] {
       if (alive(h.home)) {
         // The home recovered while this handoff was still in flight — its
         // recovery replay has already run, so forward the write straight to
@@ -299,7 +318,7 @@ void KvTier::replay_one(int holder, std::shared_ptr<std::vector<Hint>> hints,
     stats_.handoff_dropped += hints->size() - i;
     return;
   }
-  replica(holder).execute(config_.hint_store_demand, [this, holder, h, hints,
+  replica(holder).execute(kHintStoreDemand, [this, holder, h, hints,
                                                       i] {
     link_.deliver(sim_, [this, holder, h, hints, i] {
       if (!alive(h.home)) {
@@ -318,7 +337,7 @@ void KvTier::replay_one(int holder, std::shared_ptr<std::vector<Hint>> hints,
                             home, holder, 0, static_cast<double>(h.version));
         });
       }
-      sim_.after(config_.hint_replay_gap, [this, holder, hints, i] {
+      sim_.after(kHintReplayGap, [this, holder, hints, i] {
         replay_one(holder, hints, i + 1);
       });
     });
@@ -350,7 +369,7 @@ void KvTier::begin_migration(int shard, sim::SimTime duration,
                     obs::Tier::kKv, shard, dest, 0, intensity, +1);
 
   mig.chunk_demand = sim::SimTime::from_seconds(
-      config_.migration_chunk_demand.to_seconds() * intensity);
+      kMigrationChunkDemand.to_seconds() * intensity);
   migration_chunk(shard);
   sim_.at(mig.end, [this, shard] { complete_migration(shard); });
 }
@@ -369,13 +388,13 @@ void KvTier::migration_chunk(int shard) {
   ++stats_.migration_chunks;
   NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kKvMigration,
                     obs::Tier::kKv, shard, mig.dest, 0,
-                    static_cast<double>(config_.migration_bytes_per_chunk), 0);
+                    static_cast<double>(kMigrationBytesPerChunk), 0);
   replica(mig.src).execute(mig.chunk_demand, [] {});
   const int dest = mig.dest;
   replica(dest).execute(mig.chunk_demand, [this, dest] {
-    if (alive(dest)) replica(dest).dirty_bytes(config_.migration_bytes_per_chunk);
+    if (alive(dest)) replica(dest).dirty_bytes(kMigrationBytesPerChunk);
   });
-  sim_.after(config_.migration_chunk_interval,
+  sim_.after(kMigrationChunkInterval,
              [this, shard] { migration_chunk(shard); });
 }
 

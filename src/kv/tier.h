@@ -144,7 +144,7 @@ class KvTier {
     int src = -1;
     int dest = -1;
     sim::SimTime end;
-    sim::SimTime chunk_demand;  // migration_chunk_demand scaled by intensity
+    sim::SimTime chunk_demand;  // kMigrationChunkDemand scaled by intensity
   };
 
   void dispatch(const OpPtr& op, int rep);

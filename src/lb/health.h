@@ -39,21 +39,6 @@ struct BreakerConfig {
   sim::SimTime open_duration = sim::SimTime::millis(500);
   /// Trial requests admitted half-open; one failure re-opens immediately.
   int half_open_trials = 3;
-
-  // -- flap hysteresis (gray-failure hardening) -------------------------------
-  /// A re-trip within this window of the previous trip is a *flap*: the
-  /// worker passed its probes (or half-open trials) and immediately failed
-  /// on the data path again — the signature of a gray fault. Each
-  /// consecutive flap doubles the next open dwell, up to `max_flap_backoff`
-  /// doublings, so a flapping worker spends exponentially longer out of
-  /// rotation instead of oscillating at the open_duration cadence.
-  sim::SimTime flap_window = sim::SimTime::seconds(2);
-  int max_flap_backoff = 4;
-  /// Consecutive successful probes required (after the dwell elapses) before
-  /// an open breaker re-admits half-open trials. 1 preserves the original
-  /// single-probe readmission; raising it keeps one lucky probe through a
-  /// gray-degraded worker from re-admitting it.
-  int reopen_probe_successes = 1;
 };
 
 /// Probes every worker of one balancer on a fixed cadence and feeds the

@@ -18,24 +18,22 @@ bool LoadBalancer::attach_probes(probe::ProbePool* pool) {
 
 namespace {
 
-/// Validated per-worker records: tomcat_id = index, weight from the config.
-std::vector<WorkerRecord> make_records(int num_workers,
-                                       const BalancerConfig& config) {
+/// A re-trip within this window of the previous trip is a *flap*: the worker
+/// passed its probes (or half-open trials) and immediately failed on the data
+/// path again — the signature of a gray fault. Each consecutive flap doubles
+/// the next open dwell, up to kMaxFlapBackoff doublings, so a flapping worker
+/// spends exponentially longer out of rotation instead of oscillating at the
+/// open_duration cadence.
+constexpr sim::SimTime kFlapWindow = sim::SimTime::seconds(2);
+constexpr int kMaxFlapBackoff = 4;
+
+/// Validated per-worker records: tomcat_id = index.
+std::vector<WorkerRecord> make_records(int num_workers) {
   if (num_workers < 1)
     throw std::invalid_argument("LoadBalancer: num_workers must be >= 1");
-  if (!config.worker_weights.empty() &&
-      config.worker_weights.size() != static_cast<std::size_t>(num_workers))
-    throw std::invalid_argument("BalancerConfig: worker_weights size mismatch");
   std::vector<WorkerRecord> records(static_cast<std::size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    auto& rec = records[static_cast<std::size_t>(i)];
-    rec.tomcat_id = i;
-    if (!config.worker_weights.empty()) {
-      rec.weight = config.worker_weights[static_cast<std::size_t>(i)];
-      if (rec.weight <= 0)
-        throw std::invalid_argument("BalancerConfig: non-positive weight");
-    }
-  }
+  for (int i = 0; i < num_workers; ++i)
+    records[static_cast<std::size_t>(i)].tomcat_id = i;
   return records;
 }
 
@@ -56,33 +54,13 @@ LoadBalancer::LoadBalancer(sim::Simulation& simu, int num_workers,
       policy_(std::move(policy)),
       acquirer_(std::move(acquirer)),
       config_(std::move(config)),
-      records_(make_records(num_workers, config_)),
+      records_(make_records(num_workers)),
       index_(records_),
       rng_(simu.rng().fork()),
       words_(index_.num_words()) {
   pools_.reserve(static_cast<std::size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i)
     pools_.emplace_back(config_.endpoint_pool_size);
-  if (config_.decay_interval > sim::SimTime::zero()) {
-    if (config_.decay_divisor <= 1.0)
-      throw std::invalid_argument("BalancerConfig: decay_divisor must be > 1");
-    arm_decay();
-  }
-}
-
-void LoadBalancer::arm_decay() {
-  sim_.after(config_.decay_interval, [this] {
-    decay_now();
-    arm_decay();
-  });
-}
-
-void LoadBalancer::decay_now() {
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    records_[i].lb_value /= config_.decay_divisor;
-    index_.touch(static_cast<int>(i));
-    trace_lb_value(static_cast<int>(i));
-  }
 }
 
 void LoadBalancer::set_series(std::span<metrics::GaugeSeries> lb_value,
@@ -152,8 +130,8 @@ void LoadBalancer::open_breaker(WorkerRecord& rec) {
   // the worker passed its readmission checks and failed again on the data
   // path — hold it out exponentially longer each time.
   if (rec.breaker_trips > 0 &&
-      sim_.now() <= rec.breaker_last_trip + bc.flap_window) {
-    rec.flap_streak = std::min(rec.flap_streak + 1, bc.max_flap_backoff);
+      sim_.now() <= rec.breaker_last_trip + kFlapWindow) {
+    rec.flap_streak = std::min(rec.flap_streak + 1, kMaxFlapBackoff);
     ++rec.breaker_flaps;
   } else {
     rec.flap_streak = 0;
@@ -164,7 +142,6 @@ void LoadBalancer::open_breaker(WorkerRecord& rec) {
   rec.breaker_open = true;
   rec.breaker_until = sim_.now() + dwell;
   rec.half_open_left = 0;
-  rec.open_ok_streak = 0;
   ++rec.breaker_trips;
   index_.touch(rec.tomcat_id);
 }
@@ -332,15 +309,10 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
 
   if (rec.breaker_open) {
     if (ok && sim_.now() >= rec.breaker_until) {
-      // Readmission gate: require a streak of ok probes past the dwell so a
-      // single lucky probe through a gray-degraded worker cannot re-admit it.
-      if (++rec.open_ok_streak < config_.breaker.reopen_probe_successes)
-        return;
       // Half-open: re-admit the worker for a handful of trial requests.
       // Reset the mod_jk side too — the probe evidence supersedes whatever
       // Busy/Error verdict the stall left behind.
       rec.breaker_open = false;
-      rec.open_ok_streak = 0;
       rec.half_open_left = config_.breaker.half_open_trials;
       rec.state = WorkerState::kAvailable;
       rec.consecutive_failures = 0;
@@ -348,7 +320,6 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
       index_.touch(idx);
       trace_event(obs::EventKind::kBreakerState, idx, 0, 2.0);  // half-open
     } else if (!ok) {
-      rec.open_ok_streak = 0;
       rec.breaker_until = sim_.now() + config_.breaker.open_duration;
     }
     return;
@@ -364,7 +335,6 @@ int LoadBalancer::reset_breakers() {
   for (std::size_t i = 0; i < records_.size(); ++i) {
     auto& rec = records_[i];
     rec.flap_streak = 0;
-    rec.open_ok_streak = 0;
     if (!rec.breaker_open && rec.half_open_left == 0) continue;
     rec.breaker_open = false;
     rec.half_open_left = 0;

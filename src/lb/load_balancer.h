@@ -40,18 +40,6 @@ struct BalancerConfig {
   sim::SimTime error_recovery = sim::SimTime::seconds(60);
   BlockingAcquirer::Params blocking;
 
-  /// Per-worker lbfactor weights (empty = all 1.0). A weight-2 worker
-  /// receives twice the traffic of a weight-1 worker under the
-  /// value-normalised policies.
-  std::vector<double> worker_weights;
-
-  /// mod_jk "maintain" aging: every interval, every lb_value is divided by
-  /// `decay_divisor`, bounding how long historical imbalance dominates.
-  /// Zero disables it — the paper's pseudo-code has no aging, and aging is
-  /// far too slow (60 s) to help against a 300 ms millibottleneck.
-  sim::SimTime decay_interval = sim::SimTime::zero();
-  double decay_divisor = 2.0;
-
   /// Honour Request::session_route (mod_jk sticky sessions): a request
   /// carrying a route goes back to that worker whenever it is eligible.
   bool sticky_sessions = false;
@@ -138,10 +126,6 @@ class LoadBalancer {
   /// Total breaker open transitions across all workers.
   std::uint64_t breaker_trips() const;
 
-  /// Apply one round of lb_value aging immediately (also runs on the
-  /// configured decay_interval).
-  void decay_now();
-
   /// Record the figures' raw per-worker series: the lb_value gauge, the
   /// committed-queue gauge and one sample per assignment. Each span holds one
   /// entry per worker, or is empty (off). The caller owns the series and
@@ -171,7 +155,6 @@ class LoadBalancer {
 
   /// Lazy Busy/Error recovery plus eligibility filtering.
   bool eligible(WorkerRecord& rec);
-  void arm_decay();
   void mark_failure(WorkerRecord& rec);
   /// Trip the breaker with flap-aware dwell escalation.
   void open_breaker(WorkerRecord& rec);

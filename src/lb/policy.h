@@ -86,14 +86,12 @@ std::unique_ptr<LbPolicy> make_policy(PolicyKind kind);
 // --------------------------------------------------------------------------
 // Concrete policies (exposed for direct construction in tests).
 
-/// Algorithm 2: rank by accumulated number of requests served. The
-/// increment is divided by the worker's lbfactor so a weight-2 worker is
-/// picked twice as often (mod_jk's lb_mult normalisation).
+/// Algorithm 2: rank by accumulated number of requests served.
 class TotalRequestPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kTotalRequest; }
   void on_assigned(WorkerRecord& rec, const proto::Request&) override {
-    rec.lb_value += kLbMult / rec.weight;
+    rec.lb_value += kLbMult;
   }
   void on_completed(WorkerRecord&, const proto::Request&) override {}
 };
@@ -104,9 +102,8 @@ class TotalTrafficPolicy final : public LbPolicy {
   PolicyKind kind() const override { return PolicyKind::kTotalTraffic; }
   void on_assigned(WorkerRecord&, const proto::Request&) override {}
   void on_completed(WorkerRecord& rec, const proto::Request& req) override {
-    rec.lb_value += (static_cast<double>(req.request_bytes) +
-                     req.response_bytes) *
-                    kLbMult / rec.weight;
+    rec.lb_value +=
+        (static_cast<double>(req.request_bytes) + req.response_bytes) * kLbMult;
   }
 };
 
@@ -116,12 +113,11 @@ class CurrentLoadPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kCurrentLoad; }
   void on_assigned(WorkerRecord& rec, const proto::Request&) override {
-    rec.lb_value += kLbMult / rec.weight;
+    rec.lb_value += kLbMult;
   }
   void on_completed(WorkerRecord& rec, const proto::Request&) override {
-    const double step = kLbMult / rec.weight;
-    if (rec.lb_value >= step)
-      rec.lb_value -= step;
+    if (rec.lb_value >= kLbMult)
+      rec.lb_value -= kLbMult;
     else
       rec.lb_value = 0;
   }
@@ -135,7 +131,7 @@ class SessionsPolicy final : public LbPolicy {
  public:
   PolicyKind kind() const override { return PolicyKind::kSessions; }
   void on_assigned(WorkerRecord& rec, const proto::Request& req) override {
-    if (req.session_route < 0) rec.lb_value += kLbMult / rec.weight;
+    if (req.session_route < 0) rec.lb_value += kLbMult;
   }
   void on_completed(WorkerRecord&, const proto::Request&) override {}
 };

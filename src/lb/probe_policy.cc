@@ -8,6 +8,19 @@ namespace ntier::lb {
 
 namespace {
 
+/// Prequal's hot/cold rule: a result whose requests-in-flight exceeds this
+/// quantile of the pooled RIFs is "hot" and excluded from the latency
+/// ranking.
+constexpr double kHotQuantile = 0.75;
+/// Safety factor on the hot threshold: a worker only counts as hot when its
+/// RIF exceeds max(quantile_value * kHotFactor, quantile_value + 1).
+/// Ordinary Poisson spread around a balanced operating point stays under it;
+/// a millibottleneck's queue spike (tens to hundreds of requests in one
+/// stall) crosses it immediately. Keeps the hot/cold rule from firing on
+/// noise in small clusters, where the raw quantile rule marks the momentary
+/// maximum hot almost every decision.
+constexpr double kHotFactor = 2.0;
+
 /// Drift-corrected requests-in-flight: the probed global snapshot, with the
 /// balancer's own (stale) contribution swapped for its exact live count.
 /// Between probe replies the balancer knows precisely how its own in-flight
@@ -85,19 +98,18 @@ int PrequalPolicy::pick(const std::vector<WorkerRecord>& records,
         fresh.push_back(*r);
       }
     if (!fresh.empty()) {
-      // Hot threshold: the configured quantile of the fresh RIFs, widened by
-      // the hot_factor safety margin so ordinary spread around a balanced
+      // Hot threshold: the kHotQuantile quantile of the fresh RIFs, widened
+      // by the kHotFactor safety margin so ordinary spread around a balanced
       // point marks nobody hot while a millibottleneck's queue spike does.
       std::vector<double>& rifs = rifs_;
       rifs.clear();
       for (const auto& r : fresh) rifs.push_back(r.rif);
       std::sort(rifs.begin(), rifs.end());
-      const auto& pc = pool_->config();
       const auto pos = static_cast<std::size_t>(
-          std::floor(pc.hot_quantile * static_cast<double>(rifs.size() - 1)));
+          std::floor(kHotQuantile * static_cast<double>(rifs.size() - 1)));
       const double quantile = rifs[std::min(pos, rifs.size() - 1)];
       const double hot_threshold =
-          std::max(quantile * pc.hot_factor, quantile + 1.0);
+          std::max(quantile * kHotFactor, quantile + 1.0);
 
       // Anomaly regime — someone is hot: the lexicographic rule. Among cold
       // workers pick the lowest estimated latency; if everyone is hot, fall

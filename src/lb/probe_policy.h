@@ -11,7 +11,7 @@ namespace ntier::lb {
 /// Base for the probe-driven policy family (kPowerOfD, kPrequal).
 ///
 /// Both policies keep current_load-style lb_value bookkeeping (+1 per
-/// assigned request, -1 per response, normalised by weight) so that the base
+/// assigned request, -1 per response) so that the base
 /// class's default lowest-lb_value pick IS the documented fallback: when the
 /// probe pool is unbound, empty, or holds only stale results, the decision
 /// degrades to exactly the paper's current_load remedy instead of anything
@@ -31,12 +31,11 @@ class ProbeAwarePolicy : public LbPolicy {
   std::uint64_t fallback_picks() const { return fallback_picks_; }
 
   void on_assigned(WorkerRecord& rec, const proto::Request&) override {
-    rec.lb_value += kLbMult / rec.weight;
+    rec.lb_value += kLbMult;
   }
   void on_completed(WorkerRecord& rec, const proto::Request&) override {
-    const double step = kLbMult / rec.weight;
-    if (rec.lb_value >= step)
-      rec.lb_value -= step;
+    if (rec.lb_value >= kLbMult)
+      rec.lb_value -= kLbMult;
     else
       rec.lb_value = 0;
   }
@@ -75,8 +74,8 @@ class PowerOfDPolicy final : public ProbeAwarePolicy {
 /// Prequal's hot/cold lexicographic rule, gated on an anomaly signal.
 ///
 /// Among eligible workers with fresh probes, classify as hot those whose
-/// drift-corrected RIF exceeds the configured quantile of the pooled RIFs by
-/// the hot_factor safety margin (the millibottleneck signature). When the
+/// drift-corrected RIF exceeds the kHotQuantile quantile of the pooled RIFs by
+/// the kHotFactor safety margin (the millibottleneck signature). When the
 /// hot set is non-empty, apply the lexicographic rule: pick the cold worker
 /// with the lowest estimated latency (all hot → lowest RIF).
 ///

@@ -34,11 +34,6 @@ struct WorkerRecord {
   /// picked (mod_jk's normalised lb_value).
   double lb_value = 0;
 
-  /// mod_jk lbfactor: a weight-2 worker should receive twice the traffic of
-  /// a weight-1 worker. Policies normalise their lb_value increments by
-  /// this factor, exactly like mod_jk's lb_mult scaling.
-  double weight = 1.0;
-
   // -- probe-driven health (lb/health.h) -------------------------------------
   /// EWMA of probe outcomes in [0, 1]; 1.0 = every recent probe succeeded.
   double health = 1.0;
@@ -52,13 +47,11 @@ struct WorkerRecord {
   sim::SimTime breaker_until;
   int half_open_left = 0;
   std::uint64_t breaker_trips = 0;
-  /// Flap hysteresis: a trip within BreakerConfig::flap_window of the last
-  /// one escalates the open dwell (gray faults pass probes, fail data).
+  /// Flap hysteresis: a trip within the flap window of the last one
+  /// escalates the open dwell (gray faults pass probes, fail data).
   sim::SimTime breaker_last_trip;
-  int flap_streak = 0;              // consecutive trips inside flap_window
+  int flap_streak = 0;              // consecutive trips inside the window
   std::uint64_t breaker_flaps = 0;  // trips that counted as flaps
-  /// Consecutive ok probes observed while open (readmission gate).
-  int open_ok_streak = 0;
 
   // -- statistics ------------------------------------------------------------
   std::uint64_t assigned = 0;    // endpoint acquired & request sent

@@ -227,10 +227,10 @@ CausalChainReport CausalChainAnalyzer::analyze(
   for (const auto& [key, samples] : iowait_samples) {
     std::vector<Interval>& out = iowait_spikes[key];
     for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (samples[i].second < thresholds.iowait_threshold) continue;
+      if (samples[i].second < kIowaitThreshold) continue;
       Interval iv{samples[i].first, samples[i].first, samples[i].second};
       while (i + 1 < samples.size() &&
-             samples[i + 1].second >= thresholds.iowait_threshold) {
+             samples[i + 1].second >= kIowaitThreshold) {
         ++i;
         iv.end = samples[i].first;
         iv.magnitude = std::max(iv.magnitude, samples[i].second);

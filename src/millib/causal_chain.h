@@ -23,9 +23,9 @@ namespace ntier::millib {
 /// the queue-spike hop; iowait comes from the periodic kIoWait samples, and
 /// lb_value freezes are gaps in the kLbValue update stream.
 struct CausalChainConfig {
-  /// The replayed detector. Its window, iowait_threshold, lb_freeze_min and
-  /// vlrt_threshold_ms are also the analyzer's iowait-spike, frozen-lb_value
-  /// and VLRT thresholds.
+  /// The replayed detector. Its window, lb_freeze_min and vlrt_threshold_ms
+  /// (with kIowaitThreshold) are also the analyzer's frozen-lb_value, VLRT
+  /// and iowait-spike thresholds.
   OnlineDetectorConfig detector;
   /// Temporal slack when joining links to an OS episode: effects may lead
   /// the episode's bookkeeping slightly (threshold-triggered flushes) and

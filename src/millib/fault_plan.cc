@@ -8,6 +8,14 @@
 
 namespace ntier::millib {
 
+namespace {
+
+/// Severity range of randomized faults.
+constexpr double kMinSeverity = 0.6;
+constexpr double kMaxSeverity = 1.0;
+
+}  // namespace
+
 std::string to_string(FaultKind k) {
   switch (k) {
     case FaultKind::kCapacityStall: return "capacity_stall";
@@ -90,9 +98,9 @@ FaultPlan FaultPlan::randomized(std::uint64_t seed,
     spec.kind = static_cast<FaultKind>(rng.weighted_index(config.kind_weights));
     spec.start = t;
     spec.duration = sim::SimTime::from_seconds(
-        rng.uniform(config.min_duration.to_seconds(),
+        rng.uniform(kMinFaultDuration.to_seconds(),
                     config.max_duration.to_seconds()));
-    spec.severity = rng.uniform(config.min_severity, config.max_severity);
+    spec.severity = rng.uniform(kMinSeverity, kMaxSeverity);
     spec.worker = static_cast<int>(
         rng.uniform_int(0, static_cast<std::int64_t>(num_workers) - 1));
     switch (spec.kind) {
@@ -106,8 +114,8 @@ FaultPlan FaultPlan::randomized(std::uint64_t seed,
     if (spec.kind == FaultKind::kLinkFault ||
         spec.kind == FaultKind::kGrayLink) {
       spec.extra_latency = sim::SimTime::from_seconds(
-          rng.uniform(0.0, config.max_extra_latency.to_seconds()));
-      spec.loss_probability = rng.uniform(0.05, config.max_loss_probability);
+          rng.uniform(0.0, kMaxExtraLatency.to_seconds()));
+      spec.loss_probability = rng.uniform(0.05, kMaxLossProbability);
     }
     if (spec.kind == FaultKind::kPoolLeak) spec.leak_slots = config.leak_slots;
     plan.specs.push_back(spec);

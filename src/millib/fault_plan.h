@@ -71,6 +71,12 @@ struct FaultSpec {
   std::string to_string() const;
 };
 
+/// Fixed bounds of `FaultPlan::randomized` draws: the shortest fault, and the
+/// link faults' added latency and loss probability (drawn from 0.05 up).
+inline constexpr sim::SimTime kMinFaultDuration = sim::SimTime::millis(120);
+inline constexpr sim::SimTime kMaxExtraLatency = sim::SimTime::millis(20);
+inline constexpr double kMaxLossProbability = 0.4;
+
 /// Knobs for `FaultPlan::randomized`. Defaults produce a varied schedule
 /// that fits inside a ~20 s scaled run and clears before its end.
 struct FaultPlanConfig {
@@ -80,7 +86,6 @@ struct FaultPlanConfig {
   sim::SimTime initial_offset = sim::SimTime::seconds(4);
   /// Mean gap between consecutive fault starts (exponential).
   sim::SimTime mean_gap = sim::SimTime::millis(1500);
-  sim::SimTime min_duration = sim::SimTime::millis(120);
   sim::SimTime max_duration = sim::SimTime::millis(1800);
   std::size_t max_faults = 16;
   /// Relative draw weights indexed by FaultKind order; zero disables a kind.
@@ -89,10 +94,6 @@ struct FaultPlanConfig {
   /// them explicitly. Appending zero-weight tail entries leaves every
   /// existing seed's draw sequence intact.
   std::vector<double> kind_weights = {3, 1, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0};
-  double min_severity = 0.6;
-  double max_severity = 1.0;
-  sim::SimTime max_extra_latency = sim::SimTime::millis(20);
-  double max_loss_probability = 0.4;
   int leak_slots = 8;
 };
 

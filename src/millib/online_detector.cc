@@ -11,6 +11,30 @@ using obs::TraceEvent;
 using sim::SimTime;
 
 namespace {
+/// Queue spike: window max >= max(kQueueMinAbsolute, kQueueMedianMultiplier *
+/// median of the trailing per-window maxima).
+constexpr double kQueueMedianMultiplier = 5.0;
+constexpr double kQueueMinAbsolute = 10.0;
+/// Trailing window-max ring per Tomcat the baseline median is taken over.
+constexpr int kBaselineWindows = 40;
+/// Windows of baseline required before detection may fire (warmup guard:
+/// a median over too few windows is noise, and every spurious open is a
+/// false positive in the quiet regime).
+constexpr int kMinBaseline = 8;
+/// How far back evidence (saturation / freeze) may predate the queue-spike
+/// onset and still confirm the episode.
+constexpr SimTime kEvidenceSlack = SimTime::millis(150);
+/// Quiet windows after the last spiking one before the episode closes.
+constexpr int kCloseAfterQuiet = 3;
+/// Margin the tail sampler keeps around a detected episode.
+constexpr SimTime kMarkPre = SimTime::millis(150);
+constexpr SimTime kMarkPost = SimTime::millis(150);
+/// Cap on the per-episode marked context, measured from the onset. The
+/// detector keeps tracking an episode through its whole queue drain, but
+/// the drain can outlast the stall several times over — marking all of it
+/// would defeat the volume reduction (VLRTs born in the drain are still
+/// retained end to end via their own request marks).
+constexpr SimTime kMarkMax = SimTime::millis(600);
 /// A spike run stays open across this many quiet windows.
 constexpr int kRunMergeGap = 1;
 /// Tomcat indices come from the int32 worker field of balancer events, but a
@@ -32,10 +56,6 @@ OnlineDetector::OnlineDetector(OnlineDetectorConfig config,
                                obs::TraceCollector* tail)
     : config_(config), tail_(tail) {
   if (config_.window.ns() <= 0) config_.window = SimTime::millis(50);
-  if (config_.baseline_windows < 1) config_.baseline_windows = 1;
-  if (config_.min_baseline < 1) config_.min_baseline = 1;
-  if (config_.min_baseline > config_.baseline_windows)
-    config_.min_baseline = config_.baseline_windows;
 }
 
 OnlineDetector::NodeState& OnlineDetector::node(int n) {
@@ -69,7 +89,7 @@ bool OnlineDetector::frozen_now(const NodeState& st, SimTime now) const {
 void OnlineDetector::mark_episode(const OnlineEpisode& ep, SimTime t0,
                                   SimTime t1, int n) {
   if (!tail_) return;
-  const SimTime cap = ep.onset + config_.mark_max;
+  const SimTime cap = ep.onset + kMarkMax;
   if (t1 > cap) t1 = cap;
   if (t0 >= t1) return;
   tail_->mark_range(t0, t1, n);
@@ -78,12 +98,12 @@ void OnlineDetector::mark_episode(const OnlineEpisode& ep, SimTime t0,
 void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
                                    SimTime win_end) {
   const bool baseline_ready =
-      st.baseline_count >= static_cast<std::size_t>(config_.min_baseline);
+      st.baseline_count >= static_cast<std::size_t>(kMinBaseline);
   bool spike = false;
   if (baseline_ready) {
     const double threshold =
-        std::max(config_.queue_min_absolute,
-                 config_.queue_median_multiplier * baseline_median(st));
+        std::max(kQueueMinAbsolute,
+                 kQueueMedianMultiplier * baseline_median(st));
     spike = st.window_max >= threshold;
   }
 
@@ -109,10 +129,10 @@ void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
       ep.queue_peak = std::max(ep.queue_peak, st.window_max);
       ep.iowait_peak = std::max(ep.iowait_peak, st.iowait_recent_peak);
       st.quiet_windows = 0;
-      mark_episode(ep, win_start, win_end + config_.mark_post, n);
-    } else if (++st.quiet_windows >= config_.close_after_quiet) {
+      mark_episode(ep, win_start, win_end + kMarkPost, n);
+    } else if (++st.quiet_windows >= kCloseAfterQuiet) {
       ep.closed = true;
-      mark_episode(ep, ep.end, ep.end + config_.mark_post, n);
+      mark_episode(ep, ep.end, ep.end + kMarkPost, n);
       st.open_episode = -1;
       st.quiet_windows = 0;
     }
@@ -121,7 +141,7 @@ void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
       st.candidate = true;
       st.candidate_onset = win_start;
     }
-    const SimTime horizon = st.candidate_onset - config_.evidence_slack;
+    const SimTime horizon = st.candidate_onset - kEvidenceSlack;
     const bool saturated = st.saw_iowait_high && st.last_iowait_high >= horizon;
     const bool frozen = (st.saw_freeze && st.last_freeze_evidence >= horizon) ||
                         frozen_now(st, win_end);
@@ -137,8 +157,7 @@ void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
       episodes_.push_back(ep);
       st.candidate = false;
       st.quiet_windows = 0;
-      mark_episode(ep, ep.onset - config_.mark_pre,
-                   win_end + config_.mark_post, n);
+      mark_episode(ep, ep.onset - kMarkPre, win_end + kMarkPost, n);
     }
   } else {
     // Spike lapsed without the full signature: drop the candidate. This is
@@ -151,7 +170,7 @@ void OnlineDetector::evaluate_node(int n, NodeState& st, SimTime win_start,
   // starts from the current level, and the baseline ring absorbs this
   // window's max (spiky windows included; the median is robust to them).
   if (st.baseline.empty())
-    st.baseline.assign(static_cast<std::size_t>(config_.baseline_windows), 0.0);
+    st.baseline.assign(static_cast<std::size_t>(kBaselineWindows), 0.0);
   st.baseline[st.baseline_next] = st.window_max;
   st.baseline_next = (st.baseline_next + 1) % st.baseline.size();
   st.baseline_count = std::min(st.baseline_count + 1, st.baseline.size());
@@ -178,7 +197,7 @@ void OnlineDetector::attribute_vlrt(const TraceEvent& e) {
   if (tail_) tail_->mark_request(e.request);
   // Join the completion to the most recent overlapping episode (scan from
   // the back; episodes are in detection order).
-  const SimTime slack = config_.evidence_slack;
+  const SimTime slack = kEvidenceSlack;
   for (std::size_t i = episodes_.size(); i-- > 0;) {
     OnlineEpisode& ep = episodes_[i];
     if (ep.end + SimTime::seconds(2) < e.at && ep.closed) break;
@@ -205,7 +224,7 @@ void OnlineDetector::observe(const TraceEvent& e) {
       if (e.tier != Tier::kTomcat || e.node < 0) break;
       NodeState& st = node(e.node);
       st.iowait_recent_peak = std::max(st.iowait_recent_peak, e.value);
-      if (e.value >= config_.iowait_threshold) {
+      if (e.value >= kIowaitThreshold) {
         st.saw_iowait_high = true;
         st.last_iowait_high = e.at;
       }
@@ -241,7 +260,7 @@ void OnlineDetector::finish(SimTime at) {
     if (st.open_episode < 0) continue;
     OnlineEpisode& ep = episodes_[static_cast<std::size_t>(st.open_episode)];
     ep.closed = true;
-    mark_episode(ep, ep.end, ep.end + config_.mark_post, static_cast<int>(n));
+    mark_episode(ep, ep.end, ep.end + kMarkPost, static_cast<int>(n));
     st.open_episode = -1;
   }
 }

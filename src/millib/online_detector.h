@@ -10,44 +10,23 @@
 
 namespace ntier::millib {
 
-/// Tuning of the streaming millibottleneck detector: 50 ms windows,
-/// 5x-median queue spikes with an absolute floor, 0.5 iowait saturation and a
-/// 100 ms lb_value freeze. The offline CausalChainAnalyzer replays its trace
-/// through this detector and joins with the same thresholds.
+/// An iowait sample at/above this fraction is saturation evidence (for the
+/// detector and for the CausalChainAnalyzer's iowait-spike hop).
+inline constexpr double kIowaitThreshold = 0.5;
+
+/// Tuning of the streaming millibottleneck detector: 50 ms windows, a 100 ms
+/// lb_value freeze and a 1 s VLRT; the queue-spike and marking rules are
+/// constants in online_detector.cc, the saturation rule is kIowaitThreshold.
+/// The offline CausalChainAnalyzer replays its trace through this detector
+/// and joins with the same thresholds.
 struct OnlineDetectorConfig {
   /// Evaluation window (the paper's fine-grained monitoring granularity).
   sim::SimTime window = sim::SimTime::millis(50);
-  /// Queue spike: window max >= max(min_absolute, multiplier * median of the
-  /// trailing per-window maxima).
-  double queue_median_multiplier = 5.0;
-  double queue_min_absolute = 10.0;
-  /// Trailing window-max ring per Tomcat the baseline median is taken over.
-  int baseline_windows = 40;
-  /// Windows of baseline required before detection may fire (warmup guard:
-  /// a median over too few windows is noise, and every spurious open is a
-  /// false positive in the quiet regime).
-  int min_baseline = 8;
-  /// An iowait sample at/above this fraction is saturation evidence.
-  double iowait_threshold = 0.5;
   /// All balancers silent on a worker for this long = frozen lb_value.
   sim::SimTime lb_freeze_min = sim::SimTime::millis(100);
-  /// How far back evidence (saturation / freeze) may predate the queue-spike
-  /// onset and still confirm the episode.
-  sim::SimTime evidence_slack = sim::SimTime::millis(150);
-  /// Quiet windows after the last spiking one before the episode closes.
-  int close_after_quiet = 3;
   /// VLRT definition used to join late completions onto open episodes and
   /// to trigger the tail sampler's keep-this-request flush.
   double vlrt_threshold_ms = 1000.0;
-  /// Margin the tail sampler keeps around a detected episode.
-  sim::SimTime mark_pre = sim::SimTime::millis(150);
-  sim::SimTime mark_post = sim::SimTime::millis(150);
-  /// Cap on the per-episode marked context, measured from the onset. The
-  /// detector keeps tracking an episode through its whole queue drain, but
-  /// the drain can outlast the stall several times over — marking all of it
-  /// would defeat the volume reduction (VLRTs born in the drain are still
-  /// retained end to end via their own request marks).
-  sim::SimTime mark_max = sim::SimTime::millis(600);
 };
 
 /// One episode the detector flagged during the run. `onset` is the start of
@@ -169,7 +148,7 @@ class OnlineDetector : public obs::TraceSink {
   double baseline_median(const NodeState& st) const;
   bool frozen_now(const NodeState& st, sim::SimTime now) const;
   void attribute_vlrt(const obs::TraceEvent& e);
-  /// mark_range clamped to the episode's [onset - mark_pre, onset + mark_max]
+  /// mark_range clamped to the episode's [onset - kMarkPre, onset + kMarkMax]
   /// context budget.
   void mark_episode(const OnlineEpisode& ep, sim::SimTime t0, sim::SimTime t1,
                     int n);

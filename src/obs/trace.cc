@@ -4,6 +4,15 @@
 
 namespace ntier::obs {
 
+namespace {
+
+/// Keep every event of requests with id % kHeadEvery == 0 — a deterministic
+/// unbiased baseline population (id 0 is not used by the workload, so the
+/// sample is exactly 1/kHeadEvery of traffic).
+constexpr std::uint64_t kHeadEvery = 101;
+
+}  // namespace
+
 // ---- tail-based sampling -----------------------------------------------------
 
 bool TraceCollector::episode_relevant(const TraceEvent& e, int node) {
@@ -44,9 +53,7 @@ bool TraceCollector::tail_keep(const TraceEvent& e) const {
     // episode windows (the only place a freeze gap is diagnostically useful).
     if (e.kind != EventKind::kLbValue) return true;
   } else {
-    if (config_.tail.head_every &&
-        e.request % config_.tail.head_every == 0)
-      return true;
+    if (e.request % kHeadEvery == 0) return true;
     if (tail_marked_requests_.count(e.request)) return true;
   }
   for (const MarkRange& m : tail_marks_) {

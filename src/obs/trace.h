@@ -162,10 +162,6 @@ struct TailConfig {
   /// final. Must exceed the longest response time a marked request can have
   /// (its earliest events must still be buffered when kClientDone arrives).
   sim::SimTime horizon = sim::SimTime::seconds(12);
-  /// Keep every event of requests with id % head_every == 0 — a
-  /// deterministic unbiased baseline population (id 0 is not used by the
-  /// workload, so the sample is exactly 1/head_every of traffic).
-  std::uint64_t head_every = 101;
 };
 
 struct TraceConfig {

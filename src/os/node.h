@@ -20,10 +20,6 @@ struct NodeConfig {
   /// on a 7200-rpm SATA spindle, well below the sequential maximum).
   double disk_bytes_per_second = 40.0 * (1 << 20);  // 40 MB/s
   PdflushConfig pdflush;
-  /// Foreground dirty throttle (Linux dirty_ratio expressed in bytes;
-  /// 0 = disabled). Writers crossing it are parked until the next flush —
-  /// the *other* way writeback stalls foreground work.
-  std::uint64_t dirty_throttle_bytes = 0;
 };
 
 /// One machine: CPU + disk + page cache + writeback daemon. Tier servers
@@ -36,9 +32,7 @@ class Node {
         cpu_(simu, config_.cores, config_.name + "/cpu"),
         disk_(simu, config_.disk_bytes_per_second, config_.name + "/disk"),
         page_cache_(simu),
-        pdflush_(simu, page_cache_, disk_, cpu_, config_.pdflush) {
-    page_cache_.set_throttle_limit(config_.dirty_throttle_bytes);
-  }
+        pdflush_(simu, page_cache_, disk_, cpu_, config_.pdflush) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

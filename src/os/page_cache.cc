@@ -14,27 +14,11 @@ void PageCache::write_dirty(std::uint64_t bytes) {
   }
 }
 
-void PageCache::write_dirty_throttled(std::uint64_t bytes,
-                                      sim::Callback<void()> proceed) {
-  write_dirty(bytes);
-  if (over_throttle()) {
-    throttled_.push_back(std::move(proceed));  // balance_dirty_pages parks us
-  } else {
-    proceed();
-  }
-}
-
 std::uint64_t PageCache::take_all_dirty() {
   const std::uint64_t taken = dirty_;
   dirty_ = 0;
   above_threshold_ = false;
   if (dirty_series_) dirty_series_->set(sim_.now(), 0.0);
-  if (!throttled_.empty()) {
-    // Writeback claimed the dirty pages: every parked writer may proceed.
-    std::vector<sim::Callback<void()>> wake;
-    wake.swap(throttled_);
-    for (auto& w : wake) w();
-  }
   return taken;
 }
 

@@ -2,10 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "metrics/time_series.h"
-#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace ntier::os {
@@ -23,22 +21,7 @@ class PageCache {
   /// Append `bytes` of dirty data (e.g. a log write).
   void write_dirty(std::uint64_t bytes);
 
-  /// Append dirty data subject to the foreground throttle (Linux
-  /// balance_dirty_pages / dirty_ratio): when the dirty total exceeds the
-  /// throttle limit, the writing thread is parked and `proceed` runs only
-  /// after writeback drains the cache. With no limit set this is exactly
-  /// write_dirty + an immediate `proceed()`.
-  void write_dirty_throttled(std::uint64_t bytes, sim::Callback<void()> proceed);
-
-  /// Foreground throttle limit in bytes (0 = disabled).
-  void set_throttle_limit(std::uint64_t bytes) { throttle_limit_ = bytes; }
-  bool over_throttle() const {
-    return throttle_limit_ != 0 && dirty_ > throttle_limit_;
-  }
-  std::size_t throttled_writers() const { return throttled_.size(); }
-
-  /// Claim every dirty byte for writeback; resets the gauge to zero and
-  /// releases every throttled writer.
+  /// Claim every dirty byte for writeback; resets the gauge to zero.
   std::uint64_t take_all_dirty();
 
   std::uint64_t dirty_bytes() const { return dirty_; }
@@ -59,8 +42,6 @@ class PageCache {
   std::uint64_t threshold_ = 0;
   bool above_threshold_ = false;
   std::function<void()> threshold_cb_;
-  std::uint64_t throttle_limit_ = 0;
-  std::vector<sim::Callback<void()>> throttled_;
   metrics::GaugeSeries* dirty_series_ = nullptr;
 };
 

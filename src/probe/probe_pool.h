@@ -38,18 +38,6 @@ struct ProbeConfig {
   /// Bounded pool of retained probe results; inserting into a full pool
   /// evicts the oldest entry.
   std::size_t capacity = 16;
-  /// Prequal's hot/cold rule: a result whose requests-in-flight exceeds
-  /// this quantile of the pooled RIFs is "hot" and excluded from the
-  /// latency ranking.
-  double hot_quantile = 0.75;
-  /// Safety factor on the hot threshold: a worker only counts as hot when
-  /// its RIF exceeds max(quantile_value * hot_factor, quantile_value + 1).
-  /// Ordinary Poisson spread around a balanced operating point stays under
-  /// it; a millibottleneck's queue spike (tens to hundreds of requests in
-  /// one stall) crosses it immediately. Keeps the hot/cold rule from firing
-  /// on noise in small clusters, where the raw quantile rule marks the
-  /// momentary maximum hot almost every decision.
-  double hot_factor = 2.0;
 };
 
 /// One probe reply retained in the pool.

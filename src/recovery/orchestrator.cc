@@ -5,6 +5,29 @@
 
 namespace ntier::recovery {
 
+namespace {
+
+/// EWMA weight of healthy-tick observations on the learned baseline.
+constexpr double kBaselineAlpha = 0.05;
+/// Consecutive degraded ticks before an episode is declared (entry
+/// hysteresis: one slow tick is a millibottleneck, not a failure state).
+constexpr int kEnterTicks = 3;
+/// Consecutive healthy ticks before the episode steps down (exit
+/// hysteresis: guards against re-declaring on the first wobble).
+constexpr int kExitTicks = 8;
+/// Retry suppression trips when the per-tick retry-to-first-attempt ratio
+/// exceeds kRetryRatioOn, and lifts below kRetryRatioOff (the gap is the
+/// intervention's own hysteresis band).
+constexpr double kRetryRatioOn = 0.25;
+constexpr double kRetryRatioOff = 0.10;
+/// Hard shedding trips when the committed-queue depth exceeds kShedQueueOn x
+/// its baseline, and lifts once the queue drains below kShedQueueOff x
+/// baseline (the drain watermark).
+constexpr double kShedQueueOn = 4.0;
+constexpr double kShedQueueOff = 1.5;
+
+}  // namespace
+
 const char* to_string(RecoveryStage s) {
   switch (s) {
     case RecoveryStage::kRetrySuppression: return "retry_suppression";
@@ -39,7 +62,7 @@ void RecoveryOrchestrator::start() {
   started_ = true;
   if (signals_.retries) last_retries_ = signals_.retries();
   if (signals_.first_attempts) last_first_attempts_ = signals_.first_attempts();
-  sim_.after(config_.tick, [this] { tick(); });
+  sim_.after(kTick, [this] { tick(); });
 }
 
 void RecoveryOrchestrator::observe(const obs::TraceEvent& e) {
@@ -128,10 +151,10 @@ void RecoveryOrchestrator::tick() {
   if (baseline_ready_ && base_latency_ms_ > 0) {
     ratio = latency_ms / base_latency_ms_;
     stats_.max_latency_ratio = std::max(stats_.max_latency_ratio, ratio);
-    const bool slow = ratio > config_.degrade_ratio;
+    const bool slow = ratio > kDegradeRatio;
     const bool starved =
         base_completions_ > 0 &&
-        completions < base_completions_ / config_.degrade_ratio &&
+        completions < base_completions_ / kDegradeRatio &&
         (latency_ms > base_latency_ms_ || completions == 0);
     degraded = slow || starved;
   }
@@ -147,42 +170,42 @@ void RecoveryOrchestrator::tick() {
       base_queue_ = queue;
       baseline_ready_ = true;
     } else {
-      base_latency_ms_ += config_.baseline_alpha * (latency_ms - base_latency_ms_);
+      base_latency_ms_ += kBaselineAlpha * (latency_ms - base_latency_ms_);
       base_completions_ +=
-          config_.baseline_alpha * (completions - base_completions_);
-      base_queue_ += config_.baseline_alpha * (queue - base_queue_);
+          kBaselineAlpha * (completions - base_completions_);
+      base_queue_ += kBaselineAlpha * (queue - base_queue_);
     }
   }
 
   // Episode state machine with two-sided hysteresis.
   if (!episode_active_) {
     degraded_streak_ = degraded ? degraded_streak_ + 1 : 0;
-    if (degraded_streak_ >= config_.enter_ticks) enter_episode(ratio);
+    if (degraded_streak_ >= kEnterTicks) enter_episode(ratio);
   } else {
     ++stats_.episode_ticks;
     healthy_streak_ = degraded ? 0 : healthy_streak_ + 1;
-    if (healthy_streak_ >= config_.exit_ticks) {
+    if (healthy_streak_ >= kExitTicks) {
       exit_episode();
     } else {
       // -- staged interventions, each with its own on/off band ----------------
-      if (!retry_suppressed_ && retry_ratio >= config_.retry_ratio_on) {
+      if (!retry_suppressed_ && retry_ratio >= kRetryRatioOn) {
         retry_suppressed_ = true;
         ++stats_.retry_suppressions;
         if (actions_.suppress_retries) actions_.suppress_retries(true);
         set_stage(RecoveryStage::kRetrySuppression, true, retry_ratio);
-      } else if (retry_suppressed_ && retry_ratio <= config_.retry_ratio_off) {
+      } else if (retry_suppressed_ && retry_ratio <= kRetryRatioOff) {
         retry_suppressed_ = false;
         if (actions_.suppress_retries) actions_.suppress_retries(false);
         set_stage(RecoveryStage::kRetrySuppression, false, retry_ratio);
       }
 
       const double queue_base = std::max(base_queue_, 1.0);
-      if (!shedding_ && queue >= config_.shed_queue_on * queue_base) {
+      if (!shedding_ && queue >= kShedQueueOn * queue_base) {
         shedding_ = true;
         ++stats_.hard_sheds;
         if (actions_.hard_shed) actions_.hard_shed(true);
         set_stage(RecoveryStage::kHardShed, true, queue);
-      } else if (shedding_ && queue <= config_.shed_queue_off * queue_base) {
+      } else if (shedding_ && queue <= kShedQueueOff * queue_base) {
         // Queues drained below the watermark: stop shedding before the
         // episode itself ends (the episode may still be latency-degraded).
         shedding_ = false;
@@ -201,7 +224,7 @@ void RecoveryOrchestrator::tick() {
     }
   }
 
-  sim_.after(config_.tick, [this] { tick(); });
+  sim_.after(kTick, [this] { tick(); });
 }
 
 }  // namespace ntier::recovery

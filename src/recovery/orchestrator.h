@@ -21,42 +21,26 @@ enum class RecoveryStage : std::uint8_t {
 
 const char* to_string(RecoveryStage s);
 
+/// Control-loop cadence. Each tick digests the completions observed since
+/// the previous tick; every rule below is judged per tick.
+inline constexpr sim::SimTime kTick = sim::SimTime::millis(100);
+/// A tick is *degraded* when mean completion latency exceeds
+/// kDegradeRatio x baseline, or throughput falls below baseline /
+/// kDegradeRatio while latency is elevated.
+inline constexpr double kDegradeRatio = 3.0;
+
 /// Tunables of the recovery control loop. The loop is metastability-aware:
 /// a *sustaining loop* (retry storm, cache stampede, pool exhaustion) keeps
 /// the system degraded after its trigger clears, so the orchestrator judges
 /// the system against its own pre-trigger baseline rather than against any
 /// absolute threshold, and steps interventions down only after the baseline
-/// actually returns (hysteresis on both edges).
+/// actually returns (hysteresis on both edges). The hysteresis constants are
+/// in orchestrator.cc.
 struct RecoveryConfig {
   bool enabled = false;
-  /// Control-loop cadence. Each tick digests the completions observed since
-  /// the previous tick; everything below is judged per tick.
-  sim::SimTime tick = sim::SimTime::millis(100);
   /// Ticks are observation-only until this much sim time has passed (the
   /// baseline must describe the healthy system, not the ramp-up).
   sim::SimTime warmup = sim::SimTime::seconds(1);
-  /// EWMA weight of healthy-tick observations on the learned baseline.
-  double baseline_alpha = 0.05;
-  /// A tick is *degraded* when mean completion latency exceeds
-  /// degrade_ratio x baseline, or throughput falls below baseline /
-  /// degrade_ratio while latency is elevated.
-  double degrade_ratio = 3.0;
-  /// Consecutive degraded ticks before an episode is declared (entry
-  /// hysteresis: one slow tick is a millibottleneck, not a failure state).
-  int enter_ticks = 3;
-  /// Consecutive healthy ticks before the episode steps down (exit
-  /// hysteresis: guards against re-declaring on the first wobble).
-  int exit_ticks = 8;
-  /// Retry suppression trips when the per-tick retry-to-first-attempt ratio
-  /// exceeds `retry_ratio_on`, and lifts below `retry_ratio_off` (the gap is
-  /// the intervention's own hysteresis band).
-  double retry_ratio_on = 0.25;
-  double retry_ratio_off = 0.10;
-  /// Hard shedding trips when the committed-queue depth exceeds
-  /// `shed_queue_on` x its baseline, and lifts once the queue drains below
-  /// `shed_queue_off` x baseline (the drain watermark).
-  double shed_queue_on = 4.0;
-  double shed_queue_off = 1.5;
 };
 
 /// Read-only signals sampled once per tick. All cumulative counters; the

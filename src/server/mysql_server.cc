@@ -2,6 +2,14 @@
 
 namespace ntier::server {
 
+namespace {
+
+/// CPU demand of answering one load probe (probe::ProbePool) — tiny, but on
+/// the real run queue so a stalled replica answers late.
+constexpr sim::SimTime kProbeDemand = sim::SimTime::micros(20);
+
+}  // namespace
+
 MySqlServer::MySqlServer(sim::Simulation& simu, os::Node& node,
                          MySqlConfig config)
     : sim_(simu), node_(node), config_(config) {}
@@ -19,7 +27,7 @@ void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
 
 void MySqlServer::probe_load(
     sim::Callback<void(bool, double, double)> done) {
-  node_.cpu().submit(config_.probe_demand, [this, done = std::move(done)] {
+  node_.cpu().submit(kProbeDemand, [this, done = std::move(done)] {
     done(true, static_cast<double>(resident_), latency_ewma_ms_);
   });
 }

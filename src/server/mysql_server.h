@@ -19,9 +19,6 @@ struct MySqlConfig {
   /// DB-side millibottleneck experiments. Zero in the paper's setup, where
   /// the flush problem lives on the Tomcat tier.
   std::uint32_t log_bytes_per_query = 0;
-  /// CPU demand of answering one load probe (probe::ProbePool) — tiny, but
-  /// on the real run queue so a stalled replica answers late.
-  sim::SimTime probe_demand = sim::SimTime::micros(20);
 };
 
 /// Database tier. The paper's MySQL is never the bottleneck (Fig. 2(b): no

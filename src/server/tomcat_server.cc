@@ -4,6 +4,15 @@
 
 namespace ntier::server {
 
+namespace {
+
+/// CPU demand of answering one health or load probe — tiny, but on the real
+/// CPU run queue, so a stalled CPU delays the answer past the prober's
+/// timeout.
+constexpr sim::SimTime kProbeDemand = sim::SimTime::micros(20);
+
+}  // namespace
+
 TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
                            DbRouter& db, TomcatConfig config)
     : sim_(simu), node_(node), id_(id), db_(db), config_(config) {
@@ -86,7 +95,7 @@ void TomcatServer::probe(sim::Callback<void(bool)> done) {
     done(false);
     return;
   }
-  node_.cpu().submit(config_.probe_demand,
+  node_.cpu().submit(kProbeDemand,
                      [done = std::move(done)] { done(true); });
 }
 
@@ -99,7 +108,7 @@ void TomcatServer::probe_load(
   // Sampling resident_ when the probe job *completes* (not when it was
   // submitted) is deliberate: a stalled CPU both delays the answer and
   // reports the queue that built up meanwhile.
-  node_.cpu().submit(config_.probe_demand, [this, done = std::move(done)] {
+  node_.cpu().submit(kProbeDemand, [this, done = std::move(done)] {
     done(true, reported_rif(), reported_latency_ms());
   });
 }
@@ -166,29 +175,25 @@ void TomcatServer::db_round_trips(ThreadHandle h, int remaining) {
 }
 
 void TomcatServer::complete(ThreadHandle h) {
-  // Access/servlet/localhost log records become dirty pages (§III-B). If
-  // the node's dirty throttle is configured and tripped, the servlet thread
-  // parks inside the log write (balance_dirty_pages) and the response waits
-  // for writeback — thread-pool starvation as a second stall mode.
-  node_.page_cache().write_dirty_throttled(threads_[h].req->log_bytes, [this, h] {
-    const Work w = threads_.take(h);
-    --threads_busy_;
-    --resident_;
-    ++served_;
-    if (limiter_) limiter_->release();
-    // EWMA over submit→response latency; alpha 0.2 tracks a millibottleneck
-    // within a handful of completions without jittering on single requests.
-    const double lat_ms = (sim_.now() - w.arrived).to_seconds() * 1e3;
-    constexpr double kAlpha = 0.2;
-    latency_ewma_ms_ = latency_ewma_ms_ == 0.0
-                           ? lat_ms
-                           : (1 - kAlpha) * latency_ewma_ms_ + kAlpha * lat_ms;
-    NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kServiceEnd,
-                      obs::Tier::kTomcat, id_, -1, w.req->id,
-                      static_cast<double>(resident_));
-      w.respond(w.req);
-    dispatch();
-  });
+  // Access/servlet/localhost log records become dirty pages (§III-B).
+  node_.page_cache().write_dirty(threads_[h].req->log_bytes);
+  const Work w = threads_.take(h);
+  --threads_busy_;
+  --resident_;
+  ++served_;
+  if (limiter_) limiter_->release();
+  // EWMA over submit→response latency; alpha 0.2 tracks a millibottleneck
+  // within a handful of completions without jittering on single requests.
+  const double lat_ms = (sim_.now() - w.arrived).to_seconds() * 1e3;
+  constexpr double kAlpha = 0.2;
+  latency_ewma_ms_ = latency_ewma_ms_ == 0.0
+                         ? lat_ms
+                         : (1 - kAlpha) * latency_ewma_ms_ + kAlpha * lat_ms;
+  NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kServiceEnd,
+                    obs::Tier::kTomcat, id_, -1, w.req->id,
+                    static_cast<double>(resident_));
+  w.respond(w.req);
+  dispatch();
 }
 
 void TomcatServer::shed_queued(Work w, proto::ShedReason reason) {

@@ -22,10 +22,6 @@ struct TomcatConfig {
   /// AJP connector backlog. Not the drop site in the paper (the Apache-side
   /// endpoint pool caps in-flight below this), but bounded for realism.
   std::size_t connector_backlog = 1024;
-  /// CPU demand of answering one health probe (lb/health.h) — tiny, but on
-  /// the real CPU run queue, so a stalled CPU delays the answer past the
-  /// prober's timeout.
-  sim::SimTime probe_demand = sim::SimTime::micros(20);
   /// End-to-end overload control: per-Tomcat AIMD admission limiter
   /// (rejecting with a retriable 503 at submit) and expired-work shedding
   /// at the worker-queue pickup (both off by default).

@@ -1,6 +1,5 @@
 #include "sim/time.h"
 
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 
@@ -22,11 +21,9 @@ std::string SimTime::to_string() const {
 }
 
 std::optional<SimTime> parse_time(std::string_view text, double unit_seconds) {
-  double x = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, x);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  const double s = x * unit_seconds;
+  const auto x = parse_number<double>(text);
+  if (!x) return std::nullopt;
+  const double s = *x * unit_seconds;
   // from_seconds' rounded ns count; 0x1p63 is INT64_MAX + 1. The negated
   // range test also rejects nan and inf.
   const double ns = s * 1e9 + 0.5;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <compare>
 #include <optional>
@@ -65,5 +66,42 @@ class SimTime {
 /// trailing garbage) that rounds to at least 1 ns and to fewer than 2^63 ns.
 /// Rounds as from_seconds does.
 std::optional<SimTime> parse_time(std::string_view text, double unit_seconds);
+
+/// Checked std::from_chars over all of `text`: empty unless the whole text
+/// is a number representable in T (no sign for unsigned T, no locale, no
+/// leading or trailing characters).
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T x{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, x);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return x;
+}
+
+/// The one tokenizer of the comma-separated "key=value,key=value" specs
+/// (--kv, --cache, --trace-gen). Calls `item(key, value)` for each non-empty
+/// item in order, where `item` returns an empty string to accept the item
+/// or the reason it rejects it. Returns "" when every item was accepted,
+/// otherwise the first reason: "expected key=value, got '<item>'" for an
+/// item without '=', or the one `item` returned.
+template <typename Fn>
+std::string for_each_spec_item(std::string_view spec, Fn item) {
+  std::size_t pos = 0;
+  while (pos < spec.size()) {
+    std::size_t comma = spec.find(',', pos);
+    if (comma == std::string_view::npos) comma = spec.size();
+    const std::string_view text = spec.substr(pos, comma - pos);
+    pos = comma + 1;
+    if (text.empty()) continue;
+    const std::size_t eq = text.find('=');
+    if (eq == std::string_view::npos)
+      return "expected key=value, got '" + std::string(text) + "'";
+    std::string why =
+        item(std::string(text.substr(0, eq)), std::string(text.substr(eq + 1)));
+    if (!why.empty()) return why;
+  }
+  return "";
+}
 
 }  // namespace ntier::sim

@@ -5,6 +5,16 @@
 
 namespace ntier::workload {
 
+namespace {
+
+/// A 503 from the admission limiter is retriable: the client backs off
+/// (the backoff times the attempt number) and re-attempts up to this many
+/// times, while the deadline allows.
+constexpr int kShedRetryLimit = 2;
+constexpr sim::SimTime kShedRetryBackoff = sim::SimTime::millis(100);
+
+}  // namespace
+
 ClientPopulation::ClientPopulation(sim::Simulation& simu, ClientParams params,
                                    const RubbosWorkload& workload,
                                    std::vector<proto::FrontEnd*> frontends,
@@ -22,8 +32,6 @@ ClientPopulation::ClientPopulation(sim::Simulation& simu, ClientParams params,
     throw std::invalid_argument("ClientPopulation: no clients");
   if (params_.sticky_sessions)
     routes_.assign(static_cast<std::size_t>(params_.num_clients), -1);
-  if (workload_.params().markov_sessions)
-    prev_.assign(static_cast<std::size_t>(params_.num_clients), -1);
 }
 
 void ClientPopulation::toggle_burst() {
@@ -47,9 +55,7 @@ void ClientPopulation::start() {
 
 void ClientPopulation::issue(std::uint32_t client) {
   if (quiesced_) return;
-  const int prev = prev_.empty() ? -1 : static_cast<int>(prev_[client]);
-  auto req = workload_.make_request(rng_, next_request_id_++, client, prev);
-  if (!prev_.empty()) prev_[client] = static_cast<std::int16_t>(req->interaction);
+  auto req = workload_.make_request(rng_, next_request_id_++, client);
   req->client_start = sim_.now();
   if (params_.deadline_budget != sim::SimTime::zero())
     req->deadline = req->client_start + params_.deadline_budget;
@@ -98,7 +104,7 @@ void ClientPopulation::on_response(FlightHandle f, bool ok) {
   if (!ok && !quiesced_ &&
       (r.shed == proto::ShedReason::kAdmission ||
        r.shed == proto::ShedReason::kBrownout) &&
-      static_cast<int>(r.shed_retries) < params_.shed_retry_limit &&
+      static_cast<int>(r.shed_retries) < kShedRetryLimit &&
       (r.deadline == sim::SimTime::zero() || sim_.now() < r.deadline)) {
     ++shed_retries_;
     r.shed_retries = static_cast<std::uint8_t>(r.shed_retries + 1);
@@ -109,7 +115,7 @@ void ClientPopulation::on_response(FlightHandle f, bool ok) {
     r.tomcat_id = -1;
     fl.tries = 0;
     const sim::SimTime backoff =
-        params_.shed_retry_backoff * static_cast<std::int64_t>(r.shed_retries);
+        kShedRetryBackoff * static_cast<std::int64_t>(r.shed_retries);
     sim_.after(backoff, [this, f] { attempt(f); });
     return;
   }

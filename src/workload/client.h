@@ -40,10 +40,6 @@ struct ClientParams {
   /// Overload control: response-time budget stamped as an absolute deadline
   /// on every request (zero = no deadlines, the seed behaviour).
   sim::SimTime deadline_budget;
-  /// A 503 from the admission limiter is retriable: the client backs off
-  /// and re-attempts up to this many times (while the deadline allows).
-  int shed_retry_limit = 2;
-  sim::SimTime shed_retry_backoff = sim::SimTime::millis(100);
 };
 
 /// The client tier: each client loops {think, pick interaction, connect —
@@ -130,7 +126,6 @@ class ClientPopulation {
   sim::Rng rng_;
 
   std::vector<std::int16_t> routes_;  // per-client sticky route
-  std::vector<std::int16_t> prev_;    // per-client last interaction (Markov)
   sim::SlotTable<Flight> flights_;
   IssueHook issue_hook_;
   obs::TraceCollector* trace_events_ = nullptr;

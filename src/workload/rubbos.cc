@@ -15,6 +15,9 @@ std::string to_string(PriorityMix p) {
 
 namespace {
 
+/// Lognormal coefficient of variation applied to every CPU demand.
+constexpr double kDemandCv = 0.3;
+
 /// The 24 RUBBoS interactions. Weights follow the benchmark's transition
 /// tables in spirit: browsing interactions dominate; the read/write mix adds
 /// ~10 % write-path traffic. Demands are calibrated, not measured —
@@ -49,41 +52,6 @@ std::vector<InteractionType> build_table() {
   };
 }
 
-/// Successor sets encoding RUBBoS's session structure (which pages link to
-/// which). Indices follow build_table() order.
-std::vector<std::vector<std::size_t>> build_successors() {
-  return {
-      /*StoriesOfTheDay*/ {5, 2, 4},
-      /*Home*/ {0, 2, 7},
-      /*BrowseCategories*/ {3},
-      /*BrowseStoriesByCategory*/ {5, 4},
-      /*OlderStories*/ {5, 4},
-      /*ViewStory*/ {6, 5, 19, 11},
-      /*ViewComment*/ {6, 19, 21},
-      /*Search*/ {8, 9, 10},
-      /*SearchStories*/ {5},
-      /*SearchComments*/ {6},
-      /*SearchUsers*/ {11},
-      /*ViewUserInfo*/ {0},
-      /*AuthorLogin*/ {13, 17},
-      /*AuthorTasks*/ {14},
-      /*ReviewStories*/ {15, 16},
-      /*AcceptStory*/ {14},
-      /*RejectStory*/ {14},
-      /*SubmitStory*/ {18},
-      /*StoreStory*/ {0},
-      /*PostComment*/ {20},
-      /*StoreComment*/ {6},
-      /*ModerateComment*/ {0},
-      /*RegisterUser*/ {23},
-      /*StoreRegisterUser*/ {0},
-  };
-}
-
-}  // namespace
-
-namespace {
-
 /// Per-interaction brownout classes (indices follow build_table() order):
 /// the whole author/write path is high (0) — a shed there loses user work;
 /// searches and the archive page are low (2) — trivially retriable; the
@@ -109,7 +77,7 @@ void assign_db_writes(std::vector<InteractionType>& table) {
 }  // namespace
 
 RubbosWorkload::RubbosWorkload(WorkloadParams params)
-    : params_(params), table_(build_table()), successors_(build_successors()) {
+    : params_(params), table_(build_table()) {
   if (params_.priority_mix == PriorityMix::kRubbos) assign_priorities(table_);
   assign_db_writes(table_);
   weights_browse_.reserve(table_.size());
@@ -131,30 +99,13 @@ RubbosWorkload::RubbosWorkload(WorkloadParams params)
   }
 }
 
-std::size_t RubbosWorkload::next_interaction(sim::Rng& rng, int prev) const {
-  const auto& weights = active_weights();
-  if (params_.markov_sessions && prev >= 0 &&
-      static_cast<std::size_t>(prev) < successors_.size() &&
-      rng.bernoulli(params_.p_follow)) {
-    // Follow a session link, weighted by the mix so zero-weight successors
-    // (e.g. writes in the browse-only mix) are never drawn.
-    const auto& succ = successors_[static_cast<std::size_t>(prev)];
-    std::vector<double> w;
-    w.reserve(succ.size());
-    double total = 0;
-    for (std::size_t s : succ) {
-      w.push_back(weights[s]);
-      total += weights[s];
-    }
-    if (total > 0) return succ[rng.weighted_index(w)];
-  }
-  return rng.weighted_index(weights);
+std::size_t RubbosWorkload::next_interaction(sim::Rng& rng) const {
+  return rng.weighted_index(active_weights());
 }
 
 proto::RequestPtr RubbosWorkload::make_request(sim::Rng& rng, std::uint64_t id,
-                                               std::uint32_t client,
-                                               int prev_interaction) const {
-  return materialize(rng, id, client, next_interaction(rng, prev_interaction));
+                                               std::uint32_t client) const {
+  return materialize(rng, id, client, next_interaction(rng));
 }
 
 proto::RequestPtr RubbosWorkload::materialize(sim::Rng& rng, std::uint64_t id,
@@ -167,15 +118,15 @@ proto::RequestPtr RubbosWorkload::materialize(sim::Rng& rng, std::uint64_t id,
   req->interaction = static_cast<std::uint16_t>(k);
   const double s = params_.demand_scale;
   req->apache_demand = sim::SimTime::from_millis(
-      rng.lognormal_mean(it.apache_demand_ms * s, params_.demand_cv));
+      rng.lognormal_mean(it.apache_demand_ms * s, kDemandCv));
   req->tomcat_demand = sim::SimTime::from_millis(
-      rng.lognormal_mean(it.tomcat_demand_ms * s, params_.demand_cv));
+      rng.lognormal_mean(it.tomcat_demand_ms * s, kDemandCv));
   req->db_queries = static_cast<std::uint8_t>(it.db_queries);
   if (it.db_queries > 0) {
     const double per_query_ms =
         rng.bernoulli(params_.query_cache_hit)
             ? params_.mysql_hit_demand_ms * s
-            : rng.lognormal_mean(it.mysql_miss_demand_ms * s, params_.demand_cv);
+            : rng.lognormal_mean(it.mysql_miss_demand_ms * s, kDemandCv);
     req->mysql_demand = sim::SimTime::from_millis(per_query_ms);
   }
   req->request_bytes = it.request_bytes;

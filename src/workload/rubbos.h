@@ -51,19 +51,11 @@ std::string to_string(PriorityMix p);
 /// Workload-level tunables.
 struct WorkloadParams {
   Mix mix = Mix::kReadWrite;
-  /// Lognormal coefficient of variation applied to every CPU demand.
-  double demand_cv = 0.3;
   /// MySQL query-cache hit probability and hit-side demand.
   double query_cache_hit = 0.85;
   double mysql_hit_demand_ms = 0.02;
   /// Global demand scaling (ablation knob).
   double demand_scale = 1.0;
-  /// Session realism: draw each interaction from the previous one's
-  /// successor set with probability `p_follow` (RUBBoS's Markov transition
-  /// structure) instead of i.i.d. mix draws. Off by default so the
-  /// stationary mix exactly matches the weights.
-  bool markov_sessions = false;
-  double p_follow = 0.7;
   /// Brownout priority stamping (consumed by the overload-control layer;
   /// harmless when no limiter is active).
   PriorityMix priority_mix = PriorityMix::kUniform;
@@ -88,28 +80,19 @@ class RubbosWorkload {
   /// Number of interaction types (24 for RUBBoS).
   std::size_t num_interactions() const { return table_.size(); }
 
-  /// Draw the next interaction for a client session and materialise it as a
-  /// request with sampled demands. `prev_interaction` (-1 = none) drives the
-  /// Markov session model when enabled.
+  /// Draw the next interaction from the mix and materialise it as a request
+  /// with sampled demands.
   proto::RequestPtr make_request(sim::Rng& rng, std::uint64_t id,
-                                 std::uint32_t client,
-                                 int prev_interaction = -1) const;
+                                 std::uint32_t client) const;
 
-  /// The Markov step by itself: the next interaction index after `prev`
-  /// (-1, or the session model disabled, falls back to a mix draw).
-  std::size_t next_interaction(sim::Rng& rng, int prev) const;
+  /// The mix draw by itself: the next interaction index.
+  std::size_t next_interaction(sim::Rng& rng) const;
 
   /// Materialise a request of a *given* interaction type (trace replay):
   /// demands are sampled, the type is forced.
   proto::RequestPtr materialize(sim::Rng& rng, std::uint64_t id,
                                 std::uint32_t client,
                                 std::size_t interaction) const;
-
-  /// Successor set of an interaction under the session model (indices into
-  /// interactions()); empty for terminal interactions.
-  const std::vector<std::size_t>& successors(std::size_t interaction) const {
-    return successors_[interaction];
-  }
 
   /// Mean demands of the active mix (used by capacity-planning tests).
   double mean_tomcat_demand_ms() const;
@@ -125,7 +108,6 @@ class RubbosWorkload {
   std::vector<InteractionType> table_;
   std::vector<double> weights_browse_;
   std::vector<double> weights_rw_;
-  std::vector<std::vector<std::size_t>> successors_;
   /// Zipf CDF over key ranks (empty when key_space == 0); a key draw is one
   /// uniform + binary search, not the O(n) scan of Rng::zipf.
   std::vector<double> zipf_cdf_;

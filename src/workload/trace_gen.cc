@@ -1,6 +1,5 @@
 #include "workload/trace_gen.h"
 
-#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -67,53 +66,34 @@ std::string TraceGenSpec::to_string() const {
 std::optional<TraceGenSpec> trace_gen_spec_from_string(const std::string& s,
                                                        std::string* error) {
   TraceGenSpec spec;
-  auto fail = [error](const std::string& why) {
+  const std::string why = sim::for_each_spec_item(
+      s, [&spec](const std::string& key, const std::string& value) -> std::string {
+        if (key == "seed") {
+          const auto seed = sim::parse_number<std::uint64_t>(value);
+          if (!seed) return "bad integer for 'seed': '" + value + "'";
+          spec.seed = *seed;
+          return "";
+        }
+        const auto parsed = sim::parse_number<double>(value);
+        if (!parsed) return "bad number for '" + key + "': '" + value + "'";
+        if (key == "duration") spec.duration_s = *parsed;
+        else if (key == "base-rps") spec.base_rps = *parsed;
+        else if (key == "diurnal-amplitude") spec.diurnal_amplitude = *parsed;
+        else if (key == "diurnal-period") spec.diurnal_period_s = *parsed;
+        else if (key == "flash-at") spec.flash_at_s = *parsed;
+        else if (key == "flash-duration") spec.flash_duration_s = *parsed;
+        else if (key == "flash-multiplier") spec.flash_multiplier = *parsed;
+        else if (key == "session-mean") spec.session_mean = *parsed;
+        else if (key == "think-mean") spec.think_mean_s = *parsed;
+        else if (key == "abandon-p") spec.abandon_p = *parsed;
+        else return "unknown key '" + key + "'";
+        return "";
+      });
+  if (!why.empty()) {
     if (error) *error = "trace-gen spec: " + why;
     return std::nullopt;
-  };
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    const std::string item = s.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos)
-      return fail("expected key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
-    if (key == "seed") {
-      std::uint64_t parsed = 0;
-      const auto [ptr, ec] =
-          std::from_chars(value.data(), value.data() + value.size(), parsed);
-      if (ec != std::errc() || ptr != value.data() + value.size())
-        return fail("bad integer for 'seed': '" + value + "'");
-      spec.seed = parsed;
-      continue;
-    }
-    double parsed = 0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc() || ptr != value.data() + value.size())
-      return fail("bad number for '" + key + "': '" + value + "'");
-    if (key == "duration") spec.duration_s = parsed;
-    else if (key == "base-rps") spec.base_rps = parsed;
-    else if (key == "diurnal-amplitude") spec.diurnal_amplitude = parsed;
-    else if (key == "diurnal-period") spec.diurnal_period_s = parsed;
-    else if (key == "flash-at") spec.flash_at_s = parsed;
-    else if (key == "flash-duration") spec.flash_duration_s = parsed;
-    else if (key == "flash-multiplier") spec.flash_multiplier = parsed;
-    else if (key == "session-mean") spec.session_mean = parsed;
-    else if (key == "think-mean") spec.think_mean_s = parsed;
-    else if (key == "abandon-p") spec.abandon_p = parsed;
-    else return fail("unknown key '" + key + "'");
   }
-  std::string why;
-  if (!spec.validate(&why)) {
-    if (error) *error = why;
-    return std::nullopt;
-  }
+  if (!spec.validate(error)) return std::nullopt;
   return spec;
 }
 
@@ -162,13 +142,11 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
     sim::Rng session_rng = rng.fork();
     const std::uint32_t client = next_client++;
     double st = t;
-    int prev = -1;
     while (true) {
-      const std::size_t k = workload.next_interaction(session_rng, prev);
+      const std::size_t k = workload.next_interaction(session_rng);
       const auto req = workload.materialize(session_rng, 0, client, k);
       trace.add_rich(sim::SimTime::from_seconds(st), client,
                      static_cast<std::uint16_t>(k), req->key, req->priority);
-      prev = static_cast<int>(k);
       if (!session_rng.bernoulli(continue_p)) break;
       if (spec_.abandon_p > 0 && session_rng.bernoulli(spec_.abandon_p))
         break;

@@ -12,7 +12,7 @@ namespace ntier::workload {
 /// Shape of a synthetic "production day": a non-homogeneous Poisson session
 /// arrival process with a diurnal rate curve and an optional flash crowd,
 /// where each session is a think-time-separated run of RUBBoS interactions
-/// (Markov-capable via the workload's session model) that may abandon early.
+/// (each drawn from the workload's mix) that may abandon early.
 /// Parsed from the CLI as a key=value list (see trace_gen_spec_from_string).
 struct TraceGenSpec {
   std::uint64_t seed = 42;

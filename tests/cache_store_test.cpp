@@ -147,6 +147,33 @@ TEST(CacheConfig, RejectsInvalidGeometry) {
   EXPECT_FALSE(cache_config_from_string("ttl_ms=0", &err).has_value());
 }
 
+TEST(CacheConfig, RejectsOutOfRangeValuesInsteadOfNarrowing) {
+  // Each of these used to parse: nodes and entry wrapped to 1, and the TTLs
+  // overflowed int64 nanoseconds.
+  for (const char* spec :
+       {"nodes=4294967297", "nodes=-4294967295", "entry=4294967297",
+        "ttl_ms=18446744073710", "ttl_ms=9223372036855", "ttl_ms=-5",
+        "ttl_ms=inf", "ttl_ms=nan", "coalesce=2", "coalesce=-1"}) {
+    std::string err;
+    EXPECT_FALSE(cache_config_from_string(spec, &err).has_value()) << spec;
+    EXPECT_EQ(err.find("ttl_ms must be > 0"), std::string::npos) << spec;
+  }
+  std::string err;
+  cache_config_from_string("ttl_ms=9223372036855", &err);
+  EXPECT_NE(err.find("ttl_ms must be a finite number of ms"), std::string::npos)
+      << err;
+  cache_config_from_string("entry=4294967297", &err);
+  EXPECT_NE(err.find("entry must be <= 4294967295"), std::string::npos) << err;
+  // ttl_ms takes fractional ms, like every --*-ms flag, and still round-trips.
+  const auto half = cache_config_from_string("ttl_ms=0.5,coalesce=1", &err);
+  ASSERT_TRUE(half.has_value()) << err;
+  EXPECT_EQ(half->ttl, SimTime::micros(500));
+  EXPECT_TRUE(half->coalesce);
+  const auto again = cache_config_from_string(half->to_string(), &err);
+  ASSERT_TRUE(again.has_value()) << err;
+  EXPECT_EQ(again->ttl, SimTime::micros(500));
+}
+
 TEST(CacheConfig, CapacityEntriesHasAFloorOfOne) {
   CacheConfig c;
   c.bytes = 1024;

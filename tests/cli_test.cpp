@@ -257,9 +257,8 @@ TEST(Cli, RunCliKvSmoke) {
 
 TEST(Cli, CacheTierFlagsParseAndRoundTrip) {
   const auto r = parse({"--db-tier", "kv", "--cache-tier", "--cache",
-                        "nodes=3,entry=1024,inval_queue=256", "--cache-bytes",
-                        "1048576", "--cache-ttl-ms", "2500",
-                        "--cache-coalesce", "off"});
+                        "nodes=3,entry=1024,inval_queue=256,bytes=1048576,"
+                        "ttl_ms=2500,coalesce=0"});
   ASSERT_TRUE(r.ok()) << r.error;
   const auto& c = r.options->config;
   EXPECT_TRUE(c.cache_tier);
@@ -286,15 +285,15 @@ TEST(Cli, RejectsCacheTierWithoutKvTier) {
 }
 
 TEST(Cli, RejectsCacheFlagsWithoutCacheTier) {
-  for (auto args :
-       {std::vector<std::string>{"--cache", "nodes=2"},
-        std::vector<std::string>{"--cache-bytes", "1048576"},
-        std::vector<std::string>{"--cache-ttl-ms", "500"},
-        std::vector<std::string>{"--cache-coalesce", "on"}}) {
-    const auto r = parse_cli(args);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("require --cache-tier"), std::string::npos)
-        << r.error;
+  const auto r = parse({"--cache", "nodes=2"});
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("--cache requires --cache-tier"), std::string::npos)
+      << r.error;
+  // The per-key spellings of --cache are gone: each is an unknown flag.
+  for (const char* flag : {"--cache-bytes", "--cache-ttl-ms", "--cache-coalesce"}) {
+    const auto removed = parse({"--db-tier", "kv", "--cache-tier", flag, "1"});
+    ASSERT_FALSE(removed.ok()) << flag;
+    EXPECT_EQ(removed.error, std::string("unknown flag: ") + flag);
   }
 }
 
@@ -305,19 +304,19 @@ TEST(Cli, RejectsBadCacheConfig) {
   EXPECT_NE(r.error.find("bad --cache:"), std::string::npos) << r.error;
   EXPECT_NE(r.error.find("unknown key"), std::string::npos) << r.error;
   // The geometry reason surfaces through the CLI error verbatim.
-  const auto tiny = parse({"--db-tier", "kv", "--cache-tier", "--cache-bytes",
-                           "16"});
+  const auto tiny = parse({"--db-tier", "kv", "--cache-tier", "--cache",
+                           "bytes=16"});
   ASSERT_FALSE(tiny.ok());
   EXPECT_NE(tiny.error.find("cannot hold a single entry"), std::string::npos)
       << tiny.error;
-  EXPECT_FALSE(parse({"--db-tier", "kv", "--cache-tier", "--cache-bytes",
-                      "0"}).ok());
-  EXPECT_FALSE(parse({"--db-tier", "kv", "--cache-tier", "--cache-ttl-ms",
-                      "0"}).ok());
-  const auto coalesce = parse({"--db-tier", "kv", "--cache-tier",
-                               "--cache-coalesce", "maybe"});
+  EXPECT_FALSE(parse({"--db-tier", "kv", "--cache-tier", "--cache",
+                      "bytes=0"}).ok());
+  EXPECT_FALSE(parse({"--db-tier", "kv", "--cache-tier", "--cache",
+                      "ttl_ms=0"}).ok());
+  const auto coalesce = parse({"--db-tier", "kv", "--cache-tier", "--cache",
+                               "coalesce=2"});
   ASSERT_FALSE(coalesce.ok());
-  EXPECT_NE(coalesce.error.find("expected on|off"), std::string::npos)
+  EXPECT_NE(coalesce.error.find("coalesce must be 0 or 1"), std::string::npos)
       << coalesce.error;
 }
 
@@ -382,14 +381,22 @@ TEST(Cli, ParseTimeIsCheckedAgainstInt64Nanoseconds) {
 TEST(Cli, EveryTimeFlagRejectsValuesOutsideInt64Nanoseconds) {
   // Values that used to abort the run: a duration past int64 ns, a think
   // time that wrapped negative, and windows that rounded to 0 ns.
-  for (const char* flag : {"--think-ms", "--duration-s", "--cache-ttl-ms",
-                           "--deadline-ms", "--probe-staleness",
-                           "--replay-timeout-ms"}) {
+  for (const char* flag : {"--think-ms", "--duration-s", "--deadline-ms",
+                           "--probe-staleness", "--replay-timeout-ms"}) {
     for (const char* v : {"1e300", "inf", "nan", "0", "-5", "1e-10"}) {
       const auto r = parse({flag, v});
       ASSERT_FALSE(r.ok()) << flag << " " << v;
       EXPECT_EQ(r.error, std::string("bad ") + flag) << v;
     }
+  }
+  // --cache's ttl_ms goes through the same conversion.
+  for (const char* v : {"1e300", "inf", "nan", "0", "-5", "1e-10"}) {
+    const auto r = parse({"--db-tier", "kv", "--cache-tier", "--cache",
+                          std::string("ttl_ms=") + v});
+    ASSERT_FALSE(r.ok()) << v;
+    EXPECT_NE(r.error.find("bad --cache: cache config: ttl_ms must be"),
+              std::string::npos)
+        << r.error;
   }
 }
 
@@ -410,17 +417,21 @@ TEST(Cli, RejectsBadTraceGenSpecAtParseTime) {
 }
 
 TEST(Cli, TraceReplayAliasAndKnobs) {
-  const auto r = parse({"--trace-replay", "/tmp/day.csv",
+  const auto r = parse({"--replay-trace", "/tmp/day.csv",
                         "--replay-timeout-ms", "8000", "--replay-scale",
                         "0.5"});
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.options->replay_trace_path, "/tmp/day.csv");
   EXPECT_DOUBLE_EQ(r.options->replay_timeout_ms, 8000.0);
   EXPECT_DOUBLE_EQ(r.options->replay_scale, 0.5);
-  EXPECT_FALSE(parse({"--replay-timeout-ms", "0", "--trace-replay",
+  EXPECT_FALSE(parse({"--replay-timeout-ms", "0", "--replay-trace",
                       "/tmp/d.csv"}).ok());
-  EXPECT_FALSE(parse({"--replay-scale", "-1", "--trace-replay",
+  EXPECT_FALSE(parse({"--replay-scale", "-1", "--replay-trace",
                       "/tmp/d.csv"}).ok());
+  // --replay-trace is the one spelling; the old alias is an unknown flag.
+  const auto alias = parse({"--trace-replay", "/tmp/day.csv"});
+  ASSERT_FALSE(alias.ok());
+  EXPECT_EQ(alias.error, "unknown flag: --trace-replay");
 }
 
 TEST(Cli, ReplayKnobsRequireAReplaySource) {
@@ -472,8 +483,7 @@ TEST(Cli, TraceGenToFileThenReplayRoundTrip) {
 TEST(Cli, UsageMentionsTraceWorkloadFlags) {
   const auto u = usage_text();
   for (const char* needle :
-       {"--trace-gen", "--trace-out", "--replay-trace", "--trace-replay",
-        "--replay-timeout-ms", "--replay-scale",
+       {"--trace-gen", "--trace-out", "--replay-trace", "--replay-timeout-ms", "--replay-scale",
         "at_ns,client,interaction[,key,priority]"}) {
     EXPECT_NE(u.find(needle), std::string::npos) << needle;
   }

@@ -117,7 +117,7 @@ TEST(AdmissionLimiter, SustainedCongestionClampsAtMinLimit) {
             [&lim] { lim.observe_delay(SimTime::millis(200)); });
   }
   s.run_until(SimTime::seconds(3));
-  EXPECT_DOUBLE_EQ(lim.limit(), cfg.min_limit);
+  EXPECT_DOUBLE_EQ(lim.limit(), kMinLimit);
 }
 
 TEST(AdmissionLimiter, InFlightAccountingAdmitAndRelease) {

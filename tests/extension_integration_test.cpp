@@ -1,8 +1,7 @@
 // Integration tests for the extension features on the full testbed:
 // synthetic millibottleneck causes (GC/DVFS), sticky sessions interacting
-// with the instability, bursty workloads, heterogeneous Tomcats, DB
-// replicas with a millibottleneck-aware or probing router, and lb_value
-// aging.
+// with the instability, bursty workloads, and DB replicas with a
+// millibottleneck-aware or probing router.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,29 +117,6 @@ TEST(BurstyWorkload, BurstsAloneCauseQueueSpikes) {
   EXPECT_GT(bursty->log().percentile_ms(99.9), calm->log().percentile_ms(99.9));
 }
 
-TEST(HeterogeneousTomcats, WeightsShiftTraffic) {
-  // Run at half the standard offered load: a weight-3 worker asked for half
-  // of ~10 k req/s sits at its capacity limit, where pool exhaustion clips
-  // its achievable share and the outcome swings with the seed. Below
-  // saturation the lbfactor accounting can actually deliver the 3:1:1:1
-  // split it promises.
-  auto cfg = testing::quick_config(PolicyKind::kTotalRequest,
-                                   MechanismKind::kNonBlocking, false,
-                                   SimTime::seconds(8));
-  cfg.num_clients /= 2;
-  cfg.tomcat_weights = {3.0, 1.0, 1.0, 1.0};
-  auto e = testing::run(std::move(cfg));
-  std::vector<std::uint64_t> served;
-  for (int t = 0; t < e->num_tomcats(); ++t)
-    served.push_back(e->tomcat(t).served());
-  // Worker 0 should take ~half the traffic (3 of 6 weight units). Its share
-  // runs slightly under the ideal because concurrency spikes occasionally
-  // exhaust its endpoint pool and divert a burst to the others.
-  const double total = static_cast<double>(served[0] + served[1] + served[2] + served[3]);
-  EXPECT_NEAR(static_cast<double>(served[0]) / total, 0.5, 0.07);
-  EXPECT_NEAR(static_cast<double>(served[1]) / total, 1.0 / 6, 0.05);
-}
-
 TEST(DbReplicas, RouterSpreadsQueriesAndSurvivesDbMillibottlenecks) {
   auto cfg = testing::quick_config(PolicyKind::kCurrentLoad,
                                    MechanismKind::kNonBlocking, false,
@@ -213,18 +189,6 @@ TEST(DbReplicas, PrequalRouterProbesReplicasAndConservesRequests) {
   EXPECT_TRUE(inv.conservation_ok()) << inv.to_string();
   EXPECT_TRUE(inv.pools_ok()) << inv.to_string();
   EXPECT_GT(inv.completed, 0u);
-}
-
-TEST(Aging, DecayDoesNotDefeatTheInstability) {
-  // mod_jk's 60 s "maintain" aging is orders of magnitude too slow to help
-  // against 300 ms millibottlenecks: results match the non-aged stock run.
-  auto cfg = testing::quick_config(PolicyKind::kTotalRequest,
-                                   MechanismKind::kBlocking, true,
-                                   SimTime::seconds(12));
-  cfg.balancer.decay_interval = SimTime::seconds(60);
-  auto aged = testing::run(std::move(cfg));
-  EXPECT_GT(aged->log().vlrt_fraction(), 0.005);
-  EXPECT_GT(max_of(aged->tomcat_tier_queue()), 400.0);
 }
 
 }  // namespace

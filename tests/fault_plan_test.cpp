@@ -27,7 +27,7 @@ TEST(FaultPlan, RandomizedRespectsConfigBounds) {
     for (const auto& spec : plan.specs) {
       EXPECT_GE(spec.start, cfg.initial_offset);
       EXPECT_LT(spec.start, cfg.horizon);
-      EXPECT_GE(spec.duration, cfg.min_duration);
+      EXPECT_GE(spec.duration, kMinFaultDuration);
       EXPECT_LE(spec.duration, cfg.max_duration);
       switch (spec.kind) {
         case FaultKind::kCorrelatedStall:
@@ -41,8 +41,8 @@ TEST(FaultPlan, RandomizedRespectsConfigBounds) {
       }
       if (spec.kind == FaultKind::kLinkFault) {
         EXPECT_GE(spec.loss_probability, 0.05);
-        EXPECT_LE(spec.loss_probability, cfg.max_loss_probability);
-        EXPECT_LE(spec.extra_latency, cfg.max_extra_latency);
+        EXPECT_LE(spec.loss_probability, kMaxLossProbability);
+        EXPECT_LE(spec.extra_latency, kMaxExtraLatency);
       }
       if (spec.kind == FaultKind::kPoolLeak) {
         EXPECT_EQ(spec.leak_slots, cfg.leak_slots);

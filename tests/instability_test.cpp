@@ -60,7 +60,7 @@ class InstabilityTest : public ::testing::Test {
       const auto counts = series_count(bal.assignments[t],
                                        e.num_metric_windows());
       const double s =
-          sum_of(slice(counts, e.config().metric_window, t0, t1));
+          sum_of(slice(counts, kMetricWindow, t0, t1));
       total += s;
       if (t == tomcat) target += s;
     }
@@ -126,11 +126,10 @@ TEST_F(InstabilityTest, StockPolicyFunnelsRequestsIntoStalledTomcat) {
   int tomcat;
   SimTime start, end;
   ASSERT_TRUE(first_flush(*original_, tomcat, start, end));
-  const auto& cfg = original_->config();
   double stalled_peak = 0, healthy_peak = 0;
   for (int t = 0; t < original_->num_tomcats(); ++t) {
     const double peak = max_of(slice(original_->tomcat_committed_series(t),
-                                     cfg.metric_window, start, end));
+                                     kMetricWindow, start, end));
     if (t == tomcat)
       stalled_peak = peak;
     else
@@ -194,7 +193,7 @@ TEST_F(InstabilityTest, StalledTomcatHoldsMinimumLbValue) {
   ASSERT_TRUE(first_flush(*original_, tomcat, start, end));
   const auto& bal = original_->balancer_series(0);
   const auto w = static_cast<std::size_t>(
-      ((start + end) / 2).ns() / original_->config().metric_window.ns());
+      ((start + end) / 2).ns() / kMetricWindow.ns());
   // Compare via the per-window lb_value traces (values are cumulative
   // counters under total_request, so compare levels, not maxima).
   const double stalled_value = bal.lb_value[tomcat].max(w);

@@ -1,6 +1,5 @@
-// Tests for the mod_jk features beyond the paper's pseudo-code: lbfactor
-// weights, lb_value aging ("maintain"), sticky sessions, and the queueing
-// pool acquirer.
+// Tests for the mod_jk features beyond the paper's pseudo-code: sticky
+// sessions and the queueing pool acquirer.
 #include <gtest/gtest.h>
 
 #include "lb/load_balancer.h"
@@ -18,96 +17,6 @@ proto::RequestPtr make_req(std::uint64_t id = 1) {
   r->request_bytes = 100;
   r->response_bytes = 900;
   return r;
-}
-
-TEST(Weights, TrafficFollowsLbFactor) {
-  Simulation s;
-  BalancerConfig cfg;
-  cfg.worker_weights = {2.0, 1.0, 1.0};
-  LoadBalancer lb(s, 3, make_policy(PolicyKind::kTotalRequest),
-                  make_acquirer(MechanismKind::kNonBlocking), cfg);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 400; ++i) {
-    auto req = make_req(static_cast<std::uint64_t>(i));
-    lb.assign(req, [&, req](int idx) {
-      ++counts[static_cast<std::size_t>(idx)];
-      lb.on_response(idx, req);
-    });
-  }
-  EXPECT_EQ(counts[0], 200);  // weight 2 => half the traffic
-  EXPECT_EQ(counts[1], 100);
-  EXPECT_EQ(counts[2], 100);
-}
-
-TEST(Weights, CurrentLoadAlsoRespectsWeights) {
-  Simulation s;
-  BalancerConfig cfg;
-  cfg.worker_weights = {3.0, 1.0};
-  LoadBalancer lb(s, 2, make_policy(PolicyKind::kCurrentLoad),
-                  make_acquirer(MechanismKind::kNonBlocking), cfg);
-  // Keep every request outstanding: the weighted current load should let
-  // worker 0 hold ~3x the outstanding requests of worker 1. Stay below the
-  // endpoint-pool capacity so pools don't interfere.
-  std::vector<int> counts(2, 0);
-  for (int i = 0; i < 40; ++i) {
-    lb.assign(make_req(), [&](int idx) {
-      ++counts[static_cast<std::size_t>(idx)];
-    });
-  }
-  EXPECT_EQ(counts[0], 30);
-  EXPECT_EQ(counts[1], 10);
-}
-
-TEST(Weights, RejectsBadWeights) {
-  Simulation s;
-  BalancerConfig bad_size;
-  bad_size.worker_weights = {1.0};
-  EXPECT_THROW(LoadBalancer(s, 2, make_policy(PolicyKind::kTotalRequest),
-                            make_acquirer(MechanismKind::kNonBlocking),
-                            bad_size),
-               std::invalid_argument);
-  BalancerConfig zero;
-  zero.worker_weights = {1.0, 0.0};
-  EXPECT_THROW(LoadBalancer(s, 2, make_policy(PolicyKind::kTotalRequest),
-                            make_acquirer(MechanismKind::kNonBlocking), zero),
-               std::invalid_argument);
-}
-
-TEST(Decay, HalvesLbValuesOnInterval) {
-  Simulation s;
-  BalancerConfig cfg;
-  cfg.decay_interval = SimTime::seconds(10);
-  LoadBalancer lb(s, 2, make_policy(PolicyKind::kTotalRequest),
-                  make_acquirer(MechanismKind::kNonBlocking), cfg);
-  for (int i = 0; i < 8; ++i) {
-    auto req = make_req();
-    lb.assign(req, [&, req](int idx) { lb.on_response(idx, req); });
-  }
-  EXPECT_DOUBLE_EQ(lb.record(0).lb_value, 4.0);
-  s.run_until(SimTime::seconds(10));
-  EXPECT_DOUBLE_EQ(lb.record(0).lb_value, 2.0);
-  s.run_until(SimTime::seconds(20));
-  EXPECT_DOUBLE_EQ(lb.record(0).lb_value, 1.0);
-}
-
-TEST(Decay, DecayNowIsImmediate) {
-  Simulation s;
-  LoadBalancer lb(s, 1, make_policy(PolicyKind::kTotalRequest),
-                  make_acquirer(MechanismKind::kNonBlocking), {});
-  auto req = make_req();
-  lb.assign(req, [&, req](int idx) { lb.on_response(idx, req); });
-  lb.decay_now();
-  EXPECT_DOUBLE_EQ(lb.record(0).lb_value, 0.5);
-}
-
-TEST(Decay, RejectsUselessDivisor) {
-  Simulation s;
-  BalancerConfig cfg;
-  cfg.decay_interval = SimTime::seconds(1);
-  cfg.decay_divisor = 1.0;
-  EXPECT_THROW(LoadBalancer(s, 1, make_policy(PolicyKind::kTotalRequest),
-                            make_acquirer(MechanismKind::kNonBlocking), cfg),
-               std::invalid_argument);
 }
 
 TEST(Sticky, RoutedRequestGoesToItsOwner) {

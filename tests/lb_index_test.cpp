@@ -4,7 +4,7 @@
 // - WorkerIndex: random membership/lb_value edits, every query checked
 //   against a brute-force recount.
 // - LoadBalancer oracle: a seeded random mix of assigns, responses, failure
-//   reports, probes (trip, half-open, re-open), breaker resets, decays,
+//   reports, probes (trip, half-open, re-open), breaker resets,
 //   pool shrinks (forcing retries with a non-empty tried set) and clock
 //   advances across state_until. At every decision an oracle policy re-derives
 //   the eligible list with the pre-index scan — lazy Busy/Error recovery, skip
@@ -263,7 +263,7 @@ struct OracleCase {
   PolicyKind policy;
   int workers;
   MechanismKind mechanism;
-  bool weighted;
+  int rep;  // a second seeded mix per configuration
   bool sticky;
   bool sticky_force;
 };
@@ -272,7 +272,7 @@ std::string describe(const OracleCase& c) {
   std::ostringstream os;
   os << to_string(c.policy) << " n=" << c.workers
      << " mech=" << static_cast<int>(c.mechanism)
-     << (c.weighted ? " weighted" : "") << (c.sticky ? " sticky" : "")
+     << " rep=" << c.rep << (c.sticky ? " sticky" : "")
      << (c.sticky_force ? " force" : "");
   return os.str();
 }
@@ -308,13 +308,7 @@ std::pair<int, int> run_oracle(const OracleCase& c, std::uint64_t seed) {
   cfg.breaker.trip_threshold = 0.4;
   cfg.breaker.open_duration = SimTime::millis(5);
   cfg.breaker.half_open_trials = 2;
-  cfg.breaker.reopen_probe_successes = 2;
   sim::Rng ops(seed ^ 0x5eed);
-  if (c.weighted) {
-    const double weights[] = {0.5, 1.0, 2.0, 3.0};
-    for (int i = 0; i < c.workers; ++i)
-      cfg.worker_weights.push_back(weights[ops.uniform_int(0, 3)]);
-  }
 
   auto owned = std::make_unique<OraclePolicy>(c.policy, simu, events);
   OraclePolicy& oracle = *owned;
@@ -358,8 +352,6 @@ std::pair<int, int> run_oracle(const OracleCase& c, std::uint64_t seed) {
       lb.report_probe(worker(), ops.bernoulli(0.55), SimTime::millis(1));
     } else if (op < 82) {
       lb.reset_breakers();
-    } else if (op < 85) {
-      lb.decay_now();
     } else if (op < 90) {
       // Shrink or restore a pool: a full pool makes its acquisitions fail,
       // so the request retries with that worker in its tried set.
@@ -380,9 +372,9 @@ TEST_P(LoadBalancerOracle, PicksAndSkipsMatchTheLinearScan) {
   std::uint64_t seed = 1;
   for (int n : kWidths)
     for (auto mech : {MechanismKind::kNonBlocking, MechanismKind::kBlocking})
-      for (bool weighted : {false, true})
+      for (int rep = 0; rep < 2; ++rep)
         for (int sticky = 0; sticky < 3; ++sticky) {
-          const OracleCase c{GetParam(), n, mech, weighted, sticky > 0,
+          const OracleCase c{GetParam(), n, mech, rep, sticky > 0,
                              sticky == 2};
           SCOPED_TRACE(describe(c));
           const auto [d, r] = run_oracle(c, seed++);

@@ -23,7 +23,7 @@ void by_time(std::vector<TraceEvent>& events) {
                    [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
 }
 
-// Request ids congruent to 1 mod the default head_every (101), so nothing in
+// Request ids congruent to 1 mod the head sample's period (101), so nothing in
 // these streams is retained by the head sample by accident.
 std::uint64_t req_id(std::uint64_t i) { return 101'000 + i * 101 + 1; }
 
@@ -117,7 +117,7 @@ TEST(OnlineDetector, QuietQueueYieldsNoSpikeRuns) {
 
 TEST(OnlineDetector, SpikeRunsIgnoreIdleNoiseBelowTheAbsoluteFloor) {
   // On an idle queue (one request at t=0 opens the Tomcat's baseline) the
-  // median is 0, so only queue_min_absolute (10) separates noise from a
+  // median is 0, so only kQueueMinAbsolute (10) separates noise from a
   // spike.
   EXPECT_TRUE(
       spike_runs(queue_steps({{0, 1}, {10, 0}, {1000, 3}, {1020, 0}}), 2000)
@@ -320,7 +320,7 @@ TEST(OnlineDetector, MarksEpisodeWindowsAndVlrtRequestsForTailSampling) {
 
 TEST(OnlineDetector, MarkedContextIsCappedAtMarkMaxPastTheOnset) {
   // A drain that outlasts the stall: the detector keeps tracking it, but
-  // marks at most mark_max (600 ms) of context past the onset — committed
+  // marks at most kMarkMax (600 ms) of context past the onset — committed
   // deltas at t=2000 (1 s into the episode) must not survive.
   obs::TraceConfig tc;
   tc.ring = false;

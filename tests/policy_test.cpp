@@ -172,15 +172,6 @@ TEST(Policy, SessionsCountsOnlyNewSessions) {
   EXPECT_DOUBLE_EQ(recs[0].lb_value, 1.0);
 }
 
-TEST(Policy, SessionsRespectsWeights) {
-  auto recs = make_records(1);
-  recs[0].weight = 2.0;
-  SessionsPolicy p;
-  proto::Request fresh;
-  p.on_assigned(recs[0], fresh);
-  EXPECT_DOUBLE_EQ(recs[0].lb_value, 0.5);
-}
-
 TEST(Policy, RoundRobinCycles) {
   auto recs = make_records(3);
   sim::Rng rng(1);

@@ -204,16 +204,15 @@ TEST(Prequal, StaleProbesTriggerTheDocumentedFallback) {
 
 TEST(ProbeAware, BookkeepingMatchesCurrentLoad) {
   // The fallback is only "exactly current_load" because the probe family
-  // keeps the same +1/-1-normalised-by-weight lb_value accounting.
+  // keeps the same +1/-1 lb_value accounting.
   auto recs = make_records(1);
-  recs[0].weight = 2.0;
   PrequalPolicy p;
   proto::Request r;
   p.on_assigned(recs[0], r);
   p.on_assigned(recs[0], r);
-  EXPECT_DOUBLE_EQ(recs[0].lb_value, 1.0);
+  EXPECT_DOUBLE_EQ(recs[0].lb_value, 2.0);
   p.on_completed(recs[0], r);
-  EXPECT_DOUBLE_EQ(recs[0].lb_value, 0.5);
+  EXPECT_DOUBLE_EQ(recs[0].lb_value, 1.0);
   p.on_completed(recs[0], r);
   p.on_completed(recs[0], r);  // floors at zero, like Algorithm 4
   EXPECT_DOUBLE_EQ(recs[0].lb_value, 0.0);

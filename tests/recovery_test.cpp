@@ -118,7 +118,7 @@ TEST(RecoveryOrchestrator, ReDegradationDuringStepDownExtendsTheEpisode) {
   OrchHarness h;
   h.feed(0, 10, 20, 2.0);
   h.feed(10, 5, 20, 20.0, 20.0, 100, 50);  // declare
-  h.feed(15, 5, 20, 2.0);                  // 5 healthy ticks < exit_ticks(8)
+  h.feed(15, 5, 20, 2.0);                  // 5 healthy ticks < kExitTicks (8)
   h.feed(20, 5, 20, 20.0, 20.0, 100, 50);  // trigger re-fires mid step-down
   h.feed(25, 12, 20, 2.0);                 // now exit for real
   h.s.run_until(SimTime::millis(3750));

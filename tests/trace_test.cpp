@@ -391,7 +391,7 @@ TEST(Replay, OpenLoopAgainstTheFullTestbed) {
   for (int i = 0; i < 20'000; ++i) {
     trace->add(SimTime::from_millis(1 + i * 0.4),  // 2 500 req/s
                static_cast<std::uint32_t>(i % 997),
-               static_cast<std::uint16_t>(w.next_interaction(mix_rng, -1)));
+               static_cast<std::uint16_t>(w.next_interaction(mix_rng)));
   }
 
   auto cfg = experiment::testing::quick_config(
@@ -424,7 +424,7 @@ TEST(Replay, ExperimentModeIsByteDeterministic) {
   for (int i = 0; i < 2'000; ++i)
     trace->add(SimTime::from_millis(1 + i * 2.0),
                static_cast<std::uint32_t>(i % 311),
-               static_cast<std::uint16_t>(w.next_interaction(mix_rng, -1)));
+               static_cast<std::uint16_t>(w.next_interaction(mix_rng)));
 
   auto make = [&] {
     auto cfg = experiment::testing::quick_config(

@@ -1,5 +1,5 @@
-// Tests for the workload-realism extensions: Markov session structure,
-// sticky-session route adoption at the client, and bursty arrivals.
+// Tests for the workload-realism extensions: sticky-session route adoption
+// at the client, and bursty arrivals.
 #include <gtest/gtest.h>
 
 #include "sim/simulation.h"
@@ -11,73 +11,6 @@ namespace {
 
 using sim::SimTime;
 using sim::Simulation;
-
-TEST(MarkovSessions, EveryInteractionHasValidSuccessors) {
-  RubbosWorkload w;
-  for (std::size_t i = 0; i < w.num_interactions(); ++i) {
-    const auto& succ = w.successors(i);
-    EXPECT_FALSE(succ.empty()) << w.interactions()[i].name;
-    for (std::size_t s : succ) EXPECT_LT(s, w.num_interactions());
-  }
-}
-
-TEST(MarkovSessions, FollowsSuccessorsWhenEnabled) {
-  WorkloadParams p;
-  p.markov_sessions = true;
-  p.p_follow = 1.0;  // always follow
-  RubbosWorkload w(p);
-  sim::Rng rng(1);
-  // From BrowseCategories (2), the only successor is
-  // BrowseStoriesByCategory (3).
-  for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(w.next_interaction(rng, 2), 3u);
-}
-
-TEST(MarkovSessions, FallsBackToMixWithoutPrev) {
-  WorkloadParams p;
-  p.markov_sessions = true;
-  RubbosWorkload w(p);
-  sim::Rng rng(2);
-  std::vector<int> seen(w.num_interactions(), 0);
-  for (int i = 0; i < 20'000; ++i) ++seen[w.next_interaction(rng, -1)];
-  // Mix draw: the most popular read interaction dominates.
-  EXPECT_GT(seen[0], seen[13]);
-}
-
-TEST(MarkovSessions, BrowseOnlyMixNeverFollowsIntoWrites) {
-  WorkloadParams p;
-  p.markov_sessions = true;
-  p.p_follow = 1.0;
-  p.mix = Mix::kBrowseOnly;
-  RubbosWorkload w(p);
-  sim::Rng rng(3);
-  // ViewStory's successors include PostComment (write); the browse-only mix
-  // must weight it out.
-  for (int i = 0; i < 2'000; ++i) {
-    const auto k = w.next_interaction(rng, 5);
-    EXPECT_GT(w.interactions()[k].weight_browse, 0.0)
-        << w.interactions()[k].name;
-  }
-}
-
-TEST(MarkovSessions, DisabledIgnoresPrev) {
-  RubbosWorkload w;  // markov off
-  sim::Rng a(7), b(7);
-  for (int i = 0; i < 200; ++i)
-    EXPECT_EQ(w.next_interaction(a, 2), w.next_interaction(b, -1));
-}
-
-TEST(MarkovSessions, MakeRequestThreadsPrevThrough) {
-  WorkloadParams p;
-  p.markov_sessions = true;
-  p.p_follow = 1.0;
-  RubbosWorkload w(p);
-  sim::Rng rng(4);
-  auto req = w.make_request(rng, 1, 0, /*prev=*/2);
-  EXPECT_EQ(req->interaction, 3);
-}
-
-// ---------------------------------------------------------------------------
 
 class InstantFrontEnd : public proto::FrontEnd {
  public:
