@@ -15,13 +15,17 @@ A file sets a field when it contains, for the field's name:
   - a positional aggregate initializer of its struct, which sets the first k
     fields: `QueueingAcquirer::Params{SimTime::millis(100)}`.
 
-Matching is by field name, so a name shared by two structs counts as set for
-both, which can hide a never-set field.
+When the file declares the receiver with a census type (`ProberConfig pc;`,
+`const MySqlConfig& cfg`), `pc.interval = ...` sets only that struct's field;
+a receiver declared with another struct of src/ (`FaultSpec spec;`) sets no
+census field. Otherwise matching is by field name, so a name shared by two
+structs counts as set for both.
 
 Usage:
   scripts/knob_census.py                    # table plus totals
-  scripts/knob_census.py --check --max-leaves N
-      exit 1 when a field is never set or there are more than N leaf fields
+  scripts/knob_census.py --check --max-leaves N --max-test-only M
+      exit 1 when a field is never set, there are more than N leaf fields, or
+      more than M fields are set only by tests
 """
 
 import argparse
@@ -117,13 +121,16 @@ def field_of(stmt):
 
 
 def collect_structs():
-    structs = {}  # qualified name -> [(type, field)] in declaration order
+    """(census structs: qualified name -> [(type, field)] in declaration
+    order, names of every other struct or class under src/)."""
+    structs, others = {}, set()
     for path in source_files(["src"]):
         text = strip_comments(open(path, encoding="utf-8").read())
         spans = []
         for m in STRUCT_RE.finditer(text):
             start = m.end() - 1
             spans.append((m.group(2), start, matching_brace(text, start)))
+        others.update(name for name, _, _ in spans)
         for name, start, end in spans:
             if not CENSUS_NAME.search(name):
                 continue
@@ -132,12 +139,15 @@ def collect_structs():
                 name = "::".join(outer[-1:] + [name])
             body = top_level_statements(text[start + 1:end])
             structs[name] = [f for f in map(field_of, body) if f]
-    return structs
+    return structs, others - {q.split("::")[-1] for q in structs}
+
+
+def accessor(name):
+    return r"(?:\.|->)" + re.escape(name) + r"\b"
 
 
 def setter_patterns(name):
-    n = re.escape(name)
-    acc = r"(?:\.|->)" + n + r"\b"
+    acc = accessor(name)
     return re.compile(
         acc + r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)"   # (compound) assignment, .name = in {...}
         r"|(?:\+\+|--)\s*[\w.\->\[\]]*" + acc +   # ++x.name
@@ -174,12 +184,48 @@ def positional_setters(qual, texts):
     return out
 
 
+def declaration_pattern(structs, others):
+    names = sorted({q.split("::")[-1] for q in structs} | others)
+    return re.compile(r"\b((?:\w+::)*)(" + "|".join(map(re.escape, names)) +
+                      r")\s*[&*]?\s+(\w+)\s*[;=({\[,)]")
+
+
+def receiver_types(text, structs, decl):
+    """variable name -> census structs the file declares it with (empty when
+    it declares the variable only with other structs of src/)."""
+    out = {}
+    for m in decl.finditer(text):
+        outer = m.group(1).rstrip(":").split("::")[-1]
+        quals = {q for q in structs if q.split("::")[-1] == m.group(2) and
+                 ("::" not in q or q == outer + "::" + m.group(2))}
+        out.setdefault(m.group(3), set()).update(quals)
+    return out
+
+
+RECEIVER = re.compile(r"(\.|->)?\s*\b(\w+)\s*$")
+
+
+def sets_field(text, qual, pat, acc, decls):
+    """True when a setter of the field in `text` can be credited to `qual`.
+    Only a plain variable is looked up in `decls`; a member receiver
+    (`c.kv.replicas`) falls back to matching by name."""
+    for m in pat.finditer(text):
+        a = acc.search(text, m.start(), m.end())
+        recv = RECEIVER.search(text, max(0, a.start() - 64), a.start())
+        if not recv or recv.group(1) or recv.group(2) not in decls or \
+                qual in decls[recv.group(2)]:
+            return True
+    return False
+
+
 def census():
-    structs = collect_structs()
+    structs, others = collect_structs()
     census_types = {q.split("::")[-1] for q in structs} | set(structs)
     texts = {os.path.relpath(p, ROOT):
              strip_comments(open(p, encoding="utf-8").read())
              for p in source_files(SCAN_DIRS)}
+    decl = declaration_pattern(structs, others)
+    decls = {f: receiver_types(t, structs, decl) for f, t in texts.items()}
     rows = []
     for qual in sorted(structs):
         positional = positional_setters(qual, texts)
@@ -187,9 +233,11 @@ def census():
             if any(re.search(r"\b" + re.escape(t) + r"\b", ftype)
                    for t in census_types):
                 continue  # a nested config, not a leaf
-            pat = setter_patterns(fname)
+            pat, acc = setter_patterns(fname), re.compile(accessor(fname))
             setters = sorted(f for f, t in texts.items()
-                             if pat.search(t) or positional.get(f, 0) > i)
+                             if (fname in t and  # cheap filter first
+                                 sets_field(t, qual, pat, acc, decls[f]))
+                             or positional.get(f, 0) > i)
             groups = sorted({GROUPS[f.split(os.sep)[0]] for f in setters})
             rows.append((qual, fname, groups, setters))
     return rows
@@ -198,9 +246,12 @@ def census():
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="fail on a never-set field or too many leaf fields")
+                    help="fail on a never-set field, or too many leaf or "
+                         "test-only fields")
     ap.add_argument("--max-leaves", type=int, default=None,
                     help="ceiling on the leaf field count (with --check)")
+    ap.add_argument("--max-test-only", type=int, default=None,
+                    help="ceiling on fields set only by tests (with --check)")
     ap.add_argument("--files", action="store_true", help="list setter files")
     args = ap.parse_args()
 
@@ -230,6 +281,11 @@ def main():
         print(f"error: {len(rows)} leaf config fields exceed the ceiling of "
               f"{args.max_leaves}; a new knob raises the ceiling in ci.yml",
               file=sys.stderr)
+        ok = False
+    if args.max_test_only is not None and len(test_only) > args.max_test_only:
+        print(f"error: {len(test_only)} config fields are set only by tests, "
+              f"above the ceiling of {args.max_test_only}; make a value only "
+              f"tests change a constant", file=sys.stderr)
         ok = False
     return 0 if ok else 1
 

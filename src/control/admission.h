@@ -25,6 +25,8 @@
 
 namespace ntier::control {
 
+/// How often the limit adapts (and the delay window resets).
+inline constexpr sim::SimTime kAdmissionInterval = sim::SimTime::millis(100);
 /// Queue delay above this trips a multiplicative decrease.
 inline constexpr sim::SimTime kDelayThreshold = sim::SimTime::millis(25);
 inline constexpr double kDecreaseFactor = 0.7;  // limit *= factor on congestion
@@ -39,10 +41,8 @@ class AdmissionLimiter {
  public:
   /// `initial_limit` is the tier's nominal concurrency (Apache max_clients,
   /// Tomcat max_threads); the limit adapts within [kMinLimit, initial].
-  AdmissionLimiter(sim::Simulation& sim, AdmissionConfig cfg,
-                   double initial_limit, bool brownout)
+  AdmissionLimiter(sim::Simulation& sim, double initial_limit, bool brownout)
       : sim_(sim),
-        cfg_(cfg),
         max_limit_(initial_limit),
         limit_(initial_limit),
         brownout_(brownout) {}
@@ -103,7 +103,7 @@ class AdmissionLimiter {
   }
 
   void schedule_tick() {
-    sim_.after(cfg_.interval, [this] {
+    sim_.after(kAdmissionInterval, [this] {
       tick();
       schedule_tick();
     });
@@ -127,7 +127,6 @@ class AdmissionLimiter {
   }
 
   sim::Simulation& sim_;
-  AdmissionConfig cfg_;
   double max_limit_;
   double limit_;
   bool brownout_;

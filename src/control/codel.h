@@ -3,7 +3,7 @@
 // CoDel ("controlled delay", Nichols & Jacobson, CACM 2012) adapted from
 // packet queues to request queues. The controller watches the *sojourn time*
 // of dequeued items: once sojourn has exceeded kCoDelTarget continuously for
-// `interval`, it enters a dropping state and sheds on dequeue with the
+// kCoDelInterval, it enters a dropping state and sheds on dequeue with the
 // control-law spacing drop_next += interval / sqrt(drop_count), which backs
 // the queue down to target delay without the global synchronisation a hard
 // length cap causes. This is what lets a standing accept backlog built
@@ -22,11 +22,12 @@ namespace ntier::control {
 /// Acceptable sojourn time: shedding starts once it has been exceeded for a
 /// whole interval.
 inline constexpr sim::SimTime kCoDelTarget = sim::SimTime::millis(20);
+/// Grace period above target before the first drop, and the initial drop
+/// spacing of the control law.
+inline constexpr sim::SimTime kCoDelInterval = sim::SimTime::millis(100);
 
 class CoDelController {
  public:
-  explicit CoDelController(CoDelConfig cfg) : cfg_(cfg) {}
-
   /// Called on every dequeue with the item's enqueue time; true means
   /// "shed this item". The caller decides what shedding means (here: a
   /// failed response back to the client without occupying a worker).
@@ -41,7 +42,7 @@ class CoDelController {
     if (first_above_ == sim::SimTime::zero()) {
       // First sojourn above target: arm, but give the queue one interval
       // to recover on its own before shedding anything.
-      first_above_ = now + cfg_.interval;
+      first_above_ = now + kCoDelInterval;
       return false;
     }
     if (!dropping_) {
@@ -67,11 +68,10 @@ class CoDelController {
  private:
   sim::SimTime control_law(sim::SimTime now) const {
     return now + sim::SimTime::from_seconds(
-                     cfg_.interval.to_seconds() /
+                     kCoDelInterval.to_seconds() /
                      std::sqrt(static_cast<double>(drop_count_)));
   }
 
-  CoDelConfig cfg_;
   sim::SimTime first_above_;  // when sojourn first crossed target (+interval)
   sim::SimTime drop_next_;    // next scheduled drop while in dropping state
   bool dropping_ = false;

@@ -38,18 +38,6 @@ const char* to_string(OverloadMode m);
 /// Parses "none|deadline|admission|codel|full"; false on unknown names.
 bool parse_overload_mode(const std::string& s, OverloadMode* out);
 
-/// AIMD limiter knobs (see AdmissionLimiter; its fixed gains are constants
-/// in control/admission.h).
-struct AdmissionConfig {
-  /// How often the limit adapts (and the delay window resets).
-  sim::SimTime interval = sim::SimTime::millis(100);
-};
-
-/// CoDel knobs (see CoDelController; the sojourn target is kCoDelTarget).
-struct CoDelConfig {
-  sim::SimTime interval = sim::SimTime::millis(100); // initial drop spacing
-};
-
 /// The complete overload-control configuration carried by ExperimentConfig
 /// and copied into every tier's server config by the topology builder.
 struct OverloadConfig {
@@ -70,9 +58,6 @@ struct OverloadConfig {
   /// Client response-time budget; the absolute deadline is
   /// client_start + deadline_budget. Zero disables stamping entirely.
   sim::SimTime deadline_budget = sim::SimTime::seconds(1);
-
-  AdmissionConfig admission_cfg;
-  CoDelConfig codel_cfg;
 
   /// Any enforcement active (stamping alone does not count).
   bool any() const { return deadlines || admission || codel; }

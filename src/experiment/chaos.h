@@ -23,7 +23,8 @@ namespace ntier::experiment {
 ///   kCapacityStall / kCorrelatedStall -> cpu().set_capacity_factor
 ///   kCrash       -> TomcatServer::crash/restart + draining every Apache's
 ///                   endpoint-pool wait queue for that worker
-///   kLinkFault   -> extra latency + loss on the client<->Apache link
+///   kLinkFault   -> extra latency + loss on the client<->Apache link (the
+///                   trace replayer's during replay)
 ///   kPoolLeak    -> slots acquired out of each balancer's pool and held
 ///   kDiskDegrade -> disk().set_rate_factor (longer writeback stalls)
 ///   kReplicaCrash   -> KvTier::on_replica_crashed/on_replica_recovered
@@ -62,6 +63,9 @@ class ChaosController {
   };
 
   int target_worker(const millib::FaultSpec& spec) const;
+  /// The link between the clients and the Apaches: the trace replayer's
+  /// when one drives the run (the closed-loop population is idle then).
+  net::Link& client_link();
   void apply(std::size_t i);
   void clear(std::size_t i);
 
@@ -74,7 +78,7 @@ class ChaosController {
   bool armed_ = false;
 };
 
-/// Post-run safety-property check. The chaos matrix requires all three to
+/// Post-run safety-property check. The chaos-matrix tests require all three to
 /// hold for every policy x mechanism cell after traffic quiesces and the
 /// drain window elapses.
 struct InvariantReport {
@@ -154,77 +158,5 @@ struct ChaosRunResult {
 /// evaluated. Sets config.duration = traffic + drain.
 ChaosRunResult run_chaos(ExperimentConfig config, sim::SimTime traffic,
                          sim::SimTime drain);
-
-/// One cell-sized configuration of the chaos matrices. All four runners
-/// share it; the KV and cache runners also read kv_replicas / cache_nodes.
-struct ChaosMatrixOptions {
-  std::uint64_t chaos_seed = 1;
-  /// Turn on prober + breaker + budgeted retries in every cell.
-  bool resilience = false;
-  /// Run every cell with the recovery orchestration layer active; the
-  /// safety invariants must survive its interventions (suppressed retries
-  /// and recovery 503s are answered, never lost, and step-down breaker
-  /// resets may not leak pool slots).
-  bool recovery = false;
-  /// Overload control applied in every cell (kNone = seed behaviour). The
-  /// safety invariants must survive deadline/admission/CoDel shedding on
-  /// top of the fault schedule — sheds are answered, never lost.
-  control::OverloadMode overload = control::OverloadMode::kNone;
-  int num_apaches = 2;
-  int num_tomcats = 3;
-  /// KV fleet size (kv.replicas) of the KV and cache matrices; quorum stays
-  /// the N=3, R=W=2 default.
-  int kv_replicas = 5;
-  /// Cache nodes (cache.nodes) of the cache matrix.
-  int cache_nodes = 2;
-  int num_clients = 400;
-  sim::SimTime think_mean = sim::SimTime::millis(200);
-  sim::SimTime traffic = sim::SimTime::seconds(10);
-  sim::SimTime drain = sim::SimTime::seconds(8);
-};
-
-/// The randomized fault schedule used by the matrix (also handy on its own:
-/// the determinism test replays it).
-millib::FaultPlan matrix_plan(const ChaosMatrixOptions& opt);
-
-/// Run the seeded fault schedule against every policy (7) x mechanism (3)
-/// combination — 21 cells, same plan in each — and return per-cell results.
-std::vector<ChaosRunResult> run_chaos_matrix(const ChaosMatrixOptions& opt);
-
-/// Hand-written gray-failure schedule over the matrix testbed: one gray
-/// data-path fault, one gray link fault on one Apache, and a second gray
-/// data-path fault overlapping the link fault — all differential-
-/// observability (the prober, breaker and piggybacked reports keep seeing
-/// healthy nodes), all cleared before traffic ends.
-millib::FaultPlan gray_matrix_plan(const ChaosMatrixOptions& opt);
-
-/// Run the gray-failure schedule against a policy x mechanism slice of the
-/// matrix (resilience/recovery per the options — the interesting cells are
-/// resilience-on, where every detector is being evaded, and recovery-on,
-/// where the orchestrator must catch what the breaker cannot).
-std::vector<ChaosRunResult> run_gray_chaos_matrix(const ChaosMatrixOptions& opt);
-
-/// Hand-written KV fault schedule: two non-overlapping replica crashes that
-/// both recover before traffic ends (so hinted handoff replays inside the
-/// run) plus two shard migrations. Non-overlapping crashes keep every shard
-/// at >= N-1 live members, so the R=W=2 quorums must never fail.
-millib::FaultPlan kv_matrix_plan(const ChaosMatrixOptions& opt);
-
-/// Run the KV fault schedule against a policy x mechanism slice of the
-/// matrix with db_tier = kKv, and return per-cell results. Each cell's
-/// InvariantReport must satisfy kv_ok() in addition to the usual three.
-std::vector<ChaosRunResult> run_kv_chaos_matrix(const ChaosMatrixOptions& opt);
-
-/// Hand-written cache fault schedule: two invalidation storms (the second
-/// wider than the first) plus one recovering replica crash, so cache
-/// accounting is checked both under queue pressure and while the backing
-/// quorum is degraded.
-millib::FaultPlan cache_matrix_plan(const ChaosMatrixOptions& opt);
-
-/// Run the cache fault schedule against a policy x mechanism slice of the
-/// matrix with cache_tier = true, and return per-cell results. Each cell's
-/// InvariantReport must satisfy cache_ok() in addition to kv_ok() and the
-/// usual three.
-std::vector<ChaosRunResult> run_cache_chaos_matrix(const ChaosMatrixOptions& opt);
 
 }  // namespace ntier::experiment

@@ -41,10 +41,11 @@ enum class StallSource {
 
 std::string to_string(StallSource s);
 
-/// Width of every per-window metric: the response-time and VLRT series, the
-/// figure series and the online detector's window (the paper's 50 ms
-/// fine-grained monitoring granularity).
-inline constexpr sim::SimTime kMetricWindow = sim::SimTime::millis(50);
+using sim::kMetricWindow;
+
+/// One-way latency of every simulated network link (client, Apache-Tomcat,
+/// Tomcat-database, KV and cache hops).
+inline constexpr sim::SimTime kLinkLatency = sim::SimTime::micros(100);
 
 /// Full description of one run: topology, workload, policy/mechanism combo,
 /// and the millibottleneck environment. Presets reproduce the paper's
@@ -82,7 +83,6 @@ struct ExperimentConfig {
   sim::SimTime duration = sim::SimTime::seconds(60);
   sim::SimTime warmup = sim::SimTime::seconds(3);
   net::RetransmitSchedule retransmit;
-  sim::SimTime link_latency = sim::SimTime::micros(100);
   /// Open-loop trace replay: when set, a TraceReplayer drives the recorded
   /// arrivals against the front-ends and the closed-loop population is idled
   /// (normalized() leaves one client thinking past the horizon, so chaos
@@ -126,7 +126,8 @@ struct ExperimentConfig {
   server::DbRouterConfig db_router;
 
   // -- nodes & millibottleneck environment --------------------------------------
-  int cores = 4;
+  /// Cores of every node (static: the paper's testbed has one node type).
+  static constexpr int cores = 4;
   /// Effective writeback bandwidth of the 7200-rpm SATA data disk. Log
   /// writeback is scattered small blocks, so the effective rate sits well
   /// below the sequential maximum; 60 MB/s yields the paper's

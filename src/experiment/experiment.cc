@@ -141,15 +141,14 @@ void Experiment::build() {
       mysqls_.push_back(std::make_unique<server::MySqlServer>(
           sim_, *mysql_nodes_[static_cast<std::size_t>(i)], config_.mysql));
   } else {
-    kv::KvReplicaConfig rc;
-    rc.hint_capacity = config_.kv.hint_capacity;
     for (int i = 0; i < config_.kv.replicas; ++i)
       kv_replicas_.push_back(std::make_unique<kv::KvReplica>(
-          sim_, *kv_nodes_[static_cast<std::size_t>(i)], i, rc));
+          sim_, *kv_nodes_[static_cast<std::size_t>(i)], i,
+          config_.kv.hint_capacity));
     std::vector<kv::KvReplica*> kv_ptrs;
     for (auto& r : kv_replicas_) kv_ptrs.push_back(r.get());
     kv_tier_ = std::make_unique<kv::KvTier>(sim_, std::move(kv_ptrs),
-                                            config_.kv, config_.link_latency);
+                                            config_.kv, kLinkLatency);
     if (trace_) kv_tier_->set_trace(trace_.get());
     // The data tier's own millibottleneck source: correlated injector
     // stalls on enough members of the hot key's shard (n - r + 1 of them)
@@ -196,7 +195,7 @@ void Experiment::build() {
   tc.overload = config_.overload;
   for (int i = 0; i < config_.num_tomcats; ++i) {
     server::DbRouterConfig dc = config_.db_router;
-    dc.link_latency = config_.link_latency;
+    dc.link_latency = kLinkLatency;
     dc.overload = config_.overload;
     if (lb::policy_uses_probes(dc.policy)) dc.probe.enabled = true;
     if (cache_tier_)
@@ -221,7 +220,7 @@ void Experiment::build() {
 
   for (int i = 0; i < config_.num_apaches; ++i) {
     server::ApacheConfig ac = config_.apache;
-    ac.link_latency = config_.link_latency;
+    ac.link_latency = kLinkLatency;
     ac.probe = config_.probe;
     ac.overload = config_.overload;
     // A probe-aware policy without a probe pool would silently run as
@@ -295,7 +294,7 @@ void Experiment::build() {
   cp.ramp = config_.think_mean;
   cp.warmup = config_.warmup;
   cp.retransmit = config_.retransmit;
-  cp.link_latency = config_.link_latency;
+  cp.link_latency = kLinkLatency;
   cp.sticky_sessions = config_.sticky_sessions;
   cp.bursty = config_.bursty_workload;
   cp.burst_multiplier = config_.burst_multiplier;
@@ -311,7 +310,7 @@ void Experiment::build() {
   if (config_.replay_trace) {
     workload::ReplayParams rp;
     rp.retransmit = config_.retransmit;
-    rp.link_latency = config_.link_latency;
+    rp.link_latency = kLinkLatency;
     rp.client_timeout = config_.replay_client_timeout;
     rp.warmup = config_.warmup;
     if (config_.overload.stamp_deadlines)

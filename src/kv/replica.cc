@@ -13,13 +13,13 @@ constexpr std::uint32_t kLogBytesPerWrite = 800;
 }  // namespace
 
 KvReplica::KvReplica(sim::Simulation& simu, os::Node& node, int id,
-                     KvReplicaConfig config)
-    : sim_(simu), node_(node), id_(id), config_(config) {}
+                     std::size_t hint_capacity)
+    : sim_(simu), node_(node), id_(id), hint_capacity_(hint_capacity) {}
 
 void KvReplica::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
-  if (executing_ < config_.max_connections) {
+  if (executing_ < kReplicaMaxConnections) {
     start(demand, std::move(done));
   } else {
     waiting_.emplace_back(demand, std::move(done));
@@ -48,7 +48,7 @@ void KvReplica::on_op_done() {
   --resident_;
   ++served_;
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
-  if (!waiting_.empty() && executing_ < config_.max_connections) {
+  if (!waiting_.empty() && executing_ < kReplicaMaxConnections) {
     auto [demand, done] = std::move(waiting_.front());
     waiting_.pop_front();
     start(demand, std::move(done));
@@ -74,7 +74,7 @@ void KvReplica::dirty_bytes(std::uint32_t bytes) {
 }
 
 bool KvReplica::store_hint(const Hint& h) {
-  if (hints_.size() >= config_.hint_capacity) return false;
+  if (hints_.size() >= hint_capacity_) return false;
   hints_.push_back(h);
   return true;
 }

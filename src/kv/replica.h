@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "kv/config.h"
 #include "metrics/time_series.h"
 #include "os/node.h"
 #include "sim/callback.h"
@@ -13,13 +14,9 @@
 
 namespace ntier::kv {
 
-struct KvReplicaConfig {
-  /// Server-side concurrency cap; work beyond it queues FIFO (the shard
-  /// queue the hot-key scenarios make visible).
-  int max_connections = 256;
-  /// Bound on hints held for crashed peers (KvConfig::hint_capacity).
-  std::size_t hint_capacity = 4096;
-};
+/// Server-side concurrency cap; work beyond it queues FIFO (the shard queue
+/// the hot-key scenarios make visible).
+inline constexpr int kReplicaMaxConnections = 256;
 
 /// One missed write stashed on a stand-in replica, replayed on recovery.
 struct Hint {
@@ -36,8 +33,10 @@ struct Hint {
 /// fenced by the tier's failure detector; in-flight work drains normally.
 class KvReplica {
  public:
+  /// `hint_capacity` bounds the hints held for crashed peers
+  /// (KvConfig::hint_capacity).
   KvReplica(sim::Simulation& simu, os::Node& node, int id,
-            KvReplicaConfig config = {});
+            std::size_t hint_capacity = KvConfig{}.hint_capacity);
 
   KvReplica(const KvReplica&) = delete;
   KvReplica& operator=(const KvReplica&) = delete;
@@ -94,7 +93,7 @@ class KvReplica {
   sim::Simulation& sim_;
   os::Node& node_;
   int id_;
-  KvReplicaConfig config_;
+  std::size_t hint_capacity_;
   bool crashed_ = false;
   double slow_factor_ = 1.0;  // > 1 while a gray slow-replica fault is on
   std::uint64_t slow_ops_ = 0;

@@ -11,7 +11,7 @@ HealthProber::HealthProber(sim::Simulation& simu, LoadBalancer& lb,
   // not land on every backend in the same instant.
   const int n = lb_.num_workers();
   for (int w = 0; w < n; ++w) {
-    sim_.after(config_.interval * (w + 1) / n,
+    sim_.after(kProbeInterval * (w + 1) / n,
                [this, w] { fire(w); });
   }
 }
@@ -34,7 +34,7 @@ void HealthProber::fire(int worker) {
     ++timed_out_;
     lb_.report_probe(worker, false, config_.timeout);
   });
-  sim_.after(config_.interval, [this, worker] { fire(worker); });
+  sim_.after(kProbeInterval, [this, worker] { fire(worker); });
 }
 
 }  // namespace ntier::lb

@@ -12,16 +12,26 @@ namespace ntier::lb {
 
 class LoadBalancer;
 
+/// How often the health prober probes each worker.
+inline constexpr sim::SimTime kProbeInterval = sim::SimTime::millis(100);
+
 /// Active health-probe schedule (in the spirit of Prequal's probing and
-/// HAProxy's health checks). Each worker is probed every `interval`; a probe
-/// that has not answered within `timeout` counts as failed — which is
+/// HAProxy's health checks). Each worker is probed every kProbeInterval; a
+/// probe that has not answered within `timeout` counts as failed — which is
 /// exactly what makes probing catch a *millibottleneck*: a stalled CPU
 /// cannot answer a ping any faster than it can answer a request.
 struct ProberConfig {
   bool enabled = false;
-  sim::SimTime interval = sim::SimTime::millis(100);
   sim::SimTime timeout = sim::SimTime::millis(30);
 };
+
+/// EWMA weight of each probe observation on a worker's health score (also
+/// applied when the breaker itself is disabled, for observability).
+inline constexpr double kHealthEwmaAlpha = 0.3;
+/// Health below this opens the breaker (worker leaves rotation).
+inline constexpr double kBreakerTripThreshold = 0.5;
+/// Trial requests admitted half-open; one failure re-opens immediately.
+inline constexpr int kHalfOpenTrials = 3;
 
 /// Probe-driven circuit breaker. The stock mod_jk state machine only learns
 /// about a sick worker from *in-band* acquisition failures — by which time
@@ -30,15 +40,8 @@ struct ProberConfig {
 /// trial requests.
 struct BreakerConfig {
   bool enabled = false;
-  /// EWMA weight of each probe observation on the worker's health score
-  /// (also applied when the breaker itself is disabled, for observability).
-  double ewma_alpha = 0.3;
-  /// Health below this opens the breaker (worker leaves rotation).
-  double trip_threshold = 0.5;
   /// Minimum open time before a successful probe moves to half-open.
   sim::SimTime open_duration = sim::SimTime::millis(500);
-  /// Trial requests admitted half-open; one failure re-opens immediately.
-  int half_open_trials = 3;
 };
 
 /// Probes every worker of one balancer on a fixed cadence and feeds the

@@ -304,7 +304,7 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
   if (!ok) ++rec.probe_failures;
   rec.probe_rtt_ms = rtt.to_seconds() * 1e3;
   const double obs = ok ? 1.0 : 0.0;
-  rec.health += config_.breaker.ewma_alpha * (obs - rec.health);
+  rec.health += kHealthEwmaAlpha * (obs - rec.health);
   if (!config_.breaker.enabled) return;
 
   if (rec.breaker_open) {
@@ -313,10 +313,10 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
       // Reset the mod_jk side too — the probe evidence supersedes whatever
       // Busy/Error verdict the stall left behind.
       rec.breaker_open = false;
-      rec.half_open_left = config_.breaker.half_open_trials;
+      rec.half_open_left = kHalfOpenTrials;
       rec.state = WorkerState::kAvailable;
       rec.consecutive_failures = 0;
-      rec.health = std::max(rec.health, config_.breaker.trip_threshold);
+      rec.health = std::max(rec.health, kBreakerTripThreshold);
       index_.touch(idx);
       trace_event(obs::EventKind::kBreakerState, idx, 0, 2.0);  // half-open
     } else if (!ok) {
@@ -324,7 +324,7 @@ void LoadBalancer::report_probe(int idx, bool ok, sim::SimTime rtt) {
     }
     return;
   }
-  if (rec.health < config_.breaker.trip_threshold) {
+  if (rec.health < kBreakerTripThreshold) {
     open_breaker(rec);
     trace_event(obs::EventKind::kBreakerState, idx, 0, 1.0);  // open
   }
@@ -340,7 +340,7 @@ int LoadBalancer::reset_breakers() {
     rec.half_open_left = 0;
     rec.state = WorkerState::kAvailable;
     rec.consecutive_failures = 0;
-    rec.health = std::max(rec.health, config_.breaker.trip_threshold);
+    rec.health = std::max(rec.health, kBreakerTripThreshold);
     index_.touch(static_cast<int>(i));
     trace_event(obs::EventKind::kBreakerState, static_cast<int>(i), 0,
                 3.0);  // recovery reset

@@ -89,9 +89,9 @@ class LoadBalancer {
 
   /// A health-probe outcome for `idx` (called by HealthProber). Updates the
   /// worker's EWMA health score and drives the circuit breaker:
-  /// trip when health < trip_threshold, then — after open_duration — a
-  /// successful probe moves the worker to half-open with
-  /// `half_open_trials` trial requests.
+  /// trip when health < kBreakerTripThreshold, then — after open_duration —
+  /// a successful probe moves the worker to half-open with kHalfOpenTrials
+  /// trial requests.
   void report_probe(int idx, bool ok, sim::SimTime rtt);
 
   /// Recovery intervention: force-close every open breaker and clear flap

@@ -86,16 +86,14 @@ FaultPlan FaultPlan::randomized(std::uint64_t seed,
                                 int num_workers) {
   if (num_workers <= 0)
     throw std::invalid_argument("FaultPlan: num_workers must be positive");
-  constexpr std::size_t kNumKinds = 12;
-  if (config.kind_weights.size() != kNumKinds)
-    throw std::invalid_argument("FaultPlan: kind_weights must have 12 entries");
-
+  const std::vector<double> weights(kFaultKindWeights.begin(),
+                                    kFaultKindWeights.end());
   sim::Rng rng(seed);
   FaultPlan plan;
   sim::SimTime t = config.initial_offset;
   while (t < config.horizon && plan.specs.size() < config.max_faults) {
     FaultSpec spec;
-    spec.kind = static_cast<FaultKind>(rng.weighted_index(config.kind_weights));
+    spec.kind = static_cast<FaultKind>(rng.weighted_index(weights));
     spec.start = t;
     spec.duration = sim::SimTime::from_seconds(
         rng.uniform(kMinFaultDuration.to_seconds(),
@@ -117,26 +115,9 @@ FaultPlan FaultPlan::randomized(std::uint64_t seed,
           rng.uniform(0.0, kMaxExtraLatency.to_seconds()));
       spec.loss_probability = rng.uniform(0.05, kMaxLossProbability);
     }
-    if (spec.kind == FaultKind::kPoolLeak) spec.leak_slots = config.leak_slots;
+    if (spec.kind == FaultKind::kPoolLeak) spec.leak_slots = kLeakSlots;
     plan.specs.push_back(spec);
     t += rng.exponential_time(config.mean_gap);
-  }
-  return plan;
-}
-
-FaultPlan FaultPlan::periodic_stalls(int worker, sim::SimTime period,
-                                     sim::SimTime duration, double severity,
-                                     sim::SimTime initial_offset,
-                                     sim::SimTime horizon) {
-  FaultPlan plan;
-  for (sim::SimTime t = initial_offset; t < horizon; t += period) {
-    FaultSpec spec;
-    spec.kind = FaultKind::kCapacityStall;
-    spec.worker = worker;
-    spec.start = t;
-    spec.duration = duration;
-    spec.severity = severity;
-    plan.specs.push_back(spec);
   }
   return plan;
 }

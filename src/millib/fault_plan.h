@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,6 +77,20 @@ struct FaultSpec {
 inline constexpr sim::SimTime kMinFaultDuration = sim::SimTime::millis(120);
 inline constexpr sim::SimTime kMaxExtraLatency = sim::SimTime::millis(20);
 inline constexpr double kMaxLossProbability = 0.4;
+/// Endpoint slots a randomized kPoolLeak holds per balancer.
+inline constexpr int kLeakSlots = 8;
+
+/// Number of FaultKind values.
+inline constexpr std::size_t kNumFaultKinds =
+    static_cast<std::size_t>(FaultKind::kGraySlowReplica) + 1;
+
+/// Relative draw weights of `FaultPlan::randomized`, indexed by FaultKind
+/// order; zero disables a kind. The KV, cache and gray kinds are zero: they
+/// are no-ops against a MySQL tier, and gray failures are hand-placed.
+/// Appending zero-weight tail entries leaves every existing seed's draw
+/// sequence intact.
+inline constexpr std::array<double, kNumFaultKinds> kFaultKindWeights = {
+    3, 1, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0};
 
 /// Knobs for `FaultPlan::randomized`. Defaults produce a varied schedule
 /// that fits inside a ~20 s scaled run and clears before its end.
@@ -88,13 +103,6 @@ struct FaultPlanConfig {
   sim::SimTime mean_gap = sim::SimTime::millis(1500);
   sim::SimTime max_duration = sim::SimTime::millis(1800);
   std::size_t max_faults = 16;
-  /// Relative draw weights indexed by FaultKind order; zero disables a kind.
-  /// The KV, cache and gray kinds default to zero (no-ops against a MySQL
-  /// tier, or deliberately opt-in for gray-failure studies); scenarios raise
-  /// them explicitly. Appending zero-weight tail entries leaves every
-  /// existing seed's draw sequence intact.
-  std::vector<double> kind_weights = {3, 1, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0};
-  int leak_slots = 8;
 };
 
 /// A composable, seed-deterministic fault schedule. Identical (seed, config,
@@ -113,13 +121,6 @@ struct FaultPlan {
   /// Seeded random schedule over `num_workers` backends.
   static FaultPlan randomized(std::uint64_t seed, const FaultPlanConfig& config,
                               int num_workers);
-
-  /// The CapacityStallInjector's periodic schedule expressed as a plan —
-  /// the generalisation path from the paper's single fault family.
-  static FaultPlan periodic_stalls(int worker, sim::SimTime period,
-                                   sim::SimTime duration, double severity,
-                                   sim::SimTime initial_offset,
-                                   sim::SimTime horizon);
 
   /// A single fault, for hand-built scenarios.
   static FaultPlan single(FaultSpec spec);

@@ -17,8 +17,6 @@ CapacityStallInjector::CapacityStallInjector(sim::Simulation& simu,
 }
 
 void CapacityStallInjector::arm() {
-  if (config_.max_episodes != 0 && episodes_.size() >= config_.max_episodes)
-    return;
   const sim::SimTime gap = config_.jitter
                                ? rng_.exponential_time(config_.period)
                                : config_.period;

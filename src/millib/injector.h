@@ -32,8 +32,6 @@ struct InjectorConfig {
   double severity = 1.0;
   /// First stall time offset.
   sim::SimTime initial_offset = sim::SimTime::seconds(5);
-  /// Stop after this many stalls (0 = unbounded).
-  std::uint64_t max_episodes = 0;
 };
 
 /// Periodically steals capacity from a CpuResource and restores it.

@@ -6,20 +6,18 @@ namespace ntier::obs {
 
 // ---- MultiResTimeline --------------------------------------------------------
 
+namespace {
+
+constexpr auto kFinePerCoarse =
+    static_cast<std::size_t>(kCoarseWindow.ns() / sim::kMetricWindow.ns());
+
+}  // namespace
+
 MultiResTimeline::MultiResTimeline(const TelemetryConfig& cfg)
-    : fine_(cfg.fine_window),
-      coarse_(cfg.coarse_window),
-      fine_retention_(cfg.fine_retention ? cfg.fine_retention : 1),
-      coarse_retention_(cfg.coarse_retention ? cfg.coarse_retention : 1),
-      sketch_cfg_(cfg.sketch),
-      run_sketch_(cfg.sketch) {
-  if (fine_.ns() <= 0) fine_ = sim::SimTime::millis(50);
-  if (coarse_.ns() < fine_.ns()) coarse_ = fine_;
-}
+    : sketch_cfg_(cfg.sketch), run_sketch_(cfg.sketch) {}
 
 void MultiResTimeline::evict_oldest_fine() {
-  const std::size_t coarse_abs =
-      static_cast<std::size_t>(fine_base_ * fine_.ns() / coarse_.ns());
+  const std::size_t coarse_abs = fine_base_ / kFinePerCoarse;
   if (coarse_slots_.empty()) coarse_base_ = coarse_abs;
   while (coarse_base_ + coarse_slots_.size() <= coarse_abs)
     coarse_slots_.emplace_back(sketch_cfg_);
@@ -29,7 +27,7 @@ void MultiResTimeline::evict_oldest_fine() {
   target.sketch.merge(src.sketch);
   fine_slots_.pop_front();
   ++fine_base_;
-  while (coarse_slots_.size() > coarse_retention_) {
+  while (coarse_slots_.size() > kCoarseRetention) {
     coarse_slots_.pop_front();
     ++coarse_base_;
     ++coarse_dropped_;
@@ -40,12 +38,12 @@ void MultiResTimeline::advance_to(std::size_t fine_abs) {
   if (fine_slots_.empty()) fine_base_ = fine_abs;
   while (fine_base_ + fine_slots_.size() <= fine_abs) {
     fine_slots_.emplace_back(sketch_cfg_);
-    if (fine_slots_.size() > fine_retention_) evict_oldest_fine();
+    if (fine_slots_.size() > kFineRetention) evict_oldest_fine();
   }
 }
 
 void MultiResTimeline::record(sim::SimTime t, double v) {
-  std::size_t w = static_cast<std::size_t>(t.ns() / fine_.ns());
+  std::size_t w = static_cast<std::size_t>(t.ns() / sim::kMetricWindow.ns());
   if (!fine_slots_.empty() && w < fine_base_) w = fine_base_;  // late sample
   advance_to(w);
   Slot& slot = fine_slots_[w - fine_base_];
@@ -118,14 +116,11 @@ void csv_row(std::ostream& os, const std::string& name, double start_s,
 
 void Instrument::to_csv(std::ostream& os) const {
   const MultiResTimeline& tl = timeline_;
-  const double fine_s = tl.fine_window().to_seconds();
-  const double coarse_s = tl.coarse_window().to_seconds();
+  const double fine_s = sim::kMetricWindow.to_seconds();
+  const double coarse_s = kCoarseWindow.to_seconds();
   // Coarse history strictly before the live fine region, so rows never
   // double-count a window.
-  const std::size_t fine_per_coarse = static_cast<std::size_t>(
-      tl.coarse_window().ns() / tl.fine_window().ns());
-  const std::size_t live_coarse_start =
-      fine_per_coarse ? tl.fine_begin() / fine_per_coarse : tl.coarse_end();
+  const std::size_t live_coarse_start = tl.fine_begin() / kFinePerCoarse;
   for (std::size_t c = tl.coarse_begin(); c < tl.coarse_end(); ++c) {
     if (c >= live_coarse_start) break;
     const WindowStats* stats = tl.coarse_stats(c);

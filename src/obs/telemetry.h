@@ -23,17 +23,17 @@ namespace ntier::obs {
 /// no matter how long the run is.
 struct TelemetryConfig {
   bool enabled = false;
-  /// Fine resolution (the paper's 50 ms monitoring granularity).
-  sim::SimTime fine_window = sim::SimTime::millis(50);
-  /// Coarse resolution fine windows roll up into as they age out.
-  sim::SimTime coarse_window = sim::SimTime::seconds(1);
-  /// Fine windows kept live (1200 x 50 ms = the last 60 s at full detail).
-  std::size_t fine_retention = 1200;
-  /// Coarse windows kept before the oldest are dropped entirely
-  /// (4096 x 1 s ≈ 68 min of history — the memory bound).
-  std::size_t coarse_retention = 4096;
   SketchConfig sketch;
 };
+
+/// Fine resolution is sim::kMetricWindow; fine windows roll up into coarse
+/// windows of this width as they age out.
+inline constexpr sim::SimTime kCoarseWindow = sim::SimTime::seconds(1);
+/// Fine windows kept live (1200 x 50 ms = the last 60 s at full detail).
+inline constexpr std::size_t kFineRetention = 1200;
+/// Coarse windows kept before the oldest are dropped entirely (4096 x 1 s ≈
+/// 68 min of history — the memory bound).
+inline constexpr std::size_t kCoarseRetention = 4096;
 
 /// The two-level timeline: record() lands in the fine ring; fine windows
 /// that age past the retention bound merge into their coarse window; coarse
@@ -47,9 +47,6 @@ class MultiResTimeline {
   /// discrete-event simulation); a late sample is clamped into the oldest
   /// live fine window.
   void record(sim::SimTime t, double v);
-
-  sim::SimTime fine_window() const { return fine_; }
-  sim::SimTime coarse_window() const { return coarse_; }
 
   /// Live fine windows: absolute indices [fine_begin, fine_end).
   std::size_t fine_begin() const { return fine_base_; }
@@ -81,10 +78,6 @@ class MultiResTimeline {
   void advance_to(std::size_t fine_abs);
   void evict_oldest_fine();
 
-  sim::SimTime fine_;
-  sim::SimTime coarse_;
-  std::size_t fine_retention_;
-  std::size_t coarse_retention_;
   SketchConfig sketch_cfg_;
 
   std::deque<Slot> fine_slots_;    // front = absolute index fine_base_

@@ -123,19 +123,6 @@ std::optional<ProbeResult> ProbePool::freshest(int worker) const {
   return best;
 }
 
-std::vector<ProbeResult> ProbePool::fresh_results() const {
-  const sim::SimTime now = sim_.now();
-  std::vector<ProbeResult> out;
-  out.reserve(entries_.size());
-  for (const ProbeResult& e : entries_)
-    if (now - e.at <= config_.staleness) out.push_back(e);
-  std::sort(out.begin(), out.end(),
-            [](const ProbeResult& a, const ProbeResult& b) {
-              return a.worker < b.worker;
-            });
-  return out;
-}
-
 void ProbePool::observe(int worker, double rif, double latency_ms) {
   if (!config_.enabled || worker < 0 || worker >= num_workers_) return;
   ++piggybacked_;
@@ -155,7 +142,7 @@ void ProbePool::note_use(int worker) {
     ++uses_;
     staleness_at_use_ms_sum_ += age_ms(sim_.now(), it->at);
     ++it->uses;
-    if (config_.reuse_budget > 0 && it->uses >= config_.reuse_budget) {
+    if (it->uses >= kReuseBudget) {
       ++expired_budget_;
       trace_event(obs::EventKind::kProbeExpired, worker,
                   age_ms(sim_.now(), it->at), /*aux=*/2);

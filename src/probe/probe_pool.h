@@ -13,6 +13,10 @@
 
 namespace ntier::probe {
 
+/// Routing decisions one probe result may serve before it is discarded
+/// (Prequal's probe-reuse budget).
+inline constexpr int kReuseBudget = 4;
+
 /// Tunables of one balancer's probing loop (in the spirit of Prequal,
 /// "Load is not what you should balance"). The defaults are sized for the
 /// paper's millibottleneck time scale: stalls last tens to hundreds of
@@ -28,9 +32,6 @@ struct ProbeConfig {
   int d = 3;
   /// A pooled result older than this is expired (never consulted again).
   sim::SimTime staleness = sim::SimTime::millis(400);
-  /// Routing decisions one probe result may serve before it is discarded
-  /// (Prequal's probe-reuse budget; <= 0 means unbounded reuse).
-  int reuse_budget = 4;
   /// An unanswered probe counts as failed after this long — which is what
   /// makes probing catch a millibottleneck: a stalled CPU answers a probe
   /// as late as it answers a request.
@@ -69,7 +70,7 @@ struct ProbeResult {
 /// expiry is evaluated lazily against the simulated clock.
 ///
 /// The pool itself is policy-agnostic: lb policies consult it through
-/// `fresh_results` / `freshest` and spend reuse budget through `note_use`.
+/// `freshest` and spend reuse budget through `note_use`.
 class ProbePool {
  public:
   /// done(ok, rif, latency_ms) must eventually fire unless the backend is
@@ -97,11 +98,6 @@ class ProbePool {
   /// reuse budget.
   std::optional<ProbeResult> freshest(int worker) const;
   bool has_fresh(int worker) const { return freshest(worker).has_value(); }
-
-  /// All unexpired results, one per worker at most (the freshest each),
-  /// ordered by worker index — the candidate set Prequal's hot/cold rule
-  /// ranks. Call expire_now() first.
-  std::vector<ProbeResult> fresh_results() const;
 
   /// A routing decision consulted `worker`'s freshest result: spend one use
   /// of its reuse budget (discarding it once exhausted) and record the

@@ -18,13 +18,11 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
       balancer_(std::make_unique<lb::LoadBalancer>(
           simu, static_cast<int>(tomcats_.size()), std::move(policy),
           std::move(acquirer), lb_config)),
-      backlog_(config.listen_backlog),
-      codel_(config.overload.codel_cfg) {
+      backlog_(kListenBacklog) {
   assert(!tomcats_.empty());
   if (config_.overload.admission) {
     limiter_ = std::make_unique<control::AdmissionLimiter>(
-        simu, config_.overload.admission_cfg,
-        static_cast<double>(config_.max_clients + config_.listen_backlog),
+        simu, static_cast<double>(config_.max_clients + kListenBacklog),
         config_.overload.brownout);
     limiter_->start();
   }

@@ -23,14 +23,15 @@
 
 namespace ntier::server {
 
+/// Effective listen backlog. Apache asks for ListenBacklog=511, but the
+/// kernel clamps it to net.core.somaxconn, which defaults to 128 on the
+/// paper's Fedora 15 / kernel 3.3 testbed. Overflow = silent SYN drop — the
+/// birthplace of the VLRT requests.
+inline constexpr std::size_t kListenBacklog = 128;
+
 struct ApacheConfig {
   /// Worker-MPM request-handling threads (Table III: MaxClients 200).
   int max_clients = 200;
-  /// Effective listen backlog. Apache asks for ListenBacklog=511, but the
-  /// kernel clamps it to net.core.somaxconn, which defaults to 128 on the
-  /// paper's Fedora 15 / kernel 3.3 testbed. Overflow = silent SYN drop —
-  /// the birthplace of the VLRT requests.
-  std::size_t listen_backlog = 128;
   sim::SimTime link_latency = sim::SimTime::micros(100);
   /// Access-log bytes per request (dirties the Apache node's page cache;
   /// only matters in scenarios where Apache-side pdflush is enabled).

@@ -18,7 +18,7 @@ void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
   Query q{demand, sim_.now(), std::move(done)};
-  if (executing_ < config_.max_connections) {
+  if (executing_ < kMySqlMaxConnections) {
     start(std::move(q));
   } else {
     waiting_.push_back(std::move(q));
@@ -47,7 +47,7 @@ void MySqlServer::on_query_done(sim::SlotTable<Query>::Handle h) {
   if (config_.log_bytes_per_query > 0)
     node_.page_cache().write_dirty(config_.log_bytes_per_query);
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
-  if (!waiting_.empty() && executing_ < config_.max_connections) {
+  if (!waiting_.empty() && executing_ < kMySqlMaxConnections) {
     Query next = std::move(waiting_.front());
     waiting_.pop_front();
     start(std::move(next));

@@ -11,10 +11,11 @@
 
 namespace ntier::server {
 
+/// Server-side concurrency cap (max_connections is far above what 4
+/// Tomcats × 48-connection pools can open; kept for completeness).
+inline constexpr int kMySqlMaxConnections = 400;
+
 struct MySqlConfig {
-  /// Server-side concurrency cap (max_connections is far above what 4
-  /// Tomcats × 48-connection pools can open; kept for completeness).
-  int max_connections = 400;
   /// Dirty bytes written per query (binlog / InnoDB log), fuelling
   /// DB-side millibottleneck experiments. Zero in the paper's setup, where
   /// the flush problem lives on the Tomcat tier.

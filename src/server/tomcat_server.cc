@@ -18,8 +18,8 @@ TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
     : sim_(simu), node_(node), id_(id), db_(db), config_(config) {
   if (config_.overload.admission) {
     limiter_ = std::make_unique<control::AdmissionLimiter>(
-        simu, config_.overload.admission_cfg,
-        static_cast<double>(config_.max_threads), config_.overload.brownout);
+        simu, static_cast<double>(config_.max_threads),
+        config_.overload.brownout);
     limiter_->start();
   }
 }
@@ -62,7 +62,7 @@ bool TomcatServer::submit(const proto::RequestPtr& req, RespondFn respond) {
                       static_cast<std::int32_t>(req->shed));
     return false;
   }
-  if (connector_queue_.size() >= config_.connector_backlog &&
+  if (connector_queue_.size() >= kConnectorBacklog &&
       threads_busy_ >= config_.max_threads) {
     if (limiter_) limiter_->release();
     ++connector_drops_;

@@ -16,12 +16,13 @@
 
 namespace ntier::server {
 
+/// AJP connector backlog. Not the drop site in the paper (the Apache-side
+/// endpoint pool caps in-flight below this), but bounded for realism.
+inline constexpr std::size_t kConnectorBacklog = 1024;
+
 struct TomcatConfig {
   /// Servlet thread pool (paper Table III: maxThreads 210).
   int max_threads = 210;
-  /// AJP connector backlog. Not the drop site in the paper (the Apache-side
-  /// endpoint pool caps in-flight below this), but bounded for realism.
-  std::size_t connector_backlog = 1024;
   /// End-to-end overload control: per-Tomcat AIMD admission limiter
   /// (rejecting with a retriable 503 at submit) and expired-work shedding
   /// at the worker-queue pickup (both off by default).

@@ -60,6 +60,11 @@ class SimTime {
   std::int64_t ns_ = 0;
 };
 
+/// Width of every per-window metric: the response-time and VLRT series, the
+/// figure series, the online detector's window and telemetry's fine windows
+/// (the paper's 50 ms fine-grained monitoring granularity).
+inline constexpr SimTime kMetricWindow = SimTime::millis(50);
+
 /// Checked conversion of a time-valued command-line flag counted in units of
 /// `unit_seconds` (1e-3 for a --*-ms flag): parse_time("50", 1e-3) is 50 ms.
 /// Empty unless the text is a finite decimal (std::from_chars: no locale, no

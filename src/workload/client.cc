@@ -36,14 +36,13 @@ ClientPopulation::ClientPopulation(sim::Simulation& simu, ClientParams params,
 
 void ClientPopulation::toggle_burst() {
   in_burst_ = !in_burst_;
-  const sim::SimTime mean =
-      in_burst_ ? params_.burst_on_mean : params_.burst_off_mean;
+  const sim::SimTime mean = in_burst_ ? kBurstOnMean : kBurstOffMean;
   sim_.after(rng_.exponential_time(mean), [this] { toggle_burst(); });
 }
 
 void ClientPopulation::start() {
   if (params_.bursty)
-    sim_.after(rng_.exponential_time(params_.burst_off_mean),
+    sim_.after(rng_.exponential_time(kBurstOffMean),
                [this] { toggle_burst(); });
   for (int c = 0; c < params_.num_clients; ++c) {
     const auto client = static_cast<std::uint32_t>(c);

@@ -17,6 +17,11 @@ namespace ntier::workload {
 /// Closed-loop client parameters. The paper drives 70 000 clients from
 /// 8 client nodes with RUBBoS's think-time model; the scaled default keeps
 /// the same offered load with fewer (faster-thinking) clients.
+/// Mean lengths of the burst and normal phases of bursty arrivals
+/// (ClientParams::bursty); both are exponentially distributed.
+inline constexpr sim::SimTime kBurstOnMean = sim::SimTime::millis(400);
+inline constexpr sim::SimTime kBurstOffMean = sim::SimTime::seconds(4);
+
 struct ClientParams {
   int num_clients = 70'000;
   sim::SimTime think_mean = sim::SimTime::seconds(7);
@@ -34,8 +39,6 @@ struct ClientParams {
   /// whole population alternates between normal and burst phases; during a
   /// burst, think times are divided by `burst_multiplier`.
   bool bursty = false;
-  sim::SimTime burst_on_mean = sim::SimTime::millis(400);
-  sim::SimTime burst_off_mean = sim::SimTime::seconds(4);
   double burst_multiplier = 4.0;
   /// Overload control: response-time budget stamped as an absolute deadline
   /// on every request (zero = no deadlines, the seed behaviour).

@@ -125,7 +125,7 @@ proto::RequestPtr RubbosWorkload::materialize(sim::Rng& rng, std::uint64_t id,
   if (it.db_queries > 0) {
     const double per_query_ms =
         rng.bernoulli(params_.query_cache_hit)
-            ? params_.mysql_hit_demand_ms * s
+            ? kMySqlHitDemandMs * s
             : rng.lognormal_mean(it.mysql_miss_demand_ms * s, kDemandCv);
     req->mysql_demand = sim::SimTime::from_millis(per_query_ms);
   }

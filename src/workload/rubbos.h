@@ -48,12 +48,14 @@ enum class PriorityMix {
 
 std::string to_string(PriorityMix p);
 
+/// MySQL demand of a query the query cache answers (before demand_scale).
+inline constexpr double kMySqlHitDemandMs = 0.02;
+
 /// Workload-level tunables.
 struct WorkloadParams {
   Mix mix = Mix::kReadWrite;
-  /// MySQL query-cache hit probability and hit-side demand.
+  /// MySQL query-cache hit probability (a hit costs kMySqlHitDemandMs).
   double query_cache_hit = 0.85;
-  double mysql_hit_demand_ms = 0.02;
   /// Global demand scaling (ablation knob).
   double demand_scale = 1.0;
   /// Brownout priority stamping (consumed by the overload-control layer;

@@ -302,6 +302,12 @@ void TraceReplayer::on_abandon_timer(FlightHandle f) {
 }
 
 void TraceReplayer::attempt(FlightHandle f, std::size_t tries) {
+  // As in ClientPopulation::attempt: an injected link fault can lose the SYN
+  // on the wire, which only the retransmission timer discovers.
+  if (link_.drops(rng_)) {
+    connect_dropped(f, tries);
+    return;
+  }
   link_.deliver(sim_, [this, f, tries] { on_syn_arrival(f, tries); });
 }
 
@@ -315,10 +321,14 @@ void TraceReplayer::on_syn_arrival(FlightHandle f, std::size_t tries) {
                        : metrics::RequestOutcome::kBalancerError);
         });
       });
-  if (accepted) return;
+  if (!accepted) connect_dropped(f, tries);
+}
+
+void TraceReplayer::connect_dropped(FlightHandle f, std::size_t tries) {
   ++connection_drops_;
   if (tries < params_.retransmit.max_retries()) {
-    req->retransmissions = static_cast<std::uint8_t>(req->retransmissions + 1);
+    proto::Request& req = *flights_[f].req;
+    req.retransmissions = static_cast<std::uint8_t>(req.retransmissions + 1);
     sim_.after(params_.retransmit.delay(tries), [this, f, tries] {
       if (flights_[f].settled) {
         flights_.erase(f);  // abandoned while backing off

@@ -140,6 +140,9 @@ class TraceReplayer {
   std::uint64_t connection_drops() const { return connection_drops_; }
   /// Requests the client gave up on (client_timeout elapsed, no response).
   std::uint64_t abandoned() const { return abandoned_; }
+  /// The client-side link every replayed SYN and response crosses (the
+  /// chaos harness injects link faults here).
+  net::Link& link() { return link_; }
   std::uint64_t in_flight() const {
     return issued_ - completed_ok_ - failed_ - dropped_ - abandoned_;
   }
@@ -160,6 +163,8 @@ class TraceReplayer {
   void issue(const ArrivalEvent& ev);
   void attempt(FlightHandle f, std::size_t tries);
   void on_syn_arrival(FlightHandle f, std::size_t tries);
+  /// The SYN of attempt `tries` was lost: retransmit or give up.
+  void connect_dropped(FlightHandle f, std::size_t tries);
   void on_abandon_timer(FlightHandle f);
   /// Settle with `outcome` unless already settled; frees the flight.
   void finish(FlightHandle f, metrics::RequestOutcome outcome);

@@ -84,17 +84,17 @@ TEST(ApacheServer, StampsApacheAndTomcatIds) {
 TEST(ApacheServer, WorkerCapThenBacklogThenDrop) {
   ApacheConfig acfg;
   acfg.max_clients = 2;
-  acfg.listen_backlog = 3;
   Rig rig(1, lb::PolicyKind::kTotalRequest, lb::MechanismKind::kNonBlocking,
           acfg);
+  const int capacity = 2 + static_cast<int>(kListenBacklog);
   int accepted = 0;
-  for (int i = 0; i < 10; ++i)
+  for (int i = 0; i < capacity + 5; ++i)
     if (rig.apache->try_submit(make_req(100.0),
                                [](const proto::RequestPtr&, bool) {}))
       ++accepted;
-  EXPECT_EQ(accepted, 5);  // 2 workers + 3 backlog
+  EXPECT_EQ(accepted, capacity);  // 2 workers + the backlog
   EXPECT_EQ(rig.apache->syn_drops(), 5u);
-  EXPECT_EQ(rig.apache->resident(), 5);
+  EXPECT_EQ(rig.apache->resident(), capacity);
 }
 
 TEST(ApacheServer, BacklogDrainsAsWorkersFree) {
@@ -146,15 +146,15 @@ TEST(ApacheServer, BlockedWorkersOccupySlots) {
   bcfg.endpoint_pool_size = 1;
   ApacheConfig acfg;
   acfg.max_clients = 3;
-  acfg.listen_backlog = 2;
   Rig rig(1, lb::PolicyKind::kTotalRequest, lb::MechanismKind::kBlocking, acfg,
           bcfg);
   rig.tomcat_nodes[0]->cpu().set_capacity_factor(0.0);  // millibottleneck
-  for (int i = 0; i < 5; ++i)
+  const int capacity = 3 + static_cast<int>(kListenBacklog);
+  for (int i = 0; i < capacity; ++i)
     rig.apache->try_submit(make_req(), [](const proto::RequestPtr&, bool) {});
   rig.s.run_until(SimTime::millis(50));
   EXPECT_EQ(rig.apache->workers_busy(), 3);
-  EXPECT_EQ(rig.apache->resident(), 5);
+  EXPECT_EQ(rig.apache->resident(), capacity);
   EXPECT_FALSE(rig.apache->try_submit(make_req(),
                                       [](const proto::RequestPtr&, bool) {}));
 }

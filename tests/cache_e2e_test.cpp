@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "chaos_matrix.h"
 #include "experiment/chaos.h"
 #include "experiment/experiment.h"
 #include "experiment/summary.h"
@@ -114,13 +115,6 @@ TEST(CacheE2e, CacheSweepAggregatesAreJobsInvariant) {
 
 ChaosMatrixOptions small_cache_matrix() {
   ChaosMatrixOptions opt;
-  opt.chaos_seed = 42;
-  opt.num_apaches = 2;
-  opt.num_tomcats = 3;
-  opt.kv_replicas = 5;
-  opt.cache_nodes = 2;
-  opt.num_clients = 200;
-  opt.think_mean = SimTime::millis(200);
   opt.traffic = SimTime::seconds(5);
   opt.drain = SimTime::seconds(5);
   return opt;

@@ -47,11 +47,10 @@ struct Harness {
     cfg.n = 3;
     cfg.r = 2;
     cfg.w = 2;
-    kv::KvReplicaConfig rc;
-    rc.hint_capacity = cfg.hint_capacity;
     for (int i = 0; i < cfg.replicas; ++i) {
       kv_nodes.push_back(std::make_unique<os::Node>(s, plain_node()));
-      reps.push_back(std::make_unique<kv::KvReplica>(s, *kv_nodes.back(), i, rc));
+      reps.push_back(std::make_unique<kv::KvReplica>(s, *kv_nodes.back(), i,
+                                                     cfg.hint_capacity));
     }
     std::vector<kv::KvReplica*> ptrs;
     for (auto& r : reps) ptrs.push_back(r.get());

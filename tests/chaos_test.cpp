@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos_matrix.h"
 #include "experiment/config.h"
 #include "experiment/experiment.h"
 #include "millib/fault_plan.h"
@@ -11,22 +12,8 @@ namespace {
 
 using sim::SimTime;
 
-ChaosMatrixOptions small_matrix() {
-  ChaosMatrixOptions opt;
-  opt.chaos_seed = 42;
-  opt.num_apaches = 2;
-  opt.num_tomcats = 3;
-  opt.num_clients = 200;
-  opt.think_mean = SimTime::millis(200);
-  opt.traffic = SimTime::seconds(6);
-  // Drain must outlast the worst client retransmission chain (5 x 1 s) so
-  // conservation can be checked with zero requests still in flight.
-  opt.drain = SimTime::seconds(6);
-  return opt;
-}
-
 TEST(ChaosMatrix, PlanIsSeedDeterministicAcrossCells) {
-  const auto opt = small_matrix();
+  const ChaosMatrixOptions opt;
   EXPECT_EQ(matrix_plan(opt).trace_string(), matrix_plan(opt).trace_string());
   auto other = opt;
   other.chaos_seed = 43;
@@ -37,8 +24,7 @@ TEST(ChaosMatrix, PlanIsSeedDeterministicAcrossCells) {
 // every policy x mechanism combination, with all three invariants holding
 // in every cell.
 TEST(ChaosMatrix, AllPoliciesAndMechanismsSurviveTheFaultSchedule) {
-  const auto opt = small_matrix();
-  const auto results = run_chaos_matrix(opt);
+  const auto results = run_chaos_matrix({});
   ASSERT_EQ(results.size(), 21u);  // 7 policies x 3 mechanisms
   for (const auto& r : results) {
     SCOPED_TRACE(r.label);
@@ -54,7 +40,7 @@ TEST(ChaosMatrix, AllPoliciesAndMechanismsSurviveTheFaultSchedule) {
 // Same matrix with the resilience layer on: the safety properties must be
 // preserved when the prober, breaker and retry path are all active.
 TEST(ChaosMatrix, ResilienceLayerPreservesInvariants) {
-  auto opt = small_matrix();
+  ChaosMatrixOptions opt;
   opt.resilience = true;
   opt.chaos_seed = 7;
   const auto results = run_chaos_matrix(opt);
@@ -72,7 +58,7 @@ TEST(ChaosMatrix, ResilienceLayerPreservesInvariants) {
 // and CoDel sheds are answered (fast 503s), never lost, so conservation and
 // the pool/crash invariants must hold in every cell exactly as before.
 TEST(ChaosMatrix, OverloadControlPreservesInvariants) {
-  auto opt = small_matrix();
+  ChaosMatrixOptions opt;
   opt.overload = control::OverloadMode::kFull;
   opt.chaos_seed = 11;
   const auto results = run_chaos_matrix(opt);
@@ -88,7 +74,7 @@ TEST(ChaosMatrix, OverloadControlPreservesInvariants) {
 // suppression, hard sheds and breaker resets must leave every invariant
 // intact in every cell, and the option must reach the cells at all.
 TEST(ChaosMatrix, RecoveryLayerPreservesInvariants) {
-  auto opt = small_matrix();
+  ChaosMatrixOptions opt;
   opt.recovery = true;
   const auto results = run_chaos_matrix(opt);
   ASSERT_EQ(results.size(), 21u);
@@ -155,21 +141,8 @@ TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalTraces) {
 
 // -- KV chaos matrix: replica-crash and shard-migration cells -----------------
 
-ChaosMatrixOptions small_kv_matrix() {
-  ChaosMatrixOptions opt;
-  opt.chaos_seed = 42;
-  opt.num_apaches = 2;
-  opt.num_tomcats = 3;
-  opt.kv_replicas = 5;
-  opt.num_clients = 200;
-  opt.think_mean = SimTime::millis(200);
-  opt.traffic = SimTime::seconds(6);
-  opt.drain = SimTime::seconds(6);
-  return opt;
-}
-
 TEST(KvChaosMatrix, PlanIsSeedDeterministic) {
-  const auto opt = small_kv_matrix();
+  const ChaosMatrixOptions opt;
   EXPECT_EQ(kv_matrix_plan(opt).trace_string(),
             kv_matrix_plan(opt).trace_string());
   auto other = opt;
@@ -192,7 +165,7 @@ TEST(KvChaosMatrix, PlanIsSeedDeterministic) {
 // hint or a counted drop — no silent loss. The plan keeps the crashes
 // non-overlapping, so with N=3, R=W=2 no quorum op may fail at all.
 TEST(KvChaosMatrix, QuorumsAndHandoffAccountingHoldInEveryCell) {
-  const auto results = run_kv_chaos_matrix(small_kv_matrix());
+  const auto results = run_kv_chaos_matrix({});
   ASSERT_EQ(results.size(), 8u);  // 4 policies x 2 mechanisms
   for (const auto& r : results) {
     SCOPED_TRACE(r.label);
@@ -212,7 +185,7 @@ TEST(KvChaosMatrix, QuorumsAndHandoffAccountingHoldInEveryCell) {
 }
 
 TEST(KvChaosMatrix, CellsAreSeedDeterministic) {
-  const auto opt = small_kv_matrix();
+  const ChaosMatrixOptions opt;
   const auto a = run_kv_chaos_matrix(opt);
   const auto b = run_kv_chaos_matrix(opt);
   ASSERT_EQ(a.size(), b.size());

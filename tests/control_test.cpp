@@ -15,7 +15,7 @@ using sim::Simulation;
 // -- CoDelController ----------------------------------------------------------
 
 TEST(CoDel, BelowTargetNeverDrops) {
-  CoDelController codel(CoDelConfig{});
+  CoDelController codel;
   for (int i = 0; i < 100; ++i) {
     const SimTime now = SimTime::millis(i);
     EXPECT_FALSE(codel.should_drop(now - SimTime::millis(5), now));
@@ -25,8 +25,7 @@ TEST(CoDel, BelowTargetNeverDrops) {
 }
 
 TEST(CoDel, SustainedSojournAboveTargetEntersDroppingAfterOneInterval) {
-  CoDelConfig cfg;  // target 20 ms, interval 100 ms
-  CoDelController codel(cfg);
+  CoDelController codel;  // target 20 ms, interval 100 ms
   const SimTime sojourn = SimTime::millis(50);
   // First above-target dequeue arms the controller but gives the queue one
   // full interval to recover before anything is shed.
@@ -42,8 +41,7 @@ TEST(CoDel, SustainedSojournAboveTargetEntersDroppingAfterOneInterval) {
 }
 
 TEST(CoDel, ControlLawSpacingShrinksWhileDropping) {
-  CoDelConfig cfg;
-  CoDelController codel(cfg);
+  CoDelController codel;
   const SimTime sojourn = SimTime::millis(50);
   std::vector<SimTime> drop_times;
   for (std::int64_t ms = 0; ms <= 600 && drop_times.size() < 3; ++ms) {
@@ -59,8 +57,7 @@ TEST(CoDel, ControlLawSpacingShrinksWhileDropping) {
 }
 
 TEST(CoDel, RecoveredQueueLeavesDroppingStateAndRearms) {
-  CoDelConfig cfg;
-  CoDelController codel(cfg);
+  CoDelController codel;
   const SimTime slow = SimTime::millis(50);
   for (std::int64_t ms = 0; ms <= 100; ms += 50)
     codel.should_drop(SimTime::millis(ms) - slow, SimTime::millis(ms));
@@ -81,8 +78,8 @@ TEST(CoDel, RecoveredQueueLeavesDroppingStateAndRearms) {
 
 TEST(AdmissionLimiter, MultiplicativeDecreaseOnCongestedWindow) {
   Simulation s;
-  AdmissionConfig cfg;  // threshold 25 ms, interval 100 ms, factor 0.7
-  AdmissionLimiter lim(s, cfg, /*initial_limit=*/100.0, /*brownout=*/false);
+  // threshold 25 ms, interval 100 ms, factor 0.7
+  AdmissionLimiter lim(s, /*initial_limit=*/100.0, /*brownout=*/false);
   lim.start();
   lim.observe_delay(SimTime::millis(50));
   s.run_until(SimTime::millis(150));  // exactly one tick fires at 100 ms
@@ -92,8 +89,7 @@ TEST(AdmissionLimiter, MultiplicativeDecreaseOnCongestedWindow) {
 
 TEST(AdmissionLimiter, AdditiveIncreaseWhileQuietCapsAtInitial) {
   Simulation s;
-  AdmissionConfig cfg;
-  AdmissionLimiter lim(s, cfg, 100.0, false);
+  AdmissionLimiter lim(s, 100.0, false);
   lim.start();
   lim.observe_delay(SimTime::millis(50));
   s.run_until(SimTime::millis(150));
@@ -108,12 +104,11 @@ TEST(AdmissionLimiter, AdditiveIncreaseWhileQuietCapsAtInitial) {
 
 TEST(AdmissionLimiter, SustainedCongestionClampsAtMinLimit) {
   Simulation s;
-  AdmissionConfig cfg;
-  AdmissionLimiter lim(s, cfg, 1000.0, false);
+  AdmissionLimiter lim(s, 1000.0, false);
   lim.start();
   // Re-inject a bad delay just after every tick so every window is congested.
   for (int i = 0; i < 30; ++i) {
-    s.after(cfg.interval * i + SimTime::millis(1),
+    s.after(kAdmissionInterval * i + SimTime::millis(1),
             [&lim] { lim.observe_delay(SimTime::millis(200)); });
   }
   s.run_until(SimTime::seconds(3));
@@ -122,7 +117,7 @@ TEST(AdmissionLimiter, SustainedCongestionClampsAtMinLimit) {
 
 TEST(AdmissionLimiter, InFlightAccountingAdmitAndRelease) {
   Simulation s;
-  AdmissionLimiter lim(s, AdmissionConfig{}, 4.0, false);
+  AdmissionLimiter lim(s, 4.0, false);
   EXPECT_TRUE(lim.try_admit(1));
   EXPECT_TRUE(lim.try_admit(1));
   EXPECT_TRUE(lim.try_admit(1));
@@ -140,7 +135,7 @@ TEST(AdmissionLimiter, InFlightAccountingAdmitAndRelease) {
 
 TEST(AdmissionLimiter, BrownoutShedsLowPriorityFirst) {
   Simulation s;
-  AdmissionLimiter lim(s, AdmissionConfig{}, 10.0, /*brownout=*/true);
+  AdmissionLimiter lim(s, 10.0, /*brownout=*/true);
   // Fill to 8 in flight: below the full limit (10) but above the priority-2
   // brownout wall (10 * 0.75 = 7.5).
   for (int i = 0; i < 8; ++i) ASSERT_TRUE(lim.try_admit(0));

@@ -44,7 +44,6 @@ TEST(Injector, PartialSeverity) {
   cfg.severity = 0.6;
   cfg.initial_offset = SimTime::millis(10);
   cfg.duration = SimTime::millis(50);
-  cfg.max_episodes = 1;
   CapacityStallInjector inj(s, cpu, cfg);
   s.after(SimTime::millis(30), [&] {
     EXPECT_NEAR(cpu.capacity_factor(), 0.4, 1e-9);
@@ -52,19 +51,6 @@ TEST(Injector, PartialSeverity) {
   s.run_until(SimTime::seconds(1));
   EXPECT_NEAR(cpu.capacity_factor(), 1.0, 1e-9);
   EXPECT_EQ(inj.episodes().size(), 1u);
-}
-
-TEST(Injector, MaxEpisodesBoundsInjection) {
-  Simulation s;
-  os::CpuResource cpu(s, 4);
-  InjectorConfig cfg;
-  cfg.period = SimTime::millis(100);
-  cfg.duration = SimTime::millis(10);
-  cfg.initial_offset = SimTime::zero();
-  cfg.max_episodes = 3;
-  CapacityStallInjector inj(s, cpu, cfg);
-  s.run_until(SimTime::seconds(10));
-  EXPECT_EQ(inj.episodes().size(), 3u);
 }
 
 TEST(Injector, JitterVariesGaps) {
@@ -75,10 +61,9 @@ TEST(Injector, JitterVariesGaps) {
   cfg.duration = SimTime::millis(10);
   cfg.initial_offset = SimTime::zero();
   cfg.jitter = true;
-  cfg.max_episodes = 20;
   CapacityStallInjector inj(s, cpu, cfg);
-  s.run_until(SimTime::seconds(60));
-  ASSERT_EQ(inj.episodes().size(), 20u);
+  s.run_until(SimTime::seconds(5));
+  ASSERT_GE(inj.episodes().size(), 10u);
   std::vector<double> gaps;
   for (std::size_t i = 1; i < inj.episodes().size(); ++i)
     gaps.push_back(
@@ -109,7 +94,6 @@ TEST(Injector, StallDelaysCpuJob) {
   InjectorConfig cfg;
   cfg.initial_offset = SimTime::millis(5);
   cfg.duration = SimTime::millis(100);
-  cfg.max_episodes = 1;
   CapacityStallInjector inj(s, cpu, cfg);
   SimTime done;
   cpu.submit(SimTime::millis(10), [&] { done = s.now(); });

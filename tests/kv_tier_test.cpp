@@ -81,11 +81,10 @@ struct Harness {
   std::unique_ptr<KvTier> tier;
 
   explicit Harness(KvConfig cfg = make_config()) {
-    KvReplicaConfig rc;
-    rc.hint_capacity = cfg.hint_capacity;
     for (int i = 0; i < cfg.replicas; ++i) {
       nodes.push_back(std::make_unique<os::Node>(s, plain_node()));
-      reps.push_back(std::make_unique<KvReplica>(s, *nodes.back(), i, rc));
+      reps.push_back(std::make_unique<KvReplica>(s, *nodes.back(), i,
+                                                 cfg.hint_capacity));
     }
     std::vector<KvReplica*> ptrs;
     for (auto& r : reps) ptrs.push_back(r.get());

@@ -304,10 +304,7 @@ std::pair<int, int> run_oracle(const OracleCase& c, std::uint64_t seed) {
   cfg.sticky_sessions = c.sticky;
   cfg.sticky_force = c.sticky_force;
   cfg.breaker.enabled = true;
-  cfg.breaker.ewma_alpha = 0.5;
-  cfg.breaker.trip_threshold = 0.4;
   cfg.breaker.open_duration = SimTime::millis(5);
-  cfg.breaker.half_open_trials = 2;
   sim::Rng ops(seed ^ 0x5eed);
 
   auto owned = std::make_unique<OraclePolicy>(c.policy, simu, events);

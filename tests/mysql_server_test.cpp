@@ -45,19 +45,19 @@ TEST(MySqlServer, ResidentGaugeRisesAndFalls) {
 TEST(MySqlServer, ConnectionCapQueuesExcess) {
   Simulation s;
   os::Node node(s, plain_node(1));
-  MySqlConfig cfg;
-  cfg.max_connections = 2;
-  MySqlServer db(s, node, cfg);
+  MySqlServer db(s, node);
+  const int cap = kMySqlMaxConnections;
   std::vector<SimTime> done;
-  for (int i = 0; i < 3; ++i)
+  for (int i = 0; i < cap + 1; ++i)
     db.execute(SimTime::millis(10), [&] { done.push_back(s.now()); });
-  EXPECT_EQ(db.resident(), 3);
+  EXPECT_EQ(db.resident(), cap + 1);
   s.run();
-  ASSERT_EQ(done.size(), 3u);
-  // Two PS-share the single core (finish at 20ms); the third runs alone.
-  EXPECT_EQ(done[0].ms(), 20);
-  EXPECT_EQ(done[1].ms(), 20);
-  EXPECT_EQ(done[2].ms(), 30);
+  ASSERT_EQ(done.size(), static_cast<std::size_t>(cap + 1));
+  // The first `cap` PS-share the single core and finish together; the one
+  // queued beyond the cap starts only then and runs alone.
+  EXPECT_EQ(done[0].ms(), 10 * cap);
+  EXPECT_EQ(done[cap - 1].ms(), 10 * cap);
+  EXPECT_EQ(done[cap].ms(), 10 * cap + 10);
 }
 
 TEST(MySqlServer, ManyQueriesAllComplete) {

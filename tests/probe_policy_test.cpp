@@ -56,7 +56,6 @@ struct PoolFixture {
     c.rate_hz = 10.0;
     c.d = n;  // probe the whole tier each tick
     c.staleness = staleness;
-    c.reuse_budget = 1000;
     c.timeout = SimTime::millis(30);
     return c;
   }

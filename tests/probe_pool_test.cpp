@@ -17,7 +17,6 @@ ProbeConfig quick_config() {
   c.rate_hz = 10.0;  // tick every 100 ms
   c.d = 2;
   c.staleness = SimTime::millis(100);
-  c.reuse_budget = 3;
   c.timeout = SimTime::millis(30);
   c.capacity = 16;
   return c;
@@ -62,14 +61,13 @@ TEST(ProbePool, PiggybackedReportsPoolLikeProbeRepliesAtZeroProbeCost) {
   EXPECT_EQ(r->at, SimTime::millis(10));
 
   // A newer report supersedes the old entry and restarts its reuse budget.
-  pool.note_use(2);
-  pool.note_use(2);  // two of three budget uses spent
+  for (int i = 1; i < kReuseBudget; ++i) pool.note_use(2);  // one use left
   pool.observe(2, 4.0, 2.0);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.freshest(2)->rif, 4.0);
-  pool.note_use(2);
-  pool.note_use(2);
-  pool.note_use(2);  // third use on the fresh entry exhausts the budget
+  for (int i = 1; i < kReuseBudget; ++i) pool.note_use(2);
+  EXPECT_EQ(pool.size(), 1u);  // the old entry's spent uses did not carry over
+  pool.note_use(2);  // the last use on the fresh entry exhausts the budget
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.expired_budget(), 1u);
 
@@ -124,13 +122,14 @@ TEST(ProbePool, RepliesPopulateThePoolAndFreshestWins) {
   ProbePool pool(simu, 3, echo_transport(fired), c);
   simu.run_until(SimTime::millis(450));  // 4 ticks; every worker re-probed
   pool.expire_now();
-  const auto fresh = pool.fresh_results();
-  ASSERT_EQ(fresh.size(), 3u);  // one retained result per worker
+  EXPECT_EQ(pool.size(), 3u);  // one retained result per worker
   for (int w = 0; w < 3; ++w) {
-    EXPECT_EQ(fresh[static_cast<std::size_t>(w)].worker, w);
-    EXPECT_DOUBLE_EQ(fresh[static_cast<std::size_t>(w)].rif, w);
+    const auto fresh = pool.freshest(w);
+    ASSERT_TRUE(fresh.has_value());
+    EXPECT_EQ(fresh->worker, w);
+    EXPECT_DOUBLE_EQ(fresh->rif, w);
     // The retained entry is the latest tick's reply.
-    EXPECT_EQ(fresh[static_cast<std::size_t>(w)].at, SimTime::millis(400));
+    EXPECT_EQ(fresh->at, SimTime::millis(400));
   }
   EXPECT_TRUE(pool.has_fresh(0));
   EXPECT_FALSE(pool.has_fresh(3));
@@ -196,7 +195,6 @@ TEST(ProbePool, ReuseBudgetDiscardsAfterConfiguredUses) {
   ProbeConfig c = quick_config();
   c.d = 1;
   c.staleness = SimTime::seconds(10);
-  c.reuse_budget = 3;
   bool answered = false;
   ProbePool pool(
       simu, 1,
@@ -208,15 +206,14 @@ TEST(ProbePool, ReuseBudgetDiscardsAfterConfiguredUses) {
       c);
   simu.run_until(SimTime::millis(120));
   ASSERT_TRUE(pool.has_fresh(0));
-  pool.note_use(0);
-  pool.note_use(0);
-  EXPECT_TRUE(pool.has_fresh(0));  // 2 of 3 uses spent
+  for (int i = 1; i < kReuseBudget; ++i) pool.note_use(0);
+  EXPECT_TRUE(pool.has_fresh(0));  // one use of the budget left
   pool.note_use(0);
   EXPECT_FALSE(pool.has_fresh(0));  // budget exhausted -> discarded
   EXPECT_EQ(pool.expired_budget(), 1u);
-  EXPECT_EQ(pool.uses(), 3u);
+  EXPECT_EQ(pool.uses(), static_cast<std::uint64_t>(kReuseBudget));
   pool.note_use(0);  // no entry: a no-op
-  EXPECT_EQ(pool.uses(), 3u);
+  EXPECT_EQ(pool.uses(), static_cast<std::uint64_t>(kReuseBudget));
 }
 
 TEST(ProbePool, CapacityBoundEvictsOldest) {

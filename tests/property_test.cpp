@@ -3,6 +3,7 @@
 // configurations.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "experiment/experiment.h"
@@ -17,6 +18,14 @@ using lb::PolicyKind;
 using sim::SimTime;
 
 using Combo = std::tuple<PolicyKind, MechanismKind, std::uint64_t>;
+
+std::string combo_name(const ::testing::TestParamInfo<Combo>& param_info) {
+  return lb::to_string(std::get<0>(param_info.param)) + "_" +
+         (std::get<1>(param_info.param) == MechanismKind::kBlocking
+              ? "blocking"
+              : "modified") +
+         "_s" + std::to_string(std::get<2>(param_info.param));
+}
 
 class PolicyMechanismSweep : public ::testing::TestWithParam<Combo> {
  protected:
@@ -66,17 +75,6 @@ TEST_P(PolicyMechanismSweep, CleanEnvironmentMeansNoVlrtAndNoDrops) {
   EXPECT_LT(e->log().mean_response_ms(), 10.0);
 }
 
-TEST_P(PolicyMechanismSweep, CurrentLoadLbValueMatchesOutstanding) {
-  const auto combo = GetParam();
-  if (std::get<0>(combo) != PolicyKind::kCurrentLoad) GTEST_SKIP();
-  auto e = testing::run(config_for(combo));
-  for (int a = 0; a < e->num_apaches(); ++a)
-    for (int t = 0; t < e->num_tomcats(); ++t) {
-      const auto& rec = e->apache(a).balancer().record(t);
-      EXPECT_DOUBLE_EQ(rec.lb_value, static_cast<double>(rec.outstanding));
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Combos, PolicyMechanismSweep,
     ::testing::Combine(
@@ -85,13 +83,27 @@ INSTANTIATE_TEST_SUITE_P(
                           PolicyKind::kTwoChoices),
         ::testing::Values(MechanismKind::kBlocking, MechanismKind::kNonBlocking),
         ::testing::Values(42u)),
-    [](const ::testing::TestParamInfo<Combo>& param_info) {
-      return lb::to_string(std::get<0>(param_info.param)) + "_" +
-             (std::get<1>(param_info.param) == MechanismKind::kBlocking
-                  ? "blocking"
-                  : "modified") +
-             "_s" + std::to_string(std::get<2>(param_info.param));
-    });
+    combo_name);
+
+// The current_load bookkeeping identity, over the current_load combos only.
+class CurrentLoadSweep : public PolicyMechanismSweep {};
+
+TEST_P(CurrentLoadSweep, LbValueMatchesOutstanding) {
+  auto e = testing::run(config_for(GetParam()));
+  for (int a = 0; a < e->num_apaches(); ++a)
+    for (int t = 0; t < e->num_tomcats(); ++t) {
+      const auto& rec = e->apache(a).balancer().record(t);
+      EXPECT_DOUBLE_EQ(rec.lb_value, static_cast<double>(rec.outstanding));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Combos, CurrentLoadSweep,
+    ::testing::Combine(
+        ::testing::Values(PolicyKind::kCurrentLoad),
+        ::testing::Values(MechanismKind::kBlocking, MechanismKind::kNonBlocking),
+        ::testing::Values(42u)),
+    combo_name);
 
 // -- seed sweep: the paired remedy-beats-stock property ----------------------
 

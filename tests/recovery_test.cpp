@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_matrix.h"
 #include "cli/cli.h"
 #include "experiment/chaos.h"
 #include "experiment/config.h"
@@ -256,13 +257,6 @@ TEST(GrayFault, TwoOverlappingFaultsApplyAndClearIndependently) {
 // the safety invariants must survive its interventions in every cell.
 TEST(GrayChaosMatrix, RecoveryOnCellsPreserveInvariants) {
   ChaosMatrixOptions opt;
-  opt.chaos_seed = 42;
-  opt.num_apaches = 2;
-  opt.num_tomcats = 3;
-  opt.num_clients = 200;
-  opt.think_mean = SimTime::millis(200);
-  opt.traffic = SimTime::seconds(6);
-  opt.drain = SimTime::seconds(6);
   opt.resilience = true;
   opt.recovery = true;
   const auto results = run_gray_chaos_matrix(opt);

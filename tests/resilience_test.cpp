@@ -26,10 +26,7 @@ proto::RequestPtr make_req(std::uint64_t id = 1) {
 BalancerConfig breaker_config() {
   BalancerConfig cfg;
   cfg.breaker.enabled = true;
-  cfg.breaker.ewma_alpha = 0.5;
-  cfg.breaker.trip_threshold = 0.5;
   cfg.breaker.open_duration = SimTime::millis(500);
-  cfg.breaker.half_open_trials = 2;
   return cfg;
 }
 
@@ -58,7 +55,7 @@ TEST(Breaker, ProbeOutcomesDriveHealthEwma) {
 TEST(Breaker, TripsWorkerOutOfRotationOnProbeEvidence) {
   Simulation s;
   auto lb = make_lb(s, breaker_config());
-  // alpha .5: two failed probes bring health to .25 < .5 -> trip.
+  // alpha .3: two failed probes bring health to .49 < .5 -> trip.
   lb->report_probe(0, false, SimTime::millis(30));
   EXPECT_FALSE(lb->record(0).breaker_open);
   lb->report_probe(0, false, SimTime::millis(30));
@@ -93,13 +90,13 @@ TEST(Breaker, HalfOpenReadmissionAfterOpenDuration) {
   s.after(SimTime::millis(600), [&] {
     lb->report_probe(0, true, SimTime::millis(1));
     EXPECT_FALSE(lb->record(0).breaker_open);
-    EXPECT_EQ(lb->record(0).half_open_left, 2);
+    EXPECT_EQ(lb->record(0).half_open_left, kHalfOpenTrials);
     auto req = make_req();
     lb->assign(req, [&, req](int idx) {
       EXPECT_EQ(idx, 0);
       lb->on_response(idx, req);
     });
-    EXPECT_EQ(lb->record(0).half_open_left, 1);
+    EXPECT_EQ(lb->record(0).half_open_left, kHalfOpenTrials - 1);
   });
   s.run();
   EXPECT_EQ(lb->breaker_trips(), 1u);
@@ -150,7 +147,6 @@ TEST(HealthProber, ProbesEveryWorkerAndTimesOutSilentOnes) {
   auto lb = make_lb(s, breaker_config());
   ProberConfig pc;
   pc.enabled = true;
-  pc.interval = SimTime::millis(100);
   pc.timeout = SimTime::millis(30);
   // Worker 0 never answers; the rest answer in 1 ms.
   HealthProber prober(

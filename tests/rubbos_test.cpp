@@ -72,14 +72,13 @@ TEST(Rubbos, DemandsArePositiveAndJittered) {
 TEST(Rubbos, QueryCacheSplitsMySqlDemand) {
   WorkloadParams p;
   p.query_cache_hit = 0.5;
-  p.mysql_hit_demand_ms = 0.02;
   RubbosWorkload w(p);
   sim::Rng rng(5);
   int hits = 0, misses = 0;
   for (int i = 0; i < 20'000; ++i) {
     auto req = w.make_request(rng, static_cast<std::uint64_t>(i), 0);
     if (req->db_queries == 0) continue;
-    if (req->mysql_demand <= sim::SimTime::from_millis(0.02))
+    if (req->mysql_demand <= sim::SimTime::from_millis(kMySqlHitDemandMs))
       ++hits;
     else
       ++misses;

@@ -13,18 +13,18 @@ namespace {
 using sim::SimTime;
 using testing::ev;
 
-TelemetryConfig tiny_config() {
+TelemetryConfig enabled_config() {
   TelemetryConfig cfg;
   cfg.enabled = true;
-  cfg.fine_window = SimTime::millis(50);
-  cfg.coarse_window = SimTime::millis(200);  // 4 fine windows per coarse
-  cfg.fine_retention = 4;
-  cfg.coarse_retention = 2;
   return cfg;
 }
 
+/// Fine windows per coarse window (50 ms into 1 s).
+constexpr int kFinePerCoarse =
+    static_cast<int>(kCoarseWindow.ns() / sim::kMetricWindow.ns());
+
 TEST(MultiResTimeline, FineWindowsAccumulateStatsAndQuantiles) {
-  MultiResTimeline tl(tiny_config());
+  MultiResTimeline tl(enabled_config());
   tl.record(SimTime::millis(10), 1.0);
   tl.record(SimTime::millis(20), 3.0);
   tl.record(SimTime::millis(60), 10.0);
@@ -46,45 +46,48 @@ TEST(MultiResTimeline, FineWindowsAccumulateStatsAndQuantiles) {
 }
 
 TEST(MultiResTimeline, FineWindowsRollUpIntoCoarse) {
-  // fine_retention = 4: recording into window 4 evicts window 0 into its
-  // coarse parent (windows 0-3 -> coarse 0), preserving count/avg/max and
-  // the mergeable sketch.
-  MultiResTimeline tl(tiny_config());
-  for (int w = 0; w < 8; ++w)
+  // Once kFineRetention windows are live, each new window evicts the oldest
+  // into its coarse parent: one coarse window past the retention bound,
+  // fine windows 0..19 have merged into coarse 0, preserving count/avg/max
+  // and the mergeable sketch.
+  MultiResTimeline tl(enabled_config());
+  const int windows = static_cast<int>(kFineRetention) + kFinePerCoarse;
+  for (int w = 0; w < windows; ++w)
     tl.record(SimTime::millis(w * 50 + 10), static_cast<double>(w));
 
-  EXPECT_EQ(tl.fine_begin(), 4u);
-  EXPECT_EQ(tl.fine_end(), 8u);
+  EXPECT_EQ(tl.fine_begin(), static_cast<std::size_t>(kFinePerCoarse));
+  EXPECT_EQ(tl.fine_end(), static_cast<std::size_t>(windows));
   ASSERT_GE(tl.coarse_end(), 1u);
   const WindowStats* c0 = tl.coarse_stats(0);
   ASSERT_NE(c0, nullptr);
-  EXPECT_EQ(c0->count, 4);  // fine windows 0..3
-  EXPECT_DOUBLE_EQ(c0->avg(), (0.0 + 1.0 + 2.0 + 3.0) / 4.0);
-  EXPECT_DOUBLE_EQ(c0->max, 3.0);
+  EXPECT_EQ(c0->count, kFinePerCoarse);  // fine windows 0..19
+  EXPECT_DOUBLE_EQ(c0->avg(), (kFinePerCoarse - 1) / 2.0);
+  EXPECT_DOUBLE_EQ(c0->max, kFinePerCoarse - 1.0);
   const DDSketch* cs = tl.coarse_sketch(0);
   ASSERT_NE(cs, nullptr);
-  EXPECT_EQ(cs->count(), 4u);
+  EXPECT_EQ(cs->count(), static_cast<std::uint64_t>(kFinePerCoarse));
   // The run-level totals cover everything ever recorded.
-  EXPECT_EQ(tl.totals().count, 8);
-  EXPECT_EQ(tl.sketch().count(), 8u);
+  EXPECT_EQ(tl.totals().count, windows);
+  EXPECT_EQ(tl.sketch().count(), static_cast<std::uint64_t>(windows));
 }
 
 TEST(MultiResTimeline, MemoryStaysBoundedAndDropsAreCounted) {
-  // 100 s of samples through 4 fine + 2 coarse slots: the deques never
-  // exceed their retention bounds, and evictions past the coarse bound are
-  // counted rather than accumulated.
-  MultiResTimeline tl(tiny_config());
-  for (int i = 0; i < 2'000; ++i) {
-    tl.record(SimTime::millis(i * 50 + 1), 1.0);
-    EXPECT_LE(tl.fine_end() - tl.fine_begin(), 4u);
-    EXPECT_LE(tl.coarse_end() - tl.coarse_begin(), 2u);
+  // One sample per second for 100 s longer than the fine and coarse
+  // retention together: the deques never exceed their bounds, and
+  // evictions past the coarse bound are counted rather than accumulated.
+  MultiResTimeline tl(enabled_config());
+  const int seconds = static_cast<int>(kCoarseRetention) + 60 + 100;
+  for (int i = 0; i < seconds; ++i) {
+    tl.record(SimTime::seconds(i), 1.0);
+    EXPECT_LE(tl.fine_end() - tl.fine_begin(), kFineRetention);
+    EXPECT_LE(tl.coarse_end() - tl.coarse_begin(), kCoarseRetention);
   }
   EXPECT_GT(tl.coarse_dropped(), 0u);
-  EXPECT_EQ(tl.totals().count, 2'000);  // totals survive every eviction
+  EXPECT_EQ(tl.totals().count, seconds);  // totals survive every eviction
 }
 
 TEST(MultiResTimeline, LateSampleIsClampedIntoTheOldestLiveWindow) {
-  MultiResTimeline tl(tiny_config());
+  MultiResTimeline tl(enabled_config());
   tl.record(SimTime::millis(1'000), 5.0);  // window 20
   tl.record(SimTime::millis(0), 7.0);      // long past: clamps to window 20's
                                            // live region, not a crash
@@ -94,7 +97,7 @@ TEST(MultiResTimeline, LateSampleIsClampedIntoTheOldestLiveWindow) {
 }
 
 TEST(TelemetryRegistry, GetOrCreateReturnsStablePointers) {
-  TelemetryRegistry reg(tiny_config());
+  TelemetryRegistry reg(enabled_config());
   Instrument& a = reg.instrument("client.rt_ms", Tier::kClient);
   Instrument& again = reg.instrument("client.rt_ms", Tier::kClient);
   EXPECT_EQ(&a, &again);
@@ -113,7 +116,7 @@ TEST(TelemetryRegistry, GetOrCreateReturnsStablePointers) {
 }
 
 TEST(TelemetryRegistry, CsvCarriesPerWindowQuantileColumns) {
-  TelemetryRegistry reg(tiny_config());
+  TelemetryRegistry reg(enabled_config());
   Instrument& ins = reg.instrument("client.rt_ms");
   for (int i = 0; i < 100; ++i)
     ins.record(SimTime::millis(10 + i % 3), 10.0 + i);
@@ -133,7 +136,7 @@ TEST(TelemetryRegistry, CsvCarriesPerWindowQuantileColumns) {
 }
 
 TEST(TelemetryFeed, MapsTheEventStreamOntoTheStandardInstruments) {
-  TelemetryRegistry reg(tiny_config());
+  TelemetryRegistry reg(enabled_config());
   TelemetryFeed feed(reg, /*num_tomcats=*/2);
   TraceConfig tc;
   tc.ring = false;  // pure event bus

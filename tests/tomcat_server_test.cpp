@@ -93,12 +93,12 @@ TEST(TomcatServer, ConnectorBacklogOverflowRejects) {
   Rig rig;
   TomcatConfig cfg;
   cfg.max_threads = 1;
-  cfg.connector_backlog = 2;
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router, cfg);
+  const int capacity = 1 + static_cast<int>(kConnectorBacklog);
   int ok = 0;
-  for (int i = 0; i < 5; ++i)
+  for (int i = 0; i < capacity + 2; ++i)
     if (tc.submit(make_req(10.0), [](const proto::RequestPtr&) {})) ++ok;
-  EXPECT_EQ(ok, 3);  // 1 in service + 2 queued
+  EXPECT_EQ(ok, capacity);  // 1 in service + a full connector backlog
   EXPECT_EQ(tc.connector_drops(), 2u);
 }
 

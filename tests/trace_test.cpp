@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 
+#include "experiment/chaos.h"
 #include "experiment/experiment.h"
 #include "experiment/summary.h"
 #include "test_util.h"
@@ -415,6 +416,44 @@ TEST(Replay, OpenLoopAgainstTheFullTestbed) {
   EXPECT_EQ(summary.trace_arrivals, 20'000u);
   EXPECT_EQ(summary.replay_abandoned, 0u);
   EXPECT_GT(summary.offered_rps, 1900.0);
+}
+
+TEST(Replay, ChaosLinkFaultLosesReplayedSyns) {
+  // A lossy client link fault during replay must hit the replayer's SYNs
+  // (the closed-loop population is idle), and retransmission recovers them.
+  auto trace = std::make_shared<ArrivalTrace>();
+  sim::Rng mix_rng(5);
+  RubbosWorkload w;
+  for (int i = 0; i < 2'000; ++i)
+    trace->add(SimTime::from_millis(1 + i * 2.0),  // 500 req/s for 4 s
+               static_cast<std::uint32_t>(i % 311),
+               static_cast<std::uint16_t>(w.next_interaction(mix_rng)));
+
+  auto cfg = experiment::testing::quick_config(
+      lb::PolicyKind::kCurrentLoad, lb::MechanismKind::kNonBlocking,
+      /*millibottlenecks=*/false, SimTime::seconds(12));
+  cfg.replay_trace = trace;
+  cfg.warmup = SimTime::zero();
+  millib::FaultSpec link;
+  link.kind = millib::FaultKind::kLinkFault;
+  link.start = SimTime::seconds(1);
+  link.duration = SimTime::seconds(1);
+  link.loss_probability = 0.3;
+  cfg.fault_plan = millib::FaultPlan::single(link);
+  experiment::Experiment e(std::move(cfg));
+  e.run();
+
+  ASSERT_NE(e.replayer(), nullptr);
+  ASSERT_NE(e.chaos(), nullptr);
+  EXPECT_EQ(e.chaos()->faults_cleared(), 1u);
+  const auto& rp = *e.replayer();
+  // ~500 SYNs cross the link during the fault; about 30% are lost.
+  EXPECT_GT(rp.connection_drops(), 50u);
+  EXPECT_EQ(rp.issued(), 2'000u);
+  EXPECT_EQ(rp.in_flight(), 0u);
+  EXPECT_EQ(rp.issued(), rp.completed_ok() + rp.failed() + rp.dropped());
+  EXPECT_GT(rp.completed_ok(), 1'990u);  // retransmits recover the losses
+  EXPECT_EQ(experiment::summarize(e).connection_drops, rp.connection_drops());
 }
 
 TEST(Replay, ExperimentModeIsByteDeterministic) {

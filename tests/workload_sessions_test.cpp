@@ -62,8 +62,6 @@ TEST(BurstyClients, BurstPhasesRaiseThroughput) {
   p.think_mean = SimTime::millis(200);
   p.ramp = SimTime::millis(200);
   p.bursty = true;
-  p.burst_on_mean = SimTime::seconds(2);
-  p.burst_off_mean = SimTime::seconds(2);
   p.burst_multiplier = 8.0;
   ClientPopulation clients(s, p, w, {&fe}, log);
   clients.start();
