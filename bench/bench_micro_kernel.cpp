@@ -124,7 +124,8 @@ static void balancer_assign(benchmark::State& state, int sidelined) {
   lb::LoadBalancer bal(s, workers, lb::make_policy(lb::PolicyKind::kCurrentLoad),
                        lb::make_acquirer(lb::MechanismKind::kNonBlocking), {});
   for (int i = 0; i < sidelined; ++i) bal.report_failure(i * workers / sidelined);
-  auto req = std::make_shared<proto::Request>();
+  proto::RequestPool requests;
+  const proto::RequestRef req = requests.make();
   for (auto _ : state) {
     bal.assign(req, [&](int idx) {
       benchmark::DoNotOptimize(idx);

@@ -68,11 +68,12 @@ int main() {
   // withheld) between t=1s and t=1.3s.
   std::vector<int> assigned(4, 0);
   int errors = 0;
-  std::vector<std::pair<int, proto::RequestPtr>> stalled;
+  std::vector<std::pair<int, proto::RequestRef>> stalled;
+  proto::RequestPool requests;  // where a driver makes its requests
   auto rng = simu.rng().fork();
   for (int i = 0; i < 2000; ++i) {
     simu.after(sim::SimTime::from_millis(i * 2.0), [&, i] {
-      auto req = std::make_shared<proto::Request>();
+      auto req = requests.make();
       req->id = static_cast<std::uint64_t>(i);
       balancer.assign(req, [&, req](int idx) {
         if (idx < 0) {

@@ -1,9 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_map.h"
 #include "sim/time.h"
 
 namespace ntier::cache {
@@ -14,6 +14,11 @@ namespace ntier::cache {
 /// cache pays the expiry cost. Every operation is keyed explicitly and no
 /// output ever depends on hash-table iteration order, so the store is
 /// byte-deterministic by construction.
+///
+/// Storage is flat: entries live in a slot array linked into an intrusive
+/// LRU list by slot index, and a sim::FlatMap maps keys to slots. Both
+/// grow to the store's capacity and are then reused, so a warm store
+/// allocates nothing per operation.
 class CacheStore {
  public:
   explicit CacheStore(std::size_t capacity_entries)
@@ -42,16 +47,30 @@ class CacheStore {
   std::uint64_t expirations() const { return expirations_; }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Entry {
     std::uint64_t key = 0;
     sim::SimTime expires;
+    std::uint32_t prev = kNil;  // towards the MRU end
+    std::uint32_t next = kNil;  // towards the LRU end; free-list link
   };
 
-  void erase(std::list<Entry>::iterator it);
+  /// Slot of `key`, or kNil when not resident.
+  std::uint32_t find(std::uint64_t key);
+  /// A live entry found by lookup()/holds(): erase it and count an
+  /// expiration when it is dead at `now`; true when it survives.
+  bool live_or_expire(std::uint32_t slot, sim::SimTime now);
+  void link_front(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  void erase(std::uint32_t slot);
 
   std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::vector<Entry> entries_;
+  std::uint32_t free_ = kNil;
+  std::uint32_t head_ = kNil;  // most recently used
+  std::uint32_t tail_ = kNil;  // least recently used
+  sim::FlatMap index_;  // key -> slot
   std::uint64_t evictions_ = 0;
   std::uint64_t expirations_ = 0;
 };

@@ -28,47 +28,55 @@ CacheTier::CacheTier(sim::Simulation& simu, std::vector<os::Node*> nodes,
   for (os::Node* n : nodes) nodes_.emplace_back(n, config_.capacity_entries());
 }
 
-void CacheTier::read(int node, const proto::RequestPtr& req,
+void CacheTier::read(int node, const proto::RequestRef& req,
                      sim::SimTime demand, DoneFn done) {
   ++ops_in_flight_;
   ++stats_.lookups;
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
-  ns.node->cpu().submit(
-      kLookupDemand,
-      [this, node, req, demand, done = std::move(done)]() mutable {
-        auto& s = nodes_[static_cast<std::size_t>(node)];
-        if (s.store.lookup(req->key, sim_.now())) {
-          ++stats_.hits;
-          NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kCacheHit,
-                            obs::Tier::kCache, node, -1, req->id,
-                            static_cast<double>(s.store.size()));
-          --ops_in_flight_;
-          done(true);
-          return;
-        }
-        ++stats_.misses;
-        NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kCacheMiss,
-                          obs::Tier::kCache, node, -1, req->id,
-                          static_cast<double>(s.store.size()));
-        if (config_.coalesce || refill_gate_) {
-          const auto it = s.fills.find(req->key);
-          if (it != s.fills.end()) {
-            // Single flight: join the in-flight fill instead of issuing a
-            // second quorum fetch for the same key.
-            ++stats_.coalesced_fills;
-            it->second.push_back([this, done = std::move(done)](bool ok) {
-              --ops_in_flight_;
-              done(ok);
-            });
-            NTIER_TRACE_EVENT(trace_, sim_.now(),
-                              obs::EventKind::kCacheCoalesced,
-                              obs::Tier::kCache, node, -1, req->id,
-                              static_cast<double>(it->second.size()));
-            return;
-          }
-        }
-        start_fill(node, req, demand, std::move(done));
-      });
+  const OpHandle h = ops_.insert(Op{req, demand, node, std::move(done)});
+  nodes_[static_cast<std::size_t>(node)].node->cpu().submit(
+      kLookupDemand, [this, h] { on_lookup(h); });
+}
+
+void CacheTier::complete(OpHandle h, bool ok) {
+  --ops_in_flight_;
+  const DoneFn done = std::move(ops_.take(h).done);
+  done(ok);
+}
+
+void CacheTier::on_lookup(OpHandle h) {
+  const Op& op = ops_[h];
+  const int node = op.node;
+  const std::uint64_t key = op.req->key;
+  const std::uint64_t request = op.req->id;
+  auto& s = nodes_[static_cast<std::size_t>(node)];
+  if (s.store.lookup(key, sim_.now())) {
+    ++stats_.hits;
+    NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kCacheHit,
+                      obs::Tier::kCache, node, -1, request,
+                      static_cast<double>(s.store.size()));
+    complete(h, true);
+    return;
+  }
+  ++stats_.misses;
+  NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kCacheMiss,
+                    obs::Tier::kCache, node, -1, request,
+                    static_cast<double>(s.store.size()));
+  if (config_.coalesce || refill_gate_) {
+    if (const std::uint64_t* joined = s.fills.find(key)) {
+      // Single flight: join the in-flight fill instead of issuing a second
+      // quorum fetch for the same key.
+      ++stats_.coalesced_fills;
+      Fill& f = fills_[*joined];
+      ops_[f.tail].next_waiter = h;
+      f.tail = h;
+      ++f.joined;
+      NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kCacheCoalesced,
+                        obs::Tier::kCache, node, -1, request,
+                        static_cast<double>(f.joined));
+      return;
+    }
+  }
+  start_fill(h);
 }
 
 void CacheTier::set_refill_gate(bool on, sim::SimTime window) {
@@ -76,77 +84,82 @@ void CacheTier::set_refill_gate(bool on, sim::SimTime window) {
   if (window > sim::SimTime()) refill_gate_window_ = window;
 }
 
-void CacheTier::start_fill(int node, const proto::RequestPtr& req,
-                           sim::SimTime demand, DoneFn done) {
+void CacheTier::start_fill(OpHandle leader) {
   ++stats_.fills_started;
-  auto& ns = nodes_[static_cast<std::size_t>(node)];
+  const Op& op = ops_[leader];
   // The gate imposes *emergency single-flight* on top of the stagger: a
   // stampede's duplicate fills are the load the orchestrator is trying to
   // shed, so while gated every concurrent miss for a key joins one quorum
   // fetch even when the config left coalescing off. Latched per fill so a
   // mid-flight gate toggle cannot orphan or double-complete waiters.
-  const bool coalesced = config_.coalesce || refill_gate_;
-  if (coalesced) {
-    ns.fills[req->key].push_back([this, done = std::move(done)](bool ok) {
-      --ops_in_flight_;
-      done(ok);
-    });
-  }
-  auto issue = [this, node, req, demand, coalesced,
-                done = std::move(done)]() mutable {
-    kv_->read(req, demand, [this, node, req, coalesced,
-                            done = std::move(done)](bool ok) mutable {
-    auto& s = nodes_[static_cast<std::size_t>(node)];
-    // The fetched value is installed (or the failure surfaced) only after
-    // the fill demand runs on the cache node, so queueing there is part of
-    // every waiter's latency.
-    s.node->cpu().submit(
-        kFillDemand,
-        [this, node, req, ok, coalesced, done = std::move(done)]() mutable {
-          auto& t = nodes_[static_cast<std::size_t>(node)];
-          if (ok) {
-            ++stats_.fills_completed;
-            ++stats_.inserts;
-            t.store.insert(req->key, sim_.now(), config_.ttl);
-          } else {
-            ++stats_.fill_failures;
-          }
-          if (coalesced) {
-            const auto it = t.fills.find(req->key);
-            if (it != t.fills.end()) {
-              auto waiters = std::move(it->second);
-              t.fills.erase(it);
-              for (auto& w : waiters) w(ok);
-            }
-          } else {
-            --ops_in_flight_;
-            done(ok);
-          }
-        });
-    });
-  };
+  Fill f;
+  f.node = op.node;
+  f.req = op.req;
+  f.demand = op.demand;
+  f.coalesced = config_.coalesce || refill_gate_;
+  f.joined = 1;
+  f.head = f.tail = leader;
+  const std::uint64_t key = f.req->key;
+  const FillHandle fh = fills_.insert(std::move(f));
+  if (fills_[fh].coalesced)
+    nodes_[static_cast<std::size_t>(fills_[fh].node)].fills.insert(key, fh);
   if (refill_gate_) {
     ++stats_.gated_fills;
     // Deterministic per-key stagger: same key -> same offset, every run.
-    const double frac =
-        static_cast<double>(sim::Rng::mix64(req->key) % 1024) / 1024.0;
+    const double frac = static_cast<double>(sim::Rng::mix64(key) % 1024) / 1024.0;
     sim_.after(
         sim::SimTime::from_seconds(refill_gate_window_.to_seconds() * frac),
-        std::move(issue));
+        [this, fh] { issue_fill(fh); });
   } else {
-    issue();
+    issue_fill(fh);
   }
 }
 
-void CacheTier::write(int node, const proto::RequestPtr& req,
+void CacheTier::issue_fill(FillHandle fh) {
+  const Fill& f = fills_[fh];
+  kv_->read(f.req, f.demand, [this, fh](bool ok) {
+    Fill& fetched = fills_[fh];
+    fetched.ok = ok;
+    // The fetched value is installed (or the failure surfaced) only after
+    // the fill demand runs on the cache node, so queueing there is part of
+    // every waiter's latency.
+    nodes_[static_cast<std::size_t>(fetched.node)].node->cpu().submit(
+        kFillDemand, [this, fh] { on_filled(fh); });
+  });
+}
+
+void CacheTier::on_filled(FillHandle fh) {
+  const Fill f = fills_.take(fh);
+  auto& t = nodes_[static_cast<std::size_t>(f.node)];
+  if (f.ok) {
+    ++stats_.fills_completed;
+    ++stats_.inserts;
+    t.store.insert(f.req->key, sim_.now(), config_.ttl);
+  } else {
+    ++stats_.fill_failures;
+  }
+  if (f.coalesced) t.fills.erase(f.req->key);
+  // Each read is freed before its continuation runs, which may start new
+  // reads (and even a new fill for this key).
+  for (OpHandle w = f.head; w != 0;) {
+    const OpHandle next = ops_[w].next_waiter;
+    complete(w, f.ok);
+    w = next;
+  }
+}
+
+void CacheTier::write(int node, const proto::RequestRef& req,
                       sim::SimTime demand, DoneFn done) {
-  (void)node;  // the broadcast reaches every node holding the key
   ++ops_in_flight_;
   ++stats_.writes_forwarded;
-  kv_->write(req, demand, [this, req, done = std::move(done)](bool ok) mutable {
-    if (ok) broadcast_invalidations(req->key, req->id);
-    --ops_in_flight_;
-    done(ok);
+  const OpHandle h = ops_.insert(Op{req, demand, node, std::move(done)});
+  // The broadcast reaches every node holding the key, not just `node`.
+  kv_->write(req, demand, [this, h](bool ok) {
+    if (ok) {
+      const Op& op = ops_[h];
+      broadcast_invalidations(op.req->key, op.req->id);
+    }
+    complete(h, ok);
   });
 }
 
@@ -181,8 +194,7 @@ void CacheTier::pump_invalidations(int node) {
   auto& ns = nodes_[static_cast<std::size_t>(node)];
   if (ns.inval_busy || ns.inval_queue.empty()) return;
   ns.inval_busy = true;
-  const std::uint64_t key = ns.inval_queue.front();
-  ns.inval_queue.pop_front();
+  const std::uint64_t key = ns.inval_queue.pop_front();
   ns.node->cpu().submit(kInvalidateDemand, [this, node, key] {
     auto& s = nodes_[static_cast<std::size_t>(node)];
     s.store.invalidate(key);

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/config.h"
@@ -12,7 +10,10 @@
 #include "os/node.h"
 #include "proto/request.h"
 #include "sim/callback.h"
+#include "sim/flat_map.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::cache {
 
@@ -79,12 +80,12 @@ class CacheTier {
   /// demand; a miss fetches through the KV quorum (the request's original
   /// demand), pays the fill demand, installs the entry and completes every
   /// coalesced waiter in join order.
-  void read(int node, const proto::RequestPtr& req, sim::SimTime demand,
+  void read(int node, const proto::RequestRef& req, sim::SimTime demand,
             DoneFn done);
 
   /// Write-through-to-quorum: forward to the KV write path; on quorum
   /// commit, broadcast invalidations to every node holding the key.
-  void write(int node, const proto::RequestPtr& req, sim::SimTime demand,
+  void write(int node, const proto::RequestRef& req, sim::SimTime demand,
              DoneFn done);
 
   /// The kInvalidationStorm fault: every `storm_tick_interval` for
@@ -123,30 +124,57 @@ class CacheTier {
   const CacheStats& stats() const;
   /// Client-visible cache operations still outstanding (0 after drain).
   std::uint64_t ops_in_flight() const { return ops_in_flight_; }
+  /// Fill records still held (0 after drain).
+  std::size_t fills_held() const { return fills_.size(); }
   /// Invalidations queued or in service across all nodes (0 after drain).
   std::uint64_t invalidations_pending() const;
 
  private:
+  /// One client-visible read or write, from its call to its completion.
+  /// Every continuation on the way captures only its handle (or its fill's).
+  struct Op {
+    proto::RequestRef req;
+    sim::SimTime demand;
+    int node = -1;
+    DoneFn done;
+    /// Next read waiting on the same fill, in join order (0 = last).
+    std::uint64_t next_waiter = 0;
+  };
+  using OpHandle = sim::SlotTable<Op>::Handle;
+
+  /// One backing-store fetch for a missed key, from start_fill() to the
+  /// installed value. `head`..`tail` lists the reads it completes: the
+  /// leader first, then every coalesced waiter in join order.
+  struct Fill {
+    int node = -1;
+    proto::RequestRef req;  // the leader's request (key, id)
+    sim::SimTime demand;
+    bool coalesced = false;  // latched at start; indexed in NodeState::fills
+    bool ok = false;         // the fetch's outcome, set when it returns
+    int joined = 0;          // reads on the list
+    OpHandle head = 0;
+    OpHandle tail = 0;
+  };
+  using FillHandle = sim::SlotTable<Fill>::Handle;
+
   struct NodeState {
     os::Node* node = nullptr;
     CacheStore store;
-    /// In-flight fills by key; the vector holds the leader's completion
-    /// first, then every coalesced waiter in join order.
-    std::unordered_map<std::uint64_t, std::vector<DoneFn>> fills;
-    std::deque<std::uint64_t> inval_queue;
+    /// In-flight coalesced fills by key (at most one per key).
+    sim::FlatMap fills;
+    sim::Ring<std::uint64_t> inval_queue;
     bool inval_busy = false;
 
     NodeState(os::Node* n, std::size_t capacity_entries)
         : node(n), store(capacity_entries) {}
-    // Move-only (the fills hold move-only callbacks).
-    NodeState(const NodeState&) = delete;
-    NodeState& operator=(const NodeState&) = delete;
-    NodeState(NodeState&&) = default;
-    NodeState& operator=(NodeState&&) = default;
   };
 
-  void start_fill(int node, const proto::RequestPtr& req, sim::SimTime demand,
-                  DoneFn done);
+  void on_lookup(OpHandle h);
+  void start_fill(OpHandle leader);
+  void issue_fill(FillHandle fh);
+  void on_filled(FillHandle fh);
+  /// Free the op and run its continuation.
+  void complete(OpHandle h, bool ok);
   void broadcast_invalidations(std::uint64_t key, std::uint64_t request);
   void enqueue_invalidation(int node, std::uint64_t key,
                             std::uint64_t request);
@@ -158,6 +186,8 @@ class CacheTier {
   CacheConfig config_;
   obs::TraceCollector* trace_ = nullptr;
   std::vector<NodeState> nodes_;
+  sim::SlotTable<Op> ops_;
+  sim::SlotTable<Fill> fills_;
 
   mutable CacheStats stats_;
   std::uint64_t ops_in_flight_ = 0;

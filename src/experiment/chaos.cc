@@ -222,7 +222,8 @@ std::string InvariantReport::to_string() const {
   os << "conservation " << (conservation_ok() ? "OK" : "VIOLATED")
      << " (issued=" << issued << " completed=" << completed
      << " failed=" << failed << " dropped=" << dropped
-     << " in_flight=" << in_flight << "); pools "
+     << " in_flight=" << in_flight << " requests_live=" << requests_live
+     << "); pools "
      << (pools_ok() ? "OK" : "VIOLATED") << " (in_use=" << pool_in_use
      << " waiting=" << pool_waiting << "); crash "
      << (crash_ok() ? "OK" : "VIOLATED")
@@ -234,7 +235,8 @@ std::string InvariantReport::to_string() const {
        << kv.quorum_writes << "+" << kv.quorum_failed_writes << "+"
        << kv.migration_shed << " hints_pending=" << kv.hints_pending()
        << " crashed_dispatches=" << kv.crashed_dispatches
-       << " in_flight=" << kv_ops_in_flight << ")";
+       << " in_flight=" << kv_ops_in_flight << " held=" << kv_ops_held
+       << ")";
   }
   if (cache.lookups > 0 || !cache_ok()) {
     os << "; cache " << (cache_ok() ? "OK" : "VIOLATED")
@@ -244,7 +246,8 @@ std::string InvariantReport::to_string() const {
        << " inval=" << cache.invalidations_sent << "="
        << cache.invalidations_delivered << "+" << cache.invalidations_dropped
        << " pending=" << cache_invalidations_pending
-       << " in_flight=" << cache_ops_in_flight << ")";
+       << " in_flight=" << cache_ops_in_flight
+       << " fills_held=" << cache_fills_held << ")";
   }
   return os.str();
 }
@@ -257,6 +260,9 @@ InvariantReport check_invariants(Experiment& e) {
   r.failed = clients.failed();
   r.dropped = clients.dropped();
   r.in_flight = clients.in_flight();
+  r.requests_live = clients.requests().live();
+  if (const auto* replayer = e.replayer())
+    r.requests_live += replayer->requests().live();
   for (int a = 0; a < e.num_apaches(); ++a) {
     auto& lb = e.apache(a).balancer();
     for (int w = 0; w < lb.num_workers(); ++w) {
@@ -277,11 +283,13 @@ InvariantReport check_invariants(Experiment& e) {
   if (const auto* kv = e.kv_tier()) {
     r.kv = kv->stats();
     r.kv_ops_in_flight = kv->ops_in_flight();
+    r.kv_ops_held = kv->ops_held();
   }
   if (const auto* cache = e.cache_tier()) {
     r.cache = cache->stats();
     r.cache_invalidations_pending = cache->invalidations_pending();
     r.cache_ops_in_flight = cache->ops_in_flight();
+    r.cache_fills_held = cache->fills_held();
   }
   return r;
 }

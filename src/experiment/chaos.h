@@ -88,6 +88,10 @@ struct InvariantReport {
   std::uint64_t failed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t in_flight = 0;
+  /// Requests some handle still holds once the run has drained (the client
+  /// and replayer pools' live counts): a settled request that stays live
+  /// was leaked by a component, not kept by a straggler.
+  std::uint64_t requests_live = 0;
 
   // Endpoint-pool accounting across every balancer (Apache and DB tiers):
   // all slots returned, no waiter leaked.
@@ -104,6 +108,9 @@ struct InvariantReport {
   // dropped, never silently lost.
   kv::KvStats kv;
   std::uint64_t kv_ops_in_flight = 0;
+  /// Quorum-op records still held: an op stays until its last replica
+  /// reply lands, so this reaches 0 only when every laggard has.
+  std::uint64_t kv_ops_held = 0;
 
   // Cache-tier accounting (all zero when the run had no cache tier). Every
   // lookup resolves as a hit or a miss; every miss either started a fill or
@@ -112,8 +119,9 @@ struct InvariantReport {
   cache::CacheStats cache;
   std::uint64_t cache_invalidations_pending = 0;
   std::uint64_t cache_ops_in_flight = 0;
+  std::uint64_t cache_fills_held = 0;
 
-  bool conservation_ok() const { return in_flight == 0; }
+  bool conservation_ok() const { return in_flight == 0 && requests_live == 0; }
   bool pools_ok() const { return pool_in_use == 0 && pool_waiting == 0; }
   bool crash_ok() const { return crashed_accepts == 0; }
   bool kv_ok() const {
@@ -121,14 +129,15 @@ struct InvariantReport {
            kv.writes_issued ==
                kv.quorum_writes + kv.quorum_failed_writes + kv.migration_shed &&
            kv.hints_pending() == 0 && kv.crashed_dispatches == 0 &&
-           kv_ops_in_flight == 0;
+           kv_ops_in_flight == 0 && kv_ops_held == 0;
   }
   bool cache_ok() const {
     return cache.lookups == cache.hits + cache.misses &&
            cache.misses == cache.fills_started + cache.coalesced_fills &&
            cache.invalidations_sent ==
                cache.invalidations_delivered + cache.invalidations_dropped &&
-           cache_invalidations_pending == 0 && cache_ops_in_flight == 0;
+           cache_invalidations_pending == 0 && cache_ops_in_flight == 0 &&
+           cache_fills_held == 0;
   }
   bool ok() const {
     return conservation_ok() && pools_ok() && crash_ok() && kv_ok() &&

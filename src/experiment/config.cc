@@ -62,9 +62,21 @@ std::string describe(const ExperimentConfig& c) {
     os << c.kv.replicas << "KV";
   else
     os << c.num_mysql << "M";
-  os << ", " << c.num_clients << " clients, think "
-     << c.think_mean.to_string() << " (" << static_cast<int>(c.offered_rps())
-     << " req/s), " << c.duration.to_string() << ", policy="
+  if (c.replay_trace) {
+    // The replayed trace is the offered load; the closed-loop population is
+    // idled during a replay, so its size and think time say nothing.
+    const workload::ArrivalTrace& t = *c.replay_trace;
+    os << ", " << t.size() << " arrivals";
+    const double span = t.empty() ? 0.0 : t.events().back().at.to_seconds();
+    if (span > 0)
+      os << " (" << static_cast<int>(static_cast<double>(t.size()) / span)
+         << " req/s mean)";
+  } else {
+    os << ", " << c.num_clients << " clients, think "
+       << c.think_mean.to_string() << " ("
+       << static_cast<int>(c.offered_rps()) << " req/s)";
+  }
+  os << ", " << c.duration.to_string() << ", policy="
      << lb::to_string(c.policy) << ", mechanism=" << lb::to_string(c.mechanism)
      << ", millibottlenecks="
      << (c.tomcat_millibottlenecks

@@ -19,10 +19,11 @@ KvReplica::KvReplica(sim::Simulation& simu, os::Node& node, int id,
 void KvReplica::execute(sim::SimTime demand, sim::Callback<void()> done) {
   ++resident_;
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
+  const OpHandle h = ops_.insert(Op{demand, std::move(done)});
   if (executing_ < kReplicaMaxConnections) {
-    start(demand, std::move(done));
+    start(h);
   } else {
-    waiting_.emplace_back(demand, std::move(done));
+    waiting_.push_back(h);
   }
 }
 
@@ -31,39 +32,39 @@ void KvReplica::set_slow(double severity) {
   slow_factor_ = 1.0 / (1.0 - severity);
 }
 
-void KvReplica::start(sim::SimTime demand, sim::Callback<void()> done) {
+void KvReplica::start(OpHandle h) {
   ++executing_;
+  sim::SimTime demand = ops_[h].demand;
   if (slow()) {
     demand = sim::SimTime::from_seconds(demand.to_seconds() * slow_factor_);
     ++slow_ops_;
   }
-  node_.cpu().submit(demand, [this, done = std::move(done)] {
-    on_op_done();
-    if (done) done();
-  });
+  node_.cpu().submit(demand, [this, h] { on_op_done(h); });
 }
 
-void KvReplica::on_op_done() {
+void KvReplica::on_op_done(OpHandle h) {
+  const sim::Callback<void()> done = std::move(ops_.take(h).done);
   --executing_;
   --resident_;
   ++served_;
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
-  if (!waiting_.empty() && executing_ < kReplicaMaxConnections) {
-    auto [demand, done] = std::move(waiting_.front());
-    waiting_.pop_front();
-    start(demand, std::move(done));
-  }
+  if (!waiting_.empty() && executing_ < kReplicaMaxConnections)
+    start(waiting_.pop_front());
+  if (done) done();
 }
 
 std::uint64_t KvReplica::version_of(std::uint64_t key) const {
-  const auto it = versions_.find(key);
-  return it == versions_.end() ? 0 : it->second;
+  const std::uint64_t* v = versions_.find(key);
+  return v ? *v : 0;
 }
 
 bool KvReplica::apply_write(std::uint64_t key, std::uint64_t version) {
-  auto& stored = versions_[key];
-  if (version <= stored) return false;
-  stored = version;
+  std::uint64_t* stored = versions_.find(key);
+  if (version <= (stored ? *stored : 0)) return false;
+  if (stored)
+    *stored = version;
+  else
+    versions_.insert(key, version);
   ++writes_applied_;
   node_.page_cache().write_dirty(kLogBytesPerWrite);
   return true;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,10 @@
 #include "metrics/time_series.h"
 #include "os/node.h"
 #include "sim/callback.h"
+#include "sim/flat_map.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::kv {
 
@@ -87,8 +89,15 @@ class KvReplica {
   os::Node& node() { return node_; }
 
  private:
-  void start(sim::SimTime demand, sim::Callback<void()> done);
-  void on_op_done();
+  /// One operation from execute() to its completion; the CPU job captures
+  /// only its handle.
+  struct Op {
+    sim::SimTime demand;
+    sim::Callback<void()> done;
+  };
+  using OpHandle = sim::SlotTable<Op>::Handle;
+  void start(OpHandle h);
+  void on_op_done(OpHandle h);
 
   sim::Simulation& sim_;
   os::Node& node_;
@@ -101,8 +110,9 @@ class KvReplica {
   int resident_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t writes_applied_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> versions_;
-  std::deque<std::pair<sim::SimTime, sim::Callback<void()>>> waiting_;
+  sim::FlatMap versions_;  // key -> newest applied version (>= 1)
+  sim::SlotTable<Op> ops_;
+  sim::Ring<OpHandle> waiting_;  // beyond the connection cap, FIFO
   std::deque<Hint> hints_;
   metrics::GaugeSeries* queue_series_ = nullptr;
 };

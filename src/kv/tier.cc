@@ -56,33 +56,47 @@ std::uint64_t KvTier::hints_held() const {
   return total;
 }
 
-void KvTier::read(const proto::RequestPtr& req, sim::SimTime demand,
+KvTier::OpHandle KvTier::open_op(bool is_write, const proto::RequestRef& req,
+                                 sim::SimTime demand, int shard, int needed,
+                                 DoneFn done) {
+  QuorumOp op;
+  op.is_write = is_write;
+  op.req = req;
+  op.demand = demand;
+  op.shard = shard;
+  op.needed = needed;
+  op.started = sim_.now();
+  op.done = std::move(done);
+  const OpHandle h = ops_.insert(std::move(op));
+  const std::size_t slots = ops_.slot_count();
+  const std::size_t reps = replicas_.size();
+  const auto n = static_cast<std::size_t>(config_.n);
+  if (read_version_.size() < slots * reps) read_version_.resize(slots * reps);
+  if (reply_log_.size() < slots * n) reply_log_.resize(slots * n);
+  ++ops_in_flight_;
+  return h;
+}
+
+void KvTier::read(const proto::RequestRef& req, sim::SimTime demand,
                   DoneFn done) {
   ++stats_.reads_issued;
-  auto op = std::make_shared<QuorumOp>();
-  op->is_write = false;
-  op->req = req;
-  op->demand = demand;
-  op->shard = shard_of(req->key);
-  op->needed = config_.r;
-  op->started = sim_.now();
-  op->done = std::move(done);
-
-  const auto& members = shard_members(op->shard);
+  const int shard = shard_of(req->key);
+  const auto& members = shard_members(shard);
   int live = 0;
   for (int m : members)
     if (alive(m)) ++live;
-  if (live < op->needed) {
+  if (live < config_.r) {
     ++stats_.quorum_failed_reads;
-    if (op->done) op->done(false);
+    if (done) done(false);
     return;
   }
-  ++ops_in_flight_;
+  const OpHandle h =
+      open_op(/*is_write=*/false, req, demand, shard, config_.r, std::move(done));
   for (int m : members)
-    if (alive(m)) dispatch(op, m);
+    if (alive(m)) dispatch(h, m);
 }
 
-void KvTier::write(const proto::RequestPtr& req, sim::SimTime demand,
+void KvTier::write(const proto::RequestRef& req, sim::SimTime demand,
                    DoneFn done) {
   ++stats_.writes_issued;
   const int shard = shard_of(req->key);
@@ -97,128 +111,138 @@ void KvTier::write(const proto::RequestPtr& req, sim::SimTime demand,
     return;
   }
 
-  auto op = std::make_shared<QuorumOp>();
-  op->is_write = true;
-  op->req = req;
-  op->demand = demand;
-  op->shard = shard;
-  op->needed = config_.w;
-  op->started = sim_.now();
-  op->done = std::move(done);
-
   const auto& members = shard_members(shard);
   int live = 0;
   for (int m : members)
     if (alive(m)) ++live;
-  if (live < op->needed) {
+  if (live < config_.w) {
     ++stats_.quorum_failed_writes;
-    if (op->done) op->done(false);
+    if (done) done(false);
     return;
   }
 
-  op->version = ++clock_;
-  ++ops_in_flight_;
+  const std::uint64_t version = ++clock_;
+  const OpHandle h =
+      open_op(/*is_write=*/true, req, demand, shard, config_.w, std::move(done));
+  ops_[h].version = version;
   for (int m : members) {
     if (alive(m)) {
-      dispatch(op, m);
+      dispatch(h, m);
     } else {
       ++stats_.write_replicas_missed;
-      stash_hint(m, req, demand, op->version);
+      stash_hint(m, req, demand, version);
     }
   }
 }
 
-void KvTier::dispatch(const OpPtr& op, int rep) {
+void KvTier::dispatch(OpHandle h, int rep) {
   if (!alive(rep)) {
     // The failure detector fences dead replicas before dispatch; reaching
     // here means the fence leaked — counted so chaos invariants catch it.
     ++stats_.crashed_dispatches;
     return;
   }
-  ++op->sent;
-  link_.deliver(sim_, [this, op, rep] {
-    KvReplica& r = replica(rep);
-    if (op->is_write) {
-      r.execute(op->demand, [this, op, rep] {
-        replica(rep).apply_write(op->req->key, op->version);
-        link_.deliver(sim_, [this, op, rep] { on_reply(op, rep, 0); });
-      });
-    } else {
-      r.execute(op->demand, [this, op, rep] {
-        const std::uint64_t v = replica(rep).version_of(op->req->key);
-        link_.deliver(sim_, [this, op, rep, v] { on_reply(op, rep, v); });
-      });
-    }
+  ++ops_[h].sent;
+  link_.deliver(sim_, [this, h, rep] {
+    replica(rep).execute(ops_[h].demand, [this, h, rep] {
+      const QuorumOp& op = ops_[h];
+      if (op.is_write)
+        replica(rep).apply_write(op.req->key, op.version);
+      else
+        read_version_[ops_.slot_of(h) * replicas_.size() +
+                      static_cast<std::size_t>(rep)] =
+            replica(rep).version_of(op.req->key);
+      link_.deliver(sim_, [this, h, rep] { on_reply(h, rep); });
+    });
   });
 }
 
-void KvTier::on_reply(const OpPtr& op, int rep, std::uint64_t version) {
-  ++op->replies;
-  if (!op->is_write && !op->completed)
-    op->read_versions.emplace_back(rep, version);
-  if (!op->completed && op->replies >= op->needed) {
-    op->completed = true;
-    complete_op(op);
+void KvTier::on_reply(OpHandle h, int rep) {
+  QuorumOp& op = ops_[h];
+  ++op.replies;
+  if (!op.is_write && !op.completed) {
+    const std::size_t slot = ops_.slot_of(h);
+    reply_log_[slot * static_cast<std::size_t>(config_.n) +
+               static_cast<std::size_t>(op.logged++)] = {
+        rep, read_version_[slot * replicas_.size() +
+                           static_cast<std::size_t>(rep)]};
   }
-  // Laggard replies past the quorum just arrive; the shared op keeps the
-  // state alive until the last one lands.
+  if (!op.completed && op.replies >= op.needed) {
+    complete_op(h);
+    return;
+  }
+  // Laggard replies past the quorum just arrive; the op is released with
+  // the last one.
+  if (op.completed && op.replies == op.sent) ops_.erase(h);
 }
 
-void KvTier::complete_op(const OpPtr& op) {
-  const sim::SimTime wait = sim_.now() - op->started;
+void KvTier::complete_op(OpHandle h) {
+  QuorumOp& op = ops_[h];
+  op.completed = true;
+  const sim::SimTime wait = sim_.now() - op.started;
   const double wait_ms = wait.to_millis();
-  const int down = down_members_[static_cast<std::size_t>(op->shard)];
+  const int down = down_members_[static_cast<std::size_t>(op.shard)];
 
-  op->req->kv_quorum_wait = op->req->kv_quorum_wait + wait;
+  op.req->kv_quorum_wait = op.req->kv_quorum_wait + wait;
   stats_.quorum_wait_ms_sum += wait_ms;
   if (down > 0) {
-    op->req->kv_degraded_wait = op->req->kv_degraded_wait + wait;
+    op.req->kv_degraded_wait = op.req->kv_degraded_wait + wait;
     ++stats_.degraded_ops;
     stats_.degraded_wait_ms += wait_ms;
   }
 
-  if (op->is_write) {
+  if (op.is_write) {
     ++stats_.quorum_writes;
     NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kKvQuorumWrite,
-                      obs::Tier::kKv, op->shard, -1, op->req->id, wait_ms,
+                      obs::Tier::kKv, op.shard, -1, op.req->id, wait_ms,
                       down);
   } else {
     ++stats_.quorum_reads;
     NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kKvQuorumRead,
-                      obs::Tier::kKv, op->shard, -1, op->req->id, wait_ms,
+                      obs::Tier::kKv, op.shard, -1, op.req->id, wait_ms,
                       down);
-    issue_read_repairs(op);
+    issue_read_repairs(op, h);
   }
 
   --ops_in_flight_;
-  if (op->done) op->done(true);
+  // The continuation may start new ops (and grow `ops_`), so it runs from a
+  // local after the record is released or left for its laggards.
+  const DoneFn done = std::move(op.done);
+  if (op.replies == op.sent) ops_.erase(h);
+  if (done) done(true);
 }
 
-void KvTier::issue_read_repairs(const OpPtr& op) {
+void KvTier::issue_read_repairs(const QuorumOp& op, OpHandle h) {
   // Among the first R repliers, bring stale replicas up to the newest
   // version seen (Dynamo-style read repair).
+  const auto* log =
+      &reply_log_[ops_.slot_of(h) * static_cast<std::size_t>(config_.n)];
+  const auto* log_end = log + op.logged;
   std::uint64_t newest = 0;
-  for (const auto& [rep, v] : op->read_versions) newest = std::max(newest, v);
+  for (const auto* e = log; e != log_end; ++e) newest = std::max(newest, e->second);
   if (newest == 0) return;
-  for (const auto& [rep, v] : op->read_versions) {
+  for (const auto* e = log; e != log_end; ++e) {
+    const auto [rep, v] = *e;
     if (v >= newest || !alive(rep)) continue;
     ++stats_.read_repairs;
     NTIER_TRACE_EVENT(trace_, sim_.now(), obs::EventKind::kKvReadRepair,
-                      obs::Tier::kKv, op->shard, rep, op->req->id,
+                      obs::Tier::kKv, op.shard, rep, op.req->id,
                       static_cast<double>(newest));
-    const std::uint64_t key = op->req->key;
-    const int target = rep;
-    link_.deliver(sim_, [this, target, key, newest] {
-      if (!alive(target)) return;
-      replica(target).execute(kHintStoreDemand,
-                              [this, target, key, newest] {
-                                replica(target).apply_write(key, newest);
-                              });
+    const auto rh = repairs_.insert(Repair{rep, op.req->key, newest});
+    link_.deliver(sim_, [this, rh] {
+      if (!alive(repairs_[rh].target)) {
+        repairs_.erase(rh);
+        return;
+      }
+      replica(repairs_[rh].target).execute(kHintStoreDemand, [this, rh] {
+        const Repair r = repairs_.take(rh);
+        replica(r.target).apply_write(r.key, r.version);
+      });
     });
   }
 }
 
-void KvTier::stash_hint(int home, const proto::RequestPtr& req,
+void KvTier::stash_hint(int home, const proto::RequestRef& req,
                         sim::SimTime demand, std::uint64_t version) {
   // Dynamo hinted handoff: the next alive ring successor *outside* the
   // preference list keeps the write until `home` recovers.
@@ -234,36 +258,44 @@ void KvTier::stash_hint(int home, const proto::RequestPtr& req,
   h.version = version;
   h.demand = demand;
   h.home = home;
-  link_.deliver(sim_, [this, holder, h] {
-    if (!alive(holder)) {
+  const HandoffHandle hh = handoffs_.insert(Handoff{h, holder});
+  link_.deliver(sim_, [this, hh] {
+    if (!alive(handoffs_[hh].holder)) {
+      handoffs_.erase(hh);
       ++stats_.handoff_dropped;
       return;
     }
-    replica(holder).execute(kHintStoreDemand, [this, holder, h] {
-      if (alive(h.home)) {
+    replica(handoffs_[hh].holder).execute(kHintStoreDemand, [this, hh] {
+      const Handoff x = handoffs_[hh];
+      if (alive(x.hint.home)) {
         // The home recovered while this handoff was still in flight — its
         // recovery replay has already run, so forward the write straight to
         // it instead of stranding the hint on the holder.
-        const int target = h.home;
-        link_.deliver(sim_, [this, h, target, holder] {
+        link_.deliver(sim_, [this, hh] {
+          const Handoff y = handoffs_[hh];
+          const int target = y.hint.home;
           if (!alive(target)) {
-            if (alive(holder) && replica(holder).store_hint(h))
+            handoffs_.erase(hh);
+            if (alive(y.holder) && replica(y.holder).store_hint(y.hint))
               ++stats_.hints_created;
             else
               ++stats_.handoff_dropped;
             return;
           }
-          replica(target).execute(h.demand, [this, h, target, holder] {
-            replica(target).apply_write(h.key, h.version);
+          replica(target).execute(y.hint.demand, [this, hh] {
+            const Handoff z = handoffs_.take(hh);
+            replica(z.hint.home).apply_write(z.hint.key, z.hint.version);
             ++stats_.hints_replayed;
             NTIER_TRACE_EVENT(trace_, sim_.now(),
                               obs::EventKind::kKvHandoffReplay, obs::Tier::kKv,
-                              target, holder, 0, static_cast<double>(h.version));
+                              z.hint.home, z.holder, 0,
+                              static_cast<double>(z.hint.version));
           });
         });
         return;
       }
-      if (replica(holder).store_hint(h))
+      handoffs_.erase(hh);
+      if (replica(x.holder).store_hint(x.hint))
         ++stats_.hints_created;
       else
         ++stats_.handoff_dropped;
@@ -304,23 +336,33 @@ void KvTier::on_replica_recovered(int r) {
 }
 
 void KvTier::replay_hints(int holder, int home) {
-  auto hints = std::make_shared<std::vector<Hint>>(
-      replica(holder).take_hints_for(home));
-  if (!hints->empty()) replay_one(holder, std::move(hints), 0);
+  std::vector<Hint> hints = replica(holder).take_hints_for(home);
+  if (hints.empty()) return;
+  replay_one(replays_.insert(Replay{holder, std::move(hints), /*pending=*/1}),
+             0);
 }
 
-void KvTier::replay_one(int holder, std::shared_ptr<std::vector<Hint>> hints,
-                        std::size_t i) {
-  if (i >= hints->size()) return;
-  const Hint h = (*hints)[i];
-  if (!alive(holder)) {
-    // Holder died mid-replay: the remaining hints are lost with it.
-    stats_.handoff_dropped += hints->size() - i;
+void KvTier::release_replay(ReplayHandle rh) {
+  if (--replays_[rh].pending == 0) replays_.erase(rh);
+}
+
+void KvTier::replay_one(ReplayHandle rh, std::size_t i) {
+  const Replay& rp = replays_[rh];
+  if (i >= rp.hints.size()) {
+    release_replay(rh);
     return;
   }
-  replica(holder).execute(kHintStoreDemand, [this, holder, h, hints,
-                                                      i] {
-    link_.deliver(sim_, [this, holder, h, hints, i] {
+  if (!alive(rp.holder)) {
+    // Holder died mid-replay: the remaining hints are lost with it.
+    stats_.handoff_dropped += rp.hints.size() - i;
+    release_replay(rh);
+    return;
+  }
+  replica(rp.holder).execute(kHintStoreDemand, [this, rh, i] {
+    link_.deliver(sim_, [this, rh, i] {
+      Replay& r = replays_[rh];
+      const int holder = r.holder;
+      const Hint h = r.hints[i];
       if (!alive(h.home)) {
         // Home crashed again before this hint landed: re-stash it on the
         // holder so a later recovery replays it (or count the drop when the
@@ -328,18 +370,20 @@ void KvTier::replay_one(int holder, std::shared_ptr<std::vector<Hint>> hints,
         if (!alive(holder) || !replica(holder).store_hint(h))
           ++stats_.handoff_dropped;
       } else {
-        const int home = h.home;
-        replica(home).execute(h.demand, [this, h, home, holder] {
-          replica(home).apply_write(h.key, h.version);
+        ++r.pending;
+        replica(h.home).execute(h.demand, [this, rh, i] {
+          const Replay& done = replays_[rh];
+          const Hint& applied = done.hints[i];
+          replica(applied.home).apply_write(applied.key, applied.version);
           ++stats_.hints_replayed;
           NTIER_TRACE_EVENT(trace_, sim_.now(),
                             obs::EventKind::kKvHandoffReplay, obs::Tier::kKv,
-                            home, holder, 0, static_cast<double>(h.version));
+                            applied.home, done.holder, 0,
+                            static_cast<double>(applied.version));
+          release_replay(rh);
         });
       }
-      sim_.after(kHintReplayGap, [this, holder, hints, i] {
-        replay_one(holder, hints, i + 1);
-      });
+      sim_.after(kHintReplayGap, [this, rh, i] { replay_one(rh, i + 1); });
     });
   });
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "kv/config.h"
@@ -12,6 +11,7 @@
 #include "proto/request.h"
 #include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 
 namespace ntier::kv {
 
@@ -78,8 +78,8 @@ class KvTier {
   KvTier(const KvTier&) = delete;
   KvTier& operator=(const KvTier&) = delete;
 
-  void read(const proto::RequestPtr& req, sim::SimTime demand, DoneFn done);
-  void write(const proto::RequestPtr& req, sim::SimTime demand, DoneFn done);
+  void read(const proto::RequestRef& req, sim::SimTime demand, DoneFn done);
+  void write(const proto::RequestRef& req, sim::SimTime demand, DoneFn done);
 
   /// Failure-detector hooks (the chaos controller calls these around
   /// KvReplica::crash/restart). Recovery triggers hint replay both *to* the
@@ -115,6 +115,9 @@ class KvTier {
   const KvStats& stats() const { return stats_; }
   /// Client-visible quorum ops still outstanding (0 after drain).
   std::uint64_t ops_in_flight() const { return ops_in_flight_; }
+  /// Quorum-op records still held, including completed ops that await a
+  /// laggard reply (0 after drain).
+  std::size_t ops_held() const { return ops_.size(); }
   /// Hints physically held across all replicas right now.
   std::uint64_t hints_held() const;
   /// Time each shard spent with >= 1 preference-list member down.
@@ -123,21 +126,52 @@ class KvTier {
   }
 
  private:
+  /// One client-visible quorum operation. It stays in `ops_` until its last
+  /// replica reply has landed, so a laggard past the quorum still finds the
+  /// request (and its key) it was sent for; every per-replica continuation
+  /// captures only `{this, handle, replica}`.
   struct QuorumOp {
     bool is_write = false;
-    proto::RequestPtr req;
-    sim::SimTime demand;
+    bool completed = false;
     int shard = -1;
     int needed = 0;
     int sent = 0;
     int replies = 0;
-    bool completed = false;
+    /// Read replies recorded before the quorum completed (the first
+    /// `needed` repliers), in arrival order: `reply_log_` at this op's slot.
+    int logged = 0;
+    proto::RequestRef req;
+    sim::SimTime demand;
     std::uint64_t version = 0;  // write: new version; read: unused
-    std::vector<std::pair<int, std::uint64_t>> read_versions;
     sim::SimTime started;
     DoneFn done;
   };
-  using OpPtr = std::shared_ptr<QuorumOp>;
+  using OpHandle = sim::SlotTable<QuorumOp>::Handle;
+
+  /// A missed write on its way to (and into) its stand-in replica.
+  struct Handoff {
+    Hint hint;
+    int holder = -1;
+  };
+  using HandoffHandle = sim::SlotTable<Handoff>::Handle;
+
+  /// One holder's hints being replayed to a recovered home, paced one hint
+  /// per kHintReplayGap. `pending` counts the replay chain itself plus every
+  /// replayed write still executing on the home; the record goes with the
+  /// last of them.
+  struct Replay {
+    int holder = -1;
+    std::vector<Hint> hints;
+    int pending = 0;
+  };
+  using ReplayHandle = sim::SlotTable<Replay>::Handle;
+
+  /// A read repair on its way to a stale replica.
+  struct Repair {
+    int target = -1;
+    std::uint64_t key = 0;
+    std::uint64_t version = 0;
+  };
 
   struct Migration {
     bool active = false;
@@ -147,15 +181,18 @@ class KvTier {
     sim::SimTime chunk_demand;  // kMigrationChunkDemand scaled by intensity
   };
 
-  void dispatch(const OpPtr& op, int rep);
-  void on_reply(const OpPtr& op, int rep, std::uint64_t version);
-  void complete_op(const OpPtr& op);
-  void issue_read_repairs(const OpPtr& op);
-  void stash_hint(int home, const proto::RequestPtr& req, sim::SimTime demand,
+  /// Admit an op that has its quorum of live members; returns its handle.
+  OpHandle open_op(bool is_write, const proto::RequestRef& req,
+                   sim::SimTime demand, int shard, int needed, DoneFn done);
+  void dispatch(OpHandle h, int rep);
+  void on_reply(OpHandle h, int rep);
+  void complete_op(OpHandle h);
+  void issue_read_repairs(const QuorumOp& op, OpHandle h);
+  void stash_hint(int home, const proto::RequestRef& req, sim::SimTime demand,
                   std::uint64_t version);
   void replay_hints(int holder, int home);
-  void replay_one(int holder, std::shared_ptr<std::vector<Hint>> hints,
-                  std::size_t i);
+  void replay_one(ReplayHandle rh, std::size_t i);
+  void release_replay(ReplayHandle rh);
   void migration_chunk(int shard);
   void mark_member_down(int shard);
   void mark_member_up(int shard);
@@ -173,6 +210,16 @@ class KvTier {
   std::uint64_t clock_ = 0;  // global logical version counter (deterministic)
   KvStats stats_;
   std::uint64_t ops_in_flight_ = 0;
+
+  sim::SlotTable<QuorumOp> ops_;
+  /// Per-op side arrays indexed by slot (grown with `ops_`): the version
+  /// each replica read, held from its execution until its reply lands
+  /// (stride num_replicas()), and the read-reply log (stride config_.n).
+  std::vector<std::uint64_t> read_version_;
+  std::vector<std::pair<int, std::uint64_t>> reply_log_;
+  sim::SlotTable<Handoff> handoffs_;
+  sim::SlotTable<Replay> replays_;
+  sim::SlotTable<Repair> repairs_;
 
   std::vector<Migration> migrations_;       // by shard
   std::vector<int> down_members_;           // by shard

@@ -16,23 +16,27 @@ HealthProber::HealthProber(sim::Simulation& simu, LoadBalancer& lb,
   }
 }
 
+bool HealthProber::settle(PendingHandle h, Pending* out) {
+  const Pending* p = pending_.find(h);
+  if (p == nullptr) return false;
+  *out = *p;
+  pending_.erase(h);
+  return true;
+}
+
 void HealthProber::fire(int worker) {
   ++sent_;
-  struct ProbeState {
-    bool settled = false;
-  };
-  auto st = std::make_shared<ProbeState>();
-  const sim::SimTime t0 = sim_.now();
-  probe_(worker, [this, st, worker, t0](bool ok) {
-    if (st->settled) return;  // already counted as a timeout
-    st->settled = true;
-    lb_.report_probe(worker, ok, sim_.now() - t0);
+  const PendingHandle h = pending_.insert(Pending{worker, sim_.now()});
+  probe_(worker, [this, h](bool ok) {
+    Pending p;
+    if (!settle(h, &p)) return;  // already counted as a timeout
+    lb_.report_probe(p.worker, ok, sim_.now() - p.sent_at);
   });
-  sim_.after(config_.timeout, [this, st, worker] {
-    if (st->settled) return;
-    st->settled = true;
+  sim_.after(config_.timeout, [this, h] {
+    Pending p;
+    if (!settle(h, &p)) return;
     ++timed_out_;
-    lb_.report_probe(worker, false, config_.timeout);
+    lb_.report_probe(p.worker, false, config_.timeout);
   });
   sim_.after(kProbeInterval, [this, worker] { fire(worker); });
 }

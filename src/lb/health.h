@@ -6,6 +6,7 @@
 
 #include "sim/callback.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace ntier::lb {
@@ -66,7 +67,17 @@ class HealthProber {
   std::uint64_t probes_timed_out() const { return timed_out_; }
 
  private:
+  /// A probe awaiting its answer or its timeout, whichever runs first; the
+  /// loser finds a stale handle and does nothing.
+  struct Pending {
+    int worker = -1;
+    sim::SimTime sent_at;
+  };
+  using PendingHandle = sim::SlotTable<Pending>::Handle;
+
   void fire(int worker);
+  /// Settle a pending probe; false when it was already settled.
+  bool settle(PendingHandle h, Pending* out);
 
   sim::Simulation& sim_;
   LoadBalancer& lb_;
@@ -74,6 +85,7 @@ class HealthProber {
   ProberConfig config_;
   std::uint64_t sent_ = 0;
   std::uint64_t timed_out_ = 0;
+  sim::SlotTable<Pending> pending_;
 };
 
 }  // namespace ntier::lb

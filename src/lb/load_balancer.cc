@@ -173,7 +173,7 @@ void LoadBalancer::mark_failure(WorkerRecord& rec) {
 }
 
 void LoadBalancer::try_next(AssignHandle h) {
-  const proto::RequestPtr& req = assigns_[h].req;
+  const proto::RequestRef& req = assigns_[h].req;
   const std::uint64_t* tried = attempted(h);
   const auto was_tried = [tried](std::size_t i) {
     return (tried[i / 64] >> (i % 64)) & 1U;
@@ -285,7 +285,7 @@ void LoadBalancer::settle(AssignHandle h, int idx) {
   done(idx);
 }
 
-void LoadBalancer::assign(const proto::RequestPtr& req,
+void LoadBalancer::assign(const proto::RequestRef& req,
                           sim::Callback<void(int)> done) {
   const AssignHandle h = assigns_.insert(AssignContext{req, std::move(done)});
   const std::size_t need = assigns_.slot_count() * words_;
@@ -355,7 +355,7 @@ std::uint64_t LoadBalancer::breaker_trips() const {
   return total;
 }
 
-void LoadBalancer::on_response(int idx, const proto::RequestPtr& req) {
+void LoadBalancer::on_response(int idx, const proto::RequestRef& req) {
   auto& rec = records_[static_cast<std::size_t>(idx)];
   pools_[static_cast<std::size_t>(idx)].release();
   trace_event(obs::EventKind::kEndpointRelease, idx, req->id,

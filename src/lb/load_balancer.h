@@ -75,11 +75,11 @@ class LoadBalancer {
   /// called — possibly after simulated polling time — with the chosen worker
   /// index, or -1 when every worker was tried and none yielded an endpoint
   /// (the request fails with a balancer error, as mod_jk returns 503).
-  void assign(const proto::RequestPtr& req, sim::Callback<void(int)> done);
+  void assign(const proto::RequestRef& req, sim::Callback<void(int)> done);
 
   /// The response for `req` arrived from worker `idx`: release the endpoint
   /// and run the policy's completion hook.
-  void on_response(int idx, const proto::RequestPtr& req);
+  void on_response(int idx, const proto::RequestRef& req);
 
   /// Out-of-band failure evidence for `idx` (e.g. the backend refused a
   /// request after the endpoint was acquired). Feeds the same Busy/Error
@@ -148,7 +148,7 @@ class LoadBalancer {
   /// workers it already tried lives in `attempted_`, `words_` 64-bit words
   /// per slot, so retrying a candidate allocates nothing.
   struct AssignContext {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     sim::Callback<void(int)> done;
   };
   using AssignHandle = sim::SlotTable<AssignContext>::Handle;

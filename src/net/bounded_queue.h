@@ -2,10 +2,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace ntier::net {
@@ -22,7 +22,8 @@ enum class DropReason : std::uint8_t {
 inline constexpr std::size_t kNumDropReasons = 3;
 
 /// Bounded FIFO with drop accounting — the listen/accept backlog of a
-/// server. Overflow (try_push returning false) models a dropped SYN.
+/// server. Items sit in a growable ring (T must be default-constructible),
+/// so a backlog that has once been full allocates nothing more. Overflow (try_push returning false) models a dropped SYN.
 /// Every entry carries its enqueue time so consumers can measure sojourn
 /// (the CoDel signal) and drops are attributed per reason.
 template <typename T>
@@ -36,23 +37,19 @@ class BoundedQueue {
       ++drops_[static_cast<std::size_t>(DropReason::kOverflow)];
       return false;
     }
-    items_.emplace_back(std::move(item), now);
+    items_.push_back({std::move(item), now});
     return true;
   }
 
   std::optional<T> try_pop() {
     if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front().first);
-    items_.pop_front();
-    return item;
+    return std::move(items_.pop_front().first);
   }
 
   /// Pop together with the entry's enqueue time (sojourn = now - enqueued).
   std::optional<std::pair<T, sim::SimTime>> try_pop_timed() {
     if (items_.empty()) return std::nullopt;
-    auto entry = std::move(items_.front());
-    items_.pop_front();
-    return entry;
+    return items_.pop_front();
   }
 
   /// Enqueue time of the head entry (the next pop). Queue must be non-empty.
@@ -80,7 +77,7 @@ class BoundedQueue {
 
  private:
   std::size_t capacity_;
-  std::deque<std::pair<T, sim::SimTime>> items_;
+  sim::Ring<std::pair<T, sim::SimTime>> items_;
   std::array<std::uint64_t, kNumDropReasons> drops_{};
 };
 

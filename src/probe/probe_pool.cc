@@ -1,7 +1,6 @@
 #include "probe/probe_pool.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace ntier::probe {
@@ -36,12 +35,12 @@ void ProbePool::tick() {
   // pool's own stream picks min(d, n) distinct workers per tick.
   const int n = num_workers_;
   const int d = std::min(config_.d, n);
-  std::vector<int> idx(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
+  sample_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) sample_[static_cast<std::size_t>(i)] = i;
   for (int i = 0; i < d; ++i) {
     const auto j = static_cast<std::size_t>(rng_.uniform_int(i, n - 1));
-    std::swap(idx[static_cast<std::size_t>(i)], idx[j]);
-    fire(idx[static_cast<std::size_t>(i)]);
+    std::swap(sample_[static_cast<std::size_t>(i)], sample_[j]);
+    fire(sample_[static_cast<std::size_t>(i)]);
   }
   sim_.after(interval_, [this] { tick(); });
 }
@@ -50,40 +49,45 @@ void ProbePool::fire(int worker) {
   ++sent_;
   trace_event(obs::EventKind::kProbeSent, worker,
               static_cast<double>(entries_.size()), 0);
-
-  // The reply and the timeout race; whichever settles first wins and the
-  // loser becomes a no-op (the shared flag pattern used by HealthProber).
-  auto settled = std::make_shared<bool>(false);
-  const sim::SimTime sent_at = sim_.now();
-  sim_.after(config_.timeout, [this, settled, worker] {
-    if (*settled) return;
-    *settled = true;
-    ++timeouts_;
-    ++failures_;
-    trace_event(obs::EventKind::kProbeExpired, worker,
-                config_.timeout.to_seconds() * kMsPerSecond, /*aux=*/3);
+  const ProbeHandle h = in_flight_.insert(InFlight{worker, sim_.now()});
+  sim_.after(config_.timeout, [this, h] { on_timeout(h); });
+  transport_(worker, [this, h](bool ok, double rif, double latency_ms) {
+    on_reply(h, ok, rif, latency_ms);
   });
-  transport_(worker,
-             [this, settled, worker, sent_at](bool ok, double rif,
-                                              double latency_ms) {
-               if (*settled) return;
-               *settled = true;
-               if (!ok) {
-                 ++failures_;
-                 return;
-               }
-               ++replies_;
-               ProbeResult r;
-               r.worker = worker;
-               r.rif = rif;
-               r.local_rif = local_load_ ? local_load_(worker) : 0.0;
-               r.latency_ms = latency_ms;
-               r.rtt_ms = age_ms(sim_.now(), sent_at);
-               r.at = sim_.now();
-               insert(r);
-               trace_event(obs::EventKind::kProbeReply, worker, rif,
-                           static_cast<std::int32_t>(latency_ms * 1e3));
-             });
+}
+
+void ProbePool::on_timeout(ProbeHandle h) {
+  const InFlight* p = in_flight_.find(h);
+  if (p == nullptr) return;  // answered first
+  const int worker = p->worker;
+  in_flight_.erase(h);
+  ++timeouts_;
+  ++failures_;
+  trace_event(obs::EventKind::kProbeExpired, worker,
+              config_.timeout.to_seconds() * kMsPerSecond, /*aux=*/3);
+}
+
+void ProbePool::on_reply(ProbeHandle h, bool ok, double rif,
+                         double latency_ms) {
+  const InFlight* p = in_flight_.find(h);
+  if (p == nullptr) return;  // timed out first
+  const InFlight probe = *p;
+  in_flight_.erase(h);
+  if (!ok) {
+    ++failures_;
+    return;
+  }
+  ++replies_;
+  ProbeResult r;
+  r.worker = probe.worker;
+  r.rif = rif;
+  r.local_rif = local_load_ ? local_load_(probe.worker) : 0.0;
+  r.latency_ms = latency_ms;
+  r.rtt_ms = age_ms(sim_.now(), probe.sent_at);
+  r.at = sim_.now();
+  insert(r);
+  trace_event(obs::EventKind::kProbeReply, probe.worker, rif,
+              static_cast<std::int32_t>(latency_ms * 1e3));
 }
 
 void ProbePool::insert(ProbeResult r) {

@@ -9,6 +9,7 @@
 #include "sim/callback.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace ntier::probe {
@@ -81,6 +82,17 @@ class ProbePool {
   /// evaluated when a reply is pooled (see ProbeResult::local_rif).
   using LocalLoadFn = std::function<double(int worker)>;
 
+  /// A transport's record of one probe on its round trip: `done` waits here
+  /// while the hops capture only the record's handle, and the backend's
+  /// answer is parked in it for the return hop.
+  struct Trip {
+    ReplyFn done;
+    int worker = -1;
+    bool ok = false;
+    double rif = 0.0;
+    double latency_ms = 0.0;
+  };
+
   ProbePool(sim::Simulation& simu, int num_workers, Transport transport,
             ProbeConfig config);
 
@@ -146,8 +158,19 @@ class ProbePool {
   }
 
  private:
+  /// A probe that has neither been answered nor timed out. The reply and
+  /// the timeout race on its handle: whichever runs first frees it, and the
+  /// other finds a stale handle and does nothing.
+  struct InFlight {
+    int worker = -1;
+    sim::SimTime sent_at;
+  };
+  using ProbeHandle = sim::SlotTable<InFlight>::Handle;
+
   void tick();
   void fire(int worker);
+  void on_timeout(ProbeHandle h);
+  void on_reply(ProbeHandle h, bool ok, double rif, double latency_ms);
   void insert(ProbeResult r);
   void trace_event(obs::EventKind kind, int worker, double value,
                    std::int32_t aux);
@@ -163,6 +186,8 @@ class ProbePool {
   /// Retained results, insertion-ordered (oldest first); bounded by
   /// config_.capacity.
   std::vector<ProbeResult> entries_;
+  sim::SlotTable<InFlight> in_flight_;
+  std::vector<int> sample_;  // tick()'s Fisher-Yates scratch
 
   std::uint64_t sent_ = 0;
   std::uint64_t replies_ = 0;

@@ -18,9 +18,9 @@ class FrontEnd {
 
   /// `respond(req, ok)` fires when the server finishes the request; ok=false
   /// means the server gave up internally (balancer error / 503).
-  using RespondFn = sim::Callback<void(const RequestPtr&, bool ok)>;
+  using RespondFn = sim::Callback<void(const RequestRef&, bool ok)>;
 
-  virtual bool try_submit(const RequestPtr& req, RespondFn respond) = 0;
+  virtual bool try_submit(const RequestRef& req, RespondFn respond) = 0;
 };
 
 }  // namespace ntier::proto

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -98,6 +101,138 @@ inline const char* to_string(ShedReason r) {
   return "?";
 }
 
-using RequestPtr = std::shared_ptr<Request>;
+class RequestPool;
+
+namespace detail {
+/// One pooled request with its reference count. The pool that issued it is
+/// reached through `arena`, so a handle needs nothing but this pointer. The
+/// count sits in front of the request, on the cache line its most-read
+/// fields (id, interaction, client, demands) share, as shared_ptr's control
+/// block did.
+struct RequestNode {
+  std::uint32_t refs = 0;
+  struct RequestArena* arena = nullptr;
+  RequestNode* next_free = nullptr;
+  Request req;
+};
+
+/// The storage behind a RequestPool: fixed-size chunks (addresses stay put
+/// while the pool grows) and an intrusive LIFO free list. It outlives its
+/// pool while handles are still live, so the order in which a run tears
+/// down its components and its pending events does not matter: the last
+/// handle released after the pool is gone frees the arena.
+struct RequestArena {
+  static constexpr std::size_t kChunk = 256;
+  std::vector<std::unique_ptr<RequestNode[]>> chunks;
+  RequestNode* free = nullptr;
+  std::size_t live = 0;
+  bool orphaned = false;  // the owning RequestPool was destroyed
+
+  RequestNode* acquire() {
+    if (free == nullptr) {
+      chunks.push_back(std::make_unique<RequestNode[]>(kChunk));
+      RequestNode* chunk = chunks.back().get();
+      for (std::size_t i = kChunk; i-- > 0;) {
+        chunk[i].arena = this;
+        chunk[i].next_free = free;
+        free = &chunk[i];
+      }
+    }
+    RequestNode* n = free;
+    free = n->next_free;
+    n->next_free = nullptr;
+    n->req = Request{};
+    n->refs = 1;
+    ++live;
+    return n;
+  }
+
+  /// Returns the node to the free list; true when the arena itself should
+  /// now be deleted (orphaned and empty).
+  bool release(RequestNode* n) {
+    n->next_free = free;
+    free = n;
+    --live;
+    return orphaned && live == 0;
+  }
+};
+}  // namespace detail
+
+/// Shared handle to a pooled Request: one pointer (8 bytes) with a
+/// non-atomic reference count, so copying it into a continuation costs an
+/// increment instead of shared_ptr's atomic traffic, and making a request
+/// costs no allocation once the pool has grown to the run's high-water
+/// in-flight count. Lifetime is shared like shared_ptr: a straggler quorum
+/// reply or an abandoned backend attempt keeps the request alive after the
+/// client has settled it. A run's requests live on one thread, so the
+/// count is never touched concurrently.
+class RequestRef {
+ public:
+  RequestRef() noexcept = default;
+  RequestRef(const RequestRef& o) noexcept : node_(o.node_) {
+    if (node_ != nullptr) ++node_->refs;
+  }
+  RequestRef(RequestRef&& o) noexcept : node_(o.node_) { o.node_ = nullptr; }
+  RequestRef& operator=(const RequestRef& o) noexcept {
+    RequestRef(o).swap(*this);
+    return *this;
+  }
+  RequestRef& operator=(RequestRef&& o) noexcept {
+    RequestRef(std::move(o)).swap(*this);
+    return *this;
+  }
+  ~RequestRef() { reset(); }
+
+  void reset() noexcept {
+    if (node_ != nullptr && --node_->refs == 0) {
+      detail::RequestArena* arena = node_->arena;
+      if (arena->release(node_)) delete arena;
+    }
+    node_ = nullptr;
+  }
+  void swap(RequestRef& o) noexcept { std::swap(node_, o.node_); }
+
+  Request* get() const noexcept { return node_ ? &node_->req : nullptr; }
+  Request& operator*() const noexcept { return node_->req; }
+  Request* operator->() const noexcept { return &node_->req; }
+  explicit operator bool() const noexcept { return node_ != nullptr; }
+
+ private:
+  friend class RequestPool;
+  explicit RequestRef(detail::RequestNode* n) noexcept : node_(n) {}
+
+  detail::RequestNode* node_ = nullptr;
+};
+
+static_assert(sizeof(RequestRef) == 8, "a request handle is one pointer");
+
+/// Per-run source of requests. Each workload driver owns one and makes every
+/// request it issues here; a freed request's slot is reused LIFO, and the
+/// pool grows through operator new one fixed-size chunk at a time.
+class RequestPool {
+ public:
+  RequestPool() : arena_(new detail::RequestArena) {}
+  RequestPool(const RequestPool&) = delete;
+  RequestPool& operator=(const RequestPool&) = delete;
+  ~RequestPool() {
+    if (arena_->live == 0)
+      delete arena_;
+    else
+      arena_->orphaned = true;  // the last live handle frees it
+  }
+
+  /// A fresh, default-initialised request.
+  RequestRef make() { return RequestRef(arena_->acquire()); }
+
+  /// Requests some handle still refers to (0 after a run has drained).
+  std::size_t live() const { return arena_->live; }
+  /// Request slots ever allocated (the pool's high-water mark).
+  std::size_t capacity() const {
+    return arena_->chunks.size() * detail::RequestArena::kChunk;
+  }
+
+ private:
+  detail::RequestArena* arena_;
+};
 
 }  // namespace ntier::proto

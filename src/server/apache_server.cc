@@ -34,12 +34,16 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
     // experiences the same stalls as a request does.
     prober_ = std::make_unique<lb::HealthProber>(
         simu, *balancer_,
-        [this](int w, sim::Callback<void(bool)> done) {
-          tomcat_link_.deliver(sim_, [this, w, done = std::move(done)]() mutable {
-            tomcats_[static_cast<std::size_t>(w)]->probe(
-                [this, done = std::move(done)](bool ok) mutable {
-                  tomcat_link_.deliver(sim_,
-                                       [done = std::move(done), ok] { done(ok); });
+        [this](int w, TomcatServer::ProbeFn done) {
+          const auto h = health_trips_.insert(HealthTrip{std::move(done), w});
+          tomcat_link_.deliver(sim_, [this, h] {
+            tomcats_[static_cast<std::size_t>(health_trips_[h].worker)]->probe(
+                [this, h](bool ok) {
+                  health_trips_[h].ok = ok;
+                  tomcat_link_.deliver(sim_, [this, h] {
+                    const HealthTrip back = health_trips_.take(h);
+                    back.done(back.ok);
+                  });
                 });
           });
         },
@@ -52,12 +56,18 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
     probe_pool_ = std::make_unique<probe::ProbePool>(
         simu, static_cast<int>(tomcats_.size()),
         [this](int w, probe::ProbePool::ReplyFn done) {
-          tomcat_link_.deliver(sim_, [this, w, done = std::move(done)]() mutable {
-            tomcats_[static_cast<std::size_t>(w)]->probe_load(
-                [this, done = std::move(done)](bool ok, double rif,
-                                               double lat_ms) mutable {
-                  tomcat_link_.deliver(sim_, [done = std::move(done), ok, rif,
-                                              lat_ms] { done(ok, rif, lat_ms); });
+          const auto h = load_trips_.insert({std::move(done), w});
+          tomcat_link_.deliver(sim_, [this, h] {
+            tomcats_[static_cast<std::size_t>(load_trips_[h].worker)]
+                ->probe_load([this, h](bool ok, double rif, double lat_ms) {
+                  probe::ProbePool::Trip& t = load_trips_[h];
+                  t.ok = ok;
+                  t.rif = rif;
+                  t.latency_ms = lat_ms;
+                  tomcat_link_.deliver(sim_, [this, h] {
+                    const auto back = load_trips_.take(h);
+                    back.done(back.ok, back.rif, back.latency_ms);
+                  });
                 });
           });
         },
@@ -71,7 +81,7 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
   }
 }
 
-bool ApacheServer::try_submit(const proto::RequestPtr& req, RespondFn respond) {
+bool ApacheServer::try_submit(const proto::RequestRef& req, RespondFn respond) {
   req->apache_id = static_cast<std::int16_t>(id_);
   // Recovery hard shedding: a fast 503 at the door, before the backlog or a
   // worker is touched, so the standing queues the metastable loop built up
@@ -132,7 +142,7 @@ void ApacheServer::start_worker(Work w) {
 void ApacheServer::dispatch(JobHandle h, int attempt) {
   // Local copies of the request handle throughout: a balancer answer can
   // run synchronously and finish requests, reusing job and attempt slots.
-  const proto::RequestPtr req = jobs_[h].req;
+  const proto::RequestRef req = jobs_[h].req;
   // Deadline check before entering the balancer: work that can no longer
   // finish in time is not worth an endpoint hunt.
   if (config_.overload.deadlines && expired(req)) {
@@ -150,7 +160,7 @@ void ApacheServer::on_assigned(JobHandle h, int attempt, int idx) {
     maybe_retry(h, attempt);
     return;
   }
-  const proto::RequestPtr req = jobs_[h].req;
+  const proto::RequestRef req = jobs_[h].req;
   if (config_.overload.deadlines && expired(req)) {
     // The blocking get_endpoint can park the worker for hundreds of ms —
     // the deadline may have passed while we waited. Give the endpoint
@@ -167,11 +177,11 @@ void ApacheServer::on_assigned(JobHandle h, int attempt, int idx) {
 }
 
 void ApacheServer::forward(JobHandle h, int attempt, int idx) {
-  const proto::RequestPtr req = jobs_[h].req;
+  const proto::RequestRef req = jobs_[h].req;
   const AttemptHandle a =
       attempts_.insert(Attempt{req, h, idx, attempt, /*abandoned=*/false});
   const bool accepted = tomcats_[static_cast<std::size_t>(idx)]->submit(
-      req, [this, a](const proto::RequestPtr&) {
+      req, [this, a](const proto::RequestRef&) {
         tomcat_link_.deliver(sim_, [this, a] { on_backend_response(a); });
       });
   if (accepted && config_.retry.enabled &&
@@ -225,7 +235,7 @@ void ApacheServer::on_attempt_timeout(AttemptHandle a) {
 
 void ApacheServer::maybe_retry(JobHandle h, int attempt) {
   const lb::RetryConfig& rc = config_.retry;
-  const proto::RequestPtr& req = jobs_[h].req;
+  const proto::RequestRef& req = jobs_[h].req;
   const bool dead = config_.overload.deadlines && expired(req);
   if (retry_suppressed_ && !dead && rc.enabled &&
       attempt + 1 < rc.max_attempts) {
@@ -250,7 +260,7 @@ void ApacheServer::maybe_retry(JobHandle h, int attempt) {
 
 void ApacheServer::finish(JobHandle h, bool ok) {
   const Work w = jobs_.take(h);
-  node_.page_cache().write_dirty(config_.log_bytes);
+  node_.page_cache().write_dirty(kApacheLogBytes);
   ++served_;
   w.respond(w.req, ok);
   --workers_busy_;
@@ -286,7 +296,7 @@ void ApacheServer::admit_from_backlog() {
   }
 }
 
-void ApacheServer::shed_unqueued(const proto::RequestPtr& req,
+void ApacheServer::shed_unqueued(const proto::RequestRef& req,
                                  const RespondFn& respond,
                                  proto::ShedReason reason,
                                  bool release_limiter) {
@@ -300,7 +310,7 @@ void ApacheServer::shed_worker(JobHandle h, proto::ShedReason reason) {
   finish(h, /*ok=*/false);
 }
 
-void ApacheServer::count_shed(const proto::RequestPtr& req,
+void ApacheServer::count_shed(const proto::RequestRef& req,
                               proto::ShedReason reason,
                               bool include_apache_demand) {
   req->shed = reason;

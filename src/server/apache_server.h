@@ -29,13 +29,14 @@ namespace ntier::server {
 /// birthplace of the VLRT requests.
 inline constexpr std::size_t kListenBacklog = 128;
 
+/// Access-log bytes per request (dirties the Apache node's page cache; only
+/// matters in scenarios where Apache-side pdflush is enabled).
+inline constexpr std::uint32_t kApacheLogBytes = 200;
+
 struct ApacheConfig {
   /// Worker-MPM request-handling threads (Table III: MaxClients 200).
   int max_clients = 200;
   sim::SimTime link_latency = sim::SimTime::micros(100);
-  /// Access-log bytes per request (dirties the Apache node's page cache;
-  /// only matters in scenarios where Apache-side pdflush is enabled).
-  std::uint32_t log_bytes = 200;
 
   /// Active health probing of the Tomcats (off by default — the stock
   /// mod_jk setup the paper studies has none).
@@ -69,7 +70,7 @@ class ApacheServer final : public proto::FrontEnd {
                lb::BalancerConfig lb_config, ApacheConfig config = {});
 
   /// proto::FrontEnd — false when the listen backlog is full (SYN dropped).
-  bool try_submit(const proto::RequestPtr& req, RespondFn respond) override;
+  bool try_submit(const proto::RequestRef& req, RespondFn respond) override;
 
   int id() const { return id_; }
   os::Node& node() { return node_; }
@@ -140,7 +141,7 @@ class ApacheServer final : public proto::FrontEnd {
 
  private:
   struct Work {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     RespondFn respond;
   };
   /// A request held by a worker thread, from pickup to finish(); every
@@ -154,13 +155,21 @@ class ApacheServer final : public proto::FrontEnd {
   /// handle and does nothing. A timer that fires first marks the record
   /// `abandoned` and hands the request to the retry path.
   struct Attempt {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     JobHandle job = 0;
     int tomcat = -1;
     int attempt = 0;
     bool abandoned = false;
   };
   using AttemptHandle = sim::SlotTable<Attempt>::Handle;
+  /// A health probe on its round trip to Tomcat `worker` and back (load
+  /// probes use probe::ProbePool::Trip): the prober's continuation waits
+  /// here, and the hops capture only the handle.
+  struct HealthTrip {
+    TomcatServer::ProbeFn done;
+    int worker = -1;
+    bool ok = false;
+  };
 
   void start_worker(Work w);
   void dispatch(JobHandle h, int attempt);
@@ -176,17 +185,17 @@ class ApacheServer final : public proto::FrontEnd {
   /// CoDel sojourn) and start a worker on it.
   void admit_from_backlog();
   /// True when the request carries a deadline that has already passed.
-  bool expired(const proto::RequestPtr& req) const {
+  bool expired(const proto::RequestRef& req) const {
     return req->deadline != sim::SimTime::zero() && sim_.now() > req->deadline;
   }
   /// Shed before any worker was involved (front door / backlog): a failed
   /// response without touching worker accounting.
-  void shed_unqueued(const proto::RequestPtr& req, const RespondFn& respond,
+  void shed_unqueued(const proto::RequestRef& req, const RespondFn& respond,
                      proto::ShedReason reason, bool release_limiter);
   /// Shed while a worker holds the request (endpoint wait): goes through
   /// finish() so worker/limiter/backlog accounting stays intact.
   void shed_worker(JobHandle h, proto::ShedReason reason);
-  void count_shed(const proto::RequestPtr& req, proto::ShedReason reason,
+  void count_shed(const proto::RequestRef& req, proto::ShedReason reason,
                   bool include_apache_demand);
 
   sim::Simulation& sim_;
@@ -203,6 +212,8 @@ class ApacheServer final : public proto::FrontEnd {
   net::BoundedQueue<Work> backlog_;
   sim::SlotTable<Work> jobs_;
   sim::SlotTable<Attempt> attempts_;
+  sim::SlotTable<HealthTrip> health_trips_;
+  sim::SlotTable<probe::ProbePool::Trip> load_trips_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::CoDelController codel_;
   control::OverloadStats ostats_;

@@ -53,12 +53,18 @@ DbRouter::DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
     probe_pool_ = std::make_unique<probe::ProbePool>(
         simu, static_cast<int>(replicas_.size()),
         [this](int w, probe::ProbePool::ReplyFn done) {
-          link_.deliver(sim_, [this, w, done = std::move(done)]() mutable {
-            replicas_[static_cast<std::size_t>(w)]->probe_load(
-                [this, done = std::move(done)](bool ok, double rif,
-                                               double lat_ms) mutable {
-                  link_.deliver(sim_, [done = std::move(done), ok, rif,
-                                       lat_ms] { done(ok, rif, lat_ms); });
+          const auto h = load_trips_.insert({std::move(done), w});
+          link_.deliver(sim_, [this, h] {
+            replicas_[static_cast<std::size_t>(load_trips_[h].worker)]
+                ->probe_load([this, h](bool ok, double rif, double lat_ms) {
+                  probe::ProbePool::Trip& t = load_trips_[h];
+                  t.ok = ok;
+                  t.rif = rif;
+                  t.latency_ms = lat_ms;
+                  link_.deliver(sim_, [this, h] {
+                    const auto back = load_trips_.take(h);
+                    back.done(back.ok, back.rif, back.latency_ms);
+                  });
                 });
           });
         },
@@ -70,7 +76,7 @@ DbRouter::DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
   }
 }
 
-void DbRouter::query(const proto::RequestPtr& req, sim::SimTime demand,
+void DbRouter::query(const proto::RequestRef& req, sim::SimTime demand,
                      bool is_write, sim::Callback<void()> done) {
   if (config_.overload.deadlines && req->deadline != sim::SimTime::zero() &&
       sim_.now() > req->deadline) {

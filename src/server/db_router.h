@@ -84,10 +84,10 @@ class DbRouter {
   /// as errors and complete immediately — the servlet surfaces a SQL error
   /// rather than hanging. `is_write` routes the trip through the KV write
   /// quorum (ignored by the MySQL tier, which models every trip the same).
-  void query(const proto::RequestPtr& req, sim::SimTime demand, bool is_write,
+  void query(const proto::RequestRef& req, sim::SimTime demand, bool is_write,
              sim::Callback<void()> done);
   /// Read round trip (kept for call sites predating the KV tier).
-  void query(const proto::RequestPtr& req, sim::SimTime demand,
+  void query(const proto::RequestRef& req, sim::SimTime demand,
              sim::Callback<void()> done) {
     query(req, demand, /*is_write=*/false, std::move(done));
   }
@@ -114,7 +114,7 @@ class DbRouter {
   /// One in-flight query, from routing to the servlet's continuation; the
   /// hops in between capture only its handle.
   struct Query {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     sim::SimTime demand;
     int replica = -1;
     sim::Callback<void()> done;
@@ -137,6 +137,8 @@ class DbRouter {
   std::unique_ptr<lb::LoadBalancer> balancer_;
   std::unique_ptr<probe::ProbePool> probe_pool_;
   sim::SlotTable<Query> queries_;
+  /// Load probes on their round trip to a replica and back.
+  sim::SlotTable<probe::ProbePool::Trip> load_trips_;
   std::uint64_t errors_ = 0;
   std::uint64_t routed_ = 0;
   control::OverloadStats ostats_;

@@ -25,10 +25,11 @@ void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
   }
 }
 
-void MySqlServer::probe_load(
-    sim::Callback<void(bool, double, double)> done) {
-  node_.cpu().submit(kProbeDemand, [this, done = std::move(done)] {
-    done(true, static_cast<double>(resident_), latency_ewma_ms_);
+void MySqlServer::probe_load(LoadProbeFn done) {
+  const auto h = load_probes_.insert(std::move(done));
+  node_.cpu().submit(kProbeDemand, [this, h] {
+    load_probes_.take(h)(true, static_cast<double>(resident_),
+                         latency_ewma_ms_);
   });
 }
 
@@ -48,9 +49,7 @@ void MySqlServer::on_query_done(sim::SlotTable<Query>::Handle h) {
     node_.page_cache().write_dirty(config_.log_bytes_per_query);
   if (queue_series_) queue_series_->set(sim_.now(), resident_);
   if (!waiting_.empty() && executing_ < kMySqlMaxConnections) {
-    Query next = std::move(waiting_.front());
-    waiting_.pop_front();
-    start(std::move(next));
+    start(waiting_.pop_front());
   }
   // Fold this query's whole latency (queueing included) into the EWMA the
   // load probes report, then hand the result back.

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "metrics/time_series.h"
 #include "os/node.h"
 #include "sim/callback.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
 
@@ -38,8 +38,8 @@ class MySqlServer {
 
   /// Answer a load probe (probe::ProbePool): a tiny CPU job that reports
   /// queries-in-flight at answer time plus the recent query-latency EWMA.
-  void probe_load(
-      sim::Callback<void(bool ok, double rif, double latency_ms)> done);
+  using LoadProbeFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
+  void probe_load(LoadProbeFn done);
 
   /// Recent whole-query latency (execute → done), EWMA in ms.
   double latency_ewma_ms() const { return latency_ewma_ms_; }
@@ -69,8 +69,10 @@ class MySqlServer {
   int resident_ = 0;
   std::uint64_t served_ = 0;
   double latency_ewma_ms_ = 0.0;
-  std::deque<Query> waiting_;
+  sim::Ring<Query> waiting_;
   sim::SlotTable<Query> running_;
+  /// Load probes waiting on their CPU job; the job captures only the handle.
+  sim::SlotTable<LoadProbeFn> load_probes_;
   metrics::GaugeSeries* queue_series_ = nullptr;
 };
 

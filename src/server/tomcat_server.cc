@@ -24,7 +24,7 @@ TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
   }
 }
 
-bool TomcatServer::submit(const proto::RequestPtr& req, RespondFn respond) {
+bool TomcatServer::submit(const proto::RequestRef& req, RespondFn respond) {
   if (crashed_) {
     ++refused_while_crashed_;
     return false;
@@ -90,17 +90,16 @@ void TomcatServer::set_gray_degraded(double severity) {
   gray_demand_factor_ = 1.0 / (1.0 - severity);
 }
 
-void TomcatServer::probe(sim::Callback<void(bool)> done) {
+void TomcatServer::probe(ProbeFn done) {
   if (crashed_) {
     done(false);
     return;
   }
-  node_.cpu().submit(kProbeDemand,
-                     [done = std::move(done)] { done(true); });
+  const auto h = probes_.insert(std::move(done));
+  node_.cpu().submit(kProbeDemand, [this, h] { probes_.take(h)(true); });
 }
 
-void TomcatServer::probe_load(
-    sim::Callback<void(bool, double, double)> done) {
+void TomcatServer::probe_load(LoadProbeFn done) {
   if (crashed_) {
     done(false, 0.0, 0.0);
     return;
@@ -108,15 +107,15 @@ void TomcatServer::probe_load(
   // Sampling resident_ when the probe job *completes* (not when it was
   // submitted) is deliberate: a stalled CPU both delays the answer and
   // reports the queue that built up meanwhile.
-  node_.cpu().submit(kProbeDemand, [this, done = std::move(done)] {
-    done(true, reported_rif(), reported_latency_ms());
+  const auto h = load_probes_.insert(std::move(done));
+  node_.cpu().submit(kProbeDemand, [this, h] {
+    load_probes_.take(h)(true, reported_rif(), reported_latency_ms());
   });
 }
 
 void TomcatServer::dispatch() {
   while (threads_busy_ < config_.max_threads && !connector_queue_.empty()) {
-    Work w = std::move(connector_queue_.front());
-    connector_queue_.pop_front();
+    Work w = connector_queue_.pop_front();
     // Worker-queue shed: work whose deadline passed while it sat in the
     // connector queue is answered (failed) without occupying a servlet
     // thread or touching the DB tier.
@@ -152,7 +151,7 @@ void TomcatServer::run(ThreadHandle h) {
 void TomcatServer::db_round_trips(ThreadHandle h, int remaining) {
   // A copy, not a reference into threads_: a query that fails fast runs
   // the rest of this request (and the next pickup's insert) synchronously.
-  const proto::RequestPtr req = threads_[h].req;
+  const proto::RequestRef req = threads_[h].req;
   if (remaining <= 0) {
     complete(h);
     return;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "control/admission.h"
@@ -11,6 +10,7 @@
 #include "proto/request.h"
 #include "server/db_router.h"
 #include "sim/callback.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
 
@@ -36,7 +36,7 @@ struct TomcatConfig {
 /// Tomcat logs").
 class TomcatServer {
  public:
-  using RespondFn = sim::Callback<void(const proto::RequestPtr&)>;
+  using RespondFn = sim::Callback<void(const proto::RequestRef&)>;
 
   TomcatServer(sim::Simulation& simu, os::Node& node, int id, DbRouter& db,
                TomcatConfig config = {});
@@ -48,18 +48,19 @@ class TomcatServer {
   /// fires at this server once processing finishes; the caller adds the
   /// return-link latency. Returns false on connector-backlog overflow or
   /// while crashed.
-  bool submit(const proto::RequestPtr& req, RespondFn respond);
+  bool submit(const proto::RequestRef& req, RespondFn respond);
 
   /// Answer a health probe: refused instantly while crashed, otherwise a
   /// tiny CPU job whose completion time reflects the run-queue depth (a
   /// capacity-stalled CPU answers late — which is the point).
-  void probe(sim::Callback<void(bool)> done);
+  using ProbeFn = sim::Callback<void(bool ok)>;
+  void probe(ProbeFn done);
 
   /// Answer a load probe (probe::ProbePool): same CPU path as probe(), but
   /// the reply reports requests-in-flight at answer time plus the recent
   /// service-latency EWMA — the state Prequal-style policies rank on.
-  void probe_load(
-      sim::Callback<void(bool ok, double rif, double latency_ms)> done);
+  using LoadProbeFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
+  void probe_load(LoadProbeFn done);
 
   /// Recent whole-request service latency (submit → response), EWMA in ms.
   double latency_ewma_ms() const { return latency_ewma_ms_; }
@@ -119,7 +120,7 @@ class TomcatServer {
 
  private:
   struct Work {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     RespondFn respond;
     sim::SimTime arrived;
   };
@@ -131,7 +132,7 @@ class TomcatServer {
   /// Issue the next of the `remaining` DB round trips, then complete().
   void db_round_trips(ThreadHandle h, int remaining);
   void complete(ThreadHandle h);
-  bool expired(const proto::RequestPtr& req) const {
+  bool expired(const proto::RequestRef& req) const {
     return req->deadline != sim::SimTime::zero() && sim_.now() > req->deadline;
   }
   /// Shed a queued request at worker pickup: a failed response without
@@ -144,7 +145,10 @@ class TomcatServer {
   DbRouter& db_;
   TomcatConfig config_;
 
-  std::deque<Work> connector_queue_;
+  sim::Ring<Work> connector_queue_;
+  /// Probes waiting on their CPU job; the job captures only the handle.
+  sim::SlotTable<ProbeFn> probes_;
+  sim::SlotTable<LoadProbeFn> load_probes_;
   sim::SlotTable<Work> threads_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::OverloadStats ostats_;

@@ -22,13 +22,16 @@ struct IsStdFunction<std::function<S>> : std::true_type {};
 
 /// Move-only, single-owner callable: the continuation type of every
 /// per-request hop (events, CPU jobs, links, balancer and server
-/// completions).
+/// completions, and the KV, cache and probe tiers).
 ///
 /// Closures of up to kInlineSize bytes — `{this, handle}` plus a small
 /// scalar, which is what every flattened continuation captures — live in
-/// the object itself; larger ones fall back to one heap block. Unlike
-/// std::function it never copies its target, so closures may capture
-/// move-only state. A const call invokes a mutable target.
+/// the object itself; larger ones fall back to one heap block. A closure
+/// that holds another Callback (32 B) can never fit, so a hop that must
+/// carry a caller's continuation parks it in a SlotTable record and
+/// captures the record's handle instead. Unlike std::function it never
+/// copies its target, so closures may capture move-only state (a
+/// proto::RequestRef among them). A const call invokes a mutable target.
 ///
 /// Registered, long-lived hooks (samplers, probe transports, recovery
 /// hooks) stay std::function: they are copied and called many times, and

@@ -54,7 +54,7 @@ void ClientPopulation::start() {
 
 void ClientPopulation::issue(std::uint32_t client) {
   if (quiesced_) return;
-  auto req = workload_.make_request(rng_, next_request_id_++, client);
+  auto req = workload_.make_request(requests_, rng_, next_request_id_++, client);
   req->client_start = sim_.now();
   if (params_.deadline_budget != sim::SimTime::zero())
     req->deadline = req->client_start + params_.deadline_budget;
@@ -83,10 +83,10 @@ void ClientPopulation::attempt(FlightHandle f) {
 }
 
 void ClientPopulation::on_syn_arrival(FlightHandle f) {
-  const proto::RequestPtr req = flights_[f].req;
+  const proto::RequestRef req = flights_[f].req;
   auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
   const bool accepted =
-      fe->try_submit(req, [this, f](const proto::RequestPtr&, bool ok) {
+      fe->try_submit(req, [this, f](const proto::RequestRef&, bool ok) {
         // Response travels back to the client.
         link_.deliver(sim_, [this, f, ok] { on_response(f, ok); });
       });
@@ -143,7 +143,7 @@ void ClientPopulation::connect_dropped(FlightHandle f) {
 
 void ClientPopulation::finish(FlightHandle f, metrics::RequestOutcome outcome) {
   const Flight fl = flights_.take(f);
-  const proto::RequestPtr& req = fl.req;
+  const proto::RequestRef& req = fl.req;
   const std::uint32_t client = fl.client;
   switch (outcome) {
     case metrics::RequestOutcome::kOk: ++completed_ok_; break;

@@ -97,13 +97,16 @@ class ClientPopulation {
   /// Client-side re-attempts after a retriable admission 503.
   std::uint64_t shed_retries() const { return shed_retries_; }
   bool in_burst() const { return in_burst_; }
+  /// Where this population makes its requests; live() is 0 once every
+  /// issued request has settled and nothing else holds it.
+  const proto::RequestPool& requests() const { return requests_; }
 
  private:
   /// A client's in-flight request, from issue to finish. The closed loop
   /// gives each client at most one, so the table holds only the requests
   /// actually in flight; every continuation captures only the handle.
   struct Flight {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     std::uint32_t client = 0;
     std::size_t tries = 0;  // SYN retransmissions of the current attempt
   };
@@ -127,6 +130,9 @@ class ClientPopulation {
   metrics::RequestLog& log_;
   net::Link link_;
   sim::Rng rng_;
+  // Declared before everything that holds request handles, so it is
+  // destroyed after them (a pool outlived by handles also stays safe).
+  proto::RequestPool requests_;
 
   std::vector<std::int16_t> routes_;  // per-client sticky route
   sim::SlotTable<Flight> flights_;

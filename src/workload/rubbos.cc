@@ -103,16 +103,18 @@ std::size_t RubbosWorkload::next_interaction(sim::Rng& rng) const {
   return rng.weighted_index(active_weights());
 }
 
-proto::RequestPtr RubbosWorkload::make_request(sim::Rng& rng, std::uint64_t id,
+proto::RequestRef RubbosWorkload::make_request(proto::RequestPool& pool,
+                                               sim::Rng& rng, std::uint64_t id,
                                                std::uint32_t client) const {
-  return materialize(rng, id, client, next_interaction(rng));
+  return materialize(pool, rng, id, client, next_interaction(rng));
 }
 
-proto::RequestPtr RubbosWorkload::materialize(sim::Rng& rng, std::uint64_t id,
+proto::RequestRef RubbosWorkload::materialize(proto::RequestPool& pool,
+                                              sim::Rng& rng, std::uint64_t id,
                                               std::uint32_t client,
                                               std::size_t k) const {
   const InteractionType& it = table_.at(k);
-  auto req = std::make_shared<proto::Request>();
+  proto::RequestRef req = pool.make();
   req->id = id;
   req->client = client;
   req->interaction = static_cast<std::uint16_t>(k);

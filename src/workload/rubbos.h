@@ -83,17 +83,17 @@ class RubbosWorkload {
   std::size_t num_interactions() const { return table_.size(); }
 
   /// Draw the next interaction from the mix and materialise it as a request
-  /// with sampled demands.
-  proto::RequestPtr make_request(sim::Rng& rng, std::uint64_t id,
-                                 std::uint32_t client) const;
+  /// with sampled demands, made in `pool`.
+  proto::RequestRef make_request(proto::RequestPool& pool, sim::Rng& rng,
+                                 std::uint64_t id, std::uint32_t client) const;
 
   /// The mix draw by itself: the next interaction index.
   std::size_t next_interaction(sim::Rng& rng) const;
 
   /// Materialise a request of a *given* interaction type (trace replay):
   /// demands are sampled, the type is forced.
-  proto::RequestPtr materialize(sim::Rng& rng, std::uint64_t id,
-                                std::uint32_t client,
+  proto::RequestRef materialize(proto::RequestPool& pool, sim::Rng& rng,
+                                std::uint64_t id, std::uint32_t client,
                                 std::size_t interaction) const;
 
   /// Mean demands of the active mix (used by capacity-planning tests).

@@ -269,7 +269,8 @@ void TraceReplayer::schedule_next() {
 }
 
 void TraceReplayer::issue(const ArrivalEvent& ev) {
-  auto req = workload_.materialize(rng_, next_id_++, ev.client, ev.interaction);
+  auto req = workload_.materialize(requests_, rng_, next_id_++, ev.client,
+                                    ev.interaction);
   if (trace_.rich()) {
     // Replay the recorded data key and brownout class instead of this run's
     // fresh draws: the KV/cache tiers and the admission limiter see exactly
@@ -312,10 +313,10 @@ void TraceReplayer::attempt(FlightHandle f, std::size_t tries) {
 }
 
 void TraceReplayer::on_syn_arrival(FlightHandle f, std::size_t tries) {
-  const proto::RequestPtr req = flights_[f].req;
+  const proto::RequestRef req = flights_[f].req;
   auto* fe = frontends_[static_cast<std::size_t>(req->apache_id)];
   const bool accepted =
-      fe->try_submit(req, [this, f](const proto::RequestPtr&, bool ok) {
+      fe->try_submit(req, [this, f](const proto::RequestRef&, bool ok) {
         link_.deliver(sim_, [this, f, ok] {
           finish(f, ok ? metrics::RequestOutcome::kOk
                        : metrics::RequestOutcome::kBalancerError);
@@ -354,7 +355,7 @@ void TraceReplayer::finish(FlightHandle f, metrics::RequestOutcome outcome) {
   record(fl.req, outcome);
 }
 
-void TraceReplayer::record(const proto::RequestPtr& req,
+void TraceReplayer::record(const proto::RequestRef& req,
                            metrics::RequestOutcome outcome) {
   if (req->client_start < params_.warmup) return;
   metrics::RequestRecord rec;

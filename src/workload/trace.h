@@ -146,6 +146,9 @@ class TraceReplayer {
   std::uint64_t in_flight() const {
     return issued_ - completed_ok_ - failed_ - dropped_ - abandoned_;
   }
+  /// Where the replayed requests are made; live() is 0 once every issued
+  /// request has settled and nothing else holds it.
+  const proto::RequestPool& requests() const { return requests_; }
 
  private:
   /// One replayed request, alive until its last event (response, final
@@ -153,7 +156,7 @@ class TraceReplayer {
   /// is first of {response, retransmit exhaustion, abandonment timer}; the
   /// others become no-ops.
   struct Flight {
-    proto::RequestPtr req;
+    proto::RequestRef req;
     sim::EventId timer = sim::kInvalidEventId;
     bool settled = false;
   };
@@ -168,7 +171,7 @@ class TraceReplayer {
   void on_abandon_timer(FlightHandle f);
   /// Settle with `outcome` unless already settled; frees the flight.
   void finish(FlightHandle f, metrics::RequestOutcome outcome);
-  void record(const proto::RequestPtr& req, metrics::RequestOutcome outcome);
+  void record(const proto::RequestRef& req, metrics::RequestOutcome outcome);
 
   sim::Simulation& sim_;
   const ArrivalTrace& trace_;
@@ -178,6 +181,7 @@ class TraceReplayer {
   ReplayParams params_;
   net::Link link_;
   sim::Rng rng_;
+  proto::RequestPool requests_;
 
   sim::SlotTable<Flight> flights_;
   std::size_t next_ = 0;  // next trace index to issue

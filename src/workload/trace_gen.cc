@@ -129,6 +129,9 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
   const double continue_p =
       spec_.session_mean <= 1.0 ? 0.0 : 1.0 - 1.0 / spec_.session_mean;
 
+  // Each arrival's request is materialised only for its drawn key and
+  // priority, then dropped: one pooled slot serves the whole day.
+  proto::RequestPool requests;
   std::uint32_t next_client = 0;
   double t = 0;
   while (true) {
@@ -144,7 +147,7 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
     double st = t;
     while (true) {
       const std::size_t k = workload.next_interaction(session_rng);
-      const auto req = workload.materialize(session_rng, 0, client, k);
+      const auto req = workload.materialize(requests, session_rng, 0, client, k);
       trace.add_rich(sim::SimTime::from_seconds(st), client,
                      static_cast<std::uint16_t>(k), req->key, req->priority);
       if (!session_rng.bernoulli(continue_p)) break;

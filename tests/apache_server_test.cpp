@@ -17,8 +17,9 @@ os::NodeConfig plain_node() {
   return nc;
 }
 
-proto::RequestPtr make_req(double apache_ms = 0.5, double tomcat_ms = 1.0) {
-  auto r = std::make_shared<proto::Request>();
+proto::RequestRef make_req(double apache_ms = 0.5, double tomcat_ms = 1.0) {
+  static proto::RequestPool pool;  // the test process is single-threaded
+  auto r = pool.make();
   r->apache_demand = SimTime::from_millis(apache_ms);
   r->tomcat_demand = SimTime::from_millis(tomcat_ms);
   r->log_bytes = 100;
@@ -60,7 +61,7 @@ TEST(ApacheServer, EndToEndRequest) {
   SimTime done;
   bool ok = false;
   ASSERT_TRUE(rig.apache->try_submit(
-      make_req(), [&](const proto::RequestPtr&, bool o) {
+      make_req(), [&](const proto::RequestRef&, bool o) {
         done = rig.s.now();
         ok = o;
       }));
@@ -75,7 +76,7 @@ TEST(ApacheServer, EndToEndRequest) {
 TEST(ApacheServer, StampsApacheAndTomcatIds) {
   Rig rig;
   auto req = make_req();
-  rig.apache->try_submit(req, [](const proto::RequestPtr&, bool) {});
+  rig.apache->try_submit(req, [](const proto::RequestRef&, bool) {});
   rig.s.run();
   EXPECT_EQ(req->apache_id, 0);
   EXPECT_GE(req->tomcat_id, 0);
@@ -90,7 +91,7 @@ TEST(ApacheServer, WorkerCapThenBacklogThenDrop) {
   int accepted = 0;
   for (int i = 0; i < capacity + 5; ++i)
     if (rig.apache->try_submit(make_req(100.0),
-                               [](const proto::RequestPtr&, bool) {}))
+                               [](const proto::RequestRef&, bool) {}))
       ++accepted;
   EXPECT_EQ(accepted, capacity);  // 2 workers + the backlog
   EXPECT_EQ(rig.apache->syn_drops(), 5u);
@@ -105,7 +106,7 @@ TEST(ApacheServer, BacklogDrainsAsWorkersFree) {
   int completed = 0;
   for (int i = 0; i < 4; ++i)
     rig.apache->try_submit(make_req(),
-                           [&](const proto::RequestPtr&, bool) { ++completed; });
+                           [&](const proto::RequestRef&, bool) { ++completed; });
   rig.s.run();
   EXPECT_EQ(completed, 4);
   EXPECT_EQ(rig.apache->resident(), 0);
@@ -118,10 +119,10 @@ TEST(ApacheServer, BalancerErrorPropagatesNotOk) {
           {}, bcfg);
   // Pin the single tomcat's only endpoint with a long request.
   rig.apache->try_submit(make_req(0.1, 1000.0),
-                         [](const proto::RequestPtr&, bool) {});
+                         [](const proto::RequestRef&, bool) {});
   bool got = true;
   rig.s.after(SimTime::millis(10), [&] {
-    rig.apache->try_submit(make_req(), [&](const proto::RequestPtr&, bool ok) {
+    rig.apache->try_submit(make_req(), [&](const proto::RequestRef&, bool ok) {
       got = ok;
     });
   });
@@ -132,11 +133,10 @@ TEST(ApacheServer, BalancerErrorPropagatesNotOk) {
 
 TEST(ApacheServer, WritesAccessLogOnCompletion) {
   Rig rig;
-  rig.apache->try_submit(make_req(), [](const proto::RequestPtr&, bool) {});
+  rig.apache->try_submit(make_req(), [](const proto::RequestRef&, bool) {});
   rig.s.run();
-  // ApacheConfig::log_bytes (default 200) — the request's log_bytes belongs
-  // to the Tomcat tier.
-  EXPECT_EQ(rig.apache->node().page_cache().dirty_bytes(), 200u);
+  // kApacheLogBytes — the request's log_bytes belongs to the Tomcat tier.
+  EXPECT_EQ(rig.apache->node().page_cache().dirty_bytes(), kApacheLogBytes);
 }
 
 TEST(ApacheServer, BlockedWorkersOccupySlots) {
@@ -151,12 +151,12 @@ TEST(ApacheServer, BlockedWorkersOccupySlots) {
   rig.tomcat_nodes[0]->cpu().set_capacity_factor(0.0);  // millibottleneck
   const int capacity = 3 + static_cast<int>(kListenBacklog);
   for (int i = 0; i < capacity; ++i)
-    rig.apache->try_submit(make_req(), [](const proto::RequestPtr&, bool) {});
+    rig.apache->try_submit(make_req(), [](const proto::RequestRef&, bool) {});
   rig.s.run_until(SimTime::millis(50));
   EXPECT_EQ(rig.apache->workers_busy(), 3);
   EXPECT_EQ(rig.apache->resident(), capacity);
   EXPECT_FALSE(rig.apache->try_submit(make_req(),
-                                      [](const proto::RequestPtr&, bool) {}));
+                                      [](const proto::RequestRef&, bool) {}));
 }
 
 }  // namespace

@@ -147,6 +147,9 @@ TEST(CacheChaosMatrix, CacheAccountingHoldsInEveryCell) {
     EXPECT_GT(r.invariants.cache.lookups, 0u);
     EXPECT_GT(r.invariants.cache.hits, 0u);
     EXPECT_GT(r.invariants.cache.invalidations_sent, 0u);
+    // Every fill record and every request is released after the drain.
+    EXPECT_EQ(r.invariants.cache_fills_held, 0u);
+    EXPECT_EQ(r.invariants.requests_live, 0u);
     // The KV invariants keep holding underneath the cache.
     EXPECT_GT(r.invariants.kv.reads_issued, 0u);
     EXPECT_EQ(r.invariants.kv.quorum_failed_reads, 0u);

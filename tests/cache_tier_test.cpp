@@ -69,11 +69,13 @@ struct Harness {
     return cc;
   }
 
-  proto::RequestPtr request(std::uint64_t key) {
-    auto req = std::make_shared<proto::Request>();
+  proto::RequestRef request(std::uint64_t key) {
+    auto req = requests.make();
     req->key = key;
     return req;
   }
+
+  proto::RequestPool requests;
 };
 
 /// The identities every finished (drained) run must satisfy.

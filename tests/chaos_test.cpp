@@ -33,6 +33,8 @@ TEST(ChaosMatrix, AllPoliciesAndMechanismsSurviveTheFaultSchedule) {
     EXPECT_TRUE(r.invariants.crash_ok()) << r.invariants.to_string();
     EXPECT_GT(r.invariants.issued, 0u);
     EXPECT_GT(r.invariants.completed, 0u);
+    // Every request of the closed loop is released once the drain settles.
+    EXPECT_EQ(r.invariants.requests_live, 0u);
     EXPECT_FALSE(r.fault_trace.empty());
   }
 }
@@ -177,6 +179,10 @@ TEST(KvChaosMatrix, QuorumsAndHandoffAccountingHoldInEveryCell) {
     EXPECT_EQ(r.invariants.kv.hints_pending(), 0u);
     EXPECT_EQ(r.invariants.kv.crashed_dispatches, 0u);
     EXPECT_EQ(r.invariants.kv_ops_in_flight, 0u);
+    // Laggard replies from the crashed and restarted replicas have landed,
+    // so no quorum op and no request is still held.
+    EXPECT_EQ(r.invariants.kv_ops_held, 0u);
+    EXPECT_EQ(r.invariants.requests_live, 0u);
     // Both crashes bit (missed writes replayed) and the shard spent time
     // below full replication.
     EXPECT_GT(r.summary.kv_hints_replayed, 0u);

@@ -17,7 +17,7 @@ class FakeFrontEnd : public proto::FrontEnd {
  public:
   explicit FakeFrontEnd(Simulation& s) : sim_(s) {}
 
-  bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+  bool try_submit(const proto::RequestRef& req, RespondFn respond) override {
     ++attempts_;
     if (deny_remaining_ > 0) {
       --deny_remaining_;
@@ -121,7 +121,7 @@ TEST(ClientPopulation, BalancerErrorCountsAsFailure) {
   class ErrorFrontEnd : public proto::FrontEnd {
    public:
     explicit ErrorFrontEnd(Simulation& s) : sim_(s) {}
-    bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+    bool try_submit(const proto::RequestRef& req, RespondFn respond) override {
       sim_.after(SimTime::millis(1),
                  [req, respond = std::move(respond)] { respond(req, false); });
       return true;
@@ -180,7 +180,7 @@ TEST(ClientPopulation, ClientIdsPastSixteenBitsKeepTheirOwnState) {
    public:
     explicit RouteFrontEnd(Simulation& s)
         : sim_(s), answered_(kClients, false), second_route_(kClients, -2) {}
-    bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+    bool try_submit(const proto::RequestRef& req, RespondFn respond) override {
       const std::size_t c = req->client;
       if (answered_[c]) {
         second_route_[c] = req->session_route;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace ntier::experiment {
 namespace {
 
@@ -31,6 +33,20 @@ TEST(Config, DescribePristineEnvironment) {
   const std::string d = describe(c);
   EXPECT_NE(d.find("millibottlenecks=none"), std::string::npos);
   EXPECT_EQ(d.find("sticky"), std::string::npos);
+}
+
+TEST(Config, DescribeShowsTheReplayedTraceNotTheIdlePopulation) {
+  ExperimentConfig c = ExperimentConfig::scaled(0.1);
+  auto trace = std::make_shared<workload::ArrivalTrace>();
+  for (int i = 1; i <= 600; ++i)
+    trace->add(sim::SimTime::millis(5 * i), static_cast<std::uint32_t>(i), 0);
+  c.replay_trace = trace;
+  const std::string d = describe(c);
+  // 600 arrivals over 3 s: the header reports the trace, not "7000 clients,
+  // think 700ms" from the population a replay idles.
+  EXPECT_NE(d.find("600 arrivals (200 req/s mean)"), std::string::npos) << d;
+  EXPECT_EQ(d.find("clients"), std::string::npos) << d;
+  EXPECT_EQ(d.find("think"), std::string::npos) << d;
 }
 
 TEST(Config, ScaledPreservesOfferedLoad) {

@@ -17,8 +17,9 @@ os::NodeConfig plain_node() {
   return nc;
 }
 
-proto::RequestPtr make_req(std::uint64_t id = 1) {
-  auto r = std::make_shared<proto::Request>();
+proto::RequestRef make_req(std::uint64_t id = 1) {
+  static proto::RequestPool pool;  // the test process is single-threaded
+  auto r = pool.make();
   r->id = id;
   return r;
 }

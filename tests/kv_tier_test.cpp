@@ -101,11 +101,13 @@ struct Harness {
     return cfg;
   }
 
-  proto::RequestPtr request(std::uint64_t key) {
-    auto req = std::make_shared<proto::Request>();
+  proto::RequestRef request(std::uint64_t key) {
+    auto req = requests.make();
     req->key = key;
     return req;
   }
+
+  proto::RequestPool requests;
 };
 
 TEST(KvTier, QuorumWriteReachesEveryPreferenceMember) {

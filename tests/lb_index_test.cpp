@@ -313,7 +313,8 @@ std::pair<int, int> run_oracle(const OracleCase& c, std::uint64_t seed) {
                   make_acquirer(c.mechanism, cfg.blocking), cfg);
   lb.set_trace(&trace, 0);
 
-  std::vector<std::pair<int, proto::RequestPtr>> outstanding;
+  proto::RequestPool requests;
+  std::vector<std::pair<int, proto::RequestRef>> outstanding;
   std::uint64_t next_id = 1;
   const auto worker = [&] {
     return static_cast<int>(ops.uniform_int(0, c.workers - 1));
@@ -322,7 +323,7 @@ std::pair<int, int> run_oracle(const OracleCase& c, std::uint64_t seed) {
   for (int step = 0; step < steps && !::testing::Test::HasFailure(); ++step) {
     const auto op = ops.uniform_int(0, 99);
     if (op < 40) {
-      auto req = std::make_shared<proto::Request>();
+      auto req = requests.make();
       req->id = next_id++;
       req->client = static_cast<int>(ops.uniform_int(0, 40));
       req->request_bytes = 400;

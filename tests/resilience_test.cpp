@@ -15,8 +15,9 @@ namespace {
 using sim::SimTime;
 using sim::Simulation;
 
-proto::RequestPtr make_req(std::uint64_t id = 1) {
-  auto r = std::make_shared<proto::Request>();
+proto::RequestRef make_req(std::uint64_t id = 1) {
+  static proto::RequestPool pool;  // the test process is single-threaded
+  auto r = pool.make();
   r->id = id;
   r->request_bytes = 400;
   r->response_bytes = 1600;

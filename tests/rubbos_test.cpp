@@ -17,8 +17,9 @@ TEST(Rubbos, BrowseOnlyMixNeverDrawsWriteInteractions) {
   p.mix = Mix::kBrowseOnly;
   RubbosWorkload w(p);
   sim::Rng rng(1);
+  proto::RequestPool pool;
   for (int i = 0; i < 20'000; ++i) {
-    auto req = w.make_request(rng, static_cast<std::uint64_t>(i), 0);
+    auto req = w.make_request(pool, rng, static_cast<std::uint64_t>(i), 0);
     const auto& it = w.interactions()[req->interaction];
     EXPECT_GT(it.weight_browse, 0.0) << it.name;
   }
@@ -29,9 +30,10 @@ TEST(Rubbos, ReadWriteMixIncludesWrites) {
   p.mix = Mix::kReadWrite;
   RubbosWorkload w(p);
   sim::Rng rng(2);
+  proto::RequestPool pool;
   bool saw_write = false;
   for (int i = 0; i < 20'000 && !saw_write; ++i) {
-    auto req = w.make_request(rng, static_cast<std::uint64_t>(i), 0);
+    auto req = w.make_request(pool, rng, static_cast<std::uint64_t>(i), 0);
     const auto& it = w.interactions()[req->interaction];
     if (it.name == "StoreComment" || it.name == "StoreStory") saw_write = true;
   }
@@ -41,10 +43,11 @@ TEST(Rubbos, ReadWriteMixIncludesWrites) {
 TEST(Rubbos, FrequenciesFollowWeights) {
   RubbosWorkload w;
   sim::Rng rng(3);
+  proto::RequestPool pool;
   std::map<std::uint16_t, int> counts;
   const int n = 100'000;
   for (int i = 0; i < n; ++i)
-    ++counts[w.make_request(rng, static_cast<std::uint64_t>(i), 0)->interaction];
+    ++counts[w.make_request(pool, rng, static_cast<std::uint64_t>(i), 0)->interaction];
   // StoriesOfTheDay (index 0) should be the most frequent read/write entry.
   int max_idx = 0, max_count = 0;
   for (const auto& [idx, c] : counts)
@@ -59,8 +62,9 @@ TEST(Rubbos, FrequenciesFollowWeights) {
 TEST(Rubbos, DemandsArePositiveAndJittered) {
   RubbosWorkload w;
   sim::Rng rng(4);
-  auto a = w.make_request(rng, 1, 0);
-  auto b = w.make_request(rng, 2, 0);
+  proto::RequestPool pool;
+  auto a = w.make_request(pool, rng, 1, 0);
+  auto b = w.make_request(pool, rng, 2, 0);
   EXPECT_GT(a->apache_demand.ns(), 0);
   EXPECT_GT(a->tomcat_demand.ns(), 0);
   EXPECT_GT(a->log_bytes, 0u);
@@ -74,9 +78,10 @@ TEST(Rubbos, QueryCacheSplitsMySqlDemand) {
   p.query_cache_hit = 0.5;
   RubbosWorkload w(p);
   sim::Rng rng(5);
+  proto::RequestPool pool;
   int hits = 0, misses = 0;
   for (int i = 0; i < 20'000; ++i) {
-    auto req = w.make_request(rng, static_cast<std::uint64_t>(i), 0);
+    auto req = w.make_request(pool, rng, static_cast<std::uint64_t>(i), 0);
     if (req->db_queries == 0) continue;
     if (req->mysql_demand <= sim::SimTime::from_millis(kMySqlHitDemandMs))
       ++hits;
@@ -112,7 +117,8 @@ TEST(Rubbos, MeanDemandsMatchCalibrationBand) {
 TEST(Rubbos, RequestCarriesIdentity) {
   RubbosWorkload w;
   sim::Rng rng(6);
-  auto req = w.make_request(rng, 77, 5);
+  proto::RequestPool pool;
+  auto req = w.make_request(pool, rng, 77, 5);
   EXPECT_EQ(req->id, 77u);
   EXPECT_EQ(req->client, 5);
   EXPECT_EQ(req->apache_id, -1);

@@ -17,9 +17,10 @@ os::NodeConfig plain_node() {
   return nc;
 }
 
-proto::RequestPtr make_req(double tomcat_ms, int db_queries = 0,
+proto::RequestRef make_req(double tomcat_ms, int db_queries = 0,
                            double mysql_ms = 0.5, std::uint32_t log_bytes = 1000) {
-  auto r = std::make_shared<proto::Request>();
+  static proto::RequestPool pool;  // the test process is single-threaded
+  auto r = pool.make();
   r->tomcat_demand = SimTime::from_millis(tomcat_ms);
   r->db_queries = static_cast<std::uint8_t>(db_queries);
   r->mysql_demand = SimTime::from_millis(mysql_ms);
@@ -43,7 +44,7 @@ TEST(TomcatServer, ProcessesCpuOnlyRequest) {
   Rig rig;
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router);
   SimTime done;
-  ASSERT_TRUE(tc.submit(make_req(2.0), [&](const proto::RequestPtr&) {
+  ASSERT_TRUE(tc.submit(make_req(2.0), [&](const proto::RequestRef&) {
     done = rig.s.now();
   }));
   rig.s.run();
@@ -56,7 +57,7 @@ TEST(TomcatServer, DbRoundTripsAddLatencyAndDemand) {
   Rig rig;
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router);
   SimTime done;
-  ASSERT_TRUE(tc.submit(make_req(1.0, 2, 0.5), [&](const proto::RequestPtr&) {
+  ASSERT_TRUE(tc.submit(make_req(1.0, 2, 0.5), [&](const proto::RequestRef&) {
     done = rig.s.now();
   }));
   rig.s.run();
@@ -69,7 +70,7 @@ TEST(TomcatServer, DbRoundTripsAddLatencyAndDemand) {
 TEST(TomcatServer, WritesLogBytesOnCompletion) {
   Rig rig;
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router);
-  tc.submit(make_req(1.0, 0, 0, 1234), [](const proto::RequestPtr&) {});
+  tc.submit(make_req(1.0, 0, 0, 1234), [](const proto::RequestRef&) {});
   EXPECT_EQ(rig.tomcat_node.page_cache().dirty_bytes(), 0u);  // not yet
   rig.s.run();
   EXPECT_EQ(rig.tomcat_node.page_cache().dirty_bytes(), 1234u);
@@ -82,7 +83,7 @@ TEST(TomcatServer, ThreadCapQueuesInConnector) {
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router, cfg);
   int completed = 0;
   for (int i = 0; i < 5; ++i)
-    tc.submit(make_req(1.0), [&](const proto::RequestPtr&) { ++completed; });
+    tc.submit(make_req(1.0), [&](const proto::RequestRef&) { ++completed; });
   EXPECT_EQ(tc.threads_busy(), 2);
   EXPECT_EQ(tc.resident(), 5);
   rig.s.run();
@@ -97,7 +98,7 @@ TEST(TomcatServer, ConnectorBacklogOverflowRejects) {
   const int capacity = 1 + static_cast<int>(kConnectorBacklog);
   int ok = 0;
   for (int i = 0; i < capacity + 2; ++i)
-    if (tc.submit(make_req(10.0), [](const proto::RequestPtr&) {})) ++ok;
+    if (tc.submit(make_req(10.0), [](const proto::RequestRef&) {})) ++ok;
   EXPECT_EQ(ok, capacity);  // 1 in service + a full connector backlog
   EXPECT_EQ(tc.connector_drops(), 2u);
 }
@@ -107,7 +108,7 @@ TEST(TomcatServer, StalledCpuFreezesService) {
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router);
   SimTime done;
   rig.tomcat_node.cpu().set_capacity_factor(0.0);
-  tc.submit(make_req(1.0), [&](const proto::RequestPtr&) { done = rig.s.now(); });
+  tc.submit(make_req(1.0), [&](const proto::RequestRef&) { done = rig.s.now(); });
   rig.s.after(SimTime::millis(200), [&] {
     rig.tomcat_node.cpu().set_capacity_factor(1.0);
   });
@@ -124,7 +125,7 @@ TEST(TomcatServer, DbPoolLimitsConcurrentQueries) {
   std::vector<SimTime> done;
   for (int i = 0; i < 2; ++i)
     tc.submit(make_req(0.0, 1, 10.0),
-              [&](const proto::RequestPtr&) { done.push_back(rig.s.now()); });
+              [&](const proto::RequestRef&) { done.push_back(rig.s.now()); });
   rig.s.run();
   ASSERT_EQ(done.size(), 2u);
   // Serialised by the single DB connection: 10ms then 20ms.

@@ -27,7 +27,7 @@ using sim::Simulation;
 class InstantFe : public proto::FrontEnd {
  public:
   explicit InstantFe(Simulation& simu) : sim_(simu) {}
-  bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+  bool try_submit(const proto::RequestRef& req, RespondFn respond) override {
     last_key = req->key;
     last_priority = req->priority;
     sim_.after(SimTime::millis(1),
@@ -44,7 +44,7 @@ class InstantFe : public proto::FrontEnd {
 /// A front-end whose backlog is always full (every SYN silently dropped).
 class RefusingFe : public proto::FrontEnd {
  public:
-  bool try_submit(const proto::RequestPtr&, RespondFn) override {
+  bool try_submit(const proto::RequestRef&, RespondFn) override {
     ++attempts;
     return false;
   }
@@ -54,7 +54,7 @@ class RefusingFe : public proto::FrontEnd {
 /// A front-end that accepts but never responds (a hung server).
 class BlackholeFe : public proto::FrontEnd {
  public:
-  bool try_submit(const proto::RequestPtr&, RespondFn) override {
+  bool try_submit(const proto::RequestRef&, RespondFn) override {
     return true;
   }
 };

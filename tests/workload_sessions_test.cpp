@@ -15,7 +15,7 @@ using sim::Simulation;
 class InstantFrontEnd : public proto::FrontEnd {
  public:
   explicit InstantFrontEnd(Simulation& s) : sim_(s) {}
-  bool try_submit(const proto::RequestPtr& req, RespondFn respond) override {
+  bool try_submit(const proto::RequestRef& req, RespondFn respond) override {
     ++accepted_;
     sim_.after(SimTime::millis(1), [req, respond = std::move(respond)] {
       req->tomcat_id = static_cast<std::int16_t>(req->id % 4);  // fake backend
