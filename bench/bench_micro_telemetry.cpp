@@ -10,9 +10,8 @@
 #include <string>
 
 #include "experiment/report.h"
+#include "metrics/telemetry.h"
 #include "millib/online_detector.h"
-#include "obs/sketch.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 using namespace ntier;
@@ -92,20 +91,13 @@ int main(int argc, char** argv) {
   std::cout << "  (" << iters << " iterations per loop)\n";
 
   // -- building blocks ---------------------------------------------------------
-  obs::DDSketch sketch;
-  const double sketch_ns =
-      ns_per_op(iters, [&](std::uint64_t) { sketch.record(next_value()); });
-  row("DDSketch::record", sketch_ns);
-
-  obs::TelemetryConfig tcfg;
-  tcfg.enabled = true;
-  obs::TelemetryRegistry registry(tcfg);
-  obs::Instrument& ins = registry.instrument("bench.rt_ms");
-  const double timeline_ns = ns_per_op(iters, [&](std::uint64_t i) {
+  metrics::TelemetryRegistry registry;
+  metrics::Instrument& ins = registry.instrument("bench.rt_ms");
+  const double instrument_ns = ns_per_op(iters, [&](std::uint64_t i) {
     ins.record(SimTime::micros(static_cast<std::int64_t>(i) * 10),
                next_value());
   });
-  row("Instrument::record (multi-res timeline + sketch)", timeline_ns);
+  row("Instrument::record (50 ms windowed series)", instrument_ns);
 
   // -- the emission path, as instrumentation sites see it ----------------------
   obs::TraceCollector* off = nullptr;
@@ -125,8 +117,8 @@ int main(int argc, char** argv) {
   obs::TraceConfig sink_cfg;
   sink_cfg.ring = false;
   obs::TraceCollector bus(sink_cfg);
-  obs::TelemetryRegistry reg2(tcfg);
-  obs::TelemetryFeed feed(reg2, /*num_tomcats=*/4);
+  metrics::TelemetryRegistry reg2;
+  metrics::TelemetryFeed feed(reg2, /*num_tomcats=*/4);
   millib::OnlineDetector detector;
   bus.add_sink(&feed);
   bus.add_sink(&detector);
@@ -145,7 +137,7 @@ int main(int argc, char** argv) {
 
   // Keep the collectors' side effects observable.
   if (ring.emitted() + bus.emitted() + tail.emitted() != 3 * iters ||
-      sketch.count() != iters)
+      ins.series().total_count() != static_cast<std::int64_t>(iters))
     std::cout << "  (self-check failed: op counts off)\n";
 
   // The number the "always-on" claim rests on: full sink stack per event.
@@ -160,7 +152,7 @@ int main(int argc, char** argv) {
     if (f)
       f << "{\"bench\":\"" << opt.program
         << "\",\"run\":1,\"label\":\"micro_telemetry\","
-           "\"sketch_ns\":" << sketch_ns << ",\"timeline_ns\":" << timeline_ns
+           "\"instrument_ns\":" << instrument_ns
         << ",\"push_off_ns\":" << off_ns << ",\"push_ring_ns\":" << ring_ns
         << ",\"push_sinks_ns\":" << sinks_ns << ",\"push_tail_ns\":" << tail_ns
         << "}\n";

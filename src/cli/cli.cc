@@ -213,10 +213,9 @@ traces (arrival traces: CSV "at_ns,client,interaction[,key,priority]")
                          (Perfetto / chrome://tracing)
 
 observability
-  --telemetry            streaming per-tier instruments (multi-resolution
-                         timelines + per-window quantile sketches); adds
-                         sketch quantiles to the summary and, with --csv,
-                         writes telemetry.csv
+  --telemetry            streaming per-tier instruments, each a series of
+                         50 ms windows (count/avg/max); with --csv, writes
+                         telemetry.csv
   --detect               online millibottleneck detection during the run,
                          scored against the causal-chain ground truth
   --trace-sample S       full (default) | tail — tail keeps only
@@ -785,11 +784,7 @@ int run_cli(const CliOptions& options) {
                 << summary.trace_kept_fraction * 100.0 << "%)\n";
     }
     if (e.telemetry()) {
-      std::cout << "telemetry: " << e.telemetry()->size()
-                << " instruments, client rt p50/p99/p99.9 "
-                << summary.rt_sketch_p50_ms << " / "
-                << summary.rt_sketch_p99_ms << " / "
-                << summary.rt_sketch_p999_ms << " ms (sketch)\n";
+      std::cout << "telemetry: " << e.telemetry()->size() << " instruments\n";
     }
   }
   if (!options.record_trace_path.empty()) {

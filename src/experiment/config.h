@@ -9,11 +9,11 @@
 #include "lb/endpoint.h"
 #include "lb/load_balancer.h"
 #include "lb/policy.h"
+#include "metrics/telemetry.h"
 #include "millib/fault_plan.h"
 #include "millib/injector.h"
 #include "millib/online_detector.h"
 #include "net/retransmit.h"
-#include "obs/telemetry.h"
 #include "os/node.h"
 #include "recovery/orchestrator.h"
 #include "server/apache_server.h"
@@ -183,11 +183,12 @@ struct ExperimentConfig {
   /// Event-trace ring capacity (events; ~48 B each). The oldest events are
   /// overwritten once full.
   std::size_t trace_capacity = 4u << 20;
-  /// Streaming telemetry registry (src/obs/telemetry): per-tier instruments
-  /// with multi-resolution timelines and per-window quantile sketches, fed
-  /// from the live event stream. Independent of event_trace — enabling it
-  /// spins up the emission path with no retention ring.
-  obs::TelemetryConfig telemetry;
+  /// Streaming telemetry registry (src/metrics/telemetry): per-tier
+  /// instruments, each a series of 50 ms windows (count/avg/max) for the
+  /// whole run, fed from the live event stream; client.rt_ms reads the
+  /// request log's response-time windows. Independent of event_trace —
+  /// enabling it spins up the emission path with no retention ring.
+  metrics::TelemetryConfig telemetry;
   /// Online millibottleneck detection (millib::OnlineDetector) during the
   /// run: flags episodes in real time from the same signature the offline
   /// analyzer reconstructs, and drives tail-based trace sampling.

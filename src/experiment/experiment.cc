@@ -65,8 +65,9 @@ void Experiment::build() {
     trace_ = std::make_unique<obs::TraceCollector>(tc);
   }
   if (config_.telemetry.enabled) {
-    telemetry_ = std::make_unique<obs::TelemetryRegistry>(config_.telemetry);
-    telemetry_feed_ = std::make_unique<obs::TelemetryFeed>(
+    telemetry_ = std::make_unique<metrics::TelemetryRegistry>();
+    telemetry_->add_view("client.rt_ms", log_.response_time_series());
+    telemetry_feed_ = std::make_unique<metrics::TelemetryFeed>(
         *telemetry_, config_.num_tomcats);
     trace_->add_sink(telemetry_feed_.get());
   }

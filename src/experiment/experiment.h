@@ -13,7 +13,6 @@
 #include "metrics/sampler.h"
 #include "millib/injector.h"
 #include "millib/online_detector.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "os/node.h"
 #include "recovery/orchestrator.h"
@@ -90,8 +89,8 @@ class Experiment {
   obs::TraceCollector* trace() { return trace_.get(); }
   const obs::TraceCollector* trace() const { return trace_.get(); }
   /// Streaming telemetry registry; null unless config.telemetry.enabled.
-  obs::TelemetryRegistry* telemetry() { return telemetry_.get(); }
-  const obs::TelemetryRegistry* telemetry() const { return telemetry_.get(); }
+  metrics::TelemetryRegistry* telemetry() { return telemetry_.get(); }
+  const metrics::TelemetryRegistry* telemetry() const { return telemetry_.get(); }
   /// Online millibottleneck detector; null unless config.online_detect.
   millib::OnlineDetector* online_detector() { return detector_.get(); }
   const millib::OnlineDetector* online_detector() const {
@@ -218,8 +217,8 @@ class Experiment {
   std::unique_ptr<workload::TraceReplayer> replayer_;
   std::unique_ptr<ChaosController> chaos_;
   std::unique_ptr<obs::TraceCollector> trace_;
-  std::unique_ptr<obs::TelemetryRegistry> telemetry_;
-  std::unique_ptr<obs::TelemetryFeed> telemetry_feed_;
+  std::unique_ptr<metrics::TelemetryRegistry> telemetry_;
+  std::unique_ptr<metrics::TelemetryFeed> telemetry_feed_;
   std::unique_ptr<millib::OnlineDetector> detector_;
   std::unique_ptr<recovery::RecoveryOrchestrator> recovery_;
 

@@ -125,15 +125,6 @@ RunSummary summarize(Experiment& e) {
     s.trace_events_kept = tr->tail_kept();
     s.trace_kept_fraction = tr->tail_kept_fraction();
   }
-  if (const auto* telem = e.telemetry()) {
-    if (const auto* rt = telem->find("client.rt_ms")) {
-      const auto& sketch = rt->timeline().sketch();
-      s.rt_sketch_p50_ms = sketch.quantile(0.50);
-      s.rt_sketch_p99_ms = sketch.quantile(0.99);
-      s.rt_sketch_p999_ms = sketch.quantile(0.999);
-      s.rt_sketch = sketch.serialize();
-    }
-  }
 
   if (cfg.tracing) {
     s.apache_queue_peak = max_of(e.apache_tier_queue());

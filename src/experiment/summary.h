@@ -95,11 +95,7 @@ namespace ntier::experiment {
   X(online_episode_vlrts, std::uint64_t, "req")                               \
   X(trace_events_seen, std::uint64_t, "n")                                    \
   X(trace_events_kept, std::uint64_t, "n")                                    \
-  X(trace_kept_fraction, double, "")                                          \
-  /* Quantiles of the client.rt_ms DDSketch (zero without --telemetry). */    \
-  X(rt_sketch_p50_ms, double, "ms")                                           \
-  X(rt_sketch_p99_ms, double, "ms")                                           \
-  X(rt_sketch_p999_ms, double, "ms")
+  X(trace_kept_fraction, double, "")
 
 /// Flat, serialisable digest of one run — what a CI job or notebook wants
 /// to archive per experiment without holding the Experiment alive.
@@ -111,11 +107,6 @@ struct RunSummary {
 #define NTIER_DECLARE_METRIC(name, type, unit) type name{};
   NTIER_RUN_METRICS(NTIER_DECLARE_METRIC)
 #undef NTIER_DECLARE_METRIC
-
-  /// Serialized client.rt_ms sketch — mergeable across sweep replicas and
-  /// byte-deterministic (not part of to_json; sweeps merge it in run-index
-  /// order).
-  std::string rt_sketch;
 
   std::vector<double> apache_mean_cpu;
   std::vector<double> tomcat_mean_cpu;

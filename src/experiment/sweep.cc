@@ -11,7 +11,6 @@
 #include "experiment/chaos.h"
 #include "experiment/experiment.h"
 #include "metrics/request_log.h"
-#include "obs/sketch.h"
 #include "sim/rng.h"
 
 namespace ntier::experiment {
@@ -61,23 +60,6 @@ void AggregateSummary::finalize() {
     for (std::size_t i = 0; i < per_run.size(); ++i) v[i] = m.get(per_run[i]);
     this->*m.stats = MetricStats::from(v);
   }
-}
-
-std::string AggregateSummary::merged_rt_sketch() const {
-  obs::DDSketch merged;
-  bool any = false;
-  for (const RunSummary& r : per_run) {
-    if (r.rt_sketch.empty()) continue;
-    auto s = obs::DDSketch::deserialize(r.rt_sketch);
-    if (!s) continue;
-    if (!any) {
-      merged = std::move(*s);
-      any = true;
-    } else {
-      merged.merge(*s);
-    }
-  }
-  return any ? merged.serialize() : std::string();
 }
 
 AggregateSummary AggregateSummary::merge(AggregateSummary a,

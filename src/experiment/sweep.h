@@ -66,12 +66,6 @@ struct AggregateSummary {
   NTIER_RUN_METRICS(NTIER_DECLARE_STATS)
 #undef NTIER_DECLARE_STATS
 
-  /// Every replica's client.rt_ms DDSketch merged in run-index order;
-  /// empty string when no run carried a sketch. Because merging ordered
-  /// log-bucket maps is order-insensitive and aggregation always walks
-  /// per_run by index, these bytes are --jobs invariant.
-  std::string merged_rt_sketch() const;
-
   // -- pooled-distribution aggregates ----------------------------------------
   double pooled_mean_ms() const { return pooled.mean(); }
   double pooled_p50_ms() const { return pooled.percentile(50); }

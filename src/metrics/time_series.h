@@ -5,10 +5,27 @@
 #include <limits>
 #include <vector>
 
-#include "obs/window_stats.h"
 #include "sim/time.h"
 
 namespace ntier::metrics {
+
+/// count/sum/min/max of one aggregation window.
+struct WindowStats {
+  std::int64_t count = 0;
+  double sum = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void add(double v) {
+    ++count;
+    sum += v;
+    if (v < min) min = v;
+    if (v > max) max = v;
+  }
+  double avg() const { return count ? sum / static_cast<double>(count) : 0.0; }
+  double max_or_zero() const { return count ? max : 0.0; }
+  double min_or_zero() const { return count ? min : 0.0; }
+};
 
 /// Validate an aggregation window at construction time: window_index()
 /// divides by window.ns(), so a non-positive window is integer
@@ -44,13 +61,13 @@ class TimeSeries {
   double global_max() const;
 
  private:
-  const obs::WindowStats& at(std::size_t i) const {
-    static const obs::WindowStats kEmpty{};
+  const WindowStats& at(std::size_t i) const {
+    static const WindowStats kEmpty{};
     return i < windows_.size() ? windows_[i] : kEmpty;
   }
 
   sim::SimTime window_;
-  std::vector<obs::WindowStats> windows_;
+  std::vector<WindowStats> windows_;
 };
 
 /// Time-weighted gauge (queue length, lb_value, dirty bytes): tracks a value

@@ -64,14 +64,16 @@ OnlineDetector::NodeState& OnlineDetector::node(int n) {
   return nodes_[idx];
 }
 
-double OnlineDetector::baseline_median(const NodeState& st) const {
-  std::vector<double> vals(st.baseline.begin(),
-                           st.baseline.begin() +
-                               static_cast<std::ptrdiff_t>(st.baseline_count));
-  std::sort(vals.begin(), vals.end());
-  const std::size_t mid = vals.size() / 2;
-  if (vals.size() % 2) return vals[mid];
-  return 0.5 * (vals[mid - 1] + vals[mid]);
+double OnlineDetector::baseline_median(const NodeState& st) {
+  std::vector<double>& vals = median_scratch_;
+  vals.assign(st.baseline.begin(),
+              st.baseline.begin() +
+                  static_cast<std::ptrdiff_t>(st.baseline_count));
+  const auto mid = vals.begin() + static_cast<std::ptrdiff_t>(vals.size() / 2);
+  std::nth_element(vals.begin(), mid, vals.end());
+  if (vals.size() % 2) return *mid;
+  // Even count: the lower middle is the largest element left of mid.
+  return 0.5 * (*std::max_element(vals.begin(), mid) + *mid);
 }
 
 bool OnlineDetector::frozen_now(const NodeState& st, SimTime now) const {

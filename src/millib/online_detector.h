@@ -145,7 +145,7 @@ class OnlineDetector : public obs::TraceSink {
   void evaluate_window(std::int64_t w);
   void evaluate_node(int n, NodeState& st, sim::SimTime win_start,
                      sim::SimTime win_end);
-  double baseline_median(const NodeState& st) const;
+  double baseline_median(const NodeState& st);
   bool frozen_now(const NodeState& st, sim::SimTime now) const;
   void attribute_vlrt(const obs::TraceEvent& e);
   /// mark_range clamped to the episode's [onset - kMarkPre, onset + kMarkMax]
@@ -158,6 +158,7 @@ class OnlineDetector : public obs::TraceSink {
   std::vector<NodeState> nodes_;
   std::vector<OnlineEpisode> episodes_;
   std::vector<SpikeRun> spike_runs_;
+  std::vector<double> median_scratch_;  // baseline_median's working copy
   std::int64_t current_window_ = 0;
   std::uint64_t events_observed_ = 0;
   std::uint64_t windows_evaluated_ = 0;

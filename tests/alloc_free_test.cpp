@@ -1,9 +1,10 @@
 // Allocation regression check for the request path. This executable
-// replaces the global operator new with a counting one, runs two short
+// replaces the global operator new with a counting one, runs short
 // experiments past their warm-up, and asserts how many heap allocations
 // each simulated request costs once the pools and slot tables have grown:
 // the closed-loop MySQL path must be allocation-free, and the KV + cache +
-// prequal data tier nearly so.
+// prequal data tier and the observation stack (telemetry + online
+// detection) nearly so.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -121,6 +122,18 @@ TEST(AllocFree, KvCachePrequalPathAllocatesAlmostNothingPerRequest) {
   c.injector.initial_offset = SimTime::seconds(2);
   const double per_req = allocs_per_request(c, SimTime::seconds(4));
   EXPECT_LE(per_req, 0.5);
+}
+
+TEST(AllocFree, ObservationStackAllocatesAlmostNothingPerRequest) {
+  // The MySQL path with telemetry and online detection riding the event
+  // stream: each instrument grows one vector of 50 ms windows, and the
+  // detector takes its baseline median in a reused buffer.
+  ExperimentConfig c = ExperimentConfig::scaled(0.1);
+  c.duration = SimTime::seconds(10);
+  c.telemetry.enabled = true;
+  c.online_detect = true;
+  const double per_req = allocs_per_request(c, SimTime::seconds(4));
+  EXPECT_LE(per_req, 0.05);
 }
 
 }  // namespace

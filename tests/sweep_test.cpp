@@ -88,9 +88,10 @@ TEST(SweepRunner, JobsDoNotChangeAggregateBytes) {
 }
 
 TEST(SweepRunner, MergedSketchAndOnlineColumnsAreJobsInvariant) {
-  // With telemetry + the online detector on, each replica carries a serialized
-  // response-time sketch and online-detection stats. Sequential and parallel
-  // sweeps must merge to the same bytes and emit the same columns.
+  // With telemetry + the online detector on, each replica carries its
+  // response-time histogram and online-detection stats. Sequential and
+  // parallel sweeps must merge them into the same pooled buckets and emit
+  // the same columns.
   SweepConfig seq;
   seq.base = tiny_config();
   seq.base.telemetry.enabled = true;
@@ -102,9 +103,12 @@ TEST(SweepRunner, MergedSketchAndOnlineColumnsAreJobsInvariant) {
 
   const AggregateSummary a = SweepRunner(seq).run();
   const AggregateSummary b = SweepRunner(par).run();
-  EXPECT_FALSE(a.merged_rt_sketch().empty());
-  EXPECT_EQ(a.merged_rt_sketch().rfind("ddsk1 a=", 0), 0u);
-  EXPECT_EQ(a.merged_rt_sketch(), b.merged_rt_sketch());
+  ASSERT_GT(a.pooled.count(), 0);
+  EXPECT_EQ(a.pooled.count(), b.pooled.count());
+  EXPECT_EQ(a.pooled.sum(), b.pooled.sum());
+  ASSERT_EQ(a.pooled.num_buckets(), b.pooled.num_buckets());
+  for (std::size_t i = 0; i < a.pooled.num_buckets(); ++i)
+    EXPECT_EQ(a.pooled.bucket_count(i), b.pooled.bucket_count(i)) << i;
   EXPECT_EQ(a.to_json_string(), b.to_json_string());
 
   std::ostringstream runs, csv;

@@ -1,108 +1,84 @@
-#include "obs/telemetry.h"
+#include "metrics/telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 
+#include "experiment/experiment.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "workload/rubbos.h"
+#include "workload/trace.h"
 
-namespace ntier::obs {
+namespace ntier::metrics {
 namespace {
 
+using obs::EventKind;
+using obs::Tier;
+using obs::testing::ev;
 using sim::SimTime;
-using testing::ev;
 
-TelemetryConfig enabled_config() {
-  TelemetryConfig cfg;
-  cfg.enabled = true;
-  return cfg;
+/// Lines of `csv` that start with `prefix`.
+int rows_starting_with(const std::string& csv, const std::string& prefix) {
+  int n = 0;
+  std::istringstream is(csv);
+  for (std::string line; std::getline(is, line);)
+    if (line.rfind(prefix, 0) == 0) ++n;
+  return n;
 }
 
-/// Fine windows per coarse window (50 ms into 1 s).
-constexpr int kFinePerCoarse =
-    static_cast<int>(kCoarseWindow.ns() / sim::kMetricWindow.ns());
+TEST(TelemetryInstrument, WindowsAccumulateCountAvgMax) {
+  TelemetryRegistry reg;
+  Instrument& ins = reg.instrument("client.syn_retransmit");
+  ins.record(SimTime::millis(10), 1.0);
+  ins.record(SimTime::millis(20), 3.0);
+  ins.record(SimTime::millis(60), 10.0);
 
-TEST(MultiResTimeline, FineWindowsAccumulateStatsAndQuantiles) {
-  MultiResTimeline tl(enabled_config());
-  tl.record(SimTime::millis(10), 1.0);
-  tl.record(SimTime::millis(20), 3.0);
-  tl.record(SimTime::millis(60), 10.0);
-
-  ASSERT_EQ(tl.fine_begin(), 0u);
-  ASSERT_EQ(tl.fine_end(), 2u);
-  const WindowStats* w0 = tl.fine_stats(0);
-  ASSERT_NE(w0, nullptr);
-  EXPECT_EQ(w0->count, 2);
-  EXPECT_DOUBLE_EQ(w0->avg(), 2.0);
-  EXPECT_DOUBLE_EQ(w0->max, 3.0);
-  const WindowStats* w1 = tl.fine_stats(1);
-  ASSERT_NE(w1, nullptr);
-  EXPECT_EQ(w1->count, 1);
-  // Per-window quantiles straight from the per-window sketch.
-  EXPECT_NEAR(tl.fine_quantile(1, 0.5), 10.0, 0.02 * 10.0);
-  EXPECT_EQ(tl.fine_stats(7), nullptr);  // unseen window
-  EXPECT_EQ(tl.recorded(), 3u);
+  const TimeSeries& s = ins.series();
+  EXPECT_EQ(s.window(), sim::kMetricWindow);
+  ASSERT_EQ(s.num_windows(), 2u);
+  EXPECT_EQ(s.count(0), 2);
+  EXPECT_DOUBLE_EQ(s.avg(0), 2.0);
+  EXPECT_DOUBLE_EQ(s.max(0), 3.0);
+  EXPECT_EQ(s.count(1), 1);
+  EXPECT_DOUBLE_EQ(s.max(1), 10.0);
+  EXPECT_EQ(s.count(7), 0);  // unseen window
+  EXPECT_EQ(s.total_count(), 3);
 }
 
-TEST(MultiResTimeline, FineWindowsRollUpIntoCoarse) {
-  // Once kFineRetention windows are live, each new window evicts the oldest
-  // into its coarse parent: one coarse window past the retention bound,
-  // fine windows 0..19 have merged into coarse 0, preserving count/avg/max
-  // and the mergeable sketch.
-  MultiResTimeline tl(enabled_config());
-  const int windows = static_cast<int>(kFineRetention) + kFinePerCoarse;
-  for (int w = 0; w < windows; ++w)
-    tl.record(SimTime::millis(w * 50 + 10), static_cast<double>(w));
-
-  EXPECT_EQ(tl.fine_begin(), static_cast<std::size_t>(kFinePerCoarse));
-  EXPECT_EQ(tl.fine_end(), static_cast<std::size_t>(windows));
-  ASSERT_GE(tl.coarse_end(), 1u);
-  const WindowStats* c0 = tl.coarse_stats(0);
-  ASSERT_NE(c0, nullptr);
-  EXPECT_EQ(c0->count, kFinePerCoarse);  // fine windows 0..19
-  EXPECT_DOUBLE_EQ(c0->avg(), (kFinePerCoarse - 1) / 2.0);
-  EXPECT_DOUBLE_EQ(c0->max, kFinePerCoarse - 1.0);
-  const DDSketch* cs = tl.coarse_sketch(0);
-  ASSERT_NE(cs, nullptr);
-  EXPECT_EQ(cs->count(), static_cast<std::uint64_t>(kFinePerCoarse));
-  // The run-level totals cover everything ever recorded.
-  EXPECT_EQ(tl.totals().count, windows);
-  EXPECT_EQ(tl.sketch().count(), static_cast<std::uint64_t>(windows));
+TEST(TelemetryInstrument, LateSampleLandsInItsOwnWindow) {
+  // Every window of the run stays addressable, so a sample older than the
+  // newest window is kept where it belongs rather than clamped forward.
+  TelemetryRegistry reg;
+  Instrument& ins = reg.instrument("tomcat0.iowait");
+  ins.record(SimTime::millis(1'000), 5.0);  // window 20
+  ins.record(SimTime::millis(0), 7.0);      // window 0
+  EXPECT_EQ(ins.series().count(0), 1);
+  EXPECT_EQ(ins.series().count(20), 1);
 }
 
-TEST(MultiResTimeline, MemoryStaysBoundedAndDropsAreCounted) {
-  // One sample per second for 100 s longer than the fine and coarse
-  // retention together: the deques never exceed their bounds, and
-  // evictions past the coarse bound are counted rather than accumulated.
-  MultiResTimeline tl(enabled_config());
-  const int seconds = static_cast<int>(kCoarseRetention) + 60 + 100;
-  for (int i = 0; i < seconds; ++i) {
-    tl.record(SimTime::seconds(i), 1.0);
-    EXPECT_LE(tl.fine_end() - tl.fine_begin(), kFineRetention);
-    EXPECT_LE(tl.coarse_end() - tl.coarse_begin(), kCoarseRetention);
-  }
-  EXPECT_GT(tl.coarse_dropped(), 0u);
-  EXPECT_EQ(tl.totals().count, seconds);  // totals survive every eviction
-}
-
-TEST(MultiResTimeline, LateSampleIsClampedIntoTheOldestLiveWindow) {
-  MultiResTimeline tl(enabled_config());
-  tl.record(SimTime::millis(1'000), 5.0);  // window 20
-  tl.record(SimTime::millis(0), 7.0);      // long past: clamps to window 20's
-                                           // live region, not a crash
-  const WindowStats* oldest = tl.fine_stats(tl.fine_begin());
-  ASSERT_NE(oldest, nullptr);
-  EXPECT_EQ(oldest->count, 2);
+TEST(TelemetryInstrument, ViewReadsItsSourceSeries) {
+  TimeSeries source(sim::kMetricWindow);
+  TelemetryRegistry reg;
+  reg.add_view("client.rt_ms", source);
+  source.record(SimTime::millis(70), 12.0);  // after the view was made
+  const Instrument* rt = reg.find("client.rt_ms");
+  ASSERT_NE(rt, nullptr);
+  EXPECT_EQ(&rt->series(), &source);
+  EXPECT_EQ(rt->series().count(1), 1);
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_THROW(reg.add_view("client.rt_ms", source), std::invalid_argument);
 }
 
 TEST(TelemetryRegistry, GetOrCreateReturnsStablePointers) {
-  TelemetryRegistry reg(enabled_config());
-  Instrument& a = reg.instrument("client.rt_ms", Tier::kClient);
-  Instrument& again = reg.instrument("client.rt_ms", Tier::kClient);
+  TelemetryRegistry reg;
+  Instrument& a = reg.instrument("client.rt_ms");
+  Instrument& again = reg.instrument("client.rt_ms");
   EXPECT_EQ(&a, &again);
   EXPECT_EQ(reg.size(), 1u);
-  reg.instrument("tomcat0.iowait", Tier::kTomcat, 0);
+  reg.instrument("tomcat0.iowait");
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.find("client.rt_ms"), &a);
   EXPECT_EQ(reg.find("missing"), nullptr);
@@ -115,20 +91,19 @@ TEST(TelemetryRegistry, GetOrCreateReturnsStablePointers) {
   EXPECT_EQ(names[1], "tomcat0.iowait");
 }
 
-TEST(TelemetryRegistry, CsvCarriesPerWindowQuantileColumns) {
-  TelemetryRegistry reg(enabled_config());
+TEST(TelemetryRegistry, CsvCarriesOneRowPerNonEmptyWindow) {
+  TelemetryRegistry reg;
   Instrument& ins = reg.instrument("client.rt_ms");
   for (int i = 0; i < 100; ++i)
     ins.record(SimTime::millis(10 + i % 3), 10.0 + i);
+  ins.record(SimTime::millis(260), 4.0);  // window 5; windows 1..4 empty
 
   std::ostringstream os;
   reg.to_csv(os);
   const std::string csv = os.str();
-  EXPECT_EQ(csv.rfind("instrument,window_start_s,width_s,count,avg,max,p50,"
-                      "p95,p99\n",
-                      0),
-            0u);
-  EXPECT_NE(csv.find("client.rt_ms,0,0.05,100,"), std::string::npos);
+  EXPECT_EQ(csv, "instrument,window_start_s,width_s,count,avg,max\n"
+                 "client.rt_ms,0,0.05,100,59.5,109\n"
+                 "client.rt_ms,0.25,0.05,1,4,4\n");
   // Exports are byte-deterministic.
   std::ostringstream os2;
   reg.to_csv(os2);
@@ -136,16 +111,15 @@ TEST(TelemetryRegistry, CsvCarriesPerWindowQuantileColumns) {
 }
 
 TEST(TelemetryFeed, MapsTheEventStreamOntoTheStandardInstruments) {
-  TelemetryRegistry reg(enabled_config());
+  TelemetryRegistry reg;
   TelemetryFeed feed(reg, /*num_tomcats=*/2);
-  TraceConfig tc;
+  obs::TraceConfig tc;
   tc.ring = false;  // pure event bus
-  TraceCollector bus(tc);
+  obs::TraceCollector bus(tc);
   bus.add_sink(&feed);
 
-  // Successful and failed completions: only aux == 0 lands in rt_ms.
+  // Completions are the request log's to record, not the feed's.
   bus.push(ev(10, EventKind::kClientDone, Tier::kClient, 0, 5, 1, 120.0, 0));
-  bus.push(ev(11, EventKind::kClientDone, Tier::kClient, 0, 6, 2, 9'000.0, 2));
   bus.push(ev(12, EventKind::kSynRetransmit, Tier::kClient, 0, 5, 3, 0.0, 1));
   // Balancer deltas rebuild tomcat1's committed queue: +1, +1, -1.
   bus.push(ev(20, EventKind::kGetEndpointAttempt, Tier::kBalancer, 0, 1, 4));
@@ -156,26 +130,53 @@ TEST(TelemetryFeed, MapsTheEventStreamOntoTheStandardInstruments) {
   bus.push(ev(30, EventKind::kIoWait, Tier::kMysql, 0, -1, 0, 0.9));
   bus.push(ev(31, EventKind::kIoWait, Tier::kTomcat, 1, -1, 0, 0.75));
 
-  const Instrument* rt = reg.find("client.rt_ms");
-  ASSERT_NE(rt, nullptr);
-  EXPECT_EQ(rt->timeline().totals().count, 1);
-  EXPECT_DOUBLE_EQ(rt->timeline().totals().max, 120.0);
+  EXPECT_EQ(reg.find("client.rt_ms"), nullptr);
 
   const Instrument* retx = reg.find("client.syn_retransmit");
   ASSERT_NE(retx, nullptr);
-  EXPECT_EQ(retx->timeline().totals().count, 1);
+  EXPECT_EQ(retx->series().total_count(), 1);
 
   const Instrument* committed = reg.find("tomcat1.committed");
   ASSERT_NE(committed, nullptr);
-  EXPECT_EQ(committed->timeline().totals().count, 3);
-  EXPECT_DOUBLE_EQ(committed->timeline().totals().max, 2.0);
+  EXPECT_EQ(committed->series().total_count(), 3);
+  EXPECT_DOUBLE_EQ(committed->series().global_max(), 2.0);
 
   const Instrument* iowait = reg.find("tomcat1.iowait");
   ASSERT_NE(iowait, nullptr);
-  EXPECT_EQ(iowait->timeline().totals().count, 1);
-  EXPECT_DOUBLE_EQ(iowait->timeline().totals().max, 0.75);
-  EXPECT_EQ(reg.find("tomcat0.iowait")->timeline().totals().count, 0);
+  EXPECT_EQ(iowait->series().total_count(), 1);
+  EXPECT_DOUBLE_EQ(iowait->series().global_max(), 0.75);
+  EXPECT_EQ(reg.find("tomcat0.iowait")->series().total_count(), 0);
+}
+
+TEST(TelemetryRegistry, ReplayRunReportsClientResponseTimes) {
+  // A trace replay issues no client-population completions, so the rt rows
+  // must come from the request log, which both drivers record into.
+  auto trace = std::make_shared<workload::ArrivalTrace>();
+  sim::Rng mix_rng(3);
+  workload::RubbosWorkload w;
+  for (int i = 0; i < 4'000; ++i)
+    trace->add(SimTime::from_millis(1 + i * 0.5),  // 2 000 req/s for 2 s
+               static_cast<std::uint32_t>(i % 997),
+               static_cast<std::uint16_t>(w.next_interaction(mix_rng)));
+  auto cfg = experiment::testing::quick_config(
+      lb::PolicyKind::kCurrentLoad, lb::MechanismKind::kNonBlocking,
+      /*millibottlenecks=*/false, SimTime::seconds(3));
+  cfg.replay_trace = trace;
+  cfg.warmup = SimTime::zero();
+  cfg.telemetry.enabled = true;
+  experiment::Experiment e(std::move(cfg));
+  e.run();
+
+  ASSERT_NE(e.telemetry(), nullptr);
+  std::ostringstream os;
+  e.telemetry()->to_csv(os);
+  const TimeSeries& log_rt = e.log().response_time_series();
+  int nonempty = 0;
+  for (std::size_t i = 0; i < log_rt.num_windows(); ++i)
+    if (log_rt.count(i)) ++nonempty;
+  EXPECT_GT(nonempty, 30);
+  EXPECT_EQ(rows_starting_with(os.str(), "client.rt_ms,"), nonempty);
 }
 
 }  // namespace
-}  // namespace ntier::obs
+}  // namespace ntier::metrics
