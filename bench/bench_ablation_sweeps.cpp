@@ -21,13 +21,13 @@ sim::SimTime duration_for(const BenchOptions& opt) {
 }
 
 void report(const std::string& setting, Experiment& e) {
+  const experiment::RunSummary s = experiment::summarize(e);
   std::cout << "  " << std::left << std::setw(32) << setting << std::right
-            << std::setw(10) << e.log().completed() << std::setw(11)
-            << std::fixed << std::setprecision(2) << e.log().mean_response_ms()
-            << std::setw(10) << std::setprecision(2)
-            << 100 * e.log().vlrt_fraction() << "%" << std::setw(10)
-            << e.clients().connection_drops() << std::setw(10)
-            << e.clients().failed() << "\n";
+            << std::setw(10) << s.completed << std::setw(11) << std::fixed
+            << std::setprecision(2) << s.mean_rt_ms << std::setw(10)
+            << std::setprecision(2) << 100 * s.vlrt_fraction << "%"
+            << std::setw(10) << s.connection_drops << std::setw(10)
+            << s.balancer_errors << "\n";
 }
 
 void sweep_header(const std::string& title) {
@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   header("Ablations", "sensitivity of the instability to each design knob");
 
   auto base = [&] {
-    auto c = cluster_config(opt, PolicyKind::kTotalRequest,
-                            MechanismKind::kBlocking);
+    ExperimentConfig c = cluster_config(opt, PolicyKind::kTotalRequest,
+                                        MechanismKind::kBlocking);
     c.duration = duration_for(opt);
     c.tracing = false;
     return c;
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   sweep_header("cache_acquire_timeout (Algorithm 1 park time)");
   for (const auto t : {50, 100, 300, 900}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.balancer.blocking.acquire_timeout = sim::SimTime::millis(t);
     auto e = run_experiment(opt, std::move(c), false);
     report(std::to_string(t) + " ms", *e);
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   sweep_header("JK_SLEEP_DEF (poll interval)");
   for (const auto t : {10, 50, 100}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.balancer.blocking.sleep_interval = sim::SimTime::millis(t);
     auto e = run_experiment(opt, std::move(c), false);
     report(std::to_string(t) + " ms", *e);
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
 
   sweep_header("endpoint pool size (per Apache-Tomcat pair)");
   for (const auto n : {25, 50, 100, 200}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.balancer.endpoint_pool_size = static_cast<std::size_t>(n);
     auto e = run_experiment(opt, std::move(c), false);
     report(std::to_string(n) + " endpoints", *e);
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
 
   sweep_header("busy_recovery under the modified get_endpoint");
   for (const auto t : {10, 100, 500, 2000}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.mechanism = MechanismKind::kNonBlocking;
     c.balancer.busy_recovery = sim::SimTime::millis(t);
     auto e = run_experiment(opt, std::move(c), false);
@@ -86,21 +86,21 @@ int main(int argc, char** argv) {
 
   sweep_header("client RTO schedule (VLRT cluster positions)");
   {
-    auto c = base();
+    ExperimentConfig c = base();
     c.retransmit = net::RetransmitSchedule::constant(sim::SimTime::seconds(1), 5);
     auto e = run_experiment(opt, std::move(c), false);
     report("constant 1s (paper clusters)", *e);
     std::cout << "      p99.9 = " << e->log().percentile_ms(99.9) << " ms\n";
   }
   {
-    auto c = base();
+    ExperimentConfig c = base();
     c.retransmit = net::RetransmitSchedule::exponential(sim::SimTime::seconds(1), 5);
     auto e = run_experiment(opt, std::move(c), false);
     report("exponential 1s,2s,4s,...", *e);
     std::cout << "      p99.9 = " << e->log().percentile_ms(99.9) << " ms\n";
   }
   {
-    auto c = base();
+    ExperimentConfig c = base();
     c.retransmit = net::RetransmitSchedule::constant(sim::SimTime::seconds(3), 5);
     auto e = run_experiment(opt, std::move(c), false);
     report("constant 3s (classic BSD)", *e);
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
 
   sweep_header("pdflush interval (millibottleneck cadence)");
   for (const auto t : {2500, 5000, 10000}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.tomcat_pdflush.flush_interval = sim::SimTime::millis(t);
     auto e = run_experiment(opt, std::move(c), false);
     report(std::to_string(t) + " ms", *e);
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
 
   sweep_header("effective writeback bandwidth (stall duration)");
   for (const auto mb : {30, 60, 120, 240}) {
-    auto c = base();
+    ExperimentConfig c = base();
     c.disk_bytes_per_second = mb * 1024.0 * 1024.0;
     auto e = run_experiment(opt, std::move(c), false);
     report(std::to_string(mb) + " MB/s", *e);

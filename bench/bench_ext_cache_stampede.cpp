@@ -181,19 +181,19 @@ int main(int argc, char** argv) {
         auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);
         std::cout << e->log().summary_row(row_label)
                   << "  vlrt_n=" << e->log().vlrt_count() << "\n";
-        cell.vlrts = e->log().vlrt_count();
-        cell.vlrt_fraction = e->log().vlrt_fraction();
-        if (const auto* cache = e->cache_tier()) {
-          const auto& cs = cache->stats();
-          cell.hit_ratio = cs.hit_ratio();
+        const experiment::RunSummary s = experiment::summarize(*e);
+        cell.vlrts = static_cast<std::uint64_t>(s.vlrt_count);
+        cell.vlrt_fraction = s.vlrt_fraction;
+        if (e->cache_tier()) {
+          cell.hit_ratio = s.cache_hit_ratio;
           std::ostringstream os;
           os << "  " << std::left << std::setw(28) << row_label << std::right
              << std::fixed << std::setprecision(3) << "hit ratio "
-             << cs.hit_ratio() << ", " << cs.hits << " hits / " << cs.misses
-             << " misses, " << cs.coalesced_fills << " coalesced, inval "
-             << cs.invalidations_sent << " sent / "
-             << cs.invalidations_dropped << " dropped, " << cs.storms
-             << " storms";
+             << s.cache_hit_ratio << ", " << s.cache_hits << " hits / "
+             << s.cache_misses << " misses, " << s.cache_coalesced_fills
+             << " coalesced, inval " << s.cache_invalidations << " sent / "
+             << s.cache_invalidations_dropped << " dropped, "
+             << s.cache_storms << " storms";
           cache_lines.push_back(os.str());
         }
       }
@@ -238,13 +238,13 @@ int main(int argc, char** argv) {
       cfg.cache.ttl = SimTime::from_millis(ttl_ms);
       cfg.label = "frontier/" + std::to_string(bytes >> 10) + "k/" +
                   std::to_string(static_cast<int>(ttl_ms)) + "ms";
-      auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);
-      const auto& cs = e->cache_tier()->stats();
+      const experiment::RunSummary s = experiment::summarize(
+          *run_experiment(opt, std::move(cfg), /*announce=*/false));
       std::cout << "  " << std::setw(12) << bytes << std::setw(10)
                 << static_cast<int>(ttl_ms) << std::setw(12) << std::fixed
-                << std::setprecision(3) << cs.hit_ratio() << std::setw(12)
-                << std::setprecision(3) << e->log().vlrt_fraction() * 100.0
-                << std::setw(10) << e->log().vlrt_count() << "\n";
+                << std::setprecision(3) << s.cache_hit_ratio << std::setw(12)
+                << std::setprecision(3) << s.vlrt_fraction * 100.0
+                << std::setw(10) << s.vlrt_count << "\n";
     }
   }
 

@@ -48,8 +48,9 @@ void print_row(const std::string& label,
             << r.invariants.failed << std::setw(9) << r.invariants.dropped
             << std::setw(10) << std::fixed << std::setprecision(1)
             << r.summary.p99_ms << std::setw(11) << r.summary.p999_ms
-            << std::setw(8) << r.breaker_trips << std::setw(9)
-            << r.summary.retries << std::setw(8) << r.probes_sent << "\n";
+            << std::setw(8) << r.summary.breaker_trips << std::setw(9)
+            << r.summary.retries << std::setw(8) << r.summary.health_probes_sent
+            << "\n";
 }
 
 }  // namespace

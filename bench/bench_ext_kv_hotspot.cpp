@@ -158,32 +158,30 @@ int main(int argc, char** argv) {
       std::cout << e->log().summary_row(row_label)
                 << "  vlrt_n=" << e->log().vlrt_count() << "\n";
 
-      const kv::KvStats& ks = e->kv_tier()->stats();
+      const experiment::RunSummary s = experiment::summarize(*e);
       {
         std::ostringstream os;
         os << "  " << std::left << std::setw(28) << row_label << std::right
-           << std::fixed << std::setprecision(1) << ks.quorum_reads << " qr / "
-           << ks.quorum_writes << " qw, mean wait "
-           << ks.mean_quorum_wait_ms() << " ms, degraded "
-           << ks.degraded_wait_ms << " ms, failed "
-           << (ks.quorum_failed_reads + ks.quorum_failed_writes)
-           << ", hints " << ks.hints_created << "/" << ks.hints_replayed
-           << " created/replayed, dropped " << ks.handoff_dropped
-           << ", mig-shed " << ks.migration_shed << ", repairs "
-           << ks.read_repairs;
+           << std::fixed << std::setprecision(1) << s.kv_quorum_reads
+           << " qr / " << s.kv_quorum_writes << " qw, mean wait "
+           << s.kv_mean_quorum_wait_ms << " ms, degraded " << s.kv_degraded_ms
+           << " ms, failed " << s.kv_quorum_failed << ", hints "
+           << s.kv_hints_created << "/" << s.kv_hints_replayed
+           << " created/replayed, dropped " << s.kv_handoff_dropped
+           << ", mig-shed " << s.kv_migration_shed << ", repairs "
+           << s.kv_read_repairs;
         kv_lines.push_back(os.str());
       }
 
-      const std::uint64_t vlrt = e->log().vlrt_count();
+      const auto vlrt = static_cast<std::uint64_t>(s.vlrt_count);
       if (sc == Scenario::kHotShard) hot_vlrt_min = std::min(hot_vlrt_min, vlrt);
       if (sc == Scenario::kQuiet) quiet_vlrt_max = std::max(quiet_vlrt_max, vlrt);
       if (sc == Scenario::kReplicaCrash) {
-        crash_quorum_failed_total +=
-            ks.quorum_failed_reads + ks.quorum_failed_writes;
+        crash_quorum_failed_total += s.kv_quorum_failed;
         crash_hints_replayed_min =
-            std::min(crash_hints_replayed_min, ks.hints_replayed);
+            std::min(crash_hints_replayed_min, s.kv_hints_replayed);
         crash_hints_pending_max =
-            std::max(crash_hints_pending_max, ks.hints_pending());
+            std::max(crash_hints_pending_max, s.kv_hints_pending);
       }
     }
     if (!kv_lines.empty()) {

@@ -81,26 +81,6 @@ ExperimentConfig evasion_config(const BenchOptions& opt, PolicyKind policy,
   return c;
 }
 
-struct EvasionCell {
-  double mean_ms = 0;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t probe_timeouts = 0;
-  std::uint64_t gray_ops = 0;
-};
-
-EvasionCell evasion_cell(Experiment& e) {
-  EvasionCell cell;
-  cell.mean_ms = e.log().mean_response_ms();
-  for (int a = 0; a < e.num_apaches(); ++a) {
-    cell.breaker_trips += e.apache(a).balancer().breaker_trips();
-    if (const auto* prober = e.apache(a).prober())
-      cell.probe_timeouts += prober->probes_timed_out();
-  }
-  const experiment::RunSummary s = experiment::summarize(e);
-  cell.gray_ops = s.gray_inflated_ops;
-  return cell;
-}
-
 /// Scenario cell options: the shared clock of the metastable grid. Quick
 /// mode shrinks the run but keeps >= 10x the trigger duration of post-clear
 /// horizon, so the metastability claim stays decidable.
@@ -141,7 +121,7 @@ void print_scenario_row(const experiment::MetastableResult& r) {
   std::cout << ", degraded " << std::setprecision(2)
             << rep.degraded_after_clear_s << " s post-clear";
   if (r.recovery_enabled)
-    std::cout << "\n    recovery: " << r.recovery_stats.to_string();
+    std::cout << "\n    recovery: " << experiment::recovery_line(r.summary);
   std::cout << "\n";
 }
 
@@ -176,32 +156,35 @@ int main(int argc, char** argv) {
   bool stall_detected = true;   // the equivalent stall IS seen
   bool gray_bites = true;       // gray ops actually ran inflated
   for (const auto& [policy, gated] : evasion_policies) {
-    EvasionCell cells[3];
+    experiment::RunSummary cells[3];
     for (const Fault fault : {Fault::kNone, Fault::kStall, Fault::kGray}) {
-      ExperimentConfig cfg = evasion_config(opt, policy, fault);
-      const std::string label = cfg.label;
-      auto e = run_experiment(opt, std::move(cfg), /*announce=*/false);
-      EvasionCell cell = evasion_cell(*e);
-      cells[static_cast<int>(fault)] = cell;
-      std::cout << "  " << std::setw(34) << std::left << label << std::right
-                << std::setw(10) << std::fixed << std::setprecision(2)
-                << cell.mean_ms << std::setw(8) << cell.breaker_trips
-                << std::setw(10) << cell.probe_timeouts << std::setw(10)
-                << cell.gray_ops << "\n";
+      experiment::RunSummary& cell = cells[static_cast<int>(fault)];
+      cell = experiment::summarize(*run_experiment(
+          opt, evasion_config(opt, policy, fault), /*announce=*/false));
+      std::cout << "  " << std::setw(34) << std::left << cell.label
+                << std::right << std::setw(10) << std::fixed
+                << std::setprecision(2) << cell.mean_rt_ms << std::setw(8)
+                << cell.breaker_trips << std::setw(10)
+                << cell.health_probe_timeouts << std::setw(10)
+                << cell.gray_inflated_ops << "\n";
     }
-    const EvasionCell& base = cells[static_cast<int>(Fault::kNone)];
-    const EvasionCell& stall = cells[static_cast<int>(Fault::kStall)];
-    const EvasionCell& gray = cells[static_cast<int>(Fault::kGray)];
-    const double stall_excess = std::max(stall.mean_ms - base.mean_ms, 0.01);
-    const double gray_excess = gray.mean_ms - base.mean_ms;
+    const experiment::RunSummary& base = cells[static_cast<int>(Fault::kNone)];
+    const experiment::RunSummary& stall =
+        cells[static_cast<int>(Fault::kStall)];
+    const experiment::RunSummary& gray = cells[static_cast<int>(Fault::kGray)];
+    const double stall_excess =
+        std::max(stall.mean_rt_ms - base.mean_rt_ms, 0.01);
+    const double gray_excess = gray.mean_rt_ms - base.mean_rt_ms;
     if (gated) min_gap = std::min(min_gap, gray_excess / stall_excess);
-    gray_invisible &= gray.breaker_trips == 0 && gray.probe_timeouts == 0;
+    gray_invisible &=
+        gray.breaker_trips == 0 && gray.health_probe_timeouts == 0;
     // Only the gated (signal-free) row must SEE the stall: prequal's own
     // load signals steer traffic off the stalled node before its probe
     // queue ever builds, so its prober has nothing to time out on.
     if (gated)
-      stall_detected &= stall.breaker_trips > 0 || stall.probe_timeouts > 0;
-    gray_bites &= gray.gray_ops > 0;
+      stall_detected &=
+          stall.breaker_trips > 0 || stall.health_probe_timeouts > 0;
+    gray_bites &= gray.gray_inflated_ops > 0;
     std::cout << "  " << lb::to_string(policy)
               << ": latency excess over no-fault, gray vs detectable: "
               << std::fixed << std::setprecision(2) << gray_excess << " vs "
@@ -244,7 +227,7 @@ int main(int argc, char** argv) {
                      vulnerable.report.time_to_baseline_s >= 10.0 * trigger_s;
     worst_vuln_ratio = std::min(worst_vuln_ratio, vuln_ratio);
     recovery_ok &= recovered.report.recovered &&
-                   recovered.recovery_stats.episodes > 0;
+                   recovered.summary.recovery_episodes > 0;
     worst_recovery_s =
         std::max(worst_recovery_s, recovered.report.time_to_baseline_s);
   }

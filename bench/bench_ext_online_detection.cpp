@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       /*millibottlenecks=*/false);
   quiet.online_detect = true;
   auto calm = run_experiment(opt, quiet);
-  const std::size_t quiet_eps = calm->online_detector()->episodes().size();
+  const std::uint64_t quiet_eps = experiment::summarize(*calm).online_episodes;
   std::cout << "\nquiet regime (millibottlenecks off): " << quiet_eps
             << " episodes flagged\n";
   const bool quiet_ok = quiet_eps == 0;
@@ -121,6 +121,7 @@ int main(int argc, char** argv) {
   tail_cfg.trace_tail.enabled = true;
   auto tail = run_experiment(opt, tail_cfg);
   const auto* tt = tail->trace();
+  const experiment::RunSummary tail_summary = experiment::summarize(*tail);
   const std::uint64_t full_bytes = trace_bytes(*full->trace());
   const std::uint64_t tail_bytes = trace_bytes(*tt);
   const double byte_fraction =
@@ -129,9 +130,9 @@ int main(int argc, char** argv) {
                  : 0.0;
   std::cout << "\ntail-based sampling (identical seed, detector-triggered "
                "retention)\n"
-            << "  events: kept " << tt->tail_kept() << " of " << tt->tail_seen()
-            << " (" << std::setprecision(1) << 100.0 * tt->tail_kept_fraction()
-            << "%)\n"
+            << "  events: kept " << tail_summary.trace_events_kept << " of "
+            << tail_summary.trace_events_seen << " (" << std::setprecision(1)
+            << 100.0 * tail_summary.trace_kept_fraction << "%)\n"
             << "  bytes (jsonl): " << tail_bytes << " of " << full_bytes << " ("
             << 100.0 * byte_fraction << "%)\n";
 

@@ -17,46 +17,9 @@
 #include <sstream>
 
 #include "bench_common.h"
-#include "lb/probe_policy.h"
 
 using namespace ntier;
 using namespace ntier::bench;
-
-namespace {
-
-/// Aggregate probe-pool + probe-policy counters across the Apaches.
-struct ProbeStats {
-  std::uint64_t sent = 0, replies = 0, timeouts = 0, piggybacked = 0;
-  std::uint64_t probe_picks = 0, tiebreak_picks = 0, fallback_picks = 0;
-  double staleness_ms = 0.0;  // use-weighted mean
-
-  static ProbeStats collect(Experiment& e) {
-    ProbeStats s;
-    std::uint64_t uses = 0;
-    double staleness_sum = 0.0;
-    for (int a = 0; a < e.num_apaches(); ++a) {
-      if (const auto* pool = e.apache(a).probe_pool()) {
-        s.sent += pool->probes_sent();
-        s.replies += pool->replies();
-        s.timeouts += pool->timeouts();
-        s.piggybacked += pool->piggybacked();
-        staleness_sum += pool->mean_staleness_at_use_ms() *
-                         static_cast<double>(pool->uses());
-        uses += pool->uses();
-      }
-      if (const auto* aware = dynamic_cast<const lb::ProbeAwarePolicy*>(
-              &e.apache(a).balancer().policy())) {
-        s.probe_picks += aware->probe_picks();
-        s.tiebreak_picks += aware->tiebreak_picks();
-        s.fallback_picks += aware->fallback_picks();
-      }
-    }
-    if (uses) s.staleness_ms = staleness_sum / static_cast<double>(uses);
-    return s;
-  }
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(argc, argv);
@@ -114,27 +77,28 @@ int main(int argc, char** argv) {
     std::cout << e->log().summary_row(row.label) << "  vlrt_n="
               << e->log().vlrt_count() << "\n";
 
-    const ProbeStats ps = ProbeStats::collect(*e);
-    if (ps.sent > 0) {
+    const experiment::RunSummary s = experiment::summarize(*e);
+    if (s.probes_sent > 0) {
       std::ostringstream os;
       os << "  " << std::left << std::setw(44) << row.label << " "
-         << ps.sent << " probes (" << ps.replies << " replies, "
-         << ps.timeouts << " timed out), " << ps.piggybacked
-         << " piggybacked reports, " << ps.probe_picks
-         << " probe-driven picks, " << ps.tiebreak_picks
-         << " probed tie-breaks, " << ps.fallback_picks
+         << s.probes_sent << " probes (" << s.probe_replies << " replies, "
+         << s.probe_timeouts << " timed out), " << s.probes_piggybacked
+         << " piggybacked reports, " << s.probe_picks
+         << " probe-driven picks, " << s.probe_tiebreaks
+         << " probed tie-breaks, " << s.probe_fallbacks
          << " current_load fallbacks, mean staleness at use "
-         << std::fixed << std::setprecision(1) << ps.staleness_ms << " ms";
+         << std::fixed << std::setprecision(1) << s.probe_mean_staleness_ms
+         << " ms";
       probe_lines.push_back(os.str());
     }
 
     if (row.policy == PolicyKind::kCurrentLoad) {
-      remedy_mean = e->log().mean_response_ms();
-      remedy_vlrt = e->log().vlrt_count();
+      remedy_mean = s.mean_rt_ms;
+      remedy_vlrt = static_cast<std::uint64_t>(s.vlrt_count);
     }
     if (row.policy == PolicyKind::kPrequal) {
-      prequal_mean = e->log().mean_response_ms();
-      prequal_vlrt = e->log().vlrt_count();
+      prequal_mean = s.mean_rt_ms;
+      prequal_vlrt = static_cast<std::uint64_t>(s.vlrt_count);
     }
   }
 

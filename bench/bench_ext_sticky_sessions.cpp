@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     const double peak = experiment::max_of(e->tomcat_tier_queue());
     if (!v.sticky) base_queue = peak;
     std::cout << "    tomcat-tier queue peak " << peak << ", balancer 503s "
-              << e->clients().failed() << "\n";
+              << experiment::summarize(*e).balancer_errors << "\n";
     if (v.sticky && v.force)
       paper_vs_measured("forced stickiness re-inflates the queue",
                         "(extension prediction)",

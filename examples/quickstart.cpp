@@ -10,6 +10,7 @@
 
 #include "experiment/experiment.h"
 #include "experiment/report.h"
+#include "experiment/summary.h"
 
 using namespace ntier;
 
@@ -38,14 +39,15 @@ int main(int argc, char** argv) {
   experiment::Experiment e(config);
   e.run();
 
-  const auto& log = e.log();
-  std::cout << "completed requests : " << log.completed() << "\n"
-            << "mean response time : " << log.mean_response_ms() << " ms\n"
-            << "p99 / p99.9        : " << log.percentile_ms(99) << " / "
-            << log.percentile_ms(99.9) << " ms\n"
-            << "VLRT (>1s)         : " << 100.0 * log.vlrt_fraction() << " %\n"
-            << "normal (<10ms)     : " << 100.0 * log.normal_fraction() << " %\n"
-            << "connection drops   : " << e.clients().connection_drops() << "\n\n";
+  // Every counter of the run, from one place (also its --json schema).
+  const experiment::RunSummary s = experiment::summarize(e);
+  std::cout << "completed requests : " << s.completed << "\n"
+            << "mean response time : " << s.mean_rt_ms << " ms\n"
+            << "p99 / p99.9        : " << s.p99_ms << " / " << s.p999_ms
+            << " ms\n"
+            << "VLRT (>1s)         : " << 100.0 * s.vlrt_fraction << " %\n"
+            << "normal (<10ms)     : " << 100.0 * s.normal_fraction << " %\n"
+            << "connection drops   : " << s.connection_drops << "\n\n";
 
   std::cout << "Tomcat-tier queue (committed requests, 50 ms windows):\n";
   experiment::print_panel(std::cout, "tomcat tier", e.tomcat_tier_queue());

@@ -18,8 +18,11 @@ A file sets a field when it contains, for the field's name:
 When the file declares the receiver with a census type (`ProberConfig pc;`,
 `const MySqlConfig& cfg`), `pc.interval = ...` sets only that struct's field;
 a receiver declared with another struct of src/ (`FaultSpec spec;`) sets no
-census field. Otherwise matching is by field name, so a name shared by two
-structs counts as set for both.
+census field. A receiver the file declares `auto` (`auto c = base();`)
+sets a field only when no other census struct has a field of that name; a
+shared name needs an explicitly typed receiver. Any other receiver (a member
+`c.kv.replicas`, a variable declared in another file) matches by field name,
+so a name shared by two structs counts as set for both.
 
 Usage:
   scripts/knob_census.py                    # table plus totals
@@ -203,17 +206,24 @@ def receiver_types(text, structs, decl):
 
 
 RECEIVER = re.compile(r"(\.|->)?\s*\b(\w+)\s*$")
+AUTO_DECL = re.compile(r"\bauto\s*[&*]*\s*(\w+)\s*[=({]")
 
 
-def sets_field(text, qual, pat, acc, decls):
+def sets_field(text, qual, pat, acc, decls, autos, shared):
     """True when a setter of the field in `text` can be credited to `qual`.
-    Only a plain variable is looked up in `decls`; a member receiver
-    (`c.kv.replicas`) falls back to matching by name."""
+    Only a plain variable is looked up in `decls`; one among `autos` counts
+    unless the field name is `shared` with another census struct. Any other
+    receiver falls back to matching by name."""
     for m in pat.finditer(text):
         a = acc.search(text, m.start(), m.end())
         recv = RECEIVER.search(text, max(0, a.start() - 64), a.start())
-        if not recv or recv.group(1) or recv.group(2) not in decls or \
-                qual in decls[recv.group(2)]:
+        if not recv or recv.group(1):
+            return True
+        var = recv.group(2)
+        if var in decls:
+            if qual in decls[var]:
+                return True
+        elif var not in autos or not shared:
             return True
     return False
 
@@ -226,6 +236,11 @@ def census():
              for p in source_files(SCAN_DIRS)}
     decl = declaration_pattern(structs, others)
     decls = {f: receiver_types(t, structs, decl) for f, t in texts.items()}
+    autos = {f: set(AUTO_DECL.findall(t)) for f, t in texts.items()}
+    owners = {}
+    for qual, fields in structs.items():
+        for _, fname in fields:
+            owners.setdefault(fname, set()).add(qual)
     rows = []
     for qual in sorted(structs):
         positional = positional_setters(qual, texts)
@@ -234,9 +249,11 @@ def census():
                    for t in census_types):
                 continue  # a nested config, not a leaf
             pat, acc = setter_patterns(fname), re.compile(accessor(fname))
+            shared = len(owners[fname]) > 1
             setters = sorted(f for f, t in texts.items()
                              if (fname in t and  # cheap filter first
-                                 sets_field(t, qual, pat, acc, decls[f]))
+                                 sets_field(t, qual, pat, acc, decls[f],
+                                            autos[f], shared))
                              or positional.get(f, 0) > i)
             groups = sorted({GROUPS[f.split(os.sep)[0]] for f in setters})
             rows.append((qual, fname, groups, setters))

@@ -10,10 +10,10 @@
 #include "control/overload.h"
 #include "experiment/chaos.h"
 #include "experiment/experiment.h"
-#include "lb/probe_policy.h"
 #include "experiment/report.h"
 #include "experiment/summary.h"
 #include "experiment/sweep.h"
+#include "lb/policy.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
 
@@ -648,9 +648,9 @@ int run_cli(const CliOptions& options) {
 
   e.run();
 
-  const bool replay = e.replayer() != nullptr;
   const metrics::RequestLog& log = e.log();
-  auto summary = experiment::summarize(e);
+  const auto summary = experiment::summarize(e);
+  const bool replay = summary.open_loop;
 
   if (!options.quiet) {
     experiment::print_table1_header(std::cout);
@@ -663,11 +663,15 @@ int run_cli(const CliOptions& options) {
               << " ms, drops " << summary.connection_drops << ", 503s "
               << summary.balancer_errors << "\n";
     if (replay) {
-      const auto* rp = e.replayer();
+      // Whatever the replayer issued and did not fail, drop, abandon or
+      // still hold completed.
+      const std::uint64_t ok = summary.issued - summary.in_flight -
+                               summary.dropped - summary.balancer_errors -
+                               summary.replay_abandoned;
       std::cout << "trace replay: " << summary.trace_arrivals << " arrivals, "
-                << rp->issued() << " issued, " << rp->completed_ok()
-                << " ok, " << rp->dropped() << " dropped, " << rp->abandoned()
-                << " abandoned, " << rp->in_flight()
+                << summary.issued << " issued, " << ok << " ok, "
+                << summary.dropped << " dropped, " << summary.replay_abandoned
+                << " abandoned, " << summary.in_flight
                 << " in flight at horizon\n";
     }
     if (e.chaos()) {
@@ -675,17 +679,10 @@ int run_cli(const CliOptions& options) {
                 << e.chaos()->trace_string();
     }
     if (options.resilience) {
-      std::uint64_t trips = 0, probes = 0, timeouts = 0;
-      for (int a = 0; a < e.num_apaches(); ++a) {
-        trips += e.apache(a).balancer().breaker_trips();
-        if (e.apache(a).prober()) {
-          probes += e.apache(a).prober()->probes_sent();
-          timeouts += e.apache(a).prober()->probes_timed_out();
-        }
-      }
-      std::cout << "resilience: " << probes << " probes (" << timeouts
-                << " timed out), " << trips << " breaker trips, "
-                << summary.retries << " retries\n";
+      std::cout << "resilience: " << summary.health_probes_sent
+                << " probes (" << summary.health_probe_timeouts
+                << " timed out), " << summary.breaker_trips
+                << " breaker trips, " << summary.retries << " retries\n";
     }
     if (!options.gray_fault.empty()) {
       std::cout << "gray fault (" << options.gray_fault << "): "
@@ -693,7 +690,7 @@ int run_cli(const CliOptions& options) {
                 << summary.kv_slow_ops << " slow-replica ops\n";
     }
     if (e.recovery()) {
-      std::cout << "recovery: " << e.recovery()->stats().to_string() << "\n";
+      std::cout << "recovery: " << experiment::recovery_line(summary) << "\n";
     }
     if (e.config().overload.any()) {
       std::cout << "overload control: goodput " << summary.goodput_rps
@@ -708,65 +705,42 @@ int run_cli(const CliOptions& options) {
                 << " ms wasted work avoided\n";
     }
     if (e.kv_tier()) {
-      const auto& ks = e.kv_tier()->stats();
-      std::cout << "kv tier: " << ks.quorum_reads << " quorum reads / "
-                << ks.quorum_writes << " quorum writes (mean wait "
-                << ks.mean_quorum_wait_ms() << " ms), failed "
-                << ks.quorum_failed_reads + ks.quorum_failed_writes
-                << " quorum / " << ks.handoff_dropped << " handoff / "
-                << ks.migration_shed << " migration-shed, hints "
-                << ks.hints_created << " created / " << ks.hints_replayed
-                << " replayed, " << ks.read_repairs
-                << " read repairs, degraded op time " << ks.degraded_wait_ms
-                << " ms\n";
+      std::cout << "kv tier: " << summary.kv_quorum_reads << " quorum reads / "
+                << summary.kv_quorum_writes << " quorum writes (mean wait "
+                << summary.kv_mean_quorum_wait_ms << " ms), failed "
+                << summary.kv_quorum_failed << " quorum / "
+                << summary.kv_handoff_dropped << " handoff / "
+                << summary.kv_migration_shed << " migration-shed, hints "
+                << summary.kv_hints_created << " created / "
+                << summary.kv_hints_replayed << " replayed, "
+                << summary.kv_read_repairs << " read repairs, degraded op time "
+                << summary.kv_degraded_ms << " ms\n";
     }
     if (e.cache_tier()) {
-      const auto& cs = e.cache_tier()->stats();
-      std::cout << "cache tier: " << cs.hits << " hits / " << cs.misses
-                << " misses (hit ratio " << cs.hit_ratio() << "), "
-                << cs.coalesced_fills << " coalesced fills, invalidations "
-                << cs.invalidations_sent << " sent / "
-                << cs.invalidations_delivered << " delivered / "
-                << cs.invalidations_dropped << " dropped, " << cs.evictions
-                << " evictions, " << cs.expirations << " expirations, "
-                << cs.storms << " storms\n";
+      std::cout << "cache tier: " << summary.cache_hits << " hits / "
+                << summary.cache_misses << " misses (hit ratio "
+                << summary.cache_hit_ratio << "), "
+                << summary.cache_coalesced_fills
+                << " coalesced fills, invalidations "
+                << summary.cache_invalidations << " sent / "
+                << summary.cache_invalidations_delivered << " delivered / "
+                << summary.cache_invalidations_dropped << " dropped, "
+                << summary.cache_evictions << " evictions, "
+                << summary.cache_expirations << " expirations, "
+                << summary.cache_storms << " storms\n";
     }
-    {
-      std::uint64_t sent = 0, replies = 0, timeouts = 0, uses = 0;
-      std::uint64_t piggybacked = 0;
-      std::uint64_t probe_picks = 0, tiebreaks = 0, fallback_picks = 0;
-      double staleness_sum = 0.0;
-      bool any_pool = false;
-      for (int a = 0; a < e.num_apaches(); ++a) {
-        const auto* pool = e.apache(a).probe_pool();
-        if (pool) {
-          any_pool = true;
-          sent += pool->probes_sent();
-          replies += pool->replies();
-          timeouts += pool->timeouts();
-          piggybacked += pool->piggybacked();
-          staleness_sum += pool->mean_staleness_at_use_ms() *
-                           static_cast<double>(pool->uses());
-          uses += pool->uses();
-        }
-        const auto* aware = dynamic_cast<const lb::ProbeAwarePolicy*>(
-            &e.apache(a).balancer().policy());
-        if (aware) {
-          probe_picks += aware->probe_picks();
-          tiebreaks += aware->tiebreak_picks();
-          fallback_picks += aware->fallback_picks();
-        }
-      }
-      if (any_pool) {
-        std::cout << "probing: " << sent << " probes ("
-                  << replies << " replies, " << timeouts << " timed out), "
-                  << piggybacked << " piggybacked reports, "
-                  << probe_picks << " probe-driven picks, " << tiebreaks
-                  << " probed tie-breaks, " << fallback_picks
-                  << " current_load fallbacks, mean staleness at use "
-                  << (uses ? staleness_sum / static_cast<double>(uses) : 0.0)
-                  << " ms\n";
-      }
+    // The Apaches carry a probe pool exactly when this holds (Experiment
+    // forces probing on for a probe-aware policy).
+    if (e.config().probe.enabled || lb::policy_uses_probes(e.config().policy)) {
+      std::cout << "probing: " << summary.probes_sent << " probes ("
+                << summary.probe_replies << " replies, "
+                << summary.probe_timeouts << " timed out), "
+                << summary.probes_piggybacked << " piggybacked reports, "
+                << summary.probe_picks << " probe-driven picks, "
+                << summary.probe_tiebreaks << " probed tie-breaks, "
+                << summary.probe_fallbacks
+                << " current_load fallbacks, mean staleness at use "
+                << summary.probe_mean_staleness_ms << " ms\n";
     }
     if (e.online_detector()) {
       std::cout << "online detection: " << summary.online_episodes

@@ -23,6 +23,20 @@ bool parse_overload_mode(const std::string& s, OverloadMode* out) {
   return true;
 }
 
+void OverloadStats::shed(proto::Request& req, proto::ShedReason reason,
+                         double avoided_ms) {
+  req.shed = reason;
+  wasted_work_avoided_ms += avoided_ms;
+  switch (reason) {
+    case proto::ShedReason::kAdmission: ++admission_sheds; break;
+    case proto::ShedReason::kBrownout: ++brownout_sheds; break;
+    case proto::ShedReason::kDeadlineExpired: ++deadline_sheds; break;
+    case proto::ShedReason::kSojourn: ++sojourn_sheds; break;
+    case proto::ShedReason::kRecovery: ++recovery_sheds; break;
+    case proto::ShedReason::kNone: break;
+  }
+}
+
 OverloadConfig make_overload(OverloadMode mode, sim::SimTime budget) {
   OverloadConfig c;
   c.mode = mode;

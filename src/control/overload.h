@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 
+#include "proto/request.h"
 #include "sim/time.h"
 
 namespace ntier::control {
@@ -78,10 +79,12 @@ struct OverloadStats {
   std::uint64_t recovery_sheds = 0;  // recovery orchestrator hard shedding
   double wasted_work_avoided_ms = 0.0;
 
-  std::uint64_t total_sheds() const {
-    return admission_sheds + brownout_sheds + deadline_sheds + sojourn_sheds +
-           recovery_sheds;
-  }
+  /// Count one shed: mark `req` with `reason`, bump that reason's counter
+  /// and add `avoided_ms`, the service demand the shed spared. Every shed
+  /// site of every tier goes through here; trace emission stays with the
+  /// site.
+  void shed(proto::Request& req, proto::ShedReason reason, double avoided_ms);
+
   OverloadStats& operator+=(const OverloadStats& o) {
     admission_sheds += o.admission_sheds;
     brownout_sheds += o.brownout_sheds;
@@ -92,5 +95,12 @@ struct OverloadStats {
     return *this;
   }
 };
+
+/// Backend service demand of a request no Tomcat has served yet, in ms: its
+/// servlet CPU plus the CPU of each of its DB queries.
+inline double backend_demand_ms(const proto::Request& req) {
+  return req.tomcat_demand.to_millis() +
+         static_cast<double>(req.db_queries) * req.mysql_demand.to_millis();
+}
 
 }  // namespace ntier::control

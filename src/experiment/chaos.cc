@@ -306,14 +306,6 @@ ChaosRunResult run_chaos(ExperimentConfig config, sim::SimTime traffic,
   r.summary = summarize(e);
   r.invariants = check_invariants(e);
   if (e.chaos()) r.fault_trace = e.chaos()->trace_string();
-  for (int a = 0; a < e.num_apaches(); ++a) {
-    auto& apache = e.apache(a);
-    r.breaker_trips += apache.balancer().breaker_trips();
-    if (apache.prober()) {
-      r.probes_sent += apache.prober()->probes_sent();
-      r.probes_timed_out += apache.prober()->probes_timed_out();
-    }
-  }
   return r;
 }
 

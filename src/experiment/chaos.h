@@ -149,16 +149,13 @@ struct InvariantReport {
 /// Evaluate the three invariants on a finished (quiesced + drained) run.
 InvariantReport check_invariants(Experiment& e);
 
-/// Digest of one chaos run: the usual summary plus invariants, the fault
-/// trace, and the resilience-layer counters.
+/// Digest of one chaos run: the usual summary (the resilience counters
+/// included), the invariants and the fault trace.
 struct ChaosRunResult {
   std::string label;
   RunSummary summary;
   InvariantReport invariants;
   std::string fault_trace;
-  std::uint64_t breaker_trips = 0;
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probes_timed_out = 0;
 };
 
 /// Run `config` with traffic quiesced at `traffic`; the remainder of

@@ -221,7 +221,6 @@ MetastableResult run_metastable(const MetastableOptions& opt) {
   res.report = measure_recovery(e.log().response_time_series(), opt.warmup,
                                 res.trigger.start, res.trigger.end(),
                                 opt.duration);
-  if (e.recovery()) res.recovery_stats = e.recovery()->stats();
   return res;
 }
 

@@ -7,7 +7,6 @@
 #include "experiment/recovery_tracker.h"
 #include "experiment/summary.h"
 #include "millib/fault_plan.h"
-#include "recovery/orchestrator.h"
 #include "sim/time.h"
 
 namespace ntier::experiment {
@@ -63,15 +62,14 @@ struct MetastableOptions {
   std::string label() const;
 };
 
-/// What one scenario run yields: the usual run digest, the time-to-baseline
-/// measurement against the trigger, and what the recovery loop did (zeros
-/// when recovery was off).
+/// What one scenario run yields: the usual run digest (with what the
+/// recovery loop did, zeros when recovery was off) and the time-to-baseline
+/// measurement against the trigger.
 struct MetastableResult {
   std::string label;
   millib::FaultSpec trigger;
   RunSummary summary;
   RecoveryReport report;
-  recovery::RecoveryStats recovery_stats;
   bool recovery_enabled = false;
 };
 

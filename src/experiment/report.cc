@@ -1,10 +1,13 @@
 #include "experiment/report.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <stdexcept>
+
+#include "sim/time.h"
 
 namespace ntier::experiment {
 
@@ -105,6 +108,21 @@ void write_series_csv(const std::string& path, sim::SimTime window,
   }
 }
 
+namespace {
+
+/// Like ntier_run: a bad command line names the problem and exits 2, never
+/// running with a value the user did not ask for.
+[[noreturn]] void reject_bench_args(const std::string& program,
+                                    const std::string& why) {
+  std::cerr << "error: " << why << "\n\nusage: " << program
+            << " [--full] [--quick] [--seed N] [--csv DIR] [--trace FILE]"
+               " [--trace-format jsonl|chrome] [--json FILE]"
+               " [--sweep-seeds N] [--jobs J]\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 BenchOptions BenchOptions::parse(int argc, char** argv) {
   BenchOptions o;
   if (argc > 0 && argv[0] != nullptr) {
@@ -112,25 +130,46 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     const auto slash = prog.find_last_of('/');
     o.program = slash == std::string::npos ? prog : prog.substr(slash + 1);
   }
+  const auto count = [&o](const std::string& flag, const std::string& v) {
+    const auto n = sim::parse_number<int>(v);
+    if (!n || *n <= 0) reject_bench_args(o.program, "bad " + flag);
+    return *n;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const std::string flag = argv[i];
+    if (flag == "--full") {
       o.full = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+      continue;
+    }
+    if (flag == "--quick") {
       o.quick = true;
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      o.csv_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      o.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      o.trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 && i + 1 < argc) {
-      if (auto f = obs::parse_trace_format(argv[++i])) o.trace_format = *f;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      o.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep-seeds") == 0 && i + 1 < argc) {
-      o.sweep_seeds = std::max(1, static_cast<int>(std::strtol(argv[++i], nullptr, 10)));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      o.jobs = std::max(1, static_cast<int>(std::strtol(argv[++i], nullptr, 10)));
+      continue;
+    }
+    if (flag != "--csv" && flag != "--seed" && flag != "--trace" &&
+        flag != "--trace-format" && flag != "--json" &&
+        flag != "--sweep-seeds" && flag != "--jobs")
+      reject_bench_args(o.program, "unknown flag " + flag);
+    if (i + 1 >= argc)
+      reject_bench_args(o.program, "missing value for " + flag);
+    const std::string v = argv[++i];
+    if (flag == "--csv") {
+      o.csv_dir = v;
+    } else if (flag == "--seed") {
+      const auto seed = sim::parse_number<std::uint64_t>(v);
+      if (!seed) reject_bench_args(o.program, "bad --seed");
+      o.seed = *seed;
+    } else if (flag == "--trace") {
+      o.trace_path = v;
+    } else if (flag == "--trace-format") {
+      const auto f = obs::parse_trace_format(v);
+      if (!f) reject_bench_args(o.program, "bad --trace-format");
+      o.trace_format = *f;
+    } else if (flag == "--json") {
+      o.json_path = v;
+    } else if (flag == "--sweep-seeds") {
+      o.sweep_seeds = count(flag, v);
+    } else {
+      o.jobs = count(flag, v);
     }
   }
   return o;

@@ -44,7 +44,9 @@ void write_series_csv(const std::string& path, sim::SimTime window,
 /// `--trace-format jsonl|chrome` picks the serialisation, `--json FILE`
 /// appends one JSON result row per run (for scripts/run_all_benches.sh), and
 /// `--sweep-seeds N --jobs J` turns each table row into an N-replica sweep
-/// whose rows and JSON carry mean ± 95% CI columns.
+/// whose rows and JSON carry mean ± 95% CI columns. An unknown flag, a
+/// missing value or a malformed one prints an `error:` line and the usage
+/// to stderr and exits with status 2, as ntier_run does.
 struct BenchOptions {
   bool full = false;
   /// `--quick`: shrink each run for CI smoke jobs (shorter duration; benches

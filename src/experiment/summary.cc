@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "experiment/report.h"
+#include "lb/probe_policy.h"
 #include "experiment/sweep.h"
 
 namespace ntier::experiment {
@@ -22,6 +23,8 @@ RunSummary summarize(Experiment& e) {
   s.dropped = e.clients().dropped();
   s.balancer_errors = e.clients().failed();
   s.connection_drops = e.clients().connection_drops();
+  s.issued = e.clients().issued();
+  s.in_flight = e.clients().in_flight();
   if (const auto* rp = e.replayer()) {
     // Open-loop runs: the client-side counters live on the replayer (the
     // closed-loop population is idled by normalized() and issues nothing).
@@ -31,6 +34,8 @@ RunSummary summarize(Experiment& e) {
     s.balancer_errors = rp->failed();
     s.connection_drops = rp->connection_drops();
     s.replay_abandoned = rp->abandoned();
+    s.issued = rp->issued();
+    s.in_flight = rp->in_flight();
   }
   s.completed_within_deadline = log.completed_within_deadline();
   s.missed_deadline = log.missed_deadline();
@@ -54,19 +59,46 @@ RunSummary summarize(Experiment& e) {
   s.wasted_work_avoided_ms = ostats.wasted_work_avoided_ms;
   s.shed_retries = e.clients().shed_retries();
   s.recovery_sheds = ostats.recovery_sheds;
+  std::uint64_t probe_uses = 0;
+  double staleness_sum = 0.0;  // per-pool mean staleness x uses
   for (int i = 0; i < e.num_apaches(); ++i) {
-    s.first_attempts += e.apache(i).first_attempts();
-    s.retries += e.apache(i).retries();
-    s.retry_successes += e.apache(i).retry_successes();
-    s.attempts_abandoned += e.apache(i).attempts_abandoned();
-    s.retries_suppressed += e.apache(i).retries_suppressed();
+    server::ApacheServer& apache = e.apache(i);
+    s.first_attempts += apache.first_attempts();
+    s.retries += apache.retries();
+    s.retry_successes += apache.retry_successes();
+    s.attempts_abandoned += apache.attempts_abandoned();
+    s.retries_suppressed += apache.retries_suppressed();
+    s.breaker_trips += apache.balancer().breaker_trips();
+    if (const auto* prober = apache.prober()) {
+      s.health_probes_sent += prober->probes_sent();
+      s.health_probe_timeouts += prober->probes_timed_out();
+    }
+    if (const auto* pool = apache.probe_pool()) {
+      s.probes_sent += pool->probes_sent();
+      s.probe_replies += pool->replies();
+      s.probe_timeouts += pool->timeouts();
+      s.probes_piggybacked += pool->piggybacked();
+      staleness_sum += pool->mean_staleness_at_use_ms() *
+                       static_cast<double>(pool->uses());
+      probe_uses += pool->uses();
+    }
+    if (const auto* aware = dynamic_cast<const lb::ProbeAwarePolicy*>(
+            &apache.balancer().policy())) {
+      s.probe_picks += aware->probe_picks();
+      s.probe_tiebreaks += aware->tiebreak_picks();
+      s.probe_fallbacks += aware->fallback_picks();
+    }
   }
+  s.probe_mean_staleness_ms =
+      probe_uses ? staleness_sum / static_cast<double>(probe_uses) : 0.0;
   s.retry_ratio = s.first_attempts > 0
                       ? static_cast<double>(s.retries) /
                             static_cast<double>(s.first_attempts)
                       : 0.0;
   if (const auto* rec = e.recovery()) {
     const auto& rs = rec->stats();
+    s.recovery_ticks = rs.ticks;
+    s.recovery_episode_ticks = rs.episode_ticks;
     s.recovery_episodes = rs.episodes;
     s.recovery_degraded_ticks = rs.degraded_ticks;
     s.recovery_retry_suppressions = rs.retry_suppressions;
@@ -91,6 +123,10 @@ RunSummary summarize(Experiment& e) {
   if (const auto* kv = e.kv_tier()) {
     const auto& ks = kv->stats();
     s.kv_quorum_failed = ks.quorum_failed_reads + ks.quorum_failed_writes;
+    s.kv_quorum_reads = ks.quorum_reads;
+    s.kv_quorum_writes = ks.quorum_writes;
+    s.kv_hints_created = ks.hints_created;
+    s.kv_hints_pending = ks.hints_pending();
     s.kv_handoff_dropped = ks.handoff_dropped;
     s.kv_migration_shed = ks.migration_shed;
     s.kv_hints_replayed = ks.hints_replayed;
@@ -106,6 +142,10 @@ RunSummary summarize(Experiment& e) {
     s.cache_invalidations = cs.invalidations_sent;
     s.cache_coalesced_fills = cs.coalesced_fills;
     s.cache_invalidations_dropped = cs.invalidations_dropped;
+    s.cache_invalidations_delivered = cs.invalidations_delivered;
+    s.cache_evictions = cs.evictions;
+    s.cache_expirations = cs.expirations;
+    s.cache_storms = cs.storms;
     s.cache_hit_ratio = cs.hit_ratio();
     s.cache_gated_fills = cs.gated_fills;
   }
@@ -144,6 +184,17 @@ RunSummary summarize(Experiment& e) {
     s.cache_mean_cpu = mean_cpus(obs::Tier::kCache, e.num_cache_nodes());
   }
   return s;
+}
+
+std::string recovery_line(const RunSummary& s) {
+  std::ostringstream os;
+  os << s.recovery_episodes << " episodes over " << s.recovery_episode_ticks
+     << "/" << s.recovery_ticks << " ticks (" << s.recovery_degraded_ticks
+     << " degraded); interventions: " << s.recovery_retry_suppressions
+     << " retry-suppress, " << s.recovery_hard_sheds << " hard-shed, "
+     << s.recovery_refill_gates << " refill-gate, "
+     << s.recovery_breaker_resets << " breakers reset";
+  return os.str();
 }
 
 namespace {

@@ -21,6 +21,10 @@ namespace ntier::experiment {
   X(dropped, std::uint64_t, "req")                                            \
   X(balancer_errors, std::uint64_t, "req")                                    \
   X(connection_drops, std::uint64_t, "req")                                   \
+  /* Requests the client population issued (the trace replayer's under        \
+     replay) and those still unsettled at the horizon. */                     \
+  X(issued, std::uint64_t, "req")                                             \
+  X(in_flight, std::uint64_t, "req")                                          \
   /* Trace replay: open_loop is 1 when a TraceReplayer drove the run. */      \
   X(open_loop, bool, "")                                                      \
   X(trace_arrivals, std::uint64_t, "req")                                     \
@@ -43,7 +47,23 @@ namespace ntier::experiment {
   X(retry_ratio, double, "")                                                  \
   X(retry_successes, std::uint64_t, "req")                                    \
   X(attempts_abandoned, std::uint64_t, "req")                                 \
+  /* Resilience: breaker trips and health probes over the Apache tier. */     \
+  X(breaker_trips, std::uint64_t, "n")                                        \
+  X(health_probes_sent, std::uint64_t, "n")                                   \
+  X(health_probe_timeouts, std::uint64_t, "n")                                \
+  /* Load probing over the Apache-tier pools (zero without a probe-aware      \
+     policy); staleness is the use-weighted mean age of a probe at use. */    \
+  X(probes_sent, std::uint64_t, "n")                                          \
+  X(probe_replies, std::uint64_t, "n")                                        \
+  X(probe_timeouts, std::uint64_t, "n")                                       \
+  X(probes_piggybacked, std::uint64_t, "n")                                   \
+  X(probe_picks, std::uint64_t, "n")                                          \
+  X(probe_tiebreaks, std::uint64_t, "n")                                      \
+  X(probe_fallbacks, std::uint64_t, "n")                                      \
+  X(probe_mean_staleness_ms, double, "ms")                                    \
   /* Recovery orchestration (zero when --recovery is off). */                 \
+  X(recovery_ticks, std::uint64_t, "n")                                       \
+  X(recovery_episode_ticks, std::uint64_t, "n")                               \
   X(recovery_episodes, std::uint64_t, "n")                                    \
   X(recovery_degraded_ticks, std::uint64_t, "n")                              \
   X(recovery_retry_suppressions, std::uint64_t, "n")                          \
@@ -72,6 +92,10 @@ namespace ntier::experiment {
   /* KV data tier (zero with the MySQL tier). kv_degraded_ms is quorum-op     \
      time spent while the op's shard was below full replication. */           \
   X(kv_quorum_failed, std::uint64_t, "ops")                                   \
+  X(kv_quorum_reads, std::uint64_t, "ops")                                    \
+  X(kv_quorum_writes, std::uint64_t, "ops")                                   \
+  X(kv_hints_created, std::uint64_t, "ops")                                   \
+  X(kv_hints_pending, std::uint64_t, "ops")                                   \
   X(kv_handoff_dropped, std::uint64_t, "ops")                                 \
   X(kv_migration_shed, std::uint64_t, "ops")                                  \
   X(kv_hints_replayed, std::uint64_t, "ops")                                  \
@@ -85,6 +109,10 @@ namespace ntier::experiment {
   X(cache_invalidations, std::uint64_t, "ops")                                \
   X(cache_coalesced_fills, std::uint64_t, "ops")                              \
   X(cache_invalidations_dropped, std::uint64_t, "ops")                        \
+  X(cache_invalidations_delivered, std::uint64_t, "ops")                      \
+  X(cache_evictions, std::uint64_t, "ops")                                    \
+  X(cache_expirations, std::uint64_t, "ops")                                  \
+  X(cache_storms, std::uint64_t, "n")                                         \
   X(cache_hit_ratio, double, "")                                              \
   /* Online detection and tail sampling (zero when --detect is off). */       \
   X(online_episodes, std::uint64_t, "n")                                      \
@@ -140,7 +168,13 @@ inline constexpr std::size_t kNumRunMetrics =
 extern const RunMetric kRunMetrics[kNumRunMetrics];
 
 /// Collect the digest from a finished run. Queue peaks and CPU means are
-/// only available when the experiment ran with tracing enabled.
+/// only available when the experiment ran with tracing enabled. The only
+/// reader of component counters outside the safety checks: every report is
+/// a view of what this returns.
 RunSummary summarize(Experiment& e);
+
+/// The recovery counters as one report line: "E episodes over T/N ticks
+/// (D degraded); interventions: ...".
+std::string recovery_line(const RunSummary& s);
 
 }  // namespace ntier::experiment

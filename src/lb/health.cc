@@ -5,7 +5,8 @@
 namespace ntier::lb {
 
 HealthProber::HealthProber(sim::Simulation& simu, LoadBalancer& lb,
-                           ProbeFn probe, ProberConfig config)
+                           probe::ProbePool::Transport probe,
+                           ProberConfig config)
     : sim_(simu), lb_(lb), probe_(std::move(probe)), config_(config) {
   // Stagger the workers' probe phases across one interval so the probes do
   // not land on every backend in the same instant.
@@ -27,7 +28,7 @@ bool HealthProber::settle(PendingHandle h, Pending* out) {
 void HealthProber::fire(int worker) {
   ++sent_;
   const PendingHandle h = pending_.insert(Pending{worker, sim_.now()});
-  probe_(worker, [this, h](bool ok) {
+  probe_(worker, [this, h](bool ok, double, double) {
     Pending p;
     if (!settle(h, &p)) return;  // already counted as a timeout
     lb_.report_probe(p.worker, ok, sim_.now() - p.sent_at);

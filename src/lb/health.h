@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
-#include "sim/callback.h"
+#include "probe/probe_pool.h"
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
 #include "sim/time.h"
@@ -47,17 +46,16 @@ struct BreakerConfig {
 
 /// Probes every worker of one balancer on a fixed cadence and feeds the
 /// outcomes into `LoadBalancer::report_probe`. The probe transport is
-/// supplied by the server layer (`ProbeFn`), because only it knows what a
-/// probe physically is (a link round trip plus a trivial amount of backend
-/// CPU, failing fast when the backend is down).
+/// supplied by the server layer, because only it knows what a probe
+/// physically is (a link round trip plus a trivial amount of backend CPU,
+/// failing fast when the backend is down). It is the load-probe pool's
+/// transport; the prober reads only `ok` and ignores the load values.
 class HealthProber {
  public:
-  /// done(ok) must eventually fire unless the backend is gone; the prober's
-  /// own timeout covers the never-answers case.
-  using ProbeFn = std::function<void(int worker, sim::Callback<void(bool)> done)>;
-
-  HealthProber(sim::Simulation& simu, LoadBalancer& lb, ProbeFn probe,
-               ProberConfig config);
+  /// done(ok, ...) must eventually fire unless the backend is gone; the
+  /// prober's own timeout covers the never-answers case.
+  HealthProber(sim::Simulation& simu, LoadBalancer& lb,
+               probe::ProbePool::Transport probe, ProberConfig config);
 
   HealthProber(const HealthProber&) = delete;
   HealthProber& operator=(const HealthProber&) = delete;
@@ -81,7 +79,7 @@ class HealthProber {
 
   sim::Simulation& sim_;
   LoadBalancer& lb_;
-  ProbeFn probe_;
+  probe::ProbePool::Transport probe_;
   ProberConfig config_;
   std::uint64_t sent_ = 0;
   std::uint64_t timed_out_ = 0;

@@ -5,16 +5,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "lb/probe_policy.h"
-
 namespace ntier::lb {
-
-bool LoadBalancer::attach_probes(probe::ProbePool* pool) {
-  auto* aware = dynamic_cast<ProbeAwarePolicy*>(policy_.get());
-  if (aware == nullptr) return false;
-  aware->bind(pool);
-  return true;
-}
 
 namespace {
 

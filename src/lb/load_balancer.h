@@ -18,10 +18,6 @@
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
 
-namespace ntier::probe {
-class ProbePool;
-}  // namespace ntier::probe
-
 namespace ntier::lb {
 
 /// Balancer tunables (mod_jk worker properties plus the remedy knobs).
@@ -118,7 +114,7 @@ class LoadBalancer {
   /// Bind a probe pool to a probe-aware policy (kPowerOfD / kPrequal).
   /// Returns false — and leaves the pool unused — for every other policy,
   /// which keeps probing strictly additive to the existing policy family.
-  bool attach_probes(probe::ProbePool* pool);
+  bool attach_probes(probe::ProbePool* pool) { return policy_->bind(pool); }
   const BalancerConfig& config() const { return config_; }
 
   std::uint64_t balancer_errors() const { return balancer_errors_; }

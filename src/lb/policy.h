@@ -10,6 +10,10 @@
 #include "proto/request.h"
 #include "sim/rng.h"
 
+namespace ntier::probe {
+class ProbePool;
+}  // namespace ntier::probe
+
 namespace ntier::lb {
 
 /// Which load-balancing policy a balancer runs.
@@ -74,6 +78,12 @@ class LbPolicy {
 
   /// Response received (Algorithms 3 & 4).
   virtual void on_completed(WorkerRecord& rec, const proto::Request& req) = 0;
+
+  /// Bind a probe pool; false for a policy that does not read probes.
+  virtual bool bind(probe::ProbePool* pool) {
+    (void)pool;
+    return false;
+  }
 
  protected:
   /// mod_jk's lb_value granularity; kept so traces read like the paper's.

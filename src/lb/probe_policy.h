@@ -19,7 +19,10 @@ namespace ntier::lb {
 class ProbeAwarePolicy : public LbPolicy {
  public:
   /// Bind the balancer's probe pool (null unbinds → permanent fallback).
-  void bind(probe::ProbePool* pool) { pool_ = pool; }
+  bool bind(probe::ProbePool* pool) override {
+    pool_ = pool;
+    return true;
+  }
   probe::ProbePool* pool() const { return pool_; }
 
   /// Decisions driven by probe-fresh state (the policy's probe rule chose).

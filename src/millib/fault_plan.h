@@ -39,8 +39,8 @@ enum class FaultKind : std::uint8_t {
   // reporting the node healthy.
   kGrayDataPath,     // one Tomcat's request service time inflated
                      // 1/(1-severity)x (0.8 => 5x, 0.95 => 20x) while
-                     // probe() and probe_load() answer at pre-fault speed
-                     // and report frozen pre-fault load values
+                     // probe_load() answers at pre-fault speed
+                     // and reports frozen pre-fault load values
   kGrayLink,         // partial asymmetric loss + latency on ONE Apache's
                      // Tomcat link (worker = Apache index); the other
                      // Apaches' probes still see a healthy backend

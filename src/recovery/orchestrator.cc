@@ -1,7 +1,6 @@
 #include "recovery/orchestrator.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace ntier::recovery {
 
@@ -36,16 +35,6 @@ const char* to_string(RecoveryStage s) {
     case RecoveryStage::kBreakerReset: return "breaker_reset";
   }
   return "?";
-}
-
-std::string RecoveryStats::to_string() const {
-  std::ostringstream os;
-  os << episodes << " episodes over " << episode_ticks << "/" << ticks
-     << " ticks (" << degraded_ticks << " degraded); interventions: "
-     << retry_suppressions << " retry-suppress, " << hard_sheds
-     << " hard-shed, " << refill_gates << " refill-gate, " << breaker_resets
-     << " breakers reset";
-  return os.str();
 }
 
 RecoveryOrchestrator::RecoveryOrchestrator(sim::Simulation& simu,

@@ -82,8 +82,6 @@ struct RecoveryStats {
   std::uint64_t breaker_resets = 0;
   /// Worst observed mean-latency ratio vs baseline (diagnostics).
   double max_latency_ratio = 0;
-
-  std::string to_string() const;
 };
 
 /// The recovery control loop: consumes the live event stream (kClientDone

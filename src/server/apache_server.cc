@@ -29,49 +29,15 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
   if (config_.retry.enabled)
     retry_budget_ = std::make_unique<lb::RetryBudget>(
         config_.retry.budget_ratio, config_.retry.budget_burst);
-  if (config_.prober.enabled) {
-    // One probe = link round trip + a tiny CPU job at the Tomcat, so it
-    // experiences the same stalls as a request does.
-    prober_ = std::make_unique<lb::HealthProber>(
-        simu, *balancer_,
-        [this](int w, TomcatServer::ProbeFn done) {
-          const auto h = health_trips_.insert(HealthTrip{std::move(done), w});
-          tomcat_link_.deliver(sim_, [this, h] {
-            tomcats_[static_cast<std::size_t>(health_trips_[h].worker)]->probe(
-                [this, h](bool ok) {
-                  health_trips_[h].ok = ok;
-                  tomcat_link_.deliver(sim_, [this, h] {
-                    const HealthTrip back = health_trips_.take(h);
-                    back.done(back.ok);
-                  });
-                });
-          });
-        },
-        config_.prober);
-  }
+  const auto transport = [this](int w, probe::ProbePool::ReplyFn done) {
+    send_probe(w, std::move(done));
+  };
+  if (config_.prober.enabled)
+    prober_ = std::make_unique<lb::HealthProber>(simu, *balancer_, transport,
+                                                 config_.prober);
   if (config_.probe.enabled) {
-    // A load probe travels the same Apache↔Tomcat link as a request and runs
-    // a tiny CPU job at the target, so millibottlenecks delay the answer past
-    // the pool's timeout instead of slipping through unnoticed.
     probe_pool_ = std::make_unique<probe::ProbePool>(
-        simu, static_cast<int>(tomcats_.size()),
-        [this](int w, probe::ProbePool::ReplyFn done) {
-          const auto h = load_trips_.insert({std::move(done), w});
-          tomcat_link_.deliver(sim_, [this, h] {
-            tomcats_[static_cast<std::size_t>(load_trips_[h].worker)]
-                ->probe_load([this, h](bool ok, double rif, double lat_ms) {
-                  probe::ProbePool::Trip& t = load_trips_[h];
-                  t.ok = ok;
-                  t.rif = rif;
-                  t.latency_ms = lat_ms;
-                  tomcat_link_.deliver(sim_, [this, h] {
-                    const auto back = load_trips_.take(h);
-                    back.done(back.ok, back.rif, back.latency_ms);
-                  });
-                });
-          });
-        },
-        config_.probe);
+        simu, static_cast<int>(tomcats_.size()), transport, config_.probe);
     // Snapshot this balancer's own in-flight count when a reply is pooled so
     // policies can drift-correct the global RIF between probe ticks.
     probe_pool_->set_local_load([this](int w) {
@@ -79,6 +45,27 @@ ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
     });
     balancer_->attach_probes(probe_pool_.get());
   }
+}
+
+void ApacheServer::send_probe(int worker, probe::ProbePool::ReplyFn done) {
+  // A probe travels the same Apache↔Tomcat link as a request and runs a
+  // tiny CPU job at the target, so it meets the same stalls a request does:
+  // a millibottleneck delays the answer past the prober's or the pool's
+  // timeout instead of slipping through unnoticed.
+  const auto h = probe_trips_.insert({std::move(done), worker});
+  tomcat_link_.deliver(sim_, [this, h] {
+    tomcats_[static_cast<std::size_t>(probe_trips_[h].worker)]->probe_load(
+        [this, h](bool ok, double rif, double lat_ms) {
+          probe::ProbePool::Trip& t = probe_trips_[h];
+          t.ok = ok;
+          t.rif = rif;
+          t.latency_ms = lat_ms;
+          tomcat_link_.deliver(sim_, [this, h] {
+            const auto back = probe_trips_.take(h);
+            back.done(back.ok, back.rif, back.latency_ms);
+          });
+        });
+  });
 }
 
 bool ApacheServer::try_submit(const proto::RequestRef& req, RespondFn respond) {
@@ -313,21 +300,10 @@ void ApacheServer::shed_worker(JobHandle h, proto::ShedReason reason) {
 void ApacheServer::count_shed(const proto::RequestRef& req,
                               proto::ShedReason reason,
                               bool include_apache_demand) {
-  req->shed = reason;
   // Backend service demand this shed avoided burning during the overload.
-  double avoided_ms = req->tomcat_demand.to_millis() +
-                      static_cast<double>(req->db_queries) *
-                          req->mysql_demand.to_millis();
+  double avoided_ms = control::backend_demand_ms(*req);
   if (include_apache_demand) avoided_ms += req->apache_demand.to_millis();
-  ostats_.wasted_work_avoided_ms += avoided_ms;
-  switch (reason) {
-    case proto::ShedReason::kAdmission: ++ostats_.admission_sheds; break;
-    case proto::ShedReason::kBrownout: ++ostats_.brownout_sheds; break;
-    case proto::ShedReason::kDeadlineExpired: ++ostats_.deadline_sheds; break;
-    case proto::ShedReason::kSojourn: ++ostats_.sojourn_sheds; break;
-    case proto::ShedReason::kRecovery: ++ostats_.recovery_sheds; break;
-    case proto::ShedReason::kNone: break;
-  }
+  ostats_.shed(*req, reason, avoided_ms);
   if (reason == proto::ShedReason::kDeadlineExpired) {
     NTIER_TRACE_EVENT(trace_events_, sim_.now(),
                       obs::EventKind::kDeadlineExpired, obs::Tier::kApache,

@@ -162,15 +162,10 @@ class ApacheServer final : public proto::FrontEnd {
     bool abandoned = false;
   };
   using AttemptHandle = sim::SlotTable<Attempt>::Handle;
-  /// A health probe on its round trip to Tomcat `worker` and back (load
-  /// probes use probe::ProbePool::Trip): the prober's continuation waits
-  /// here, and the hops capture only the handle.
-  struct HealthTrip {
-    TomcatServer::ProbeFn done;
-    int worker = -1;
-    bool ok = false;
-  };
 
+  /// The probe transport of the health prober and the load-probe pool: a
+  /// link round trip to Tomcat `worker` plus its probe CPU job.
+  void send_probe(int worker, probe::ProbePool::ReplyFn done);
   void start_worker(Work w);
   void dispatch(JobHandle h, int attempt);
   /// The balancer answered attempt `attempt` with Tomcat `idx` (-1 = 503).
@@ -212,8 +207,7 @@ class ApacheServer final : public proto::FrontEnd {
   net::BoundedQueue<Work> backlog_;
   sim::SlotTable<Work> jobs_;
   sim::SlotTable<Attempt> attempts_;
-  sim::SlotTable<HealthTrip> health_trips_;
-  sim::SlotTable<probe::ProbePool::Trip> load_trips_;
+  sim::SlotTable<probe::ProbePool::Trip> probe_trips_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::CoDelController codel_;
   control::OverloadStats ostats_;

@@ -83,9 +83,7 @@ void DbRouter::query(const proto::RequestRef& req, sim::SimTime demand,
     // The request can no longer finish in time; executing this query (and
     // holding a pooled connection through a possibly-stalled replica) would
     // be pure wasted work. Surface a fast SQL error instead.
-    req->shed = proto::ShedReason::kDeadlineExpired;
-    ++ostats_.deadline_sheds;
-    ostats_.wasted_work_avoided_ms += demand.to_millis();
+    ostats_.shed(*req, proto::ShedReason::kDeadlineExpired, demand.to_millis());
     done();
     return;
   }

@@ -34,11 +34,8 @@ bool TomcatServer::submit(const proto::RequestRef& req, RespondFn respond) {
     // the budget): refuse instead of queueing stale work. The Apache sees
     // the shed marker and fails the request without escalating mod_jk's
     // error state.
-    req->shed = proto::ShedReason::kDeadlineExpired;
-    ++ostats_.deadline_sheds;
-    ostats_.wasted_work_avoided_ms +=
-        req->tomcat_demand.to_millis() +
-        static_cast<double>(req->db_queries) * req->mysql_demand.to_millis();
+    ostats_.shed(*req, proto::ShedReason::kDeadlineExpired,
+                 control::backend_demand_ms(*req));
     NTIER_TRACE_EVENT(trace_events_, sim_.now(),
                       obs::EventKind::kDeadlineExpired, obs::Tier::kTomcat,
                       id_, -1, req->id,
@@ -48,14 +45,8 @@ bool TomcatServer::submit(const proto::RequestRef& req, RespondFn respond) {
   }
   if (limiter_ && !limiter_->try_admit(req->priority)) {
     // Retriable 503: the limiter clamped down on observed pickup delay.
-    req->shed = limiter_->last_rejection();
-    if (req->shed == proto::ShedReason::kBrownout)
-      ++ostats_.brownout_sheds;
-    else
-      ++ostats_.admission_sheds;
-    ostats_.wasted_work_avoided_ms +=
-        req->tomcat_demand.to_millis() +
-        static_cast<double>(req->db_queries) * req->mysql_demand.to_millis();
+    ostats_.shed(*req, limiter_->last_rejection(),
+                 control::backend_demand_ms(*req));
     NTIER_TRACE_EVENT(trace_events_, sim_.now(),
                       obs::EventKind::kAdmissionShed, obs::Tier::kTomcat, id_,
                       -1, req->id, limiter_->limit(),
@@ -88,15 +79,6 @@ void TomcatServer::set_gray_degraded(double severity) {
     gray_frozen_latency_ms_ = latency_ewma_ms_;
   }
   gray_demand_factor_ = 1.0 / (1.0 - severity);
-}
-
-void TomcatServer::probe(ProbeFn done) {
-  if (crashed_) {
-    done(false);
-    return;
-  }
-  const auto h = probes_.insert(std::move(done));
-  node_.cpu().submit(kProbeDemand, [this, h] { probes_.take(h)(true); });
 }
 
 void TomcatServer::probe_load(LoadProbeFn done) {
@@ -198,11 +180,7 @@ void TomcatServer::complete(ThreadHandle h) {
 void TomcatServer::shed_queued(Work w, proto::ShedReason reason) {
   --resident_;
   if (limiter_) limiter_->release();
-  w.req->shed = reason;
-  ++ostats_.deadline_sheds;
-  ostats_.wasted_work_avoided_ms +=
-      w.req->tomcat_demand.to_millis() +
-      static_cast<double>(w.req->db_queries) * w.req->mysql_demand.to_millis();
+  ostats_.shed(*w.req, reason, control::backend_demand_ms(*w.req));
   NTIER_TRACE_EVENT(trace_events_, sim_.now(), obs::EventKind::kDeadlineExpired,
                     obs::Tier::kTomcat, id_, -1, w.req->id,
                     (sim_.now() - w.req->deadline).to_millis(),

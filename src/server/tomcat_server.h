@@ -50,15 +50,12 @@ class TomcatServer {
   /// while crashed.
   bool submit(const proto::RequestRef& req, RespondFn respond);
 
-  /// Answer a health probe: refused instantly while crashed, otherwise a
-  /// tiny CPU job whose completion time reflects the run-queue depth (a
-  /// capacity-stalled CPU answers late — which is the point).
-  using ProbeFn = sim::Callback<void(bool ok)>;
-  void probe(ProbeFn done);
-
-  /// Answer a load probe (probe::ProbePool): same CPU path as probe(), but
-  /// the reply reports requests-in-flight at answer time plus the recent
-  /// service-latency EWMA — the state Prequal-style policies rank on.
+  /// Answer a health or load probe: refused instantly while crashed,
+  /// otherwise a tiny CPU job whose completion time reflects the run-queue
+  /// depth (a capacity-stalled CPU answers late — which is the point). The
+  /// reply reports requests-in-flight at answer time plus the recent
+  /// service-latency EWMA — the state Prequal-style policies rank on; the
+  /// health prober reads only `ok`.
   using LoadProbeFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
   void probe_load(LoadProbeFn done);
 
@@ -147,7 +144,6 @@ class TomcatServer {
 
   sim::Ring<Work> connector_queue_;
   /// Probes waiting on their CPU job; the job captures only the handle.
-  sim::SlotTable<ProbeFn> probes_;
   sim::SlotTable<LoadProbeFn> load_probes_;
   sim::SlotTable<Work> threads_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;

@@ -51,7 +51,7 @@ TEST(ChaosMatrix, ResilienceLayerPreservesInvariants) {
   for (const auto& r : results) {
     SCOPED_TRACE(r.label);
     EXPECT_TRUE(r.invariants.ok()) << r.invariants.to_string();
-    probes += r.probes_sent;
+    probes += r.summary.health_probes_sent;
   }
   EXPECT_GT(probes, 0u);  // the prober really ran in the resilient cells
 }
@@ -124,9 +124,9 @@ TEST(ChaosDeterminism, IdenticalSeedsProduceIdenticalTraces) {
   EXPECT_FALSE(a.fault_trace.empty());
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.summary.to_json_string(), b.summary.to_json_string());
-  EXPECT_EQ(a.breaker_trips, b.breaker_trips);
+  EXPECT_EQ(a.summary.breaker_trips, b.summary.breaker_trips);
   EXPECT_EQ(a.summary.retries, b.summary.retries);
-  EXPECT_EQ(a.probes_sent, b.probes_sent);
+  EXPECT_EQ(a.summary.health_probes_sent, b.summary.health_probes_sent);
   // And a different chaos seed actually changes the episode trace.
   auto c = make_config();
   millib::FaultPlanConfig fc;

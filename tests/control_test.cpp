@@ -210,9 +210,36 @@ TEST(OverloadStats, TotalsAndAccumulate) {
                   .wasted_work_avoided_ms = 2.5};
   OverloadStats b = a;
   b += a;
-  EXPECT_EQ(a.total_sheds(), 10u);
-  EXPECT_EQ(b.total_sheds(), 20u);
+  EXPECT_EQ(b.admission_sheds, 2u);
+  EXPECT_EQ(b.brownout_sheds, 4u);
+  EXPECT_EQ(b.deadline_sheds, 6u);
+  EXPECT_EQ(b.sojourn_sheds, 8u);
+  EXPECT_EQ(b.recovery_sheds, 0u);
   EXPECT_DOUBLE_EQ(b.wasted_work_avoided_ms, 5.0);
+}
+
+TEST(OverloadStats, ShedMarksTheRequestAndCountsItsReason) {
+  OverloadStats st;
+  proto::Request req;
+  req.tomcat_demand = sim::SimTime::millis(3);
+  req.mysql_demand = sim::SimTime::millis(2);
+  req.db_queries = 2;
+  EXPECT_DOUBLE_EQ(backend_demand_ms(req), 7.0);
+
+  st.shed(req, proto::ShedReason::kBrownout, backend_demand_ms(req));
+  EXPECT_EQ(req.shed, proto::ShedReason::kBrownout);
+  st.shed(req, proto::ShedReason::kRecovery, 1.5);
+  EXPECT_EQ(req.shed, proto::ShedReason::kRecovery);
+  for (const auto r :
+       {proto::ShedReason::kAdmission, proto::ShedReason::kDeadlineExpired,
+        proto::ShedReason::kSojourn})
+    st.shed(req, r, 0.5);
+  EXPECT_EQ(st.admission_sheds, 1u);
+  EXPECT_EQ(st.brownout_sheds, 1u);
+  EXPECT_EQ(st.deadline_sheds, 1u);
+  EXPECT_EQ(st.sojourn_sheds, 1u);
+  EXPECT_EQ(st.recovery_sheds, 1u);
+  EXPECT_DOUBLE_EQ(st.wasted_work_avoided_ms, 10.0);
 }
 
 }  // namespace

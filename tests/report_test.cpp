@@ -98,6 +98,42 @@ TEST(BenchOptions, ParsesFlags) {
   EXPECT_EQ(opt.seed, 99u);
 }
 
+TEST(BenchOptions, ParsesEveryValueFlag) {
+  const char* argv[] = {"bench",         "--quick",       "--trace",
+                        "t.json",        "--trace-format", "chrome",
+                        "--json",        "rows.jsonl",    "--sweep-seeds",
+                        "4",             "--jobs",        "2"};
+  const auto opt = BenchOptions::parse(12, const_cast<char**>(argv));
+  EXPECT_TRUE(opt.quick);
+  EXPECT_EQ(opt.trace_path, "t.json");
+  EXPECT_EQ(opt.trace_format, obs::TraceFormat::kChrome);
+  EXPECT_EQ(opt.json_path, "rows.jsonl");
+  EXPECT_EQ(opt.sweep_seeds, 4);
+  EXPECT_EQ(opt.jobs, 2);
+}
+
+// A bench command line it cannot honour stops the bench with status 2 and
+// a named error, the way ntier_run's parser does, instead of running with
+// a default the user did not ask for.
+TEST(BenchOptionsDeathTest, RejectsWhatItCannotParse) {
+  const auto parse = [](std::vector<const char*> args) {
+    args.insert(args.begin(), "bench");
+    BenchOptions::parse(static_cast<int>(args.size()),
+                        const_cast<char**>(args.data()));
+  };
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--quik"}), exits_2, "error: unknown flag --quik");
+  EXPECT_EXIT(parse({"--trace-format", "xml"}), exits_2,
+              "error: bad --trace-format");
+  EXPECT_EXIT(parse({"--quick", "--seed"}), exits_2,
+              "error: missing value for --seed");
+  EXPECT_EXIT(parse({"--seed", "abc"}), exits_2, "error: bad --seed");
+  EXPECT_EXIT(parse({"--sweep-seeds", "abc"}), exits_2,
+              "error: bad --sweep-seeds");
+  EXPECT_EXIT(parse({"--jobs", "abc"}), exits_2, "error: bad --jobs");
+  EXPECT_EXIT(parse({"--jobs", "0"}), exits_2, "error: bad --jobs");
+}
+
 TEST(BenchOptions, DefaultsAndApply) {
   const char* argv[] = {"bench"};
   const auto opt = BenchOptions::parse(1, const_cast<char**>(argv));

@@ -152,9 +152,10 @@ TEST(HealthProber, ProbesEveryWorkerAndTimesOutSilentOnes) {
   // Worker 0 never answers; the rest answer in 1 ms.
   HealthProber prober(
       s, *lb,
-      [&s](int worker, sim::Callback<void(bool)> done) {
+      [&s](int worker, probe::ProbePool::ReplyFn done) {
         if (worker == 0) return;  // silent — the prober's timeout must cover it
-        s.after(SimTime::millis(1), [done = std::move(done)] { done(true); });
+        s.after(SimTime::millis(1),
+                [done = std::move(done)] { done(true, 0.0, 0.0); });
       },
       pc);
   s.run_until(SimTime::seconds(1));
@@ -255,8 +256,8 @@ TEST(Resilience, CrashRecoveryBeatsStockBlocking) {
   // ...but only the stock mechanism exposes the crash to clients.
   EXPECT_GT(stock.invariants.failed, 0u);
   EXPECT_LT(resilient.invariants.failed, stock.invariants.failed);
-  EXPECT_GT(resilient.probes_sent, 0u);
-  EXPECT_GE(resilient.breaker_trips, 1u);
+  EXPECT_GT(resilient.summary.health_probes_sent, 0u);
+  EXPECT_GE(resilient.summary.breaker_trips, 1u);
   EXPECT_GT(resilient.summary.retries, 0u);
   EXPECT_GT(resilient.summary.retry_successes, 0u);
 }

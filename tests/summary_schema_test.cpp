@@ -32,6 +32,7 @@
 #include "cli/cli.h"
 #include "experiment/summary.h"
 #include "experiment/sweep.h"
+#include "millib/fault_plan.h"
 
 namespace ntier::experiment {
 namespace {
@@ -42,11 +43,19 @@ const std::vector<std::string> kGoldenFlags = {
     "--detect", "--telemetry", "--clients", "1000", "--think-ms", "50",
     "--duration-s", "8", "--quiet"};
 
-/// Keys the RunSummary JSON gained when the sweep/bench-only columns moved
-/// into summarize().
-const std::set<std::string> kAddedKeys = {"total_sheds",
-                                          "recovery_interventions",
-                                          "vlrt_count"};
+/// Keys the RunSummary JSON gained since the goldens were written: the
+/// sweep/bench-only columns that moved into summarize(), then the counters
+/// the reports used to read from the components themselves.
+const std::set<std::string> kAddedKeys = {
+    "total_sheds", "recovery_interventions", "vlrt_count",
+    // report counters
+    "issued", "in_flight", "breaker_trips", "health_probes_sent",
+    "health_probe_timeouts", "probes_sent", "probe_replies", "probe_timeouts",
+    "probes_piggybacked", "probe_picks", "probe_tiebreaks", "probe_fallbacks",
+    "probe_mean_staleness_ms", "recovery_ticks", "recovery_episode_ticks",
+    "kv_quorum_reads", "kv_quorum_writes", "kv_hints_created",
+    "kv_hints_pending", "cache_invalidations_delivered", "cache_evictions",
+    "cache_expirations", "cache_storms"};
 
 std::string golden_path(const std::string& name) {
   return std::string(NTIER_GOLDEN_DIR) + "/" + name;
@@ -119,6 +128,33 @@ void run_cli_with(std::vector<std::string> args) {
   ASSERT_EQ(cli::run_cli(*parsed.options), 0);
 }
 
+/// Every scalar of a RunSummary JSON document, by key.
+std::map<std::string, double> json_values(const std::string& json) {
+  std::map<std::string, double> out;
+  for (const std::string& line : lines_of(json)) {
+    const std::string key = key_of(line);
+    if (key.empty()) continue;
+    const std::string value = line.substr(line.find("\": ") + 3);
+    if (value.empty() || value[0] == '"' || value[0] == '[') continue;
+    out[key] = std::stod(value);
+  }
+  return out;
+}
+
+/// Each of `keys` is in `values` and above zero.
+void expect_non_zero(const std::map<std::string, double>& values,
+                     const std::vector<std::string>& keys,
+                     const std::string& run) {
+  for (const std::string& key : keys) {
+    const auto it = values.find(key);
+    if (it == values.end()) {
+      ADD_FAILURE() << key << " missing from the JSON summary of " << run;
+      continue;
+    }
+    EXPECT_GT(it->second, 0.0) << key << " is 0 in " << run;
+  }
+}
+
 TEST(SummarySchema, RunSummaryJsonMatchesGolden) {
   const auto dir = scratch_dir("run");
   auto args = kGoldenFlags;
@@ -177,6 +213,76 @@ TEST(SummarySchema, SweepExportsKeepEveryGoldenEntry) {
       EXPECT_EQ(split_csv(runs_now[r]).at(idx), split_csv(runs_gold[r]).at(c))
           << head_gold[c] << " run " << r - 1;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The counters ntier_run's report lines, the chaos and metastable results
+// and the extension benches print are list entries, so the JSON summary
+// carries each of them, and each is non-zero in a run that exercises it.
+TEST(SummarySchema, ReportCountersAreExportedAndNonZeroWhenExercised) {
+  const auto dir = scratch_dir("report_counters");
+  const auto cli_json = [&dir](std::vector<std::string> args,
+                               const std::string& name) {
+    args.insert(args.end(), {"--json", (dir / name).string()});
+    run_cli_with(args);
+    return json_values(slurp((dir / name).string()));
+  };
+
+  expect_non_zero(cli_json(kGoldenFlags, "golden.json"),
+                  {"issued", "in_flight", "breaker_trips",
+                   "health_probes_sent", "health_probe_timeouts",
+                   "recovery_ticks", "recovery_episode_ticks",
+                   "kv_quorum_reads", "kv_quorum_writes",
+                   "cache_invalidations_delivered"},
+                  "the golden run");
+  expect_non_zero(
+      cli_json({"--policy", "prequal", "--duration-s", "4", "--quiet"},
+               "prequal.json"),
+      {"probes_sent", "probe_replies", "probes_piggybacked", "probe_picks",
+       "probe_tiebreaks", "probe_fallbacks", "probe_mean_staleness_ms"},
+      "a prequal run");
+  // Saturated Tomcats answer some probes past the pool's 30 ms timeout.
+  expect_non_zero(cli_json({"--policy", "prequal", "--clients", "3000",
+                            "--think-ms", "50", "--duration-s", "6",
+                            "--quiet"},
+                           "prequal_saturated.json"),
+                  {"probe_timeouts"}, "a saturated prequal run");
+
+  // Hints and cache churn: a replica that crashes and never returns keeps
+  // its hints pending, and a small short-lived cache evicts and expires.
+  ExperimentConfig c;
+  c.num_apaches = 2;
+  c.num_tomcats = 3;
+  c.num_clients = 300;
+  c.think_mean = sim::SimTime::millis(200);
+  c.warmup = sim::SimTime::millis(500);
+  c.duration = sim::SimTime::seconds(4);
+  c.tomcat_millibottlenecks = false;
+  c.tracing = false;
+  c.db_tier = server::DbTier::kKv;
+  c.kv.replicas = 5;
+  c.workload.key_space = 10'000;
+  c.cache_tier = true;
+  c.cache.bytes = 1 << 20;
+  c.cache.ttl = sim::SimTime::millis(50);
+  millib::FaultSpec storm;
+  storm.kind = millib::FaultKind::kInvalidationStorm;
+  storm.start = sim::SimTime::seconds(1);
+  storm.duration = sim::SimTime::seconds(1);
+  storm.severity = 1.0;
+  millib::FaultSpec crash;
+  crash.kind = millib::FaultKind::kReplicaCrash;
+  crash.worker = 0;
+  crash.start = sim::SimTime::seconds(2);
+  crash.duration = sim::SimTime::seconds(60);
+  c.fault_plan = millib::FaultPlan::single(storm);
+  c.fault_plan.merge(millib::FaultPlan::single(crash));
+  Experiment e(c);
+  e.run();
+  expect_non_zero(json_values(summarize(e).to_json_string()),
+                  {"kv_hints_created", "kv_hints_pending", "cache_evictions",
+                   "cache_expirations", "cache_storms"},
+                  "a KV + cache run with a storm and a lasting replica crash");
   std::filesystem::remove_all(dir);
 }
 
