@@ -1,6 +1,7 @@
 // Microbenchmarks of the simulator hot paths (google-benchmark): event
 // queue throughput, processor-sharing CPU churn, balancer decision latency,
-// and end-to-end simulated-seconds-per-wall-second of the full testbed.
+// RNG forks and trace generation, and end-to-end
+// simulated-seconds-per-wall-second of the full testbed.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,6 +11,7 @@
 #include "os/cpu.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "workload/trace_gen.h"
 
 using namespace ntier;
 
@@ -144,6 +146,49 @@ static void BM_BalancerAssignSidelined(benchmark::State& state) {
   balancer_assign(state, static_cast<int>(state.range(0)) / 10);
 }
 BENCHMARK(BM_BalancerAssignSidelined)->Arg(1024);
+
+// A forked stream that draws a few dozen numbers: the shape of one session
+// of a generated day, or one component's stream in a short run.
+static void BM_RngFork(benchmark::State& state) {
+  sim::Rng parent(static_cast<std::uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    sim::Rng child = parent.fork();
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 50; ++i) acc += child.next_u64();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngFork)->Arg(42);
+
+// The perf ledger's trace_day_kv day at 1/10 duration (15 s, ~114k
+// arrivals): session thinning, per-session forks, in-order emission.
+static void BM_TraceGenerateDay(benchmark::State& state) {
+  workload::TraceGenSpec spec;
+  spec.seed = static_cast<std::uint64_t>(state.range(0));
+  spec.duration_s = 15;
+  spec.base_rps = 9'000;
+  spec.diurnal_amplitude = 0.35;
+  spec.flash_at_s = 0.55 * spec.duration_s;
+  spec.flash_duration_s = 0.15 * spec.duration_s;
+  spec.flash_multiplier = 1.6;
+  spec.session_mean = 5;
+  spec.think_mean_s = 0.5;
+  spec.abandon_p = 0.05;
+  workload::WorkloadParams wp = experiment::ExperimentConfig::scaled(0.1).workload;
+  wp.key_space = 10'000;
+  wp.zipf_s = 0.99;
+  const workload::RubbosWorkload w(wp);
+  const workload::TraceGenerator gen(spec);
+  std::size_t arrivals = 0;
+  for (auto _ : state) {
+    const auto trace = gen.generate(w);
+    arrivals += trace.size();
+    benchmark::DoNotOptimize(trace.events().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
+}
+BENCHMARK(BM_TraceGenerateDay)->Arg(42)->Unit(benchmark::kMillisecond);
 
 static void BM_FullTestbedSimulatedSecond(benchmark::State& state) {
   for (auto _ : state) {

@@ -61,6 +61,25 @@ RunSummary summarize(Experiment& e) {
   s.recovery_sheds = ostats.recovery_sheds;
   std::uint64_t probe_uses = 0;
   double staleness_sum = 0.0;  // per-pool mean staleness x uses
+  // Probing is rolled up over both balancing tiers: each Apache's Tomcat
+  // balancer and each Tomcat's DB-replica router.
+  auto add_probing = [&](const probe::ProbePool* pool, lb::LoadBalancer& lb) {
+    if (pool) {
+      s.probes_sent += pool->probes_sent();
+      s.probe_replies += pool->replies();
+      s.probe_timeouts += pool->timeouts();
+      s.probes_piggybacked += pool->piggybacked();
+      staleness_sum += pool->mean_staleness_at_use_ms() *
+                       static_cast<double>(pool->uses());
+      probe_uses += pool->uses();
+    }
+    if (const auto* aware =
+            dynamic_cast<const lb::ProbeAwarePolicy*>(&lb.policy())) {
+      s.probe_picks += aware->probe_picks();
+      s.probe_tiebreaks += aware->tiebreak_picks();
+      s.probe_fallbacks += aware->fallback_picks();
+    }
+  };
   for (int i = 0; i < e.num_apaches(); ++i) {
     server::ApacheServer& apache = e.apache(i);
     s.first_attempts += apache.first_attempts();
@@ -73,21 +92,12 @@ RunSummary summarize(Experiment& e) {
       s.health_probes_sent += prober->probes_sent();
       s.health_probe_timeouts += prober->probes_timed_out();
     }
-    if (const auto* pool = apache.probe_pool()) {
-      s.probes_sent += pool->probes_sent();
-      s.probe_replies += pool->replies();
-      s.probe_timeouts += pool->timeouts();
-      s.probes_piggybacked += pool->piggybacked();
-      staleness_sum += pool->mean_staleness_at_use_ms() *
-                       static_cast<double>(pool->uses());
-      probe_uses += pool->uses();
-    }
-    if (const auto* aware = dynamic_cast<const lb::ProbeAwarePolicy*>(
-            &apache.balancer().policy())) {
-      s.probe_picks += aware->probe_picks();
-      s.probe_tiebreaks += aware->tiebreak_picks();
-      s.probe_fallbacks += aware->fallback_picks();
-    }
+    add_probing(apache.probe_pool(), apache.balancer());
+  }
+  for (int i = 0; i < e.num_tomcats(); ++i) {
+    server::DbRouter& router = e.db_router(i);
+    if (router.has_balancer())
+      add_probing(router.probe_pool(), router.balancer());
   }
   s.probe_mean_staleness_ms =
       probe_uses ? staleness_sum / static_cast<double>(probe_uses) : 0.0;

@@ -51,8 +51,8 @@ namespace ntier::experiment {
   X(breaker_trips, std::uint64_t, "n")                                        \
   X(health_probes_sent, std::uint64_t, "n")                                   \
   X(health_probe_timeouts, std::uint64_t, "n")                                \
-  /* Load probing over the Apache-tier pools (zero without a probe-aware      \
-     policy); staleness is the use-weighted mean age of a probe at use. */    \
+  /* Load probing over the Apache and DB-router pools (zero without a         \
+     probe-aware policy); staleness is the use-weighted mean age at use. */   \
   X(probes_sent, std::uint64_t, "n")                                          \
   X(probe_replies, std::uint64_t, "n")                                        \
   X(probe_timeouts, std::uint64_t, "n")                                       \

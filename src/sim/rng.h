@@ -1,12 +1,75 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace ntier::sim {
+
+/// Exactly std::mt19937_64's stream, seeded and twisted only as far as the
+/// draws reach. The standard engine seeds all 312 state words (a serial
+/// multiply chain) and twists all of them before its first draw; a forked
+/// stream that draws a few dozen numbers wastes most of that. This one
+/// seeds and twists the first round in blocks of kBlock words on demand,
+/// then twists whole rounds as libstdc++ does, so a long-lived stream pays
+/// the same per draw. Satisfies UniformRandomBitGenerator, so the standard
+/// distributions consume it draw for draw as they would the std engine.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateSize = 312;
+
+  explicit Mt19937_64(std::uint64_t seed) { x_[0] = seed; }
+
+  /// Copies carry only the words seeded so far (the rest are never read
+  /// before they are seeded).
+  Mt19937_64(const Mt19937_64& o) { *this = o; }
+  Mt19937_64& operator=(const Mt19937_64& o) {
+    if (this != &o) {
+      std::memcpy(x_, o.x_, o.seeded_ * sizeof(x_[0]));
+      seeded_ = o.seeded_;
+      ready_ = o.ready_;
+      pos_ = o.pos_;
+    }
+    return *this;
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+
+  result_type operator()() {
+    if (pos_ == ready_) refill();
+    result_type z = x_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  /// Words seeded and twisted per first-round step.
+  static constexpr std::size_t kBlock = 32;
+
+  /// Make x_[pos_] drawable: the next first-round block, or a whole round.
+  void refill();
+  /// Extend the seeding chain to x_[0, upto).
+  void seed_to(std::size_t upto);
+  /// Twist x_[lo, hi) in place, in index order (libstdc++'s _M_gen_rand
+  /// restricted to that range).
+  void twist(std::size_t lo, std::size_t hi);
+
+  std::uint64_t x_[kStateSize];  // no initialiser: seed_to writes before reads
+  // 16-bit cursors keep the engine the size of std::mt19937_64.
+  std::uint16_t seeded_ = 1;  // x_[0, seeded_) hold seeded (or twisted) words
+  std::uint16_t ready_ = 0;   // x_[0, ready_) of this round are twisted
+  std::uint16_t pos_ = 0;     // next word to draw
+};
 
 /// Deterministic random source for the simulator. Every stochastic component
 /// takes an Rng (or forks one from a parent) so that a run is fully
@@ -81,12 +144,8 @@ class Rng {
   /// Draw an index from a discrete distribution given (unnormalised) weights.
   std::size_t weighted_index(const std::vector<double>& weights);
 
-  /// Zipf-distributed integer in [0, n) with exponent s (popularity skew for
-  /// query-cache modelling).
-  std::size_t zipf(std::size_t n, double s);
-
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace ntier::sim

@@ -22,14 +22,16 @@ namespace ntier::workload {
 /// *rich* trace, which data key it touched and its brownout priority class,
 /// so a replay drives the KV/cache tiers and the overload layer exactly as
 /// recorded. `client` is 32-bit: a day of production traffic has far more
-/// distinct users than a closed-loop population has slots.
+/// distinct users than a closed-loop population has slots. Fields are laid
+/// out widest first, so a generated day of ~1M arrivals carries no padding.
 struct ArrivalEvent {
   sim::SimTime at;
+  std::uint64_t key = 0;
   std::uint32_t client = 0;
   std::uint16_t interaction = 0;
-  std::uint64_t key = 0;
   std::uint8_t priority = 1;
 };
+static_assert(sizeof(ArrivalEvent) == 24);
 
 /// A recorded (or generated) arrival trace: the open-loop counterpart of
 /// the closed-loop client population. Stand-in for the production traces
@@ -45,7 +47,8 @@ struct ArrivalEvent {
 class ArrivalTrace {
  public:
   void add(sim::SimTime at, std::uint32_t client, std::uint16_t interaction) {
-    events_.push_back(ArrivalEvent{at, client, interaction, 0, 1});
+    events_.push_back(
+        ArrivalEvent{.at = at, .client = client, .interaction = interaction});
   }
 
   /// Record a full arrival: data key + brownout priority ride along and the
@@ -53,9 +56,17 @@ class ArrivalTrace {
   void add_rich(sim::SimTime at, std::uint32_t client,
                 std::uint16_t interaction, std::uint64_t key,
                 std::uint8_t priority) {
-    events_.push_back(ArrivalEvent{at, client, interaction, key, priority});
+    events_.push_back(ArrivalEvent{.at = at,
+                                   .key = key,
+                                   .client = client,
+                                   .interaction = interaction,
+                                   .priority = priority});
     rich_ = true;
   }
+
+  /// Pre-size for `n` arrivals. Reserved capacity that is never written is
+  /// never resident, so a generous estimate costs address space only.
+  void reserve(std::size_t n) { events_.reserve(n); }
 
   const std::vector<ArrivalEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }

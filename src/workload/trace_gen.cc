@@ -1,5 +1,6 @@
 #include "workload/trace_gen.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +10,19 @@ namespace ntier::workload {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+
+/// A generated arrival not yet released into the trace. `seq` is its
+/// generation index: same-instant arrivals leave in generation order, as a
+/// stable sort by time would put them.
+struct Pending {
+  ArrivalEvent ev;
+  std::uint64_t seq;
+};
+
+/// Heap order for a min-heap on (at, seq).
+bool later(const Pending& a, const Pending& b) {
+  return a.ev.at != b.ev.at ? b.ev.at < a.ev.at : b.seq < a.seq;
+}
 
 /// Shortest round-trip double formatting (ostream's 6 significant digits
 /// would corrupt a spec through to_string -> parse).
@@ -129,6 +143,32 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
   const double continue_p =
       spec_.session_mean <= 1.0 ? 0.0 : 1.0 - 1.0 / spec_.session_mean;
 
+  // Pre-size from the expected arrival count, the integral of rate_at over
+  // the day (midpoint rule; truncation and abandonment only lower the
+  // count), plus eight standard deviations: Poisson sessions of geometric
+  // length have a count variance below 2 x session_mean x expected.
+  constexpr int kRateSteps = 4096;
+  double expected = 0;
+  const double dt = spec_.duration_s / kRateSteps;
+  for (int i = 0; i < kRateSteps; ++i) expected += rate_at((i + 0.5) * dt) * dt;
+  trace.reserve(static_cast<std::size_t>(
+      expected + 8.0 * std::sqrt(expected * 2.0 * spec_.session_mean) + 64.0));
+
+  // Sessions start in time order and each walks forward in time, so once a
+  // session starts at t, no later session can emit an arrival before t:
+  // every pending arrival at or before t is final and leaves the heap in
+  // (time, generation) order. The trace is built sorted, with no copy.
+  std::vector<Pending> pending;
+  std::uint64_t seq = 0;
+  auto release_until = [&](sim::SimTime until) {
+    while (!pending.empty() && pending.front().ev.at <= until) {
+      std::pop_heap(pending.begin(), pending.end(), later);
+      const ArrivalEvent& ev = pending.back().ev;
+      trace.add_rich(ev.at, ev.client, ev.interaction, ev.key, ev.priority);
+      pending.pop_back();
+    }
+  };
+
   // Each arrival's request is materialised only for its drawn key and
   // priority, then dropped: one pooled slot serves the whole day.
   proto::RequestPool requests;
@@ -139,6 +179,7 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
     if (t >= spec_.duration_s) break;
     if (!rng.bernoulli(rate_at(t) / (lambda_max * spec_.session_mean)))
       continue;
+    release_until(sim::SimTime::from_seconds(t));
 
     // One user session: its own forked stream, so the per-session walk is
     // independent of how many other sessions the thinning loop rejected.
@@ -148,8 +189,14 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
     while (true) {
       const std::size_t k = workload.next_interaction(session_rng);
       const auto req = workload.materialize(requests, session_rng, 0, client, k);
-      trace.add_rich(sim::SimTime::from_seconds(st), client,
-                     static_cast<std::uint16_t>(k), req->key, req->priority);
+      pending.push_back(Pending{
+          ArrivalEvent{.at = sim::SimTime::from_seconds(st),
+                       .key = req->key,
+                       .client = client,
+                       .interaction = static_cast<std::uint16_t>(k),
+                       .priority = req->priority},
+          seq++});
+      std::push_heap(pending.begin(), pending.end(), later);
       if (!session_rng.bernoulli(continue_p)) break;
       if (spec_.abandon_p > 0 && session_rng.bernoulli(spec_.abandon_p))
         break;
@@ -158,10 +205,7 @@ ArrivalTrace TraceGenerator::generate(const RubbosWorkload& workload) const {
       if (st >= spec_.duration_s) break;
     }
   }
-
-  // Sessions overlap, so their interleaved arrivals need a final ordering
-  // pass (stable: same-instant arrivals keep generation order).
-  trace.sort();
+  release_until(sim::SimTime::max());
   return trace;
 }
 

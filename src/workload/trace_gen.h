@@ -70,7 +70,8 @@ class TraceGenerator {
   /// at the spec's peak rate; each session forks its own RNG stream, walks
   /// the workload's interaction model and materialises key/priority draws,
   /// so the trace is *rich* (replays drive the KV tier and brownout exactly
-  /// as generated).
+  /// as generated). Arrivals come out in time order (same-instant ones in
+  /// generation order), built in place without a sorting pass.
   ArrivalTrace generate(const RubbosWorkload& workload) const;
 
  private:

@@ -255,6 +255,28 @@ TEST(Cli, RunCliKvSmoke) {
   EXPECT_EQ(run_cli(*r.options), 0);
 }
 
+TEST(Cli, DbRouterProbingReachesTheSummary) {
+  // Prequal at the DB router only: the Apache tier does not probe, so every
+  // probe and probe-driven pick in the export comes from the routers.
+  const auto path = std::filesystem::temp_directory_path() /
+                    "ntier_cli_db_probing.json";
+  auto r = parse({"--mysql", "2", "--db-policy", "prequal", "--duration-s",
+                  "4", "--quiet", "--json", path.string()});
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(run_cli(*r.options), 0);
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  auto counter = [&json](const std::string& key) -> std::uint64_t {
+    const auto at = json.find("\"" + key + "\":");
+    if (at == std::string::npos) return 0;
+    return std::stoull(json.substr(at + key.size() + 3));
+  };
+  EXPECT_GT(counter("probes_sent"), 0u) << json;
+  EXPECT_GT(counter("probe_picks"), 0u) << json;
+}
+
 TEST(Cli, CacheTierFlagsParseAndRoundTrip) {
   const auto r = parse({"--db-tier", "kv", "--cache-tier", "--cache",
                         "nodes=3,entry=1024,inval_queue=256,bytes=1048576,"

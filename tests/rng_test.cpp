@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <random>
 #include <vector>
 
 namespace ntier::sim {
@@ -150,19 +151,73 @@ TEST(Rng, WeightedIndexRejectsBadInput) {
   EXPECT_THROW(r.weighted_index({0.0, 0.0}), std::invalid_argument);
 }
 
-TEST(Rng, ZipfSkewsTowardsLowRanks) {
-  Rng r(9);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 100'000; ++i) ++counts[r.zipf(10, 1.0)];
-  EXPECT_GT(counts[0], counts[4]);
-  EXPECT_GT(counts[4], counts[9]);
-  // Rank-0 frequency for s=1, n=10 is 1/H_10 ≈ 0.341.
-  EXPECT_NEAR(counts[0] / 100'000.0, 0.341, 0.02);
+// Draw counts that end just before, on and just after the engine's block
+// edges (32 words), the old/new split of the twist (156), the first round's
+// end (312) and the second round's end (624).
+constexpr int kDrawCounts[] = {1,   31,  32,  33,  155, 156, 157,
+                               311, 312, 313, 624, 625, 5000};
+
+static_assert(sizeof(Mt19937_64) <= sizeof(std::mt19937_64));
+
+TEST(Mt19937_64, MatchesStdEngineDrawForDraw) {
+  for (std::uint64_t s = 0; s < 1000; ++s) {
+    const std::uint64_t seed = Rng::mix64(s);
+    for (int n : kDrawCounts) {
+      Mt19937_64 mine(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < n; ++i) ASSERT_EQ(mine(), ref()) << seed << " " << i;
+    }
+  }
 }
 
-TEST(Rng, ZipfRejectsEmptyDomain) {
-  Rng r(10);
-  EXPECT_THROW(r.zipf(0, 1.0), std::invalid_argument);
+TEST(Mt19937_64, CopyTakenMidStreamContinuesTheStream) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    for (int n : kDrawCounts) {
+      Mt19937_64 mine(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < n; ++i) mine(), ref();
+      Mt19937_64 copy = mine;
+      Mt19937_64 assigned(0);
+      assigned = mine;
+      std::mt19937_64 ref_copy = ref;
+      for (int i = 0; i < 700; ++i) {
+        const auto want = ref_copy();
+        ASSERT_EQ(copy(), want) << seed << " " << n << " " << i;
+        ASSERT_EQ(assigned(), want) << seed << " " << n << " " << i;
+        ASSERT_EQ(mine(), ref()) << seed << " " << n << " " << i;
+      }
+    }
+  }
+}
+
+TEST(Mt19937_64, DistributionsDrawTheSameValues) {
+  // Rng's distributions run on the engine; the same calls on a std engine
+  // seeded alike must give bit-identical results.
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(rng.uniform_int(-3, 1'000'003),
+                std::uniform_int_distribution<std::int64_t>(-3, 1'000'003)(ref));
+      ASSERT_EQ(rng.exponential(2.5),
+                std::exponential_distribution<double>(1.0 / 2.5)(ref));
+      const double sigma2 = std::log(1.0 + 0.5 * 0.5);
+      ASSERT_EQ(rng.lognormal_mean(4.0, 0.5),
+                std::lognormal_distribution<double>(
+                    std::log(4.0) - 0.5 * sigma2, std::sqrt(sigma2))(ref));
+      ASSERT_EQ(rng.uniform01(), (std::generate_canonical<double, 53>(ref)));
+    }
+  }
+}
+
+TEST(Mt19937_64, ForkDrawsTheStdEngineStream) {
+  Rng parent(99);
+  std::mt19937_64 ref_parent(99);
+  for (int k = 0; k < 100; ++k) {
+    Rng child = parent.fork();
+    std::mt19937_64 ref_child(Rng::mix64(ref_parent()));
+    for (int i = 0; i < 50; ++i) ASSERT_EQ(child.next_u64(), ref_child());
+  }
 }
 
 }  // namespace

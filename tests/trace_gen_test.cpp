@@ -8,6 +8,9 @@
 #include <map>
 #include <sstream>
 
+#include "experiment/config.h"
+#include "test_util.h"
+
 namespace ntier::workload {
 namespace {
 
@@ -148,6 +151,56 @@ TEST(TraceGenerator, FlashCrowdConcentratesArrivals) {
   const auto flash = count_in(20, 25);
   const auto before = count_in(10, 15);
   EXPECT_GT(static_cast<double>(flash), 2.0 * static_cast<double>(before));
+}
+
+/// The perf ledger's trace_day_kv day at 1/10 duration: its spec and its
+/// workload (the 4A/4T cluster preset with a Zipf(0.99) key space). The
+/// digests pin every random stream and the order of same-instant arrivals:
+/// generation order, as a stable sort by time leaves them.
+TraceGenSpec day_kv_spec() {
+  TraceGenSpec spec;
+  spec.seed = 42;
+  spec.duration_s = 15;
+  spec.base_rps = 9'000;
+  spec.diurnal_amplitude = 0.35;
+  spec.flash_at_s = 0.55 * spec.duration_s;
+  spec.flash_duration_s = 0.15 * spec.duration_s;
+  spec.flash_multiplier = 1.6;
+  spec.session_mean = 5;
+  spec.think_mean_s = 0.5;
+  spec.abandon_p = 0.05;
+  return spec;
+}
+
+RubbosWorkload day_kv_workload() {
+  WorkloadParams wp = experiment::ExperimentConfig::scaled(0.1).workload;
+  wp.key_space = 10'000;
+  wp.zipf_s = 0.99;
+  return RubbosWorkload(wp);
+}
+
+std::string saved_csv(const ArrivalTrace& trace) {
+  std::stringstream out;
+  trace.save(out);
+  return out.str();
+}
+
+TEST(TraceGenerator, DayKvTraceMatchesGolden) {
+  const auto trace = TraceGenerator(day_kv_spec()).generate(day_kv_workload());
+  EXPECT_EQ(trace.size(), 114'250u);
+  EXPECT_EQ(experiment::testing::fnv1a_hex(saved_csv(trace)),
+            "f0efe9396162b2d7");
+}
+
+TEST(TraceGenerator, ZeroThinkTraceMatchesGolden) {
+  // Every session's arrivals share its start instant, so the day is made of
+  // same-instant runs whose order only the generation order decides.
+  TraceGenSpec spec = day_kv_spec();
+  spec.think_mean_s = 0;
+  const auto trace = TraceGenerator(spec).generate(day_kv_workload());
+  EXPECT_EQ(trace.size(), 123'764u);
+  EXPECT_EQ(experiment::testing::fnv1a_hex(saved_csv(trace)),
+            "dc9f764461f24c3b");
 }
 
 TEST(TraceGenerator, InvalidSpecThrows) {
