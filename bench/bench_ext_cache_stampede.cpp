@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
         const experiment::RunSummary s = experiment::summarize(*e);
         cell.vlrts = static_cast<std::uint64_t>(s.vlrt_count);
         cell.vlrt_fraction = s.vlrt_fraction;
-        if (e->cache_tier()) {
+        if (e->config().cache_tier) {
           cell.hit_ratio = s.cache_hit_ratio;
           std::ostringstream os;
           os << "  " << std::left << std::setw(28) << row_label << std::right

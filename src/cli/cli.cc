@@ -730,15 +730,14 @@ int run_cli(const CliOptions& options) {
                 << summary.cache_storms << " storms\n";
     }
     // The Apaches carry a probe pool exactly when the first test holds, the
-    // MySQL routers when the second does (Experiment forces probing on for
-    // a probe-aware policy).
+    // MySQL routers when the second does.
     const auto& run_cfg = e.config();
     const bool apache_probing =
-        run_cfg.probe.enabled || lb::policy_uses_probes(run_cfg.policy);
+        lb::runs_probe_pool(run_cfg.probe.enabled, run_cfg.policy);
     const bool db_probing =
         run_cfg.db_tier == server::DbTier::kMysql &&
-        (run_cfg.db_router.probe.enabled ||
-         lb::policy_uses_probes(run_cfg.db_router.policy));
+        lb::runs_probe_pool(run_cfg.db_router.probe.enabled,
+                            run_cfg.db_router.policy);
     if (apache_probing || db_probing) {
       std::cout << "probing: " << summary.probes_sent << " probes ("
                 << summary.probe_replies << " replies, "

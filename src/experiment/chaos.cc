@@ -121,7 +121,8 @@ void ChaosController::apply(std::size_t i) {
       // Apache): requests through that balancer see loss + latency while
       // its siblings — and the health prober's verdicts — stay clean.
       exp_.apache(spec.worker < 0 ? 0 : spec.worker % exp_.num_apaches())
-          .tomcat_link()
+          .route()
+          .link()
           .set_fault(spec.extra_latency, spec.loss_probability);
       break;
     case millib::FaultKind::kGraySlowReplica: {
@@ -195,7 +196,8 @@ void ChaosController::clear(std::size_t i) {
       break;
     case millib::FaultKind::kGrayLink:
       exp_.apache(spec.worker < 0 ? 0 : spec.worker % exp_.num_apaches())
-          .tomcat_link()
+          .route()
+          .link()
           .clear_fault();
       break;
     case millib::FaultKind::kGraySlowReplica:
@@ -263,23 +265,15 @@ InvariantReport check_invariants(Experiment& e) {
   r.requests_live = clients.requests().live();
   if (const auto* replayer = e.replayer())
     r.requests_live += replayer->requests().live();
-  for (int a = 0; a < e.num_apaches(); ++a) {
-    auto& lb = e.apache(a).balancer();
+  for (const server::Route* route : e.routes()) {
+    const auto& lb = route->balancer();
     for (int w = 0; w < lb.num_workers(); ++w) {
       r.pool_in_use += lb.pool(w).in_use();
       r.pool_waiting += lb.pool(w).waiting();
     }
   }
-  for (int t = 0; t < e.num_tomcats(); ++t) {
-    if (e.db_router(t).has_balancer()) {
-      auto& lb = e.db_router(t).balancer();
-      for (int w = 0; w < lb.num_workers(); ++w) {
-        r.pool_in_use += lb.pool(w).in_use();
-        r.pool_waiting += lb.pool(w).waiting();
-      }
-    }
+  for (int t = 0; t < e.num_tomcats(); ++t)
     r.crashed_accepts += e.tomcat(t).crashed_accepts();
-  }
   if (const auto* kv = e.kv_tier()) {
     r.kv = kv->stats();
     r.kv_ops_in_flight = kv->ops_in_flight();

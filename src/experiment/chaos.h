@@ -31,7 +31,7 @@ namespace ntier::experiment {
 ///   kShardMigration -> KvTier::begin_migration/complete_migration
 ///   kInvalidationStorm -> CacheTier::begin_invalidation_storm
 ///   kGrayDataPath   -> TomcatServer::set_gray_degraded (probe path healthy)
-///   kGrayLink       -> one Apache's tomcat_link().set_fault (worker = Apache)
+///   kGrayLink       -> one Apache's route().link().set_fault (worker = Apache)
 ///   kGraySlowReplica -> KvReplica::set_slow (alive, never trips the detector)
 /// The KV kinds are no-ops when the experiment runs the MySQL data tier;
 /// the storm kind is a no-op when no cache tier is configured.

@@ -98,7 +98,7 @@ std::string describe(const ExperimentConfig& c) {
   if (c.apache.prober.enabled || c.balancer.breaker.enabled ||
       c.apache.retry.enabled)
     os << ", resilience";
-  if (c.probe.enabled || lb::policy_uses_probes(c.policy))
+  if (lb::runs_probe_pool(c.probe.enabled, c.policy))
     os << ", probes(" << static_cast<int>(c.probe.rate_hz) << "/s d="
        << c.probe.d << " stale=" << c.probe.staleness.to_string() << ")";
   if (!c.fault_plan.empty())

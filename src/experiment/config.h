@@ -43,10 +43,6 @@ std::string to_string(StallSource s);
 
 using sim::kMetricWindow;
 
-/// One-way latency of every simulated network link (client, Apache-Tomcat,
-/// Tomcat-database, KV and cache hops).
-inline constexpr sim::SimTime kLinkLatency = sim::SimTime::micros(100);
-
 /// Full description of one run: topology, workload, policy/mechanism combo,
 /// and the millibottleneck environment. Presets reproduce the paper's
 /// configurations.

@@ -149,7 +149,7 @@ void Experiment::build() {
     std::vector<kv::KvReplica*> kv_ptrs;
     for (auto& r : kv_replicas_) kv_ptrs.push_back(r.get());
     kv_tier_ = std::make_unique<kv::KvTier>(sim_, std::move(kv_ptrs),
-                                            config_.kv, kLinkLatency);
+                                            config_.kv, net::kLinkLatency);
     if (trace_) kv_tier_->set_trace(trace_.get());
     // The data tier's own millibottleneck source: correlated injector
     // stalls on enough members of the hot key's shard (n - r + 1 of them)
@@ -196,9 +196,8 @@ void Experiment::build() {
   tc.overload = config_.overload;
   for (int i = 0; i < config_.num_tomcats; ++i) {
     server::DbRouterConfig dc = config_.db_router;
-    dc.link_latency = kLinkLatency;
     dc.overload = config_.overload;
-    if (lb::policy_uses_probes(dc.policy)) dc.probe.enabled = true;
+    dc.probe.enabled = lb::runs_probe_pool(dc.probe.enabled, dc.policy);
     if (cache_tier_)
       // Each Tomcat's router is pinned to one cache server, so the same key
       // can be resident on several nodes — which is what the invalidation
@@ -221,12 +220,9 @@ void Experiment::build() {
 
   for (int i = 0; i < config_.num_apaches; ++i) {
     server::ApacheConfig ac = config_.apache;
-    ac.link_latency = kLinkLatency;
     ac.probe = config_.probe;
+    ac.probe.enabled = lb::runs_probe_pool(ac.probe.enabled, config_.policy);
     ac.overload = config_.overload;
-    // A probe-aware policy without a probe pool would silently run as
-    // current_load for the whole experiment; force the pool on instead.
-    if (lb::policy_uses_probes(config_.policy)) ac.probe.enabled = true;
     lb::BalancerConfig bc = config_.balancer;
     if (config_.sticky_sessions) bc.sticky_sessions = true;
     auto apache = std::make_unique<server::ApacheServer>(
@@ -236,6 +232,10 @@ void Experiment::build() {
     if (trace_) apache->set_trace(trace_.get());
     apaches_.push_back(std::move(apache));
   }
+  routes_.reserve(apaches_.size() + db_routers_.size());
+  for (auto& a : apaches_) routes_.push_back(&a->route());
+  for (auto& r : db_routers_)
+    if (server::Route* route = r->route()) routes_.push_back(route);
   if (trace_)
     for (auto& t : tomcats_) t->set_trace(trace_.get());
 
@@ -295,7 +295,7 @@ void Experiment::build() {
   cp.ramp = config_.think_mean;
   cp.warmup = config_.warmup;
   cp.retransmit = config_.retransmit;
-  cp.link_latency = kLinkLatency;
+  cp.link_latency = net::kLinkLatency;
   cp.sticky_sessions = config_.sticky_sessions;
   cp.bursty = config_.bursty_workload;
   cp.burst_multiplier = config_.burst_multiplier;
@@ -311,7 +311,7 @@ void Experiment::build() {
   if (config_.replay_trace) {
     workload::ReplayParams rp;
     rp.retransmit = config_.retransmit;
-    rp.link_latency = kLinkLatency;
+    rp.link_latency = net::kLinkLatency;
     rp.client_timeout = config_.replay_client_timeout;
     rp.warmup = config_.warmup;
     if (config_.overload.stamp_deadlines)

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -66,6 +67,9 @@ class Experiment {
   server::DbRouter& db_router(int tomcat) {
     return *db_routers_[static_cast<std::size_t>(tomcat)];
   }
+  /// Every balanced hop: each Apache's route to the Tomcats, then each
+  /// MySQL-mode DB router's route to the replicas.
+  std::span<server::Route* const> routes() const { return routes_; }
   /// The shared KV quorum tier; null unless config.db_tier == kKv.
   kv::KvTier* kv_tier() { return kv_tier_.get(); }
   const kv::KvTier* kv_tier() const { return kv_tier_.get(); }
@@ -213,6 +217,7 @@ class Experiment {
   std::vector<std::unique_ptr<server::TomcatServer>> tomcats_;
   std::vector<std::unique_ptr<server::ApacheServer>> apaches_;
   std::vector<std::unique_ptr<millib::CapacityStallInjector>> injectors_;
+  std::vector<server::Route*> routes_;
   std::unique_ptr<workload::ClientPopulation> clients_;
   std::unique_ptr<workload::TraceReplayer> replayer_;
   std::unique_ptr<ChaosController> chaos_;

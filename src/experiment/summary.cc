@@ -48,8 +48,13 @@ RunSummary summarize(Experiment& e) {
   for (int i = 0; i < e.num_apaches(); ++i) ostats += e.apache(i).overload_stats();
   for (int i = 0; i < e.num_tomcats(); ++i) {
     ostats += e.tomcat(i).overload_stats();
-    ostats += e.db_router(i).overload_stats();
+    const server::DbRouter& router = e.db_router(i);
+    ostats += router.overload_stats();
+    s.db_router_errors += router.errors();
+    s.db_queries_routed += router.queries_routed();
   }
+  for (int i = 0; i < e.num_mysql(); ++i)
+    s.mysql_queries.push_back(e.mysql(i).queries_served());
   s.admission_sheds = ostats.admission_sheds;
   s.brownout_sheds = ostats.brownout_sheds;
   s.deadline_sheds = ostats.deadline_sheds;
@@ -59,12 +64,26 @@ RunSummary summarize(Experiment& e) {
   s.wasted_work_avoided_ms = ostats.wasted_work_avoided_ms;
   s.shed_retries = e.clients().shed_retries();
   s.recovery_sheds = ostats.recovery_sheds;
+  for (int i = 0; i < e.num_apaches(); ++i) {
+    const server::ApacheServer& apache = e.apache(i);
+    s.first_attempts += apache.first_attempts();
+    s.retries += apache.retries();
+    s.retry_successes += apache.retry_successes();
+    s.attempts_abandoned += apache.attempts_abandoned();
+    s.retries_suppressed += apache.retries_suppressed();
+  }
+  // Breakers, health probing and load probing over every balanced hop: each
+  // Apache's route to the Tomcats and each DB router's route to the replicas.
   std::uint64_t probe_uses = 0;
   double staleness_sum = 0.0;  // per-pool mean staleness x uses
-  // Probing is rolled up over both balancing tiers: each Apache's Tomcat
-  // balancer and each Tomcat's DB-replica router.
-  auto add_probing = [&](const probe::ProbePool* pool, lb::LoadBalancer& lb) {
-    if (pool) {
+  for (server::Route* route : e.routes()) {
+    lb::LoadBalancer& lb = route->balancer();
+    s.breaker_trips += lb.breaker_trips();
+    if (const auto* prober = route->prober()) {
+      s.health_probes_sent += prober->probes_sent();
+      s.health_probe_timeouts += prober->probes_timed_out();
+    }
+    if (const auto* pool = route->probe_pool()) {
       s.probes_sent += pool->probes_sent();
       s.probe_replies += pool->replies();
       s.probe_timeouts += pool->timeouts();
@@ -79,25 +98,6 @@ RunSummary summarize(Experiment& e) {
       s.probe_tiebreaks += aware->tiebreak_picks();
       s.probe_fallbacks += aware->fallback_picks();
     }
-  };
-  for (int i = 0; i < e.num_apaches(); ++i) {
-    server::ApacheServer& apache = e.apache(i);
-    s.first_attempts += apache.first_attempts();
-    s.retries += apache.retries();
-    s.retry_successes += apache.retry_successes();
-    s.attempts_abandoned += apache.attempts_abandoned();
-    s.retries_suppressed += apache.retries_suppressed();
-    s.breaker_trips += apache.balancer().breaker_trips();
-    if (const auto* prober = apache.prober()) {
-      s.health_probes_sent += prober->probes_sent();
-      s.health_probe_timeouts += prober->probes_timed_out();
-    }
-    add_probing(apache.probe_pool(), apache.balancer());
-  }
-  for (int i = 0; i < e.num_tomcats(); ++i) {
-    server::DbRouter& router = e.db_router(i);
-    if (router.has_balancer())
-      add_probing(router.probe_pool(), router.balancer());
   }
   s.probe_mean_staleness_ms =
       probe_uses ? staleness_sum / static_cast<double>(probe_uses) : 0.0;
@@ -209,7 +209,8 @@ std::string recovery_line(const RunSummary& s) {
 
 namespace {
 
-void array(std::ostream& os, const char* name, const std::vector<double>& v,
+template <typename T>
+void array(std::ostream& os, const char* name, const std::vector<T>& v,
            bool comma = true) {
   os << "  \"" << name << "\": [";
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -243,6 +244,7 @@ void RunSummary::to_json(std::ostream& os) const {
   array(os, "apache_mean_cpu", apache_mean_cpu);
   array(os, "tomcat_mean_cpu", tomcat_mean_cpu);
   array(os, "mysql_mean_cpu", mysql_mean_cpu);
+  array(os, "mysql_queries", mysql_queries);
   array(os, "kv_mean_cpu", kv_mean_cpu);
   array(os, "cache_mean_cpu", cache_mean_cpu, /*comma=*/false);
   os << "}\n";

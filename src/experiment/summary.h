@@ -89,6 +89,9 @@ namespace ntier::experiment {
   X(tomcat_queue_peak, double, "req")                                         \
   X(mysql_queue_peak, double, "req")                                          \
   X(kv_queue_peak, double, "req")                                             \
+  /* DB routers: failed and routed queries (quorum ops in KV mode). */        \
+  X(db_router_errors, std::uint64_t, "ops")                                   \
+  X(db_queries_routed, std::uint64_t, "ops")                                  \
   /* KV data tier (zero with the MySQL tier). kv_degraded_ms is quorum-op     \
      time spent while the op's shard was below full replication. */           \
   X(kv_quorum_failed, std::uint64_t, "ops")                                   \
@@ -139,6 +142,8 @@ struct RunSummary {
   std::vector<double> apache_mean_cpu;
   std::vector<double> tomcat_mean_cpu;
   std::vector<double> mysql_mean_cpu;
+  /// Queries each MySQL replica served (filled with or without tracing).
+  std::vector<std::uint64_t> mysql_queries;
   std::vector<double> kv_mean_cpu;
   std::vector<double> cache_mean_cpu;
 

@@ -109,7 +109,6 @@ class LoadBalancer {
     return pools_[static_cast<std::size_t>(idx)];
   }
   LbPolicy& policy() { return *policy_; }
-  EndpointAcquirer& acquirer() { return *acquirer_; }
 
   /// Bind a probe pool to a probe-aware policy (kPowerOfD / kPrequal).
   /// Returns false — and leaves the pool unused — for every other policy,

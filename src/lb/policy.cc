@@ -35,6 +35,10 @@ bool policy_uses_probes(PolicyKind k) {
   return k == PolicyKind::kPowerOfD || k == PolicyKind::kPrequal;
 }
 
+bool runs_probe_pool(bool requested, PolicyKind k) {
+  return requested || policy_uses_probes(k);
+}
+
 int LbPolicy::pick(const std::vector<WorkerRecord>&,
                    const EligibleSet& eligible, sim::Rng&) {
   return eligible.lowest_lb_value();

@@ -40,6 +40,10 @@ std::optional<PolicyKind> policy_from_string(const std::string& name);
 /// Probe-aware policies (kPowerOfD, kPrequal) need a probe::ProbePool bound
 /// after construction; everything else ignores probing entirely.
 bool policy_uses_probes(PolicyKind k);
+/// Whether a balancer running `k` gets a probe pool: when one was asked for
+/// (`requested`), and always for a probe-aware policy, which without a pool
+/// would silently run as current_load.
+bool runs_probe_pool(bool requested, PolicyKind k);
 
 /// Upper level of mod_jk's two-level scheduler: maintains each worker's
 /// lb_value and (for the non-value-based baselines) chooses the candidate.

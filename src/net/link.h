@@ -6,6 +6,10 @@
 
 namespace ntier::net {
 
+/// One-way latency of every simulated network link (client, Apache-Tomcat,
+/// Tomcat-database, KV and cache hops).
+inline constexpr sim::SimTime kLinkLatency = sim::SimTime::micros(100);
+
 /// A one-way network hop with fixed propagation/processing latency. The
 /// paper's testbed is a 1 Gbps LAN where transfer time is negligible next to
 /// service times, so a constant per-hop latency captures the relevant cost.
@@ -18,7 +22,7 @@ namespace ntier::net {
 /// sender's business.
 class Link {
  public:
-  explicit Link(sim::SimTime latency = sim::SimTime::micros(100))
+  explicit Link(sim::SimTime latency = kLinkLatency)
       : latency_(latency) {}
 
   /// Effective one-way latency including any injected fault latency.

@@ -62,7 +62,6 @@ void ProbePool::on_timeout(ProbeHandle h) {
   const int worker = p->worker;
   in_flight_.erase(h);
   ++timeouts_;
-  ++failures_;
   trace_event(obs::EventKind::kProbeExpired, worker,
               config_.timeout.to_seconds() * kMsPerSecond, /*aux=*/3);
 }
@@ -73,10 +72,7 @@ void ProbePool::on_reply(ProbeHandle h, bool ok, double rif,
   if (p == nullptr) return;  // timed out first
   const InFlight probe = *p;
   in_flight_.erase(h);
-  if (!ok) {
-    ++failures_;
-    return;
-  }
+  if (!ok) return;
   ++replies_;
   ProbeResult r;
   r.worker = probe.worker;

@@ -82,17 +82,6 @@ class ProbePool {
   /// evaluated when a reply is pooled (see ProbeResult::local_rif).
   using LocalLoadFn = std::function<double(int worker)>;
 
-  /// A transport's record of one probe on its round trip: `done` waits here
-  /// while the hops capture only the record's handle, and the backend's
-  /// answer is parked in it for the return hop.
-  struct Trip {
-    ReplyFn done;
-    int worker = -1;
-    bool ok = false;
-    double rif = 0.0;
-    double latency_ms = 0.0;
-  };
-
   ProbePool(sim::Simulation& simu, int num_workers, Transport transport,
             ProbeConfig config);
 
@@ -132,7 +121,6 @@ class ProbePool {
   // -- statistics ------------------------------------------------------------
   std::uint64_t probes_sent() const { return sent_; }
   std::uint64_t replies() const { return replies_; }
-  std::uint64_t failures() const { return failures_; }
   std::uint64_t timeouts() const { return timeouts_; }
   /// Entries dropped because they aged past `staleness`.
   std::uint64_t expired_stale() const { return expired_stale_; }
@@ -191,7 +179,6 @@ class ProbePool {
 
   std::uint64_t sent_ = 0;
   std::uint64_t replies_ = 0;
-  std::uint64_t failures_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t expired_stale_ = 0;
   std::uint64_t expired_budget_ = 0;

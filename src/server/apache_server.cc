@@ -4,68 +4,40 @@
 
 namespace ntier::server {
 
+namespace {
+
+/// The front-door admission limiter, started at construction (null when
+/// overload admission is off).
+std::unique_ptr<control::AdmissionLimiter> start_limiter(
+    sim::Simulation& simu, const ApacheConfig& config) {
+  if (!config.overload.admission) return nullptr;
+  auto limiter = std::make_unique<control::AdmissionLimiter>(
+      simu, static_cast<double>(config.max_clients + kListenBacklog),
+      config.overload.brownout);
+  limiter->start();
+  return limiter;
+}
+
+}  // namespace
+
 ApacheServer::ApacheServer(sim::Simulation& simu, os::Node& node, int id,
-                           std::vector<TomcatServer*> tomcats,
+                           const std::vector<TomcatServer*>& tomcats,
                            std::unique_ptr<lb::LbPolicy> policy,
                            std::unique_ptr<lb::EndpointAcquirer> acquirer,
                            lb::BalancerConfig lb_config, ApacheConfig config)
     : sim_(simu),
       node_(node),
       id_(id),
-      tomcats_(std::move(tomcats)),
       config_(config),
-      tomcat_link_(config.link_latency),
-      balancer_(std::make_unique<lb::LoadBalancer>(
-          simu, static_cast<int>(tomcats_.size()), std::move(policy),
-          std::move(acquirer), lb_config)),
+      limiter_(start_limiter(simu, config_)),
+      route_(simu, {tomcats.begin(), tomcats.end()}, std::move(policy),
+             std::move(acquirer), std::move(lb_config), config_.prober,
+             config_.probe),
       backlog_(kListenBacklog) {
-  assert(!tomcats_.empty());
-  if (config_.overload.admission) {
-    limiter_ = std::make_unique<control::AdmissionLimiter>(
-        simu, static_cast<double>(config_.max_clients + kListenBacklog),
-        config_.overload.brownout);
-    limiter_->start();
-  }
+  assert(!tomcats.empty());
   if (config_.retry.enabled)
     retry_budget_ = std::make_unique<lb::RetryBudget>(
         config_.retry.budget_ratio, config_.retry.budget_burst);
-  const auto transport = [this](int w, probe::ProbePool::ReplyFn done) {
-    send_probe(w, std::move(done));
-  };
-  if (config_.prober.enabled)
-    prober_ = std::make_unique<lb::HealthProber>(simu, *balancer_, transport,
-                                                 config_.prober);
-  if (config_.probe.enabled) {
-    probe_pool_ = std::make_unique<probe::ProbePool>(
-        simu, static_cast<int>(tomcats_.size()), transport, config_.probe);
-    // Snapshot this balancer's own in-flight count when a reply is pooled so
-    // policies can drift-correct the global RIF between probe ticks.
-    probe_pool_->set_local_load([this](int w) {
-      return static_cast<double>(balancer_->record(w).outstanding);
-    });
-    balancer_->attach_probes(probe_pool_.get());
-  }
-}
-
-void ApacheServer::send_probe(int worker, probe::ProbePool::ReplyFn done) {
-  // A probe travels the same Apache↔Tomcat link as a request and runs a
-  // tiny CPU job at the target, so it meets the same stalls a request does:
-  // a millibottleneck delays the answer past the prober's or the pool's
-  // timeout instead of slipping through unnoticed.
-  const auto h = probe_trips_.insert({std::move(done), worker});
-  tomcat_link_.deliver(sim_, [this, h] {
-    tomcats_[static_cast<std::size_t>(probe_trips_[h].worker)]->probe_load(
-        [this, h](bool ok, double rif, double lat_ms) {
-          probe::ProbePool::Trip& t = probe_trips_[h];
-          t.ok = ok;
-          t.rif = rif;
-          t.latency_ms = lat_ms;
-          tomcat_link_.deliver(sim_, [this, h] {
-            const auto back = probe_trips_.take(h);
-            back.done(back.ok, back.rif, back.latency_ms);
-          });
-        });
-  });
 }
 
 bool ApacheServer::try_submit(const proto::RequestRef& req, RespondFn respond) {
@@ -136,7 +108,7 @@ void ApacheServer::dispatch(JobHandle h, int attempt) {
     shed_worker(h, proto::ShedReason::kDeadlineExpired);
     return;
   }
-  balancer_->assign(req, [this, h, attempt](int idx) {
+  route_.balancer().assign(req, [this, h, attempt](int idx) {
     on_assigned(h, attempt, idx);
   });
 }
@@ -152,13 +124,13 @@ void ApacheServer::on_assigned(JobHandle h, int attempt, int idx) {
     // The blocking get_endpoint can park the worker for hundreds of ms —
     // the deadline may have passed while we waited. Give the endpoint
     // back and shed instead of forwarding stale work to the backend.
-    balancer_->on_response(idx, req);
+    route_.balancer().on_response(idx, req);
     shed_worker(h, proto::ShedReason::kDeadlineExpired);
     return;
   }
   req->tomcat_id = static_cast<std::int16_t>(idx);
   req->assigned_at = sim_.now();
-  tomcat_link_.deliver(sim_, [this, h, attempt, idx] {
+  route_.link().deliver(sim_, [this, h, attempt, idx] {
     forward(h, attempt, idx);
   });
 }
@@ -167,10 +139,11 @@ void ApacheServer::forward(JobHandle h, int attempt, int idx) {
   const proto::RequestRef req = jobs_[h].req;
   const AttemptHandle a =
       attempts_.insert(Attempt{req, h, idx, attempt, /*abandoned=*/false});
-  const bool accepted = tomcats_[static_cast<std::size_t>(idx)]->submit(
-      req, [this, a](const proto::RequestRef&) {
-        tomcat_link_.deliver(sim_, [this, a] { on_backend_response(a); });
-      });
+  // The route was built over the Tomcats, so every backend is one.
+  auto& tomcat = static_cast<TomcatServer&>(route_.backend(idx));
+  const bool accepted = tomcat.submit(req, [this, a](const proto::RequestRef&) {
+    route_.link().deliver(sim_, [this, a] { on_backend_response(a); });
+  });
   if (accepted && config_.retry.enabled &&
       config_.retry.attempt_timeout > sim::SimTime::zero()) {
     sim_.after(config_.retry.attempt_timeout,
@@ -178,7 +151,7 @@ void ApacheServer::forward(JobHandle h, int attempt, int idx) {
   }
   if (accepted) return;
   attempts_.erase(a);
-  balancer_->on_response(idx, req);
+  route_.balancer().on_response(idx, req);
   if (req->shed != proto::ShedReason::kAdmission &&
       req->shed != proto::ShedReason::kBrownout) {
     // Connector backlog overflow or a crashed Tomcat (a connect failure in
@@ -186,7 +159,7 @@ void ApacheServer::forward(JobHandle h, int attempt, int idx) {
     // escalation. An explicit 503 from the backend's admission limiter
     // means the Tomcat is alive and answering fast, so it does not
     // escalate. Either way, retry elsewhere if allowed.
-    balancer_->report_failure(idx);
+    route_.balancer().report_failure(idx);
   }
   maybe_retry(h, attempt);
 }
@@ -194,15 +167,9 @@ void ApacheServer::forward(JobHandle h, int attempt, int idx) {
 void ApacheServer::on_backend_response(AttemptHandle a) {
   // Only this answer frees an accepted attempt, so the handle is live.
   const Attempt at = attempts_.take(a);
-  balancer_->on_response(at.tomcat, at.req);
-  // Piggyback the backend's load report on the response (Prequal's
-  // probe-on-response mode): keeps the pool millisecond-fresh on workers we
-  // are actively using. A gray-degraded Tomcat reports frozen pre-fault
-  // values here too — the deception covers the piggyback path.
-  if (probe_pool_) {
-    auto* t = tomcats_[static_cast<std::size_t>(at.tomcat)];
-    probe_pool_->observe(at.tomcat, t->reported_rif(), t->reported_latency_ms());
-  }
+  // Release the endpoint and pool the Tomcat's piggybacked load report,
+  // which keeps the pool millisecond-fresh on workers in active use.
+  route_.on_reply(at.tomcat, at.req);
   if (at.abandoned) return;  // the retry path already owns the request
   at.req->backend_done_at = sim_.now();
   if (at.attempt > 0) ++retry_successes_;

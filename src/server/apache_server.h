@@ -7,16 +7,13 @@
 #include "control/admission.h"
 #include "control/codel.h"
 #include "control/overload.h"
-#include "lb/health.h"
-#include "lb/load_balancer.h"
 #include "lb/retry.h"
 #include "metrics/time_series.h"
 #include "net/bounded_queue.h"
-#include "net/link.h"
 #include "obs/trace.h"
 #include "os/node.h"
-#include "probe/probe_pool.h"
 #include "proto/frontend.h"
+#include "server/route.h"
 #include "server/tomcat_server.h"
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
@@ -36,7 +33,6 @@ inline constexpr std::uint32_t kApacheLogBytes = 200;
 struct ApacheConfig {
   /// Worker-MPM request-handling threads (Table III: MaxClients 200).
   int max_clients = 200;
-  sim::SimTime link_latency = sim::SimTime::micros(100);
 
   /// Active health probing of the Tomcats (off by default — the stock
   /// mod_jk setup the paper studies has none).
@@ -56,7 +52,8 @@ struct ApacheConfig {
 
 /// Web tier front-end. Accepts client connections into a bounded backlog,
 /// handles each with one of `max_clients` worker threads, and forwards to
-/// the Tomcat tier through its own mod_jk balancer instance — including,
+/// the Tomcat tier through its own route (a mod_jk balancer instance and
+/// the Apache↔Tomcat link) — including,
 /// when the stock blocking `get_endpoint` is configured, parking the worker
 /// thread for up to 300 ms inside the balancer. Worker exhaustion therefore
 /// propagates backend millibottlenecks into front-end SYN drops exactly as
@@ -64,7 +61,7 @@ struct ApacheConfig {
 class ApacheServer final : public proto::FrontEnd {
  public:
   ApacheServer(sim::Simulation& simu, os::Node& node, int id,
-               std::vector<TomcatServer*> tomcats,
+               const std::vector<TomcatServer*>& tomcats,
                std::unique_ptr<lb::LbPolicy> policy,
                std::unique_ptr<lb::EndpointAcquirer> acquirer,
                lb::BalancerConfig lb_config, ApacheConfig config = {});
@@ -72,10 +69,12 @@ class ApacheServer final : public proto::FrontEnd {
   /// proto::FrontEnd — false when the listen backlog is full (SYN dropped).
   bool try_submit(const proto::RequestRef& req, RespondFn respond) override;
 
-  int id() const { return id_; }
   os::Node& node() { return node_; }
-  lb::LoadBalancer& balancer() { return *balancer_; }
-  const lb::LoadBalancer& balancer() const { return *balancer_; }
+  /// The hop to the Tomcats: balancer, link, prober and probe pool.
+  Route& route() { return route_; }
+  const Route& route() const { return route_; }
+  lb::LoadBalancer& balancer() { return route_.balancer(); }
+  const lb::LoadBalancer& balancer() const { return route_.balancer(); }
 
   /// Requests resident in this Apache (backlog + all worker threads,
   /// including those blocked inside get_endpoint).
@@ -92,19 +91,7 @@ class ApacheServer final : public proto::FrontEnd {
 
   /// Shed/expired accounting for this Apache (see control::OverloadStats).
   const control::OverloadStats& overload_stats() const { return ostats_; }
-  /// Null unless ApacheConfig::overload.admission.
-  const control::AdmissionLimiter* limiter() const { return limiter_.get(); }
-  /// Backlog drops by reason (overflow vs the overload layer's sheds).
-  std::uint64_t backlog_drops(net::DropReason r) const {
-    return backlog_.drops(r);
-  }
 
-  /// Null unless ApacheConfig::prober.enabled.
-  const lb::HealthProber* prober() const { return prober_.get(); }
-  /// Null unless ApacheConfig::probe.enabled.
-  const probe::ProbePool* probe_pool() const { return probe_pool_.get(); }
-  /// Null unless ApacheConfig::retry.enabled.
-  const lb::RetryBudget* retry_budget() const { return retry_budget_.get(); }
   std::uint64_t retries() const { return retries_; }
   std::uint64_t retry_successes() const { return retry_successes_; }
   /// In-flight attempts given up on after retry.attempt_timeout (the backend
@@ -118,24 +105,18 @@ class ApacheServer final : public proto::FrontEnd {
   /// Retry suppression: while on, eligible retries are dropped instead of
   /// re-dispatched (breaking the retry-amplification sustaining loop).
   void set_retry_suppressed(bool on) { retry_suppressed_ = on; }
-  bool retry_suppressed() const { return retry_suppressed_; }
   std::uint64_t retries_suppressed() const { return retries_suppressed_; }
   /// Hard shedding: while on, new arrivals are answered with a fast
   /// recovery 503 before touching the backlog or a worker, so standing
   /// queues drain below the orchestrator's watermark.
   void set_recovery_shed(bool on) { recovery_shed_ = on; }
-  bool recovery_shed() const { return recovery_shed_; }
-
-  /// The Apache↔Tomcat link, exposed for fault injection.
-  net::Link& tomcat_link() { return tomcat_link_; }
 
   /// Attach the cross-tier event collector (null disables). Emits accept
   /// enqueue/drop and worker-pickup events with tier=kApache, node=id, and
-  /// forwards the collector to the balancer.
+  /// forwards the collector to the route.
   void set_trace(obs::TraceCollector* trace) {
     trace_events_ = trace;
-    balancer_->set_trace(trace, id_);
-    if (probe_pool_) probe_pool_->set_trace(trace, id_);
+    route_.set_trace(trace, id_);
     if (limiter_) limiter_->set_trace(trace, obs::Tier::kApache, id_);
   }
 
@@ -163,9 +144,6 @@ class ApacheServer final : public proto::FrontEnd {
   };
   using AttemptHandle = sim::SlotTable<Attempt>::Handle;
 
-  /// The probe transport of the health prober and the load-probe pool: a
-  /// link round trip to Tomcat `worker` plus its probe CPU job.
-  void send_probe(int worker, probe::ProbePool::ReplyFn done);
   void start_worker(Work w);
   void dispatch(JobHandle h, int attempt);
   /// The balancer answered attempt `attempt` with Tomcat `idx` (-1 = 503).
@@ -196,19 +174,16 @@ class ApacheServer final : public proto::FrontEnd {
   sim::Simulation& sim_;
   os::Node& node_;
   int id_;
-  std::vector<TomcatServer*> tomcats_;
   ApacheConfig config_;
-  net::Link tomcat_link_;
-  std::unique_ptr<lb::LoadBalancer> balancer_;
-  std::unique_ptr<lb::HealthProber> prober_;
+  /// Started before the route is built, so its first tick is scheduled
+  /// ahead of the prober's and the pool's.
+  std::unique_ptr<control::AdmissionLimiter> limiter_;
+  Route route_;
   std::unique_ptr<lb::RetryBudget> retry_budget_;
-  std::unique_ptr<probe::ProbePool> probe_pool_;
 
   net::BoundedQueue<Work> backlog_;
   sim::SlotTable<Work> jobs_;
   sim::SlotTable<Attempt> attempts_;
-  sim::SlotTable<probe::ProbePool::Trip> probe_trips_;
-  std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::CoDelController codel_;
   control::OverloadStats ostats_;
   int workers_busy_ = 0;

@@ -20,7 +20,7 @@ bool db_tier_from_string(const std::string& s, DbTier* out) {
 
 DbRouter::DbRouter(sim::Simulation& simu, kv::KvTier* tier,
                    DbRouterConfig config)
-    : sim_(simu), kv_(tier), config_(config), link_(config.link_latency) {
+    : sim_(simu), kv_(tier), config_(config) {
   if (!kv_) throw std::invalid_argument("DbRouter: null kv tier");
 }
 
@@ -30,50 +30,24 @@ DbRouter::DbRouter(sim::Simulation& simu, cache::CacheTier* cache,
       kv_(cache ? &cache->backing() : nullptr),
       cache_(cache),
       cache_node_(cache_node),
-      config_(config),
-      link_(config.link_latency) {
+      config_(config) {
   if (!cache_) throw std::invalid_argument("DbRouter: null cache tier");
   if (cache_node_ < 0 || cache_node_ >= cache_->num_nodes())
     throw std::invalid_argument("DbRouter: cache node out of range");
 }
 
-DbRouter::DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
+DbRouter::DbRouter(sim::Simulation& simu,
+                   const std::vector<MySqlServer*>& replicas,
                    DbRouterConfig config)
-    : sim_(simu),
-      replicas_(std::move(replicas)),
-      config_(config),
-      link_(config.link_latency) {
-  if (replicas_.empty()) throw std::invalid_argument("DbRouter: no replicas");
+    : sim_(simu), config_(config) {
+  if (replicas.empty()) throw std::invalid_argument("DbRouter: no replicas");
   lb::BalancerConfig bc = config_.balancer;
   bc.endpoint_pool_size = config_.pool_per_replica;
-  balancer_ = std::make_unique<lb::LoadBalancer>(
-      simu, static_cast<int>(replicas_.size()), lb::make_policy(config_.policy),
-      lb::make_acquirer(config_.mechanism, bc.blocking), bc);
-  if (config_.probe.enabled) {
-    probe_pool_ = std::make_unique<probe::ProbePool>(
-        simu, static_cast<int>(replicas_.size()),
-        [this](int w, probe::ProbePool::ReplyFn done) {
-          const auto h = load_trips_.insert({std::move(done), w});
-          link_.deliver(sim_, [this, h] {
-            replicas_[static_cast<std::size_t>(load_trips_[h].worker)]
-                ->probe_load([this, h](bool ok, double rif, double lat_ms) {
-                  probe::ProbePool::Trip& t = load_trips_[h];
-                  t.ok = ok;
-                  t.rif = rif;
-                  t.latency_ms = lat_ms;
-                  link_.deliver(sim_, [this, h] {
-                    const auto back = load_trips_.take(h);
-                    back.done(back.ok, back.rif, back.latency_ms);
-                  });
-                });
-          });
-        },
-        config_.probe);
-    probe_pool_->set_local_load([this](int w) {
-      return static_cast<double>(balancer_->record(w).outstanding);
-    });
-    balancer_->attach_probes(probe_pool_.get());
-  }
+  route_.emplace(simu,
+                 std::vector<RouteBackend*>(replicas.begin(), replicas.end()),
+                 lb::make_policy(config_.policy),
+                 lb::make_acquirer(config_.mechanism, bc.blocking), bc,
+                 lb::ProberConfig{}, config_.probe);
 }
 
 void DbRouter::query(const proto::RequestRef& req, sim::SimTime demand,
@@ -107,7 +81,7 @@ void DbRouter::query(const proto::RequestRef& req, sim::SimTime demand,
     }
     return;
   }
-  balancer_->assign(req, [this, h](int idx) { on_assigned(h, idx); });
+  route_->balancer().assign(req, [this, h](int idx) { on_assigned(h, idx); });
 }
 
 void DbRouter::on_kv_done(QueryHandle h, bool ok) {
@@ -125,22 +99,19 @@ void DbRouter::on_assigned(QueryHandle h, int idx) {
   }
   ++routed_;
   queries_[h].replica = idx;
-  link_.deliver(sim_, [this, h] {
+  route_->link().deliver(sim_, [this, h] {
     const Query& q = queries_[h];
-    replicas_[static_cast<std::size_t>(q.replica)]->execute(
-        q.demand, [this, h] {
-          link_.deliver(sim_, [this, h] { on_replica_reply(h); });
-        });
+    // The route was built over the replicas, so every backend is one.
+    auto& replica = static_cast<MySqlServer&>(route_->backend(q.replica));
+    replica.execute(q.demand, [this, h] {
+      route_->link().deliver(sim_, [this, h] { on_replica_reply(h); });
+    });
   });
 }
 
 void DbRouter::on_replica_reply(QueryHandle h) {
   const Query q = queries_.take(h);
-  balancer_->on_response(q.replica, q.req);
-  if (probe_pool_) {
-    auto* m = replicas_[static_cast<std::size_t>(q.replica)];
-    probe_pool_->observe(q.replica, m->resident(), m->latency_ewma_ms());
-  }
+  route_->on_reply(q.replica, q.req);
   q.done();
 }
 

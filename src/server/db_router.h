@@ -1,18 +1,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/tier.h"
 #include "control/overload.h"
 #include "kv/tier.h"
-#include "lb/load_balancer.h"
-#include "net/link.h"
-#include "probe/probe_pool.h"
 #include "proto/request.h"
 #include "server/mysql_server.h"
+#include "server/route.h"
 #include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/slot_table.h"
@@ -43,7 +41,6 @@ struct DbRouterConfig {
   /// aware, skipping a stalled replica instead of queueing behind it.
   lb::MechanismKind mechanism = lb::MechanismKind::kQueueing;
   lb::BalancerConfig balancer;  // busy_recovery etc. for kNonBlocking
-  sim::SimTime link_latency = sim::SimTime::micros(100);
   /// Prequal-style load probing of the replicas, consumed only when
   /// `policy` is probe-aware (kPowerOfD / kPrequal).
   probe::ProbeConfig probe;
@@ -61,12 +58,12 @@ struct DbRouterConfig {
 /// to the database tier.
 class DbRouter {
  public:
-  DbRouter(sim::Simulation& simu, std::vector<MySqlServer*> replicas,
+  DbRouter(sim::Simulation& simu, const std::vector<MySqlServer*>& replicas,
            DbRouterConfig config = {});
   /// KV-backed router: queries route by request key into the shared quorum
-  /// tier instead of through the replica balancer. The balancer, probe pool
-  /// and per-replica pools do not exist in this mode (has_balancer() is
-  /// false); overload deadline shedding still applies at the router.
+  /// tier instead of through the replica balancer. There is no route (no
+  /// balancer, probe pool or per-replica pools) in this mode; overload
+  /// deadline shedding still applies at the router.
   DbRouter(sim::Simulation& simu, kv::KvTier* tier, DbRouterConfig config = {});
   /// Cache-fronted KV router: reads go through the look-aside cache tier at
   /// `cache_node` (this Tomcat's pinned cache server) and fall through to
@@ -86,25 +83,9 @@ class DbRouter {
   /// quorum (ignored by the MySQL tier, which models every trip the same).
   void query(const proto::RequestRef& req, sim::SimTime demand, bool is_write,
              sim::Callback<void()> done);
-  /// Read round trip (kept for call sites predating the KV tier).
-  void query(const proto::RequestRef& req, sim::SimTime demand,
-             sim::Callback<void()> done) {
-    query(req, demand, /*is_write=*/false, std::move(done));
-  }
 
-  DbTier tier() const { return kv_ ? DbTier::kKv : DbTier::kMysql; }
-  bool has_balancer() const { return balancer_ != nullptr; }
-  kv::KvTier* kv_tier() { return kv_; }
-  /// Null unless constructed in cache-fronted mode.
-  cache::CacheTier* cache_tier() { return cache_; }
-  int cache_node() const { return cache_node_; }
-  int num_replicas() const {
-    return kv_ ? kv_->num_replicas() : balancer_->num_workers();
-  }
-  MySqlServer& replica(int i) { return *replicas_[static_cast<std::size_t>(i)]; }
-  lb::LoadBalancer& balancer() { return *balancer_; }
-  /// Null unless DbRouterConfig::probe.enabled.
-  const probe::ProbePool* probe_pool() const { return probe_pool_.get(); }
+  /// The hop to the MySQL replicas; null in the KV and cache modes.
+  Route* route() { return route_ ? &*route_ : nullptr; }
   std::uint64_t errors() const { return errors_; }
   std::uint64_t queries_routed() const { return routed_; }
   /// Expired-query shed accounting (see control::OverloadStats).
@@ -128,17 +109,12 @@ class DbRouter {
   void on_kv_done(QueryHandle h, bool ok);
 
   sim::Simulation& sim_;
-  std::vector<MySqlServer*> replicas_;
   kv::KvTier* kv_ = nullptr;  // non-null iff constructed in kKv mode
   cache::CacheTier* cache_ = nullptr;  // non-null iff cache-fronted
   int cache_node_ = 0;  // this router's pinned cache server
   DbRouterConfig config_;
-  net::Link link_;
-  std::unique_ptr<lb::LoadBalancer> balancer_;
-  std::unique_ptr<probe::ProbePool> probe_pool_;
+  std::optional<Route> route_;  // MySQL mode only
   sim::SlotTable<Query> queries_;
-  /// Load probes on their round trip to a replica and back.
-  sim::SlotTable<probe::ProbePool::Trip> load_trips_;
   std::uint64_t errors_ = 0;
   std::uint64_t routed_ = 0;
   control::OverloadStats ostats_;

@@ -2,14 +2,6 @@
 
 namespace ntier::server {
 
-namespace {
-
-/// CPU demand of answering one load probe (probe::ProbePool) — tiny, but on
-/// the real run queue so a stalled replica answers late.
-constexpr sim::SimTime kProbeDemand = sim::SimTime::micros(20);
-
-}  // namespace
-
 MySqlServer::MySqlServer(sim::Simulation& simu, os::Node& node,
                          MySqlConfig config)
     : sim_(simu), node_(node), config_(config) {}
@@ -25,7 +17,7 @@ void MySqlServer::execute(sim::SimTime demand, sim::Callback<void()> done) {
   }
 }
 
-void MySqlServer::probe_load(LoadProbeFn done) {
+void MySqlServer::probe_load(probe::ProbePool::ReplyFn done) {
   const auto h = load_probes_.insert(std::move(done));
   node_.cpu().submit(kProbeDemand, [this, h] {
     load_probes_.take(h)(true, static_cast<double>(resident_),

@@ -4,6 +4,7 @@
 
 #include "metrics/time_series.h"
 #include "os/node.h"
+#include "server/route.h"
 #include "sim/callback.h"
 #include "sim/ring.h"
 #include "sim/simulation.h"
@@ -26,7 +27,7 @@ struct MySqlConfig {
 /// queue peaks): it executes query CPU demands — cheap when the 10 MB query
 /// cache hits — and stays lightly loaded. Concurrency beyond the connection
 /// cap queues FIFO.
-class MySqlServer {
+class MySqlServer final : public RouteBackend {
  public:
   MySqlServer(sim::Simulation& simu, os::Node& node, MySqlConfig config = {});
 
@@ -38,11 +39,12 @@ class MySqlServer {
 
   /// Answer a load probe (probe::ProbePool): a tiny CPU job that reports
   /// queries-in-flight at answer time plus the recent query-latency EWMA.
-  using LoadProbeFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
-  void probe_load(LoadProbeFn done);
+  void probe_load(probe::ProbePool::ReplyFn done) override;
 
+  /// Queries resident now, as probes and replies report it.
+  double reported_rif() const override { return resident_; }
   /// Recent whole-query latency (execute → done), EWMA in ms.
-  double latency_ewma_ms() const { return latency_ewma_ms_; }
+  double reported_latency_ms() const override { return latency_ewma_ms_; }
 
   /// Queries resident (queued + executing) — the MySQL tier queue series.
   int resident() const { return resident_; }
@@ -51,7 +53,6 @@ class MySqlServer {
   void set_queue_series(metrics::GaugeSeries* g) { queue_series_ = g; }
 
   std::uint64_t queries_served() const { return served_; }
-  os::Node& node() { return node_; }
 
  private:
   struct Query {
@@ -72,7 +73,7 @@ class MySqlServer {
   sim::Ring<Query> waiting_;
   sim::SlotTable<Query> running_;
   /// Load probes waiting on their CPU job; the job captures only the handle.
-  sim::SlotTable<LoadProbeFn> load_probes_;
+  sim::SlotTable<probe::ProbePool::ReplyFn> load_probes_;
   metrics::GaugeSeries* queue_series_ = nullptr;
 };
 

@@ -4,15 +4,6 @@
 
 namespace ntier::server {
 
-namespace {
-
-/// CPU demand of answering one health or load probe — tiny, but on the real
-/// CPU run queue, so a stalled CPU delays the answer past the prober's
-/// timeout.
-constexpr sim::SimTime kProbeDemand = sim::SimTime::micros(20);
-
-}  // namespace
-
 TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
                            DbRouter& db, TomcatConfig config)
     : sim_(simu), node_(node), id_(id), db_(db), config_(config) {
@@ -25,10 +16,7 @@ TomcatServer::TomcatServer(sim::Simulation& simu, os::Node& node, int id,
 }
 
 bool TomcatServer::submit(const proto::RequestRef& req, RespondFn respond) {
-  if (crashed_) {
-    ++refused_while_crashed_;
-    return false;
-  }
+  if (crashed_) return false;
   if (config_.overload.deadlines && expired(req)) {
     // Expired on arrival (the endpoint wait or the Apache→Tomcat link ate
     // the budget): refuse instead of queueing stale work. The Apache sees
@@ -81,7 +69,7 @@ void TomcatServer::set_gray_degraded(double severity) {
   gray_demand_factor_ = 1.0 / (1.0 - severity);
 }
 
-void TomcatServer::probe_load(LoadProbeFn done) {
+void TomcatServer::probe_load(probe::ProbePool::ReplyFn done) {
   if (crashed_) {
     done(false, 0.0, 0.0);
     return;

@@ -9,6 +9,7 @@
 #include "os/node.h"
 #include "proto/request.h"
 #include "server/db_router.h"
+#include "server/route.h"
 #include "sim/callback.h"
 #include "sim/ring.h"
 #include "sim/simulation.h"
@@ -34,7 +35,7 @@ struct TomcatConfig {
 /// replica), then a log write that dirties the node's page cache — the fuel
 /// for pdflush's millibottlenecks (§III-B: the dirty pages "mainly are
 /// Tomcat logs").
-class TomcatServer {
+class TomcatServer final : public RouteBackend {
  public:
   using RespondFn = sim::Callback<void(const proto::RequestRef&)>;
 
@@ -56,11 +57,7 @@ class TomcatServer {
   /// reply reports requests-in-flight at answer time plus the recent
   /// service-latency EWMA — the state Prequal-style policies rank on; the
   /// health prober reads only `ok`.
-  using LoadProbeFn = sim::Callback<void(bool ok, double rif, double latency_ms)>;
-  void probe_load(LoadProbeFn done);
-
-  /// Recent whole-request service latency (submit → response), EWMA in ms.
-  double latency_ewma_ms() const { return latency_ewma_ms_; }
+  void probe_load(probe::ProbePool::ReplyFn done) override;
 
   /// Gray fault: inflate real request service time by 1/(1-severity) while
   /// the probe path stays fast AND the load values reported to probes and
@@ -73,11 +70,11 @@ class TomcatServer {
   std::uint64_t gray_inflated() const { return gray_inflated_; }
   /// The requests-in-flight value this node *reports* (frozen under a gray
   /// fault; truthful otherwise). Probe and piggyback paths must use these,
-  /// never resident()/latency_ewma_ms() directly.
-  double reported_rif() const {
+  /// never resident() or the latency EWMA directly.
+  double reported_rif() const override {
     return gray_degraded() ? gray_frozen_rif_ : static_cast<double>(resident_);
   }
-  double reported_latency_ms() const {
+  double reported_latency_ms() const override {
     return gray_degraded() ? gray_frozen_latency_ms_ : latency_ewma_ms_;
   }
 
@@ -87,14 +84,8 @@ class TomcatServer {
   void crash() { crashed_ = true; }
   void restart() { crashed_ = false; }
   bool crashed() const { return crashed_; }
-  /// Submits refused because of a crash (drives the balancer's Error path).
-  std::uint64_t refused_while_crashed() const { return refused_while_crashed_; }
   /// Chaos invariant counter: accepted submits while crashed — must stay 0.
   std::uint64_t crashed_accepts() const { return crashed_accepts_; }
-
-  int id() const { return id_; }
-  os::Node& node() { return node_; }
-  DbRouter& db() { return db_; }
 
   /// Requests physically resident in this Tomcat (connector queue + threads).
   int resident() const { return resident_; }
@@ -105,8 +96,6 @@ class TomcatServer {
 
   /// Shed/expired accounting for this Tomcat (see control::OverloadStats).
   const control::OverloadStats& overload_stats() const { return ostats_; }
-  /// Null unless TomcatConfig::overload.admission.
-  const control::AdmissionLimiter* limiter() const { return limiter_.get(); }
 
   /// Attach the cross-tier event collector (null disables). Emits backend
   /// queue / service start / service end events with tier=kTomcat, node=id.
@@ -144,7 +133,7 @@ class TomcatServer {
 
   sim::Ring<Work> connector_queue_;
   /// Probes waiting on their CPU job; the job captures only the handle.
-  sim::SlotTable<LoadProbeFn> load_probes_;
+  sim::SlotTable<probe::ProbePool::ReplyFn> load_probes_;
   sim::SlotTable<Work> threads_;
   std::unique_ptr<control::AdmissionLimiter> limiter_;
   control::OverloadStats ostats_;
@@ -153,7 +142,6 @@ class TomcatServer {
   bool crashed_ = false;
   std::uint64_t served_ = 0;
   std::uint64_t connector_drops_ = 0;
-  std::uint64_t refused_while_crashed_ = 0;
   std::uint64_t crashed_accepts_ = 0;
   double latency_ewma_ms_ = 0.0;
   double gray_demand_factor_ = 1.0;   // > 1 while a gray fault is applied

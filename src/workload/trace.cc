@@ -18,7 +18,6 @@ namespace {
 
 constexpr std::string_view kHeaderLean = "at_ns,client,interaction";
 constexpr std::string_view kHeaderRich = "at_ns,client,interaction,key,priority";
-constexpr std::string_view kHeaderLegacy = "at_s,client,interaction";
 
 [[noreturn]] void parse_fail(const std::string& origin, std::size_t row,
                              std::size_t col, const std::string& why) {
@@ -53,19 +52,6 @@ std::int64_t parse_at_ns(std::string_view field, const std::string& origin,
                "bad at_ns '" + std::string(field) + "' (integer nanoseconds)");
   if (v < 0) parse_fail(origin, row, 1, "negative arrival time");
   return v;
-}
-
-/// Legacy v1 times: fractional seconds, parsed strictly (std::stod's
-/// trailing-garbage tolerance is what this replaces).
-sim::SimTime parse_at_s(std::string_view field, const std::string& origin,
-                        std::size_t row) {
-  double v = 0;
-  const auto [ptr, ec] = std::from_chars(field.begin(), field.end(), v);
-  if (ec != std::errc() || ptr != field.end() || !std::isfinite(v))
-    parse_fail(origin, row, 1,
-               "bad at_s '" + std::string(field) + "' (finite seconds)");
-  if (v < 0) parse_fail(origin, row, 1, "negative arrival time");
-  return sim::SimTime::from_seconds(v);
 }
 
 /// Split one CSV row into exactly `want` comma-separated fields.
@@ -127,20 +113,12 @@ ArrivalTrace ArrivalTrace::parse(std::string_view text,
     throw std::invalid_argument("ArrivalTrace: " + origin +
                                 ": empty input (missing header)");
   const std::string_view header = next_line();
-  bool legacy = false;
-  bool rich = false;
-  if (header == kHeaderRich) {
-    rich = true;
-  } else if (header == kHeaderLean) {
-  } else if (header == kHeaderLegacy) {
-    legacy = true;
-  } else {
+  const bool rich = header == kHeaderRich;
+  if (!rich && header != kHeaderLean)
     throw std::invalid_argument(
         "ArrivalTrace: " + origin + ":1:1: unknown header '" +
         std::string(header) + "' (expected '" + std::string(kHeaderRich) +
-        "', '" + std::string(kHeaderLean) + "' or legacy '" +
-        std::string(kHeaderLegacy) + "')");
-  }
+        "' or '" + std::string(kHeaderLean) + "')");
   const std::size_t want = rich ? 5 : 3;
 
   while (!text.empty()) {
@@ -152,9 +130,7 @@ ArrivalTrace ArrivalTrace::parse(std::string_view text,
       parse_fail(origin, row, got < want ? got + 1 : want + 1,
                  "expected " + std::to_string(want) + " fields, got " +
                      std::to_string(got));
-    const sim::SimTime at =
-        legacy ? parse_at_s(f[0], origin, row)
-               : sim::SimTime::nanos(parse_at_ns(f[0], origin, row));
+    const sim::SimTime at = sim::SimTime::nanos(parse_at_ns(f[0], origin, row));
     const auto client = parse_uint<std::uint32_t>(f[1], origin, row, 2,
                                                   "client id", UINT32_MAX);
     const auto interaction = parse_uint<std::uint16_t>(

@@ -41,9 +41,8 @@ static_assert(sizeof(ArrivalEvent) == 24);
 /// Two schemas share one loader:
 ///   v2 lean:  "at_ns,client,interaction"              (add())
 ///   v2 rich:  "at_ns,client,interaction,key,priority" (add_rich())
-/// plus the legacy v1 header "at_s,client,interaction" (load only; its
-/// fractional seconds column is what broke byte-determinism). Times are
-/// integer nanoseconds on disk — exactly the simulator's representation.
+/// Times are integer nanoseconds on disk — exactly the simulator's
+/// representation.
 class ArrivalTrace {
  public:
   void add(sim::SimTime at, std::uint32_t client, std::uint16_t interaction) {

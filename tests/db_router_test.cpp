@@ -32,7 +32,6 @@ struct Rig {
     }
     std::vector<MySqlServer*> ptrs;
     for (auto& d : dbs) ptrs.push_back(d.get());
-    dc.link_latency = SimTime::zero();
     router = std::make_unique<DbRouter>(s, ptrs, dc);
   }
 
@@ -50,9 +49,11 @@ TEST(DbRouter, RejectsEmptyReplicaSet) {
 TEST(DbRouter, SingleReplicaRoundTrip) {
   Rig rig(1);
   SimTime done;
-  rig.router->query(make_req(), SimTime::millis(3), [&] { done = rig.s.now(); });
+  rig.router->query(make_req(), SimTime::millis(3), /*is_write=*/false,
+                    [&] { done = rig.s.now(); });
   rig.s.run();
-  EXPECT_EQ(done, SimTime::millis(3));
+  // 3 ms of query plus a 100 µs link hop each way.
+  EXPECT_EQ(done, SimTime::micros(3200));
   EXPECT_EQ(rig.router->queries_routed(), 1u);
   EXPECT_EQ(rig.dbs[0]->queries_served(), 1u);
 }
@@ -62,7 +63,7 @@ TEST(DbRouter, SpreadsAcrossReplicas) {
   for (int i = 0; i < 100; ++i) {
     rig.s.after(SimTime::millis(i), [&, i] {
       rig.router->query(make_req(static_cast<std::uint64_t>(i)),
-                        SimTime::millis(2), [] {});
+                        SimTime::millis(2), /*is_write=*/false, [] {});
     });
   }
   rig.s.run();
@@ -77,13 +78,14 @@ TEST(DbRouter, QueueingPoolSerialisesWhenExhausted) {
   Rig rig(1, dc);
   std::vector<SimTime> done;
   for (int i = 0; i < 3; ++i)
-    rig.router->query(make_req(), SimTime::millis(10),
+    rig.router->query(make_req(), SimTime::millis(10), /*is_write=*/false,
                       [&] { done.push_back(rig.s.now()); });
   // Queries beyond the pool wait FIFO inside the pool, not in the balancer.
-  EXPECT_EQ(rig.router->balancer().pool(0).waiting(), 2u);
+  EXPECT_EQ(rig.router->route()->balancer().pool(0).waiting(), 2u);
   rig.s.run();
   ASSERT_EQ(done.size(), 3u);
-  EXPECT_EQ(done[2].ms(), 30);
+  // Each query holds the one connection for 10 ms plus a hop each way.
+  EXPECT_EQ(done[2], SimTime::micros(30600));
   EXPECT_EQ(rig.router->errors(), 0u);
 }
 
@@ -101,13 +103,14 @@ TEST(DbRouter, QueueingPoolCommitsToStalledReplica) {
   int completed = 0;
   for (int i = 0; i < 40; ++i) {
     rig.s.after(SimTime::millis(i), [&] {
-      rig.router->query(make_req(), SimTime::millis(1), [&] { ++completed; });
+      rig.router->query(make_req(), SimTime::millis(1), /*is_write=*/false,
+                        [&] { ++completed; });
     });
   }
   rig.s.run_until(SimTime::millis(200));
   // total_request keeps ranking the stalled replica lowest (its counter is
   // frozen), so a large share of queries is stuck on it.
-  EXPECT_GT(rig.router->balancer().record(0).committed, 10);
+  EXPECT_GT(rig.router->route()->balancer().record(0).committed, 10);
   EXPECT_LT(completed, 35);
 }
 
@@ -124,13 +127,14 @@ TEST(DbRouter, CurrentLoadNonBlockingAvoidsStalledReplica) {
   int completed = 0;
   for (int i = 0; i < 40; ++i) {
     rig.s.after(SimTime::millis(i), [&] {
-      rig.router->query(make_req(), SimTime::millis(1), [&] { ++completed; });
+      rig.router->query(make_req(), SimTime::millis(1), /*is_write=*/false,
+                        [&] { ++completed; });
     });
   }
   rig.s.run_until(SimTime::millis(200));
   // At most the pool capacity is pinned on the stalled replica; the rest
   // flowed to the healthy one.
-  EXPECT_LE(rig.router->balancer().record(0).committed, 4);
+  EXPECT_LE(rig.router->route()->balancer().record(0).committed, 4);
   EXPECT_GE(completed, 35);
 }
 
@@ -142,8 +146,10 @@ TEST(DbRouter, AllReplicasSidelinedCountsErrors) {
   Rig rig(1, dc);
   rig.nodes[0]->cpu().set_capacity_factor(0.0);
   int completions = 0;
-  rig.router->query(make_req(), SimTime::millis(1), [&] { ++completions; });
-  rig.router->query(make_req(), SimTime::millis(1), [&] { ++completions; });
+  rig.router->query(make_req(), SimTime::millis(1), /*is_write=*/false,
+                    [&] { ++completions; });
+  rig.router->query(make_req(), SimTime::millis(1), /*is_write=*/false,
+                    [&] { ++completions; });
   // Second query: pool exhausted, no fallback -> SQL error, done fired.
   EXPECT_EQ(rig.router->errors(), 1u);
   EXPECT_EQ(completions, 1);  // the errored query completed (with an error)

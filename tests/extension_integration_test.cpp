@@ -179,7 +179,8 @@ TEST(DbReplicas, PrequalRouterProbesReplicasAndConservesRequests) {
   // probe a MySqlServer::probe_load job), got answers and routed on them.
   for (int t = 0; t < e.num_tomcats(); ++t) {
     SCOPED_TRACE(t);
-    const probe::ProbePool* pool = e.db_router(t).probe_pool();
+    ASSERT_NE(e.db_router(t).route(), nullptr);
+    const probe::ProbePool* pool = e.db_router(t).route()->probe_pool();
     ASSERT_NE(pool, nullptr);
     EXPECT_GT(pool->probes_sent(), 0u);
     EXPECT_GT(pool->replies(), 0u);

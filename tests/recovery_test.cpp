@@ -221,8 +221,8 @@ TEST(GrayFault, DataPathFaultEvadesProberAndBreaker) {
   // no breaker ever tripped (the defining property of a gray failure).
   for (int i = 0; i < gray.num_apaches(); ++i) {
     EXPECT_EQ(gray.apache(i).balancer().breaker_trips(), 0u);
-    ASSERT_NE(gray.apache(i).prober(), nullptr);
-    EXPECT_EQ(gray.apache(i).prober()->probes_timed_out(), 0u);
+    ASSERT_NE(gray.apache(i).route().prober(), nullptr);
+    EXPECT_EQ(gray.apache(i).route().prober()->probes_timed_out(), 0u);
   }
 }
 

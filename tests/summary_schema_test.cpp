@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -55,7 +56,9 @@ const std::set<std::string> kAddedKeys = {
     "probe_mean_staleness_ms", "recovery_ticks", "recovery_episode_ticks",
     "kv_quorum_reads", "kv_quorum_writes", "kv_hints_created",
     "kv_hints_pending", "cache_invalidations_delivered", "cache_evictions",
-    "cache_expirations", "cache_storms"};
+    "cache_expirations", "cache_storms",
+    // DB-router counters
+    "db_router_errors", "db_queries_routed", "mysql_queries"};
 
 std::string golden_path(const std::string& name) {
   return std::string(NTIER_GOLDEN_DIR) + "/" + name;
@@ -248,6 +251,36 @@ TEST(SummarySchema, ReportCountersAreExportedAndNonZeroWhenExercised) {
                            "prequal_saturated.json"),
                   {"probe_timeouts"}, "a saturated prequal run");
 
+  // The DB routers' counters: two prequal-routed replicas both serve.
+  run_cli_with({"--mysql", "2", "--db-policy", "prequal", "--db-mechanism",
+                "modified", "--duration-s", "4", "--quiet", "--json",
+                (dir / "db_prequal.json").string()});
+  const std::string db_json = slurp((dir / "db_prequal.json").string());
+  expect_non_zero(json_values(db_json),
+                  {"db_queries_routed", "probes_sent", "probe_picks"},
+                  "a prequal DB-router run");
+  const auto queries = db_json.find("\"mysql_queries\": [");
+  ASSERT_NE(queries, std::string::npos);
+  unsigned long long served0 = 0, served1 = 0;
+  ASSERT_EQ(std::sscanf(db_json.c_str() + queries,
+                        "\"mysql_queries\": [%llu, %llu]", &served0, &served1),
+            2);
+  EXPECT_GT(served0, 0u);
+  EXPECT_GT(served1, 0u);
+  // One pooled connection per (Tomcat, replica) under the fail-fast
+  // mechanism: queries that find both connections busy are router errors.
+  ExperimentConfig d;
+  d.num_mysql = 2;
+  d.db_router.policy = lb::PolicyKind::kPrequal;
+  d.db_router.mechanism = lb::MechanismKind::kNonBlocking;
+  d.db_router.pool_per_replica = 1;
+  d.duration = sim::SimTime::seconds(2);
+  d.tracing = false;
+  Experiment starved(d);
+  starved.run();
+  expect_non_zero(json_values(summarize(starved).to_json_string()),
+                  {"db_router_errors"}, "a DB-router run short of connections");
+
   // Hints and cache churn: a replica that crashes and never returns keeps
   // its hints pending, and a small short-lived cache evicts and expires.
   ExperimentConfig c;
@@ -343,7 +376,8 @@ TEST(SummarySchema, EveryMetricReachesEveryExport) {
   // is a list entry (the arrays and identity strings stay outside it).
   const std::set<std::string> outside = {
       "label",          "policy",      "mechanism",     "apache_mean_cpu",
-      "tomcat_mean_cpu", "mysql_mean_cpu", "kv_mean_cpu", "cache_mean_cpu"};
+      "tomcat_mean_cpu", "mysql_mean_cpu", "mysql_queries", "kv_mean_cpu",
+      "cache_mean_cpu"};
   for (const std::string& line : lines_of(run_json)) {
     const std::string key = key_of(line);
     if (key.empty() || outside.count(key)) continue;

@@ -119,7 +119,6 @@ TEST(TomcatServer, StalledCpuFreezesService) {
 TEST(TomcatServer, DbPoolLimitsConcurrentQueries) {
   DbRouterConfig dc;
   dc.pool_per_replica = 1;
-  dc.link_latency = sim::SimTime::zero();
   Rig rig(dc);
   TomcatServer tc(rig.s, rig.tomcat_node, 0, rig.router);
   std::vector<SimTime> done;
@@ -128,9 +127,10 @@ TEST(TomcatServer, DbPoolLimitsConcurrentQueries) {
               [&](const proto::RequestRef&) { done.push_back(rig.s.now()); });
   rig.s.run();
   ASSERT_EQ(done.size(), 2u);
-  // Serialised by the single DB connection: 10ms then 20ms.
-  EXPECT_EQ(done[0].ms(), 10);
-  EXPECT_EQ(done[1].ms(), 20);
+  // Serialised by the single DB connection, each query 10 ms plus a 100 µs
+  // hop each way: 10.2 ms then 20.4 ms.
+  EXPECT_EQ(done[0], SimTime::micros(10200));
+  EXPECT_EQ(done[1], SimTime::micros(20400));
 }
 
 }  // namespace
