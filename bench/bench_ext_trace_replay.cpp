@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
   const workload::TraceGenerator gen(spec);
   const workload::RubbosWorkload wl(proto.workload);
   auto trace = std::make_shared<const workload::ArrivalTrace>(gen.generate(wl));
-  std::cout << "\nsynthetic day: " << spec.to_string() << "\n  " << trace->size()
+  std::cout << "\nsynthetic day: " << sim::spec_text(spec) << "\n  "
+            << trace->size()
             << " arrivals over " << day_s << " s ("
             << std::fixed << std::setprecision(0)
             << static_cast<double>(trace->size()) / day_s

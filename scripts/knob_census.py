@@ -11,7 +11,8 @@ A file sets a field when it contains, for the field's name:
   - an assignment or compound assignment, `x.name = ...`, `p->name += ...`;
   - an increment or decrement, `++x.name`, `x.name--`;
   - a designated initializer, `{.name = ...}`;
-  - an out-argument to a flag helper, `time_value(1e-3, o.config.name)`;
+  - a row of a field table, `row("--clients", o.config.num_clients, ...)`
+    or `row("hints", c.hint_capacity, ...)`;
   - a positional aggregate initializer of its struct, which sets the first k
     fields: `QueueingAcquirer::Params{SimTime::millis(100)}`.
 
@@ -155,7 +156,7 @@ def setter_patterns(name):
         acc + r"\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)"   # (compound) assignment, .name = in {...}
         r"|(?:\+\+|--)\s*[\w.\->\[\]]*" + acc +   # ++x.name
         r"|" + acc + r"\s*(?:\+\+|--)"            # x.name++
-        r"|\b(?:\w*_)?value\s*\([^;()]*" + acc + r"\s*\)")  # flag helper out-argument
+        r"|\brow\s*\([^;()]*" + acc + r"\s*,")  # field or flag table row
 
 
 def top_level_args(text, open_at):

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 
-#include "sim/time.h"
+#include "sim/fields.h"
 
 namespace ntier::cache {
 
@@ -35,10 +35,6 @@ struct CacheConfig {
   /// (mirrors the CLI's rejection-message contract).
   bool validate(std::string* error) const;
 
-  /// Canonical "nodes=2,bytes=67108864,entry=4096,ttl_ms=10000,..."
-  /// rendering — round-trips through cache_config_from_string.
-  std::string to_string() const;
-
   /// Entries one node can hold before LRU eviction kicks in.
   std::size_t capacity_entries() const {
     const std::uint64_t cap = entry_bytes ? bytes / entry_bytes : 0;
@@ -46,11 +42,21 @@ struct CacheConfig {
   }
 };
 
-/// Parse "key=value,key=value" (keys: nodes, bytes, entry, ttl_ms,
-/// inval_queue, coalesce) over the defaults. ttl_ms may be fractional;
-/// coalesce is 0 or 1. Returns nullopt and fills `error` on unknown keys,
-/// malformed or out-of-range numbers, or invalid geometry.
-std::optional<CacheConfig> cache_config_from_string(const std::string& s,
-                                                    std::string* error);
+/// CacheConfig's field table (see sim/fields.h): --cache's keys, in
+/// declaration order. ttl_ms may be fractional; coalesce is 0 or 1.
+/// sim::spec_text writes the canonical
+/// "nodes=2,bytes=67108864,entry=4096,ttl_ms=10000,inval_queue=4096,coalesce=1",
+/// which sim::parse_spec<CacheConfig> reads back.
+constexpr void visit(sim::FieldsOf<CacheConfig> auto& c, auto&& row) {
+  row("nodes", c.nodes, sim::Int{.lo = 1});
+  row("bytes", c.bytes, sim::Int{});
+  row("entry", c.entry_bytes, sim::Int{});
+  row("ttl_ms", c.ttl, sim::kMillis);
+  row("inval_queue", c.invalidation_queue_capacity, sim::Int{});
+  row("coalesce", c.coalesce, sim::Bit{});
+}
+constexpr std::string_view spec_name(const CacheConfig&) {
+  return "cache config";
+}
 
 }  // namespace ntier::cache

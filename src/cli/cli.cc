@@ -1,7 +1,6 @@
 #include "cli/cli.h"
 
-#include <charconv>
-#include <cmath>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -14,27 +13,13 @@
 #include "experiment/summary.h"
 #include "experiment/sweep.h"
 #include "lb/policy.h"
+#include "sim/fields.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
 
 namespace ntier::cli {
 
 namespace {
-
-bool parse_int(const std::string& s, long long& out) {
-  const auto v = sim::parse_number<long long>(s);
-  if (v) out = *v;
-  return v.has_value();
-}
-
-// from_chars, not std::stod: stod honours the global locale (a comma-decimal
-// locale breaks "--zipf-s 0.8") and accepts trailing garbage ("1.5abc").
-// "nan"/"inf" parse but make no sense as flag values, so reject them too.
-bool parse_double(const std::string& s, double& out) {
-  const auto v = sim::parse_number<double>(s);
-  if (v) out = *v;
-  return v && std::isfinite(*v);
-}
 
 std::optional<lb::MechanismKind> parse_mechanism(const std::string& s) {
   using lb::MechanismKind;
@@ -242,251 +227,169 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     return r;
   };
 
-  bool overload_set = false;
   control::OverloadMode overload_mode = control::OverloadMode::kNone;
   sim::SimTime deadline;     // zero = not given
   bool priority_rubbos = false;
-  bool kv_config_set = false;
-  bool zipf_set = false;
-  bool key_space_set = false;
-  bool cache_config_set = false;
+  std::string word;          // the value of the last enum flag
 
+  // Every flag that sets one value, with that value's kind and bounds. The
+  // enum flags read their word here and the loop below maps it; the rules
+  // after the loop set what a flag implies and cross-check the flags.
+  constexpr std::string_view kEnumFlags[] = {
+      "--db-tier",      "--policy",       "--mechanism",  "--db-policy",
+      "--db-mechanism", "--stall-source", "--mix",        "--gray-fault",
+      "--recovery",     "--overload",     "--priority-mix",
+      "--trace-format", "--trace-sample"};
+  const auto flags = [&](auto&& row) {
+    row("--help", o.help, sim::Switch{});
+    row("-h", o.help, sim::Switch{});
+    row("--clients", o.config.num_clients, sim::Int{.lo = 1});
+    row("--think-ms", o.config.think_mean, sim::kMillis);
+    row("--duration-s", o.config.duration, sim::kSeconds);
+    row("--apaches", o.config.num_apaches, sim::Int{.lo = 1});
+    row("--tomcats", o.config.num_tomcats, sim::Int{.lo = 1});
+    row("--mysql", o.config.num_mysql, sim::Int{.lo = 1});
+    row("--seed", o.config.seed, sim::Int{});
+    row("--kv", o.config.kv, sim::Spec{});
+    row("--zipf-s", o.config.workload.zipf_s, sim::Real{.lo = 0});
+    row("--key-space", o.config.workload.key_space, sim::Int{.lo = 1});
+    row("--kv-millibottlenecks", o.config.kv_millibottlenecks, sim::Switch{});
+    row("--cache-tier", o.config.cache_tier, sim::Switch{});
+    row("--cache", o.config.cache, sim::Spec{});
+    row("--sticky", o.config.sticky_sessions, sim::Switch{});
+    row("--no-millibottlenecks", o.config.tomcat_millibottlenecks,
+        sim::Switch{false});
+    row("--bursty", o.config.burst_multiplier, sim::Real{.lo = 1});
+    row("--chaos", o.chaos, sim::Switch{});
+    row("--chaos-seed", o.chaos_seed, sim::Int{});
+    row("--resilience", o.resilience, sim::Switch{});
+    row("--deadline-ms", deadline, sim::kMillis);
+    row("--sweep-seeds", o.sweep_seeds, sim::Int{.lo = 1});
+    row("--jobs", o.jobs, sim::Int{.lo = 1});
+    row("--probe-rate", o.config.probe.rate_hz,
+        sim::Real{.lo = 0, .open = true});
+    row("--probe-d", o.config.probe.d, sim::Int{.lo = 1});
+    row("--probe-staleness", o.config.probe.staleness, sim::kMillis);
+    row("--trace", o.trace_path, sim::Text{});
+    row("--telemetry", o.config.telemetry.enabled, sim::Switch{});
+    row("--detect", o.config.online_detect, sim::Switch{});
+    row("--record-trace", o.record_trace_path, sim::Text{});
+    row("--replay-trace", o.replay_trace_path, sim::Text{});
+    row("--trace-gen", o.trace_gen, sim::Spec{});
+    row("--trace-out", o.trace_out_path, sim::Text{});
+    row("--replay-timeout-ms", o.replay_timeout, sim::kMillis);
+    row("--replay-scale", o.replay_scale, sim::Real{.lo = 0, .open = true});
+    row("--json", o.json_path, sim::Text{});
+    row("--csv", o.csv_dir, sim::Text{});
+    row("--quiet", o.quiet, sim::Switch{});
+    for (const std::string_view flag : kEnumFlags) row(flag, word, sim::Text{});
+  };
+
+  std::vector<std::string_view> seen;
+  auto given = [&seen](std::string_view flag) {
+    return std::find(seen.begin(), seen.end(), flag) != seen.end();
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    auto value = [&](std::string& out) {
-      if (i + 1 >= args.size()) return false;
-      out = args[++i];
-      return true;
-    };
-    std::string v;
-    long long n = 0;
-    double x = 0;
-    // A time-valued flag, counted in units of `unit_seconds`.
-    auto time_value = [&](double unit_seconds, sim::SimTime& out) {
-      if (!value(v)) return false;
-      const auto t = sim::parse_time(v, unit_seconds);
-      if (t) out = *t;
-      return t.has_value();
-    };
-
-    if (a == "--help" || a == "-h") {
-      o.help = true;
-    } else if (a == "--full") {
+    seen.push_back(a);
+    const sim::FlagResult r = sim::apply_flag(flags, args, i);
+    if (!r.error.empty()) return fail(r.error);
+    if (a == "--full") {
       const auto paper = experiment::ExperimentConfig::paper_scale();
       o.config.num_clients = paper.num_clients;
       o.config.think_mean = paper.think_mean;
       o.config.duration = paper.duration;
       o.config.warmup = paper.warmup;
-    } else if (a == "--clients") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --clients");
-      o.config.num_clients = static_cast<int>(n);
-    } else if (a == "--think-ms") {
-      if (!time_value(1e-3, o.config.think_mean)) return fail("bad --think-ms");
-    } else if (a == "--duration-s") {
-      if (!time_value(1, o.config.duration)) return fail("bad --duration-s");
-    } else if (a == "--apaches") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --apaches");
-      o.config.num_apaches = static_cast<int>(n);
-    } else if (a == "--tomcats") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --tomcats");
-      o.config.num_tomcats = static_cast<int>(n);
-    } else if (a == "--mysql") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --mysql");
-      o.config.num_mysql = static_cast<int>(n);
-    } else if (a == "--seed") {
-      if (!value(v) || !parse_int(v, n) || n < 0) return fail("bad --seed");
-      o.config.seed = static_cast<std::uint64_t>(n);
     } else if (a == "--db-tier") {
-      if (!value(v)) return fail("missing --db-tier value");
       server::DbTier tier;
-      if (!server::db_tier_from_string(v, &tier))
-        return fail("unknown db tier: " + v + " (expected mysql|kv)");
+      if (!server::db_tier_from_string(word, &tier))
+        return fail("unknown db tier: " + word + " (expected mysql|kv)");
       o.config.db_tier = tier;
-    } else if (a == "--kv") {
-      if (!value(v)) return fail("missing --kv value");
-      std::string err;
-      const auto kc = kv::kv_config_from_string(v, &err);
-      if (!kc) return fail("bad --kv: " + err);
-      o.config.kv = *kc;
-      kv_config_set = true;
-    } else if (a == "--zipf-s") {
-      if (!value(v) || !parse_double(v, x) || x < 0) return fail("bad --zipf-s");
-      o.config.workload.zipf_s = x;
-      zipf_set = true;
-    } else if (a == "--key-space") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --key-space");
-      o.config.workload.key_space = static_cast<std::uint64_t>(n);
-      key_space_set = true;
-    } else if (a == "--kv-millibottlenecks") {
-      o.config.kv_millibottlenecks = true;
-    } else if (a == "--cache-tier") {
-      o.config.cache_tier = true;
-    } else if (a == "--cache") {
-      if (!value(v)) return fail("missing --cache value");
-      std::string err;
-      const auto cc = cache::cache_config_from_string(v, &err);
-      if (!cc) return fail("bad --cache: " + err);
-      o.config.cache = *cc;
-      cache_config_set = true;
     } else if (a == "--policy") {
-      if (!value(v)) return fail("missing --policy value");
-      const auto p = lb::policy_from_string(v);
-      if (!p) return fail("unknown policy: " + v);
+      const auto p = lb::policy_from_string(word);
+      if (!p) return fail("unknown policy: " + word);
       o.config.policy = *p;
     } else if (a == "--mechanism") {
-      if (!value(v)) return fail("missing --mechanism value");
-      const auto m = parse_mechanism(v);
-      if (!m) return fail("unknown mechanism: " + v);
+      const auto m = parse_mechanism(word);
+      if (!m) return fail("unknown mechanism: " + word);
       o.config.mechanism = *m;
     } else if (a == "--db-policy") {
-      if (!value(v)) return fail("missing --db-policy value");
-      const auto p = lb::policy_from_string(v);
-      if (!p) return fail("unknown db policy: " + v);
+      const auto p = lb::policy_from_string(word);
+      if (!p) return fail("unknown db policy: " + word);
       o.config.db_router.policy = *p;
     } else if (a == "--db-mechanism") {
-      if (!value(v)) return fail("missing --db-mechanism value");
-      const auto m = parse_mechanism(v);
-      if (!m) return fail("unknown db mechanism: " + v);
+      const auto m = parse_mechanism(word);
+      if (!m) return fail("unknown db mechanism: " + word);
       o.config.db_router.mechanism = *m;
-    } else if (a == "--sticky") {
-      o.config.sticky_sessions = true;
-    } else if (a == "--no-millibottlenecks") {
-      o.config.tomcat_millibottlenecks = false;
     } else if (a == "--stall-source") {
-      if (!value(v)) return fail("missing --stall-source value");
-      const auto src = parse_source(v);
-      if (!src) return fail("unknown stall source: " + v);
+      const auto src = parse_source(word);
+      if (!src) return fail("unknown stall source: " + word);
       o.config.tomcat_stall_source = *src;
-    } else if (a == "--bursty") {
-      if (!value(v) || !parse_double(v, x) || x < 1.0) return fail("bad --bursty");
-      o.config.bursty_workload = true;
-      o.config.burst_multiplier = x;
     } else if (a == "--mix") {
-      if (!value(v)) return fail("missing --mix value");
-      if (v == "read_write")
+      if (word == "read_write")
         o.config.workload.mix = workload::Mix::kReadWrite;
-      else if (v == "browse_only")
+      else if (word == "browse_only")
         o.config.workload.mix = workload::Mix::kBrowseOnly;
       else
-        return fail("unknown mix: " + v);
-    } else if (a == "--chaos") {
-      o.chaos = true;
-    } else if (a == "--chaos-seed") {
-      if (!value(v) || !parse_int(v, n) || n < 0) return fail("bad --chaos-seed");
-      o.chaos = true;
-      o.chaos_seed = static_cast<std::uint64_t>(n);
-    } else if (a == "--resilience") {
-      o.resilience = true;
+        return fail("unknown mix: " + word);
     } else if (a == "--gray-fault") {
-      if (!value(v)) return fail("missing --gray-fault value");
-      if (v != "data_path" && v != "link" && v != "replica")
-        return fail("unknown gray fault: " + v +
+      if (word != "data_path" && word != "link" && word != "replica")
+        return fail("unknown gray fault: " + word +
                     " (expected data_path|link|replica)");
-      o.gray_fault = v;
+      o.gray_fault = word;
     } else if (a == "--recovery") {
-      if (!value(v)) return fail("missing --recovery value");
-      if (v == "on")
+      if (word == "on")
         o.config.recovery.enabled = true;
-      else if (v == "off")
+      else if (word == "off")
         o.config.recovery.enabled = false;
       else
-        return fail("bad --recovery: " + v + " (expected on|off)");
+        return fail("bad --recovery: " + word + " (expected on|off)");
     } else if (a == "--overload") {
-      if (!value(v)) return fail("missing --overload value");
-      if (!control::parse_overload_mode(v, &overload_mode))
-        return fail("unknown overload mode: " + v +
+      if (!control::parse_overload_mode(word, &overload_mode))
+        return fail("unknown overload mode: " + word +
                     " (expected none|deadline|admission|codel|full)");
-      overload_set = true;
-    } else if (a == "--deadline-ms") {
-      if (!time_value(1e-3, deadline)) return fail("bad --deadline-ms");
     } else if (a == "--priority-mix") {
-      if (!value(v)) return fail("missing --priority-mix value");
-      if (v == "rubbos")
+      if (word == "rubbos")
         priority_rubbos = true;
-      else if (v != "uniform")
-        return fail("unknown priority mix: " + v +
+      else if (word != "uniform")
+        return fail("unknown priority mix: " + word +
                     " (expected uniform|rubbos)");
-    } else if (a == "--sweep-seeds") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --sweep-seeds");
-      o.sweep_seeds = static_cast<int>(n);
-    } else if (a == "--jobs") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --jobs");
-      o.jobs = static_cast<int>(n);
-    } else if (a == "--probe-rate") {
-      if (!value(v) || !parse_double(v, x) || x <= 0) return fail("bad --probe-rate");
-      o.config.probe.rate_hz = x;
-    } else if (a == "--probe-d") {
-      if (!value(v) || !parse_int(v, n) || n <= 0) return fail("bad --probe-d");
-      o.config.probe.d = static_cast<int>(n);
-    } else if (a == "--probe-staleness") {
-      if (!time_value(1e-3, o.config.probe.staleness))
-        return fail("bad --probe-staleness");
-    } else if (a == "--trace") {
-      if (!value(o.trace_path)) return fail("missing --trace value");
-      o.config.event_trace = true;
     } else if (a == "--trace-format") {
-      if (!value(v)) return fail("missing --trace-format value");
-      const auto f = obs::parse_trace_format(v);
-      if (!f) return fail("unknown trace format: " + v);
+      const auto f = obs::parse_trace_format(word);
+      if (!f) return fail("unknown trace format: " + word);
       o.trace_format = *f;
-    } else if (a == "--telemetry") {
-      o.config.telemetry.enabled = true;
-    } else if (a == "--detect") {
-      o.config.online_detect = true;
     } else if (a == "--trace-sample") {
-      if (!value(v)) return fail("missing --trace-sample value");
-      if (v == "tail")
+      if (word == "tail")
         o.config.trace_tail.enabled = true;
-      else if (v != "full")
-        return fail("unknown trace sample mode: " + v + " (expected full|tail)");
-    } else if (a == "--record-trace") {
-      if (!value(o.record_trace_path)) return fail("missing --record-trace value");
-    } else if (a == "--replay-trace") {
-      if (!value(o.replay_trace_path)) return fail("missing --replay-trace value");
-    } else if (a == "--trace-gen") {
-      if (!value(o.trace_gen_spec)) return fail("missing --trace-gen value");
-      std::string err;
-      if (!workload::trace_gen_spec_from_string(o.trace_gen_spec, &err))
-        return fail("bad --trace-gen: " + err);
-    } else if (a == "--trace-out") {
-      if (!value(o.trace_out_path)) return fail("missing --trace-out value");
-    } else if (a == "--replay-timeout-ms") {
-      sim::SimTime timeout;
-      if (!time_value(1e-3, timeout)) return fail("bad --replay-timeout-ms");
-      o.replay_timeout_ms = timeout.to_millis();
-    } else if (a == "--replay-scale") {
-      if (!value(v) || !parse_double(v, x) || x <= 0)
-        return fail("bad --replay-scale");
-      o.replay_scale = x;
-    } else if (a == "--json") {
-      if (!value(o.json_path)) return fail("missing --json value");
-    } else if (a == "--csv") {
-      if (!value(o.csv_dir)) return fail("missing --csv value");
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else {
+      else if (word != "full")
+        return fail("unknown trace sample mode: " + word +
+                    " (expected full|tail)");
+    } else if (r.status == sim::FlagResult::kNotInTable) {
       return fail("unknown flag: " + a);
     }
   }
+  if (given("--bursty")) o.config.bursty_workload = true;
+  if (given("--chaos-seed")) o.chaos = true;
+  if (given("--trace")) o.config.event_trace = true;
   if (o.sweep_seeds > 0 &&
       (!o.record_trace_path.empty() || !o.trace_path.empty()))
     return fail(
         "--sweep-seeds cannot be combined with --record-trace or --trace "
         "(those are per-run artifacts; replaying a trace across a sweep is "
         "fine)");
-  if (!o.trace_gen_spec.empty() && !o.replay_trace_path.empty())
+  if (o.trace_gen && !o.replay_trace_path.empty())
     return fail(
         "--trace-gen and --replay-trace both name a replay source; pick one "
         "(generate to a file with --trace-out, then replay it)");
-  if (!o.trace_out_path.empty() && o.trace_gen_spec.empty())
+  if (!o.trace_out_path.empty() && !o.trace_gen)
     return fail("--trace-out requires --trace-gen (nothing else writes it)");
   if (!o.record_trace_path.empty() &&
-      (!o.replay_trace_path.empty() || !o.trace_gen_spec.empty()))
+      (!o.replay_trace_path.empty() || o.trace_gen))
     return fail(
         "--record-trace cannot be combined with a replay source (the "
         "closed loop is idled during replay, so there is nothing to record)");
-  if ((o.replay_timeout_ms > 0 || o.replay_scale > 0) &&
-      o.replay_trace_path.empty() && o.trace_gen_spec.empty())
+  if ((o.replay_timeout > sim::SimTime::zero() || o.replay_scale > 0) &&
+      o.replay_trace_path.empty() && !o.trace_gen)
     return fail(
         "--replay-timeout-ms / --replay-scale require --replay-trace or "
         "--trace-gen (they only affect open-loop replay)");
@@ -501,12 +404,12 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
         "--gray-fault replica requires --db-tier kv (the slow-but-alive "
         "replica lives in the KV quorum)");
   if (o.config.db_tier != server::DbTier::kKv &&
-      (kv_config_set || zipf_set || key_space_set ||
+      (given("--kv") || given("--zipf-s") || given("--key-space") ||
        o.config.kv_millibottlenecks))
     return fail(
         "--kv, --zipf-s, --key-space, and --kv-millibottlenecks require "
         "--db-tier kv (the MySQL tier ignores key-level routing)");
-  if (cache_config_set && !o.config.cache_tier)
+  if (given("--cache") && !o.config.cache_tier)
     return fail(
         "--cache requires --cache-tier (no cache tier is built otherwise)");
   if (o.config.cache_tier && o.config.db_tier != server::DbTier::kKv)
@@ -514,6 +417,7 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
         "--cache-tier requires --db-tier kv (the cache fronts the "
         "replicated KV store; the MySQL tier has no key-level reads)");
   using control::OverloadMode;
+  const bool overload_set = given("--overload");
   const bool deadline_set = deadline > sim::SimTime::zero();
   if (deadline_set && (!overload_set ||
                        (overload_mode != OverloadMode::kDeadline &&
@@ -533,9 +437,9 @@ ParseResult parse_cli(const std::vector<std::string>& args) {
     if (priority_rubbos)
       o.config.workload.priority_mix = workload::PriorityMix::kRubbos;
   }
-  ParseResult r;
-  r.options = std::move(o);
-  return r;
+  ParseResult result;
+  result.options = std::move(o);
+  return result;
 }
 
 ParseResult parse_cli(int argc, char** argv) {
@@ -553,10 +457,8 @@ int run_cli(const CliOptions& options) {
 
   // -- replay source: a saved trace, or one synthesized from --trace-gen ------
   std::shared_ptr<workload::ArrivalTrace> trace;
-  if (!options.trace_gen_spec.empty()) {
-    const auto spec =
-        workload::trace_gen_spec_from_string(options.trace_gen_spec, nullptr);
-    const workload::TraceGenerator gen(*spec);  // validated by parse_cli
+  if (options.trace_gen) {
+    const workload::TraceGenerator gen(*options.trace_gen);
     const workload::RubbosWorkload gen_workload(cfg.workload);
     auto generated = gen.generate(gen_workload);
     if (!options.trace_out_path.empty()) {
@@ -570,7 +472,8 @@ int run_cli(const CliOptions& options) {
       }
       if (!options.quiet)
         std::cout << "generated " << generated.size() << " arrivals ("
-                  << spec->to_string() << ") to " << options.trace_out_path
+                  << sim::spec_text(*options.trace_gen) << ") to "
+                  << options.trace_out_path
                   << "\n";
       return 0;
     }
@@ -590,9 +493,8 @@ int run_cli(const CliOptions& options) {
     // does not — restore the sort contract here.
     if (!trace->sorted()) trace->sort();
     cfg.replay_trace = trace;
-    if (options.replay_timeout_ms > 0)
-      cfg.replay_client_timeout =
-          sim::SimTime::from_millis(options.replay_timeout_ms);
+    if (options.replay_timeout > sim::SimTime::zero())
+      cfg.replay_client_timeout = options.replay_timeout;
     cfg.label += "_replay";
   }
 

@@ -6,6 +6,7 @@
 
 #include "experiment/config.h"
 #include "obs/trace_io.h"
+#include "workload/trace_gen.h"
 
 namespace ntier::cli {
 
@@ -16,9 +17,9 @@ struct CliOptions {
   std::string csv_dir;     // dump tier queue series here when non-empty
   std::string record_trace_path;  // save the arrival trace of the run
   std::string replay_trace_path;  // drive the run from a saved trace
-  std::string trace_gen_spec;     // synthesize a trace from this spec
+  std::optional<workload::TraceGenSpec> trace_gen;  // synthesize a trace
   std::string trace_out_path;     // write the generated trace here and exit
-  double replay_timeout_ms = 0;   // open-loop client patience (0 = forever)
+  sim::SimTime replay_timeout;    // open-loop client patience (0 = forever)
   double replay_scale = 0;        // time-scale factor for the replay (0 = 1x)
   std::string trace_path;  // write the cross-tier event trace here
   obs::TraceFormat trace_format = obs::TraceFormat::kJsonl;

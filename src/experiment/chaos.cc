@@ -135,7 +135,6 @@ void ChaosController::apply(std::size_t i) {
     }
   }
   events_[i].applied = sim.now();
-  ++applied_;
 }
 
 void ChaosController::clear(std::size_t i) {

@@ -48,7 +48,6 @@ class ChaosController {
   const millib::FaultPlan& plan() const { return plan_; }
   /// One entry per spec, filled in as faults apply and clear.
   const std::vector<millib::FaultEvent>& events() const { return events_; }
-  std::size_t faults_applied() const { return applied_; }
   std::size_t faults_cleared() const { return cleared_; }
   /// Applied/cleared episode trace (one line each) — the chaos artefact the
   /// determinism test compares across same-seed runs.
@@ -73,7 +72,6 @@ class ChaosController {
   millib::FaultPlan plan_;
   std::vector<millib::FaultEvent> events_;
   std::vector<SpecState> state_;
-  std::size_t applied_ = 0;
   std::size_t cleared_ = 0;
   bool armed_ = false;
 };

@@ -87,7 +87,7 @@ std::string describe(const ExperimentConfig& c) {
   if (c.db_tier == server::DbTier::kMysql && c.num_mysql > 1)
     os << ", " << c.num_mysql << " DB replicas";
   if (c.db_tier == server::DbTier::kKv) {
-    os << ", kv(" << c.kv.to_string() << ")";
+    os << ", kv(" << sim::spec_text(c.kv) << ")";
     if (c.kv_millibottlenecks) os << "+hot-shard stalls";
     if (c.workload.key_space > 0)
       os << ", zipf(s=" << c.workload.zipf_s << ", keys="

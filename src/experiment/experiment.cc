@@ -295,7 +295,6 @@ void Experiment::build() {
   cp.ramp = config_.think_mean;
   cp.warmup = config_.warmup;
   cp.retransmit = config_.retransmit;
-  cp.link_latency = net::kLinkLatency;
   cp.sticky_sessions = config_.sticky_sessions;
   cp.bursty = config_.bursty_workload;
   cp.burst_multiplier = config_.burst_multiplier;
@@ -311,7 +310,6 @@ void Experiment::build() {
   if (config_.replay_trace) {
     workload::ReplayParams rp;
     rp.retransmit = config_.retransmit;
-    rp.link_latency = net::kLinkLatency;
     rp.client_timeout = config_.replay_client_timeout;
     rp.warmup = config_.warmup;
     if (config_.overload.stamp_deadlines)

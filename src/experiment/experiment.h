@@ -76,7 +76,6 @@ class Experiment {
   kv::KvReplica& kv_replica(int i) {
     return *kv_replicas_[static_cast<std::size_t>(i)];
   }
-  os::Node& kv_node(int i) { return *kv_nodes_[static_cast<std::size_t>(i)]; }
   /// The look-aside cache tier; null unless config.cache_tier.
   cache::CacheTier* cache_tier() { return cache_tier_.get(); }
   const cache::CacheTier* cache_tier() const { return cache_tier_.get(); }

@@ -7,7 +7,7 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "sim/time.h"
+#include "sim/fields.h"
 
 namespace ntier::experiment {
 
@@ -130,46 +130,32 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
     const auto slash = prog.find_last_of('/');
     o.program = slash == std::string::npos ? prog : prog.substr(slash + 1);
   }
-  const auto count = [&o](const std::string& flag, const std::string& v) {
-    const auto n = sim::parse_number<int>(v);
-    if (!n || *n <= 0) reject_bench_args(o.program, "bad " + flag);
-    return *n;
+  std::string format;  // --trace-format's word
+  const auto flags = [&](auto&& row) {
+    row("--full", o.full, sim::Switch{});
+    row("--quick", o.quick, sim::Switch{});
+    row("--csv", o.csv_dir, sim::Text{});
+    row("--seed", o.seed, sim::Int{});
+    row("--trace", o.trace_path, sim::Text{});
+    row("--trace-format", format, sim::Text{});
+    row("--json", o.json_path, sim::Text{});
+    row("--sweep-seeds", o.sweep_seeds, sim::Int{.lo = 1});
+    row("--jobs", o.jobs, sim::Int{.lo = 1});
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--full") {
-      o.full = true;
-      continue;
-    }
-    if (flag == "--quick") {
-      o.quick = true;
-      continue;
-    }
-    if (flag != "--csv" && flag != "--seed" && flag != "--trace" &&
-        flag != "--trace-format" && flag != "--json" &&
-        flag != "--sweep-seeds" && flag != "--jobs")
+  const std::vector<std::string> args(argv + std::min(argc, 1), argv + argc);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string flag = args[i];
+    const sim::FlagResult r = sim::apply_flag(flags, args, i);
+    if (r.status == sim::FlagResult::kNotInTable)
       reject_bench_args(o.program, "unknown flag " + flag);
-    if (i + 1 >= argc)
+    if (r.status == sim::FlagResult::kMissingValue)
       reject_bench_args(o.program, "missing value for " + flag);
-    const std::string v = argv[++i];
-    if (flag == "--csv") {
-      o.csv_dir = v;
-    } else if (flag == "--seed") {
-      const auto seed = sim::parse_number<std::uint64_t>(v);
-      if (!seed) reject_bench_args(o.program, "bad --seed");
-      o.seed = *seed;
-    } else if (flag == "--trace") {
-      o.trace_path = v;
-    } else if (flag == "--trace-format") {
-      const auto f = obs::parse_trace_format(v);
+    if (r.status == sim::FlagResult::kBadValue)
+      reject_bench_args(o.program, r.error);
+    if (flag == "--trace-format") {
+      const auto f = obs::parse_trace_format(format);
       if (!f) reject_bench_args(o.program, "bad --trace-format");
       o.trace_format = *f;
-    } else if (flag == "--json") {
-      o.json_path = v;
-    } else if (flag == "--sweep-seeds") {
-      o.sweep_seeds = count(flag, v);
-    } else {
-      o.jobs = count(flag, v);
     }
   }
   return o;

@@ -1,7 +1,5 @@
 #include "kv/config.h"
 
-#include <sstream>
-
 namespace ntier::kv {
 
 bool KvConfig::validate(std::string* error) const {
@@ -27,42 +25,6 @@ bool KvConfig::validate(std::string* error) const {
                 std::to_string(r) + ", w=" + std::to_string(w) + ", n=" +
                 std::to_string(n) + ")");
   return true;
-}
-
-std::string KvConfig::to_string() const {
-  std::ostringstream os;
-  os << "replicas=" << replicas << ",shards=" << shards << ",vnodes=" << vnodes
-     << ",n=" << n << ",r=" << r << ",w=" << w;
-  return os.str();
-}
-
-std::optional<KvConfig> kv_config_from_string(const std::string& s,
-                                              std::string* error) {
-  KvConfig cfg;
-  const std::string why = sim::for_each_spec_item(
-      s, [&cfg](const std::string& key, const std::string& value) -> std::string {
-        const auto parsed = sim::parse_number<int>(value);
-        if (!parsed) return "bad integer for '" + key + "': '" + value + "'";
-        if (key == "replicas") cfg.replicas = *parsed;
-        else if (key == "shards") cfg.shards = *parsed;
-        else if (key == "vnodes") cfg.vnodes = *parsed;
-        else if (key == "n") cfg.n = *parsed;
-        else if (key == "r") cfg.r = *parsed;
-        else if (key == "w") cfg.w = *parsed;
-        else if (key == "hints") {
-          if (*parsed < 0) return "hints must be >= 0";
-          cfg.hint_capacity = static_cast<std::size_t>(*parsed);
-        } else {
-          return "unknown key '" + key + "'";
-        }
-        return "";
-      });
-  if (!why.empty()) {
-    if (error) *error = "kv config: " + why;
-    return std::nullopt;
-  }
-  if (!cfg.validate(error)) return std::nullopt;
-  return cfg;
 }
 
 }  // namespace ntier::kv

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 
-#include "sim/time.h"
+#include "sim/fields.h"
 
 namespace ntier::kv {
 
@@ -30,16 +30,21 @@ struct KvConfig {
   /// Validate the quorum geometry; on failure fills `error` with the reason
   /// (mirrors the CLI's rejection-message contract).
   bool validate(std::string* error) const;
-
-  /// Canonical "replicas=4,shards=16,vnodes=8,n=3,r=2,w=2" rendering —
-  /// round-trips through kv_config_from_string.
-  std::string to_string() const;
 };
 
-/// Parse "key=value,key=value" (keys: replicas, shards, vnodes, n, r, w,
-/// hints) over the defaults. Returns nullopt and fills `error` on unknown
-/// keys, malformed numbers, or invalid quorum geometry.
-std::optional<KvConfig> kv_config_from_string(const std::string& s,
-                                              std::string* error);
+/// KvConfig's field table (see sim/fields.h): --kv's keys, in declaration
+/// order. sim::spec_text writes the canonical
+/// "replicas=4,shards=16,vnodes=8,n=3,r=2,w=2,hints=4096", which
+/// sim::parse_spec<KvConfig> reads back.
+constexpr void visit(sim::FieldsOf<KvConfig> auto& c, auto&& row) {
+  row("replicas", c.replicas, sim::Int{});
+  row("shards", c.shards, sim::Int{});
+  row("vnodes", c.vnodes, sim::Int{});
+  row("n", c.n, sim::Int{});
+  row("r", c.r, sim::Int{});
+  row("w", c.w, sim::Int{});
+  row("hints", c.hint_capacity, sim::Int{});
+}
+constexpr std::string_view spec_name(const KvConfig&) { return "kv config"; }
 
 }  // namespace ntier::kv

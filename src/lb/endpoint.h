@@ -162,7 +162,6 @@ class EndpointAcquirer {
     std::uint64_t request = 0;
   };
   void set_trace_context(const TraceContext& ctx) { trace_ctx_ = ctx; }
-  const TraceContext& trace_context() const { return trace_ctx_; }
 
   /// Try to acquire a slot in `pool`; invoke `done(true)` once acquired or
   /// `done(false)` when the mechanism gives up. Implementations must not

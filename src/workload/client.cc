@@ -24,7 +24,6 @@ ClientPopulation::ClientPopulation(sim::Simulation& simu, ClientParams params,
       workload_(workload),
       frontends_(std::move(frontends)),
       log_(log),
-      link_(params.link_latency),
       rng_(simu.rng().fork()) {
   if (frontends_.empty())
     throw std::invalid_argument("ClientPopulation: no front-ends");

@@ -31,7 +31,6 @@ struct ClientParams {
   /// Completions before this instant are not recorded (warm-up).
   sim::SimTime warmup = sim::SimTime::zero();
   net::RetransmitSchedule retransmit;
-  sim::SimTime link_latency = sim::SimTime::micros(100);
   /// Sticky sessions: after the first successful interaction a client tags
   /// every later request with the Tomcat that served it (mod_jk jvmRoute).
   bool sticky_sessions = false;

@@ -215,7 +215,6 @@ TraceReplayer::TraceReplayer(sim::Simulation& simu, const ArrivalTrace& trace,
       frontends_(std::move(frontends)),
       log_(log),
       params_(std::move(params)),
-      link_(params_.link_latency),
       rng_(simu.rng().fork()) {
   if (frontends_.empty())
     throw std::invalid_argument("TraceReplayer: no front-ends");

@@ -109,7 +109,6 @@ class ArrivalTrace {
 /// Replayer tunables (the open-loop analogue of ClientParams).
 struct ReplayParams {
   net::RetransmitSchedule retransmit;
-  sim::SimTime link_latency = sim::SimTime::micros(100);
   /// Client-side patience: a request unanswered this long is abandoned and
   /// logged as dropped (a late response is ignored). Zero = wait forever.
   sim::SimTime client_timeout;

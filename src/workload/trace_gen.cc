@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace ntier::workload {
@@ -22,14 +21,6 @@ struct Pending {
 /// Heap order for a min-heap on (at, seq).
 bool later(const Pending& a, const Pending& b) {
   return a.ev.at != b.ev.at ? b.ev.at < a.ev.at : b.seq < a.seq;
-}
-
-/// Shortest round-trip double formatting (ostream's 6 significant digits
-/// would corrupt a spec through to_string -> parse).
-std::string fmt(double v) {
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, ptr);
 }
 
 }  // namespace
@@ -63,52 +54,6 @@ bool TraceGenSpec::validate(std::string* error) const {
   if (!finite(abandon_p) || abandon_p < 0 || abandon_p >= 1)
     return fail("abandon-p must be in [0, 1)");
   return true;
-}
-
-std::string TraceGenSpec::to_string() const {
-  std::ostringstream os;
-  os << "seed=" << seed << ",duration=" << fmt(duration_s) << ",base-rps="
-     << fmt(base_rps) << ",diurnal-amplitude=" << fmt(diurnal_amplitude)
-     << ",diurnal-period=" << fmt(diurnal_period_s) << ",flash-at="
-     << fmt(flash_at_s) << ",flash-duration=" << fmt(flash_duration_s)
-     << ",flash-multiplier=" << fmt(flash_multiplier) << ",session-mean="
-     << fmt(session_mean) << ",think-mean=" << fmt(think_mean_s)
-     << ",abandon-p=" << fmt(abandon_p);
-  return os.str();
-}
-
-std::optional<TraceGenSpec> trace_gen_spec_from_string(const std::string& s,
-                                                       std::string* error) {
-  TraceGenSpec spec;
-  const std::string why = sim::for_each_spec_item(
-      s, [&spec](const std::string& key, const std::string& value) -> std::string {
-        if (key == "seed") {
-          const auto seed = sim::parse_number<std::uint64_t>(value);
-          if (!seed) return "bad integer for 'seed': '" + value + "'";
-          spec.seed = *seed;
-          return "";
-        }
-        const auto parsed = sim::parse_number<double>(value);
-        if (!parsed) return "bad number for '" + key + "': '" + value + "'";
-        if (key == "duration") spec.duration_s = *parsed;
-        else if (key == "base-rps") spec.base_rps = *parsed;
-        else if (key == "diurnal-amplitude") spec.diurnal_amplitude = *parsed;
-        else if (key == "diurnal-period") spec.diurnal_period_s = *parsed;
-        else if (key == "flash-at") spec.flash_at_s = *parsed;
-        else if (key == "flash-duration") spec.flash_duration_s = *parsed;
-        else if (key == "flash-multiplier") spec.flash_multiplier = *parsed;
-        else if (key == "session-mean") spec.session_mean = *parsed;
-        else if (key == "think-mean") spec.think_mean_s = *parsed;
-        else if (key == "abandon-p") spec.abandon_p = *parsed;
-        else return "unknown key '" + key + "'";
-        return "";
-      });
-  if (!why.empty()) {
-    if (error) *error = "trace-gen spec: " + why;
-    return std::nullopt;
-  }
-  if (!spec.validate(error)) return std::nullopt;
-  return spec;
 }
 
 double TraceGenerator::rate_at(double t_s) const {

@@ -1,9 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <string_view>
 
+#include "sim/fields.h"
 #include "sim/rng.h"
 #include "workload/trace.h"
 
@@ -13,7 +14,7 @@ namespace ntier::workload {
 /// arrival process with a diurnal rate curve and an optional flash crowd,
 /// where each session is a think-time-separated run of RUBBoS interactions
 /// (each drawn from the workload's mix) that may abandon early.
-/// Parsed from the CLI as a key=value list (see trace_gen_spec_from_string).
+/// Parsed from the CLI as a key=value list through its field table below.
 struct TraceGenSpec {
   std::uint64_t seed = 42;
   /// Trace horizon in (simulated) seconds; sessions whose arrivals run past
@@ -41,17 +42,28 @@ struct TraceGenSpec {
   double abandon_p = 0.0;
 
   bool validate(std::string* error = nullptr) const;
-  /// Canonical key=value form; round-trips through
-  /// trace_gen_spec_from_string.
-  std::string to_string() const;
 };
 
-/// Parse "key=value,key=value" (keys named exactly as the struct fields
-/// minus the unit suffixes: seed, duration, base-rps, diurnal-amplitude,
-/// diurnal-period, flash-at, flash-duration, flash-multiplier, session-mean,
-/// think-mean, abandon-p). Returns nullopt and sets `error` on bad input.
-std::optional<TraceGenSpec> trace_gen_spec_from_string(const std::string& s,
-                                                       std::string* error);
+/// TraceGenSpec's field table (see sim/fields.h): --trace-gen's keys, the
+/// field names without their unit suffixes, in declaration order.
+/// sim::spec_text writes the canonical form, which
+/// sim::parse_spec<TraceGenSpec> reads back.
+constexpr void visit(sim::FieldsOf<TraceGenSpec> auto& c, auto&& row) {
+  row("seed", c.seed, sim::Int{});
+  row("duration", c.duration_s, sim::Real{});
+  row("base-rps", c.base_rps, sim::Real{});
+  row("diurnal-amplitude", c.diurnal_amplitude, sim::Real{});
+  row("diurnal-period", c.diurnal_period_s, sim::Real{});
+  row("flash-at", c.flash_at_s, sim::Real{});
+  row("flash-duration", c.flash_duration_s, sim::Real{});
+  row("flash-multiplier", c.flash_multiplier, sim::Real{});
+  row("session-mean", c.session_mean, sim::Real{});
+  row("think-mean", c.think_mean_s, sim::Real{});
+  row("abandon-p", c.abandon_p, sim::Real{});
+}
+constexpr std::string_view spec_name(const TraceGenSpec&) {
+  return "trace-gen spec";
+}
 
 /// Seeded generator: the same spec + workload always emits a byte-identical
 /// trace, so "one day of production traffic" is a single replayable,

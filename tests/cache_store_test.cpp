@@ -117,14 +117,14 @@ TEST(CacheConfig, RoundTripsThroughString) {
   c.invalidation_queue_capacity = 128;
   c.coalesce = false;
   std::string err;
-  const auto parsed = cache_config_from_string(c.to_string(), &err);
+  const auto parsed = sim::parse_spec<CacheConfig>(sim::spec_text(c), &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->to_string(), c.to_string());
+  EXPECT_EQ(sim::spec_text(*parsed), sim::spec_text(c));
 }
 
 TEST(CacheConfig, ParseAppliesPartialOverridesOverDefaults) {
   std::string err;
-  const auto parsed = cache_config_from_string("nodes=4,ttl_ms=500", &err);
+  const auto parsed = sim::parse_spec<CacheConfig>("nodes=4,ttl_ms=500", &err);
   ASSERT_TRUE(parsed.has_value()) << err;
   EXPECT_EQ(parsed->nodes, 4);
   EXPECT_EQ(parsed->ttl, SimTime::millis(500));
@@ -133,18 +133,18 @@ TEST(CacheConfig, ParseAppliesPartialOverridesOverDefaults) {
 
 TEST(CacheConfig, RejectsUnknownKeysAndMalformedItems) {
   std::string err;
-  EXPECT_FALSE(cache_config_from_string("bogus=1", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("bogus=1", &err).has_value());
   EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
-  EXPECT_FALSE(cache_config_from_string("nodes", &err).has_value());
-  EXPECT_FALSE(cache_config_from_string("nodes=two", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("nodes", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("nodes=two", &err).has_value());
 }
 
 TEST(CacheConfig, RejectsInvalidGeometry) {
   std::string err;
-  EXPECT_FALSE(cache_config_from_string("nodes=0", &err).has_value());
-  EXPECT_FALSE(cache_config_from_string("bytes=0", &err).has_value());
-  EXPECT_FALSE(cache_config_from_string("entry=0", &err).has_value());
-  EXPECT_FALSE(cache_config_from_string("ttl_ms=0", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("nodes=0", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("bytes=0", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("entry=0", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<CacheConfig>("ttl_ms=0", &err).has_value());
 }
 
 TEST(CacheConfig, RejectsOutOfRangeValuesInsteadOfNarrowing) {
@@ -155,21 +155,21 @@ TEST(CacheConfig, RejectsOutOfRangeValuesInsteadOfNarrowing) {
         "ttl_ms=18446744073710", "ttl_ms=9223372036855", "ttl_ms=-5",
         "ttl_ms=inf", "ttl_ms=nan", "coalesce=2", "coalesce=-1"}) {
     std::string err;
-    EXPECT_FALSE(cache_config_from_string(spec, &err).has_value()) << spec;
+    EXPECT_FALSE(sim::parse_spec<CacheConfig>(spec, &err).has_value()) << spec;
     EXPECT_EQ(err.find("ttl_ms must be > 0"), std::string::npos) << spec;
   }
   std::string err;
-  cache_config_from_string("ttl_ms=9223372036855", &err);
+  sim::parse_spec<CacheConfig>("ttl_ms=9223372036855", &err);
   EXPECT_NE(err.find("ttl_ms must be a finite number of ms"), std::string::npos)
       << err;
-  cache_config_from_string("entry=4294967297", &err);
+  sim::parse_spec<CacheConfig>("entry=4294967297", &err);
   EXPECT_NE(err.find("entry must be <= 4294967295"), std::string::npos) << err;
   // ttl_ms takes fractional ms, like every --*-ms flag, and still round-trips.
-  const auto half = cache_config_from_string("ttl_ms=0.5,coalesce=1", &err);
+  const auto half = sim::parse_spec<CacheConfig>("ttl_ms=0.5,coalesce=1", &err);
   ASSERT_TRUE(half.has_value()) << err;
   EXPECT_EQ(half->ttl, SimTime::micros(500));
   EXPECT_TRUE(half->coalesce);
-  const auto again = cache_config_from_string(half->to_string(), &err);
+  const auto again = sim::parse_spec<CacheConfig>(sim::spec_text(*half), &err);
   ASSERT_TRUE(again.has_value()) << err;
   EXPECT_EQ(again->ttl, SimTime::micros(500));
 }

@@ -58,6 +58,18 @@ TEST(Cli, ParsesScaleFlags) {
   EXPECT_EQ(c.num_mysql, 2);
 }
 
+TEST(Cli, SeedsTakeTheFullUnsignedRange) {
+  // As every bench's --seed does.
+  const auto r = parse({"--seed", "18446744073709551615", "--chaos-seed",
+                        "18446744073709551615"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.options->config.seed, 18446744073709551615u);
+  EXPECT_EQ(r.options->chaos_seed, 18446744073709551615u);
+  EXPECT_TRUE(r.options->chaos);
+  EXPECT_EQ(parse({"--seed", "18446744073709551616"}).error, "bad --seed");
+  EXPECT_EQ(parse({"--chaos-seed", "-1"}).error, "bad --chaos-seed");
+}
+
 TEST(Cli, FullExpandsToPaperScale) {
   const auto r = parse({"--full"});
   ASSERT_TRUE(r.ok());
@@ -172,6 +184,7 @@ TEST(Cli, RejectsUnknownFlag) {
 TEST(Cli, RejectsBadValues) {
   EXPECT_FALSE(parse({"--clients", "zero"}).ok());
   EXPECT_FALSE(parse({"--clients", "-5"}).ok());
+  EXPECT_FALSE(parse({"--clients", "4294967297"}).ok());  // no int wrap-around
   EXPECT_FALSE(parse({"--think-ms"}).ok());           // missing value
   EXPECT_FALSE(parse({"--policy", "bogus"}).ok());
   EXPECT_FALSE(parse({"--mechanism", "bogus"}).ok());
@@ -203,9 +216,9 @@ TEST(Cli, KvTierFlagsParseAndRoundTrip) {
   EXPECT_EQ(c.kv.w, 2);
   // The parsed config round-trips through its canonical rendering.
   std::string err;
-  const auto again = kv::kv_config_from_string(c.kv.to_string(), &err);
+  const auto again = sim::parse_spec<kv::KvConfig>(sim::spec_text(c.kv), &err);
   ASSERT_TRUE(again.has_value()) << err;
-  EXPECT_EQ(again->to_string(), c.kv.to_string());
+  EXPECT_EQ(sim::spec_text(*again), sim::spec_text(c.kv));
   EXPECT_DOUBLE_EQ(c.workload.zipf_s, 1.1);
   EXPECT_EQ(c.workload.key_space, 5'000u);
   EXPECT_TRUE(c.kv_millibottlenecks);
@@ -292,9 +305,10 @@ TEST(Cli, CacheTierFlagsParseAndRoundTrip) {
   EXPECT_FALSE(c.cache.coalesce);
   // The parsed config round-trips through its canonical rendering.
   std::string err;
-  const auto again = cache::cache_config_from_string(c.cache.to_string(), &err);
+  const auto again =
+      sim::parse_spec<cache::CacheConfig>(sim::spec_text(c.cache), &err);
   ASSERT_TRUE(again.has_value()) << err;
-  EXPECT_EQ(again->to_string(), c.cache.to_string());
+  EXPECT_EQ(sim::spec_text(*again), sim::spec_text(c.cache));
 }
 
 TEST(Cli, RejectsCacheTierWithoutKvTier) {
@@ -426,7 +440,9 @@ TEST(Cli, TraceGenFlagsParse) {
   const auto r = parse({"--trace-gen", "duration=30,base-rps=500",
                         "--trace-out", "/tmp/day.csv"});
   ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.options->trace_gen_spec, "duration=30,base-rps=500");
+  ASSERT_TRUE(r.options->trace_gen.has_value());
+  EXPECT_DOUBLE_EQ(r.options->trace_gen->duration_s, 30.0);
+  EXPECT_DOUBLE_EQ(r.options->trace_gen->base_rps, 500.0);
   EXPECT_EQ(r.options->trace_out_path, "/tmp/day.csv");
 }
 
@@ -444,7 +460,7 @@ TEST(Cli, TraceReplayAliasAndKnobs) {
                         "0.5"});
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.options->replay_trace_path, "/tmp/day.csv");
-  EXPECT_DOUBLE_EQ(r.options->replay_timeout_ms, 8000.0);
+  EXPECT_EQ(r.options->replay_timeout, sim::SimTime::millis(8000));
   EXPECT_DOUBLE_EQ(r.options->replay_scale, 0.5);
   EXPECT_FALSE(parse({"--replay-timeout-ms", "0", "--replay-trace",
                       "/tmp/d.csv"}).ok());

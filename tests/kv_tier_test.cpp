@@ -27,14 +27,14 @@ TEST(KvConfig, RoundTripsThroughString) {
   c.r = 2;
   c.w = 2;
   std::string err;
-  const auto parsed = kv_config_from_string(c.to_string(), &err);
+  const auto parsed = sim::parse_spec<KvConfig>(sim::spec_text(c), &err);
   ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->to_string(), c.to_string());
+  EXPECT_EQ(sim::spec_text(*parsed), sim::spec_text(c));
 }
 
 TEST(KvConfig, ParseAppliesPartialOverridesOverDefaults) {
   std::string err;
-  const auto parsed = kv_config_from_string("replicas=6,hints=128", &err);
+  const auto parsed = sim::parse_spec<KvConfig>("replicas=6,hints=128", &err);
   ASSERT_TRUE(parsed.has_value()) << err;
   EXPECT_EQ(parsed->replicas, 6);
   EXPECT_EQ(parsed->hint_capacity, 128u);
@@ -43,23 +43,23 @@ TEST(KvConfig, ParseAppliesPartialOverridesOverDefaults) {
 
 TEST(KvConfig, RejectsNonIntersectingQuorum) {
   std::string err;
-  EXPECT_FALSE(kv_config_from_string("n=3,r=1,w=1", &err).has_value());
+  EXPECT_FALSE(sim::parse_spec<KvConfig>("n=3,r=1,w=1", &err).has_value());
   EXPECT_NE(err.find("r+w must exceed n"), std::string::npos) << err;
 }
 
 TEST(KvConfig, RejectsNExceedingReplicas) {
   std::string err;
-  EXPECT_FALSE(kv_config_from_string("replicas=2,n=3,r=2,w=2", &err));
+  EXPECT_FALSE(sim::parse_spec<KvConfig>("replicas=2,n=3,r=2,w=2", &err));
   EXPECT_NE(err.find("exceeds replicas"), std::string::npos) << err;
 }
 
 TEST(KvConfig, RejectsUnknownKeysAndMalformedItems) {
   std::string err;
-  EXPECT_FALSE(kv_config_from_string("bogus=1", &err));
+  EXPECT_FALSE(sim::parse_spec<KvConfig>("bogus=1", &err));
   EXPECT_NE(err.find("unknown key 'bogus'"), std::string::npos) << err;
-  EXPECT_FALSE(kv_config_from_string("replicas", &err));
+  EXPECT_FALSE(sim::parse_spec<KvConfig>("replicas", &err));
   EXPECT_NE(err.find("expected key=value"), std::string::npos) << err;
-  EXPECT_FALSE(kv_config_from_string("r=two", &err));
+  EXPECT_FALSE(sim::parse_spec<KvConfig>("r=two", &err));
   EXPECT_NE(err.find("bad integer"), std::string::npos) << err;
 }
 

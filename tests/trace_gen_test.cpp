@@ -16,7 +16,7 @@ namespace {
 
 TEST(TraceGenSpec, ParsesKeyValueListAndRoundTrips) {
   std::string err;
-  const auto spec = trace_gen_spec_from_string(
+  const auto spec = sim::parse_spec<TraceGenSpec>(
       "seed=7,duration=30,base-rps=500,diurnal-amplitude=0.4,"
       "flash-at=10,flash-duration=2,flash-multiplier=3,session-mean=4,"
       "think-mean=0.5,abandon-p=0.1",
@@ -30,26 +30,26 @@ TEST(TraceGenSpec, ParsesKeyValueListAndRoundTrips) {
   EXPECT_DOUBLE_EQ(spec->flash_multiplier, 3.0);
   EXPECT_DOUBLE_EQ(spec->abandon_p, 0.1);
   // Canonical form re-parses to the same spec.
-  const auto again = trace_gen_spec_from_string(spec->to_string(), &err);
+  const auto again = sim::parse_spec<TraceGenSpec>(sim::spec_text(*spec), &err);
   ASSERT_TRUE(again.has_value()) << err;
-  EXPECT_EQ(again->to_string(), spec->to_string());
+  EXPECT_EQ(sim::spec_text(*again), sim::spec_text(*spec));
 }
 
 TEST(TraceGenSpec, RejectsBadInput) {
   std::string err;
-  EXPECT_FALSE(trace_gen_spec_from_string("duration", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("duration", &err));
   EXPECT_NE(err.find("key=value"), std::string::npos);
-  EXPECT_FALSE(trace_gen_spec_from_string("duration=abc", &err));
-  EXPECT_FALSE(trace_gen_spec_from_string("duration=60x", &err));  // garbage
-  EXPECT_FALSE(trace_gen_spec_from_string("frobnicate=1", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("duration=abc", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("duration=60x", &err));  // garbage
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("frobnicate=1", &err));
   EXPECT_NE(err.find("unknown key"), std::string::npos);
-  EXPECT_FALSE(trace_gen_spec_from_string("duration=0", &err));
-  EXPECT_FALSE(trace_gen_spec_from_string("base-rps=-5", &err));
-  EXPECT_FALSE(trace_gen_spec_from_string("diurnal-amplitude=1.5", &err));
-  EXPECT_FALSE(trace_gen_spec_from_string("session-mean=0.5", &err));
-  EXPECT_FALSE(trace_gen_spec_from_string("abandon-p=1", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("duration=0", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("base-rps=-5", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("diurnal-amplitude=1.5", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("session-mean=0.5", &err));
+  EXPECT_FALSE(sim::parse_spec<TraceGenSpec>("abandon-p=1", &err));
   EXPECT_FALSE(
-      trace_gen_spec_from_string("flash-at=5,flash-multiplier=0.5", &err));
+      sim::parse_spec<TraceGenSpec>("flash-at=5,flash-multiplier=0.5", &err));
 }
 
 TEST(TraceGenerator, RateCurveHasDiurnalTroughPeakAndFlash) {

@@ -14,7 +14,7 @@
 #include "millib/causal_chain.h"
 #include "obs/trace_io.h"
 #include "probe/freshness.h"
-#include "sim/time.h"
+#include "sim/fields.h"
 
 namespace {
 
@@ -52,41 +52,33 @@ int main(int argc, char** argv) {
   ntier::millib::CausalChainConfig cfg;
   auto probe_staleness = ntier::sim::SimTime::millis(400);
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    // A millisecond-valued flag: false (and `out` untouched) unless it has a
-    // value that ntier::sim::parse_time accepts.
-    auto ms_value = [&](ntier::sim::SimTime& out) {
-      if (++i >= argc) return false;
-      const auto t = ntier::sim::parse_time(argv[i], 1e-3);
-      if (t) out = *t;
-      return t.has_value();
-    };
-    ntier::sim::SimTime t;
-    if (a == "--help" || a == "-h") {
+  // --vlrt-ms and --kv-slow-ms read a checked time and keep it as a count
+  // of ms; zero = not given.
+  ntier::sim::SimTime vlrt, kv_slow;
+  const auto flags = [&](auto&& row) {
+    row("--quiet", quiet, ntier::sim::Switch{});
+    row("--compare-online", compare_online, ntier::sim::Switch{});
+    row("--json", json_path, ntier::sim::Text{});
+    row("--window-ms", cfg.detector.window, ntier::sim::kMillis);
+    row("--slack-ms", cfg.slack, ntier::sim::kMillis);
+    row("--vlrt-ms", vlrt, ntier::sim::kMillis);
+    row("--freeze-ms", cfg.detector.lb_freeze_min, ntier::sim::kMillis);
+    row("--kv-slow-ms", kv_slow, ntier::sim::kMillis);
+    row("--probe-staleness-ms", probe_staleness, ntier::sim::kMillis);
+  };
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    const auto r = ntier::sim::apply_flag(flags, args, i);
+    if (!r.error.empty()) {
+      std::cerr << r.error << "\n";
+      return 2;
+    }
+    if (r.status == ntier::sim::FlagResult::kApplied) {
+      continue;
+    } else if (a == "--help" || a == "-h") {
       usage(std::cout);
       return 0;
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--compare-online") {
-      compare_online = true;
-    } else if (a == "--json") {
-      if (++i >= argc) { std::cerr << "missing --json value\n"; return 2; }
-      json_path = argv[i];
-    } else if (a == "--window-ms") {
-      if (!ms_value(cfg.detector.window)) { std::cerr << "bad --window-ms\n"; return 2; }
-    } else if (a == "--slack-ms") {
-      if (!ms_value(cfg.slack)) { std::cerr << "bad --slack-ms\n"; return 2; }
-    } else if (a == "--vlrt-ms") {
-      if (!ms_value(t)) { std::cerr << "bad --vlrt-ms\n"; return 2; }
-      cfg.detector.vlrt_threshold_ms = t.to_millis();
-    } else if (a == "--freeze-ms") {
-      if (!ms_value(cfg.detector.lb_freeze_min)) { std::cerr << "bad --freeze-ms\n"; return 2; }
-    } else if (a == "--kv-slow-ms") {
-      if (!ms_value(t)) { std::cerr << "bad --kv-slow-ms\n"; return 2; }
-      cfg.kv_slow_quorum_ms = t.to_millis();
-    } else if (a == "--probe-staleness-ms") {
-      if (!ms_value(probe_staleness)) { std::cerr << "bad --probe-staleness-ms\n"; return 2; }
     } else if (!a.empty() && a[0] == '-') {
       std::cerr << "unknown flag: " << a << "\n";
       usage(std::cerr);
@@ -102,6 +94,10 @@ int main(int argc, char** argv) {
     usage(std::cerr);
     return 2;
   }
+  if (vlrt > ntier::sim::SimTime::zero())
+    cfg.detector.vlrt_threshold_ms = vlrt.to_millis();
+  if (kv_slow > ntier::sim::SimTime::zero())
+    cfg.kv_slow_quorum_ms = kv_slow.to_millis();
 
   std::vector<ntier::obs::TraceEvent> events;
   try {
